@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from bench_common import roadmap_config
-from repro.experiments.deadline_study import deadline_rows, run_deadline_study
+from repro.experiments import STUDIES, run_study, study_rows
 from repro.metrics.reporting import render_table
 from repro.traffic.flowspec import (
     PROTOCOL_D2TCP,
@@ -28,20 +28,21 @@ SLACK_FACTOR = 3.0
 
 
 def _run_deadline_study():
-    return run_deadline_study(
+    return run_study(
+        STUDIES["deadlines"],
         roadmap_config(),
         protocols=PROTOCOLS,
         slack_factor=SLACK_FACTOR,
-        num_subflows=8,
     )
 
 
 @pytest.mark.benchmark(group="baseline-deadlines")
 def test_baseline_deadline_miss_rates(benchmark) -> None:
     """Deadline miss rates of the related-work baselines vs MMPTCP."""
-    outcomes = benchmark.pedantic(_run_deadline_study, rounds=1, iterations=1)
+    points = benchmark.pedantic(_run_deadline_study, rounds=1, iterations=1)
+    outcomes = {point.protocol: point for point in points}
 
-    rows = deadline_rows(outcomes)
+    rows = study_rows(points)
     print(f"\nBaselines — deadline study (slack factor {SLACK_FACTOR})")
     print(
         render_table(

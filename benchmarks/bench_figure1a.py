@@ -17,7 +17,7 @@ import os
 import pytest
 
 from bench_common import base_config
-from repro.experiments.figure1 import figure1a_series
+from repro.experiments import STUDIES, run_study
 from repro.metrics.reporting import render_table
 
 #: Sub-flow counts to sweep.  The paper sweeps 1..9; the quick benchmark keeps
@@ -33,7 +33,11 @@ def test_figure1a_mptcp_fct_vs_subflows(benchmark) -> None:
     config = base_config()
 
     rows = benchmark.pedantic(
-        figure1a_series, args=(config, SUBFLOW_COUNTS), rounds=1, iterations=1
+        run_study,
+        args=(STUDIES["figure1a"], config),
+        kwargs={"subflow_counts": SUBFLOW_COUNTS},
+        rounds=1,
+        iterations=1,
     )
 
     print("\nFigure 1(a) — MPTCP short-flow completion time vs number of subflows")
@@ -43,10 +47,10 @@ def test_figure1a_mptcp_fct_vs_subflows(benchmark) -> None:
              "RTO incidence", "completed"],
             [
                 [
-                    row.num_subflows,
-                    f"{row.mean_ms:.1f}",
-                    f"{row.std_ms:.1f}",
-                    f"{row.fct_summary.p99:.1f}",
+                    row.subflows,
+                    f"{row.mean_fct_ms:.1f}",
+                    f"{row.std_fct_ms:.1f}",
+                    f"{row.p99_fct_ms:.1f}",
                     f"{100 * row.rto_incidence:.1f}%",
                     f"{100 * row.completion_rate:.1f}%",
                 ]
@@ -61,11 +65,11 @@ def test_figure1a_mptcp_fct_vs_subflows(benchmark) -> None:
 
     assert len(rows) == len(SUBFLOW_COUNTS)
     # Every configuration produced short-flow measurements.
-    assert all(row.fct_summary.count > 0 for row in rows)
+    assert all(row.result.metrics.short_flow_fct_summary().count > 0 for row in rows)
     single = rows[0]
     many = rows[-1]
     # Qualitative shape: splitting a 70 KB flow over many subflows does not
     # reduce RTO incidence, and the completion-time tail with many subflows is
     # not meaningfully smaller than with a single subflow.
     assert many.rto_incidence >= single.rto_incidence - 0.02
-    assert many.std_ms >= 0.7 * single.std_ms
+    assert many.std_fct_ms >= 0.7 * single.std_fct_ms

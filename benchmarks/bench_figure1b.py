@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from bench_common import base_config
-from repro.experiments.figure1 import figure1b_scatter, scatter_points
+from repro.experiments import STUDIES, run_study
 from repro.metrics.reporting import render_table
 from repro.metrics.stats import fraction_above
 
@@ -20,9 +20,12 @@ def test_figure1b_mptcp8_completion_scatter(benchmark) -> None:
     """Regenerate the MPTCP(8) per-flow completion-time scatter."""
     config = base_config()
 
-    result = benchmark.pedantic(figure1b_scatter, args=(config, 8), rounds=1, iterations=1)
+    (point,) = benchmark.pedantic(
+        run_study, args=(STUDIES["figure1b"], config), rounds=1, iterations=1
+    )
+    result = point.result
     metrics = result.metrics
-    points = scatter_points(result)
+    points = point.rows
     fct_ms = metrics.short_flow_fct_ms()
     summary = metrics.short_flow_fct_summary()
 

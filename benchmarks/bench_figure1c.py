@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from bench_common import base_config
-from repro.experiments.figure1 import figure1b_scatter, figure1c_scatter, scatter_points
+from repro.experiments import STUDIES, run_study
 from repro.metrics.reporting import render_table
 from repro.metrics.stats import fraction_above
 
@@ -21,10 +21,11 @@ def test_figure1c_mmptcp_completion_scatter(benchmark) -> None:
     """Regenerate the MMPTCP per-flow scatter and compare its tail to MPTCP(8)."""
     config = base_config()
 
-    mmptcp_result = benchmark.pedantic(
-        figure1c_scatter, args=(config, 8), rounds=1, iterations=1
+    (mmptcp_point,) = benchmark.pedantic(
+        run_study, args=(STUDIES["figure1c"], config), rounds=1, iterations=1
     )
-    mptcp_result = figure1b_scatter(config, 8)
+    mmptcp_result = mmptcp_point.result
+    mptcp_result = run_study(STUDIES["figure1b"], config)[0].result
 
     mmptcp = mmptcp_result.metrics
     mptcp = mptcp_result.metrics
@@ -60,7 +61,7 @@ def test_figure1c_mmptcp_completion_scatter(benchmark) -> None:
         "100 ms; MPTCP 126 ms mean / 425 ms std with a heavy RTO tail."
     )
 
-    points = scatter_points(mmptcp_result)
+    points = mmptcp_point.rows
     assert len(points) == len(mmptcp_fct) > 0
 
     # Qualitative reproduction targets (the RTO mechanism behind the Figure 1(b)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from bench_common import roadmap_config
-from repro.experiments.coexistence import coexistence_rows, run_coexistence_experiment
+from repro.experiments import coexistence_rows, run_coexistence_experiment
 from repro.metrics.reporting import render_table
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from bench_common import roadmap_config
-from repro.experiments.hotspot import hotspot_rows, run_hotspot_comparison
+from repro.experiments import STUDIES, run_study, study_rows
 from repro.metrics.reporting import render_table
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
 
@@ -21,21 +21,22 @@ LOAD_FRACTION = 0.5
 
 
 def _run_hotspot():
-    return run_hotspot_comparison(
+    return run_study(
+        STUDIES["hotspot"],
         roadmap_config(),
         protocols=(PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
         hotspot_fraction=HOTSPOT_FRACTION,
         load_fraction=LOAD_FRACTION,
-        num_subflows=8,
     )
 
 
 @pytest.mark.benchmark(group="roadmap-hotspot")
 def test_roadmap_hotspot_skew(benchmark) -> None:
     """MPTCP vs MMPTCP when half the senders target one eighth of the hosts."""
-    outcomes = benchmark.pedantic(_run_hotspot, rounds=1, iterations=1)
+    points = benchmark.pedantic(_run_hotspot, rounds=1, iterations=1)
+    outcomes = {point.protocol: point for point in points}
 
-    rows = hotspot_rows(outcomes)
+    rows = study_rows(points)
     print(f"\nRoadmap — hotspots: {int(100 * LOAD_FRACTION)}% of senders redirected "
           f"to {int(100 * HOTSPOT_FRACTION)}% of hosts")
     print(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from bench_common import roadmap_config
-from repro.experiments.loadsweep import load_sweep_rows, points_by_protocol, run_load_sweep
+from repro.experiments import load_sweep_rows, points_by_protocol, run_load_sweep
 from repro.metrics.reporting import render_table
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
 

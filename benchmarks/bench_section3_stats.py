@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from bench_common import base_config
-from repro.experiments.section3 import section3_statistics
+from repro.experiments import section3_statistics
 from repro.metrics.reporting import render_table
 
 

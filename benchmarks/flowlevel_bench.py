@@ -46,8 +46,8 @@ if __package__ in (None, ""):  # running as a script
 
 from engine_bench import run_event_chain
 
+from repro.experiments import run_load_sweep
 from repro.experiments.config import FIDELITY_FLOW, FIDELITY_PACKET
-from repro.experiments.loadsweep import run_load_sweep
 from repro.experiments.runner import build_topology, run_experiment
 from repro.scenarios import tiny_config
 from repro.sim.engine import Simulator

@@ -13,8 +13,7 @@ Run with:  python examples/coexistence_fairness.py
 
 from __future__ import annotations
 
-from repro.experiments import ExperimentConfig
-from repro.experiments.coexistence import coexistence_rows, run_coexistence_experiment
+from repro.experiments import ExperimentConfig, coexistence_rows, run_coexistence_experiment
 from repro.metrics.reporting import render_table
 from repro.sim.units import megabits_per_second
 from repro.traffic import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP

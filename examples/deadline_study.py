@@ -13,8 +13,7 @@ Run with:  python examples/deadline_study.py
 
 from __future__ import annotations
 
-from repro.experiments import ExperimentConfig
-from repro.experiments.deadline_study import deadline_rows, run_deadline_study
+from repro.experiments import STUDIES, ExperimentConfig, run_study, study_rows
 from repro.metrics.reporting import render_table
 from repro.sim.units import megabits_per_second
 from repro.traffic import (
@@ -45,11 +44,14 @@ def main() -> None:
     protocols = (PROTOCOL_TCP, PROTOCOL_DCTCP, PROTOCOL_D2TCP, PROTOCOL_MPTCP, PROTOCOL_MMPTCP)
     print(f"Assigning slack-{SLACK_FACTOR} deadlines to every short flow and running "
           f"{len(protocols)} transports on the same workload...")
-    outcomes = run_deadline_study(
-        config, protocols=protocols, slack_factor=SLACK_FACTOR, num_subflows=8
+    points = run_study(
+        STUDIES["deadlines"],
+        config,
+        protocols=protocols,
+        slack_factor=SLACK_FACTOR,
     )
 
-    rows = deadline_rows(outcomes)
+    rows = study_rows(points)
     print()
     print(render_table(
         ["protocol", "short flows", "deadline misses", "mean FCT (ms)",

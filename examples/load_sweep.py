@@ -20,8 +20,12 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import ExperimentConfig
-from repro.experiments.loadsweep import load_sweep_rows, points_by_protocol, run_load_sweep
+from repro.experiments import (
+    ExperimentConfig,
+    load_sweep_rows,
+    points_by_protocol,
+    run_load_sweep,
+)
 from repro.experiments.parallel import workers_argument_type
 from repro.metrics.export import ascii_cdf
 from repro.metrics.reporting import render_table

@@ -1,10 +1,10 @@
 """Markdown report generation.
 
-``EXPERIMENTS.md`` records paper-vs-measured outcomes in a fixed structure:
-a claim, how it was regenerated, what was measured, and a verdict.  These
-helpers produce that structure (and plain markdown tables) from experiment
-results, so a reproduction run can regenerate its own report instead of the
-numbers being transcribed by hand.
+A reproduction report records paper-vs-measured outcomes in a fixed
+structure: a claim, how it was regenerated, what was measured, and a
+verdict.  These helpers produce that structure (and plain markdown tables)
+from experiment results, so a reproduction run can regenerate its own report
+instead of the numbers being transcribed by hand.
 """
 
 from __future__ import annotations
@@ -12,27 +12,12 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.analysis.compare import MetricComparison
+from repro.metrics.collector import CELL_METRIC_FIELDS
+from repro.metrics.reporting import table_cells
 from repro.metrics.stats import mean_ci95
 
 #: How numeric cells are formatted by default.
 _FLOAT_FORMAT = "{:.3f}"
-
-#: Metric columns aggregated across replications, in pinned order (a twin of
-#: :data:`repro.scenarios.runner.CELL_METRIC_FIELDS`, duplicated here to
-#: keep this module free of a scenarios dependency; a regression test pins
-#: the two tuples to each other).  Extend at the end only — CSV headers and
-#: report tables derive from it.
-REPLICATION_SUMMARY_METRICS = (
-    "short_flows",
-    "completion_rate",
-    "mean_fct_ms",
-    "p99_fct_ms",
-    "rto_incidence",
-    "retransmits",
-    "rtos",
-    "fault_drops",
-    "long_tput_mbps",
-)
 
 
 def _format_cell(value: object) -> str:
@@ -52,6 +37,11 @@ def markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> 
     for row in rows:
         lines.append("| " + " | ".join(_format_cell(cell) for cell in row) + " |")
     return "\n".join(lines)
+
+
+def rows_markdown(rows: Sequence[Mapping[str, object]]) -> str:
+    """Homogeneous row dictionaries as a markdown table (first row's key order)."""
+    return markdown_table(*table_cells(rows))
 
 
 def summary_comparison_markdown(
@@ -156,7 +146,7 @@ def replication_summary_rows(
     which, for campaign rows, is declared cell order — and reports the
     sample mean and 95% confidence half-width (see
     :func:`repro.metrics.stats.mean_ci95`; 0.0 for a single replication)
-    of every metric in :data:`REPLICATION_SUMMARY_METRICS`.
+    of every metric in :data:`repro.metrics.collector.CELL_METRIC_FIELDS`.
 
     Key order — ``scenario``, ``protocol``, ``params``, ``replications``,
     then a ``<metric>_mean`` / ``<metric>_ci95`` pair per metric — is
@@ -175,7 +165,7 @@ def replication_summary_rows(
             "params": params,
             "replications": len(members),
         }
-        for metric in REPLICATION_SUMMARY_METRICS:
+        for metric in CELL_METRIC_FIELDS:
             mean, half_width = mean_ci95(float(member[metric]) for member in members)
             summary[f"{metric}_mean"] = mean
             summary[f"{metric}_ci95"] = half_width
@@ -217,19 +207,14 @@ def campaign_report_markdown(
     lines.append(f"* **Cells:** {len(rows)}")
     lines.extend(["", "## Per-cell results", ""])
     if rows:
-        headers = list(rows[0].keys())
-        lines.append(markdown_table(headers, [[row[h] for h in headers] for row in rows]))
+        lines.append(rows_markdown(rows))
     else:
         lines.append("_No cells declared._")
     if spec.replications > 1 and rows:
         # Replicated campaigns additionally get the across-replication view:
         # one row per cell coordinate with mean ± 95% CI columns.
-        summary_rows = replication_summary_rows(rows)
-        headers = list(summary_rows[0].keys())
         lines.extend(["", "## Across replications (mean ± 95% CI)", ""])
-        lines.append(
-            markdown_table(headers, [[row[h] for h in headers] for row in summary_rows])
-        )
+        lines.append(rows_markdown(replication_summary_rows(rows)))
     deltas_apply = (
         baseline_protocol in spec.protocols
         and spec.replications == 1
@@ -251,7 +236,7 @@ def experiment_section(
     verdict: str,
     notes: Optional[str] = None,
 ) -> str:
-    """One EXPERIMENTS.md-style section as a markdown string.
+    """One paper-vs-measured report section as a markdown string.
 
     Args:
         title: section heading (e.g. ``"Figure 1(a) — ..."``).
@@ -268,9 +253,7 @@ def experiment_section(
     lines.append(f"* **Verdict:** {verdict}")
     lines.append("")
     if measured_rows:
-        headers = list(measured_rows[0].keys())
-        table_rows = [[row[header] for header in headers] for row in measured_rows]
-        lines.append(markdown_table(headers, table_rows))
+        lines.append(rows_markdown(measured_rows))
     else:
         lines.append("_No measurements recorded._")
     if notes:

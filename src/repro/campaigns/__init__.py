@@ -28,12 +28,12 @@ from repro.campaigns.runner import (
     outcome_report,
     params_label,
     run_campaign,
+    status_rows,
     status_summary_rows,
 )
-from repro.campaigns.spec import CAMPAIGN_SCALES, CampaignSpec, campaign_base_config
+from repro.campaigns.spec import CampaignSpec, campaign_base_config
 
 __all__ = [
-    "CAMPAIGN_SCALES",
     "CampaignCell",
     "CampaignIncompleteError",
     "CampaignOutcome",
@@ -51,5 +51,6 @@ __all__ = [
     "outcome_report",
     "params_label",
     "run_campaign",
+    "status_rows",
     "status_summary_rows",
 ]

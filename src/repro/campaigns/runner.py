@@ -39,8 +39,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import ExperimentResult
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import result_metrics_row
-from repro.scenarios.spec import build_scenario_workload
+from repro.scenarios.runner import scenario_cell_spec
 from repro.store.canonical import run_key_for_spec
 from repro.store.runstore import RunStore
 from repro.store.serialize import result_from_dict
@@ -158,17 +157,13 @@ def campaign_run_specs(spec: CampaignSpec) -> List[RunSpec]:
                 configs = seeded_replications(cell_config, spec.replications)
                 for replication, config in enumerate(configs):
                     specs.append(
-                        RunSpec(
-                            index=len(specs),
-                            config=config,
-                            workload_factory=build_scenario_workload,
-                            workload_args=(
-                                scenario.workload,
-                                scenario.fan_in,
-                                scenario.response_bytes,
-                                scenario.receiver,
-                            ),
-                            tag={
+                        scenario_cell_spec(
+                            len(specs),
+                            scenario,
+                            config,
+                            # Exactly the coordinate fields of CellStatus /
+                            # CampaignCell, which are built from this tag.
+                            {
                                 "scenario": scenario_name,
                                 "protocol": protocol,
                                 "params": dict(params),
@@ -186,26 +181,11 @@ def campaign_keys(specs: Sequence[RunSpec]) -> List[str]:
 
 def _cell_meta(spec: CampaignSpec, run_spec: RunSpec) -> Dict[str, Any]:
     """The provenance labels one campaign attaches to a cell it uses."""
-    return {
-        "campaign": spec.name,
-        "scenario": run_spec.tag["scenario"],
-        "protocol": run_spec.tag["protocol"],
-        "params": run_spec.tag["params"],
-        "replication": run_spec.tag["replication"],
-    }
+    return {"campaign": spec.name, **run_spec.tag}
 
 
 def _cell_from(spec: RunSpec, key: str, result: ExperimentResult, cached: bool) -> CampaignCell:
-    return CampaignCell(
-        index=spec.index,
-        scenario=spec.tag["scenario"],
-        protocol=spec.tag["protocol"],
-        params=spec.tag["params"],
-        replication=spec.tag["replication"],
-        key=key,
-        result=result,
-        cached=cached,
-    )
+    return CampaignCell(index=spec.index, key=key, result=result, cached=cached, **spec.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +198,8 @@ def _cell_coordinates(run_spec: RunSpec, key: str) -> Dict[str, Any]:
     return {
         "index": run_spec.index,
         "key": key,
-        "scenario": run_spec.tag["scenario"],
-        "protocol": run_spec.tag["protocol"],
+        **run_spec.tag,
         "params": dict(run_spec.tag["params"]),
-        "replication": run_spec.tag["replication"],
     }
 
 
@@ -351,15 +329,7 @@ def run_campaign(
 
 def _statuses_for(run_specs: Sequence[RunSpec], store: RunStore) -> List[CellStatus]:
     return [
-        CellStatus(
-            index=run_spec.index,
-            scenario=run_spec.tag["scenario"],
-            protocol=run_spec.tag["protocol"],
-            params=run_spec.tag["params"],
-            replication=run_spec.tag["replication"],
-            key=key,
-            stored=store.has(key),
-        )
+        CellStatus(index=run_spec.index, key=key, stored=store.has(key), **run_spec.tag)
         for run_spec, key in zip(run_specs, campaign_keys(run_specs))
     ]
 
@@ -367,6 +337,21 @@ def _statuses_for(run_specs: Sequence[RunSpec], store: RunStore) -> List[CellSta
 def campaign_status(spec: CampaignSpec, store: RunStore) -> List[CellStatus]:
     """Which declared cells are persisted, without running anything."""
     return _statuses_for(campaign_run_specs(spec), store)
+
+
+def status_rows(statuses: Sequence[CellStatus]) -> List[Dict[str, object]]:
+    """One row per declared cell (the ``campaign status`` table)."""
+    return [
+        {
+            "scenario": status.scenario,
+            "protocol": status.protocol,
+            "params": params_label(status.params),
+            "replication": status.replication,
+            "stored": status.stored,
+            "key": status.key[:12],
+        }
+        for status in statuses
+    ]
 
 
 def status_summary_rows(statuses: Sequence[CellStatus]) -> List[Dict[str, object]]:
@@ -419,7 +404,7 @@ def campaign_rows(cells: Sequence[CampaignCell]) -> List[Dict[str, object]]:
     """Flat per-cell rows in cell order.
 
     Key order — ``scenario``, ``protocol``, ``params``, ``replication``,
-    ``faults``, then :data:`repro.scenarios.runner.CELL_METRIC_FIELDS` — is
+    ``faults``, then :data:`repro.metrics.collector.CELL_METRIC_FIELDS` — is
     insertion-stable and part of the public contract (CSV headers and report
     tables derive from it).
     """
@@ -432,7 +417,7 @@ def campaign_rows(cells: Sequence[CampaignCell]) -> List[Dict[str, object]]:
             "replication": cell.replication,
             "faults": len(cell.result.config.fault_schedule),
         }
-        row.update(result_metrics_row(cell.result))
+        row.update(cell.result.metrics.cell_row())
         rows.append(row)
     return rows
 

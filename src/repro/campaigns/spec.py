@@ -25,12 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
-from repro.experiments.config import SCALES, ExperimentConfig, scaled_config
-from repro.scenarios.spec import tiny_config
+from repro.experiments.config import ExperimentConfig
+from repro.scenarios.spec import SCENARIO_SCALES, scale_config
 from repro.traffic.flowspec import ALL_PROTOCOLS
-
-#: Scales a campaign may name: the scenario-matrix "tiny" plus the CLI trio.
-CAMPAIGN_SCALES = ("tiny",) + SCALES
 
 #: Keys accepted in a campaign spec document.
 _SPEC_FIELDS = (
@@ -68,7 +65,8 @@ class CampaignSpec:
             for ``n == 1`` too — so raising the count later leaves existing
             cells' seeds and cache keys unchanged: an extended campaign
             re-simulates only the new replications.
-        scale: one of :data:`CAMPAIGN_SCALES` (base fabric/workload size).
+        scale: one of :data:`repro.scenarios.spec.SCENARIO_SCALES` (base
+            fabric/workload size).
         seed: the campaign's root seed.
         sweeps: ordered ``(config_field, (value, ...))`` axes; the cell grid
             crosses every combination in declaration order.
@@ -100,8 +98,8 @@ class CampaignSpec:
                 )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.scale not in CAMPAIGN_SCALES:
-            raise ValueError(f"unknown scale {self.scale!r}; expected one of {CAMPAIGN_SCALES}")
+        if self.scale not in SCENARIO_SCALES:
+            raise ValueError(f"unknown scale {self.scale!r}; expected one of {SCENARIO_SCALES}")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "protocols", tuple(self.protocols))
         object.__setattr__(self, "sweeps", tuple(
@@ -192,9 +190,6 @@ class CampaignSpec:
 
 def campaign_base_config(spec: CampaignSpec) -> ExperimentConfig:
     """The base :class:`ExperimentConfig` a campaign's cells derive from."""
-    if spec.scale == "tiny":
-        config = tiny_config(seed=spec.seed)
-    else:
-        config = scaled_config(spec.scale, spec.seed)
+    config = scale_config(spec.scale, spec.seed)
     overrides = dict(spec.config_overrides)
     return config.with_updates(**overrides) if overrides else config

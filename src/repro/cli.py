@@ -49,7 +49,6 @@ from repro.analysis.lint.cli import (
 )
 from repro.analysis.report import scenario_matrix_markdown
 from repro.campaigns import (
-    CAMPAIGN_SCALES,
     CampaignIncompleteError,
     CampaignSpec,
     campaign_gc,
@@ -58,32 +57,26 @@ from repro.campaigns import (
     campaign_status,
     campaign_summary_rows,
     outcome_report,
-    params_label,
     run_campaign,
+    status_rows,
     status_summary_rows,
 )
-from repro.experiments.coexistence import coexistence_rows, run_coexistence_experiment
 from repro.experiments.config import (
     FIDELITIES,
     SCALES,
     ExperimentConfig,
     scaled_config,
 )
-from repro.experiments.deadline_study import deadline_rows, run_deadline_study
-from repro.experiments.figure1 import figure1a_series, figure1b_scatter, figure1c_scatter
-from repro.experiments.hotspot import hotspot_rows, run_hotspot_comparison
-from repro.experiments.incast_study import incast_rows, run_incast_sweep
-from repro.experiments.loadsweep import load_sweep_rows, run_load_sweep
 from repro.experiments.parallel import workers_argument_type
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.experiments.section3 import section3_statistics
+from repro.experiments.study import STUDIES, run_study, study_rows
 from repro.metrics.export import (
     dumps_deterministic,
     write_flow_records_csv,
     write_series_csv,
     write_summary_json,
 )
-from repro.metrics.reporting import render_table
+from repro.metrics.reporting import render_table, rows_table
 from repro.obs import (
     ALL_GROUPS,
     PROBE_GROUPS,
@@ -96,21 +89,18 @@ from repro.obs import (
 from repro.scenarios import (
     DEFAULT_MATRIX_PROTOCOLS,
     DEFAULT_MATRIX_SCENARIOS,
+    SCENARIO_SCALES,
     ScenarioMatrixRunner,
     all_scenarios,
     matrix_rows,
     run_scenario,
-    tiny_config,
+    scale_config,
 )
 from repro.sim.units import megabits_per_second
 from repro.store import RunStore, StoreError, StoreIntegrityError
-from repro.traffic.flowspec import ALL_PROTOCOLS, PROTOCOL_MMPTCP, PROTOCOL_MPTCP
+from repro.traffic.flowspec import ALL_PROTOCOLS, PROTOCOL_MMPTCP
 from repro.transport.path_manager import path_manager_names
 from repro.transport.scheduler import scheduler_names
-
-#: The scenario and campaign commands additionally accept the matrix-friendly
-#: tiny scale (same tuple as the campaign layer's).
-SCENARIO_SCALES = CAMPAIGN_SCALES
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -198,20 +188,6 @@ def _command_error(message: str) -> int:
     return 2
 
 
-def _rows_table(rows: List[Dict[str, object]]) -> str:
-    if not rows:
-        return "(no rows)"
-    headers = list(rows[0].keys())
-    body = []
-    for row in rows:
-        cells = []
-        for header in headers:
-            value = row[header]
-            cells.append(f"{value:.4f}" if isinstance(value, float) else str(value))
-        body.append(cells)
-    return render_table(headers, body)
-
-
 def _probe_groups_from_args(args: argparse.Namespace):
     """The validated, sorted-deduplicated ``--probes`` tuple (empty = off)."""
     groups = getattr(args, "probes", None)
@@ -264,133 +240,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure1a(args: argparse.Namespace) -> int:
-    config = scaled_config(args.scale, args.seed)
-    counts = tuple(args.subflow_counts)
-    rows = figure1a_series(config, counts, workers=args.workers)
-    table_rows = [
-        {
-            "subflows": row.num_subflows,
-            "mean_fct_ms": row.mean_ms,
-            "std_fct_ms": row.std_ms,
-            "p99_fct_ms": row.fct_summary.p99,
-            "rto_incidence": row.rto_incidence,
-            "completion_rate": row.completion_rate,
-        }
-        for row in rows
-    ]
-    print("Figure 1(a) — MPTCP short-flow FCT vs subflow count")
-    print(_rows_table(table_rows))
-    _export_rows(table_rows, args.export_dir, "figure1a")
+def _cmd_study(args: argparse.Namespace) -> int:
+    """The one handler behind every :data:`STUDIES` sub-command."""
+    study = STUDIES[args.command]
+    config = scaled_config(args.scale, args.seed).with_updates(
+        num_subflows=args.subflows, **_transport_matrix_overrides(args))
+    params = {flag.param: flag.value(args) for flag in study.flags}
+    points = run_study(study, config, getattr(args, "workers", 1), **params)
+    print(study.title.format(**params))
+    if study.per_flow:
+        _print_summary(points[0].result)
+        _maybe_export(points[0].result, args.export_dir, study.name)
+        return 0
+    rows = study_rows(points)
+    print(rows_table(rows))
+    if study.footer is not None:
+        print(study.footer(points))
+    _export_rows(rows, args.export_dir, study.name)
     return 0
-
-
-def _cmd_figure1bc(args: argparse.Namespace, which: str) -> int:
-    config = scaled_config(args.scale, args.seed)
-    builder = figure1b_scatter if which == "b" else figure1c_scatter
-    result = builder(config, args.subflows)
-    label = "MPTCP(8)" if which == "b" else "MMPTCP(PS + 8)"
-    print(f"Figure 1({which}) — {label} per-flow short-flow completion times")
-    _print_summary(result)
-    _maybe_export(result, args.export_dir, f"figure1{which}")
-    return 0
-
-
-def _cmd_section3(args: argparse.Namespace) -> int:
-    config = scaled_config(args.scale, args.seed)
-    comparison = section3_statistics(config, args.subflows)
-    rows = [
-        {"protocol": "mptcp", **comparison.mptcp.as_dict()},
-        {"protocol": "mmptcp", **comparison.mmptcp.as_dict()},
-    ]
-    print("Section 3 statistics — MPTCP vs MMPTCP (paired workload)")
-    print(_rows_table(rows))
-    _export_rows(rows, args.export_dir, "section3")
-    return 0
-
-
-def _cmd_loadsweep(args: argparse.Namespace) -> int:
-    config = scaled_config(args.scale, args.seed)
-    config = config.with_updates(**_transport_matrix_overrides(args))
-    points = run_load_sweep(
-        config,
-        protocols=tuple(args.protocols),
-        load_factors=tuple(args.factors),
-        num_subflows=args.subflows,
-        workers=args.workers,
-    )
-    rows = load_sweep_rows(points)
-    print("Load sweep — short-flow FCT vs offered load")
-    print(_rows_table(rows))
-    _export_rows(rows, args.export_dir, "loadsweep")
-    return 0
-
-
-def _cmd_coexistence(args: argparse.Namespace) -> int:
-    config = scaled_config(args.scale, args.seed).with_updates(num_subflows=args.subflows)
-    outcome = run_coexistence_experiment(config, protocols=tuple(args.protocols))
-    rows = coexistence_rows(outcome)
-    print("Co-existence — per-protocol statistics on a shared fabric")
-    print(_rows_table(rows))
-    print(f"Jain fairness index over long flows: {outcome.fairness_index():.3f}")
-    _export_rows(rows, args.export_dir, "coexistence")
-    return 0
-
-
-def _cmd_hotspot(args: argparse.Namespace) -> int:
-    config = scaled_config(args.scale, args.seed)
-    outcomes = run_hotspot_comparison(
-        config,
-        protocols=tuple(args.protocols),
-        hotspot_fraction=args.hotspot_fraction,
-        load_fraction=args.load_fraction,
-        num_subflows=args.subflows,
-    )
-    rows = hotspot_rows(outcomes)
-    print("Hotspot — per-protocol statistics under skewed destinations")
-    print(_rows_table(rows))
-    _export_rows(rows, args.export_dir, "hotspot")
-    return 0
-
-
-def _cmd_incast(args: argparse.Namespace) -> int:
-    config = scaled_config(args.scale, args.seed).with_updates(num_subflows=args.subflows)
-    config = config.with_updates(**_transport_matrix_overrides(args))
-    points = run_incast_sweep(
-        config,
-        protocols=tuple(args.protocols),
-        fan_ins=tuple(args.fan_ins),
-        response_bytes=args.response_kb * 1000,
-        topologies=tuple(args.topologies),
-        workers=args.workers,
-    )
-    rows = incast_rows(points)
-    print("Incast — synchronised fan-in bursts")
-    print(_rows_table(rows))
-    _export_rows(rows, args.export_dir, "incast")
-    return 0
-
-
-def _cmd_deadlines(args: argparse.Namespace) -> int:
-    config = scaled_config(args.scale, args.seed)
-    outcomes = run_deadline_study(
-        config,
-        protocols=tuple(args.protocols),
-        slack_factor=args.slack,
-        num_subflows=args.subflows,
-    )
-    rows = deadline_rows(outcomes)
-    print(f"Deadline study — slack factor {args.slack}")
-    print(_rows_table(rows))
-    _export_rows(rows, args.export_dir, "deadlines")
-    return 0
-
-
-def _scenario_scaled_config(scale: str, seed: int):
-    """Like :func:`scaled_config` but with the extra ``tiny`` matrix scale."""
-    if scale == "tiny":
-        return tiny_config(seed=seed)
-    return scaled_config(scale, seed)
 
 
 def _cmd_scenarios_list(args: argparse.Namespace) -> int:
@@ -404,18 +271,17 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
         for spec in all_scenarios()
     ]
     print("Registered scenarios")
-    print(_rows_table(rows))
+    print(rows_table(rows))
     return 0
 
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
-    base = _scenario_scaled_config(args.scale, args.seed)
+    base = scale_config(args.scale, args.seed)
     base = base.with_updates(**_transport_matrix_overrides(args))
     try:
         cell = run_scenario(args.name, base_config=base, protocol=args.protocol)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+        return _command_error(exc.args[0])
     spec = cell.spec
     print(f"scenario={spec.name} protocol={cell.protocol} "
           f"faults={len(spec.faults)} workload={spec.workload}")
@@ -427,7 +293,7 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios_matrix(args: argparse.Namespace) -> int:
-    base = _scenario_scaled_config(args.scale, args.seed)
+    base = scale_config(args.scale, args.seed)
     base = base.with_updates(**_transport_matrix_overrides(args))
     if args.telemetry_dir and not (args.probes or args.profile):
         return _command_error(
@@ -441,12 +307,11 @@ def _cmd_scenarios_matrix(args: argparse.Namespace) -> int:
     try:
         cells = runner.run(scenarios=tuple(args.scenarios), protocols=tuple(args.transports))
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+        return _command_error(exc.args[0])
     rows = matrix_rows(cells)
     print(f"Scenario matrix — {len(args.scenarios)} scenario(s) × "
           f"{len(args.transports)} transport(s)")
-    print(_rows_table(rows))
+    print(rows_table(rows))
     baseline = args.baseline_protocol
     if baseline in args.transports:
         print()
@@ -554,11 +419,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         print(f"Campaign '{spec.name}' — {len(spec.scenarios)} scenario(s) × "
               f"{len(spec.protocols)} transport(s) × {len(spec.sweep_points())} sweep "
               f"point(s) × {spec.replications} replication(s)")
-        print(_rows_table(rows))
+        print(rows_table(rows))
         if spec.replications > 1:
             print()
             print("Across replications (mean ± 95% CI)")
-            print(_rows_table(campaign_summary_rows(outcome.cells)))
+            print(rows_table(campaign_summary_rows(outcome.cells)))
         print(_campaign_summary_line(
             spec.name, len(outcome.cells), outcome.cache_hits, outcome.simulated, args.store
         ))
@@ -579,22 +444,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     def body(spec: CampaignSpec, store: RunStore) -> int:
         statuses = campaign_status(spec, store)
-        if args.summary:
-            rows = status_summary_rows(statuses)
-        else:
-            rows = [
-                {
-                    "scenario": status.scenario,
-                    "protocol": status.protocol,
-                    "params": params_label(status.params),
-                    "replication": status.replication,
-                    "stored": status.stored,
-                    "key": status.key[:12],
-                }
-                for status in statuses
-            ]
+        rows = (status_summary_rows if args.summary else status_rows)(statuses)
         print(f"Campaign '{spec.name}' store status — {args.store}")
-        print(_rows_table(rows))
+        print(rows_table(rows))
         stored = sum(1 for status in statuses if status.stored)
         print(f"campaign '{spec.name}': cells={len(statuses)} stored={stored} "
               f"missing={len(statuses) - stored}")
@@ -773,8 +625,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: Parse-time ``--workers`` validation, shared with the examples.
-_workers_count = workers_argument_type
+def _add_workers_argument(parser: argparse.ArgumentParser, what: str = "process-pool size") -> None:
+    """``--workers``, validated at parse time (shared with the examples)."""
+    parser.add_argument("--workers", type=workers_argument_type, default=1,
+                        help=f"{what} (1 = serial, 0 = one per CPU; results "
+                             "are identical for any value)")
 
 
 def _add_fidelity_argument(parser: argparse.ArgumentParser) -> None:
@@ -817,9 +672,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser, workers: bool = False
     if workers:
         # Only the sub-commands that actually fan points out accept the
         # flag; accepting-and-ignoring it elsewhere would mislead.
-        parser.add_argument("--workers", type=_workers_count, default=1,
-                            help="process-pool size (1 = serial, 0 = one per "
-                                 "CPU; results are identical for any value)")
+        _add_workers_argument(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -851,66 +704,14 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(needs --probes and/or --profile)")
     run_parser.set_defaults(handler=_cmd_run)
 
-    fig1a = subparsers.add_parser("figure1a", help="regenerate Figure 1(a)")
-    _add_common_arguments(fig1a, workers=True)
-    fig1a.add_argument("--subflow-counts", type=int, nargs="+", default=[1, 2, 4, 8])
-    fig1a.set_defaults(handler=_cmd_figure1a)
-
-    fig1b = subparsers.add_parser("figure1b", help="regenerate Figure 1(b)")
-    _add_common_arguments(fig1b)
-    fig1b.set_defaults(handler=lambda args: _cmd_figure1bc(args, "b"))
-
-    fig1c = subparsers.add_parser("figure1c", help="regenerate Figure 1(c)")
-    _add_common_arguments(fig1c)
-    fig1c.set_defaults(handler=lambda args: _cmd_figure1bc(args, "c"))
-
-    section3 = subparsers.add_parser("section3", help="regenerate the Section 3 statistics")
-    _add_common_arguments(section3)
-    section3.set_defaults(handler=_cmd_section3)
-
-    loadsweep = subparsers.add_parser("loadsweep", help="sweep the offered load")
-    _add_common_arguments(loadsweep, workers=True)
-    loadsweep.add_argument("--factors", type=float, nargs="+", default=[0.5, 1.0, 1.5, 2.0])
-    loadsweep.add_argument("--protocols", nargs="+", default=[PROTOCOL_MPTCP, PROTOCOL_MMPTCP],
-                           choices=ALL_PROTOCOLS)
-    _add_fidelity_argument(loadsweep)
-    loadsweep.set_defaults(handler=_cmd_loadsweep)
-
-    coexistence = subparsers.add_parser("coexistence",
-                                        help="run TCP, MPTCP and MMPTCP on a shared fabric")
-    _add_common_arguments(coexistence)
-    coexistence.add_argument("--protocols", nargs="+",
-                             default=["tcp", "mptcp", "mmptcp"], choices=ALL_PROTOCOLS)
-    coexistence.set_defaults(handler=_cmd_coexistence)
-
-    hotspot = subparsers.add_parser("hotspot", help="run the hotspot-skew comparison")
-    _add_common_arguments(hotspot)
-    hotspot.add_argument("--protocols", nargs="+", default=[PROTOCOL_MPTCP, PROTOCOL_MMPTCP],
-                         choices=ALL_PROTOCOLS)
-    hotspot.add_argument("--hotspot-fraction", type=float, default=0.125)
-    hotspot.add_argument("--load-fraction", type=float, default=0.5)
-    hotspot.set_defaults(handler=_cmd_hotspot)
-
-    incast = subparsers.add_parser("incast", help="run synchronised fan-in (incast) sweeps")
-    _add_common_arguments(incast, workers=True)
-    incast.add_argument("--fan-ins", type=int, nargs="+", default=[8, 16, 32])
-    incast.add_argument("--protocols", nargs="+", default=["tcp", "mptcp", "mmptcp"],
-                        choices=ALL_PROTOCOLS)
-    incast.add_argument("--response-kb", type=int, default=70,
-                        help="size of each incast response in kB")
-    incast.add_argument("--topologies", nargs="+", default=["fattree"],
-                        choices=("fattree", "dualhomed", "vl2"))
-    _add_fidelity_argument(incast)
-    incast.set_defaults(handler=_cmd_incast)
-
-    deadlines = subparsers.add_parser("deadlines", help="run the deadline-miss study")
-    _add_common_arguments(deadlines)
-    deadlines.add_argument("--slack", type=float, default=2.0,
-                           help="deadline slack factor over the ideal transfer time")
-    deadlines.add_argument("--protocols", nargs="+",
-                           default=["tcp", "dctcp", "d2tcp", "mptcp", "mmptcp"],
-                           choices=ALL_PROTOCOLS)
-    deadlines.set_defaults(handler=_cmd_deadlines)
+    for study in STUDIES.values():
+        sub = subparsers.add_parser(study.name, help=study.help)
+        _add_common_arguments(sub, workers=study.workers)
+        for flag in study.flags:
+            sub.add_argument(flag.option, **flag.argparse)
+        if study.fidelity:
+            _add_fidelity_argument(sub)
+        sub.set_defaults(handler=_cmd_study)
 
     scenarios = subparsers.add_parser(
         "scenarios", help="declarative fault-injection scenarios and matrices")
@@ -927,9 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory for CSV/JSON exports (omit to skip)")
         _add_transport_matrix_arguments(sub)
         if workers:
-            sub.add_argument("--workers", type=_workers_count, default=1,
-                             help="process-pool size (1 = serial, 0 = one per "
-                                  "CPU; results are identical for any value)")
+            _add_workers_argument(sub)
 
     scen_run = scenario_sub.add_parser("run", help="run one scenario for one transport")
     scen_run.add_argument("name", help="registered scenario name (see 'scenarios list')")
@@ -1041,9 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp_run = campaign_sub.add_parser(
         "run", help="run the campaign with cache-aware dispatch (hits skip simulation)")
     _add_campaign_arguments(camp_run)
-    camp_run.add_argument("--workers", type=_workers_count, default=1,
-                          help="process-pool size for cache misses (1 = serial, "
-                               "0 = one per CPU; results are identical for any value)")
+    _add_workers_argument(camp_run, "process-pool size for cache misses")
     camp_run.add_argument("--report", default=None,
                           help="also write the markdown report to this file")
     camp_run.add_argument("--export-dir", default=None,

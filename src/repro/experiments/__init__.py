@@ -1,54 +1,19 @@
-"""Experiment harness: configuration, runner, sweeps and figure builders."""
+"""Experiment harness: configuration, runner, the study table and its plans."""
 
 from repro.experiments.coexistence import (
     CoexistenceResult,
     ProtocolShare,
     build_mixed_protocol_workload,
     coexistence_rows,
-    run_coexistence_experiment,
 )
 from repro.experiments.config import (
     ExperimentConfig,
     paper_scale,
     reproduction_scale,
 )
-from repro.experiments.deadline_study import (
-    DeadlineOutcome,
-    deadline_rows,
-    run_deadline_study,
-)
-from repro.experiments.figure1 import (
-    FIGURE1A_SUBFLOW_COUNTS,
-    Figure1aRow,
-    figure1a_series,
-    figure1b_scatter,
-    figure1c_scatter,
-    scatter_points,
-)
-from repro.experiments.hotspot import (
-    HotspotOutcome,
-    hotspot_rows,
-    run_hotspot_comparison,
-)
-from repro.experiments.incast_study import (
-    IncastPoint,
-    compare_multihoming,
-    incast_rows,
-    run_incast_sweep,
-)
-from repro.experiments.loadsweep import (
-    LoadPoint,
-    load_sweep_rows,
-    points_by_protocol,
-    run_load_sweep,
-)
-from repro.experiments.parallel import (
-    RunSpec,
-    SweepRunner,
-    run_specs,
-    seeded_replications,
-    specs_from_configs,
-)
+from repro.experiments.figure1 import FIGURE1A_SUBFLOW_COUNTS
+from repro.experiments.loadsweep import points_by_protocol
+from repro.experiments.parallel import RunSpec, SweepRunner, seeded_replications
 from repro.experiments.runner import (
     ExperimentResult,
     build_topology,
@@ -56,12 +21,19 @@ from repro.experiments.runner import (
     create_flow,
     run_experiment,
 )
-from repro.experiments.section3 import (
-    ProtocolStatistics,
-    Section3Comparison,
+from repro.experiments.section3 import ProtocolStatistics, Section3Comparison
+from repro.experiments.study import (
+    STUDIES,
+    Flag,
+    Study,
+    StudyPoint,
+    load_sweep_rows,
+    run_coexistence_experiment,
+    run_load_sweep,
+    run_study,
     section3_statistics,
+    study_rows,
 )
-from repro.experiments.sweeps import SweepPoint, sweep, sweep_parameter
 
 __all__ = [
     "ExperimentConfig",
@@ -71,32 +43,11 @@ __all__ = [
     "ProtocolShare",
     "build_mixed_protocol_workload",
     "coexistence_rows",
-    "run_coexistence_experiment",
-    "DeadlineOutcome",
-    "deadline_rows",
-    "run_deadline_study",
-    "HotspotOutcome",
-    "hotspot_rows",
-    "run_hotspot_comparison",
-    "IncastPoint",
-    "compare_multihoming",
-    "incast_rows",
-    "run_incast_sweep",
-    "LoadPoint",
-    "load_sweep_rows",
-    "points_by_protocol",
-    "run_load_sweep",
     "FIGURE1A_SUBFLOW_COUNTS",
-    "Figure1aRow",
-    "figure1a_series",
-    "figure1b_scatter",
-    "figure1c_scatter",
-    "scatter_points",
+    "points_by_protocol",
     "RunSpec",
     "SweepRunner",
-    "run_specs",
     "seeded_replications",
-    "specs_from_configs",
     "ExperimentResult",
     "build_topology",
     "build_workload",
@@ -104,8 +55,14 @@ __all__ = [
     "run_experiment",
     "ProtocolStatistics",
     "Section3Comparison",
+    "STUDIES",
+    "Flag",
+    "Study",
+    "StudyPoint",
+    "load_sweep_rows",
+    "run_coexistence_experiment",
+    "run_load_sweep",
+    "run_study",
     "section3_statistics",
-    "SweepPoint",
-    "sweep",
-    "sweep_parameter",
+    "study_rows",
 ]

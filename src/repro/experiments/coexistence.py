@@ -16,14 +16,14 @@ faces the same offered load and they all compete for the same core links.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, build_topology, run_experiment
+from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import ExperimentResult, fabric_host_names, workload_params
 from repro.metrics.records import FlowRecord
 from repro.metrics.stats import DistributionSummary, jains_fairness_index, summarize
-from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP
 from repro.traffic.workloads import ShortLongWorkloadParams, Workload, build_short_long_workload
@@ -52,6 +52,21 @@ class CoexistenceResult:
 
     result: ExperimentResult
     shares: Dict[str, ProtocolShare]
+
+    @classmethod
+    def from_result(
+        cls, result: ExperimentResult, protocols: Sequence[str]
+    ) -> "CoexistenceResult":
+        """Split one mixed-protocol run into its per-protocol shares."""
+        shares = {
+            protocol: _share_for(
+                protocol,
+                [record for record in result.metrics.flows if record.protocol == protocol],
+                result.config.horizon_s,
+            )
+            for protocol in protocols
+        }
+        return cls(result=result, shares=shares)
 
     def fairness_index(self) -> float:
         """Jain's index over every long flow's throughput, regardless of protocol."""
@@ -116,18 +131,8 @@ def build_mixed_protocol_workload(
         start = index * block_size
         end = start + block_size if index < len(protocols) - 1 else len(shuffled)
         block_hosts = shuffled[start:end]
-        block_params = ShortLongWorkloadParams(
-            long_flow_fraction=params.long_flow_fraction,
-            short_flow_size_bytes=params.short_flow_size_bytes,
-            long_flow_size_bytes=params.long_flow_size_bytes,
-            short_flow_rate_per_sender=params.short_flow_rate_per_sender,
-            duration_s=params.duration_s,
-            max_short_flows=params.max_short_flows,
-            protocol=protocol,
-            num_subflows=params.num_subflows,
-        )
         block = build_short_long_workload(
-            block_hosts, block_params, rng, first_flow_id=next_flow_id
+            block_hosts, replace(params, protocol=protocol), rng, first_flow_id=next_flow_id
         )
         workload.flows.extend(block.flows)
         next_flow_id += len(block.flows)
@@ -159,61 +164,57 @@ def _share_for(protocol: str, records: Sequence[FlowRecord], horizon_s: float) -
     )
 
 
-def run_coexistence_experiment(
-    config: ExperimentConfig,
-    protocols: Sequence[str] = DEFAULT_PROTOCOL_MIX,
-) -> CoexistenceResult:
-    """Run the mixed-protocol experiment described by ``config``.
+def build_coexistence_workload_for(
+    config: ExperimentConfig, protocols: Sequence[str] = DEFAULT_PROTOCOL_MIX
+) -> Workload:
+    """The mixed-protocol workload over the fabric ``config`` describes.
 
     The per-protocol workload parameters (flow sizes, arrival rate, long-flow
     fraction) are taken from ``config`` exactly as in a single-protocol run;
     only the transport protocol varies across the sender blocks.
     """
-    simulator = Simulator()
-    streams = RandomStreams(config.seed)
-    topology = build_topology(config, simulator)
-    params = ShortLongWorkloadParams(
-        long_flow_fraction=config.long_flow_fraction,
-        short_flow_size_bytes=config.short_flow_size_bytes,
-        long_flow_size_bytes=config.long_flow_size_bytes,
-        short_flow_rate_per_sender=config.short_flow_rate_per_sender,
-        duration_s=config.arrival_window_s,
-        max_short_flows=config.max_short_flows,
-        protocol=config.protocol,
-        num_subflows=config.num_subflows,
-    )
-    workload = build_mixed_protocol_workload(
-        [host.name for host in topology.hosts],
-        params,
-        streams.stream("coexistence-workload"),
+    return build_mixed_protocol_workload(
+        fabric_host_names(config),
+        workload_params(config),
+        RandomStreams(config.seed).stream("coexistence-workload"),
         protocols=protocols,
     )
-    # Reuse the standard runner with the pre-built workload; the fresh
-    # topology/simulator above was only needed to enumerate the hosts.
-    result = run_experiment(config, workload=workload)
 
-    shares: Dict[str, ProtocolShare] = {}
-    for protocol in protocols:
-        records = [record for record in result.metrics.flows if record.protocol == protocol]
-        shares[protocol] = _share_for(protocol, records, config.horizon_s)
-    return CoexistenceResult(result=result, shares=shares)
+
+def plan(
+    config: ExperimentConfig, protocols: Sequence[str] = DEFAULT_PROTOCOL_MIX
+) -> List[RunSpec]:
+    """The single run in which every protocol shares one fabric."""
+    protocols = tuple(protocols)
+    return [
+        RunSpec(
+            index=0,
+            config=config,
+            workload_factory=build_coexistence_workload_for,
+            workload_args=(protocols,),
+            tag={"protocols": protocols},
+        )
+    ]
+
+
+def rows(spec: RunSpec, result: ExperimentResult) -> List[Dict[str, object]]:
+    """One row per protocol of the shared run."""
+    return coexistence_rows(CoexistenceResult.from_result(result, spec.tag["protocols"]))
 
 
 def coexistence_rows(outcome: CoexistenceResult) -> List[Dict[str, object]]:
     """Flat per-protocol rows for table rendering / CSV export."""
-    rows: List[Dict[str, object]] = []
-    for protocol, share in outcome.shares.items():
-        rows.append(
-            {
-                "protocol": protocol,
-                "short_flows": share.short_flow_count,
-                "long_flows": share.long_flow_count,
-                "mean_fct_ms": share.short_fct.mean,
-                "std_fct_ms": share.short_fct.std,
-                "p99_fct_ms": share.short_fct.p99,
-                "rto_incidence": share.rto_incidence,
-                "completion_rate": share.completion_rate,
-                "mean_long_throughput_mbps": share.mean_long_throughput_bps / 1e6,
-            }
-        )
-    return rows
+    return [
+        {
+            "protocol": protocol,
+            "short_flows": share.short_flow_count,
+            "long_flows": share.long_flow_count,
+            "mean_fct_ms": share.short_fct.mean,
+            "std_fct_ms": share.short_fct.std,
+            "p99_fct_ms": share.short_fct.p99,
+            "rto_incidence": share.rto_incidence,
+            "completion_rate": share.completion_rate,
+            "mean_long_throughput_mbps": share.mean_long_throughput_bps / 1e6,
+        }
+        for protocol, share in outcome.shares.items()
+    ]

@@ -8,7 +8,7 @@ provided:
 * :func:`reproduction_scale` — the scaled-down FatTree used by the benchmark
   suite (pure-Python packet simulation is orders of magnitude slower than the
   authors' ns-3 setup, so the default keeps the paper's 4:1 over-subscription
-  and workload mix but shrinks the fabric and the flow count; see DESIGN.md).
+  and workload mix but shrinks the fabric and the flow count).
 * :func:`paper_scale` — the full 512-server, 4:1 over-subscribed FatTree of
   the paper, for when simulation time is no object.
 """

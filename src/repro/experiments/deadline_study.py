@@ -8,29 +8,26 @@ trade-off: it assigns slack-based deadlines to every short flow, runs the
 same workload under a configurable set of protocols (including the
 deadline-aware D2TCP baseline, which actually consumes the deadlines) and
 reports the deadline miss rate, completion-time statistics and RTO incidence
-per protocol.
+per protocol (execution: :func:`repro.experiments.study.run_study`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.experiments.config import QUEUE_ECN, ExperimentConfig
-from repro.experiments.runner import ExperimentResult, build_topology, run_experiment
-from repro.metrics.stats import DistributionSummary
-from repro.sim.engine import Simulator
+from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import ExperimentResult, fabric_host_names, workload_params
 from repro.sim.randomness import RandomStreams
-from repro.traffic.deadlines import DeadlineParams, deadline_of, slack_deadlines
+from repro.traffic.deadlines import DeadlineParams, deadline_miss_rate, slack_deadlines
 from repro.traffic.flowspec import (
     PROTOCOL_D2TCP,
     PROTOCOL_DCTCP,
     PROTOCOL_MMPTCP,
     PROTOCOL_MPTCP,
     PROTOCOL_TCP,
-    FlowSpec,
 )
-from repro.traffic.workloads import ShortLongWorkloadParams, Workload, build_short_long_workload
+from repro.traffic.workloads import Workload, build_short_long_workload
 
 #: Protocols compared by default: the paper's contenders plus the
 #: deadline-aware single-path baselines its introduction discusses.
@@ -47,39 +44,18 @@ DEFAULT_DEADLINE_PROTOCOLS = (
 ECN_PROTOCOLS = (PROTOCOL_DCTCP, PROTOCOL_D2TCP)
 
 
-@dataclass
-class DeadlineOutcome:
-    """Deadline statistics for one protocol on the annotated workload."""
-
-    protocol: str
-    slack_factor: float
-    short_flow_count: int
-    deadline_miss_rate: float
-    fct_summary: DistributionSummary
-    rto_incidence: float
-    completion_rate: float
-    result: ExperimentResult
-
-
-def _annotated_workload(
+def build_deadline_workload_for(
     config: ExperimentConfig, protocol: str, slack_factor: float
 ) -> Workload:
-    """The paper's short/long mix with slack deadlines attached to short flows."""
-    simulator = Simulator()
-    streams = RandomStreams(config.seed)
-    topology = build_topology(config, simulator)
-    params = ShortLongWorkloadParams(
-        long_flow_fraction=config.long_flow_fraction,
-        short_flow_size_bytes=config.short_flow_size_bytes,
-        long_flow_size_bytes=config.long_flow_size_bytes,
-        short_flow_rate_per_sender=config.short_flow_rate_per_sender,
-        duration_s=config.arrival_window_s,
-        max_short_flows=config.max_short_flows,
-        protocol=protocol,
-        num_subflows=config.num_subflows,
-    )
+    """The paper's short/long mix with slack deadlines attached to short flows.
+
+    ``DeadlineParams.long_flows_have_deadlines`` keeps its ``False`` default,
+    so only short flows carry a deadline (and count towards the miss rate).
+    """
     workload = build_short_long_workload(
-        [host.name for host in topology.hosts], params, streams.stream("workload")
+        fabric_host_names(config),
+        workload_params(config, protocol),
+        RandomStreams(config.seed).stream("workload"),
     )
     deadline_params = DeadlineParams(
         slack_factor=slack_factor,
@@ -90,29 +66,12 @@ def _annotated_workload(
     return workload
 
 
-def _miss_rate(specs: Sequence[FlowSpec], result: ExperimentResult) -> float:
-    """Fraction of deadline-carrying short flows that finished after their deadline."""
-    records = {record.flow_id: record for record in result.metrics.flows}
-    with_deadline = [spec for spec in specs if not spec.is_long and deadline_of(spec) is not None]
-    if not with_deadline:
-        return 0.0
-    missed = 0
-    for spec in with_deadline:
-        record = records.get(spec.flow_id)
-        deadline = deadline_of(spec)
-        fct = record.completion_time if record is not None else None
-        if fct is None or (deadline is not None and fct > deadline):
-            missed += 1
-    return missed / len(with_deadline)
-
-
-def run_deadline_study(
-    base_config: ExperimentConfig,
+def plan(
+    config: ExperimentConfig,
     protocols: Sequence[str] = DEFAULT_DEADLINE_PROTOCOLS,
     slack_factor: float = 2.0,
-    num_subflows: int = 8,
-) -> Dict[str, DeadlineOutcome]:
-    """Run the deadline-annotated workload under each protocol.
+) -> List[RunSpec]:
+    """The deadline-annotated workload under each protocol.
 
     ECN-dependent protocols (DCTCP, D2TCP) automatically get ECN-marking
     queues; every other protocol runs on the configuration's own queue kind,
@@ -120,41 +79,38 @@ def run_deadline_study(
     """
     if slack_factor <= 0:
         raise ValueError("slack_factor must be positive")
-    outcomes: Dict[str, DeadlineOutcome] = {}
+    specs: List[RunSpec] = []
     for protocol in protocols:
-        config = base_config.with_protocol(protocol, num_subflows)
+        point_config = config.with_protocol(protocol)
         if protocol in ECN_PROTOCOLS:
-            config = config.with_updates(queue_kind=QUEUE_ECN)
-        workload = _annotated_workload(config, protocol, slack_factor)
-        result = run_experiment(config, workload=workload)
-        metrics = result.metrics
-        outcomes[protocol] = DeadlineOutcome(
-            protocol=protocol,
-            slack_factor=slack_factor,
-            short_flow_count=len(metrics.short_flows),
-            deadline_miss_rate=_miss_rate(workload.flows, result),
-            fct_summary=metrics.short_flow_fct_summary(),
-            rto_incidence=metrics.rto_incidence(),
-            completion_rate=metrics.short_flow_completion_rate(),
-            result=result,
+            point_config = point_config.with_updates(queue_kind=QUEUE_ECN)
+        specs.append(
+            RunSpec(
+                index=len(specs),
+                config=point_config,
+                workload_factory=build_deadline_workload_for,
+                workload_args=(protocol, slack_factor),
+                tag={"protocol": protocol, "slack_factor": slack_factor},
+            )
         )
-    return outcomes
+    return specs
 
 
-def deadline_rows(outcomes: Dict[str, DeadlineOutcome]) -> List[Dict[str, object]]:
-    """Flat per-protocol rows for table rendering / CSV export."""
-    rows: List[Dict[str, object]] = []
-    for protocol, outcome in outcomes.items():
-        rows.append(
-            {
-                "protocol": protocol,
-                "slack_factor": outcome.slack_factor,
-                "short_flows": outcome.short_flow_count,
-                "deadline_miss_rate": outcome.deadline_miss_rate,
-                "mean_fct_ms": outcome.fct_summary.mean,
-                "p99_fct_ms": outcome.fct_summary.p99,
-                "rto_incidence": outcome.rto_incidence,
-                "completion_rate": outcome.completion_rate,
-            }
-        )
-    return rows
+def rows(spec: RunSpec, result: ExperimentResult) -> List[Dict[str, object]]:
+    """One protocol's deadline miss rate and completion statistics.
+
+    The deadlines live on the flow specs, which stay in the worker; the
+    recipe is a pure function of the spec, so rebuilding it here recovers
+    exactly the deadlines the run saw.
+    """
+    workload = spec.workload_factory(spec.config, *spec.workload_args)
+    metrics = result.metrics
+    completion_times = {record.flow_id: record.completion_time for record in metrics.flows}
+    return [
+        {
+            **spec.tag,
+            **metrics.columns("short_flows"),
+            "deadline_miss_rate": deadline_miss_rate(workload.flows, completion_times),
+            **metrics.columns("mean_fct_ms", "p99_fct_ms", "rto_incidence", "completion_rate"),
+        }
+    ]

@@ -1,4 +1,4 @@
-"""Series builders for Figure 1 of the paper.
+"""Plans for Figure 1 of the paper.
 
 * **Figure 1(a)** — mean and standard deviation of short-flow completion time
   for MPTCP as the number of subflows grows from 1 to 9.
@@ -6,89 +6,38 @@
   MPTCP with 8 subflows.
 * **Figure 1(c)** — the same scatter for MMPTCP (packet scatter + 8 subflows).
 
-Each builder runs the paired workload (same seed, same arrivals, same
-permutation matrix) under the relevant protocol and returns plain Python
-data structures which the benchmark harnesses print and assert on.
+Every point runs the paired workload (same seed, same arrivals, same
+permutation matrix) under the relevant protocol; execution is
+:func:`repro.experiments.study.run_study`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import RunSpec, SweepRunner
-from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.metrics.stats import DistributionSummary
-from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
+from repro.experiments.parallel import RunSpec
+from repro.traffic.flowspec import PROTOCOL_MPTCP
 
 #: The sub-flow counts of the paper's Figure 1(a) x-axis.
 FIGURE1A_SUBFLOW_COUNTS = tuple(range(1, 10))
 
 
-@dataclass
-class Figure1aRow:
-    """One x-axis point of Figure 1(a)."""
-
-    num_subflows: int
-    fct_summary: DistributionSummary
-    rto_incidence: float
-    completion_rate: float
-
-    @property
-    def mean_ms(self) -> float:
-        """Mean short-flow completion time in milliseconds."""
-        return self.fct_summary.mean
-
-    @property
-    def std_ms(self) -> float:
-        """Standard deviation of short-flow completion time in milliseconds."""
-        return self.fct_summary.std
-
-
-def figure1a_series(
-    base_config: ExperimentConfig,
+def figure1a_plan(
+    config: ExperimentConfig,
     subflow_counts: Sequence[int] = FIGURE1A_SUBFLOW_COUNTS,
-    workers: Optional[int] = 1,
-) -> List[Figure1aRow]:
-    """Mean/std of MPTCP short-flow FCT as a function of the subflow count.
-
-    ``workers`` fans the per-count runs out over a process pool; the rows
-    are identical for any worker count because each run is fully determined
-    by its own config (all counts share the base seed, keeping the paper's
-    paired-workload comparison).
-    """
-    specs = [
-        RunSpec(index=index, config=base_config.with_protocol(PROTOCOL_MPTCP, num_subflows=count))
+) -> List[RunSpec]:
+    """One MPTCP run per subflow count, all on the base seed (paired workload)."""
+    return [
+        RunSpec(
+            index=index,
+            config=config.with_protocol(PROTOCOL_MPTCP, num_subflows=count),
+            tag={"subflows": count},
+        )
         for index, count in enumerate(subflow_counts)
     ]
-    results = SweepRunner(workers).run(specs)
-    rows: List[Figure1aRow] = []
-    for count, result in zip(subflow_counts, results):
-        metrics = result.metrics
-        rows.append(
-            Figure1aRow(
-                num_subflows=count,
-                fct_summary=metrics.short_flow_fct_summary(),
-                rto_incidence=metrics.rto_incidence(),
-                completion_rate=metrics.short_flow_completion_rate(),
-            )
-        )
-    return rows
 
 
-def figure1b_scatter(base_config: ExperimentConfig, num_subflows: int = 8) -> ExperimentResult:
-    """The MPTCP(8) run whose per-flow completion times form Figure 1(b)."""
-    config = base_config.with_protocol(PROTOCOL_MPTCP, num_subflows=num_subflows)
-    return run_experiment(config)
-
-
-def figure1c_scatter(base_config: ExperimentConfig, num_subflows: int = 8) -> ExperimentResult:
-    """The MMPTCP(PS + 8 subflows) run whose completion times form Figure 1(c)."""
-    config = base_config.with_protocol(PROTOCOL_MMPTCP, num_subflows=num_subflows)
-    return run_experiment(config)
-
-
-def scatter_points(result: ExperimentResult) -> List[Dict[str, float]]:
-    """Flow-id vs completion-time points (seconds), as plotted by the paper."""
-    return result.metrics.completion_scatter()
+def scatter_plan(protocol: str, config: ExperimentConfig) -> List[RunSpec]:
+    """The single ``protocol`` run whose per-flow completion times form a scatter."""
+    return [RunSpec(index=0, config=config.with_protocol(protocol))]

@@ -6,42 +6,20 @@ concentrates load on a few edge links and — for single-path transports — on
 a few core paths.  This module runs the paper's short/long mix over a
 hotspot-skewed matrix for any set of protocols and reports the same
 statistics as the Figure 1 / Section 3 experiments, so the MPTCP-vs-MMPTCP
-comparison can be repeated under skew.
+comparison can be repeated under skew (execution:
+:func:`repro.experiments.study.run_study`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, build_topology, run_experiment
-from repro.metrics.stats import DistributionSummary
-from repro.sim.engine import Simulator
+from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import fabric_host_names, workload_params
 from repro.sim.randomness import RandomStreams
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
-from repro.traffic.workloads import (
-    ShortLongWorkloadParams,
-    Workload,
-    build_hotspot_workload,
-)
-
-
-@dataclass
-class HotspotOutcome:
-    """Statistics of one protocol's run over the hotspot workload."""
-
-    protocol: str
-    hotspot_fraction: float
-    load_fraction: float
-    fct_summary: DistributionSummary
-    rto_incidence: float
-    completion_rate: float
-    tail_over_200ms: float
-    edge_loss_rate: float
-    core_loss_rate: float
-    mean_long_throughput_mbps: float
-    result: ExperimentResult
+from repro.traffic.workloads import Workload, build_hotspot_workload
 
 
 def build_hotspot_workload_for(
@@ -56,80 +34,35 @@ def build_hotspot_workload_for(
     protocol sees the same hotspots, the same senders and the same arrival
     times — the comparison is paired exactly like the Figure 1 benchmarks.
     """
-    simulator = Simulator()
-    streams = RandomStreams(config.seed)
-    topology = build_topology(config, simulator)
-    params = ShortLongWorkloadParams(
-        long_flow_fraction=config.long_flow_fraction,
-        short_flow_size_bytes=config.short_flow_size_bytes,
-        long_flow_size_bytes=config.long_flow_size_bytes,
-        short_flow_rate_per_sender=config.short_flow_rate_per_sender,
-        duration_s=config.arrival_window_s,
-        max_short_flows=config.max_short_flows,
-        protocol=protocol,
-        num_subflows=config.num_subflows,
-    )
     return build_hotspot_workload(
-        [host.name for host in topology.hosts],
-        params,
-        streams.stream("hotspot-workload"),
+        fabric_host_names(config),
+        workload_params(config, protocol),
+        RandomStreams(config.seed).stream("hotspot-workload"),
         hotspot_fraction=hotspot_fraction,
         load_fraction=load_fraction,
     )
 
 
-def run_hotspot_comparison(
-    base_config: ExperimentConfig,
+def plan(
+    config: ExperimentConfig,
     protocols: Sequence[str] = (PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
     hotspot_fraction: float = 0.125,
     load_fraction: float = 0.5,
-    num_subflows: int = 8,
-) -> Dict[str, HotspotOutcome]:
-    """Run each protocol over the same hotspot-skewed workload."""
+) -> List[RunSpec]:
+    """Each protocol over the same hotspot-skewed workload."""
     if not protocols:
         raise ValueError("need at least one protocol")
-    outcomes: Dict[str, HotspotOutcome] = {}
-    for protocol in protocols:
-        config = base_config.with_protocol(protocol, num_subflows)
-        workload = build_hotspot_workload_for(
-            config, hotspot_fraction, load_fraction, protocol
-        )
-        result = run_experiment(config, workload=workload)
-        metrics = result.metrics
-        outcomes[protocol] = HotspotOutcome(
-            protocol=protocol,
-            hotspot_fraction=hotspot_fraction,
-            load_fraction=load_fraction,
-            fct_summary=metrics.short_flow_fct_summary(),
-            rto_incidence=metrics.rto_incidence(),
-            completion_rate=metrics.short_flow_completion_rate(),
-            tail_over_200ms=metrics.tail_fraction(200.0),
-            edge_loss_rate=metrics.loss_rate("edge"),
-            core_loss_rate=metrics.loss_rate("core"),
-            mean_long_throughput_mbps=metrics.mean_long_flow_throughput_bps() / 1e6,
-            result=result,
-        )
-    return outcomes
-
-
-def hotspot_rows(outcomes: Dict[str, HotspotOutcome]) -> List[Dict[str, object]]:
-    """Flat per-protocol rows for table rendering / CSV export."""
-    rows: List[Dict[str, object]] = []
-    for protocol, outcome in outcomes.items():
-        rows.append(
-            {
+    return [
+        RunSpec(
+            index=index,
+            config=config.with_protocol(protocol),
+            workload_factory=build_hotspot_workload_for,
+            workload_args=(hotspot_fraction, load_fraction, protocol),
+            tag={
                 "protocol": protocol,
-                "hotspot_fraction": outcome.hotspot_fraction,
-                "load_fraction": outcome.load_fraction,
-                "mean_fct_ms": outcome.fct_summary.mean,
-                "std_fct_ms": outcome.fct_summary.std,
-                "p99_fct_ms": outcome.fct_summary.p99,
-                "rto_incidence": outcome.rto_incidence,
-                "completion_rate": outcome.completion_rate,
-                "tail_over_200ms": outcome.tail_over_200ms,
-                "edge_loss_rate": outcome.edge_loss_rate,
-                "core_loss_rate": outcome.core_loss_rate,
-                "long_throughput_mbps": outcome.mean_long_throughput_mbps,
-            }
+                "hotspot_fraction": hotspot_fraction,
+                "load_fraction": load_fraction,
+            },
         )
-    return rows
+        for index, protocol in enumerate(protocols)
+    ]

@@ -6,23 +6,18 @@ phase absorbs bursts by spreading them over many queues and (b) multi-homed
 topologies add access-layer paths and therefore burst tolerance.  This
 module sweeps the fan-in degree of a synchronised burst for any set of
 (protocol, topology) combinations and reports the completion-time and RTO
-statistics of the responses.
+statistics of the responses (execution:
+:func:`repro.experiments.study.run_study`; pass both ``fattree`` and
+``dualhomed`` as ``topologies`` for the multi-homing comparison).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.config import (
-    TOPOLOGY_DUALHOMED,
-    TOPOLOGY_FATTREE,
-    ExperimentConfig,
-)
-from repro.experiments.parallel import RunSpec, SweepRunner
-from repro.experiments.runner import ExperimentResult, build_topology
-from repro.metrics.stats import DistributionSummary
-from repro.sim.engine import Simulator
+from repro.experiments.config import TOPOLOGY_FATTREE, ExperimentConfig
+from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import fabric_host_names
 from repro.sim.randomness import RandomStreams
 from repro.sim.units import kilobytes
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP
@@ -30,26 +25,6 @@ from repro.traffic.workloads import Workload, build_incast_workload
 
 #: Fan-in degrees swept by default (the classic incast curves).
 DEFAULT_FAN_INS = (8, 16, 32)
-
-
-@dataclass
-class IncastPoint:
-    """One (protocol, topology, fan-in) point of the sweep."""
-
-    protocol: str
-    topology: str
-    fan_in: int
-    response_bytes: int
-    fct_summary: DistributionSummary
-    completion_rate: float
-    rto_incidence: float
-    total_rtos: int
-    result: ExperimentResult
-
-    @property
-    def p99_fct_ms(self) -> float:
-        """99th-percentile response completion time in milliseconds."""
-        return self.fct_summary.p99
 
 
 def build_incast_workload_for(
@@ -70,13 +45,10 @@ def build_incast_workload_for(
     """
     if fan_in < 1:
         raise ValueError("fan_in must be at least 1")
-    simulator = Simulator()
-    streams = RandomStreams(config.seed)
-    topology = build_topology(config, simulator)
-    hosts = [host.name for host in topology.hosts]
+    hosts = fabric_host_names(config)
     if fan_in >= len(hosts):
         raise ValueError(f"fan_in {fan_in} needs more hosts than the fabric has ({len(hosts)})")
-    rng = streams.stream("incast")
+    rng = RandomStreams(config.seed).stream("incast")
     if receiver is None:
         receiver = rng.choice(hosts)
     elif receiver not in hosts:
@@ -92,101 +64,38 @@ def build_incast_workload_for(
     )
 
 
-def run_incast_sweep(
-    base_config: ExperimentConfig,
+def plan(
+    config: ExperimentConfig,
     protocols: Sequence[str] = (PROTOCOL_TCP, PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
     fan_ins: Sequence[int] = DEFAULT_FAN_INS,
     response_bytes: int = kilobytes(70),
     topologies: Sequence[str] = (TOPOLOGY_FATTREE,),
-    workers: Optional[int] = 1,
-) -> List[IncastPoint]:
-    """Run the synchronised burst for every (topology, protocol, fan-in) combination.
+) -> List[RunSpec]:
+    """The synchronised burst for every (topology, fan-in, protocol) combination.
 
-    ``workers`` fans the combinations out over a process pool.  The incast
-    workload is rebuilt inside each worker from ``(config, fan_in, ...)`` —
-    a deterministic function of the seed — so the sweep's output is
-    identical for any worker count and ordered exactly as the nested
-    (topology, fan-in, protocol) loops visit it.
+    The incast workload is rebuilt inside each worker from ``(config,
+    fan_in, ...)`` — a deterministic function of the seed — so the sweep's
+    output is identical for any worker count and ordered exactly as the
+    nested (topology, fan-in, protocol) loops visit it.
     """
     if not protocols or not fan_ins or not topologies:
         raise ValueError("need at least one protocol, one fan-in and one topology")
-    axes: List[tuple] = []
     specs: List[RunSpec] = []
     for topology_kind in topologies:
         for fan_in in fan_ins:
             for protocol in protocols:
-                config = base_config.with_updates(topology=topology_kind, protocol=protocol)
                 specs.append(
                     RunSpec(
                         index=len(specs),
-                        config=config,
+                        config=config.with_updates(topology=topology_kind, protocol=protocol),
                         workload_factory=build_incast_workload_for,
                         workload_args=(fan_in, response_bytes, protocol),
+                        tag={
+                            "topology": topology_kind,
+                            "protocol": protocol,
+                            "fan_in": fan_in,
+                            "response_bytes": response_bytes,
+                        },
                     )
                 )
-                axes.append((topology_kind, fan_in, protocol))
-    results = SweepRunner(workers).run(specs)
-
-    points: List[IncastPoint] = []
-    for (topology_kind, fan_in, protocol), result in zip(axes, results):
-        metrics = result.metrics
-        shorts = metrics.short_flows
-        points.append(
-            IncastPoint(
-                protocol=protocol,
-                topology=topology_kind,
-                fan_in=fan_in,
-                response_bytes=response_bytes,
-                fct_summary=metrics.short_flow_fct_summary(),
-                completion_rate=metrics.short_flow_completion_rate(),
-                rto_incidence=metrics.rto_incidence(),
-                total_rtos=sum(record.rto_events for record in shorts),
-                result=result,
-            )
-        )
-    return points
-
-
-def incast_rows(points: Sequence[IncastPoint]) -> List[Dict[str, object]]:
-    """Flat per-point rows for table rendering / CSV export."""
-    rows: List[Dict[str, object]] = []
-    for point in points:
-        rows.append(
-            {
-                "topology": point.topology,
-                "protocol": point.protocol,
-                "fan_in": point.fan_in,
-                "response_bytes": point.response_bytes,
-                "mean_fct_ms": point.fct_summary.mean,
-                "p99_fct_ms": point.p99_fct_ms,
-                "max_fct_ms": point.fct_summary.maximum,
-                "completion_rate": point.completion_rate,
-                "rto_incidence": point.rto_incidence,
-                "total_rtos": point.total_rtos,
-            }
-        )
-    return rows
-
-
-def compare_multihoming(
-    base_config: ExperimentConfig,
-    fan_in: int = 24,
-    response_bytes: int = kilobytes(70),
-    protocol: str = PROTOCOL_MMPTCP,
-    workers: Optional[int] = 1,
-) -> Dict[str, IncastPoint]:
-    """The roadmap's multi-homing claim: single- vs dual-homed burst tolerance.
-
-    Returns one :class:`IncastPoint` per topology kind for the same burst and
-    the same transport (MMPTCP by default, since the extra access-layer paths
-    only help a transport that actually sprays over them).
-    """
-    points = run_incast_sweep(
-        base_config,
-        protocols=(protocol,),
-        fan_ins=(fan_in,),
-        response_bytes=response_bytes,
-        topologies=(TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED),
-        workers=workers,
-    )
-    return {point.topology: point for point in points}
+    return specs

@@ -7,125 +7,55 @@ module sweeps that rate for any set of protocols on an otherwise identical
 configuration (same fabric, same seed, same long-flow background) and
 reports how mean/tail completion times and RTO incidence degrade as the
 offered load grows — the regime where MMPTCP's burst tolerance is supposed
-to matter most.
+to matter most.  Execution is :func:`repro.experiments.study.run_load_sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import RunSpec, SweepRunner
-from repro.experiments.runner import ExperimentResult
-from repro.metrics.stats import DistributionSummary
+from repro.experiments.parallel import RunSpec
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
 
 #: Default multipliers applied to the base configuration's arrival rate.
 DEFAULT_LOAD_FACTORS = (0.5, 1.0, 1.5, 2.0)
 
 
-@dataclass
-class LoadPoint:
-    """One (protocol, load) point of the sweep."""
-
-    protocol: str
-    load_factor: float
-    arrival_rate_per_sender: float
-    fct_summary: DistributionSummary
-    rto_incidence: float
-    completion_rate: float
-    tail_over_200ms: float
-    mean_long_throughput_mbps: float
-    result: ExperimentResult
-
-    @property
-    def mean_fct_ms(self) -> float:
-        """Mean short-flow completion time in milliseconds at this load."""
-        return self.fct_summary.mean
-
-    @property
-    def p99_fct_ms(self) -> float:
-        """99th-percentile short-flow completion time in milliseconds."""
-        return self.fct_summary.p99
-
-
-def run_load_sweep(
-    base_config: ExperimentConfig,
+def plan(
+    config: ExperimentConfig,
     protocols: Sequence[str] = (PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
     load_factors: Sequence[float] = DEFAULT_LOAD_FACTORS,
-    num_subflows: Optional[int] = None,
-    workers: Optional[int] = 1,
-) -> List[LoadPoint]:
-    """Sweep the short-flow arrival rate for each protocol.
+) -> List[RunSpec]:
+    """One point per (load factor, protocol), factor-major.
 
     Every point uses the same seed, so the permutation matrix and the long-
     flow background are identical across protocols at a given load factor;
     only the arrival rate (and the protocol under test) changes.
-
-    ``workers`` fans the (factor, protocol) points out over a process pool;
-    the returned list is ordered factor-major exactly as the serial sweep
-    produced it, whatever the worker count.
     """
     if not protocols:
         raise ValueError("need at least one protocol")
     if any(factor <= 0 for factor in load_factors):
         raise ValueError("load factors must be positive")
-    subflows = num_subflows if num_subflows is not None else base_config.num_subflows
-    axes: List[tuple] = []
     specs: List[RunSpec] = []
     for factor in load_factors:
-        rate = base_config.short_flow_rate_per_sender * factor
+        rate = config.short_flow_rate_per_sender * factor
         for protocol in protocols:
-            config = base_config.with_protocol(protocol, subflows).with_updates(
-                short_flow_rate_per_sender=rate
+            specs.append(
+                RunSpec(
+                    index=len(specs),
+                    config=config.with_updates(
+                        protocol=protocol, short_flow_rate_per_sender=rate
+                    ),
+                    tag={"protocol": protocol, "load_factor": factor, "arrival_rate": rate},
+                )
             )
-            specs.append(RunSpec(index=len(specs), config=config))
-            axes.append((factor, rate, protocol))
-    results = SweepRunner(workers).run(specs)
-
-    points: List[LoadPoint] = []
-    for (factor, rate, protocol), result in zip(axes, results):
-        metrics = result.metrics
-        points.append(
-            LoadPoint(
-                protocol=protocol,
-                load_factor=factor,
-                arrival_rate_per_sender=rate,
-                fct_summary=metrics.short_flow_fct_summary(),
-                rto_incidence=metrics.rto_incidence(),
-                completion_rate=metrics.short_flow_completion_rate(),
-                tail_over_200ms=metrics.tail_fraction(200.0),
-                mean_long_throughput_mbps=metrics.mean_long_flow_throughput_bps() / 1e6,
-                result=result,
-            )
-        )
-    return points
+    return specs
 
 
-def load_sweep_rows(points: Sequence[LoadPoint]) -> List[Dict[str, object]]:
-    """Flat rows (one per point) for table rendering / CSV export."""
-    rows: List[Dict[str, object]] = []
-    for point in points:
-        rows.append(
-            {
-                "protocol": point.protocol,
-                "load_factor": point.load_factor,
-                "arrival_rate": point.arrival_rate_per_sender,
-                "mean_fct_ms": point.mean_fct_ms,
-                "p99_fct_ms": point.p99_fct_ms,
-                "rto_incidence": point.rto_incidence,
-                "completion_rate": point.completion_rate,
-                "tail_over_200ms": point.tail_over_200ms,
-                "long_throughput_mbps": point.mean_long_throughput_mbps,
-            }
-        )
-    return rows
-
-
-def points_by_protocol(points: Sequence[LoadPoint]) -> Dict[str, List[LoadPoint]]:
+def points_by_protocol(points: Sequence[Any]) -> Dict[str, List[Any]]:
     """Group sweep points by protocol, each group ordered by load factor."""
-    grouped: Dict[str, List[LoadPoint]] = {}
+    grouped: Dict[str, List[Any]] = {}
     for point in points:
         grouped.setdefault(point.protocol, []).append(point)
     for series in grouped.values():

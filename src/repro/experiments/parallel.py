@@ -199,29 +199,6 @@ class SweepRunner:
             return [future.result() for future in futures]
 
 
-def run_specs(
-    specs: Sequence[RunSpec],
-    workers: Optional[int] = 1,
-    progress: Optional[Callable[[RunSpec], None]] = None,
-    on_result: Optional[Callable[[RunSpec, ExperimentResult], None]] = None,
-) -> List[ExperimentResult]:
-    """Convenience wrapper: ``SweepRunner(workers).run(specs, ...)``."""
-    return SweepRunner(workers).run(specs, progress=progress, on_result=on_result)
-
-
-def specs_from_configs(
-    configs: Sequence[ExperimentConfig],
-    tags: Optional[Sequence[Optional[Dict[str, Any]]]] = None,
-) -> List[RunSpec]:
-    """One :class:`RunSpec` per config, indexed by position."""
-    if tags is not None and len(tags) != len(configs):
-        raise ValueError("tags must match configs one-to-one")
-    return [
-        RunSpec(index=index, config=config, tag=None if tags is None else tags[index])
-        for index, config in enumerate(configs)
-    ]
-
-
 def seeded_replications(
     base_config: ExperimentConfig,
     count: int,

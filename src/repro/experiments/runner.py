@@ -171,22 +171,43 @@ def _queue_factory(config: ExperimentConfig) -> Callable:
     raise ValueError(f"unknown queue kind {config.queue_kind!r}")
 
 
-def build_workload(
-    config: ExperimentConfig, topology: Topology, streams: RandomStreams
-) -> Workload:
-    """Materialise the short/long mixed workload for ``config``."""
-    params = ShortLongWorkloadParams(
+def workload_params(
+    config: ExperimentConfig, protocol: Optional[str] = None
+) -> ShortLongWorkloadParams:
+    """The paper's short/long mix as ``config`` describes it.
+
+    The one config → workload-parameter mapping: the default workload and
+    every study recipe derive from it (``protocol`` overrides the config's).
+    """
+    return ShortLongWorkloadParams(
         long_flow_fraction=config.long_flow_fraction,
         short_flow_size_bytes=config.short_flow_size_bytes,
         long_flow_size_bytes=config.long_flow_size_bytes,
         short_flow_rate_per_sender=config.short_flow_rate_per_sender,
         duration_s=config.arrival_window_s,
         max_short_flows=config.max_short_flows,
-        protocol=config.protocol,
+        protocol=config.protocol if protocol is None else protocol,
         num_subflows=config.num_subflows,
     )
+
+
+def fabric_host_names(config: ExperimentConfig) -> List[str]:
+    """Host names of the fabric ``config`` describes, in topology order.
+
+    Workload recipes run before the experiment's own fabric exists and need
+    only the names, so this builds (and drops) a throwaway topology.
+    """
+    return [host.name for host in build_topology(config, Simulator()).hosts]
+
+
+def build_workload(
+    config: ExperimentConfig, topology: Topology, streams: RandomStreams
+) -> Workload:
+    """Materialise the short/long mixed workload for ``config``."""
     host_names = [host.name for host in topology.hosts]
-    return build_short_long_workload(host_names, params, streams.stream("workload"))
+    return build_short_long_workload(
+        host_names, workload_params(config), streams.stream("workload")
+    )
 
 
 # ---------------------------------------------------------------------------

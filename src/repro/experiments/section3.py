@@ -8,17 +8,20 @@ Section 3 reports, for the Figure 1 workload:
 * slightly lower loss rates at the core and aggregation layers for MMPTCP;
 * equal average long-flow throughput and overall network utilisation.
 
-:func:`section3_statistics` runs the paired comparison and returns all of
-those quantities for both protocols.
+:func:`plan` is the paired comparison; each run projects to those
+quantities (:class:`ProtocolStatistics`), and
+:func:`repro.experiments.study.section3_statistics` returns both as a
+:class:`Section3Comparison`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import ExperimentResult
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
 
 
@@ -100,13 +103,19 @@ class Section3Comparison:
         return delta / reference <= tolerance
 
 
-def section3_statistics(
-    base_config: ExperimentConfig, num_subflows: int = 8
-) -> Section3Comparison:
-    """Run the paired MPTCP / MMPTCP comparison of Section 3."""
-    mptcp_result = run_experiment(base_config.with_protocol(PROTOCOL_MPTCP, num_subflows))
-    mmptcp_result = run_experiment(base_config.with_protocol(PROTOCOL_MMPTCP, num_subflows))
-    return Section3Comparison(
-        mptcp=ProtocolStatistics.from_result("mptcp", mptcp_result),
-        mmptcp=ProtocolStatistics.from_result("mmptcp", mmptcp_result),
-    )
+def plan(config: ExperimentConfig) -> List[RunSpec]:
+    """MPTCP then MMPTCP on the same workload (same seed, same arrivals)."""
+    return [
+        RunSpec(
+            index=index,
+            config=config.with_protocol(protocol),
+            tag={"protocol": protocol},
+        )
+        for index, protocol in enumerate((PROTOCOL_MPTCP, PROTOCOL_MMPTCP))
+    ]
+
+
+def rows(spec: RunSpec, result: ExperimentResult) -> List[Dict[str, object]]:
+    """One protocol's Section 3 quantities as a flat row."""
+    statistics = ProtocolStatistics.from_result(spec.tag["protocol"], result)
+    return [{**spec.tag, **statistics.as_dict()}]

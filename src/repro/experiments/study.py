@@ -1,0 +1,302 @@
+"""One study path: plan → :class:`RunSpec` list → :class:`SweepRunner` → rows.
+
+Every comparison the paper makes (Figure 1(a–c), the Section 3 statistics,
+the roadmap's load / hotspot / incast / co-existence / deadline studies) is
+a list of independent runs followed by a row per result.  A :class:`Study`
+declares exactly that — the plan, the row projection, and the CLI surface
+(sub-command name, table title, extra flags) as data — and
+:func:`run_study` is the single executor.  :data:`STUDIES` is the table the
+CLI, the benchmarks and the examples all read; adding a study is one entry.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+from repro.experiments import (
+    coexistence,
+    deadline_study,
+    figure1,
+    hotspot,
+    incast_study,
+    loadsweep,
+    section3,
+)
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import RunSpec, SweepRunner
+from repro.experiments.runner import ExperimentResult
+from repro.traffic.flowspec import (
+    ALL_PROTOCOLS,
+    PROTOCOL_MMPTCP,
+    PROTOCOL_MPTCP,
+    PROTOCOL_TCP,
+)
+
+Row = Dict[str, object]
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+class Flag(NamedTuple):
+    """One study-specific CLI flag, as data.
+
+    The CLI calls ``add_argument(option, **argparse)`` and feeds
+    :meth:`value` to the plan as keyword ``param``.
+    """
+
+    option: str
+    param: str
+    argparse: Mapping[str, Any]
+    convert: Callable[[Any], Any] = _same
+
+    def value(self, namespace: Any) -> Any:
+        """The plan argument, read from a parsed ``argparse`` namespace."""
+        return self.convert(getattr(namespace, self.option.lstrip("-").replace("-", "_")))
+
+
+@dataclass
+class StudyPoint:
+    """One executed point of a study: its spec (axes in ``spec.tag``), the
+    full result, and the rows projected from it.
+
+    Axes and row columns also read as attributes (``point.load_factor``,
+    ``point.completion_rate``), resolved against the point's first row.
+    """
+
+    spec: RunSpec
+    result: ExperimentResult
+    rows: List[Row]
+
+    def __getattr__(self, name: str) -> object:
+        rows = self.__dict__.get("rows")
+        if rows and name in rows[0]:
+            return rows[0][name]
+        raise AttributeError(f"StudyPoint has no attribute or column {name!r}")
+
+
+@dataclass(frozen=True)
+class Study:
+    """A declared study.
+
+    Attributes:
+        name: CLI sub-command and export-file stem.
+        help: one-line sub-command help.
+        title: heading printed above the table; ``{param}`` fields are
+            filled from the plan parameters.
+        plan: ``plan(config, **params) -> List[RunSpec]`` — the independent
+            points, indexed in output order, axes in each spec's ``tag``
+            (the subflow count, like everything fixed, comes from ``config``).
+        rows: ``rows(spec, result) -> List[Row]`` — the flat rows one point
+            contributes (column order is the export contract).
+        flags: the sub-command's flags beyond the common ones.
+        workers / fidelity: whether the CLI offers ``--workers`` / ``--fidelity``.
+        footer: optional line printed under the table.
+        per_flow: the study is one run reported per flow — the CLI prints
+            the run summary and exports the flow records instead of rows.
+    """
+
+    name: str
+    help: str
+    title: str
+    plan: Callable[..., List[RunSpec]]
+    rows: Callable[[RunSpec, ExperimentResult], List[Row]]
+    flags: Tuple[Flag, ...] = ()
+    workers: bool = False
+    fidelity: bool = False
+    footer: Optional[Callable[[List[StudyPoint]], str]] = None
+    per_flow: bool = False
+
+
+def run_study(
+    study: Study, config: ExperimentConfig, workers: Optional[int] = 1, **params: Any
+) -> List[StudyPoint]:
+    """Execute ``study`` on ``config``; points come back in plan order.
+
+    ``workers`` fans the points out over a process pool (1 = in-process, no
+    pool); the output is identical for any worker count because every point
+    is fully determined by its own spec.
+    """
+    specs = study.plan(config, **params)
+    results = SweepRunner(workers).run(specs)
+    return [
+        StudyPoint(spec, result, study.rows(spec, result))
+        for spec, result in zip(specs, results)
+    ]
+
+
+def study_rows(points: Sequence[StudyPoint]) -> List[Row]:
+    """The flat rows of ``points`` in plan order (table rendering / CSV export)."""
+    return [row for point in points for row in point.rows]
+
+
+def _columns(*names: str) -> Callable[[RunSpec, ExperimentResult], List[Row]]:
+    """The row projection "the point's axes, then these metric columns"."""
+    return lambda spec, result: [{**spec.tag, **result.metrics.columns(*names)}]
+
+
+def _scatter_rows(spec: RunSpec, result: ExperimentResult) -> List[Row]:
+    """Flow-id vs completion-time points (seconds), as plotted by the paper."""
+    return result.metrics.completion_scatter()
+
+
+def _protocols(*default: str) -> Flag:
+    return Flag(
+        "--protocols", "protocols", dict(nargs="+", default=list(default), choices=ALL_PROTOCOLS)
+    )
+
+
+def _fairness_footer(points: List[StudyPoint]) -> str:
+    outcome = coexistence.CoexistenceResult.from_result(
+        points[0].result, points[0].spec.tag["protocols"]
+    )
+    return f"Jain fairness index over long flows: {outcome.fairness_index():.3f}"
+
+
+STUDIES: Dict[str, Study] = {
+    study.name: study
+    for study in (
+        Study(
+            "figure1a", "regenerate Figure 1(a)",
+            "Figure 1(a) — MPTCP short-flow FCT vs subflow count",
+            figure1.figure1a_plan,
+            _columns("mean_fct_ms", "std_fct_ms", "p99_fct_ms", "rto_incidence",
+                     "completion_rate"),
+            flags=(
+                Flag("--subflow-counts", "subflow_counts",
+                     dict(type=int, nargs="+", default=[1, 2, 4, 8])),
+            ),
+            workers=True,
+        ),
+        Study(
+            "figure1b", "regenerate Figure 1(b)",
+            "Figure 1(b) — MPTCP(8) per-flow short-flow completion times",
+            partial(figure1.scatter_plan, PROTOCOL_MPTCP), _scatter_rows,
+            per_flow=True,
+        ),
+        Study(
+            "figure1c", "regenerate Figure 1(c)",
+            "Figure 1(c) — MMPTCP(PS + 8) per-flow short-flow completion times",
+            partial(figure1.scatter_plan, PROTOCOL_MMPTCP), _scatter_rows,
+            per_flow=True,
+        ),
+        Study(
+            "section3", "regenerate the Section 3 statistics",
+            "Section 3 statistics — MPTCP vs MMPTCP (paired workload)",
+            section3.plan, section3.rows,
+        ),
+        Study(
+            "loadsweep", "sweep the offered load",
+            "Load sweep — short-flow FCT vs offered load",
+            loadsweep.plan,
+            _columns("mean_fct_ms", "p99_fct_ms", "rto_incidence", "completion_rate",
+                     "tail_over_200ms", "long_throughput_mbps"),
+            flags=(
+                Flag("--factors", "load_factors",
+                     dict(type=float, nargs="+", default=list(loadsweep.DEFAULT_LOAD_FACTORS))),
+                _protocols(PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
+            ),
+            workers=True, fidelity=True,
+        ),
+        Study(
+            "coexistence", "run TCP, MPTCP and MMPTCP on a shared fabric",
+            "Co-existence — per-protocol statistics on a shared fabric",
+            coexistence.plan, coexistence.rows,
+            flags=(_protocols(*coexistence.DEFAULT_PROTOCOL_MIX),),
+            footer=_fairness_footer,
+        ),
+        Study(
+            "hotspot", "run the hotspot-skew comparison",
+            "Hotspot — per-protocol statistics under skewed destinations",
+            hotspot.plan,
+            _columns("mean_fct_ms", "std_fct_ms", "p99_fct_ms", "rto_incidence",
+                     "completion_rate", "tail_over_200ms", "edge_loss_rate", "core_loss_rate",
+                     "long_throughput_mbps"),
+            flags=(
+                _protocols(PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
+                Flag("--hotspot-fraction", "hotspot_fraction", dict(type=float, default=0.125)),
+                Flag("--load-fraction", "load_fraction", dict(type=float, default=0.5)),
+            ),
+        ),
+        Study(
+            "incast", "run synchronised fan-in (incast) sweeps",
+            "Incast — synchronised fan-in bursts",
+            incast_study.plan,
+            _columns("mean_fct_ms", "p99_fct_ms", "max_fct_ms", "completion_rate",
+                     "rto_incidence", "total_rtos"),
+            flags=(
+                Flag("--fan-ins", "fan_ins",
+                     dict(type=int, nargs="+", default=list(incast_study.DEFAULT_FAN_INS))),
+                _protocols(PROTOCOL_TCP, PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
+                Flag("--response-kb", "response_bytes",
+                     dict(type=int, default=70, help="size of each incast response in kB"),
+                     convert=lambda kilobytes: kilobytes * 1000),
+                Flag("--topologies", "topologies",
+                     dict(nargs="+", default=["fattree"],
+                          choices=("fattree", "dualhomed", "vl2"))),
+            ),
+            workers=True, fidelity=True,
+        ),
+        Study(
+            "deadlines", "run the deadline-miss study",
+            "Deadline study — slack factor {slack_factor}",
+            deadline_study.plan, deadline_study.rows,
+            flags=(
+                Flag("--slack", "slack_factor",
+                     dict(type=float, default=2.0,
+                          help="deadline slack factor over the ideal transfer time")),
+                _protocols(*deadline_study.DEFAULT_DEADLINE_PROTOCOLS),
+            ),
+        ),
+    )
+}
+
+
+# ---------------------------------------------------------------------------
+# Typed entry points for callers that want more than rows
+# ---------------------------------------------------------------------------
+
+
+def run_load_sweep(
+    base_config: ExperimentConfig,
+    protocols: Sequence[str] = (PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
+    load_factors: Sequence[float] = loadsweep.DEFAULT_LOAD_FACTORS,
+    num_subflows: Optional[int] = None,
+    workers: Optional[int] = 1,
+) -> List[StudyPoint]:
+    """Sweep the short-flow arrival rate for each protocol (factor-major points)."""
+    if num_subflows is not None:
+        base_config = base_config.with_updates(num_subflows=num_subflows)
+    return run_study(
+        STUDIES["loadsweep"], base_config, workers,
+        protocols=protocols, load_factors=load_factors,
+    )
+
+
+#: The load sweep's rows — the name its callers know :func:`study_rows` by.
+load_sweep_rows = study_rows
+
+
+def section3_statistics(
+    base_config: ExperimentConfig, num_subflows: int = 8
+) -> section3.Section3Comparison:
+    """Run the paired MPTCP / MMPTCP comparison of Section 3."""
+    mptcp, mmptcp = run_study(
+        STUDIES["section3"], base_config.with_updates(num_subflows=num_subflows)
+    )
+    return section3.Section3Comparison(
+        mptcp=section3.ProtocolStatistics.from_result(PROTOCOL_MPTCP, mptcp.result),
+        mmptcp=section3.ProtocolStatistics.from_result(PROTOCOL_MMPTCP, mmptcp.result),
+    )
+
+
+def run_coexistence_experiment(
+    config: ExperimentConfig,
+    protocols: Sequence[str] = coexistence.DEFAULT_PROTOCOL_MIX,
+) -> coexistence.CoexistenceResult:
+    """Run the mixed-protocol experiment described by ``config``."""
+    (point,) = run_study(STUDIES["coexistence"], config, protocols=protocols)
+    return coexistence.CoexistenceResult.from_result(point.result, point.spec.tag["protocols"])

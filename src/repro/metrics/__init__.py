@@ -16,6 +16,8 @@ from repro.metrics.reporting import (
     format_rate,
     format_throughput_mbps,
     render_table,
+    rows_table,
+    table_cells,
 )
 from repro.metrics.stats import (
     DistributionSummary,
@@ -48,6 +50,8 @@ __all__ = [
     "format_rate",
     "format_throughput_mbps",
     "render_table",
+    "rows_table",
+    "table_cells",
     "DistributionSummary",
     "cdf_points",
     "fraction_above",

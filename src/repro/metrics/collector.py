@@ -16,6 +16,47 @@ from repro.metrics.stats import DistributionSummary, fraction_above, summarize
 from repro.net.monitor import NetworkSnapshot
 
 
+#: The metric columns of a per-cell row (:meth:`ExperimentMetrics.cell_row`),
+#: in emission order.  This order is a **public contract**: scenario-matrix
+#: and campaign CSV headers, report tables and the across-replication summary
+#: all derive from it, so reordering these keys changes exported bytes.
+#: Extend at the end only.
+CELL_METRIC_FIELDS = (
+    "short_flows",
+    "completion_rate",
+    "mean_fct_ms",
+    "p99_fct_ms",
+    "rto_incidence",
+    "retransmits",
+    "rtos",
+    "fault_drops",
+    "long_tput_mbps",
+)
+
+#: Every exported row column that derives from one run's metrics alone, by
+#: column name: ``(metrics, short-flow FCT summary) -> value``.  Row
+#: projections select from this catalogue (:meth:`ExperimentMetrics.columns`)
+#: in their own column order, so each name has exactly one definition.
+_COLUMNS = {
+    "short_flows": lambda m, fct: len(m.short_flows),
+    "completion_rate": lambda m, fct: m.short_flow_completion_rate(),
+    "mean_fct_ms": lambda m, fct: fct.mean,
+    "std_fct_ms": lambda m, fct: fct.std,
+    "p99_fct_ms": lambda m, fct: fct.p99,
+    "max_fct_ms": lambda m, fct: fct.maximum,
+    "rto_incidence": lambda m, fct: m.rto_incidence(),
+    "tail_over_200ms": lambda m, fct: m.tail_fraction(200.0),
+    "retransmits": lambda m, fct: sum(record.retransmitted_packets for record in m.flows),
+    "rtos": lambda m, fct: sum(record.rto_events for record in m.flows),
+    "total_rtos": lambda m, fct: sum(record.rto_events for record in m.short_flows),
+    "fault_drops": lambda m, fct: m.fault_drops,
+    "edge_loss_rate": lambda m, fct: m.loss_rate("edge"),
+    "core_loss_rate": lambda m, fct: m.loss_rate("core"),
+    "long_tput_mbps": lambda m, fct: m.mean_long_flow_throughput_bps() / 1e6,
+    "long_throughput_mbps": lambda m, fct: m.mean_long_flow_throughput_bps() / 1e6,
+}
+
+
 @dataclass
 class ExperimentMetrics:
     """All measurements from one simulation run."""
@@ -165,3 +206,19 @@ class ExperimentMetrics:
             "edge_loss_rate": self.loss_rate("edge"),
             "core_utilisation": self.core_utilisation(),
         }
+
+    def columns(self, *names: str) -> Dict[str, object]:
+        """The named row columns of this run, in the order asked for.
+
+        Everything here derives from the simulated metrics only — never from
+        wall-clock or worker counts — which keeps rows byte-stable across
+        re-runs and cache hits.
+        """
+        fct = self.short_flow_fct_summary()
+        return {name: _COLUMNS[name](self, fct) for name in names}
+
+    def cell_row(self) -> Dict[str, object]:
+        """The :data:`CELL_METRIC_FIELDS` columns: the metric half of every
+        scenario-matrix and campaign row, so the two families stay
+        column-compatible."""
+        return self.columns(*CELL_METRIC_FIELDS)

@@ -27,19 +27,22 @@ from repro.scenarios.runner import (
     ScenarioMatrixRunner,
     matrix_rows,
     run_scenario,
-    scenario_run_specs,
+    scenario_cell_spec,
 )
 from repro.scenarios.spec import (
+    SCENARIO_SCALES,
     WORKLOAD_INCAST,
     WORKLOAD_SHORT_LONG,
     ScenarioSpec,
     build_scenario_workload,
+    scale_config,
     tiny_config,
 )
 
 __all__ = [
     "DEFAULT_MATRIX_PROTOCOLS",
     "DEFAULT_MATRIX_SCENARIOS",
+    "SCENARIO_SCALES",
     "ScenarioCell",
     "ScenarioMatrixRunner",
     "ScenarioSpec",
@@ -52,6 +55,7 @@ __all__ = [
     "register_scenario",
     "run_scenario",
     "scenario_names",
-    "scenario_run_specs",
+    "scale_config",
+    "scenario_cell_spec",
     "tiny_config",
 ]

@@ -11,8 +11,9 @@ same determinism contract as every other sweep in the repository.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import RunSpec, SweepRunner, resolve_workers
@@ -37,45 +38,30 @@ class ScenarioCell:
     result: ExperimentResult
 
 
-def _specs_for(
-    base_config: ExperimentConfig,
-    scenario_specs: Sequence[ScenarioSpec],
-    protocols: Sequence[str],
+def scenario_cell_spec(
+    index: int,
+    scenario: ScenarioSpec,
+    config: ExperimentConfig,
+    tag: Dict[str, Any],
     probes: Tuple[str, ...] = (),
     profile: bool = False,
-) -> List[RunSpec]:
-    if not scenario_specs or not protocols:
-        raise ValueError("need at least one scenario and one protocol")
-    specs: List[RunSpec] = []
-    for spec in scenario_specs:
-        for protocol in protocols:
-            config = spec.apply_to(base_config.with_updates(protocol=protocol))
-            specs.append(
-                RunSpec(
-                    index=len(specs),
-                    config=config,
-                    workload_factory=build_scenario_workload,
-                    workload_args=(spec.workload, spec.fan_in, spec.response_bytes, spec.receiver),
-                    tag={"scenario": spec.name, "protocol": protocol},
-                    probes=probes,
-                    profile=profile,
-                )
-            )
-    return specs
+) -> RunSpec:
+    """The :class:`RunSpec` of one scenario cell.
 
-
-def scenario_run_specs(
-    base_config: ExperimentConfig,
-    scenarios: Sequence[str],
-    protocols: Sequence[str],
-    probes: Tuple[str, ...] = (),
-    profile: bool = False,
-) -> List[RunSpec]:
-    """One :class:`RunSpec` per (scenario, protocol) cell, in matrix order."""
-    return _specs_for(
-        base_config,
-        [get_scenario(name) for name in scenarios],
-        protocols,
+    ``config`` is the cell's final config — ``scenario.apply_to(...)`` of
+    the base with the cell's protocol, plus any sweep values and replication
+    seed; the scenario contributes the workload recipe.  Scenario matrices
+    and campaigns both build their cells here, so the two can never disagree
+    on what a cell runs (or on its store key).
+    """
+    return RunSpec(
+        index=index,
+        config=config,
+        workload_factory=build_scenario_workload,
+        workload_args=(
+            scenario.workload, scenario.fan_in, scenario.response_bytes, scenario.receiver
+        ),
+        tag=tag,
         probes=probes,
         profile=profile,
     )
@@ -108,25 +94,37 @@ class ScenarioMatrixRunner:
         # entry is overwritten while the matrix runs.
         scenario_specs = [get_scenario(name) for name in scenarios]
         spec_by_name = {spec.name: spec for spec in scenario_specs}
-        specs = _specs_for(
-            self.base_config,
-            scenario_specs,
-            protocols,
-            probes=self.probes,
-            profile=self.profile,
-        )
+        specs = self.specs(scenario_specs, protocols)
         results = SweepRunner(self.workers).run(specs)
-        cells: List[ScenarioCell] = []
-        for spec, result in zip(specs, results):
-            cells.append(
-                ScenarioCell(
-                    scenario=spec.tag["scenario"],
-                    protocol=spec.tag["protocol"],
-                    spec=spec_by_name[spec.tag["scenario"]],
-                    result=result,
-                )
+        return [
+            ScenarioCell(
+                scenario=spec.tag["scenario"],
+                protocol=spec.tag["protocol"],
+                spec=spec_by_name[spec.tag["scenario"]],
+                result=result,
             )
-        return cells
+            for spec, result in zip(specs, results)
+        ]
+
+    def specs(
+        self, scenario_specs: Sequence[ScenarioSpec], protocols: Sequence[str]
+    ) -> List[RunSpec]:
+        """One :class:`RunSpec` per (scenario, protocol) cell, in matrix order."""
+        if not scenario_specs or not protocols:
+            raise ValueError("need at least one scenario and one protocol")
+        return [
+            scenario_cell_spec(
+                index,
+                scenario,
+                scenario.apply_to(self.base_config.with_updates(protocol=protocol)),
+                {"scenario": scenario.name, "protocol": protocol},
+                probes=self.probes,
+                profile=self.profile,
+            )
+            for index, (scenario, protocol) in enumerate(
+                itertools.product(scenario_specs, protocols)
+            )
+        ]
 
 
 def run_scenario(
@@ -141,51 +139,13 @@ def run_scenario(
     return cells[0]
 
 
-#: The metric columns of a per-cell row, in emission order.  This order is a
-#: **public contract**: CSV headers and report tables are generated from row
-#: insertion order, so reordering these keys changes exported bytes.
-CELL_METRIC_FIELDS = (
-    "short_flows",
-    "completion_rate",
-    "mean_fct_ms",
-    "p99_fct_ms",
-    "rto_incidence",
-    "retransmits",
-    "rtos",
-    "fault_drops",
-    "long_tput_mbps",
-)
-
-
-def result_metrics_row(result: ExperimentResult) -> Dict[str, object]:
-    """The shared metric columns of one run, keyed per :data:`CELL_METRIC_FIELDS`.
-
-    Used by both scenario-matrix rows and campaign-report rows, so the two
-    table families stay column-compatible.  Everything here derives from the
-    simulated metrics only — never from wall-clock or worker counts — which
-    keeps rows byte-stable across re-runs and cache hits.
-    """
-    metrics = result.metrics
-    fct = metrics.short_flow_fct_summary()
-    return {
-        "short_flows": len(metrics.short_flows),
-        "completion_rate": metrics.short_flow_completion_rate(),
-        "mean_fct_ms": fct.mean,
-        "p99_fct_ms": fct.p99,
-        "rto_incidence": metrics.rto_incidence(),
-        "retransmits": sum(record.retransmitted_packets for record in metrics.flows),
-        "rtos": sum(record.rto_events for record in metrics.flows),
-        "fault_drops": metrics.fault_drops,
-        "long_tput_mbps": metrics.mean_long_flow_throughput_bps() / 1e6,
-    }
-
-
 def matrix_rows(cells: Sequence[ScenarioCell]) -> List[Dict[str, object]]:
     """Flat per-cell rows for table rendering / CSV export / reports.
 
     Key order — ``scenario``, ``protocol``, ``faults``, then
-    :data:`CELL_METRIC_FIELDS` — is insertion-stable and part of the public
-    contract (CSV headers come from it); rows appear in matrix (cell) order.
+    :data:`repro.metrics.collector.CELL_METRIC_FIELDS` — is insertion-stable
+    and part of the public contract (CSV headers come from it); rows appear
+    in matrix (cell) order.
     """
     rows: List[Dict[str, object]] = []
     for cell in cells:
@@ -194,6 +154,6 @@ def matrix_rows(cells: Sequence[ScenarioCell]) -> List[Dict[str, object]]:
             "protocol": cell.protocol,
             "faults": len(cell.spec.faults),
         }
-        row.update(result_metrics_row(cell.result))
+        row.update(cell.result.metrics.cell_row())
         rows.append(row)
     return rows

@@ -19,11 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Tuple
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import SCALES, ExperimentConfig, scaled_config
 from repro.experiments.incast_study import build_incast_workload_for
 from repro.net.faults import FaultEvent
 from repro.sim.units import kilobytes, megabits_per_second
 from repro.traffic.workloads import Workload
+
+#: Scales the scenario and campaign commands accept: the matrix-friendly
+#: "tiny" (:func:`tiny_config`) plus the CLI trio.
+SCENARIO_SCALES = ("tiny",) + SCALES
 
 #: Workload shapes a scenario can request.
 WORKLOAD_SHORT_LONG = "short_long"
@@ -137,3 +141,10 @@ def tiny_config(seed: int = 20150817, **overrides) -> ExperimentConfig:
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def scale_config(scale: str, seed: int) -> ExperimentConfig:
+    """The base configuration for any of :data:`SCENARIO_SCALES`."""
+    if scale == "tiny":
+        return tiny_config(seed=seed)
+    return scaled_config(scale, seed)

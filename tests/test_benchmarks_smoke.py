@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import importlib
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
+
+from repro.experiments import STUDIES, run_study, study_rows
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 BENCH_MODULES = sorted(path.stem for path in BENCH_DIR.glob("bench_*.py"))
@@ -70,6 +73,9 @@ def test_all_bench_modules_are_covered() -> None:
     assert set(BENCH_MODULES) == set(SMOKE_RUNNERS), (
         "benchmarks and smoke runners out of sync"
     )
+    assert {study for study, _ in STUDY_BENCHES.values()} == set(STUDIES), (
+        "every declared study needs a benchmark (and vice versa)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -77,65 +83,25 @@ def test_all_bench_modules_are_covered() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _smoke_figure1a():
-    from repro.experiments.figure1 import figure1a_series
-
-    rows = figure1a_series(_tiny(), (1, 2))
-    assert [row.num_subflows for row in rows] == [1, 2]
-
-
-def _smoke_figure1b():
-    from repro.experiments.figure1 import figure1b_scatter, scatter_points
-
-    assert scatter_points(figure1b_scatter(_tiny(), num_subflows=2)) is not None
-
-
-def _smoke_figure1c():
-    from repro.experiments.figure1 import figure1c_scatter, scatter_points
-
-    assert scatter_points(figure1c_scatter(_tiny(), num_subflows=2)) is not None
+#: bench module → (the study it drives, plan parameters that keep a run sub-second).
+STUDY_BENCHES = {
+    "bench_figure1a": ("figure1a", dict(subflow_counts=(1, 2))),
+    "bench_figure1b": ("figure1b", {}),
+    "bench_figure1c": ("figure1c", {}),
+    "bench_section3_stats": ("section3", {}),
+    "bench_roadmap_loadsweep": ("loadsweep", dict(protocols=("mptcp",), load_factors=(0.5,))),
+    "bench_roadmap_incast": (
+        "incast", dict(protocols=("tcp",), fan_ins=(4,), response_bytes=20_000)
+    ),
+    "bench_roadmap_coexistence": ("coexistence", dict(protocols=("tcp", "mmptcp"))),
+    "bench_roadmap_hotspot": ("hotspot", dict(protocols=("mptcp",))),
+    "bench_baseline_deadlines": ("deadlines", dict(protocols=("tcp", "d2tcp"))),
+}
 
 
-def _smoke_section3():
-    from repro.experiments.section3 import section3_statistics
-
-    comparison = section3_statistics(_tiny(), num_subflows=2)
-    assert comparison.mptcp.as_dict() and comparison.mmptcp.as_dict()
-
-
-def _smoke_loadsweep():
-    from repro.experiments.loadsweep import load_sweep_rows, run_load_sweep
-
-    points = run_load_sweep(_tiny(), protocols=("mptcp",), load_factors=(0.5,), workers=1)
-    assert len(load_sweep_rows(points)) == 1
-
-
-def _smoke_incast():
-    from repro.experiments.incast_study import incast_rows, run_incast_sweep
-
-    points = run_incast_sweep(_tiny(), protocols=("tcp",), fan_ins=(4,), response_bytes=20_000)
-    assert len(incast_rows(points)) == 1
-
-
-def _smoke_coexistence():
-    from repro.experiments.coexistence import coexistence_rows, run_coexistence_experiment
-
-    outcome = run_coexistence_experiment(_tiny(), protocols=("tcp", "mmptcp"))
-    assert coexistence_rows(outcome)
-
-
-def _smoke_hotspot():
-    from repro.experiments.hotspot import hotspot_rows, run_hotspot_comparison
-
-    outcomes = run_hotspot_comparison(_tiny(), protocols=("mptcp",), num_subflows=2)
-    assert hotspot_rows(outcomes)
-
-
-def _smoke_deadlines():
-    from repro.experiments.deadline_study import deadline_rows, run_deadline_study
-
-    outcomes = run_deadline_study(_tiny(), protocols=("tcp", "d2tcp"), num_subflows=2)
-    assert deadline_rows(outcomes)
+def _smoke_study(study: str, params: dict) -> None:
+    config = _tiny().with_updates(num_subflows=2)
+    assert study_rows(run_study(STUDIES[study], config, **params))
 
 
 def _smoke_ablation_switching():
@@ -182,15 +148,7 @@ def _smoke_micro_simulator():
 
 SMOKE_RUNNERS = {
     "bench_common": lambda: _tiny(),
-    "bench_figure1a": _smoke_figure1a,
-    "bench_figure1b": _smoke_figure1b,
-    "bench_figure1c": _smoke_figure1c,
-    "bench_section3_stats": _smoke_section3,
-    "bench_roadmap_loadsweep": _smoke_loadsweep,
-    "bench_roadmap_incast": _smoke_incast,
-    "bench_roadmap_coexistence": _smoke_coexistence,
-    "bench_roadmap_hotspot": _smoke_hotspot,
-    "bench_baseline_deadlines": _smoke_deadlines,
+    **{module: partial(_smoke_study, *entry) for module, entry in STUDY_BENCHES.items()},
     "bench_ablation_switching": _smoke_ablation_switching,
     "bench_ablation_reordering": _smoke_ablation_reordering,
     "bench_ablation_rto_incidence": _smoke_ablation_rto,

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from repro.cli import SCALES, _config_from_args, _rows_table, build_parser, main
+from repro.cli import SCALES, _config_from_args, build_parser, main
 from repro.experiments.config import scaled_config
+from repro.metrics.reporting import rows_table
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
 
 
@@ -92,13 +93,13 @@ def test_incast_subcommand_defaults() -> None:
 
 
 def test_rows_table_renders_floats_and_strings() -> None:
-    table = _rows_table([{"protocol": "mmptcp", "mean": 1.23456}])
+    table = rows_table([{"protocol": "mmptcp", "mean": 1.23456}])
     assert "mmptcp" in table
     assert "1.2346" in table
 
 
 def test_rows_table_empty() -> None:
-    assert _rows_table([]) == "(no rows)"
+    assert rows_table([]) == "(no rows)"
 
 
 def test_workers_flag_rejects_negative_values_before_any_work(capsys) -> None:

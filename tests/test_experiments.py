@@ -27,7 +27,6 @@ from repro.experiments.runner import (
     make_switching_policy,
     run_experiment,
 )
-from repro.experiments.sweeps import sweep_parameter
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.topology.fattree import FatTreeTopology
@@ -181,12 +180,6 @@ class TestRunnerIntegration:
         assert all(record.phase_at_completion == "packet_scatter" for record in shorts)
         assert all(record.phase_at_completion == "mptcp" for record in longs)
         assert all(record.switch_time is not None for record in longs)
-
-    def test_sweep_parameter_runs_each_point(self) -> None:
-        points = sweep_parameter(TINY, "num_subflows", [1, 2])
-        assert len(points) == 2
-        assert points[0].overrides == {"num_subflows": 1}
-        assert all(point.summary["short_flows"] >= 1 for point in points)
 
     def test_shared_buffer_queue_configuration_runs(self) -> None:
         config = TINY.with_updates(queue_kind="shared")

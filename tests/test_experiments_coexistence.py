@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.experiments.coexistence import (
+from repro.experiments import (
     CoexistenceResult,
     ProtocolShare,
     build_mixed_protocol_workload,

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import STUDIES, StudyPoint, run_study, study_rows
 from repro.experiments.config import QUEUE_ECN, ExperimentConfig
-from repro.experiments.deadline_study import (
-    DeadlineOutcome,
-    deadline_rows,
-    run_deadline_study,
-)
+from repro.experiments.deadline_study import build_deadline_workload_for
 from repro.sim.units import megabits_per_second
+from repro.traffic.deadlines import deadline_of
 from repro.traffic.flowspec import PROTOCOL_D2TCP, PROTOCOL_MMPTCP, PROTOCOL_TCP
 
 
@@ -33,21 +31,29 @@ def _tiny_config(**overrides) -> ExperimentConfig:
 
 @pytest.fixture(scope="module")
 def deadline_outcomes():
-    return run_deadline_study(
+    points = run_study(
+        STUDIES["deadlines"],
         _tiny_config(),
         protocols=(PROTOCOL_TCP, PROTOCOL_D2TCP, PROTOCOL_MMPTCP),
         slack_factor=4.0,
-        num_subflows=4,
     )
+    return {point.protocol: point for point in points}
 
 
 def test_deadline_study_covers_requested_protocols(deadline_outcomes) -> None:
     assert set(deadline_outcomes) == {PROTOCOL_TCP, PROTOCOL_D2TCP, PROTOCOL_MMPTCP}
     for outcome in deadline_outcomes.values():
-        assert isinstance(outcome, DeadlineOutcome)
-        assert outcome.short_flow_count > 0
+        assert isinstance(outcome, StudyPoint)
+        assert outcome.short_flows > 0
         assert 0.0 <= outcome.deadline_miss_rate <= 1.0
         assert outcome.completion_rate > 0.0
+        # The miss rate counts every deadline-carrying flow; the study leaves
+        # DeadlineParams.long_flows_have_deadlines at False, so those are
+        # exactly the short flows.
+        workload = build_deadline_workload_for(outcome.spec.config, *outcome.spec.workload_args)
+        assert workload.long_flows and workload.short_flows
+        assert all(deadline_of(flow) is None for flow in workload.long_flows)
+        assert all(deadline_of(flow) is not None for flow in workload.short_flows)
 
 
 def test_deadline_study_ecn_protocols_ran_on_marking_queues(deadline_outcomes) -> None:
@@ -60,7 +66,7 @@ def test_deadline_study_slack_factor_recorded(deadline_outcomes) -> None:
 
 
 def test_deadline_rows_flat_and_complete(deadline_outcomes) -> None:
-    rows = deadline_rows(deadline_outcomes)
+    rows = study_rows(list(deadline_outcomes.values()))
     assert len(rows) == 3
     for row in rows:
         assert {"protocol", "deadline_miss_rate", "mean_fct_ms",
@@ -69,4 +75,4 @@ def test_deadline_rows_flat_and_complete(deadline_outcomes) -> None:
 
 def test_deadline_study_rejects_bad_slack() -> None:
     with pytest.raises(ValueError):
-        run_deadline_study(_tiny_config(), slack_factor=0.0)
+        run_study(STUDIES["deadlines"], _tiny_config(), slack_factor=0.0)

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import STUDIES, StudyPoint, run_study, study_rows
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.hotspot import (
-    HotspotOutcome,
-    build_hotspot_workload_for,
-    hotspot_rows,
-    run_hotspot_comparison,
-)
+from repro.experiments.hotspot import build_hotspot_workload_for
 from repro.sim.units import megabits_per_second
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
 from repro.traffic.matrices import pair_counts_by_destination
@@ -63,25 +59,25 @@ def test_hotspot_workload_is_identical_across_protocols_given_same_seed() -> Non
 
 @pytest.fixture(scope="module")
 def hotspot_outcomes():
-    return run_hotspot_comparison(
+    return run_study(
+        STUDIES["hotspot"],
         _tiny_config(),
         protocols=(PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
         hotspot_fraction=0.25,
         load_fraction=0.5,
-        num_subflows=4,
     )
 
 
 def test_hotspot_comparison_covers_requested_protocols(hotspot_outcomes) -> None:
-    assert set(hotspot_outcomes) == {PROTOCOL_MPTCP, PROTOCOL_MMPTCP}
-    for outcome in hotspot_outcomes.values():
-        assert isinstance(outcome, HotspotOutcome)
+    assert [outcome.protocol for outcome in hotspot_outcomes] == [PROTOCOL_MPTCP, PROTOCOL_MMPTCP]
+    for outcome in hotspot_outcomes:
+        assert isinstance(outcome, StudyPoint)
         assert outcome.completion_rate > 0.0
         assert 0.0 <= outcome.rto_incidence <= 1.0
 
 
 def test_hotspot_rows_flat_and_complete(hotspot_outcomes) -> None:
-    rows = hotspot_rows(hotspot_outcomes)
+    rows = study_rows(hotspot_outcomes)
     assert len(rows) == 2
     for row in rows:
         assert {"protocol", "hotspot_fraction", "mean_fct_ms", "edge_loss_rate",
@@ -90,4 +86,4 @@ def test_hotspot_rows_flat_and_complete(hotspot_outcomes) -> None:
 
 def test_hotspot_comparison_rejects_empty_protocol_list() -> None:
     with pytest.raises(ValueError):
-        run_hotspot_comparison(_tiny_config(), protocols=())
+        run_study(STUDIES["hotspot"], _tiny_config(), protocols=())

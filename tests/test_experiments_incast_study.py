@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import STUDIES, StudyPoint, run_study, study_rows
 from repro.experiments.config import TOPOLOGY_DUALHOMED, TOPOLOGY_FATTREE, ExperimentConfig
-from repro.experiments.incast_study import (
-    IncastPoint,
-    build_incast_workload_for,
-    compare_multihoming,
-    incast_rows,
-    run_incast_sweep,
-)
+from repro.experiments.incast_study import build_incast_workload_for
 from repro.sim.units import megabits_per_second
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_TCP
 
@@ -72,7 +67,8 @@ def test_incast_workload_rejects_impossible_fan_in() -> None:
 
 @pytest.fixture(scope="module")
 def sweep_points():
-    return run_incast_sweep(
+    return run_study(
+        STUDIES["incast"],
         _tiny_config(),
         protocols=(PROTOCOL_TCP, PROTOCOL_MMPTCP),
         fan_ins=(4, 8),
@@ -89,14 +85,14 @@ def test_incast_sweep_covers_every_combination(sweep_points) -> None:
 
 def test_incast_sweep_every_burst_drains(sweep_points) -> None:
     for point in sweep_points:
-        assert isinstance(point, IncastPoint)
+        assert isinstance(point, StudyPoint)
         assert point.completion_rate == pytest.approx(1.0), (point.protocol, point.fan_in)
-        assert point.fct_summary.count == point.fan_in
+        assert point.result.metrics.short_flow_fct_summary().count == point.fan_in
         assert point.p99_fct_ms > 0.0
 
 
 def test_incast_rows_shape(sweep_points) -> None:
-    rows = incast_rows(sweep_points)
+    rows = study_rows(sweep_points)
     assert len(rows) == len(sweep_points)
     for row in rows:
         assert {"topology", "protocol", "fan_in", "mean_fct_ms", "completion_rate",
@@ -105,9 +101,9 @@ def test_incast_rows_shape(sweep_points) -> None:
 
 def test_incast_sweep_rejects_empty_dimensions() -> None:
     with pytest.raises(ValueError):
-        run_incast_sweep(_tiny_config(), protocols=(), fan_ins=(4,))
+        run_study(STUDIES["incast"], _tiny_config(), protocols=(), fan_ins=(4,))
     with pytest.raises(ValueError):
-        run_incast_sweep(_tiny_config(), protocols=(PROTOCOL_TCP,), fan_ins=())
+        run_study(STUDIES["incast"], _tiny_config(), protocols=(PROTOCOL_TCP,), fan_ins=())
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +112,15 @@ def test_incast_sweep_rejects_empty_dimensions() -> None:
 
 
 def test_compare_multihoming_returns_both_fabrics() -> None:
-    outcome = compare_multihoming(_tiny_config(), fan_in=6, response_bytes=50_000)
-    assert set(outcome) == {TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED}
-    for point in outcome.values():
+    points = run_study(
+        STUDIES["incast"],
+        _tiny_config(),
+        protocols=(PROTOCOL_MMPTCP,),
+        fan_ins=(6,),
+        response_bytes=50_000,
+        topologies=(TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED),
+    )
+    assert [point.topology for point in points] == [TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED]
+    for point in points:
         assert point.completion_rate == pytest.approx(1.0)
         assert point.protocol == PROTOCOL_MMPTCP

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.loadsweep import (
-    LoadPoint,
+from repro.experiments import (
+    StudyPoint,
     load_sweep_rows,
     points_by_protocol,
     run_load_sweep,
 )
+from repro.experiments.config import ExperimentConfig
 from repro.sim.units import megabits_per_second
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_TCP
 
@@ -54,17 +54,18 @@ def test_sweep_produces_one_point_per_protocol_and_load(sweep_points) -> None:
 def test_sweep_scales_the_arrival_rate(sweep_points) -> None:
     base_rate = _tiny_config().short_flow_rate_per_sender
     for point in sweep_points:
-        assert point.arrival_rate_per_sender == pytest.approx(base_rate * point.load_factor)
+        assert point.arrival_rate == pytest.approx(base_rate * point.load_factor)
 
 
 def test_sweep_points_carry_usable_statistics(sweep_points) -> None:
     measured = 0
     for point in sweep_points:
-        assert isinstance(point, LoadPoint)
+        assert isinstance(point, StudyPoint)
+        fct_summary = point.result.metrics.short_flow_fct_summary()
         assert point.mean_fct_ms >= 0.0
-        assert point.p99_fct_ms >= point.fct_summary.p50 - 1e-9
+        assert point.p99_fct_ms >= fct_summary.p50 - 1e-9
         assert 0.0 <= point.rto_incidence <= 1.0
-        if point.fct_summary.count > 0:
+        if fct_summary.count > 0:
             measured += 1
             assert point.completion_rate > 0.0
     # At least the nominal-load points must have produced short-flow samples.

@@ -10,20 +10,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import STUDIES, load_sweep_rows, run_load_sweep, run_study, study_rows
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figure1 import figure1a_series
-from repro.experiments.incast_study import incast_rows, run_incast_sweep
-from repro.experiments.loadsweep import load_sweep_rows, run_load_sweep
 from repro.experiments.parallel import (
     RunSpec,
     SweepRunner,
     execute_spec,
     resolve_workers,
-    run_specs,
     seeded_replications,
-    specs_from_configs,
 )
-from repro.experiments.sweeps import sweep_parameter
 from repro.sim.randomness import spawn_seeds
 
 
@@ -40,6 +35,10 @@ def tiny_config(**overrides) -> ExperimentConfig:
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def seed_specs(*seeds: int):
+    return [RunSpec(index=index, config=tiny_config(seed=seed)) for index, seed in enumerate(seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -64,30 +63,20 @@ def test_incast_sweep_parallel_matches_serial() -> None:
     """The pickled workload recipe rebuilds the same burst in each worker."""
     config = tiny_config(fattree_k=4)
     kwargs = dict(protocols=("tcp", "mmptcp"), fan_ins=(4,), response_bytes=20_000)
-    serial = run_incast_sweep(config, workers=1, **kwargs)
-    parallel = run_incast_sweep(config, workers=4, **kwargs)
+    serial = run_study(STUDIES["incast"], config, workers=1, **kwargs)
+    parallel = run_study(STUDIES["incast"], config, workers=4, **kwargs)
 
-    assert incast_rows(serial) == incast_rows(parallel)
+    assert study_rows(serial) == study_rows(parallel)
     for point_s, point_p in zip(serial, parallel):
         assert point_s.result.metrics.flows == point_p.result.metrics.flows
 
 
 def test_figure1a_series_parallel_matches_serial() -> None:
     config = tiny_config()
-    serial = figure1a_series(config, (1, 2), workers=1)
-    parallel = figure1a_series(config, (1, 2), workers=2)
-    assert [(row.num_subflows, row.mean_ms, row.std_ms, row.rto_incidence,
-             row.completion_rate) for row in serial] == \
-           [(row.num_subflows, row.mean_ms, row.std_ms, row.rto_incidence,
-             row.completion_rate) for row in parallel]
-
-
-def test_sweep_parameter_parallel_matches_serial() -> None:
-    config = tiny_config()
-    serial = sweep_parameter(config, "num_subflows", [1, 2], workers=1)
-    parallel = sweep_parameter(config, "num_subflows", [1, 2], workers=2)
-    assert [point.overrides for point in serial] == [point.overrides for point in parallel]
-    assert [point.summary for point in serial] == [point.summary for point in parallel]
+    serial = run_study(STUDIES["figure1a"], config, workers=1, subflow_counts=(1, 2))
+    parallel = run_study(STUDIES["figure1a"], config, workers=2, subflow_counts=(1, 2))
+    assert [point.subflows for point in serial] == [1, 2]
+    assert study_rows(serial) == study_rows(parallel)
 
 
 # ---------------------------------------------------------------------------
@@ -97,26 +86,23 @@ def test_sweep_parameter_parallel_matches_serial() -> None:
 
 def test_results_ordered_by_index_not_submission_order() -> None:
     """Specs handed over shuffled still come back sorted by point index."""
-    configs = [tiny_config(seed=seed) for seed in (3, 5, 9)]
-    specs = specs_from_configs(configs)
+    specs = seed_specs(3, 5, 9)
     shuffled = [specs[2], specs[0], specs[1]]
     results = SweepRunner(workers=1).run(shuffled)
     assert [result.config.seed for result in results] == [3, 5, 9]
 
 
 def test_progress_callback_fires_in_index_order() -> None:
-    specs = specs_from_configs([tiny_config(seed=seed) for seed in (3, 5)])
     seen = []
-    run_specs(specs, workers=1, progress=lambda spec: seen.append(spec.index))
+    SweepRunner(workers=1).run(seed_specs(3, 5), progress=lambda spec: seen.append(spec.index))
     assert seen == [0, 1]
 
 
 def test_on_result_fires_once_per_point_with_matching_results() -> None:
     """Serial: completion order is index order, results match the merge."""
-    specs = specs_from_configs([tiny_config(seed=seed) for seed in (3, 5)])
     delivered = []
-    results = run_specs(
-        specs, workers=1,
+    results = SweepRunner(workers=1).run(
+        seed_specs(3, 5),
         on_result=lambda spec, result: delivered.append((spec.index, result)),
     )
     assert [index for index, _ in delivered] == [0, 1]
@@ -126,10 +112,9 @@ def test_on_result_fires_once_per_point_with_matching_results() -> None:
 def test_on_result_fires_for_every_point_on_a_process_pool() -> None:
     """Pool: every point is delivered exactly once (any completion order),
     and the returned list is still index-ordered and unperturbed."""
-    specs = specs_from_configs([tiny_config(seed=seed) for seed in (3, 5, 9)])
     delivered = {}
-    results = run_specs(
-        specs, workers=3,
+    results = SweepRunner(workers=3).run(
+        seed_specs(3, 5, 9),
         on_result=lambda spec, result: delivered.__setitem__(spec.index, result),
     )
     assert sorted(delivered) == [0, 1, 2]
@@ -140,11 +125,6 @@ def test_on_result_fires_for_every_point_on_a_process_pool() -> None:
 def test_execute_spec_without_factory_builds_default_workload() -> None:
     result = execute_spec(RunSpec(index=0, config=tiny_config()))
     assert result.workload_size > 0
-
-
-def test_specs_from_configs_rejects_mismatched_tags() -> None:
-    with pytest.raises(ValueError):
-        specs_from_configs([tiny_config()], tags=[{"a": 1}, {"b": 2}])
 
 
 def test_resolve_workers() -> None:

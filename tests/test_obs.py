@@ -28,7 +28,6 @@ from repro.obs import (
     telemetry_jsonl,
     telemetry_records,
 )
-from repro.scenarios import scenario_run_specs
 from repro.scenarios.spec import tiny_config
 from repro.sim.tracing import RecordingTraceSink, canonical_trace
 from repro.store import RunStore, StoreError, result_to_dict, run_key_for_spec
@@ -173,7 +172,10 @@ def test_repeat_runs_render_byte_identical_telemetry() -> None:
 
 def test_telemetry_is_identical_across_worker_counts() -> None:
     base = _fast_config()
-    specs = scenario_run_specs(base, ["baseline"], ["tcp", "mmptcp"], probes=("all",))
+    specs = [
+        RunSpec(index=index, config=base.with_updates(protocol=protocol), probes=("all",))
+        for index, protocol in enumerate(("tcp", "mmptcp"))
+    ]
     serial = SweepRunner(1).run(specs)
     pooled = SweepRunner(2).run(specs)
     for one, two in zip(serial, pooled):

@@ -19,7 +19,6 @@ from repro.scenarios import (
     register_scenario,
     run_scenario,
     scenario_names,
-    scenario_run_specs,
     tiny_config,
 )
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_TCP
@@ -125,8 +124,10 @@ def test_register_scenario_rejects_duplicates_unless_overwritten() -> None:
 
 
 def test_scenario_run_specs_cross_product_in_matrix_order() -> None:
-    specs = scenario_run_specs(
-        _fast_config(), ("baseline", "core-link-failure"), (PROTOCOL_TCP, PROTOCOL_MMPTCP)
+    runner = ScenarioMatrixRunner(_fast_config())
+    specs = runner.specs(
+        [get_scenario("baseline"), get_scenario("core-link-failure")],
+        (PROTOCOL_TCP, PROTOCOL_MMPTCP),
     )
     assert [spec.index for spec in specs] == [0, 1, 2, 3]
     assert [spec.tag["scenario"] for spec in specs] == [
@@ -139,7 +140,7 @@ def test_scenario_run_specs_cross_product_in_matrix_order() -> None:
     assert not specs[0].config.fault_schedule
     assert specs[2].config.fault_schedule
     with pytest.raises(ValueError):
-        scenario_run_specs(_fast_config(), (), (PROTOCOL_TCP,))
+        runner.specs((), (PROTOCOL_TCP,))
 
 
 def test_matrix_parallel_run_matches_serial_byte_for_byte() -> None:
@@ -165,7 +166,7 @@ def test_matrix_rows_shape_and_report_table() -> None:
     assert len(rows) == 4
     # Regression: key order is insertion-stable and part of the public
     # contract — CSV headers and store-backed reports derive from it.
-    from repro.scenarios.runner import CELL_METRIC_FIELDS
+    from repro.metrics.collector import CELL_METRIC_FIELDS
 
     expected_order = ("scenario", "protocol", "faults") + CELL_METRIC_FIELDS
     for row in rows:
