@@ -41,6 +41,8 @@ Documented approximations (validated against the packet engine in
 from __future__ import annotations
 
 import time as _wallclock
+from functools import reduce
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.config import ExperimentConfig
@@ -50,7 +52,7 @@ from repro.net.monitor import LayerLossStats, NetworkSnapshot
 from repro.obs.profiler import EngineProfiler, profile_diagnostics
 from repro.obs.telemetry import NULL_PROBES, TeeSink, TelemetryProbes, TelemetryRecorder
 from repro.sim.engine import Simulator
-from repro.sim.fluid import max_min_rates
+from repro.sim.fluid import MaxMinSolver
 from repro.sim.randomness import RandomStreams
 from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.traffic.flowspec import (
@@ -70,12 +72,11 @@ class _FluidFlow:
     __slots__ = (
         "spec",
         "subflow_paths",
+        "subflow_keys",
         "weight",
         "overhead_s",
         "remaining_bits",
         "rate_bps",
-        "subflow_rates",
-        "active",
         "started",
         "completed_at",
         "timer",
@@ -84,13 +85,13 @@ class _FluidFlow:
     def __init__(self, spec: FlowSpec, subflow_paths: List[LinkPath], overhead_s: float):
         self.spec = spec
         self.subflow_paths = subflow_paths
+        #: The subflows' max-min participant keys, ``(flow_id, subflow_index)``.
+        self.subflow_keys = [(spec.flow_id, index) for index in range(len(subflow_paths))]
         #: Per-subflow weight; the flow's total max-min weight is always 1.0.
         self.weight = 1.0 / len(subflow_paths)
         self.overhead_s = overhead_s
         self.remaining_bits = spec.size_bytes * 8.0
         self.rate_bps = 0.0
-        self.subflow_rates: List[float] = [0.0] * len(subflow_paths)
-        self.active = False
         self.started = False
         self.completed_at: Optional[float] = None
         self.timer = None
@@ -120,6 +121,8 @@ class FlowLevelEngine:
             overhead = self._startup_overhead_s(spec, paths[0])
             self.flows.append(_FluidFlow(spec, paths, overhead))
         self._active: Dict[int, _FluidFlow] = {}
+        #: Every active flow's subflows, registered from arrival to completion.
+        self._solver: MaxMinSolver[Tuple[int, int]] = MaxMinSolver()
         self._last_update = 0.0
         self._recompute_pending = False
         self._recomputes = 0
@@ -194,9 +197,10 @@ class FlowLevelEngine:
 
     def _on_arrival(self, flow: _FluidFlow) -> None:
         flow.started = True
-        flow.active = True
         flow.timer = self.simulator.timer(self._on_complete)
         self._active[flow.spec.flow_id] = flow
+        for key, path in zip(flow.subflow_keys, flow.subflow_paths):
+            self._solver.add(key, path, flow.weight)
         self._mark_dirty()
 
     def _on_complete(self, flow: _FluidFlow) -> None:
@@ -204,9 +208,10 @@ class FlowLevelEngine:
         self._drain_to(now)
         flow.remaining_bits = 0.0
         flow.completed_at = now
-        flow.active = False
         flow.rate_bps = 0.0
         del self._active[flow.spec.flow_id]
+        for key in flow.subflow_keys:
+            self._solver.remove(key)
         self._mark_dirty()
 
     def _mark_dirty(self) -> None:
@@ -232,16 +237,18 @@ class FlowLevelEngine:
         """Advance every active flow by its current rate up to ``now``."""
         dt = now - self._last_update
         if dt > 0.0:
-            carried = self._carried_bits
-            for flow_id in sorted(self._active):
-                flow = self._active[flow_id]
+            for flow in self._active.values():
                 if flow.rate_bps > 0.0:
                     flow.remaining_bits = max(0.0, flow.remaining_bits - flow.rate_bps * dt)
-                for path, rate in zip(flow.subflow_paths, flow.subflow_rates):
-                    if rate > 0.0:
-                        bits = rate * dt
-                        for link in path:
-                            carried[link] = carried.get(link, 0.0) + bits
+            # Each link's integral grows by its subflows' bits one addition
+            # at a time in (flow id, subflow index) order — the solver's
+            # member order.  The order is pinned by every stored artifact
+            # (float addition is not associative), and builtin sum() would
+            # make it depend on the Python version.
+            bits = {key: rate * dt for key, rate in self._solver.rates.items()}
+            carried = self._carried_bits
+            for link, keys in self._solver.members.items():
+                carried[link] = reduce(add, map(bits.__getitem__, keys), carried.get(link, 0.0))
         self._last_update = now
 
     def _recompute(self) -> None:
@@ -253,22 +260,12 @@ class FlowLevelEngine:
         if probes.enabled:
             probes.count("fluid.recomputes")
             probes.sample("fluid.active_flows", now, len(self._active))
-        paths: Dict[Tuple[int, int], LinkPath] = {}
-        weights: Dict[Tuple[int, int], float] = {}
-        for flow_id in sorted(self._active):
-            flow = self._active[flow_id]
-            for index, path in enumerate(flow.subflow_paths):
-                key = (flow_id, index)
-                paths[key] = path
-                weights[key] = flow.weight
-        rates = max_min_rates(self.fabric.capacities(), paths, weights)
+        rates = self._solver.max_min_rates(self.fabric.capacities())
         for flow_id in sorted(self._active):
             flow = self._active[flow_id]
             total = 0.0
-            for index in range(len(flow.subflow_paths)):
-                rate = rates[(flow_id, index)]
-                flow.subflow_rates[index] = rate
-                total += rate
+            for key in flow.subflow_keys:
+                total += rates[key]
             flow.rate_bps = total
             if total > 0.0:
                 flow.timer.arm(flow.remaining_bits / total, flow)
@@ -326,14 +323,15 @@ class FlowLevelEngine:
         for layer in ("core", "edge"):
             links = layer_links.get(layer, [])
             if links and horizon_s > 0:
-                utilisation = sum(
-                    min(
+                # Accumulated left to right; see _drain_to on builtin sum().
+                busy = 0.0
+                for link in links:
+                    busy += min(
                         1.0,
                         self._carried_bits.get(link, 0.0)
                         / (self.fabric.original_rate_bps[link] * horizon_s),
                     )
-                    for link in links
-                ) / len(links)
+                utilisation = busy / len(links)
                 if layer == "core":
                     snapshot.core_utilisation = utilisation
                 else:

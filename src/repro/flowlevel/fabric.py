@@ -127,10 +127,13 @@ class FluidFabric:
         only for the connection-startup latency correction, never for the
         bandwidth-sharing itself.
         """
-        propagation = sum(self.delay_s[link] for link in path)
-        serialisation = sum(
-            (mss_bytes * 8.0) / self.original_rate_bps[link] for link in path
-        )
+        # Accumulated left to right: builtin sum() compensates float
+        # additions from CPython 3.12 on, and stored artifacts pin the bits.
+        propagation = 0.0
+        serialisation = 0.0
+        for link in path:
+            propagation += self.delay_s[link]
+            serialisation += (mss_bytes * 8.0) / self.original_rate_bps[link]
         return 2.0 * propagation + serialisation
 
 

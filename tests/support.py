@@ -10,7 +10,7 @@ module name and shadow the helpers.  Tests import this module instead;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
@@ -69,3 +69,96 @@ def make_tcp_transfer(
         config=tcp_config,
     )
     return TcpTransferHarness(simulator, topology, sender, receiver)
+
+
+# ---------------------------------------------------------------------------
+# Max-min oracle
+# ---------------------------------------------------------------------------
+
+Key = TypeVar("Key")
+
+#: Copied, like the function below, so that the oracle shares no code with
+#: the solver it checks.
+_REFERENCE_SATURATION_EPSILON = 1e-9
+
+
+def reference_max_min_rates(
+    capacities: Mapping[str, float],
+    paths: Mapping[Key, Sequence[str]],
+    weights: Optional[Mapping[Key, float]] = None,
+) -> Dict[Key, float]:
+    """The from-scratch progressive-filling solve, kept as a test oracle.
+
+    This is the body ``repro.sim.fluid.max_min_rates`` had before the
+    stateful :class:`~repro.sim.fluid.MaxMinSolver` replaced it: it rebuilds
+    its whole participant/link index on every call and accumulates every
+    float left to right in sorted key order.  The solver must return
+    ``float.hex``-equal rates (``tests/test_fluid.py``); nothing under
+    ``src/`` may import it.
+    """
+    link_sets: Dict[Key, Tuple[str, ...]] = {}
+    rates: Dict[Key, float] = {}
+    remaining: Dict[str, float] = {}
+    for key in sorted(paths):
+        links = tuple(dict.fromkeys(paths[key]))
+        if not links:
+            raise ValueError(f"participant {key!r} has an empty path")
+        for link in links:
+            if link not in remaining:
+                if link not in capacities:
+                    raise ValueError(f"participant {key!r} crosses unknown link {link!r}")
+                remaining[link] = max(0.0, float(capacities[link]))
+        link_sets[key] = links
+        rates[key] = 0.0
+
+    weight_of: Dict[Key, float] = {}
+    for key in sorted(link_sets):
+        weight = 1.0 if weights is None else float(weights[key])
+        if weight <= 0:
+            raise ValueError(f"participant {key!r} has non-positive weight {weight!r}")
+        weight_of[key] = weight
+
+    # Participants whose path crosses a dead link never receive bandwidth.
+    active = [
+        key
+        for key in sorted(link_sets)
+        if all(remaining[link] > 0.0 for link in link_sets[key])
+    ]
+
+    while active:
+        # Aggregate unfrozen weight per link, then find the link that
+        # saturates first when every unfrozen participant grows its rate by
+        # ``weight * increment``.
+        link_weight: Dict[str, float] = {}
+        for key in active:
+            weight = weight_of[key]
+            for link in link_sets[key]:
+                link_weight[link] = link_weight.get(link, 0.0) + weight
+        bottleneck = ""
+        increment = -1.0
+        for link in sorted(link_weight):
+            share = remaining[link] / link_weight[link]
+            if increment < 0.0 or share < increment:
+                increment = share
+                bottleneck = link
+
+        saturated = set()
+        for link in sorted(link_weight):
+            remaining[link] -= increment * link_weight[link]
+            tolerance = _REFERENCE_SATURATION_EPSILON * max(1.0, float(capacities[link]))
+            if remaining[link] <= tolerance:
+                remaining[link] = 0.0
+                saturated.add(link)
+        # The arg-min link is saturated by construction; force it in case
+        # round-off left a residual just above the tolerance.
+        saturated.add(bottleneck)
+
+        still_active = []
+        for key in active:
+            rates[key] += increment * weight_of[key]
+            if not saturated.isdisjoint(link_sets[key]):
+                continue
+            still_active.append(key)
+        active = still_active
+
+    return rates

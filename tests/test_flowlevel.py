@@ -12,21 +12,50 @@ Three contract families:
 * **Scale** — the whole point of the tier: thousands of flows in a handful
   of events each, with synchronized (incast) arrivals coalescing into one
   rate recomputation per instant.
+
+Plus the **artifact goldens**: ``tests/golden/flow_artifacts.json`` pins the
+sha256 of every registry scenario's stored payload at flow fidelity, so a
+solver or engine change that moves one rate by one ulp fails here.  If a
+behaviour change is *intended*, regenerate with::
+
+    python tests/test_flowlevel.py
+
+and commit the updated golden together with the change that explains it.
 """
 
 from __future__ import annotations
 
+import cProfile
+import hashlib
+import json
+import pstats
+import sys
+from pathlib import Path
+
 import pytest
+
+if __name__ == "__main__":  # pragma: no cover - regeneration entry point
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.config import FIDELITY_FLOW, FIDELITY_PACKET
 from repro.experiments.runner import run_experiment
 from repro.flowlevel import FluidFabric, FlowLevelEngine
+from repro.metrics.export import dumps_deterministic
 from repro.net.faults import LINK_UP, FaultEvent, host_migration, link_failure
-from repro.scenarios import ScenarioMatrixRunner, matrix_rows, tiny_config
+from repro.experiments.parallel import execute_spec
+from repro.scenarios import (
+    ScenarioMatrixRunner,
+    all_scenarios,
+    get_scenario,
+    matrix_rows,
+    scenario_cell_spec,
+    tiny_config,
+)
 from repro.scenarios.spec import build_scenario_workload
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.store import canonical_dumps
+from repro.store.serialize import result_to_dict
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_TCP, FlowSpec
 from repro.traffic.workloads import Workload
 
@@ -138,16 +167,19 @@ def test_downed_access_link_stalls_its_flows_without_rerouting() -> None:
     )
 
 
-def _flows_of(result):
-    """Rebuild the engine flow list for ``result`` (same seed, same paths)."""
+def _engine_for(config) -> FlowLevelEngine:
+    """The engine ``run_experiment`` would build for ``config``, not yet started."""
     from repro.experiments.runner import build_topology, build_workload
 
-    simulator = Simulator()
-    streams = RandomStreams(result.config.seed)
-    topology = build_topology(result.config, simulator)
-    workload = build_workload(result.config, topology, streams)
-    engine = FlowLevelEngine(result.config, FluidFabric(topology), workload, streams)
-    return engine.flows
+    streams = RandomStreams(config.seed)
+    topology = build_topology(config, Simulator())
+    workload = build_workload(config, topology, streams)
+    return FlowLevelEngine(config, FluidFabric(topology), workload, streams)
+
+
+def _flows_of(result):
+    """Rebuild the engine flow list for ``result`` (same seed, same paths)."""
+    return _engine_for(result.config).flows
 
 
 def test_link_recovery_lets_stalled_flows_finish() -> None:
@@ -249,3 +281,134 @@ def test_hundredfold_flow_scale_in_a_handful_of_events_per_flow() -> None:
     assert events_per_flow < 10.0
     summary = result.metrics.summary_dict()
     assert summary["short_completion_rate"] > 0.95
+
+
+# ---------------------------------------------------------------------------
+# Bookkeeping: conservation and cost
+# ---------------------------------------------------------------------------
+
+
+def _busy_config(protocol: str):
+    """~200 overlapping flows on the tiny fabric."""
+    return tiny_config(
+        protocol=protocol,
+        fidelity=FIDELITY_FLOW,
+        max_short_flows=200,
+        short_flow_rate_per_sender=300.0,
+    )
+
+
+@pytest.mark.parametrize("protocol", ["tcp", "mptcp", "mmptcp"])
+def test_link_integrals_account_for_every_delivered_bit(protocol) -> None:
+    """What the links carried is what the flows delivered, and fits the links."""
+    engine = _engine_for(_busy_config(protocol))
+    horizon_s = 0.06  # arrivals run to ~55 ms: this cuts flows off mid-transfer
+    engine.start()
+    engine.simulator.run(until=horizon_s)
+    engine.finalise(horizon_s)
+    assert any(flow.completed_at is not None for flow in engine.flows)
+    assert any(0.0 < flow.remaining_bits < flow.spec.size_bytes * 8.0 for flow in engine.flows)
+
+    fabric = engine.fabric
+    # Every subflow leaves its source over exactly one host-tail link.
+    injected = 0.0
+    for link, bits in engine._carried_bits.items():
+        if fabric.layer_of[link] == "host":
+            injected += bits
+        assert bits <= fabric.original_rate_bps[link] * horizon_s * (1.0 + 1e-9)
+    delivered = 0.0
+    for flow in engine.flows:
+        delivered += flow.spec.size_bytes * 8.0 - flow.remaining_bits
+    assert injected == pytest.approx(delivered, rel=1e-9)
+
+
+@pytest.mark.parametrize("protocol", ["tcp", "mmptcp"])
+def test_solver_cost_per_event_is_a_handful_of_python_calls(protocol) -> None:
+    """Exact and machine-independent: the solver's hot path makes no
+    per-participant Python-level call (a helper, a generator frame), only
+    per-solve and per-registration ones."""
+    engine = _engine_for(_busy_config(protocol))
+    engine.start()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    engine.simulator.run(until=engine.config.horizon_s)
+    profiler.disable()
+
+    solver_calls = sum(
+        calls
+        for (filename, _line, _name), (_cc, calls, *_rest) in pstats.Stats(profiler).stats.items()
+        if filename.replace("\\", "/").endswith("repro/sim/fluid.py")
+    )
+    registered = sum(len(flow.subflow_paths) for flow in engine.flows if flow.started)
+    removed = sum(
+        len(flow.subflow_paths) for flow in engine.flows if flow.completed_at is not None
+    )
+    assert registered > 0 and removed == registered
+    assert 0 < solver_calls <= 10 * (engine.recomputes + registered + removed)
+
+
+# ---------------------------------------------------------------------------
+# Artifact goldens
+# ---------------------------------------------------------------------------
+
+FLOW_ARTIFACTS_PATH = Path(__file__).parent / "golden" / "flow_artifacts.json"
+ARTIFACT_PROTOCOLS = ("tcp", "mptcp", "mmptcp")
+
+
+def _artifact_cell(scenario_name: str, protocol: str):
+    """One registry scenario at flow fidelity on a ~60-flow tiny fabric.
+
+    Arrivals are compressed into ~50 ms so that flows overlap (the solver
+    sees contention, not one flow at a time) and the registry's faults at
+    20-50 ms land on live flows.
+    """
+    scenario = get_scenario(scenario_name)
+    base = tiny_config(
+        protocol=protocol,
+        fidelity=FIDELITY_FLOW,
+        max_short_flows=56,
+        short_flow_rate_per_sender=100.0,
+    )
+    return execute_spec(scenario_cell_spec(0, scenario, scenario.apply_to(base), {}))
+
+
+def _artifact_entry(scenario_name: str, protocol: str) -> dict:
+    try:
+        result = _artifact_cell(scenario_name, protocol)
+    except ValueError as error:
+        return {"error": str(error)}
+    payload = canonical_dumps(result_to_dict(result))
+    return {
+        "events_processed": result.events_processed,
+        "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+    }
+
+
+def _artifact_keys():
+    return [
+        f"{scenario.name}/{protocol}"
+        for scenario in all_scenarios()
+        for protocol in ARTIFACT_PROTOCOLS
+    ]
+
+
+@pytest.mark.parametrize("key", _artifact_keys())
+def test_flow_artifact_matches_golden(key) -> None:
+    golden = json.loads(FLOW_ARTIFACTS_PATH.read_text())
+    assert sorted(golden) == sorted(_artifact_keys())
+    scenario_name, protocol = key.split("/")
+    if "error" in golden[key]:
+        # migrate_host scenarios: rejected up front, exactly as before.
+        with pytest.raises(ValueError, match="packet fidelity"):
+            _artifact_cell(scenario_name, protocol)
+        return
+    assert _artifact_entry(scenario_name, protocol) == golden[key], (
+        f"{key}: the stored artifact changed; if intended, regenerate with "
+        "`python tests/test_flowlevel.py`"
+    )
+
+
+if __name__ == "__main__":  # pragma: no cover - regeneration entry point
+    entries = {key: _artifact_entry(*key.split("/")) for key in _artifact_keys()}
+    FLOW_ARTIFACTS_PATH.write_text(dumps_deterministic(entries))
+    print(f"wrote {FLOW_ARTIFACTS_PATH}")
