@@ -82,18 +82,17 @@ def test_micro_ecmp_hashing(benchmark) -> None:
 
 @pytest.mark.benchmark(group="micro")
 def test_micro_timer_churn_wheel(benchmark) -> None:
-    """RTO-style arm/re-arm churn through the wheel-backed Timer handles."""
+    """RTO-style arm/re-arm churn through reusable Timer handles."""
 
-    events = benchmark(lambda: run_timer_churn(use_wheel=True, flows=256, ticks=50_000))
+    events = benchmark(lambda: run_timer_churn(use_timers=True, flows=256, ticks=50_000))
     assert events > 50_000
 
 
 @pytest.mark.benchmark(group="micro")
 def test_micro_timer_churn_naive_heap(benchmark) -> None:
-    """The same churn as naive schedule/cancel heap events (the baseline the
-    wheel is measured against in BENCH_engine.json)."""
+    """The same churn as naive schedule/cancel events on the same heap."""
 
-    events = benchmark(lambda: run_timer_churn(use_wheel=False, flows=256, ticks=50_000))
+    events = benchmark(lambda: run_timer_churn(use_timers=False, flows=256, ticks=50_000))
     assert events > 50_000
 
 
@@ -111,7 +110,7 @@ def test_micro_cancelled_event_compaction(benchmark) -> None:
             event = simulator.schedule(1.0 + index * 1e-6, lambda: None)
         # One live event out of 50k scheduled: without compaction the heap
         # would hold every dead entry until run().
-        assert len(simulator._queue) < 1_000
+        assert simulator.heap_size < 1_000
         simulator.run()
         survivors += simulator.events_processed
         return survivors

@@ -8,9 +8,10 @@ three deterministic workloads:
 * ``timer_churn_heap`` / ``timer_churn_wheel`` — the RTO-heavy incast
   pattern (hundreds of concurrent flows, each ACK re-arming a 200 ms
   retransmission timer that almost never fires), expressed once with naive
-  ``schedule``/``cancel`` heap events and once with the reusable
-  wheel-backed :meth:`Simulator.timer` handles the transport stack uses.
-  The headline ``timer_churn_improvement_pct`` compares the two.
+  ``schedule``/``cancel`` events and once with the reusable
+  :meth:`Simulator.timer` handles the transport stack uses (the key keeps
+  its historical name so the trajectory stays comparable).  Both run on the
+  engine's one heap and both are tracked; neither is a bar for the other.
 * ``rto_incast`` — an end-to-end MMPTCP incast burst over shallow queues
   (the golden-trace scenario), exercising the whole stack on top of the
   timer subsystem.
@@ -22,8 +23,7 @@ Usage::
 
 ``--check`` re-measures and fails (exit 1) if any workload's *normalised*
 µs/event (workload divided by the same run's ``event_chain``) regressed
-more than ``tolerance`` relative to the committed baseline, or if the
-timer-churn improvement fell below ``--min-improvement`` (default 30%).
+more than ``tolerance`` relative to the committed baseline.
 Normalising by ``event_chain`` makes the gate about relative engine cost,
 not about how fast the CI machine happens to be.
 """
@@ -70,20 +70,21 @@ def run_event_chain(events: int = 200_000) -> int:
     return simulator.events_processed
 
 
-def run_timer_churn(use_wheel: bool, flows: int = CHURN_FLOWS, ticks: int = 200_000) -> int:
+def run_timer_churn(use_timers: bool, flows: int = CHURN_FLOWS, ticks: int = 200_000) -> int:
     """The RTO pattern: every 'ACK' re-arms one flow's 200 ms timer.
 
     A driver event fires every 5 µs (the ACK clock) and re-arms the next
     flow's retransmission timer round-robin, so each timer is re-armed long
-    before it can fire — exactly the cancel-dominated churn that used to
-    fill the event heap with dead entries.
+    before it can fire — with naive events, cancel-dominated churn that
+    fills the heap with dead entries; with timers, deferred re-arms that
+    file nothing.
     """
     simulator = Simulator()
 
     def noop() -> None:
         pass
 
-    if use_wheel:
+    if use_timers:
         handles = [simulator.timer(noop) for _ in range(flows)]
 
         def rearm(index: int) -> None:
@@ -135,8 +136,8 @@ def run_rto_incast() -> int:
 
 WORKLOADS: Dict[str, Callable[[], int]] = {
     "event_chain": run_event_chain,
-    "timer_churn_heap": lambda: run_timer_churn(use_wheel=False),
-    "timer_churn_wheel": lambda: run_timer_churn(use_wheel=True),
+    "timer_churn_heap": lambda: run_timer_churn(use_timers=False),
+    "timer_churn_wheel": lambda: run_timer_churn(use_timers=True),
     "rto_incast": run_rto_incast,
 }
 
@@ -163,9 +164,6 @@ def measure(repeats: int = 3) -> Dict[str, Dict[str, float]]:
 
 def build_report(repeats: int = 3) -> Dict[str, object]:
     workloads = measure(repeats)
-    heap_us = workloads["timer_churn_heap"]["us_per_event"]
-    wheel_us = workloads["timer_churn_wheel"]["us_per_event"]
-    improvement = (heap_us - wheel_us) / heap_us * 100.0
     chain_us = workloads["event_chain"]["us_per_event"]
     return {
         "schema": 1,
@@ -178,12 +176,10 @@ def build_report(repeats: int = 3) -> Dict[str, object]:
             name: round(data["us_per_event"] / chain_us, 4)
             for name, data in workloads.items()
         },
-        "timer_churn_improvement_pct": round(improvement, 2),
     }
 
 
-def check(report: Dict[str, object], baseline_path: Path, tolerance: float,
-          min_improvement: float) -> int:
+def check(report: Dict[str, object], baseline_path: Path, tolerance: float) -> int:
     baseline = json.loads(baseline_path.read_text())
     failures = []
     for name, base_norm in baseline["normalised"].items():
@@ -196,17 +192,10 @@ def check(report: Dict[str, object], baseline_path: Path, tolerance: float,
                 f"{name}: normalised µs/event {current:.3f} regressed more than "
                 f"{tolerance:.0%} over baseline {base_norm:.3f}"
             )
-    improvement = float(report["timer_churn_improvement_pct"])
-    if improvement < min_improvement:
-        failures.append(
-            f"timer-churn improvement {improvement:.1f}% fell below the "
-            f"required {min_improvement:.0f}%"
-        )
     for failure in failures:
         print(f"REGRESSION: {failure}", file=sys.stderr)
     if not failures:
-        print(f"engine benchmarks within {tolerance:.0%} of baseline; "
-              f"timer-churn improvement {improvement:.1f}%")
+        print(f"engine benchmarks within {tolerance:.0%} of baseline")
     return 1 if failures else 0
 
 
@@ -219,8 +208,6 @@ def main(argv=None) -> int:
                              "non-zero on regression")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed normalised µs/event regression (default 0.20)")
-    parser.add_argument("--min-improvement", type=float, default=30.0,
-                        help="required timer-churn improvement in percent (default 30)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-N timing repeats (default 3)")
     args = parser.parse_args(argv)
@@ -243,7 +230,7 @@ def main(argv=None) -> int:
         args.output.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.output}", file=sys.stderr)
     if args.check is not None:
-        return check(report, args.check, args.tolerance, args.min_improvement)
+        return check(report, args.check, args.tolerance)
     return 0
 
 

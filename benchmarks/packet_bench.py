@@ -18,8 +18,7 @@ paths) and on a self-contained **naive reference** that re-implements the
 seed data plane (fresh allocation per packet, ``size`` as a property,
 per-hop FNV over the 5-tuple, hook-based queues, list-building ECMP
 selection).  Both produce identical delivery/drop counts; the headline
-``forwarding_improvement_pct`` compares their µs/packet at the medium scale,
-exactly as ``timer_churn_improvement_pct`` compares wheel vs naive timers.
+``forwarding_improvement_pct`` compares their µs/packet at the medium scale.
 
 Usage::
 

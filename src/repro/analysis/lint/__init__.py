@@ -3,7 +3,7 @@
 The ROADMAP's standing contracts — byte-identical determinism across
 ``--workers``, the :func:`repro.metrics.export.dumps_deterministic` JSON
 policy, linear packet-pool ownership, store keys that never hash execution
-details, and the timer-wheel sequence discipline — are enforced at runtime
+details, and the timers' (time, sequence) discipline — are enforced at runtime
 by golden traces and property tests.  This package enforces them *statically*
 so a violation is caught at review time on every path, not just the
 exercised ones.

@@ -6,9 +6,8 @@ sequence per ``arm`` just like ``schedule``, which is what keeps golden
 traces byte-identical across engine refactors.  Two static guards:
 
 * an ``import heapq`` anywhere in ``repro/`` outside the event core
-  (``sim/engine.py``, ``sim/timerwheel.py``) is an ad-hoc event queue in the
-  making — one that would order ties arbitrarily instead of by the global
-  sequence;
+  (``sim/engine.py``) is an ad-hoc event queue in the making — one that
+  would order ties arbitrarily instead of by the global sequence;
 * a raw ``*.schedule(...)`` call inside ``repro/transport/`` re-creates the
   pre-v3 retransmission-timer pattern (schedule + cancel churn on every
   ACK).  Transports must hold a reusable ``Simulator.timer()`` handle and
@@ -23,8 +22,8 @@ from typing import Iterator
 
 from repro.analysis.lint.core import LintRule, ModuleContext, Violation, register
 
-#: The event core: the only modules allowed to build on heapq.
-HEAPQ_ALLOWED_FILES = frozenset({"repro/sim/engine.py", "repro/sim/timerwheel.py"})
+#: The event core: the only module allowed to build on heapq.
+HEAPQ_ALLOWED_FILES = frozenset({"repro/sim/engine.py"})
 
 
 @register
@@ -32,7 +31,7 @@ class TimerDiscipline(LintRule):
     name = "timer-discipline"
     description = (
         "heapq outside the event core, or raw Simulator.schedule in "
-        "repro/transport/, bypasses the timer-wheel sequence discipline"
+        "repro/transport/, bypasses the engine's (time, sequence) discipline"
     )
 
     def violations(self, ctx: ModuleContext) -> Iterator[Violation]:

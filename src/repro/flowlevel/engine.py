@@ -10,7 +10,7 @@ instead of thousands, which is what buys the 100× flow-count headroom.
 
 The tier plugs into everything the packet tier already defined:
 
-* the same :class:`~repro.sim.engine.Simulator` event core and timer wheel
+* the same :class:`~repro.sim.engine.Simulator` event core and timers
   (completion deadlines are re-armable timers; same-time arrivals coalesce
   into a single rate recomputation),
 * the same topology construction, fault schedules and seed streams,

@@ -7,8 +7,8 @@ note path is two dict operations; when no profiler is attached the run loop
 pays a single local ``None`` check per event.
 
 :func:`profile_diagnostics` assembles the profiler's counts together with
-the engine's hygiene counters (heap compactions, timer-wheel
-cascades/sweeps), the packet pool's allocation stats and the run's measured
+the engine's heap-hygiene counters (compactions, timer re-files, dead
+entries, size), the packet pool's allocation stats and the run's measured
 wall-clock into one ``diagnostics`` dict.  This dict is the repository's
 **one sanctioned wall-clock-bearing surface**: it is attached to the
 in-memory result only, never serialised by ``store/serialize.py``, never
@@ -77,7 +77,6 @@ def profile_diagnostics(
     happen here.
     """
     events = simulator.events_processed
-    wheel = simulator.timer_wheel
     payload: Dict[str, Any] = {
         "events_processed": events,
         "wallclock_s": wallclock_s,
@@ -86,10 +85,9 @@ def profile_diagnostics(
                      for name in sorted(profiler.handler_counts)},
         "engine": {
             "heap_compactions": simulator.heap_compactions,
-            "timer_wheel_sweeps": wheel.sweeps,
-            "timer_wheel_cascades": wheel.cascades,
-            "timer_wheel_stale_entries": wheel.stale_entries,
-            "timer_wheel_physical_size": wheel.physical_size(),
+            "heap_refiles": simulator.heap_refiles,
+            "heap_dead_entries": simulator.heap_dead_entries,
+            "heap_size": simulator.heap_size,
         },
     }
     if pool is not None:

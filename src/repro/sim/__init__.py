@@ -1,8 +1,7 @@
 """Discrete-event simulation core: engine, units, randomness and tracing."""
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator, Timer
 from repro.sim.randomness import RandomStreams, derive_seed
-from repro.sim.timerwheel import Timer, TimerWheel
 from repro.sim.tracing import (
     NULL_SINK,
     CallbackTraceSink,
@@ -16,7 +15,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timer",
-    "TimerWheel",
     "RandomStreams",
     "derive_seed",
     "TraceSink",

@@ -1,44 +1,57 @@
 """Discrete-event simulation engine.
 
-The engine merges two event sources, popped in global chronological order
-(ties broken by a shared insertion-sequence counter so behaviour is
-deterministic):
+One scheduling structure: a ``heapq`` of plain ``(time, sequence, target)``
+tuples, popped in global chronological order with ties broken by the
+insertion sequence, so behaviour is deterministic.  ``target`` is either
 
-* a classic event heap for one-shot callbacks —
+* an :class:`Event` — a one-shot callback from
   ``simulator.schedule(delay, callback, *args)`` /
-  ``simulator.schedule_at(time, callback, *args)``;
-* a hierarchical timer wheel (:mod:`repro.sim.timerwheel`) for *reusable*
-  :class:`~repro.sim.timerwheel.Timer` handles —
-  ``simulator.timer(callback)`` then ``timer.arm(delay, *args)`` — the
-  right tool for retransmission/delayed-ACK style timers that are armed and
-  cancelled once per packet and almost never fire.
+  ``simulator.schedule_at(time, callback, *args)``; or
+* a :class:`Timer` — a *reusable* handle from ``simulator.timer(callback)``,
+  cycled through ``timer.arm(delay, *args)`` / ``timer.cancel()`` — the
+  right tool for link-transmission, retransmission and delayed-ACK timers
+  that are armed once per packet.
 
-Events can be cancelled (lazily: the entry stays in the heap until popped or
-compacted) and the run can be bounded by simulated time, wall-clock time or
-event count.
+Sequence numbers are unique, so every heap sift compares a float and an int
+in C and never reaches the target.  An entry is *live* while it carries its
+target's current sequence (``target.sequence == entry[1]``); firing or
+cancelling a target sets its sequence negative, which retires the entry
+lazily: it stays in the heap until popped or compacted.
 
-The event type and the run loop are the hottest code in the whole library
-(every simulated packet costs several events), so both are written for
-speed: :class:`Event` is a hand-rolled ``__slots__`` class whose ``__lt__``
-compares the two hot fields directly instead of building tuples the way a
-``dataclass(order=True)`` does, and :meth:`Simulator.run` binds the queue
-and ``heappop`` to locals and only performs the horizon/budget checks the
-caller asked for.  Heap hygiene keeps lazy cancellation honest: once
-cancelled entries exceed half the heap (and a small floor), the heap is
-compacted in one O(n) pass, so neither ``heappop`` nor
-:meth:`Simulator.peek_next_time` degrades with cancellation churn.
+Timers re-arm *deferred*.  Every ``arm`` draws one sequence number and
+records the logical ``(time, sequence)`` on the handle, but pushes a heap
+entry only when the handle has no filed entry or the new deadline is
+earlier than the filed one (which is then orphaned).  A filed entry whose
+handle has since moved later is a *placeholder*: it sorts before the
+logical ``(time, sequence)`` (earlier-or-equal time, older sequence), so it
+surfaces first and the loop *re-files* it at the logical position — or
+drops it if the timer was cancelled — without counting an event.  A timer
+re-armed on every ACK therefore costs one heap entry per timeout period,
+not one per ACK.
+
+The run loop is the hottest code in the whole library (every simulated
+packet costs several events): pop, liveness check, horizon check, dispatch.
+Heap hygiene keeps lazy cancellation honest: once dead entries (cancelled
+events, orphaned timer entries) exceed half the heap and a small floor, the
+heap is compacted in one O(n) pass.
 """
 
 from __future__ import annotations
 
 import time as _wallclock
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, List, Optional, Tuple, Union
 
-from repro.sim.timerwheel import Timer, TimerWheel
-
-#: Heaps smaller than this are never compacted — not worth the pass.
+#: Heaps with fewer dead entries than this are never compacted — not worth
+#: the pass.
 _COMPACTION_FLOOR = 64
+
+_INF = float("inf")
+
+#: ``Timer.sequence`` of a cancelled timer whose filed entry is still in
+#: the heap (``-1``: disarmed, nothing filed).
+_CANCELLED_FILED = -2
 
 
 class SimulationError(RuntimeError):
@@ -46,60 +59,28 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A single scheduled callback.
+    """Handle of a single scheduled callback.
 
-    Events sort by ``(time, sequence)`` which gives FIFO ordering among
-    events scheduled for the same instant.  Sequence numbers are unique, so
-    comparison never falls through to the callback.
+    Attributes:
+        time: absolute simulated time the event is scheduled for.
+        sequence: the tie-break sequence of the event's heap entry; ``-1``
+            once the event has fired or been cancelled.
     """
 
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
+    __slots__ = ("time", "sequence", "callback", "args")
 
     def __init__(
-        self,
-        time: float,
-        sequence: int,
-        callback: Callable[..., None],
-        args: tuple = (),
-        cancelled: bool = False,
+        self, time: float, sequence: int, callback: Callable[..., None], args: tuple = ()
     ) -> None:
         self.time = time
         self.sequence = sequence
         self.callback = callback
         self.args = args
-        self.cancelled = cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        t = self.time
-        o = other.time
-        if t < o:
-            return True
-        if t > o:
-            return False
-        return self.sequence < other.sequence
-
-    def __le__(self, other: "Event") -> bool:
-        return not other.__lt__(self)
-
-    def __gt__(self, other: "Event") -> bool:
-        return other.__lt__(self)
-
-    def __ge__(self, other: "Event") -> bool:
-        return not self.__lt__(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.time == other.time and self.sequence == other.sequence
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.sequence))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Event(time={self.time!r}, sequence={self.sequence!r}, "
-            f"callback={self.callback!r}, args={self.args!r}, "
-            f"cancelled={self.cancelled!r})"
+            f"callback={self.callback!r}, args={self.args!r})"
         )
 
     def cancel(self) -> None:
@@ -109,7 +90,117 @@ class Event:
         compaction accounting; cancelling through the event alone is still
         correct but invisible to the hygiene heuristics.
         """
-        self.cancelled = True
+        self.sequence = -1
+
+
+class Timer:
+    """A reusable arm/re-arm/cancel handle for a single pending callback.
+
+    A timer is created once (typically per connection or per interface) and
+    then cycled through ``arm``/``cancel`` for its whole life.  At most one
+    incarnation is pending at a time: arming an armed timer atomically
+    replaces the previous deadline.
+
+    Determinism contract: a timer armed at time ``t`` with sequence ``s``
+    fires in exactly the global ``(t, s)`` order a scheduled event would,
+    and each ``arm`` consumes one sequence number from the simulator's shared
+    counter — the same consumption pattern as ``schedule`` + ``cancel`` — so
+    converting a call site from raw events to timers does not perturb event
+    ordering anywhere else in the run.
+
+    Attributes:
+        callback: invoked as ``callback(*args)`` when the timer fires.
+        args: positional arguments captured by the most recent ``arm``.
+        time: absolute fire time of the current incarnation (valid only
+            while ``armed``).
+        sequence: tie-break sequence of the current incarnation, drawn from
+            the simulator's shared counter; negative while disarmed.
+    """
+
+    __slots__ = ("simulator", "callback", "args", "time", "sequence", "_filed_time", "_filed_seq")
+
+    def __init__(self, simulator: "Simulator", callback: Callable[..., None]) -> None:
+        self.simulator = simulator
+        self.callback = callback
+        self.args: tuple = ()
+        self.time = 0.0
+        self.sequence = -1
+        #: ``(time, sequence)`` of this handle's one non-orphaned heap entry;
+        #: meaningful unless ``sequence == -1`` (nothing filed).
+        self._filed_time = 0.0
+        self._filed_seq = -1
+
+    @property
+    def armed(self) -> bool:
+        """True while an incarnation of this timer is pending."""
+        return self.sequence >= 0
+
+    @property
+    def when(self) -> Optional[float]:
+        """Absolute fire time of the pending incarnation, or ``None``."""
+        return self.time if self.sequence >= 0 else None
+
+    def arm(self, delay: float, *args: Any) -> "Timer":
+        """(Re-)arm the timer ``delay`` seconds from now.
+
+        Replaces any pending incarnation; ``args`` become the callback
+        arguments for this firing.  Returns ``self`` for chaining.  One
+        Python call, because every link transmission and every ACK makes it.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot arm timer with negative delay {delay!r}")
+        simulator = self.simulator
+        when = simulator._now + delay
+        sequence = simulator._sequence
+        simulator._sequence = sequence + 1
+        filed = self.sequence != -1
+        self.time = when
+        self.sequence = sequence
+        self.args = args
+        if not filed or when < self._filed_time:
+            self._filed_time = when
+            self._filed_seq = sequence
+            heappush(simulator._queue, (when, sequence, self))
+            if filed:
+                simulator._note_dead()  # the later entry it supersedes is an orphan
+        # else deferred: the filed entry surfaces first and is re-filed
+        return self
+
+    def arm_at(self, when: float, *args: Any) -> "Timer":
+        """(Re-)arm the timer at absolute simulated time ``when``."""
+        simulator = self.simulator
+        if when < simulator._now:
+            raise SimulationError(
+                f"cannot arm timer in the past: now={simulator._now!r}, requested={when!r}"
+            )
+        # arm()'s body at an absolute time (``now + (when - now)`` need not
+        # equal ``when``, and arm() is too hot to delegate the other way).
+        sequence = simulator._sequence
+        simulator._sequence = sequence + 1
+        filed = self.sequence != -1
+        self.time = when
+        self.sequence = sequence
+        self.args = args
+        if not filed or when < self._filed_time:
+            self._filed_time = when
+            self._filed_seq = sequence
+            heappush(simulator._queue, (when, sequence, self))
+            if filed:
+                simulator._note_dead()
+        return self
+
+    def cancel(self) -> None:
+        """Disarm the timer (idempotent; a disarmed timer can be re-armed)."""
+        if self.sequence >= 0:
+            self.sequence = _CANCELLED_FILED
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = f"t={self.time!r} seq={self.sequence}" if self.armed else "disarmed"
+        return f"Timer({self.callback!r}, {state})"
+
+
+#: One heap entry.  Live while ``entry[2].sequence == entry[1]``.
+Entry = Tuple[float, int, Union[Event, Timer]]
 
 
 class Simulator:
@@ -117,18 +208,24 @@ class Simulator:
 
     Attributes:
         now: current simulated time in seconds.
+        events_processed: callbacks dispatched so far (readable from one).
+        heap_compactions: hygiene passes that rebuilt the heap without its
+            dead entries.
+        heap_refiles: timer placeholders moved to their logical deadline.
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        #: The heap.  Only ever mutated in place, so the run loop's local
+        #: binding survives a compaction triggered from a callback.
+        self._queue: List[Entry] = []
         self._now: float = 0.0
         self._sequence: int = 0
         self._running: bool = False
         self._stopped: bool = False
         self._heap_dead: int = 0
-        self._wheel = TimerWheel()
         self.events_processed: int = 0
         self.heap_compactions: int = 0
+        self.heap_refiles: int = 0
         #: Optional dispatch profiler (see :mod:`repro.obs.profiler`).  The
         #: run loop re-binds it as a local per run; None (the default) costs
         #: one local None-check per event.
@@ -148,10 +245,32 @@ class Simulator:
         """True while :meth:`run` is executing events."""
         return self._running
 
+    # ------------------------------------------------------------------
+    # Heap diagnostics
+    # ------------------------------------------------------------------
+
     @property
-    def timer_wheel(self) -> TimerWheel:
-        """The engine's timer wheel (read-only; profiler/diagnostics use)."""
-        return self._wheel
+    def heap_dead_entries(self) -> int:
+        """Dead entries (cancelled events, orphaned timer entries) awaiting compaction."""
+        return self._heap_dead
+
+    @property
+    def heap_size(self) -> int:
+        """Entries physically in the heap: live, placeholder and dead."""
+        return len(self._queue)
+
+    @property
+    def timer_wheel(self) -> SimpleNamespace:
+        """The retired timer wheel's counters, mapped onto the heap (a snapshot).
+
+        Kept only because ``benchmarks/ledger/traced.py`` reads ``.cascades``
+        and ``.sweeps`` and this PR may not edit the ledger; ROADMAP item 4,
+        which may, deletes it with the two ``sim.timerwheel.*`` metrics.
+        """
+        return SimpleNamespace(
+            cascades=self.heap_refiles, sweeps=0, stale_entries=self._heap_dead,
+            live_count=self.pending_events(), physical_size=lambda: len(self._queue),
+        )
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -163,8 +282,9 @@ class Simulator:
             raise SimulationError(f"cannot schedule with negative delay {delay!r}")
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(self._now + delay, sequence, callback, args)
-        heappush(self._queue, event)
+        when = self._now + delay
+        event = Event(when, sequence, callback, args)
+        heappush(self._queue, (when, sequence, event))
         return event
 
     def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -176,17 +296,15 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         event = Event(when, sequence, callback, args)
-        heappush(self._queue, event)
+        heappush(self._queue, (when, sequence, event))
         return event
 
     def timer(self, callback: Callable[..., None]) -> Timer:
         """Create a reusable (initially disarmed) timer for ``callback``.
 
-        Arm/re-arm/cancel cycles on the returned handle go through the timer
-        wheel instead of allocating heap entries, which is dramatically
-        cheaper for churn-heavy timers (RTO, delayed ACK).  Each ``arm``
-        draws one sequence number from the same counter as ``schedule``, so
-        timers and events interleave deterministically.
+        Each ``arm`` draws one sequence number from the same counter as
+        ``schedule``, so timers and events interleave deterministically; a
+        re-arm to a later deadline allocates no heap entry.
         """
         return Timer(self, callback)
 
@@ -194,22 +312,55 @@ class Simulator:
         """Cancel a previously scheduled event (``None`` is tolerated).
 
         Cancellation is lazy, but the engine counts it and compacts the heap
-        once cancelled entries outnumber live ones (above a small floor), so
+        once dead entries outnumber live ones (above a small floor), so
         heavy schedule/cancel churn cannot degrade ``heappop``.
         """
-        if event is not None and not event.cancelled:
-            event.cancelled = True
-            dead = self._heap_dead + 1
-            self._heap_dead = dead
-            if dead > _COMPACTION_FLOOR and dead * 2 > len(self._queue):
-                self._compact()
+        if event is not None and event.sequence >= 0:
+            event.sequence = -1
+            self._note_dead()
+
+    def _note_dead(self) -> None:
+        dead = self._heap_dead + 1
+        self._heap_dead = dead
+        if dead > _COMPACTION_FLOOR and dead * 2 > len(self._queue):
+            self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries (O(live) pass)."""
-        self._queue = [event for event in self._queue if not event.cancelled]
-        heapify(self._queue)
+        """Rebuild the heap, in place, without its dead entries (O(n) pass)."""
+        queue = self._queue
+        in_use = self._in_use
+        queue[:] = [entry for entry in queue if in_use(entry)]
+        heapify(queue)
         self._heap_dead = 0
         self.heap_compactions += 1
+
+    @staticmethod
+    def _in_use(entry: Entry) -> bool:
+        """True for a live entry or a timer's filed placeholder (not dead)."""
+        _, sequence, target = entry
+        current = target.sequence
+        # A pending event's only entry carries its sequence, so reaching the
+        # second clause means ``target`` is a Timer.
+        return current == sequence or (current != -1 and target._filed_seq == sequence)
+
+    def _resolve(self, entry: Entry) -> None:
+        """Dispose of a popped entry that is not live (no event is counted).
+
+        A timer's filed placeholder is re-filed at the handle's logical
+        ``(time, sequence)`` — or dropped if the timer was cancelled; a
+        cancelled event or an orphaned timer entry is just discarded.
+        """
+        target = entry[2]
+        if not self._in_use(entry):
+            if self._heap_dead:
+                self._heap_dead -= 1
+        elif target.sequence == _CANCELLED_FILED:
+            target.sequence = -1
+        else:
+            target._filed_time = target.time
+            target._filed_seq = target.sequence
+            heappush(self._queue, (target.time, target.sequence, target))
+            self.heap_refiles += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -253,54 +404,33 @@ class Simulator:
             wall_start = _wallclock.monotonic() if wallclock_limit is not None else 0.0
 
             queue = self._queue
-            wheel = self._wheel
             pop = heappop
             profiler = self.profiler
+            horizon = until if until is not None else _INF
             bounded = max_events is not None or wallclock_limit is not None
 
             while not self._stopped:
-                # A cancel() inside the previous callback may have compacted
-                # (and therefore replaced) the heap; re-bind before touching it.
-                queue = self._queue
-                # Lazily discard cancelled events sitting at the heap head.
-                while queue and queue[0].cancelled:
-                    pop(queue)
-                    if self._heap_dead:
-                        self._heap_dead -= 1
-                event = queue[0] if queue else None
-                entry = wheel.peek() if wheel.live_count else None
-                if event is not None and (
-                    entry is None
-                    or event.time < entry[0]
-                    or (event.time == entry[0] and event.sequence < entry[1])
-                ):
-                    when = event.time
-                    if until is not None and when > until:
-                        # Advance the clock to the horizon so repeated run()
-                        # calls with increasing horizons behave intuitively.
-                        self._now = until
-                        break
-                    pop(queue)
-                    self._now = when
-                    if profiler is not None:
-                        profiler.note(event.callback)
-                    event.callback(*event.args)
-                elif entry is not None:
-                    when = entry[0]
-                    if until is not None and when > until:
-                        self._now = until
-                        break
-                    timer = entry[2]
-                    wheel.pop()
-                    self._now = when
-                    if profiler is not None:
-                        profiler.note(timer.callback)
-                    timer.callback(*timer.args)
-                else:
-                    # Both sources exhausted.
+                if not queue:
                     if until is not None and self._now < until:
                         self._now = until
                     break
+                entry = pop(queue)
+                when, sequence, target = entry
+                if target.sequence != sequence:
+                    self._resolve(entry)
+                    continue
+                if when > horizon:
+                    # Put the entry back and advance the clock to the horizon
+                    # so repeated run() calls with increasing horizons behave
+                    # intuitively.
+                    heappush(queue, entry)
+                    self._now = until
+                    break
+                target.sequence = -1
+                self._now = when
+                if profiler is not None:
+                    profiler.note(target.callback)
+                target.callback(*target.args)
                 self.events_processed += 1
                 if bounded:
                     processed_this_run += 1
@@ -330,30 +460,24 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events and armed timers still waiting."""
-        return (
-            sum(1 for event in self._queue if not event.cancelled)
-            + self._wheel.live_count
+        return sum(
+            1 for entry in self._queue if entry[2].sequence >= 0 and self._in_use(entry)
         )
 
     def peek_next_time(self) -> Optional[float]:
         """Simulated time of the next live event, or ``None`` if none is pending.
 
-        Amortised O(1): cancelled heap heads are popped (each at most once)
-        instead of sorting the queue, and the timer wheel keeps its own
-        earliest-entry cursor.
+        Amortised O(log n): dead heads are popped and placeholder heads
+        re-filed (each at most once per deadline) instead of sorting the
+        queue; neither consumes a sequence number nor counts an event.
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
-            heappop(queue)
-            if self._heap_dead:
-                self._heap_dead -= 1
-        entry = self._wheel.peek() if self._wheel.live_count else None
-        head = queue[0] if queue else None
-        if head is None:
-            return entry[0] if entry is not None else None
-        if entry is None or head.time <= entry[0]:
-            return head.time
-        return entry[0]
+        while queue:
+            head = queue[0]
+            if head[2].sequence == head[1]:
+                return head[0]
+            self._resolve(heappop(queue))
+        return None
 
     def reset(self) -> None:
         """Discard all pending work and rewind the clock to zero.
@@ -365,8 +489,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("reset() called while the event loop is running")
+        for entry in self._queue:
+            entry[2].sequence = -1
         self._queue.clear()
-        self._wheel.clear()
         self._now = 0.0
         self._sequence = 0
         self._heap_dead = 0

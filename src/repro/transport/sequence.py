@@ -9,7 +9,12 @@ sequence space) and one for the connection-level data sequence space.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import List, Tuple
+
+_segment_start = itemgetter(0)
+_segment_end = itemgetter(1)
 
 
 class ReceiveBuffer:
@@ -54,27 +59,24 @@ class ReceiveBuffer:
         return self.rcv_nxt - previous_frontier
 
     def _insert_segment(self, start: int, end: int) -> None:
-        merged: List[Tuple[int, int]] = []
-        placed = False
-        for seg_start, seg_end in self._segments:
-            if seg_end < start - 0 and not (seg_end >= start):
-                merged.append((seg_start, seg_end))
-            elif seg_start > end:
-                if not placed:
-                    merged.append((start, end))
-                    placed = True
-                merged.append((seg_start, seg_end))
-            else:
-                # Overlapping or adjacent: merge into the candidate range.
+        """File ``[start, end)``, merging every stored range it overlaps or touches.
+
+        ``_segments`` is sorted, disjoint and non-adjacent, so its starts and
+        its ends are both increasing: the ranges to merge are the contiguous
+        run from the first whose end reaches ``start`` to the last whose start
+        is within ``end``.  O(log n + merged).
+        """
+        segments = self._segments
+        first = bisect_left(segments, start, key=_segment_end)
+        after = bisect_right(segments, end, key=_segment_start)
+        if first < after:
+            for seg_start, seg_end in segments[first:after]:
                 overlap = min(seg_end, end) - max(seg_start, start)
                 if overlap > 0:
                     self.duplicate_bytes += overlap
-                start = min(start, seg_start)
-                end = max(end, seg_end)
-        if not placed:
-            merged.append((start, end))
-        merged.sort()
-        self._segments = merged
+            start = min(start, segments[first][0])
+            end = max(end, segments[after - 1][1])
+        segments[first:after] = [(start, end)]
 
     def _absorb_contiguous(self) -> None:
         while self._segments and self._segments[0][0] <= self.rcv_nxt:

@@ -108,7 +108,7 @@ class TcpSender(Endpoint):
         self.rto_estimator = RtoEstimator(
             min_rto=config.min_rto, max_rto=config.max_rto, initial_rto=config.initial_rto
         )
-        # One reusable wheel-backed handle for the connection's whole life:
+        # One reusable timer handle for the connection's whole life:
         # restarting the timer on every ACK/data event is the hottest
         # cancel/re-arm churn in the simulator and never touches the heap.
         self._rto_timer = simulator.timer(self._on_rto)

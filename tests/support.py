@@ -10,7 +10,7 @@ module name and shadow the helpers.  Tests import this module instead;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
@@ -162,3 +162,43 @@ def reference_max_min_rates(
         active = still_active
 
     return rates
+
+
+# ---------------------------------------------------------------------------
+# Receive-buffer oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_insert_segment(
+    segments: Sequence[Tuple[int, int]], start: int, end: int
+) -> Tuple[List[Tuple[int, int]], int]:
+    """The linear out-of-order insert, kept as a test oracle.
+
+    This is the body ``ReceiveBuffer._insert_segment`` had before it became a
+    bisect plus a slice assignment: it walks and rebuilds the whole sorted,
+    disjoint, non-adjacent range list per arrival.  Returns the new list and
+    the duplicate bytes the arrival carried; nothing under ``src/`` may
+    import it.
+    """
+    merged: List[Tuple[int, int]] = []
+    duplicate_bytes = 0
+    placed = False
+    for seg_start, seg_end in segments:
+        if seg_end < start:
+            merged.append((seg_start, seg_end))
+        elif seg_start > end:
+            if not placed:
+                merged.append((start, end))
+                placed = True
+            merged.append((seg_start, seg_end))
+        else:
+            # Overlapping or adjacent: merge into the candidate range.
+            overlap = min(seg_end, end) - max(seg_start, start)
+            if overlap > 0:
+                duplicate_bytes += overlap
+            start = min(start, seg_start)
+            end = max(end, seg_end)
+    if not placed:
+        merged.append((start, end))
+    merged.sort()
+    return merged, duplicate_bytes

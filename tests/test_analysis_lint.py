@@ -371,8 +371,9 @@ def test_timer_discipline_fires_on_heapq_and_transport_schedule(tmp_path) -> Non
 
 def test_timer_discipline_allows_the_event_core_and_network_oneshots(tmp_path) -> None:
     heap = "from heapq import heappush\n"
-    assert _lint(tmp_path, "src/repro/sim/timerwheel.py", heap).clean
     assert _lint(tmp_path, "src/repro/sim/engine.py", heap).clean
+    # The core is one module: a second heap beside it is what the rule is for.
+    assert not _lint(tmp_path, "src/repro/sim/timerwheel.py", heap).clean
     oneshot = (
         "class Link:\n"
         "    def transit(self, packet):\n"

@@ -17,6 +17,8 @@ from repro.traffic.matrices import permutation_pairs
 from repro.transport.rto import RtoEstimator
 from repro.transport.sequence import ReceiveBuffer
 
+from support import reference_insert_segment
+
 # ---------------------------------------------------------------------------
 # ReceiveBuffer: regardless of arrival order, delivering every segment of a
 # stream exactly advances the frontier to the total length.
@@ -77,6 +79,32 @@ def test_receive_buffer_out_of_order_never_advances_frontier(frontier_gap, lengt
     advanced = buffer.add(frontier_gap, length)
     assert advanced == 0
     assert buffer.rcv_nxt == 0
+
+
+@given(
+    arrivals=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=12)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_receive_buffer_insert_matches_the_linear_oracle(arrivals) -> None:
+    # Out-of-order arrivals only (start >= 1 > rcv_nxt == 0): overlaps,
+    # adjacency, containment and exact duplicates all land in the insert.
+    buffer = ReceiveBuffer()
+    expected: list = []
+    expected_duplicates = 0
+    for start, length in arrivals:
+        assert buffer.add(start, length) == 0
+        expected, duplicates = reference_insert_segment(expected, start, start + length)
+        expected_duplicates += duplicates
+        assert buffer._segments == expected
+        assert buffer.duplicate_bytes == expected_duplicates
+    assert buffer.rcv_nxt == 0
+    # Filling the gap absorbs everything contiguous with the frontier.
+    buffer.add(0, 1)
+    assert buffer.rcv_nxt == (expected[0][1] if expected[0][0] == 1 else 1)
 
 
 # ---------------------------------------------------------------------------

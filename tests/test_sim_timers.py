@@ -1,23 +1,24 @@
-"""Tests for the reusable-timer subsystem and event-heap hygiene.
+"""Tests for reusable timers and event-heap hygiene: the scheduler contract.
 
 The centrepiece is a hypothesis property: for any interleaving of
-arm/re-arm/cancel operations, timers backed by the hierarchical wheel fire
-in exactly the same order (and at the same times) as the same program
-expressed with naive ``schedule``/``cancel`` heap events.  That equivalence
-is what lets the transport stack switch to timers without perturbing golden
-traces.
+arm/arm_at/re-arm/cancel operations, ``run(until=)`` splits and
+``peek_next_time()``/``pending_events()`` probes, :class:`Timer` handles
+(deferred re-arm, placeholders, re-files) behave exactly like the same
+program expressed with naive ``schedule``/``cancel`` heap events.  That
+equivalence is what lets call sites hold timers without perturbing golden
+traces.  The bounded-growth tests pin the other half of the contract: a
+later re-arm files nothing, and earlier-deadline churn is compacted away.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.timerwheel import TimerWheel
 
 # ---------------------------------------------------------------------------
 # Timer handle basics
@@ -109,7 +110,7 @@ class TestTimerHandle:
 
 
 # ---------------------------------------------------------------------------
-# Ordering across the heap and the wheel
+# Ordering of timers among events
 # ---------------------------------------------------------------------------
 
 
@@ -125,19 +126,18 @@ class TestTimerEventOrdering:
         assert order == ["event-a", "timer", "event-b"]
 
     def test_ordering_across_wheel_levels(self, simulator: Simulator) -> None:
-        # Deadlines land in level 0 (<0.256s), level 1 (<65.5s) and the
-        # overflow heap; they must still interleave correctly with heap
-        # events regardless of which structure holds them.
+        # Near, far and very far deadlines (the retired wheel filed them in
+        # three different structures) interleave correctly with events.
         order: List[float] = []
 
         def log() -> None:
             order.append(simulator.now)
 
-        simulator.timer(log).arm(100.0)  # overflow
-        simulator.timer(log).arm(30.0)  # level 1
-        simulator.timer(log).arm(0.1)  # level 0
-        simulator.schedule(50.0, log)  # plain heap event
-        simulator.timer(log).arm(0.1005)  # same level-0 slot as 0.1
+        simulator.timer(log).arm(100.0)
+        simulator.timer(log).arm(30.0)
+        simulator.timer(log).arm(0.1)
+        simulator.schedule(50.0, log)  # plain event
+        simulator.timer(log).arm(0.1005)
         simulator.run()
         assert order == [0.1, 0.1005, 30.0, 50.0, 100.0]
 
@@ -175,80 +175,187 @@ class TestTimerEventOrdering:
 
 
 # ---------------------------------------------------------------------------
-# Property: wheel timers == naive heap timers, for any interleaving
+# Property: timers == naive schedule + cancel, for any program
 # ---------------------------------------------------------------------------
 
-#: Delay grid mixing sub-slot, slot-scale, level-1 and overflow horizons;
-#: repeated values force exact-time ties so FIFO ordering is exercised.
+#: Delay grid from sub-microsecond to beyond a minute; repeated values force
+#: exact-time ties so FIFO ordering is exercised.
 _DELAYS = st.sampled_from(
     [0.0, 1e-6, 1e-4, 5e-4, 1e-3, 0.01, 0.2, 0.2, 0.255, 0.3, 1.0, 30.0, 70.0]
 ) | st.floats(min_value=0.0, max_value=80.0, allow_nan=False, width=32)
 
-#: One program step: (timer index, "arm" delay or None for cancel).
-_OPS = st.lists(
-    st.tuples(st.integers(0, 5), st.one_of(st.none(), _DELAYS), _DELAYS),
-    min_size=1,
-    max_size=40,
+_TIMERS = st.integers(0, 5)
+
+#: One program step, applied from a driver event: ``(kind, timer, a, b)``.
+_STEPS = st.one_of(
+    st.tuples(st.just("arm"), _TIMERS, _DELAYS, st.none()),
+    st.tuples(st.just("arm_at"), _TIMERS, _DELAYS, st.none()),  # a: absolute time
+    st.tuples(st.just("arm_twice"), _TIMERS, _DELAYS, _DELAYS),  # earlier or later
+    st.tuples(st.just("cancel"), _TIMERS, st.none(), st.none()),
+    st.tuples(st.just("cancel_then_arm"), _TIMERS, _DELAYS, st.none()),
+    st.tuples(st.just("probe"), _TIMERS, st.none(), st.none()),
 )
+
+#: (driver delay before the step, step).
+_OPS = st.lists(st.tuples(_DELAYS, _STEPS), min_size=1, max_size=40)
+
+Op = Tuple[float, Tuple[str, int, Optional[float], Optional[float]]]
 
 
 def _run_program(
-    ops: List[Tuple[int, Optional[float], float]], use_wheel: bool
-) -> Tuple[List[Tuple[int, float]], float, int]:
-    """Execute a timer program and return (firing log, final now, events)."""
+    ops: List[Op], split: Optional[float], use_timers: bool
+) -> Tuple[List[Tuple[Any, ...]], float, int]:
+    """Execute a timer program and return (log, final now, events).
+
+    ``split`` (if given) runs the program as ``run(until=split)``, a probe
+    from outside the loop, then ``run()``.
+    """
     simulator = Simulator()
-    log: List[Tuple[int, float]] = []
+    log: List[Tuple[Any, ...]] = []
     timer_count = 6
 
-    if use_wheel:
-        timers = [
-            simulator.timer(lambda i=i: log.append((i, simulator.now)))
-            for i in range(timer_count)
-        ]
+    def fire(index: int) -> None:
+        log.append((index, simulator.now))
 
-        def apply(index: int, delay: Optional[float]) -> None:
-            if delay is None:
-                timers[index].cancel()
-            else:
-                timers[index].arm(delay)
+    def probe() -> None:
+        log.append(
+            ("probe", simulator.now, simulator.peek_next_time(), simulator.pending_events())
+        )
+
+    if use_timers:
+        timers = [simulator.timer(lambda i=i: fire(i)) for i in range(timer_count)]
+
+        def cancel(index: int) -> None:
+            timers[index].cancel()
+
+        def arm_at(index: int, when: float) -> None:
+            timers[index].arm_at(when)
+
+        def arm(index: int, delay: float) -> None:
+            timers[index].arm(delay)
 
     else:
         events: List[Optional[Event]] = [None] * timer_count
 
-        def apply(index: int, delay: Optional[float]) -> None:
-            if delay is None:
-                simulator.cancel(events[index])
-                events[index] = None
-            else:
-                # Naive re-arm: cancel + schedule consumes one sequence
-                # number, exactly like Timer.arm.
-                simulator.cancel(events[index])
-                events[index] = simulator.schedule(
-                    delay, lambda i=index: log.append((i, simulator.now))
-                )
+        def cancel(index: int) -> None:
+            simulator.cancel(events[index])
+            events[index] = None
+
+        # Naive re-arm: cancel + schedule consumes one sequence number,
+        # exactly like Timer.arm.
+        def arm_at(index: int, when: float) -> None:
+            simulator.cancel(events[index])
+            events[index] = simulator.schedule_at(when, fire, index)
+
+        def arm(index: int, delay: float) -> None:
+            simulator.cancel(events[index])
+            events[index] = simulator.schedule(delay, fire, index)
+
+    def apply(kind: str, index: int, a: Optional[float], b: Optional[float]) -> None:
+        if kind == "arm":
+            arm(index, a)
+        elif kind == "arm_at":
+            arm_at(index, max(a, simulator.now))
+        elif kind == "arm_twice":
+            arm(index, a)
+            arm(index, b)
+        elif kind == "cancel":
+            cancel(index)
+        elif kind == "cancel_then_arm":
+            cancel(index)
+            arm(index, a)
+        else:
+            probe()
 
     driver_time = 0.0
-    for index, delay, driver_delay in ops:
+    for driver_delay, step in ops:
         driver_time += driver_delay
-        simulator.schedule_at(driver_time, apply, index, delay)
+        simulator.schedule_at(driver_time, apply, *step)
+    if split is not None:
+        simulator.run(until=split)
+        probe()
     simulator.run()
+    probe()
     return log, simulator.now, simulator.events_processed
 
 
-@settings(max_examples=120, deadline=None)
-@given(ops=_OPS)
+@settings(max_examples=250, deadline=None)
+@given(ops=_OPS, split=st.one_of(st.none(), _DELAYS))
 def test_wheel_timers_match_naive_heap_for_any_interleaving(
-    ops: List[Tuple[int, Optional[float], float]]
+    ops: List[Op], split: Optional[float]
 ) -> None:
-    wheel_log, wheel_now, wheel_events = _run_program(ops, use_wheel=True)
-    naive_log, naive_now, naive_events = _run_program(ops, use_wheel=False)
-    assert wheel_log == naive_log
-    assert wheel_now == naive_now
-    assert wheel_events == naive_events
+    assert _run_program(ops, split, use_timers=True) == _run_program(
+        ops, split, use_timers=False
+    )
 
 
 # ---------------------------------------------------------------------------
-# Hygiene: heap compaction and wheel sweeps under churn
+# Deferred re-arm: placeholders and re-files
+# ---------------------------------------------------------------------------
+
+
+class TestDeferredRearm:
+    def test_placeholder_inside_horizon_leaves_clock_at_until(
+        self, simulator: Simulator
+    ) -> None:
+        fired = []
+        timer = simulator.timer(lambda: fired.append(simulator.now))
+        timer.arm(1.0)
+        timer.arm(5.0)  # deferred: the entry filed at 1.0 is now a placeholder
+        assert simulator.heap_size == 1
+        simulator.run(until=2.0)
+        assert fired == []
+        assert simulator.now == 2.0
+        assert simulator.events_processed == 0
+        assert simulator.heap_refiles == 1
+        assert simulator.peek_next_time() == 5.0
+        simulator.run()
+        assert fired == [5.0]
+        assert simulator.events_processed == 1
+
+    def test_peek_resolves_a_placeholder_without_counting_an_event(
+        self, simulator: Simulator
+    ) -> None:
+        timer = simulator.timer(lambda: None)
+        timer.arm(1.0)
+        timer.arm(3.0)
+        simulator.schedule(2.0, lambda: None)
+        sequence_before = simulator._sequence
+        assert simulator.peek_next_time() == 2.0
+        assert simulator.pending_events() == 2
+        assert simulator._sequence == sequence_before
+        assert simulator.events_processed == 0
+
+    def test_cancelled_timer_placeholder_is_dropped(self, simulator: Simulator) -> None:
+        timer = simulator.timer(lambda: None)
+        timer.arm(1.0)
+        timer.cancel()
+        assert simulator.pending_events() == 0
+        assert simulator.peek_next_time() is None
+        assert simulator.heap_size == 0
+        assert simulator.heap_refiles == 0
+
+    def test_reset_disarms_placeholders(self, simulator: Simulator) -> None:
+        fired = []
+        moved = simulator.timer(lambda: fired.append(("moved", simulator.now)))
+        cancelled = simulator.timer(lambda: fired.append(("cancelled", simulator.now)))
+        moved.arm(1.0)
+        moved.arm(2.0)
+        cancelled.arm(1.0)
+        cancelled.cancel()
+        simulator.reset()
+        assert not moved.armed and not cancelled.armed
+        assert simulator.pending_events() == 0 and simulator.heap_size == 0
+        # Both handles file a fresh entry: nothing of the old heap is assumed.
+        moved.arm(0.5)
+        cancelled.arm(3.0)
+        assert simulator.heap_size == 2
+        simulator.run()
+        assert fired == [("moved", 0.5), ("cancelled", 3.0)]
+
+
+# ---------------------------------------------------------------------------
+# Hygiene: bounded heap growth under cancellation and re-arm churn
 # ---------------------------------------------------------------------------
 
 
@@ -264,7 +371,7 @@ class TestCancellationHygiene:
             simulator.cancel(event)
         # The physical queue must have been rebuilt, not left 90% dead.
         assert simulator.heap_compactions >= 1
-        assert len(simulator._queue) < 2_000
+        assert simulator.heap_size < 2_000
         assert simulator.pending_events() == 1_000
         assert simulator.peek_next_time() == 1.0
         simulator.run()
@@ -279,38 +386,44 @@ class TestCancellationHygiene:
             simulator.cancel(event)
         assert simulator.peek_next_time() == keep.time
 
-    def test_wheel_sweeps_stale_entries_from_rearm_churn(self) -> None:
+    def test_later_rearms_file_nothing(self) -> None:
+        # The RTO pattern: every ACK pushes the deadline out.  10,048 re-arms
+        # over 64 timers leave one filed entry per timer and nothing to sweep.
         simulator = Simulator()
-        fired: List[float] = []
-        timer = simulator.timer(lambda: fired.append(simulator.now))
-        for index in range(10_000):
-            timer.arm(0.2 + index * 1e-5)
-        wheel = simulator._wheel
-        assert wheel.live_count == 1
-        assert wheel.sweeps >= 1
-        # Stale entries from 10k re-arms must not accumulate.
-        assert wheel.physical_size() < 500
+        fired: List[Tuple[int, float]] = []
+        timers = [
+            simulator.timer(lambda i=i: fired.append((i, simulator.now))) for i in range(64)
+        ]
+        for round_no in range(157):
+            for timer in timers:
+                if round_no % 2:
+                    timer.cancel()  # all data acked; the next send re-arms
+                timer.arm(0.2 + round_no * 1e-5)
+        assert simulator.heap_size <= 64
+        assert simulator.heap_compactions == 0
+        assert simulator.heap_dead_entries == 0
+        assert simulator.pending_events() == 64
         simulator.run()
-        assert fired == [pytest.approx(0.2 + 9_999 * 1e-5)]
-        # Regression: a sweep triggered mid-arm used to leak one uncounted
-        # stale entry per sweep, driving the counter negative over time.
-        assert wheel.stale_entries == 0
+        assert fired == [(i, 0.2 + 156 * 1e-5) for i in range(64)]
+        assert simulator.heap_refiles == 64
+        assert simulator.events_processed == 64
 
-    def test_wheel_sweep_with_many_live_timers(self) -> None:
+    def test_earlier_rearm_churn_is_compacted(self) -> None:
+        # Every re-arm to an earlier deadline orphans the filed entry; the
+        # orphans feed the same accounting as cancelled events.
         simulator = Simulator()
         fired: List[int] = []
-        timers = [
-            simulator.timer(lambda i=i: fired.append(i)) for i in range(100)
-        ]
+        timers = [simulator.timer(lambda i=i: fired.append(i)) for i in range(100)]
         for round_no in range(100):
             for timer in timers:
-                timer.arm(0.2 + round_no * 1e-4)
-        wheel = simulator._wheel
-        assert wheel.live_count == 100
-        assert wheel.physical_size() < 20_000  # 10k arms, garbage swept
+                timer.arm(1.0 - round_no * 1e-3)
+                assert simulator.heap_size <= 2 * simulator.pending_events() + 64
+        assert simulator.heap_compactions >= 1
+        assert simulator.pending_events() == 100
         simulator.run()
-        assert sorted(fired) == list(range(100))
-        assert len(fired) == 100
+        assert fired == list(range(100))
+        assert simulator.now == pytest.approx(1.0 - 99 * 1e-3)
+        assert simulator.heap_dead_entries == 0
 
     def test_cancel_via_event_handle_still_correct(self) -> None:
         # Cancelling through Event.cancel() bypasses the compaction
@@ -320,22 +433,8 @@ class TestCancellationHygiene:
         doomed = simulator.schedule(1.0, lambda: fired.append("doomed"))
         simulator.schedule(2.0, lambda: fired.append("kept"))
         doomed.cancel()
+        assert simulator.pending_events() == 1
+        assert simulator.peek_next_time() == 2.0
         simulator.run()
         assert fired == ["kept"]
-
-
-# ---------------------------------------------------------------------------
-# TimerWheel construction contracts
-# ---------------------------------------------------------------------------
-
-
-class TestTimerWheelValidation:
-    def test_rejects_bad_parameters(self) -> None:
-        with pytest.raises(ValueError):
-            TimerWheel(tick=0.0)
-        with pytest.raises(ValueError):
-            TimerWheel(slots_per_level=1)
-
-    def test_pop_from_empty_wheel_raises(self) -> None:
-        with pytest.raises(IndexError):
-            TimerWheel().pop()
+        assert simulator.events_processed == 1
