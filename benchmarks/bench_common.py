@@ -1,8 +1,8 @@
 """Shared configuration and helpers for the benchmark harnesses.
 
 Every benchmark regenerates one of the paper's figures or reported
-statistics on a scaled-down FatTree (see DESIGN.md for the substitution
-rationale).  Two scales are provided:
+statistics on a scaled-down FatTree (the paper's 512-host, 1 Gbps fabric
+takes hours in pure Python).  Two scales are provided:
 
 * the default ``BENCH`` scale finishes the whole suite in a few minutes on a
   laptop;

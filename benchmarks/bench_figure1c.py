@@ -65,7 +65,7 @@ def test_figure1c_mmptcp_completion_scatter(benchmark) -> None:
     assert len(points) == len(mmptcp_fct) > 0
 
     # Qualitative reproduction targets (the RTO mechanism behind the Figure 1(b)
-    # tail; absolute mean/std are scale-sensitive — see EXPERIMENTS.md):
+    # tail; absolute mean/std are scale-sensitive):
     # 1. MMPTCP suffers RTOs on at most as many short flows as MPTCP.
     assert mmptcp.rto_incidence() <= mptcp.rto_incidence() + 1e-9
     # 2. Every short flow eventually completes under MMPTCP.

@@ -8,7 +8,7 @@ MMPTCP(PS + 8), all on the *same* workload (same seed), and prints the
 short-flow completion-time statistics and long-flow throughput for each.
 
 This is a smaller version of benchmarks/bench_section3_stats.py intended to
-finish in about a minute; see EXPERIMENTS.md for the full benchmark results.
+finish in about a minute.
 
 Run with:  python examples/datacenter_short_vs_long.py
 """

@@ -180,8 +180,7 @@ def cdf_comparison_rows(
 ) -> List[Dict[str, object]]:
     """For each named series, the fraction of samples at or below each threshold.
 
-    This is the tabular equivalent of overlaying several CDFs on one plot —
-    the form in which EXPERIMENTS.md records the Figure 1(b)/(c) comparison.
+    This is the tabular equivalent of overlaying several CDFs on one plot.
     """
     rows: List[Dict[str, object]] = []
     for name, values in series.items():

@@ -374,14 +374,7 @@ class PacketPool:
         return Packet(**fields)
 
     def release(self, packet: Packet) -> None:
-        """Return ``packet`` to the free list.  The caller forfeits ownership.
-
-        Packets of foreign classes (e.g. reference implementations in
-        benchmarks) are ignored — only real :class:`Packet` objects are
-        recycled.
-        """
-        if packet.__class__ is not Packet:
-            return
+        """Return ``packet`` to the free list.  The caller forfeits ownership."""
         if packet._in_pool:
             raise RuntimeError(f"double release of packet {packet.packet_id}")
         packet._in_pool = True

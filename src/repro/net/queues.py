@@ -16,13 +16,13 @@ All queues expose the same interface (:class:`Queue`), count their drops and
 accepted/transmitted bytes, and are intentionally agnostic of what is on the
 other end — the interface object drains them.
 
-Enqueue/dequeue run once per packet per hop, so the three built-in
-disciplines override them with *flattened* implementations: admission checks,
-ECN marking and :class:`QueueStats` updates are folded inline as unguarded
-integer operations (capacity bounds are normalised to huge sentinels instead
-of ``None`` checks, and the per-packet ``_admit``/``_mark``/``_on_accepted``/
-``_on_released`` hook calls of the generic base path are gone).  The generic
-hook-based :class:`Queue` implementation remains for custom subclasses.
+Enqueue/dequeue run once per packet per hop, so each discipline implements
+them as one *flattened* body: admission checks, ECN marking and
+:class:`QueueStats` updates are folded inline as unguarded integer operations
+(capacity bounds are normalised to huge sentinels instead of ``None``
+checks).  There is no other path: :class:`Queue` holds the shared state and
+leaves ``enqueue``/``dequeue`` abstract, and a custom discipline overrides
+them exactly as the three built-ins do.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ class QueueStats:
 class Queue:
     """Abstract bounded packet queue.
 
-    The base ``enqueue``/``dequeue`` drive the ``_admit``/``_mark``/
-    ``_on_accepted``/``_on_released`` hooks, which keeps custom disciplines
-    easy to write; the built-in disciplines bypass the hooks with flattened
-    overrides for speed.
+    Holds the state every discipline shares (FIFO, byte count, counters).
+    A discipline implements ``enqueue``/``dequeue``; one that inherits a
+    built-in's flattened ``transit`` overrides that too, because an idle
+    interface calls ``transit`` instead of ``enqueue``.
     """
 
     def __init__(self) -> None:
@@ -86,53 +86,13 @@ class Queue:
         self._bytes = 0
         self.stats = QueueStats()
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # The built-in disciplines override enqueue/dequeue/transit with
-        # flattened bodies that bypass the hooks.  A subclass that customises
-        # a hook without redefining those methods would silently lose its
-        # customisation — so give such subclasses the generic hook-driven
-        # path back for every method they did not define themselves.  (The
-        # built-ins are unaffected: each defines, or explicitly aliases, all
-        # three methods in its own class body.)
-        if any(
-            name in cls.__dict__
-            for name in ("_admit", "_mark", "_on_accepted", "_on_released")
-        ):
-            for name in ("enqueue", "dequeue", "transit"):
-                if name not in cls.__dict__:
-                    setattr(cls, name, getattr(Queue, name))
-
-    # -- interface used by Interface objects -------------------------------
-
     def enqueue(self, packet: Packet) -> bool:
         """Offer ``packet``; return True if accepted, False if dropped."""
-        stats = self.stats
-        size = packet.size
-        if not self._admit(packet):
-            stats.dropped_packets += 1
-            stats.dropped_bytes += size
-            return False
-        self._mark(packet)
-        self._packets.append(packet)
-        self._bytes += size
-        self._on_accepted(packet)
-        stats.enqueued_packets += 1
-        stats.enqueued_bytes += size
-        return True
+        raise NotImplementedError
 
     def dequeue(self) -> Optional[Packet]:
         """Remove and return the head packet, or ``None`` if empty."""
-        if not self._packets:
-            return None
-        packet = self._packets.popleft()
-        size = packet.size
-        self._bytes -= size
-        self._on_released(packet)
-        stats = self.stats
-        stats.dequeued_packets += 1
-        stats.dequeued_bytes += size
-        return packet
+        raise NotImplementedError
 
     def transit(self, packet: Packet) -> bool:
         """Pass ``packet`` straight through an *empty* queue.
@@ -168,25 +128,6 @@ class Queue:
         """True if no packets are buffered."""
         return not self._packets
 
-    # -- hooks overridden by concrete disciplines ---------------------------
-
-    def _admit(self, packet: Packet) -> bool:
-        raise NotImplementedError
-
-    def _mark(self, packet: Packet) -> None:
-        """Optionally set ECN bits on an accepted packet (default: no-op).
-
-        Runs before the packet is appended, so ``len(self._packets)`` is the
-        occupancy the packet finds on arrival — the quantity DCTCP's marking
-        rule is defined on.
-        """
-
-    def _on_accepted(self, packet: Packet) -> None:
-        """Hook called after a packet is stored (default: no-op)."""
-
-    def _on_released(self, packet: Packet) -> None:
-        """Hook called after a packet leaves the queue (default: no-op)."""
-
 
 class DropTailQueue(Queue):
     """Bounded FIFO that drops arrivals once full.
@@ -211,12 +152,6 @@ class DropTailQueue(Queue):
         self.capacity_bytes = capacity_bytes
         self._max_packets = capacity_packets if capacity_packets is not None else _UNBOUNDED
         self._max_bytes = capacity_bytes if capacity_bytes is not None else _UNBOUNDED
-
-    def _admit(self, packet: Packet) -> bool:
-        return (
-            len(self._packets) < self._max_packets
-            and self._bytes + packet.size <= self._max_bytes
-        )
 
     def enqueue(self, packet: Packet) -> bool:
         stats = self.stats
@@ -286,11 +221,6 @@ class EcnQueue(DropTailQueue):
             raise ValueError("marking_threshold must be non-negative")
         self.marking_threshold = marking_threshold
 
-    def _mark(self, packet: Packet) -> None:
-        if packet.ecn_capable and len(self._packets) > self.marking_threshold:
-            packet.ecn_ce = True
-            self.stats.ecn_marked_packets += 1
-
     def enqueue(self, packet: Packet) -> bool:
         stats = self.stats
         size = packet.size
@@ -309,13 +239,6 @@ class EcnQueue(DropTailQueue):
         stats.enqueued_packets += 1
         stats.enqueued_bytes += size
         return True
-
-    # Keep the flattened fast paths despite this class defining _mark (see
-    # Queue.__init_subclass__): dequeue never marks, and transit sees an
-    # empty queue, where the strict > threshold rule (threshold >= 0) can
-    # never fire.
-    dequeue = DropTailQueue.dequeue
-    transit = DropTailQueue.transit
 
 
 class SharedBufferPool:
@@ -381,14 +304,6 @@ class SharedBufferQueue(Queue):
             marking_threshold if marking_threshold is not None else _UNBOUNDED
         )
 
-    def _admit(self, packet: Packet) -> bool:
-        return self.pool.try_reserve(self._bytes, packet.size)
-
-    def _mark(self, packet: Packet) -> None:
-        if packet.ecn_capable and len(self._packets) > self._marking_threshold:
-            packet.ecn_ce = True
-            self.stats.ecn_marked_packets += 1
-
     def enqueue(self, packet: Packet) -> bool:
         stats = self.stats
         size = packet.size
@@ -418,6 +333,3 @@ class SharedBufferQueue(Queue):
         stats.dequeued_packets += 1
         stats.dequeued_bytes += size
         return packet
-
-    def _on_released(self, packet: Packet) -> None:
-        self.pool.release(packet.size)

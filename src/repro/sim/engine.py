@@ -264,8 +264,8 @@ class Simulator:
         """The retired timer wheel's counters, mapped onto the heap (a snapshot).
 
         Kept only because ``benchmarks/ledger/traced.py`` reads ``.cascades``
-        and ``.sweeps`` and this PR may not edit the ledger; ROADMAP item 4,
-        which may, deletes it with the two ``sim.timerwheel.*`` metrics.
+        and ``.sweeps``; it goes when a PR that may edit ``benchmarks/ledger/``
+        and ``BENCHMARK.json`` drops the two ``sim.timerwheel.*`` metrics.
         """
         return SimpleNamespace(
             cascades=self.heap_refiles, sweeps=0, stale_entries=self._heap_dead,

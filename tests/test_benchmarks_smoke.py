@@ -43,16 +43,6 @@ def _tiny():
     return bench_common.tiny_config()
 
 
-class _PassthroughBenchmark:
-    """Stand-in for pytest-benchmark's fixture: run the callable once."""
-
-    def __call__(self, fn, *args, **kwargs):
-        return fn(*args, **kwargs)
-
-    def pedantic(self, fn, args=(), kwargs=None, rounds=1, iterations=1):
-        return fn(*args, **(kwargs or {}))
-
-
 # ---------------------------------------------------------------------------
 # Import rot
 # ---------------------------------------------------------------------------
@@ -133,26 +123,12 @@ def _smoke_ablation_rto():
         assert all(record.rto_events >= 0 for record in result.metrics.flows)
 
 
-def _smoke_micro_simulator():
-    module = importlib.import_module("bench_micro_simulator")
-    shim = _PassthroughBenchmark()
-    module.test_micro_event_loop_throughput(shim)
-    module.test_micro_droptail_queue_operations(shim)
-    module.test_micro_ecmp_hashing(shim)
-    module.test_micro_timer_churn_wheel(shim)
-    module.test_micro_timer_churn_naive_heap(shim)
-    module.test_micro_cancelled_event_compaction(shim)
-    module.test_micro_single_tcp_transfer(shim)
-    module.test_micro_fattree_construction_and_routing(shim)
-
-
 SMOKE_RUNNERS = {
     "bench_common": lambda: _tiny(),
     **{module: partial(_smoke_study, *entry) for module, entry in STUDY_BENCHES.items()},
     "bench_ablation_switching": _smoke_ablation_switching,
     "bench_ablation_reordering": _smoke_ablation_reordering,
     "bench_ablation_rto_incidence": _smoke_ablation_rto,
-    "bench_micro_simulator": _smoke_micro_simulator,
 }
 
 
@@ -160,73 +136,3 @@ SMOKE_RUNNERS = {
 def test_bench_entry_point_runs_at_tiny_scale(module_name: str) -> None:
     """The experiment entry point behind each benchmark completes at tiny scale."""
     SMOKE_RUNNERS[module_name]()
-
-
-# ---------------------------------------------------------------------------
-# engine_bench.py (the BENCH_engine.json driver; not a bench_* module)
-# ---------------------------------------------------------------------------
-
-
-def test_engine_bench_workloads_run_at_tiny_scale() -> None:
-    engine_bench = importlib.import_module("engine_bench")
-    assert engine_bench.run_event_chain(2_000) == 2_001
-    assert engine_bench.run_timer_churn(use_timers=True, flows=8, ticks=2_000) > 2_000
-    assert engine_bench.run_timer_churn(use_timers=False, flows=8, ticks=2_000) > 2_000
-
-
-def test_packet_bench_workloads_run_and_agree_across_variants() -> None:
-    packet_bench = importlib.import_module("packet_bench")
-    # Fast and naive variants must process the same packet populations.
-    assert packet_bench.run_forward(400, naive=False) == 400
-    assert packet_bench.run_forward(400, naive=True) == 400
-    assert packet_bench.run_incast(320, naive=False) == 320
-    assert packet_bench.run_incast(320, naive=True) == 320
-
-
-def test_packet_bench_check_gate_flags_regressions(tmp_path) -> None:
-    packet_bench = importlib.import_module("packet_bench")
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(
-        '{"packet_path": {"normalised": {"forward_medium": 10.0}}}'
-    )
-    good = {"normalised": {"forward_medium": 10.5},
-            "forwarding_improvement_pct": 30.0, "incast_improvement_pct": 5.0}
-    assert packet_bench.check(good, baseline_path, tolerance=0.20,
-                              min_improvement=25.0) == 0
-    regressed = {"normalised": {"forward_medium": 14.0},
-                 "forwarding_improvement_pct": 30.0, "incast_improvement_pct": 5.0}
-    assert packet_bench.check(regressed, baseline_path, tolerance=0.20,
-                              min_improvement=25.0) == 1
-    too_small_win = {"normalised": {"forward_medium": 10.0},
-                     "forwarding_improvement_pct": 10.0, "incast_improvement_pct": 5.0}
-    assert packet_bench.check(too_small_win, baseline_path, tolerance=0.20,
-                              min_improvement=25.0) == 1
-    missing_section = tmp_path / "empty.json"
-    missing_section.write_text("{}")
-    assert packet_bench.check(good, missing_section, tolerance=0.20,
-                              min_improvement=25.0) == 1
-
-
-def test_packet_bench_output_merges_with_engine_sections(tmp_path) -> None:
-    import json as _json
-
-    packet_bench = importlib.import_module("packet_bench")
-    artifact = tmp_path / "BENCH.json"
-    artifact.write_text('{"schema": 1, "normalised": {"event_chain": 1.0}}')
-    packet_bench.merge_output({"normalised": {"forward_medium": 9.9}}, artifact)
-    merged = _json.loads(artifact.read_text())
-    assert merged["schema"] == 1  # engine section preserved
-    assert merged["normalised"] == {"event_chain": 1.0}
-    assert merged["packet_path"]["normalised"] == {"forward_medium": 9.9}
-
-
-def test_engine_bench_check_gate_flags_regressions(tmp_path) -> None:
-    engine_bench = importlib.import_module("engine_bench")
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(
-        '{"normalised": {"event_chain": 1.0, "timer_churn_wheel": 0.8}}'
-    )
-    good = {"normalised": {"event_chain": 1.0, "timer_churn_wheel": 0.85}}
-    assert engine_bench.check(good, baseline_path, tolerance=0.20) == 0
-    regressed = {"normalised": {"event_chain": 1.0, "timer_churn_wheel": 1.2}}
-    assert engine_bench.check(regressed, baseline_path, tolerance=0.20) == 1

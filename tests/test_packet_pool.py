@@ -84,15 +84,6 @@ class TestPacketPool:
         with pytest.raises(RuntimeError, match="double release"):
             pool.release(packet)
 
-    def test_release_ignores_foreign_classes(self) -> None:
-        pool = PacketPool()
-
-        class NotAPacket:
-            _in_pool = False
-
-        pool.release(NotAPacket())  # no error, nothing recycled
-        assert pool.free_count == 0 and pool.released == 0
-
     def test_free_list_is_bounded(self) -> None:
         pool = PacketPool(max_free=2)
         packets = [pool.acquire(**_fields()) for _ in range(5)]

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.ecmp import fnv1a_64, select_path
 from repro.net.packet import FLAG_DATA, Packet
-from repro.net.queues import DropTailQueue
+from repro.net.queues import DropTailQueue, EcnQueue, SharedBufferPool, SharedBufferQueue
 from repro.sim.randomness import derive_seed
 from repro.sim.units import throughput_bps, transmission_delay
 from repro.traffic.arrivals import poisson_arrivals
@@ -141,29 +142,80 @@ def test_fnv_hash_is_stable_and_64bit(values, salt) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Queues: conservation — every offered packet is either delivered or dropped.
+# Queues: conservation — every offered packet is either delivered, dropped or
+# still buffered, in FIFO order, for every discipline and through transit().
 # ---------------------------------------------------------------------------
 
-
-@given(
-    capacity=st.integers(min_value=1, max_value=20),
-    operations=st.lists(st.booleans(), min_size=1, max_size=200),
+queue_operations = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from(("enqueue", "dequeue", "transit"))),
+    min_size=1,
+    max_size=200,
 )
+
+
+def _check_conservation(queues, operations, pool=None, capacity=None) -> None:
+    """Drive the ports of one switch and check the books after every step."""
+    buffered = [[] for _ in queues]  # the FIFO each port should be holding
+    dequeued = [0] * len(queues)
+    for step, (port, operation) in enumerate(operations):
+        port %= len(queues)
+        queue, fifo = queues[port], buffered[port]
+        packet = Packet(flow_id=1, src=1, dst=2, src_port=1, dst_port=2, flags=FLAG_DATA,
+                        payload_size=100 + 50 * (step % 3), ecn_capable=True)
+        if operation == "enqueue":
+            if queue.enqueue(packet):
+                fifo.append(packet)
+        elif operation == "dequeue":
+            expected = fifo.pop(0) if fifo else None
+            assert queue.dequeue() is expected
+            dequeued[port] += expected is not None
+        elif fifo:
+            with pytest.raises(RuntimeError):
+                queue.transit(packet)
+        elif queue.transit(packet):
+            dequeued[port] += 1
+        for held, count, each in zip(buffered, dequeued, queues):
+            stats = each.stats
+            assert len(each) == len(held)
+            assert each.byte_length == sum(p.size for p in held)
+            assert stats.dequeued_packets == count
+            assert stats.enqueued_packets == count + len(each)
+            assert stats.offered_packets == stats.enqueued_packets + stats.dropped_packets
+            assert stats.enqueued_bytes - stats.dequeued_bytes == each.byte_length
+            if capacity is not None:
+                assert len(each) <= capacity
+        if pool is not None:
+            assert pool.used_bytes == sum(each.byte_length for each in queues)
+            assert 0 <= pool.used_bytes <= pool.total_bytes
+
+
+@given(capacity=st.integers(min_value=1, max_value=20), operations=queue_operations)
 @settings(max_examples=200, deadline=None)
 def test_droptail_queue_conserves_packets(capacity, operations) -> None:
-    queue = DropTailQueue(capacity_packets=capacity)
-    dequeued = 0
-    for should_enqueue in operations:
-        if should_enqueue:
-            queue.enqueue(Packet(flow_id=1, src=1, dst=2, src_port=1, dst_port=2,
-                                 flags=FLAG_DATA, payload_size=100))
-        else:
-            if queue.dequeue() is not None:
-                dequeued += 1
-    stats = queue.stats
-    assert stats.enqueued_packets == dequeued + len(queue)
-    assert stats.offered_packets == stats.enqueued_packets + stats.dropped_packets
-    assert len(queue) <= capacity
+    _check_conservation([DropTailQueue(capacity_packets=capacity)], operations,
+                        capacity=capacity)
+
+
+@given(capacity=st.integers(min_value=1, max_value=20),
+       threshold=st.integers(min_value=0, max_value=20), operations=queue_operations)
+@settings(max_examples=200, deadline=None)
+def test_ecn_queue_conserves_packets(capacity, threshold, operations) -> None:
+    queue = EcnQueue(capacity_packets=capacity, marking_threshold=threshold)
+    _check_conservation([queue], operations, capacity=capacity)
+
+
+@given(pool_packets=st.integers(min_value=1, max_value=20),
+       alpha=st.sampled_from((0.5, 1.0, 4.0)), operations=queue_operations)
+@settings(max_examples=200, deadline=None)
+def test_shared_buffer_queues_conserve_packets_and_pool_bytes(
+    pool_packets, alpha, operations
+) -> None:
+    # Three ports of one switch on one pool: what a port dequeues (or passes
+    # through transit) goes back to the pool, so the pool's books are the
+    # sum of its ports' at every step.
+    pool = SharedBufferPool(total_bytes=pool_packets * 150, alpha=alpha)
+    queues = [SharedBufferQueue(pool, marking_threshold=2) for _ in range(3)]
+    _check_conservation(queues, operations, pool=pool)
 
 
 # ---------------------------------------------------------------------------
