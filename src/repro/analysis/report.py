@@ -75,7 +75,7 @@ def scenario_matrix_markdown(
     """A per-scenario comparison table across transports, with deltas.
 
     ``rows`` are the dictionaries produced by
-    :func:`repro.scenarios.runner.matrix_rows`.  Within every scenario each
+    :func:`repro.scenarios.runner.cell_rows`.  Within every scenario each
     protocol is compared against ``baseline_protocol`` on the three axes the
     paper's argument rests on: short-flow completion time, long-flow
     throughput, and retransmissions.  Fault drops (packets lost at a down
@@ -140,8 +140,8 @@ def replication_summary_rows(
 ) -> List[Dict[str, object]]:
     """Across-replication aggregation of per-cell campaign rows.
 
-    Groups ``rows`` (the dictionaries from
-    :func:`repro.campaigns.runner.campaign_rows`) by
+    Groups ``rows`` (campaign cells' dictionaries from
+    :func:`repro.scenarios.runner.cell_rows`) by
     (``scenario``, ``protocol``, ``params``) in first-appearance order —
     which, for campaign rows, is declared cell order — and reports the
     sample mean and 95% confidence half-width (see
@@ -182,7 +182,7 @@ def campaign_report_markdown(
 
     ``spec`` is a :class:`repro.campaigns.spec.CampaignSpec` (duck-typed
     here to keep this module free of a campaigns dependency); ``rows`` are
-    the dictionaries from :func:`repro.campaigns.runner.campaign_rows`, in
+    the cells' dictionaries from :func:`repro.scenarios.runner.cell_rows`, in
     declared cell order.
 
     The document is **deterministic**: it contains only the declared grid

@@ -16,16 +16,12 @@ from repro.campaigns.runner import (
     CampaignCell,
     CampaignIncompleteError,
     CampaignOutcome,
-    CellStatus,
     campaign_gc,
-    campaign_keys,
     campaign_report,
     campaign_rows,
     campaign_run_specs,
     campaign_status,
-    campaign_summary_rows,
     load_campaign_cells,
-    outcome_report,
     params_label,
     run_campaign,
     status_rows,
@@ -38,17 +34,13 @@ __all__ = [
     "CampaignIncompleteError",
     "CampaignOutcome",
     "CampaignSpec",
-    "CellStatus",
     "campaign_base_config",
     "campaign_gc",
-    "campaign_keys",
     "campaign_report",
     "campaign_rows",
     "campaign_run_specs",
     "campaign_status",
-    "campaign_summary_rows",
     "load_campaign_cells",
-    "outcome_report",
     "params_label",
     "run_campaign",
     "status_rows",

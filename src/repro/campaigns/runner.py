@@ -8,9 +8,13 @@ Execution model
 (scenario → protocol → sweep point → replication); each cell's cache key is
 derived with :func:`repro.store.run_key_for_spec` from the cell's *full
 input* — config + workload recipe — never from its position or the worker
-count.
+count.  :func:`campaign_status` pairs every spec with its key and whether the
+store holds it — one :class:`CampaignCell` per declared cell, the only cell
+record — and :func:`run_campaign` / :func:`load_campaign_cells` fill those
+cells' results in place; :func:`campaign_rows` projects them with the same
+:func:`repro.scenarios.runner.cell_rows` a scenario matrix uses.
 
-:func:`run_campaign` then dispatches **only the cache misses** through the
+:func:`run_campaign` dispatches **only the cache misses** through the
 shared :class:`~repro.experiments.parallel.SweepRunner` (hits skip worker
 fan-out entirely; a fully cached campaign never creates a process pool) and
 persists every freshly simulated cell atomically *the moment it completes*,
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.report import campaign_report_markdown, replication_summary_rows
+from repro.analysis.report import campaign_report_markdown
 from repro.campaigns.spec import CampaignSpec, campaign_base_config
 from repro.experiments.parallel import (
     RunSpec,
@@ -39,37 +43,31 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import ExperimentResult
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import scenario_cell_spec
+from repro.scenarios.runner import (
+    cell_coordinates,
+    cell_rows,
+    params_label,
+    scenario_cell_spec,
+)
 from repro.store.canonical import run_key_for_spec
 from repro.store.runstore import RunStore
 from repro.store.serialize import result_from_dict
 
 
-@dataclass(frozen=True)
-class CellStatus:
-    """Where one declared cell stands relative to the store."""
-
-    index: int
-    scenario: str
-    protocol: str
-    params: Dict[str, Any]
-    replication: int
-    key: str
-    stored: bool
-
-
 @dataclass
 class CampaignCell:
-    """One executed (or cache-loaded) campaign cell."""
+    """One declared campaign cell.
 
-    index: int
-    scenario: str
-    protocol: str
-    params: Dict[str, Any]
-    replication: int
+    ``spec`` is the cell's :class:`RunSpec` (coordinates in ``spec.tag``,
+    position in ``spec.index``), ``key`` its store key, ``cached`` whether
+    the store held it when it was looked up, and ``result`` its result once
+    loaded or simulated — :func:`campaign_status` leaves it ``None``.
+    """
+
+    spec: RunSpec
     key: str
-    result: ExperimentResult
     cached: bool
+    result: Optional[ExperimentResult] = None
 
 
 @dataclass
@@ -91,29 +89,19 @@ class CampaignOutcome:
 class CampaignIncompleteError(Exception):
     """A report was requested but some declared cells are not in the store."""
 
-    def __init__(self, missing: Sequence[CellStatus]) -> None:
+    def __init__(self, missing: Sequence[CampaignCell]) -> None:
         self.missing = list(missing)
         names = ", ".join(
-            f"{status.scenario}/{status.protocol}"
-            + (f"/{params_label(status.params)}" if status.params else "")
-            + (f"#r{status.replication}" if status.replication else "")
-            for status in self.missing[:8]
+            f"{tag['scenario']}/{tag['protocol']}"
+            + (f"/{params_label(tag['params'])}" if tag["params"] else "")
+            + (f"#r{tag['replication']}" if tag["replication"] else "")
+            for tag in (cell.spec.tag for cell in self.missing[:8])
         )
         suffix = ", ..." if len(self.missing) > 8 else ""
         super().__init__(
             f"{len(self.missing)} campaign cell(s) missing from the store "
             f"({names}{suffix}); run the campaign first"
         )
-
-
-def params_label(params: Dict[str, Any]) -> str:
-    """Deterministic compact rendering of a sweep point (declared order).
-
-    The one formatting used everywhere a sweep point is shown — report
-    rows, status tables, incomplete-campaign errors — so the renderings
-    can never drift apart.
-    """
-    return " ".join(f"{name}={value}" for name, value in params.items())
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +149,8 @@ def campaign_run_specs(spec: CampaignSpec) -> List[RunSpec]:
                             len(specs),
                             scenario,
                             config,
-                            # Exactly the coordinate fields of CellStatus /
-                            # CampaignCell, which are built from this tag.
+                            # The cell's coordinates: row columns, event
+                            # fields and artifact meta all derive from this tag.
                             {
                                 "scenario": scenario_name,
                                 "protocol": protocol,
@@ -174,18 +162,9 @@ def campaign_run_specs(spec: CampaignSpec) -> List[RunSpec]:
     return specs
 
 
-def campaign_keys(specs: Sequence[RunSpec]) -> List[str]:
-    """The cache key of every cell, aligned with ``specs``."""
-    return [run_key_for_spec(spec) for spec in specs]
-
-
-def _cell_meta(spec: CampaignSpec, run_spec: RunSpec) -> Dict[str, Any]:
+def _cell_meta(spec: CampaignSpec, cell: CampaignCell) -> Dict[str, Any]:
     """The provenance labels one campaign attaches to a cell it uses."""
-    return {"campaign": spec.name, **run_spec.tag}
-
-
-def _cell_from(spec: RunSpec, key: str, result: ExperimentResult, cached: bool) -> CampaignCell:
-    return CampaignCell(index=spec.index, key=key, result=result, cached=cached, **spec.tag)
+    return {"campaign": spec.name, **cell.spec.tag}
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +172,15 @@ def _cell_from(spec: RunSpec, key: str, result: ExperimentResult, cached: bool) 
 # ---------------------------------------------------------------------------
 
 
-def _cell_coordinates(run_spec: RunSpec, key: str) -> Dict[str, Any]:
-    """The stable identity fields every progress event carries for a cell."""
-    return {
-        "index": run_spec.index,
-        "key": key,
-        **run_spec.tag,
-        "params": dict(run_spec.tag["params"]),
-    }
+def _cell_event(event: str, cell: CampaignCell) -> Dict[str, Any]:
+    """A progress event with the stable identity fields it carries for a cell."""
+    return {"event": event, "index": cell.spec.index, "key": cell.key, **cell.spec.tag}
 
 
 def run_campaign(
     spec: CampaignSpec,
     store: RunStore,
     workers: Optional[int] = 1,
-    progress: Optional[Callable[[RunSpec], None]] = None,
     events: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> CampaignOutcome:
     """Execute ``spec`` against ``store`` and return all cells in order.
@@ -226,99 +199,78 @@ def run_campaign(
     per-cell wall-clock travels under a ``diagnostics`` key, and the stream
     is never part of a byte-compare surface.
     """
+    emit = events if events is not None else (lambda event: None)
     worker_count = resolve_workers(workers)  # fail fast on nonsense values
-    run_specs = campaign_run_specs(spec)
-    keys = campaign_keys(run_specs)
-    cells: List[Optional[CampaignCell]] = [None] * len(run_specs)
-    if events is not None:
-        events(
-            {
-                "event": "campaign_start",
-                "campaign": spec.name,
-                "cells": len(run_specs),
-                "workers": worker_count,
-            }
-        )
+    cells = campaign_status(spec, store)
+    emit(
+        {
+            "event": "campaign_start",
+            "campaign": spec.name,
+            "cells": len(cells),
+            "workers": worker_count,
+        }
+    )
 
-    misses: List[RunSpec] = []
     hit_entries: Dict[str, Dict[str, Any]] = {}
-    for run_spec, key in zip(run_specs, keys):
-        if not store.has(key):
-            misses.append(run_spec)
+    for cell in cells:
+        if not cell.cached:
             continue
-        artifact = store.get_artifact(key)  # one verified read per hit
-        cells[run_spec.index] = _cell_from(
-            run_spec, key, result_from_dict(artifact["payload"]), cached=True
-        )
-        if events is not None:
-            events({"event": "cell_hit", **_cell_coordinates(run_spec, key)})
+        artifact = store.get_artifact(cell.key)  # one verified read per hit
+        cell.result = result_from_dict(artifact["payload"])
+        emit(_cell_event("cell_hit", cell))
         # Claim the cell for this campaign: gc is scoped by the most recent
         # user's label, so a campaign that *hits* a shared cell protects it
         # exactly like the one that simulated it.  The claim is durable —
         # set_meta rewrites the artifact when the label changes (and writes
         # nothing when it already matches), so a rebuilt index keeps it.
-        meta = _cell_meta(spec, run_spec)
+        meta = _cell_meta(spec, cell)
         if artifact["meta"] != meta:
-            hit_entries[key] = store.set_meta(key, meta, artifact=artifact)
+            hit_entries[cell.key] = store.set_meta(cell.key, meta, artifact=artifact)
     if hit_entries:
         store.index_add(hit_entries)
 
+    misses = [cell.spec for cell in cells if not cell.cached]
     if misses:
-        key_by_index = {run_spec.index: keys[run_spec.index] for run_spec in misses}
         index_entries: Dict[str, Dict[str, Any]] = {}
 
         def dispatch(run_spec: RunSpec) -> None:
-            if events is not None:
-                events(
-                    {
-                        "event": "cell_start",
-                        **_cell_coordinates(run_spec, key_by_index[run_spec.index]),
-                    }
-                )
-            if progress is not None:
-                progress(run_spec)
+            emit(_cell_event("cell_start", cells[run_spec.index]))
 
         def persist(run_spec: RunSpec, result: ExperimentResult) -> None:
-            key = key_by_index[run_spec.index]
+            cell = cells[run_spec.index]
+            cell.result = result
             # Index updates are batched into one write after the sweep: the
             # artifact write is what makes a cell resumable (has/get never
             # read the index), and a per-cell index rewrite would be O(n²).
-            _, index_entries[key] = store.put_entry(
-                key, result, meta=_cell_meta(spec, run_spec)
+            _, index_entries[cell.key] = store.put_entry(
+                cell.key, result, meta=_cell_meta(spec, cell)
             )
-            if events is not None:
-                events(
-                    {
-                        "event": "cell_finish",
-                        **_cell_coordinates(run_spec, key),
-                        "events_processed": result.events_processed,
-                        # Wall-clock is diagnostics-only, like everywhere else.
-                        "diagnostics": {"wallclock_s": result.wallclock_s},
-                    }
-                )
+            emit(
+                {
+                    **_cell_event("cell_finish", cell),
+                    "events_processed": result.events_processed,
+                    # Wall-clock is diagnostics-only, like everywhere else.
+                    "diagnostics": {"wallclock_s": result.wallclock_s},
+                }
+            )
 
         try:
-            results = SweepRunner(workers).run(misses, progress=dispatch, on_result=persist)
+            SweepRunner(workers).run(misses, progress=dispatch, on_result=persist)
         finally:
             # Even an interrupted sweep indexes the cells it did persist.
             if index_entries:
                 store.index_add(index_entries)
-        for run_spec, result in zip(misses, results):
-            cells[run_spec.index] = _cell_from(
-                run_spec, key_by_index[run_spec.index], result, cached=False
-            )
 
-    outcome = CampaignOutcome(spec=spec, cells=[cell for cell in cells if cell is not None])
-    if events is not None:
-        events(
-            {
-                "event": "campaign_finish",
-                "campaign": spec.name,
-                "cells": len(outcome.cells),
-                "cache_hits": outcome.cache_hits,
-                "simulated": outcome.simulated,
-            }
-        )
+    outcome = CampaignOutcome(spec=spec, cells=cells)
+    emit(
+        {
+            "event": "campaign_finish",
+            "campaign": spec.name,
+            "cells": len(cells),
+            "cache_hits": outcome.cache_hits,
+            "simulated": outcome.simulated,
+        }
+    )
     return outcome
 
 
@@ -327,54 +279,44 @@ def run_campaign(
 # ---------------------------------------------------------------------------
 
 
-def _statuses_for(run_specs: Sequence[RunSpec], store: RunStore) -> List[CellStatus]:
-    return [
-        CellStatus(index=run_spec.index, key=key, stored=store.has(key), **run_spec.tag)
-        for run_spec, key in zip(run_specs, campaign_keys(run_specs))
-    ]
+def campaign_status(spec: CampaignSpec, store: RunStore) -> List[CampaignCell]:
+    """Every declared cell, keyed and looked up (``cached``) but not loaded.
+
+    Runs nothing and reads no artifact: the key is derived from the cell's
+    full input and the lookup is an existence check.
+    """
+    cells = []
+    for run_spec in campaign_run_specs(spec):
+        key = run_key_for_spec(run_spec)
+        cells.append(CampaignCell(run_spec, key, cached=store.has(key)))
+    return cells
 
 
-def campaign_status(spec: CampaignSpec, store: RunStore) -> List[CellStatus]:
-    """Which declared cells are persisted, without running anything."""
-    return _statuses_for(campaign_run_specs(spec), store)
-
-
-def status_rows(statuses: Sequence[CellStatus]) -> List[Dict[str, object]]:
+def status_rows(cells: Sequence[CampaignCell]) -> List[Dict[str, object]]:
     """One row per declared cell (the ``campaign status`` table)."""
     return [
-        {
-            "scenario": status.scenario,
-            "protocol": status.protocol,
-            "params": params_label(status.params),
-            "replication": status.replication,
-            "stored": status.stored,
-            "key": status.key[:12],
-        }
-        for status in statuses
+        {**cell_coordinates(cell.spec), "stored": cell.cached, "key": cell.key[:12]}
+        for cell in cells
     ]
 
 
-def status_summary_rows(statuses: Sequence[CellStatus]) -> List[Dict[str, object]]:
+def status_summary_rows(cells: Sequence[CampaignCell]) -> List[Dict[str, object]]:
     """Per-(scenario, protocol) completion counts in first-seen (declared) order.
 
     The ``campaign status --summary`` table: one row per coordinate with
-    declared/stored/missing cell counts.  Derived purely from the statuses,
-    so it is byte-stable for a given spec and store state.
+    declared/stored/missing cell counts.  Derived purely from the cells'
+    coordinates and ``cached`` flags, so it is byte-stable for a given spec
+    and store state.
     """
     rows: Dict[Any, Dict[str, object]] = {}
-    for status in statuses:
-        key = (status.scenario, status.protocol)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = {
-                "scenario": status.scenario,
-                "protocol": status.protocol,
-                "cells": 0,
-                "stored": 0,
-                "missing": 0,
-            }
+    for cell in cells:
+        scenario, protocol = cell.spec.tag["scenario"], cell.spec.tag["protocol"]
+        row = rows.setdefault(
+            (scenario, protocol),
+            {"scenario": scenario, "protocol": protocol, "cells": 0, "stored": 0, "missing": 0},
+        )
         row["cells"] += 1
-        row["stored" if status.stored else "missing"] += 1
+        row["stored" if cell.cached else "missing"] += 1
     return list(rows.values())
 
 
@@ -384,15 +326,13 @@ def load_campaign_cells(spec: CampaignSpec, store: RunStore) -> List[CampaignCel
     Raises :class:`CampaignIncompleteError` when any declared cell is
     missing, listing the absent coordinates.
     """
-    run_specs = campaign_run_specs(spec)  # enumerate (and key) the grid once
-    statuses = _statuses_for(run_specs, store)
-    missing = [status for status in statuses if not status.stored]
+    cells = campaign_status(spec, store)  # enumerate (and key) the grid once
+    missing = [cell for cell in cells if not cell.cached]
     if missing:
         raise CampaignIncompleteError(missing)
-    return [
-        _cell_from(run_spec, status.key, store.get(status.key), cached=True)
-        for run_spec, status in zip(run_specs, statuses)
-    ]
+    for cell in cells:
+        cell.result = store.get(cell.key)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -401,35 +341,9 @@ def load_campaign_cells(spec: CampaignSpec, store: RunStore) -> List[CampaignCel
 
 
 def campaign_rows(cells: Sequence[CampaignCell]) -> List[Dict[str, object]]:
-    """Flat per-cell rows in cell order.
-
-    Key order — ``scenario``, ``protocol``, ``params``, ``replication``,
-    ``faults``, then :data:`repro.metrics.collector.CELL_METRIC_FIELDS` — is
-    insertion-stable and part of the public contract (CSV headers and report
-    tables derive from it).
-    """
-    rows: List[Dict[str, object]] = []
-    for cell in cells:
-        row: Dict[str, object] = {
-            "scenario": cell.scenario,
-            "protocol": cell.protocol,
-            "params": params_label(cell.params),
-            "replication": cell.replication,
-            "faults": len(cell.result.config.fault_schedule),
-        }
-        row.update(cell.result.metrics.cell_row())
-        rows.append(row)
-    return rows
-
-
-def campaign_summary_rows(cells: Sequence[CampaignCell]) -> List[Dict[str, object]]:
-    """Across-replication mean ± 95% CI rows, one per cell coordinate.
-
-    A thin composition of :func:`campaign_rows` with
-    :func:`repro.analysis.report.replication_summary_rows`; see the latter
-    for the grouping and the pinned key order.
-    """
-    return replication_summary_rows(campaign_rows(cells))
+    """Flat per-cell rows in cell order: :func:`repro.scenarios.runner.cell_rows`
+    of every (loaded) cell — see it for the pinned key order."""
+    return [row for cell in cells for row in cell_rows(cell.spec, cell.result)]
 
 
 def campaign_report(
@@ -446,19 +360,6 @@ def campaign_report(
     """
     cells = load_campaign_cells(spec, store)
     return campaign_report_markdown(spec, campaign_rows(cells), baseline_protocol)
-
-
-def outcome_report(outcome: CampaignOutcome, baseline_protocol: str = "tcp") -> str:
-    """The report of a just-executed campaign, from its in-memory cells.
-
-    Byte-identical to :func:`campaign_report` over the same store (rows
-    contain only simulated quantities, which round-trip losslessly), but
-    without re-enumerating the grid or re-reading and re-verifying the
-    artifacts that were produced moments ago.
-    """
-    return campaign_report_markdown(
-        outcome.spec, campaign_rows(outcome.cells), baseline_protocol
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +383,7 @@ def campaign_gc(spec: CampaignSpec, store: RunStore, dry_run: bool = False) -> L
     explicit keep-set, use :meth:`repro.store.RunStore.gc` directly.
     Returns the removed (or, with ``dry_run``, removable) keys, sorted.
     """
-    keep = set(campaign_keys(campaign_run_specs(spec)))
+    keep = {run_key_for_spec(run_spec) for run_spec in campaign_run_specs(spec)}
     metas = store.metas()
     removed = sorted(
         key

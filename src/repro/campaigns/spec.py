@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
@@ -110,12 +110,16 @@ class CampaignSpec:
             if not values:
                 raise ValueError(f"sweep axis {name!r} has no values")
         reserved = {"protocol", "fault_schedule", "seed"}
-        for name, _ in tuple(self.sweeps) + self.config_overrides:
+        names = [name for name, _ in self.sweeps + self.config_overrides]
+        for name in names:
             if name in reserved:
                 raise ValueError(
                     f"config field {name!r} is campaign-managed and cannot be "
                     "swept or overridden (protocols/scenarios/replications own it)"
                 )
+        unknown = sorted(set(names) - {field.name for field in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config field(s) {unknown} in sweeps/config_overrides")
 
     # ------------------------------------------------------------------
     # Derived views

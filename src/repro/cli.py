@@ -47,7 +47,11 @@ from repro.analysis.lint.cli import (
     add_lint_arguments,
     run_lint_command,
 )
-from repro.analysis.report import scenario_matrix_markdown
+from repro.analysis.report import (
+    campaign_report_markdown,
+    replication_summary_rows,
+    scenario_matrix_markdown,
+)
 from repro.campaigns import (
     CampaignIncompleteError,
     CampaignSpec,
@@ -55,8 +59,6 @@ from repro.campaigns import (
     campaign_report,
     campaign_rows,
     campaign_status,
-    campaign_summary_rows,
-    outcome_report,
     run_campaign,
     status_rows,
     status_summary_rows,
@@ -69,7 +71,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.parallel import workers_argument_type
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.experiments.study import STUDIES, run_study, study_rows
+from repro.experiments.study import STUDIES, run_points, run_study, study_rows
 from repro.metrics.export import (
     dumps_deterministic,
     write_flow_records_csv,
@@ -90,10 +92,10 @@ from repro.scenarios import (
     DEFAULT_MATRIX_PROTOCOLS,
     DEFAULT_MATRIX_SCENARIOS,
     SCENARIO_SCALES,
-    ScenarioMatrixRunner,
     all_scenarios,
-    matrix_rows,
-    run_scenario,
+    cell_rows,
+    get_scenario,
+    matrix_plan,
     scale_config,
 )
 from repro.sim.units import megabits_per_second
@@ -279,16 +281,16 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
     base = scale_config(args.scale, args.seed)
     base = base.with_updates(**_transport_matrix_overrides(args))
     try:
-        cell = run_scenario(args.name, base_config=base, protocol=args.protocol)
+        scenario = get_scenario(args.name)
     except KeyError as exc:
         return _command_error(exc.args[0])
-    spec = cell.spec
-    print(f"scenario={spec.name} protocol={cell.protocol} "
-          f"faults={len(spec.faults)} workload={spec.workload}")
-    if spec.description:
-        print(spec.description)
-    _print_summary(cell.result)
-    _maybe_export(cell.result, args.export_dir, f"scenario_{spec.name}_{cell.protocol}")
+    (point,) = run_points(matrix_plan(base, (args.name,), (args.protocol,)), cell_rows)
+    print(f"scenario={point.scenario} protocol={point.protocol} "
+          f"faults={point.faults} workload={scenario.workload}")
+    if scenario.description:
+        print(scenario.description)
+    _print_summary(point.result)
+    _maybe_export(point.result, args.export_dir, f"scenario_{point.scenario}_{point.protocol}")
     return 0
 
 
@@ -298,17 +300,14 @@ def _cmd_scenarios_matrix(args: argparse.Namespace) -> int:
     if args.telemetry_dir and not (args.probes or args.profile):
         return _command_error(
             "scenarios matrix: --telemetry-dir needs --probes and/or --profile")
-    runner = ScenarioMatrixRunner(
-        base,
-        workers=args.workers,
-        probes=_probe_groups_from_args(args),
-        profile=args.profile,
-    )
     try:
-        cells = runner.run(scenarios=tuple(args.scenarios), protocols=tuple(args.transports))
+        plan = matrix_plan(
+            base, args.scenarios, args.transports, _probe_groups_from_args(args), args.profile
+        )
     except KeyError as exc:
         return _command_error(exc.args[0])
-    rows = matrix_rows(cells)
+    points = run_points(plan, cell_rows, args.workers)
+    rows = study_rows(points)
     print(f"Scenario matrix — {len(args.scenarios)} scenario(s) × "
           f"{len(args.transports)} transport(s)")
     print(rows_table(rows))
@@ -324,11 +323,11 @@ def _cmd_scenarios_matrix(args: argparse.Namespace) -> int:
         directory = Path(args.telemetry_dir)
         directory.mkdir(parents=True, exist_ok=True)
         written = 0
-        for cell in cells:
-            if cell.result.telemetry is None:
+        for point in points:
+            if point.result.telemetry is None:
                 continue
-            path = directory / f"telemetry_{cell.scenario}_{cell.protocol}.jsonl"
-            path.write_text(telemetry_jsonl(cell.result.telemetry))
+            path = directory / f"telemetry_{point.scenario}_{point.protocol}.jsonl"
+            path.write_text(telemetry_jsonl(point.result.telemetry))
             written += 1
         print(f"wrote telemetry for {written} cell(s) to {directory}")
     return 0
@@ -423,14 +422,14 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         if spec.replications > 1:
             print()
             print("Across replications (mean ± 95% CI)")
-            print(rows_table(campaign_summary_rows(outcome.cells)))
+            print(rows_table(replication_summary_rows(rows)))
         print(_campaign_summary_line(
             spec.name, len(outcome.cells), outcome.cache_hits, outcome.simulated, args.store
         ))
         if args.report:
-            # In-memory rows yield bytes identical to campaign_report's
+            # The rows just printed yield bytes identical to campaign_report's
             # store-backed path, without re-reading the artifacts just written.
-            report = outcome_report(outcome, baseline_protocol=args.baseline_protocol)
+            report = campaign_report_markdown(spec, rows, args.baseline_protocol)
             path = Path(args.report)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(report)
@@ -443,13 +442,13 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     def body(spec: CampaignSpec, store: RunStore) -> int:
-        statuses = campaign_status(spec, store)
-        rows = (status_summary_rows if args.summary else status_rows)(statuses)
+        cells = campaign_status(spec, store)
+        rows = (status_summary_rows if args.summary else status_rows)(cells)
         print(f"Campaign '{spec.name}' store status — {args.store}")
         print(rows_table(rows))
-        stored = sum(1 for status in statuses if status.stored)
-        print(f"campaign '{spec.name}': cells={len(statuses)} stored={stored} "
-              f"missing={len(statuses) - stored}")
+        stored = sum(1 for cell in cells if cell.cached)
+        print(f"campaign '{spec.name}': cells={len(cells)} stored={stored} "
+              f"missing={len(cells) - stored}")
         return 0
 
     return _campaign_command(args, body)

@@ -30,6 +30,7 @@ from repro.experiments.study import (
     load_sweep_rows,
     run_coexistence_experiment,
     run_load_sweep,
+    run_points,
     run_study,
     section3_statistics,
     study_rows,
@@ -62,6 +63,7 @@ __all__ = [
     "load_sweep_rows",
     "run_coexistence_experiment",
     "run_load_sweep",
+    "run_points",
     "run_study",
     "section3_statistics",
     "study_rows",

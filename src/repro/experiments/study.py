@@ -5,8 +5,10 @@ the roadmap's load / hotspot / incast / co-existence / deadline studies) is
 a list of independent runs followed by a row per result.  A :class:`Study`
 declares exactly that — the plan, the row projection, and the CLI surface
 (sub-command name, table title, extra flags) as data — and
-:func:`run_study` is the single executor.  :data:`STUDIES` is the table the
-CLI, the benchmarks and the examples all read; adding a study is one entry.
+:func:`run_points` is the single executor (:func:`run_study` is it applied
+to a study's plan; scenario matrices hand it :func:`repro.scenarios.matrix_plan`).
+:data:`STUDIES` is the table the CLI, the benchmarks and the examples all
+read; adding a study is one entry.
 """
 
 from __future__ import annotations
@@ -111,21 +113,28 @@ class Study:
     per_flow: bool = False
 
 
-def run_study(
-    study: Study, config: ExperimentConfig, workers: Optional[int] = 1, **params: Any
+def run_points(
+    specs: Sequence[RunSpec],
+    rows: Callable[[RunSpec, ExperimentResult], List[Row]],
+    workers: Optional[int] = 1,
 ) -> List[StudyPoint]:
-    """Execute ``study`` on ``config``; points come back in plan order.
+    """Execute ``specs`` and project each result with ``rows``; points come
+    back in spec order.
 
+    The one executor behind studies, scenario matrices and ``scenarios run``.
     ``workers`` fans the points out over a process pool (1 = in-process, no
     pool); the output is identical for any worker count because every point
     is fully determined by its own spec.
     """
-    specs = study.plan(config, **params)
     results = SweepRunner(workers).run(specs)
-    return [
-        StudyPoint(spec, result, study.rows(spec, result))
-        for spec, result in zip(specs, results)
-    ]
+    return [StudyPoint(spec, result, rows(spec, result)) for spec, result in zip(specs, results)]
+
+
+def run_study(
+    study: Study, config: ExperimentConfig, workers: Optional[int] = 1, **params: Any
+) -> List[StudyPoint]:
+    """Execute ``study`` on ``config``: :func:`run_points` over the study's plan."""
+    return run_points(study.plan(config, **params), study.rows, workers)
 
 
 def study_rows(points: Sequence[StudyPoint]) -> List[Row]:

@@ -8,9 +8,9 @@ Public surface:
   :func:`~repro.scenarios.registry.get_scenario` /
   :func:`~repro.scenarios.registry.scenario_names` — the registry (importing
   this package registers the built-in catalogue).
-* :class:`~repro.scenarios.runner.ScenarioMatrixRunner` /
-  :func:`~repro.scenarios.runner.run_scenario` /
-  :func:`~repro.scenarios.runner.matrix_rows` — execution.
+* :func:`~repro.scenarios.runner.matrix_plan` /
+  :func:`~repro.scenarios.runner.cell_rows` — a matrix as a study plan and
+  its row projection; :func:`repro.experiments.study.run_points` executes it.
 * :func:`~repro.scenarios.spec.tiny_config` — the matrix-friendly scale.
 """
 
@@ -23,10 +23,8 @@ from repro.scenarios.registry import (
 from repro.scenarios.runner import (
     DEFAULT_MATRIX_PROTOCOLS,
     DEFAULT_MATRIX_SCENARIOS,
-    ScenarioCell,
-    ScenarioMatrixRunner,
-    matrix_rows,
-    run_scenario,
+    cell_rows,
+    matrix_plan,
     scenario_cell_spec,
 )
 from repro.scenarios.spec import (
@@ -43,17 +41,15 @@ __all__ = [
     "DEFAULT_MATRIX_PROTOCOLS",
     "DEFAULT_MATRIX_SCENARIOS",
     "SCENARIO_SCALES",
-    "ScenarioCell",
-    "ScenarioMatrixRunner",
     "ScenarioSpec",
     "WORKLOAD_INCAST",
     "WORKLOAD_SHORT_LONG",
     "all_scenarios",
     "build_scenario_workload",
+    "cell_rows",
     "get_scenario",
-    "matrix_rows",
+    "matrix_plan",
     "register_scenario",
-    "run_scenario",
     "scenario_names",
     "scale_config",
     "scenario_cell_spec",

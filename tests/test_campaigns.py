@@ -3,6 +3,7 @@ kill/resume semantics, artifact-backed reports and the campaign CLI."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -13,7 +14,6 @@ from repro.campaigns import (
     CampaignSpec,
     campaign_base_config,
     campaign_gc,
-    campaign_keys,
     campaign_report,
     campaign_rows,
     campaign_run_specs,
@@ -23,7 +23,9 @@ from repro.campaigns import (
 )
 from repro.cli import main
 from repro.experiments.parallel import seeded_replications
-from repro.store import RunStore
+from repro.metrics.collector import CELL_METRIC_FIELDS
+from repro.scenarios import cell_rows
+from repro.store import RunStore, run_key_for_spec
 
 #: Overrides that shrink every cell to a fraction of a second of simulation.
 FAST_OVERRIDES = {
@@ -44,6 +46,11 @@ def _spec(**updates) -> CampaignSpec:
     )
     kwargs.update(updates)
     return CampaignSpec(**kwargs)
+
+
+def _keys(spec: CampaignSpec) -> list:
+    """The store key of every declared cell, in declared order."""
+    return [run_key_for_spec(run_spec) for run_spec in campaign_run_specs(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +77,16 @@ def test_spec_validation() -> None:
         _spec(config_overrides={"seed": 3})
     with pytest.raises(ValueError, match="no values"):
         _spec(sweeps=(("num_subflows", ()),))
+
+
+def test_spec_rejects_unknown_config_fields_on_both_axes() -> None:
+    """Not a TypeError from dataclasses.replace once the grid is enumerated."""
+    with pytest.raises(ValueError, match="num_subflowz"):
+        _spec(sweeps=(("num_subflowz", (2, 4)),))
+    with pytest.raises(ValueError, match="hosts_per_edg"):
+        _spec(config_overrides={**FAST_OVERRIDES, "hosts_per_edg": 1})
+    with pytest.raises(ValueError, match=r"\['a_typo', 'b_typo'\]"):
+        _spec(sweeps=(("b_typo", (1,)),), config_overrides={"a_typo": 1})
 
 
 def test_spec_dict_round_trip_and_unknown_keys() -> None:
@@ -128,9 +145,9 @@ def test_run_specs_enumerate_in_declared_order_with_stable_keys() -> None:
     assert all(rs.config.seed == expected_seed for rs in run_specs)
     assert all(rs.tag["replication"] == 0 for rs in run_specs)
     # Keys are distinct per cell and stable across enumerations.
-    keys = campaign_keys(run_specs)
+    keys = [run_key_for_spec(rs) for rs in run_specs]
     assert len(set(keys)) == len(keys)
-    assert campaign_keys(campaign_run_specs(spec)) == keys
+    assert _keys(spec) == keys
 
 
 def test_replication_seeds_are_spawned_per_cell() -> None:
@@ -145,8 +162,8 @@ def test_replication_seeds_are_spawned_per_cell() -> None:
 
 def test_extending_replications_preserves_existing_cell_keys() -> None:
     """The cache-extension guarantee: 1 -> 3 replications adds keys only."""
-    one = campaign_keys(campaign_run_specs(_spec(replications=1)))
-    three = campaign_keys(campaign_run_specs(_spec(replications=3)))
+    one = _keys(_spec(replications=1))
+    three = _keys(_spec(replications=3))
     assert set(one) <= set(three)
     assert len(three) == 3 * len(one)
 
@@ -198,11 +215,50 @@ def test_parallel_and_serial_campaigns_are_byte_identical(tmp_path) -> None:
     assert campaign_rows(serial.cells) == campaign_rows(parallel_outcome.cells)
     assert campaign_report(spec, serial_store) == campaign_report(spec, parallel_store)
     # The artifacts themselves are byte-identical too (wall-clock excluded).
-    for key in campaign_keys(campaign_run_specs(spec)):
+    for key in _keys(spec):
         assert (
             serial_store.object_path(key).read_bytes()
             == parallel_store.object_path(key).read_bytes()
         )
+
+
+def test_status_keys_every_cell_without_reading_an_artifact(tmp_path, monkeypatch) -> None:
+    spec = _spec()
+    store = RunStore(tmp_path / "store")
+    run_campaign(_spec(scenarios=("baseline",)), store, workers=1)
+
+    def _explode(*args, **kwargs):  # pragma: no cover - defensive
+        raise AssertionError("campaign_status must not read artifacts")
+
+    monkeypatch.setattr(store, "get", _explode)
+    monkeypatch.setattr(store, "get_artifact", _explode)
+    cells = campaign_status(spec, store)
+    assert [cell.key for cell in cells] == _keys(spec)
+    assert [cell.spec.index for cell in cells] == [0, 1, 2, 3]
+    assert [cell.cached for cell in cells] == [True, True, False, False]
+    assert all(cell.result is None for cell in cells)
+
+
+def test_matrix_row_is_the_campaign_row_minus_params_and_replication(tmp_path) -> None:
+    """One projection: the same (spec, result) under a matrix tag and a campaign tag."""
+    spec = _spec(scenarios=("core-link-failure",), protocols=("mmptcp",),
+                 sweeps=(("num_subflows", (2,)),))
+    [cell] = run_campaign(spec, RunStore(tmp_path / "store"), workers=1).cells
+    [campaign_row] = campaign_rows([cell])
+    assert campaign_row == cell_rows(cell.spec, cell.result)[0]
+    matrix_spec = dataclasses.replace(
+        cell.spec, tag={"scenario": "core-link-failure", "protocol": "mmptcp"}
+    )
+    [matrix_row] = cell_rows(matrix_spec, cell.result)
+    assert tuple(campaign_row) == (
+        "scenario", "protocol", "params", "replication", "faults") + CELL_METRIC_FIELDS
+    assert tuple(matrix_row) == ("scenario", "protocol", "faults") + CELL_METRIC_FIELDS
+    assert (campaign_row["params"], campaign_row["replication"]) == ("num_subflows=2", 0)
+    assert campaign_row["faults"] == 1
+    assert matrix_row == {
+        name: value for name, value in campaign_row.items()
+        if name not in ("params", "replication")
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +284,7 @@ def test_killed_campaign_resumes_from_persisted_cells(tmp_path, monkeypatch) -> 
         run_campaign(spec, store, workers=1)
 
     # The two completed cells were persisted before the crash...
-    statuses = campaign_status(spec, store)
-    assert [status.stored for status in statuses] == [True, True, False, False]
+    assert [cell.cached for cell in campaign_status(spec, store)] == [True, True, False, False]
     with pytest.raises(CampaignIncompleteError, match="2 campaign cell"):
         load_campaign_cells(spec, store)
 
@@ -310,7 +365,7 @@ def test_gc_reclaims_cells_dropped_from_the_spec(tmp_path) -> None:
     assert len(removed) == 2
     assert len(store.keys()) == 2
     # The surviving cells still satisfy the narrow campaign.
-    assert all(status.stored for status in campaign_status(narrow, store))
+    assert all(cell.cached for cell in campaign_status(narrow, store))
 
 
 def test_cache_hits_claim_cells_so_gc_cannot_strand_a_sharing_campaign(tmp_path) -> None:
@@ -329,7 +384,7 @@ def test_cache_hits_claim_cells_so_gc_cannot_strand_a_sharing_campaign(tmp_path)
     shrunk_a = _spec(name="a", scenarios=("core-link-failure",), protocols=("tcp",))
     run_campaign(shrunk_a, store, workers=1)
     assert campaign_gc(shrunk_a, store) == []   # X now belongs to b
-    assert all(status.stored for status in campaign_status(b, store))
+    assert all(cell.cached for cell in campaign_status(b, store))
     # A same-campaign cache hit rewrites nothing (labels already match).
     before = {key: store.object_path(key).stat().st_mtime_ns for key in store.keys()}
     run_campaign(b, store, workers=1)
@@ -350,7 +405,7 @@ def test_gc_never_touches_other_campaigns_in_a_shared_store(tmp_path) -> None:
     assert campaign_gc(shrunk, store, dry_run=True) != []
     removed = campaign_gc(shrunk, store)
     assert len(removed) == 1
-    assert all(status.stored for status in campaign_status(theirs, store))
+    assert all(cell.cached for cell in campaign_status(theirs, store))
 
 
 # ---------------------------------------------------------------------------

@@ -221,3 +221,21 @@ def test_campaign_without_scheduler_flags_adds_no_axes() -> None:
 
     args = build_parser().parse_args(["campaign", "run", "--store", "unused"])
     assert _campaign_spec_from_args(args).sweeps == ()
+
+
+@pytest.mark.parametrize("command", ["run", "status", "report", "gc"])
+def test_campaign_spec_with_unknown_config_field_fails_cleanly(command, tmp_path, capsys) -> None:
+    spec_file = tmp_path / "campaign.json"
+    spec_file.write_text(
+        '{"name": "x", "scenarios": ["baseline"], "protocols": ["tcp"],'
+        ' "sweeps": {"num_subflowz": [2, 4]}}'
+    )
+    code = main(["campaign", command, "--store", str(tmp_path / "store"),
+                 "--spec", str(spec_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "campaign command failed: unknown config field(s) ['num_subflowz'] "
+        "in sweeps/config_overrides\n"
+    )

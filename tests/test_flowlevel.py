@@ -37,6 +37,7 @@ import pytest
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.experiments import run_points, study_rows
 from repro.experiments.config import FIDELITY_FLOW, FIDELITY_PACKET
 from repro.experiments.runner import run_experiment
 from repro.flowlevel import FluidFabric, FlowLevelEngine
@@ -44,10 +45,10 @@ from repro.metrics.export import dumps_deterministic
 from repro.net.faults import LINK_UP, FaultEvent, host_migration, link_failure
 from repro.experiments.parallel import execute_spec
 from repro.scenarios import (
-    ScenarioMatrixRunner,
     all_scenarios,
+    cell_rows,
     get_scenario,
-    matrix_rows,
+    matrix_plan,
     scenario_cell_spec,
     tiny_config,
 )
@@ -127,16 +128,11 @@ def test_repeated_runs_are_identical() -> None:
     ]
 
 
-def test_matrix_rows_are_byte_identical_across_worker_counts() -> None:
+def test_matrix_cell_rows_are_byte_identical_across_worker_counts() -> None:
     base = tiny_config().with_updates(fidelity=FIDELITY_FLOW)
-    scenarios = ("baseline", "core-link-failure")
-    protocols = ("tcp", "mmptcp")
-    serial = matrix_rows(
-        ScenarioMatrixRunner(base, workers=1).run(scenarios=scenarios, protocols=protocols)
-    )
-    parallel = matrix_rows(
-        ScenarioMatrixRunner(base, workers=2).run(scenarios=scenarios, protocols=protocols)
-    )
+    plan = matrix_plan(base, ("baseline", "core-link-failure"), ("tcp", "mmptcp"))
+    serial = study_rows(run_points(plan, cell_rows, workers=1))
+    parallel = study_rows(run_points(plan, cell_rows, workers=2))
     assert canonical_dumps(serial) == canonical_dumps(parallel)
 
 

@@ -19,12 +19,13 @@ from functools import partial
 
 import pytest
 
+from repro.experiments import run_points, study_rows
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.net.faults import FaultInjector, host_migration
 from repro.net.host import EPHEMERAL_PORT_MAX, EPHEMERAL_PORT_MIN
 from repro.net.packet import FLAG_DATA, Packet, release_packet
-from repro.scenarios import ScenarioMatrixRunner, get_scenario, matrix_rows, tiny_config
+from repro.scenarios import cell_rows, get_scenario, matrix_plan, tiny_config
 from repro.sim.engine import Simulator
 from repro.sim.tracing import RecordingTraceSink
 from repro.sim.units import megabits_per_second, microseconds
@@ -405,15 +406,12 @@ def _mobility_base_config():
 
 def test_mobility_matrix_parallel_run_matches_serial_byte_for_byte() -> None:
     protocols = (PROTOCOL_TCP, PROTOCOL_MMPTCP)
-    serial = ScenarioMatrixRunner(_mobility_base_config(), workers=1).run(
-        _MOBILITY_SCENARIOS, protocols
-    )
-    parallel = ScenarioMatrixRunner(_mobility_base_config(), workers=2).run(
-        _MOBILITY_SCENARIOS, protocols
-    )
-    assert matrix_rows(serial) == matrix_rows(parallel)
+    plan = matrix_plan(_mobility_base_config(), _MOBILITY_SCENARIOS, protocols)
+    serial = study_rows(run_points(plan, cell_rows, workers=1))
+    parallel = study_rows(run_points(plan, cell_rows, workers=2))
+    assert serial == parallel
     # Every cell of the mobility matrix must actually finish its flows.
-    for row in matrix_rows(serial):
+    for row in serial:
         assert row["completion_rate"] == 1.0, row
 
 

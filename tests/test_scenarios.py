@@ -5,19 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import scenario_matrix_markdown
+from repro.experiments import run_points, study_rows
 from repro.experiments.parallel import SweepRunner
 from repro.net.faults import link_failure
 from repro.scenarios import (
     DEFAULT_MATRIX_PROTOCOLS,
     DEFAULT_MATRIX_SCENARIOS,
-    ScenarioMatrixRunner,
     ScenarioSpec,
     all_scenarios,
     build_scenario_workload,
+    cell_rows,
     get_scenario,
-    matrix_rows,
+    matrix_plan,
     register_scenario,
-    run_scenario,
     scenario_names,
     tiny_config,
 )
@@ -35,6 +35,15 @@ def _fast_config(**overrides):
     )
     defaults.update(overrides)
     return tiny_config(**defaults)
+
+
+def _run_matrix(config, scenarios, protocols, workers=1):
+    return run_points(matrix_plan(config, scenarios, protocols), cell_rows, workers)
+
+
+def _run_cell(name, config, protocol):
+    (point,) = _run_matrix(config, (name,), (protocol,))
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +133,8 @@ def test_register_scenario_rejects_duplicates_unless_overwritten() -> None:
 
 
 def test_scenario_run_specs_cross_product_in_matrix_order() -> None:
-    runner = ScenarioMatrixRunner(_fast_config())
-    specs = runner.specs(
-        [get_scenario("baseline"), get_scenario("core-link-failure")],
-        (PROTOCOL_TCP, PROTOCOL_MMPTCP),
+    specs = matrix_plan(
+        _fast_config(), ("baseline", "core-link-failure"), (PROTOCOL_TCP, PROTOCOL_MMPTCP)
     )
     assert [spec.index for spec in specs] == [0, 1, 2, 3]
     assert [spec.tag["scenario"] for spec in specs] == [
@@ -139,30 +146,33 @@ def test_scenario_run_specs_cross_product_in_matrix_order() -> None:
     # The failure scenario's configs carry the fault schedule; baseline's don't.
     assert not specs[0].config.fault_schedule
     assert specs[2].config.fault_schedule
+    assert specs[2].config.fault_schedule == get_scenario("core-link-failure").faults
     with pytest.raises(ValueError):
-        runner.specs((), (PROTOCOL_TCP,))
+        matrix_plan(_fast_config(), (), (PROTOCOL_TCP,))
+    with pytest.raises(ValueError):
+        matrix_plan(_fast_config(), ("baseline",), ())
 
 
 def test_matrix_parallel_run_matches_serial_byte_for_byte() -> None:
     scenarios = ("baseline", "core-link-failure")
     protocols = (PROTOCOL_TCP, PROTOCOL_MMPTCP)
-    serial = ScenarioMatrixRunner(_fast_config(), workers=1).run(scenarios, protocols)
-    parallel = ScenarioMatrixRunner(_fast_config(), workers=2).run(scenarios, protocols)
-    assert matrix_rows(serial) == matrix_rows(parallel)
+    serial = _run_matrix(_fast_config(), scenarios, protocols, workers=1)
+    parallel = _run_matrix(_fast_config(), scenarios, protocols, workers=2)
+    assert study_rows(serial) == study_rows(parallel)
 
 
 def test_mmptcp_completes_all_flows_under_core_link_failure() -> None:
-    cell = run_scenario("core-link-failure", _fast_config(), protocol=PROTOCOL_MMPTCP)
+    cell = _run_cell("core-link-failure", _fast_config(), PROTOCOL_MMPTCP)
     metrics = cell.result.metrics
     assert metrics.short_flow_completion_rate() == 1.0
     assert all(record.completed for record in metrics.flows)
 
 
-def test_matrix_rows_shape_and_report_table() -> None:
-    cells = ScenarioMatrixRunner(_fast_config(), workers=1).run(
-        ("baseline", "core-link-failure"), (PROTOCOL_TCP, PROTOCOL_MMPTCP)
+def test_cell_rows_shape_and_report_table() -> None:
+    points = _run_matrix(
+        _fast_config(), ("baseline", "core-link-failure"), (PROTOCOL_TCP, PROTOCOL_MMPTCP)
     )
-    rows = matrix_rows(cells)
+    rows = study_rows(points)
     assert len(rows) == 4
     # Regression: key order is insertion-stable and part of the public
     # contract — CSV headers and store-backed reports derive from it.
@@ -179,9 +189,15 @@ def test_matrix_rows_shape_and_report_table() -> None:
     assert "%" in markdown
 
 
-def test_matrix_runner_rejects_negative_workers() -> None:
+def test_matrix_runner_rejects_negative_workers(monkeypatch) -> None:
+    import repro.experiments.parallel as parallel
+
+    def _explode(spec):  # pragma: no cover - defensive
+        raise AssertionError("a bad worker count must not reach execute_spec")
+
+    monkeypatch.setattr(parallel, "execute_spec", _explode)
     with pytest.raises(ValueError, match="workers"):
-        ScenarioMatrixRunner(_fast_config(), workers=-2)
+        _run_matrix(_fast_config(), ("baseline",), (PROTOCOL_TCP,), workers=-2)
     with pytest.raises(ValueError, match="workers"):
         SweepRunner(workers=-1)
 
@@ -195,7 +211,7 @@ def test_default_matrix_shape_is_at_least_six_cells() -> None:
 def test_incast_scenario_runs_end_to_end() -> None:
     # The 8-to-1 burst needs more than 8 hosts: use two hosts per edge.
     base = _fast_config(hosts_per_edge=2)
-    cell = run_scenario("incast-link-failure", base, protocol=PROTOCOL_MMPTCP)
+    cell = _run_cell("incast-link-failure", base, PROTOCOL_MMPTCP)
     metrics = cell.result.metrics
     # 8 synchronised responses, all of which must eventually complete.
     assert len(metrics.short_flows) == 8
@@ -203,11 +219,11 @@ def test_incast_scenario_runs_end_to_end() -> None:
 
 
 def test_oversubscribed_scenario_builds_slower_core_links() -> None:
-    cell = run_scenario("oversubscribed-core", _fast_config(), protocol=PROTOCOL_TCP)
+    cell = _run_cell("oversubscribed-core", _fast_config(), PROTOCOL_TCP)
     assert cell.result.config.core_oversubscription == 2.0
 
 
 def test_asymmetry_scenarios_refuse_vl2_instead_of_silently_ignoring() -> None:
     base = _fast_config(topology="vl2")
     with pytest.raises(ValueError, match="FatTree"):
-        run_scenario("oversubscribed-core", base, protocol=PROTOCOL_TCP)
+        _run_cell("oversubscribed-core", base, PROTOCOL_TCP)
