@@ -211,7 +211,6 @@ def run_campaign(
         }
     )
 
-    hit_entries: Dict[str, Dict[str, Any]] = {}
     for cell in cells:
         if not cell.cached:
             continue
@@ -220,31 +219,21 @@ def run_campaign(
         emit(_cell_event("cell_hit", cell))
         # Claim the cell for this campaign: gc is scoped by the most recent
         # user's label, so a campaign that *hits* a shared cell protects it
-        # exactly like the one that simulated it.  The claim is durable —
-        # set_meta rewrites the artifact when the label changes (and writes
-        # nothing when it already matches), so a rebuilt index keeps it.
-        meta = _cell_meta(spec, cell)
-        if artifact["meta"] != meta:
-            hit_entries[cell.key] = store.set_meta(cell.key, meta, artifact=artifact)
-    if hit_entries:
-        store.index_add(hit_entries)
+        # exactly like the one that simulated it.  The claim lives in the
+        # artifact itself — set_meta rewrites it when the label changes and
+        # writes nothing when it already matches.
+        store.set_meta(cell.key, _cell_meta(spec, cell), artifact=artifact)
 
     misses = [cell.spec for cell in cells if not cell.cached]
     if misses:
-        index_entries: Dict[str, Dict[str, Any]] = {}
-
         def dispatch(run_spec: RunSpec) -> None:
             emit(_cell_event("cell_start", cells[run_spec.index]))
 
         def persist(run_spec: RunSpec, result: ExperimentResult) -> None:
             cell = cells[run_spec.index]
             cell.result = result
-            # Index updates are batched into one write after the sweep: the
-            # artifact write is what makes a cell resumable (has/get never
-            # read the index), and a per-cell index rewrite would be O(n²).
-            _, index_entries[cell.key] = store.put_entry(
-                cell.key, result, meta=_cell_meta(spec, cell)
-            )
+            # The atomic artifact write is what makes a cell resumable.
+            store.put(cell.key, result, meta=_cell_meta(spec, cell))
             emit(
                 {
                     **_cell_event("cell_finish", cell),
@@ -254,12 +243,7 @@ def run_campaign(
                 }
             )
 
-        try:
-            SweepRunner(workers).run(misses, progress=dispatch, on_result=persist)
-        finally:
-            # Even an interrupted sweep indexes the cells it did persist.
-            if index_entries:
-                store.index_add(index_entries)
+        SweepRunner(workers).run(misses, progress=dispatch, on_result=persist)
 
     outcome = CampaignOutcome(spec=spec, cells=cells)
     emit(
@@ -377,7 +361,7 @@ def campaign_gc(spec: CampaignSpec, store: RunStore, dry_run: bool = False) -> L
     other campaigns sharing the store are never touched.  The label records
     the cell's *most recent user*: every :func:`run_campaign` durably claims
     the cells it used — cache hits included, via an atomic artifact-meta
-    rewrite that survives index rebuilds — so a shared cell is only
+    rewrite — so a shared cell is only
     collectable by the last campaign that ran with it, and only once that
     campaign stops declaring it.  For store-wide collection against an
     explicit keep-set, use :meth:`repro.store.RunStore.gc` directly.
@@ -391,5 +375,5 @@ def campaign_gc(spec: CampaignSpec, store: RunStore, dry_run: bool = False) -> L
         if key not in keep and meta.get("campaign") == spec.name
     )
     if not dry_run:
-        store.remove_many(removed)  # one index rewrite for the whole batch
+        store.remove_many(removed)
     return removed

@@ -25,7 +25,6 @@ from repro.core.phase_switching import DataVolumeSwitching, SwitchingPolicy
 from repro.core.reordering import TopologyInformedPolicy
 from repro.net.host import Host
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.transport.base import TcpConfig
 from repro.transport.mptcp import MptcpConnection, MptcpReceiver, MptcpSubflow
 from repro.transport.path_manager import PathManager
@@ -66,7 +65,6 @@ class MmptcpConnection(MptcpConnection):
         address_resolver: Optional[Callable[[int], int]] = None,
         on_complete: Optional[Callable[["MptcpConnection"], None]] = None,
         on_phase_switch: Optional[Callable[["MmptcpConnection"], None]] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
         super().__init__(
             simulator,
@@ -81,7 +79,6 @@ class MmptcpConnection(MptcpConnection):
             path_manager=path_manager,
             address_resolver=address_resolver,
             on_complete=on_complete,
-            trace=trace,
             create_subflows=False,
         )
         self.switching_policy = (
@@ -168,41 +165,22 @@ class MmptcpConnection(MptcpConnection):
         old address, so it dies with the readdressing like any other subflow;
         re-establishing a *scatter* flow would re-spray into the same fabric
         the connection just lost, while regular MPTCP subflows towards the
-        new address restore connectivity immediately.  The phase bookkeeping
-        is set directly — :meth:`_switch_to_mptcp` would open subflows at
-        stale ids towards the not-yet-updated address — and the base
-        readdressing path then opens the replacement subflows.
+        new address restore connectivity immediately.  Only the phase
+        bookkeeping (:meth:`_enter_mptcp_phase`) is shared with the normal
+        switch — :meth:`_switch_to_mptcp` would open subflows at stale ids
+        towards the not-yet-updated address — and the base readdressing
+        path then opens the replacement subflows.
         """
-        if self.phase == PHASE_PACKET_SCATTER:
-            self.phase = PHASE_MPTCP
-            self.switch_time = self.simulator.now
-            self.switch_reason = "peer_readdressed"
-            if self.probes.enabled:
-                self.probes.count("phase.switches")
-                self.probes.event(
-                    "phase.switch",
-                    self.simulator.now,
-                    flow_id=self.flow_id,
-                    reason="peer_readdressed",
-                    bytes_in_scatter=self.bytes_in_scatter_phase,
-                )
-            if self.trace.enabled:
-                self.trace.emit(
-                    self.simulator.now,
-                    "phase_switch",
-                    flow_id=self.flow_id,
-                    reason="peer_readdressed",
-                    bytes_in_scatter=self.bytes_in_scatter_phase,
-                )
+        if self.phase != PHASE_PACKET_SCATTER:
             super()._on_peer_readdressed(new_address)
-            if self.on_phase_switch is not None:
-                self.on_phase_switch(self)
             return
+        self._enter_mptcp_phase("peer_readdressed")
         super()._on_peer_readdressed(new_address)
+        if self.on_phase_switch is not None:
+            self.on_phase_switch(self)
 
-    def _switch_to_mptcp(self, reason: str) -> None:
-        if self.phase == PHASE_MPTCP:
-            return
+    def _enter_mptcp_phase(self, reason: str) -> None:
+        """Record the scatter → MPTCP switch: phase, instant, reason, probes."""
         self.phase = PHASE_MPTCP
         self.switch_time = self.simulator.now
         self.switch_reason = reason
@@ -215,14 +193,11 @@ class MmptcpConnection(MptcpConnection):
                 reason=reason,
                 bytes_in_scatter=self.bytes_in_scatter_phase,
             )
-        if self.trace.enabled:
-            self.trace.emit(
-                self.simulator.now,
-                "phase_switch",
-                flow_id=self.flow_id,
-                reason=reason,
-                bytes_in_scatter=self.bytes_in_scatter_phase,
-            )
+
+    def _switch_to_mptcp(self, reason: str) -> None:
+        if self.phase == PHASE_MPTCP:
+            return
+        self._enter_mptcp_phase(reason)
         # Open the MPTCP subflows only if there is still data for them to
         # carry; a flow that is already fully allocated (e.g. a short flow
         # whose last bytes triggered the volume threshold) gains nothing from

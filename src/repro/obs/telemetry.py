@@ -6,7 +6,9 @@ module-level :data:`NULL_PROBES` singleton is the disabled one, installed as
 a *class attribute* on every instrumented component (mirroring how
 ``TraceSink``/``NULL_SINK`` work) so the unprobed common case costs one
 attribute read and a falsy check — never per-instance storage, never a
-method call.
+method call.  Probes are the one observation channel of transport
+endpoints; the network and fault layers additionally keep their
+``TraceSink``, which :class:`TeeSink` folds into the same recorder.
 
 Everything a recorder stores is keyed on **simulated** time and fed only by
 deterministic call sites, so two runs of the same config produce
@@ -51,22 +53,20 @@ PROBE_GROUPS = (
 ALL_GROUPS = "all"
 
 #: Trace-channel events worth keeping as full telemetry events (fault
-#: applications, mobility, transport milestones).  Everything else the tee
-#: observes is still *counted* under ``trace.<name>`` but not stored, so a
-#: drop-heavy run cannot evict the interesting events.
+#: applications and mobility).  Everything else the tee observes is still
+#: *counted* under ``trace.<name>`` but not stored, so a drop-heavy run
+#: cannot evict the interesting events.  The trace channel carries only
+#: network and fault events: transport milestones are probes of their own
+#: (``transport.*``, ``phase.*``), never trace events.
 TRACE_EVENT_KEEP = frozenset(
     {
         "degrade",
         "drain_link",
-        "fast_retransmit",
         "host_attached",
         "link_down",
         "link_up",
         "migrate_host",
-        "peer_readdressed",
-        "phase_switch",
         "restore",
-        "rto",
     }
 )
 
@@ -203,9 +203,9 @@ class TelemetryRecorder(TelemetryProbes):
         """Fold one trace-channel event into the telemetry registries.
 
         Every observed trace name is counted under ``trace.<name>``; the
-        curated :data:`TRACE_EVENT_KEEP` names (faults, mobility, transport
-        milestones) are additionally kept as full events under ``faults.``
-        so a drop flood cannot evict them.
+        curated :data:`TRACE_EVENT_KEEP` names (faults, mobility) are
+        additionally kept as full events under ``faults.`` so a drop flood
+        cannot evict them.
         """
         self.count(f"trace.{name}")
         if name in TRACE_EVENT_KEEP:

@@ -4,7 +4,6 @@ from repro.sim.engine import Event, SimulationError, Simulator, Timer
 from repro.sim.randomness import RandomStreams, derive_seed
 from repro.sim.tracing import (
     NULL_SINK,
-    CallbackTraceSink,
     RecordingTraceSink,
     TraceEvent,
     TraceSink,
@@ -20,6 +19,5 @@ __all__ = [
     "TraceSink",
     "TraceEvent",
     "RecordingTraceSink",
-    "CallbackTraceSink",
     "NULL_SINK",
 ]

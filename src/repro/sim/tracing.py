@@ -1,18 +1,19 @@
-"""Lightweight tracing / instrumentation hooks.
+"""Lightweight tracing hooks for the network and fault layers.
 
-Components publish named trace events (packet enqueued, packet dropped,
-RTO fired, phase switched, ...) to a :class:`TraceSink`.  The default sink
-discards everything at near-zero cost; tests and the metrics collector
-install recording sinks to observe internal behaviour without the
-components needing to know who is listening.
+Nodes, hosts, the fault injector and the fluid fabric publish named trace
+events (packet dropped, link down, host migrated, ...) to a
+:class:`TraceSink`.  The default sink discards everything at near-zero
+cost; tests install a :class:`RecordingTraceSink` to observe internal
+behaviour without the components needing to know who is listening.
+Transport endpoints do not trace: their milestones (RTOs, fast
+retransmits, phase switches) are :mod:`repro.obs.telemetry` probes.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, DefaultDict, Dict, Iterable, List, Optional
+from typing import Any, DefaultDict, Dict, Iterable, List, Optional
 
 
 @dataclass
@@ -25,7 +26,7 @@ class TraceEvent:
 
 
 class TraceSink:
-    """Base sink: ignores every event.  Subclass or use callbacks to observe."""
+    """Base sink: ignores every event.  Subclass to observe."""
 
     enabled: bool = False
 
@@ -85,26 +86,6 @@ class RecordingTraceSink(TraceSink):
         self.events_dropped = 0
 
 
-class CallbackTraceSink(TraceSink):
-    """A sink that forwards events matching registered names to callbacks."""
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self._callbacks: DefaultDict[str, List[Callable[[TraceEvent], None]]] = defaultdict(list)
-
-    def on(self, name: str, callback: Callable[[TraceEvent], None]) -> None:
-        """Register ``callback`` to be invoked for events named ``name``."""
-        self._callbacks[name].append(callback)
-
-    def emit(self, time: float, name: str, **data: Any) -> None:
-        callbacks = self._callbacks.get(name)
-        if not callbacks:
-            return
-        event = TraceEvent(time=time, name=name, data=data)
-        for callback in callbacks:
-            callback(event)
-
-
 NULL_SINK = TraceSink()
 
 
@@ -134,8 +115,3 @@ def canonical_trace(events: Iterable[TraceEvent]) -> str:
     behaviour drift.
     """
     return "".join(canonical_event_line(event) + "\n" for event in events)
-
-
-def trace_digest(events: Iterable[TraceEvent]) -> str:
-    """SHA-256 hex digest of :func:`canonical_trace` (compact golden value)."""
-    return hashlib.sha256(canonical_trace(events).encode("utf-8")).hexdigest()

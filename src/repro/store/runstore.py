@@ -2,13 +2,13 @@
 
 Layout (all paths relative to the store root)::
 
-    index.json                     # convenience index: key -> {sha256, meta}
     objects/<key[:2]>/<key>.json   # one artifact per completed run
 
-The **objects directory is the source of truth**: ``has``/``get``/``keys``
-work purely off artifact files, so a lost or stale ``index.json`` can always
-be rebuilt with :meth:`RunStore.reindex`.  Artifacts are written atomically
-(temp file + ``os.replace`` in the same directory), which is what makes a
+The **objects directory is the only source of truth**: every query
+(``has``/``get``/``keys``/``metas``) works off artifact files, and there is
+no side index that concurrent writers could leave stale (an index file left
+at the root by an older store layout is ignored).  Artifacts are written
+atomically (temp file + ``os.replace`` in the same directory), which makes a
 killed campaign resumable — an artifact either exists completely or not at
 all, never half-written.
 
@@ -64,7 +64,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
 class RunStore:
     """Content-addressed persistence for completed experiment runs."""
 
-    INDEX_NAME = "index.json"
     OBJECTS_DIR = "objects"
 
     def __init__(self, root: PathLike) -> None:
@@ -77,10 +76,6 @@ class RunStore:
     @property
     def objects_root(self) -> Path:
         return self.root / self.OBJECTS_DIR
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / self.INDEX_NAME
 
     def object_path(self, key: str) -> Path:
         """Where the artifact for ``key`` lives (whether or not it exists)."""
@@ -100,7 +95,6 @@ class RunStore:
         key: str,
         result: ExperimentResult,
         meta: Optional[Mapping[str, Any]] = None,
-        update_index: bool = True,
     ) -> Path:
         """Persist ``result`` under ``key`` atomically; returns the artifact path.
 
@@ -109,26 +103,7 @@ class RunStore:
         the integrity hash, so relabelling never invalidates a result.
         Re-putting an existing key overwrites it atomically (last write
         wins; payloads for the same key are byte-identical by construction).
-
-        ``update_index=False`` skips the per-put index rewrite; bulk writers
-        (the campaign runner) batch their entries into one
-        :meth:`index_add` call instead, since ``has``/``get`` never consult
-        the index — it is a rebuildable convenience cache.
         """
-        path, entry = self.put_entry(key, result, meta)
-        if update_index:
-            self.index_add({key: entry})
-        return path
-
-    def put_entry(
-        self,
-        key: str,
-        result: ExperimentResult,
-        meta: Optional[Mapping[str, Any]] = None,
-    ) -> Tuple[Path, Dict[str, Any]]:
-        """Like :meth:`put` with ``update_index=False``, but also returns the
-        index entry (``{"sha256", "meta"}``) so batching callers never have
-        to re-read the artifact to index it."""
         payload = result_to_dict(result)
         body = canonical_dumps(payload)
         artifact = {
@@ -140,7 +115,7 @@ class RunStore:
         }
         path = self.object_path(key)
         _atomic_write_text(path, dumps_deterministic(artifact))
-        return path, {"sha256": artifact["payload_sha256"], "meta": artifact["meta"]}
+        return path
 
     def get(self, key: str) -> ExperimentResult:
         """Load and verify the artifact for ``key``.
@@ -191,15 +166,14 @@ class RunStore:
         key: str,
         meta: Mapping[str, Any],
         artifact: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        """Durably replace an artifact's ``meta`` labels; returns its index entry.
+    ) -> None:
+        """Durably replace an artifact's ``meta`` labels.
 
         The payload and its integrity hash are untouched, and nothing is
         written at all when the labels already match — so a same-campaign
         cache hit costs zero writes, while a cross-campaign claim rewrites
         the artifact once (atomically) and then stays stable.  Pass the
-        already-verified ``artifact`` document to skip a re-read.  The index
-        is *not* updated here; callers batch entries via :meth:`index_add`.
+        already-verified ``artifact`` document to skip a re-read.
         """
         if artifact is None:
             artifact = self.get_artifact(key)
@@ -208,21 +182,13 @@ class RunStore:
             updated = dict(artifact)
             updated["meta"] = new_meta
             _atomic_write_text(self.object_path(key), dumps_deterministic(updated))
-        return {"sha256": artifact["payload_sha256"], "meta": new_meta}
 
     def remove(self, key: str) -> bool:
-        """Delete one artifact (and its index entry); True when it existed."""
+        """Delete one artifact; True when it existed."""
         return self.remove_many([key]) == 1
 
     def remove_many(self, keys: Iterable[str]) -> int:
-        """Delete several artifacts with a single index rewrite.
-
-        Returns how many artifact files actually existed.  This is the bulk
-        form campaign gc uses: per-key :meth:`remove` would re-read and
-        rewrite the whole index once per key.
-        """
-        entries = self._load_index()
-        index_changed = False
+        """Delete several artifacts; returns how many actually existed."""
         removed = 0
         for key in keys:
             path = self.object_path(key)
@@ -231,27 +197,15 @@ class RunStore:
                 removed += 1
                 if path.parent.is_dir() and not any(path.parent.iterdir()):
                     path.parent.rmdir()
-            if entries.pop(key, None) is not None:
-                index_changed = True
-        if index_changed:
-            self._write_index(entries)
         return removed
 
     def metas(self) -> Dict[str, Dict[str, Any]]:
-        """The ``meta`` labels of every stored key.
+        """The ``meta`` labels of every stored key, read from its artifact.
 
-        Served from the index where possible; keys the index does not cover
-        (e.g. batched writes interrupted before :meth:`index_add`) fall back
-        to reading their artifact, so the result always reflects the objects
-        on disk.
+        An artifact that fails verification maps to ``{}``.
         """
-        indexed = self._load_index()
         metas: Dict[str, Dict[str, Any]] = {}
         for key in self.keys():
-            entry = indexed.get(key)
-            if entry is not None and isinstance(entry.get("meta"), dict):
-                metas[key] = entry["meta"]
-                continue
             try:
                 metas[key] = self.get_artifact(key)["meta"]
             except StoreIntegrityError:
@@ -326,48 +280,4 @@ class RunStore:
                         path.unlink()
             if not dry_run and not any(shard.iterdir()):
                 shard.rmdir()
-        if not dry_run:
-            self.reindex()
         return removed
-
-    def reindex(self) -> Path:
-        """Rebuild ``index.json`` from the artifacts on disk."""
-        entries: Dict[str, Dict[str, Any]] = {}
-        for key in self.keys():
-            try:
-                artifact = self.get_artifact(key)
-            except StoreIntegrityError:
-                continue  # an unreadable artifact is not indexable
-            entries[key] = {"sha256": artifact["payload_sha256"], "meta": artifact["meta"]}
-        self._write_index(entries)
-        return self.index_path
-
-    # ------------------------------------------------------------------
-    # Index plumbing
-    # ------------------------------------------------------------------
-
-    def index_add(self, entries: Mapping[str, Dict[str, Any]]) -> None:
-        """Merge ``entries`` into the index with one read-modify-write.
-
-        The index is a convenience cache over the objects directory, not a
-        coordination point: concurrent writers can lose each other's entries
-        (last write wins), and :meth:`reindex` restores the full picture
-        from disk whenever that matters.
-        """
-        merged = self._load_index()
-        merged.update({key: dict(entry) for key, entry in entries.items()})
-        self._write_index(merged)
-
-    def _load_index(self) -> Dict[str, Dict[str, Any]]:
-        if not self.index_path.exists():
-            return {}
-        try:
-            document = json.loads(self.index_path.read_text())
-        except json.JSONDecodeError:
-            return {}  # stale/corrupt index is rebuilt lazily; objects are the truth
-        entries = document.get("entries")
-        return entries if isinstance(entries, dict) else {}
-
-    def _write_index(self, entries: Dict[str, Dict[str, Any]]) -> None:
-        document = {"schema": STORE_SCHEMA_VERSION, "entries": entries}
-        _atomic_write_text(self.index_path, dumps_deterministic(document))

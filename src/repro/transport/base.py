@@ -15,7 +15,6 @@ from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.sim.units import milliseconds
 
 
@@ -113,10 +112,12 @@ class Endpoint:
     #: or misconfigured pin instead of silently aliasing onto another uplink.
     egress_interface: Optional[int] = None
 
-    #: Telemetry probe sink (see :mod:`repro.obs.telemetry`).  The disabled
-    #: singleton as a class attribute follows the same zero-cost convention
-    #: as ``egress_interface``: unprobed endpoints pay one attribute read
-    #: and a falsy ``enabled`` check at each instrumentation point, and no
+    #: Telemetry probe sink (see :mod:`repro.obs.telemetry`) — an endpoint's
+    #: one observation channel: RTOs, fast retransmits and phase switches
+    #: are reported here and nowhere else.  The disabled singleton as a
+    #: class attribute follows the same zero-cost convention as
+    #: ``egress_interface``: unprobed endpoints pay one attribute read and a
+    #: falsy ``enabled`` check at each instrumentation point, and no
     #: per-instance storage.  The experiment runner assigns a
     #: ``TelemetryRecorder`` per flow when probes are requested.
     probes: TelemetryProbes = NULL_PROBES
@@ -126,11 +127,9 @@ class Endpoint:
         simulator: Simulator,
         host: Host,
         local_port: Optional[int] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
         self.simulator = simulator
         self.host = host
-        self.trace = trace
         self.local_port = local_port if local_port is not None else host.allocate_port()
         host.bind(self.local_port, self)
 

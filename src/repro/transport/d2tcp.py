@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.host import Host
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.transport.base import TcpConfig
 from repro.transport.cc.dctcp_alpha import DctcpController
 from repro.transport.dctcp import DctcpReceiver
@@ -128,7 +127,6 @@ class D2tcpSender(TcpSender):
         dctcp_gain: float = 1.0 / 16.0,
         local_port: Optional[int] = None,
         on_complete: Optional[Callable[["TcpSender"], None]] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive when given")
@@ -147,7 +145,6 @@ class D2tcpSender(TcpSender):
             congestion_control=D2tcpController(gain=dctcp_gain),
             local_port=local_port,
             on_complete=on_complete,
-            trace=trace,
         )
 
     def start(self) -> None:

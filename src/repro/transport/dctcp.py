@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from repro.net.host import Host
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.transport.base import TcpConfig
 from repro.transport.cc.dctcp_alpha import DctcpController
 from repro.transport.receiver import TcpReceiver
@@ -41,7 +40,6 @@ class DctcpSender(TcpSender):
         dctcp_gain: float = 1.0 / 16.0,
         local_port: Optional[int] = None,
         on_complete: Optional[Callable[["TcpSender"], None]] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
         ecn_config = config if config.ecn_enabled else replace(config, ecn_enabled=True)
         super().__init__(
@@ -55,7 +53,6 @@ class DctcpSender(TcpSender):
             congestion_control=DctcpController(gain=dctcp_gain),
             local_port=local_port,
             on_complete=on_complete,
-            trace=trace,
         )
 
     @property
@@ -77,7 +74,6 @@ class DctcpReceiver(TcpReceiver):
         flow_id: int = 0,
         expected_bytes: Optional[int] = None,
         on_complete: Optional[Callable[[TcpReceiver], None]] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
         super().__init__(
             simulator,
@@ -87,5 +83,4 @@ class DctcpReceiver(TcpReceiver):
             expected_bytes=expected_bytes,
             on_complete=on_complete,
             echo_ecn=True,
-            trace=trace,
         )

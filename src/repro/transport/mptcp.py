@@ -24,7 +24,6 @@ from repro.net.host import Host
 from repro.net.packet import FLAG_ACK, FLAG_SYN, Packet, acquire_packet, make_ack
 from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.transport.base import Endpoint, SenderStats, TcpConfig
 from repro.transport.cc.base import LOSS_TIMEOUT
 from repro.transport.cc.lia import LiaController
@@ -73,7 +72,6 @@ class MptcpSubflow(TcpSender):
             subflow_id=subflow_id,
             reordering_policy=reordering_policy,
             on_congestion_event=connection._subflow_congestion_event,
-            trace=connection.trace,
         )
 
     # -- data acquisition ---------------------------------------------------
@@ -166,7 +164,6 @@ class MptcpConnection:
         path_manager: Optional[PathManager] = None,
         address_resolver: Optional[Callable[[int], int]] = None,
         on_complete: Optional[ConnectionCallback] = None,
-        trace: TraceSink = NULL_SINK,
         create_subflows: bool = True,
     ) -> None:
         if total_bytes < 0:
@@ -191,7 +188,6 @@ class MptcpConnection:
         #: peer and behaves exactly as before.
         self.address_resolver = address_resolver
         self.on_complete = on_complete
-        self.trace = trace
 
         self.subflows: List[MptcpSubflow] = []
         self._next_dsn = 0
@@ -309,7 +305,6 @@ class MptcpConnection:
         need no reinjection — their per-subflow cursors restart from the
         data-level acknowledgement point on the replacement subflows.
         """
-        old_address = self.destination
         self.destination = new_address
         if not self.scheduler.duplicates:
             pending: Dict[int, int] = {}
@@ -322,14 +317,6 @@ class MptcpConnection:
             if not subflow.complete:
                 subflow.complete = True
                 subflow._cancel_rto_timer()
-        if self.trace.enabled:
-            self.trace.emit(
-                self.simulator.now,
-                "peer_readdressed",
-                flow_id=self.flow_id,
-                old=old_address,
-                new=new_address,
-            )
         if not self.complete:
             next_id = max(subflow.subflow_id for subflow in self.subflows) + 1
             created = self._create_subflows(self.num_subflows, first_subflow_id=next_id)
@@ -523,8 +510,6 @@ class MptcpConnection:
             for subflow in self.subflows:
                 subflow.complete = True
                 subflow._cancel_rto_timer()
-            if self.trace.enabled:
-                self.trace.emit(self.simulator.now, "connection_complete", flow_id=self.flow_id)
             if self.on_complete is not None:
                 self.on_complete(self)
 
@@ -584,9 +569,8 @@ class MptcpReceiver(Endpoint):
         expected_bytes: Optional[int] = None,
         on_complete: Optional[Callable[["MptcpReceiver"], None]] = None,
         echo_ecn: bool = False,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, host, local_port, trace)
+        super().__init__(simulator, host, local_port)
         self.flow_id = flow_id
         self.expected_bytes = expected_bytes
         self.on_complete = on_complete
@@ -670,10 +654,6 @@ class MptcpReceiver(Endpoint):
         if self.data_buffer.rcv_nxt >= self.expected_bytes:
             self.complete = True
             self.completion_time = self.simulator.now
-            if self.trace.enabled:
-                self.trace.emit(
-                    self.simulator.now, "flow_received", flow_id=self.flow_id, host=self.host.name
-                )
             if self.on_complete is not None:
                 self.on_complete(self)
 

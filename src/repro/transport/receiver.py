@@ -15,7 +15,6 @@ from typing import Callable, Optional
 from repro.net.host import Host
 from repro.net.packet import FLAG_ACK, FLAG_SYN, Packet, acquire_packet, make_ack
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.transport.base import Endpoint
 from repro.transport.sequence import ReceiveBuffer
 
@@ -34,9 +33,8 @@ class TcpReceiver(Endpoint):
         expected_bytes: Optional[int] = None,
         on_complete: Optional[ReceiverCallback] = None,
         echo_ecn: bool = False,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, host, local_port, trace)
+        super().__init__(simulator, host, local_port)
         self.flow_id = flow_id
         self.expected_bytes = expected_bytes
         self.on_complete = on_complete
@@ -120,10 +118,6 @@ class TcpReceiver(Endpoint):
         if self.buffer.rcv_nxt >= self.expected_bytes:
             self.complete = True
             self.completion_time = self.simulator.now
-            if self.trace.enabled:
-                self.trace.emit(
-                    self.simulator.now, "flow_received", flow_id=self.flow_id, host=self.host.name
-                )
             if self.on_complete is not None:
                 self.on_complete(self)
 

@@ -23,7 +23,6 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 from repro.net.host import Host
 from repro.net.packet import FLAG_DATA, FLAG_SYN, Packet, acquire_packet
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.transport.base import Endpoint, SenderStats, TcpConfig
 from repro.transport.cc.base import (
     LOSS_FAST_RETRANSMIT,
@@ -73,9 +72,8 @@ class TcpSender(Endpoint):
         reordering_policy: Optional[ReorderingPolicy] = None,
         on_complete: Optional[SenderCallback] = None,
         on_congestion_event: Optional[CongestionEventCallback] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, host, local_port, trace)
+        super().__init__(simulator, host, local_port)
         if total_bytes < 0:
             raise ValueError("total_bytes cannot be negative")
         self.destination = destination
@@ -272,14 +270,6 @@ class TcpSender(Endpoint):
         self.cwnd = self.ssthresh + 3 * self.mss
         self._apply_cwnd_cap()
         self._notify_congestion_event(LOSS_FAST_RETRANSMIT)
-        if self.trace.enabled:
-            self.trace.emit(
-                self.simulator.now,
-                "fast_retransmit",
-                flow_id=self.flow_id,
-                subflow_id=self.subflow_id,
-                seq=self.snd_una,
-            )
         self.send_available()
 
     # ------------------------------------------------------------------
@@ -412,14 +402,6 @@ class TcpSender(Endpoint):
         self.snd_nxt = self.snd_una
         self.rto_estimator.backoff()
         self._notify_congestion_event(LOSS_TIMEOUT)
-        if self.trace.enabled:
-            self.trace.emit(
-                self.simulator.now,
-                "rto",
-                flow_id=self.flow_id,
-                subflow_id=self.subflow_id,
-                seq=self.snd_una,
-            )
         self._restart_rto_timer()
         self.send_available()
 
@@ -457,8 +439,6 @@ class TcpSender(Endpoint):
         self.complete = True
         self.stats.completion_time = self.simulator.now
         self._cancel_rto_timer()
-        if self.trace.enabled:
-            self.trace.emit(self.simulator.now, "flow_acked", flow_id=self.flow_id)
         if self.on_complete is not None:
             self.on_complete(self)
 

@@ -156,6 +156,38 @@ def test_probes_leave_traces_and_metrics_byte_identical() -> None:
     assert any(name.startswith("transport.cwnd/") for name in recorder.series)
 
 
+def test_transport_probes_agree_with_the_flow_records_they_shadow() -> None:
+    """Probes are the endpoints' one observation channel, so their counts
+    must be the same numbers the flow records report: RTOs (counter, event
+    and ``rto_events``), fast retransmits and phase switches."""
+    # Shallow queues under a dozen flows: every quantity below is nonzero
+    # for at least one protocol, so no equality holds vacuously.
+    config = _fast_config(
+        hosts_per_edge=2,
+        queue_capacity_packets=8,
+        max_short_flows=6,
+        long_flow_size_bytes=300_000,
+    )
+    totals = {"rto": 0, "fast_retransmit": 0, "switches": 0}
+    for protocol in ("tcp", "mptcp", "mmptcp"):
+        recorder = TelemetryRecorder(groups=("all",))
+        result = run_experiment(config.with_updates(protocol=protocol), probes=recorder)
+        flows = result.metrics.flows
+        counters = recorder.counters
+        assert not recorder.overflowed
+        rto_events = sum(1 for _, name, _ in recorder.events if name == "transport.rto")
+        rtos = sum(flow.rto_events for flow in flows)
+        assert counters.get("transport.rto_fired", 0) == rtos == rto_events, protocol
+        fast_retransmits = sum(flow.fast_retransmits for flow in flows)
+        assert counters.get("transport.fast_retransmit", 0) == fast_retransmits, protocol
+        switches = sum(1 for flow in flows if flow.switch_time is not None)
+        assert counters.get("phase.switches", 0) == switches, protocol
+        totals["rto"] += rtos
+        totals["fast_retransmit"] += fast_retransmits
+        totals["switches"] += switches
+    assert all(totals.values()), totals
+
+
 def test_repeat_runs_render_byte_identical_telemetry() -> None:
     config = _fast_config(protocol="mmptcp")
     documents = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.tracing import NULL_SINK, CallbackTraceSink, RecordingTraceSink, TraceSink
+from repro.sim.tracing import NULL_SINK, RecordingTraceSink, TraceSink
 
 
 def test_null_sink_is_disabled_and_silent() -> None:
@@ -57,12 +57,3 @@ def test_recording_sink_max_events_evicts_oldest_deterministically() -> None:
 def test_recording_sink_rejects_nonpositive_bounds() -> None:
     with pytest.raises(ValueError, match="max_events"):
         RecordingTraceSink(max_events=0)
-
-
-def test_callback_sink_invokes_matching_callbacks_only() -> None:
-    sink = CallbackTraceSink()
-    seen = []
-    sink.on("rto", lambda event: seen.append(event.data["flow_id"]))
-    sink.emit(0.5, "rto", flow_id=3)
-    sink.emit(0.6, "drop", node="x")
-    assert seen == [3]

@@ -193,18 +193,3 @@ def test_store_gc_keeps_only_requested_keys(tmp_path, tiny_result) -> None:
     assert removed == [drop_key]
     assert store.has(keep_key) and not store.has(drop_key)
     assert not stale.exists()
-
-
-def test_store_reindex_rebuilds_from_objects(tmp_path, tiny_result) -> None:
-    store = RunStore(tmp_path)
-    key = run_key(tiny_result.config)
-    store.put(key, tiny_result, meta={"campaign": "c"})
-    store.index_path.write_text("{corrupt")
-    # A corrupt index never hides objects...
-    assert store.has(key)
-    assert store.get(key) == normalised_result(tiny_result)
-    # ...and reindex restores it from disk.
-    store.reindex()
-    entries = json.loads(store.index_path.read_text())["entries"]
-    assert key in entries
-    assert entries[key]["meta"] == {"campaign": "c"}
