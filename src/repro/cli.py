@@ -32,6 +32,12 @@ Exposes the experiment harness without writing any Python::
 Every sub-command prints the same tables the corresponding benchmark prints
 and can optionally export per-flow CSVs / JSON summaries via
 ``--export-dir``.
+
+Each flag that sets an :class:`ExperimentConfig` field is declared once, in
+:data:`CONFIG_FLAGS`, its ``choices`` taken from
+:data:`repro.experiments.config.CHOICES`.  :func:`main` is the one failure
+path: an anticipated error (a rejected config value, a bad ``--spec``, an
+unknown scenario, a missing or corrupt store) exits 2 with one stderr line.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.lint.cli import (
     LintUsageError,
@@ -63,15 +69,10 @@ from repro.campaigns import (
     status_rows,
     status_summary_rows,
 )
-from repro.experiments.config import (
-    FIDELITIES,
-    SCALES,
-    ExperimentConfig,
-    scaled_config,
-)
+from repro.experiments.config import CHOICES, SCALES, ExperimentConfig
 from repro.experiments.parallel import workers_argument_type
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.experiments.study import STUDIES, run_points, run_study, study_rows
+from repro.experiments.study import STUDIES, Flag, run_points, run_study, study_rows
 from repro.metrics.export import (
     dumps_deterministic,
     write_flow_records_csv,
@@ -92,6 +93,7 @@ from repro.scenarios import (
     DEFAULT_MATRIX_PROTOCOLS,
     DEFAULT_MATRIX_SCENARIOS,
     SCENARIO_SCALES,
+    UnknownScenarioError,
     all_scenarios,
     cell_rows,
     get_scenario,
@@ -101,51 +103,55 @@ from repro.scenarios import (
 from repro.sim.units import megabits_per_second
 from repro.store import RunStore, StoreError, StoreIntegrityError
 from repro.traffic.flowspec import ALL_PROTOCOLS, PROTOCOL_MMPTCP
-from repro.transport.path_manager import path_manager_names
-from repro.transport.scheduler import scheduler_names
+
+#: Every config-backed flag, declared once and keyed by option, in ``run``'s
+#: order: the option, the config field, the ``argparse`` kwargs, the
+#: converter and — for the campaign sweep axes — the plural option.  A flag
+#: left at ``None`` sets nothing.
+CONFIG_FLAGS: Dict[str, Flag] = {flag.option: flag for flag in (
+    Flag("--subflows", "num_subflows",
+         dict(type=int, default=8, help="MPTCP/MMPTCP subflow count")),
+    Flag("--protocol", "protocol", dict(choices=CHOICES["protocol"], default=PROTOCOL_MMPTCP)),
+    Flag("--k", "fattree_k", dict(type=int, help="FatTree arity")),
+    Flag("--hosts-per-edge", "hosts_per_edge", dict(type=int)),
+    Flag("--link-mbps", "link_rate_bps", dict(type=float), convert=megabits_per_second),
+    Flag("--max-short-flows", "max_short_flows", dict(type=int)),
+    Flag("--arrival-rate", "short_flow_rate_per_sender",
+         dict(type=float, help="short flows per second per sender")),
+    Flag("--topology", "topology", dict(choices=CHOICES["topology"])),
+    Flag("--queue", "queue_kind", dict(choices=CHOICES["queue_kind"])),
+    Flag("--switching", "switching_policy", dict(choices=CHOICES["switching_policy"])),
+    Flag("--scheduler", "scheduler",
+         dict(choices=CHOICES["scheduler"], help="MPTCP chunk scheduler (default: fcfs)"),
+         plural="--schedulers"),
+    Flag("--path-manager", "path_manager",
+         dict(choices=CHOICES["path_manager"],
+              help="MPTCP subflow creation policy (default: ndiffports)"),
+         plural="--path-managers"),
+    Flag("--fidelity", "fidelity",
+         dict(choices=CHOICES["fidelity"],
+              help="simulation fidelity tier: packet = per-segment engine, flow = fluid "
+                   "bandwidth sharing for ~100x flow scale (default: packet)"),
+         plural="--fidelities"),
+)}
+
+#: The table flags every scenario command offers, and campaigns as sweep axes.
+_SWEEP_AXES = tuple(option for option, flag in CONFIG_FLAGS.items() if flag.plural)
+
+
+def _config_overrides(args: argparse.Namespace) -> Dict[str, Any]:
+    """The config overrides of every :data:`CONFIG_FLAGS` entry in ``args``.
+
+    A flag the sub-command lacks or left at ``None`` adds no override, so the
+    resulting config — and any store key derived from it — is untouched.
+    """
+    overrides = {flag.param: flag.value(args) for flag in CONFIG_FLAGS.values()}
+    return {name: value for name, value in overrides.items() if value is not None}
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from the ``run`` sub-command's flags."""
-    config = scaled_config(args.scale, args.seed)
-    overrides = {
-        "protocol": args.protocol,
-        "num_subflows": args.subflows,
-    }
-    if args.k is not None:
-        overrides["fattree_k"] = args.k
-    if args.hosts_per_edge is not None:
-        overrides["hosts_per_edge"] = args.hosts_per_edge
-    if args.link_mbps is not None:
-        overrides["link_rate_bps"] = megabits_per_second(args.link_mbps)
-    if args.max_short_flows is not None:
-        overrides["max_short_flows"] = args.max_short_flows
-    if args.arrival_rate is not None:
-        overrides["short_flow_rate_per_sender"] = args.arrival_rate
-    if args.topology is not None:
-        overrides["topology"] = args.topology
-    if args.queue is not None:
-        overrides["queue_kind"] = args.queue
-    if args.switching is not None:
-        overrides["switching_policy"] = args.switching
-    overrides.update(_transport_matrix_overrides(args))
-    return config.with_updates(**overrides)
-
-
-def _transport_matrix_overrides(args: argparse.Namespace) -> Dict[str, str]:
-    """The scheduler/path-manager/fidelity overrides shared across commands.
-
-    Every entry follows the same rule: an omitted flag adds no override, so
-    the resulting config — and any store key derived from it — is untouched.
-    """
-    overrides: Dict[str, str] = {}
-    if getattr(args, "scheduler", None) is not None:
-        overrides["scheduler"] = args.scheduler
-    if getattr(args, "path_manager", None) is not None:
-        overrides["path_manager"] = args.path_manager
-    if getattr(args, "fidelity", None) is not None:
-        overrides["fidelity"] = args.fidelity
-    return overrides
+    """The ``--scale`` / ``--seed`` preset with the given config flags applied."""
+    return scale_config(args.scale, args.seed).with_updates(**_config_overrides(args))
 
 
 def _print_summary(result: ExperimentResult) -> None:
@@ -181,10 +187,10 @@ def _export_rows(rows: List[Dict[str, object]], export_dir: Optional[str], stem:
 def _command_error(message: str) -> int:
     """One-line diagnostic on stderr, exit code 2.
 
-    The uniform failure path for anticipated CLI errors — a bad ``--spec``
-    file, an unknown scenario, a corrupt store artifact, a missing lint
-    path — shared by the campaign and lint sub-commands so none of them
-    dumps a traceback at the user.
+    Where every anticipated CLI failure ends: :func:`main` routes here the
+    exceptions a handler raises, and a handler calls it directly for a flag
+    combination it refuses (``--telemetry-out`` without probes, a
+    non-positive ``--budget``).
     """
     print(message, file=sys.stderr)
     return 2
@@ -245,8 +251,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_study(args: argparse.Namespace) -> int:
     """The one handler behind every :data:`STUDIES` sub-command."""
     study = STUDIES[args.command]
-    config = scaled_config(args.scale, args.seed).with_updates(
-        num_subflows=args.subflows, **_transport_matrix_overrides(args))
+    config = _config_from_args(args)
     params = {flag.param: flag.value(args) for flag in study.flags}
     points = run_study(study, config, getattr(args, "workers", 1), **params)
     print(study.title.format(**params))
@@ -278,12 +283,8 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
-    base = scale_config(args.scale, args.seed)
-    base = base.with_updates(**_transport_matrix_overrides(args))
-    try:
-        scenario = get_scenario(args.name)
-    except KeyError as exc:
-        return _command_error(exc.args[0])
+    base = _config_from_args(args)
+    scenario = get_scenario(args.name)
     (point,) = run_points(matrix_plan(base, (args.name,), (args.protocol,)), cell_rows)
     print(f"scenario={point.scenario} protocol={point.protocol} "
           f"faults={point.faults} workload={scenario.workload}")
@@ -295,17 +296,13 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios_matrix(args: argparse.Namespace) -> int:
-    base = scale_config(args.scale, args.seed)
-    base = base.with_updates(**_transport_matrix_overrides(args))
+    base = _config_from_args(args)
     if args.telemetry_dir and not (args.probes or args.profile):
         return _command_error(
             "scenarios matrix: --telemetry-dir needs --probes and/or --profile")
-    try:
-        plan = matrix_plan(
-            base, args.scenarios, args.transports, _probe_groups_from_args(args), args.profile
-        )
-    except KeyError as exc:
-        return _command_error(exc.args[0])
+    plan = matrix_plan(
+        base, args.scenarios, args.transports, _probe_groups_from_args(args), args.profile
+    )
     points = run_points(plan, cell_rows, args.workers)
     rows = study_rows(points)
     print(f"Scenario matrix — {len(args.scenarios)} scenario(s) × "
@@ -342,16 +339,10 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
     """The campaign spec: from ``--spec FILE`` when given, else from flags."""
     if args.spec:
         return CampaignSpec.from_file(args.spec)
-    # Scheduler / path-manager / fidelity lists become ordinary sweep axes;
-    # omitting a flag adds no axis, so cell labels and cache keys of existing
-    # campaigns are untouched.
-    sweeps = []
-    if getattr(args, "schedulers", None):
-        sweeps.append(("scheduler", tuple(args.schedulers)))
-    if getattr(args, "path_managers", None):
-        sweeps.append(("path_manager", tuple(args.path_managers)))
-    if getattr(args, "fidelities", None):
-        sweeps.append(("fidelity", tuple(args.fidelities)))
+    # Each plural table flag given becomes an ordinary sweep axis; omitting
+    # one adds no axis, so cell labels and cache keys of existing campaigns
+    # are untouched.
+    axes = ((flag.param, flag.sweep(args)) for flag in CONFIG_FLAGS.values() if flag.plural)
     return CampaignSpec(
         name=args.name,
         scenarios=tuple(args.scenarios),
@@ -359,29 +350,8 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         replications=args.replications,
         scale=args.scale,
         seed=args.seed,
-        sweeps=tuple(sweeps),
+        sweeps=tuple((name, values) for name, values in axes if values),
     )
-
-
-def _campaign_command(args: argparse.Namespace, body) -> int:
-    """Run one campaign sub-command with uniform error reporting.
-
-    Every anticipated failure — unknown scenario (``KeyError`` from the
-    registry), missing cells, a corrupt or tampered artifact
-    (``StoreError``), an unreadable or invalid ``--spec`` file — prints a
-    one-line diagnostic to stderr and exits 2 instead of dumping a
-    traceback.
-    """
-    try:
-        spec = _campaign_spec_from_args(args)
-        store = RunStore(args.store)
-        return body(spec, store)
-    except CampaignIncompleteError as exc:
-        return _command_error(str(exc))
-    except KeyError as exc:
-        return _command_error(exc.args[0])
-    except (StoreError, OSError, ValueError) as exc:
-        return _command_error(f"campaign command failed: {exc}")
 
 
 def _campaign_summary_line(name: str, cells: int, hits: int, simulated: int, store: str) -> str:
@@ -393,98 +363,98 @@ def _campaign_summary_line(name: str, cells: int, hits: int, simulated: int, sto
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    def body(spec: CampaignSpec, store: RunStore) -> int:
-        emit_event = None
-        events_file = None
-        if args.progress_events:
-            events_path = Path(args.progress_events)
-            events_path.parent.mkdir(parents=True, exist_ok=True)
-            events_file = events_path.open("w", encoding="utf-8")
+    spec = _campaign_spec_from_args(args)
+    emit_event = None
+    events_file = None
+    if args.progress_events:
+        events_path = Path(args.progress_events)
+        events_path.parent.mkdir(parents=True, exist_ok=True)
+        events_file = events_path.open("w", encoding="utf-8")
 
-            def emit_event(event: Dict[str, object]) -> None:
-                # One compact deterministic-dump line per event, flushed
-                # immediately so a tailing operator sees progress live.
-                events_file.write(dumps_deterministic(event, indent=None))
-                events_file.flush()
+        def emit_event(event: Dict[str, object]) -> None:
+            # One compact deterministic-dump line per event, flushed
+            # immediately so a tailing operator sees progress live.
+            events_file.write(dumps_deterministic(event, indent=None))
+            events_file.flush()
 
-        try:
-            outcome = run_campaign(spec, store, workers=args.workers, events=emit_event)
-        finally:
-            if events_file is not None:
-                events_file.close()
-        if args.progress_events:
-            print(f"wrote {args.progress_events}")
-        rows = campaign_rows(outcome.cells)
-        print(f"Campaign '{spec.name}' — {len(spec.scenarios)} scenario(s) × "
-              f"{len(spec.protocols)} transport(s) × {len(spec.sweep_points())} sweep "
-              f"point(s) × {spec.replications} replication(s)")
-        print(rows_table(rows))
-        if spec.replications > 1:
-            print()
-            print("Across replications (mean ± 95% CI)")
-            print(rows_table(replication_summary_rows(rows)))
-        print(_campaign_summary_line(
-            spec.name, len(outcome.cells), outcome.cache_hits, outcome.simulated, args.store
-        ))
-        if args.report:
-            # The rows just printed yield bytes identical to campaign_report's
-            # store-backed path, without re-reading the artifacts just written.
-            report = campaign_report_markdown(spec, rows, args.baseline_protocol)
-            path = Path(args.report)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(report)
-            print(f"wrote {path}")
-        _export_rows(rows, args.export_dir, f"campaign_{spec.name}")
-        return 0
-
-    return _campaign_command(args, body)
+    try:
+        outcome = run_campaign(spec, RunStore(args.store), workers=args.workers,
+                               events=emit_event)
+    finally:
+        if events_file is not None:
+            events_file.close()
+    if args.progress_events:
+        print(f"wrote {args.progress_events}")
+    rows = campaign_rows(outcome.cells)
+    print(f"Campaign '{spec.name}' — {len(spec.scenarios)} scenario(s) × "
+          f"{len(spec.protocols)} transport(s) × {len(spec.sweep_points())} sweep "
+          f"point(s) × {spec.replications} replication(s)")
+    print(rows_table(rows))
+    if spec.replications > 1:
+        print()
+        print("Across replications (mean ± 95% CI)")
+        print(rows_table(replication_summary_rows(rows)))
+    print(_campaign_summary_line(
+        spec.name, len(outcome.cells), outcome.cache_hits, outcome.simulated, args.store
+    ))
+    if args.report:
+        # The rows just printed yield bytes identical to campaign_report's
+        # store-backed path, without re-reading the artifacts just written.
+        report = campaign_report_markdown(spec, rows, args.baseline_protocol)
+        path = Path(args.report)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(report)
+        print(f"wrote {path}")
+    _export_rows(rows, args.export_dir, f"campaign_{spec.name}")
+    return 0
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    def body(spec: CampaignSpec, store: RunStore) -> int:
-        cells = campaign_status(spec, store)
-        rows = (status_summary_rows if args.summary else status_rows)(cells)
-        print(f"Campaign '{spec.name}' store status — {args.store}")
-        print(rows_table(rows))
-        stored = sum(1 for cell in cells if cell.cached)
-        print(f"campaign '{spec.name}': cells={len(cells)} stored={stored} "
-              f"missing={len(cells) - stored}")
-        return 0
-
-    return _campaign_command(args, body)
+    spec = _campaign_spec_from_args(args)
+    cells = campaign_status(spec, RunStore(args.store))
+    rows = (status_summary_rows if args.summary else status_rows)(cells)
+    print(f"Campaign '{spec.name}' store status — {args.store}")
+    print(rows_table(rows))
+    stored = sum(1 for cell in cells if cell.cached)
+    print(f"campaign '{spec.name}': cells={len(cells)} stored={stored} "
+          f"missing={len(cells) - stored}")
+    return 0
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
-    def body(spec: CampaignSpec, store: RunStore) -> int:
-        report = campaign_report(spec, store, baseline_protocol=args.baseline_protocol)
-        if args.output:
-            path = Path(args.output)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(report)
-            print(f"wrote {path}")
-        else:
-            print(report, end="")
-        return 0
-
-    return _campaign_command(args, body)
+    report = campaign_report(_campaign_spec_from_args(args), RunStore(args.store),
+                             baseline_protocol=args.baseline_protocol)
+    if args.output:
+        path = Path(args.output)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(report)
+        print(f"wrote {path}")
+    else:
+        print(report, end="")
+    return 0
 
 
 def _cmd_campaign_gc(args: argparse.Namespace) -> int:
-    def body(spec: CampaignSpec, store: RunStore) -> int:
-        removed = campaign_gc(spec, store, dry_run=args.dry_run)
-        verb = "would remove" if args.dry_run else "removed"
-        for key in removed:
-            print(f"{verb} {key}")
-        print(f"campaign '{spec.name}' gc: {verb} {len(removed)} artifact(s) "
-              f"from {args.store}")
-        return 0
-
-    return _campaign_command(args, body)
+    spec = _campaign_spec_from_args(args)
+    removed = campaign_gc(spec, RunStore(args.store), dry_run=args.dry_run)
+    verb = "would remove" if args.dry_run else "removed"
+    for key in removed:
+        print(f"{verb} {key}")
+    print(f"campaign '{spec.name}' gc: {verb} {len(removed)} artifact(s) "
+          f"from {args.store}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # Store commands
 # ---------------------------------------------------------------------------
+
+
+def _existing_store(path: str) -> RunStore:
+    """The run store at ``path``; a missing directory is an error, not an empty store."""
+    if not Path(path).is_dir():
+        raise StoreError(f"no run store at {path}")
+    return RunStore(path)
 
 
 def _cmd_store_verify(args: argparse.Namespace) -> int:
@@ -499,19 +469,16 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
     """
     if args.budget is not None and args.budget <= 0:
         return _command_error("store verify: --budget must be a positive byte count")
+    store = _existing_store(args.store)
     entries = []  # (key, size_bytes, mtime_ns, error_or_None)
-    try:
-        store = RunStore(args.store)
-        for key in store.keys():
-            stat = store.object_path(key).stat()
-            error = None
-            try:
-                store.get_artifact(key)
-            except StoreIntegrityError as exc:
-                error = str(exc)
-            entries.append((key, stat.st_size, stat.st_mtime_ns, error))
-    except (StoreError, OSError) as exc:
-        return _command_error(f"store verify failed: {exc}")
+    for key in store.keys():
+        stat = store.object_path(key).stat()
+        error = None
+        try:
+            store.get_artifact(key)
+        except StoreIntegrityError as exc:
+            error = str(exc)
+        entries.append((key, stat.st_size, stat.st_mtime_ns, error))
     corrupt = [(key, error) for key, _, _, error in entries if error]
     for key, error in corrupt:
         print(f"corrupt {key}: {error}", file=sys.stderr)
@@ -528,10 +495,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
             # Preview via the exact selection 'store gc --budget' would make:
             # same (mtime, key) LRU order, same stop condition.
             sizes = {key: size for key, size, _, _ in entries}
-            try:
-                victims = store.gc_budget(args.budget, dry_run=True)
-            except (StoreError, OSError) as exc:
-                return _command_error(f"store verify failed: {exc}")
+            victims = store.gc_budget(args.budget, dry_run=True)
             freed = sum(sizes.get(key, 0) for key in victims)
             print(f"over budget by {excess} bytes; 'store gc --budget "
                   f"{args.budget}' would evict {len(victims)} artifact(s) "
@@ -552,12 +516,9 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
     """
     if args.budget < 0:
         return _command_error("store gc: --budget must be a non-negative byte count")
-    try:
-        store = RunStore(args.store)
-        sizes = {key: size for key, size, _ in store.lru_entries()}
-        victims = store.gc_budget(args.budget, dry_run=args.dry_run)
-    except (StoreError, OSError) as exc:
-        return _command_error(f"store gc failed: {exc}")
+    store = _existing_store(args.store)
+    sizes = {key: size for key, size, _ in store.lru_entries()}
+    victims = store.gc_budget(args.budget, dry_run=args.dry_run)
     verb = "would evict" if args.dry_run else "evicted"
     freed = 0
     for key in victims:
@@ -582,10 +543,7 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     events become instants, and counters/diagnostics ride along under
     ``otherData``.
     """
-    try:
-        text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _command_error(f"trace export failed: {exc}")
+    text = Path(args.input).read_text(encoding="utf-8")
     records = []
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -593,12 +551,11 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            return _command_error(f"trace export failed: {args.input}:{number}: {exc}")
+            raise ValueError(f"{args.input}:{number}: {exc}") from exc
     try:
         document = chrome_trace_document(records)
     except (KeyError, TypeError, ValueError) as exc:
-        return _command_error(
-            f"trace export failed: {args.input} is not a telemetry JSONL file ({exc})")
+        raise ValueError(f"{args.input} is not a telemetry JSONL file ({exc})") from exc
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(dumps_deterministic(document, indent=2))
@@ -607,21 +564,23 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Lint command
-# ---------------------------------------------------------------------------
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the AST-based invariant linter (see :mod:`repro.analysis.lint`)."""
-    try:
-        return run_lint_command(args)
-    except LintUsageError as exc:
-        return _command_error(f"lint failed: {exc}")
-
-
-# ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _add_config_flags(
+    parser: argparse.ArgumentParser, *options: str, plural: bool = False
+) -> None:
+    """Add the :data:`CONFIG_FLAGS` entries named by ``options``; ``plural``
+    adds their campaign sweep-axis forms instead."""
+    for option in options:
+        flag = CONFIG_FLAGS[option]
+        if plural:
+            parser.add_argument(flag.plural, **dict(
+                flag.argparse, nargs="+", default=None,
+                help=f"sweep axis: {flag.argparse['help']}"))
+        else:
+            parser.add_argument(option, **flag.argparse)
 
 
 def _add_workers_argument(parser: argparse.ArgumentParser, what: str = "process-pool size") -> None:
@@ -629,23 +588,6 @@ def _add_workers_argument(parser: argparse.ArgumentParser, what: str = "process-
     parser.add_argument("--workers", type=workers_argument_type, default=1,
                         help=f"{what} (1 = serial, 0 = one per CPU; results "
                              "are identical for any value)")
-
-
-def _add_fidelity_argument(parser: argparse.ArgumentParser) -> None:
-    """The ``--fidelity`` tier knob (None = config default, packet)."""
-    parser.add_argument("--fidelity", choices=FIDELITIES, default=None,
-                        help="simulation fidelity tier: packet = per-segment "
-                             "engine, flow = fluid bandwidth sharing for ~100x "
-                             "flow scale (default: packet)")
-
-
-def _add_transport_matrix_arguments(parser: argparse.ArgumentParser) -> None:
-    """``--scheduler`` / ``--path-manager`` / ``--fidelity`` knobs (None = config default)."""
-    parser.add_argument("--scheduler", choices=scheduler_names(), default=None,
-                        help="MPTCP chunk scheduler (default: fcfs)")
-    parser.add_argument("--path-manager", choices=path_manager_names(), default=None,
-                        help="MPTCP subflow creation policy (default: ndiffports)")
-    _add_fidelity_argument(parser)
 
 
 def _add_probe_arguments(parser: argparse.ArgumentParser) -> None:
@@ -665,7 +607,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser, workers: bool = False
     parser.add_argument("--scale", choices=SCALES, default="quick",
                         help="experiment scale (quick/large/paper)")
     parser.add_argument("--seed", type=int, default=20150817, help="random seed")
-    parser.add_argument("--subflows", type=int, default=8, help="MPTCP/MMPTCP subflow count")
+    _add_config_flags(parser, "--subflows")
     parser.add_argument("--export-dir", default=None,
                         help="directory for CSV/JSON exports (omit to skip)")
     if workers:
@@ -684,24 +626,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run one experiment")
     _add_common_arguments(run_parser)
-    run_parser.add_argument("--protocol", choices=ALL_PROTOCOLS, default=PROTOCOL_MMPTCP)
-    run_parser.add_argument("--k", type=int, default=None, help="FatTree arity")
-    run_parser.add_argument("--hosts-per-edge", type=int, default=None)
-    run_parser.add_argument("--link-mbps", type=float, default=None)
-    run_parser.add_argument("--max-short-flows", type=int, default=None)
-    run_parser.add_argument("--arrival-rate", type=float, default=None,
-                            help="short flows per second per sender")
-    run_parser.add_argument("--topology", choices=("fattree", "dualhomed", "vl2"), default=None)
-    run_parser.add_argument("--queue", choices=("droptail", "ecn", "shared"), default=None)
-    run_parser.add_argument("--switching",
-                            choices=("data_volume", "congestion_event", "hybrid", "never"),
-                            default=None)
-    _add_transport_matrix_arguments(run_parser)
+    _add_config_flags(run_parser, *(option for option in CONFIG_FLAGS if option != "--subflows"))
     _add_probe_arguments(run_parser)
     run_parser.add_argument("--telemetry-out", default=None, metavar="FILE",
                             help="write the run's telemetry JSONL here "
                                  "(needs --probes and/or --profile)")
-    run_parser.set_defaults(handler=_cmd_run)
+    run_parser.set_defaults(handler=_cmd_run, failure="run failed")
 
     for study in STUDIES.values():
         sub = subparsers.add_parser(study.name, help=study.help)
@@ -709,11 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in study.flags:
             sub.add_argument(flag.option, **flag.argparse)
         if study.fidelity:
-            _add_fidelity_argument(sub)
-        sub.set_defaults(handler=_cmd_study)
+            _add_config_flags(sub, "--fidelity")
+        sub.set_defaults(handler=_cmd_study, failure=f"{study.name} failed")
 
     scenarios = subparsers.add_parser(
         "scenarios", help="declarative fault-injection scenarios and matrices")
+    scenarios.set_defaults(failure="scenarios failed")
     scenario_sub = scenarios.add_subparsers(dest="scenario_command", required=True)
 
     scen_list = scenario_sub.add_parser("list", help="list the registered scenarios")
@@ -725,13 +656,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=20150817, help="random seed")
         sub.add_argument("--export-dir", default=None,
                          help="directory for CSV/JSON exports (omit to skip)")
-        _add_transport_matrix_arguments(sub)
+        _add_config_flags(sub, *_SWEEP_AXES)
         if workers:
             _add_workers_argument(sub)
 
     scen_run = scenario_sub.add_parser("run", help="run one scenario for one transport")
     scen_run.add_argument("name", help="registered scenario name (see 'scenarios list')")
-    scen_run.add_argument("--protocol", choices=ALL_PROTOCOLS, default=PROTOCOL_MMPTCP)
+    _add_config_flags(scen_run, "--protocol")
     _add_scenario_arguments(scen_run)
     scen_run.set_defaults(handler=_cmd_scenarios_run)
 
@@ -758,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'# repro: allow[rule-name]' comment on (or directly above) its line.",
     )
     add_lint_arguments(lint)
-    lint.set_defaults(handler=_cmd_lint)
+    lint.set_defaults(handler=run_lint_command, failure="lint failed")
 
     store_parser = subparsers.add_parser(
         "store", help="inspect and verify a content-addressed run store")
@@ -772,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_verify.add_argument("--budget", type=int, default=None, metavar="BYTES",
                               help="also report size usage against a byte budget "
                                    "and preview an LRU eviction (nothing is deleted)")
-    store_verify.set_defaults(handler=_cmd_store_verify)
+    store_verify.set_defaults(handler=_cmd_store_verify, failure="store verify failed")
 
     store_gc = store_sub.add_parser(
         "gc",
@@ -785,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "until the rest fits")
     store_gc.add_argument("--dry-run", action="store_true",
                           help="list the eviction victims without deleting them")
-    store_gc.set_defaults(handler=_cmd_store_gc)
+    store_gc.set_defaults(handler=_cmd_store_gc, failure="store gc failed")
 
     trace_parser = subparsers.add_parser(
         "trace", help="telemetry timeline tools")
@@ -800,11 +731,12 @@ def build_parser() -> argparse.ArgumentParser:
     trace_export.add_argument("--output", required=True,
                               help="destination timeline JSON (open in "
                                    "chrome://tracing or ui.perfetto.dev)")
-    trace_export.set_defaults(handler=_cmd_trace_export)
+    trace_export.set_defaults(handler=_cmd_trace_export, failure="trace export failed")
 
     campaign = subparsers.add_parser(
         "campaign",
         help="resumable, store-backed campaigns (scenario × transport × sweep × replication)")
+    campaign.set_defaults(failure="campaign command failed")
     campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
 
     def _add_campaign_arguments(sub: argparse.ArgumentParser) -> None:
@@ -823,16 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--scale", choices=SCENARIO_SCALES, default="tiny",
                          help="experiment scale (tiny/quick/large/paper)")
         sub.add_argument("--seed", type=int, default=20150817, help="campaign root seed")
-        sub.add_argument("--schedulers", nargs="+", choices=scheduler_names(), default=None,
-                         help="sweep axis over MPTCP chunk schedulers (omit for "
-                              "the config default, fcfs)")
-        sub.add_argument("--path-managers", nargs="+", choices=path_manager_names(),
-                         default=None,
-                         help="sweep axis over MPTCP path managers (omit for "
-                              "the config default, ndiffports)")
-        sub.add_argument("--fidelities", nargs="+", choices=FIDELITIES, default=None,
-                         help="sweep axis over simulation fidelity tiers (omit "
-                              "for the config default, packet)")
+        _add_config_flags(sub, *_SWEEP_AXES, plural=True)
         sub.add_argument("--baseline-protocol", default="tcp", choices=ALL_PROTOCOLS,
                          help="protocol the report's delta table compares against")
 
@@ -879,10 +802,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point used by the ``repro-mmptcp`` console script."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    """Entry point used by the ``repro-mmptcp`` console script.
+
+    An incomplete campaign or unknown scenario prints its own message; the
+    other anticipated errors get the sub-command's ``failure`` prefix (set by
+    its parser).  Anything else is a bug and keeps its traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except (CampaignIncompleteError, UnknownScenarioError) as exc:
+        return _command_error(str(exc))
+    except (StoreError, OSError, ValueError, LintUsageError) as exc:
+        return _command_error(f"{args.failure}: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

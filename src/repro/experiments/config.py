@@ -27,26 +27,32 @@ from repro.sim.units import (
     microseconds,
     milliseconds,
 )
-from repro.traffic.flowspec import PROTOCOL_MPTCP
-from repro.transport.path_manager import PATH_MANAGERS
-from repro.transport.scheduler import SCHEDULERS
+from repro.traffic.flowspec import ALL_PROTOCOLS, PROTOCOL_MPTCP
+from repro.transport.path_manager import path_manager_names
+from repro.transport.scheduler import scheduler_names
 
 TOPOLOGY_FATTREE = "fattree"
 TOPOLOGY_DUALHOMED = "dualhomed"
 TOPOLOGY_VL2 = "vl2"
+TOPOLOGIES = (TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED, TOPOLOGY_VL2)
 
 QUEUE_DROPTAIL = "droptail"
 QUEUE_ECN = "ecn"
 QUEUE_SHARED = "shared"
+QUEUE_KINDS = (QUEUE_DROPTAIL, QUEUE_ECN, QUEUE_SHARED)
 
 SWITCHING_DATA_VOLUME = "data_volume"
 SWITCHING_CONGESTION = "congestion_event"
 SWITCHING_HYBRID = "hybrid"
 SWITCHING_NEVER = "never"
+SWITCHING_POLICIES = (
+    SWITCHING_DATA_VOLUME, SWITCHING_CONGESTION, SWITCHING_HYBRID, SWITCHING_NEVER
+)
 
 REORDERING_STATIC = "static"
 REORDERING_TOPOLOGY = "topology_informed"
 REORDERING_ADAPTIVE = "adaptive"
+REORDERING_POLICIES = (REORDERING_STATIC, REORDERING_TOPOLOGY, REORDERING_ADAPTIVE)
 
 #: Simulation fidelity tiers.  ``packet`` is the full per-segment engine;
 #: ``flow`` is the fluid bandwidth-sharing tier (:mod:`repro.flowlevel`)
@@ -55,6 +61,20 @@ REORDERING_ADAPTIVE = "adaptive"
 FIDELITY_PACKET = "packet"
 FIDELITY_FLOW = "flow"
 FIDELITIES = (FIDELITY_PACKET, FIDELITY_FLOW)
+
+#: The legal values of every choice field — the one declaration that
+#: :class:`ExperimentConfig` validates against and the CLI offers as
+#: ``choices``.
+CHOICES = {
+    "topology": TOPOLOGIES,
+    "queue_kind": QUEUE_KINDS,
+    "protocol": ALL_PROTOCOLS,
+    "switching_policy": SWITCHING_POLICIES,
+    "reordering_policy": REORDERING_POLICIES,
+    "scheduler": scheduler_names(),
+    "path_manager": path_manager_names(),
+    "fidelity": FIDELITIES,
+}
 
 
 @dataclass(frozen=True)
@@ -129,26 +149,14 @@ class ExperimentConfig:
             raise ValueError("arrival_window_s must be > 0 and drain_time_s >= 0")
         if self.num_subflows < 1:
             raise ValueError("num_subflows must be at least 1")
-        if self.queue_kind not in (QUEUE_DROPTAIL, QUEUE_ECN, QUEUE_SHARED):
-            raise ValueError(f"unknown queue kind {self.queue_kind!r}")
-        if self.topology not in (TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED, TOPOLOGY_VL2):
-            raise ValueError(f"unknown topology {self.topology!r}")
         if self.core_oversubscription <= 0:
             raise ValueError("core_oversubscription must be positive")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; expected one of "
-                f"{tuple(sorted(SCHEDULERS))}"
-            )
-        if self.path_manager not in PATH_MANAGERS:
-            raise ValueError(
-                f"unknown path manager {self.path_manager!r}; expected one of "
-                f"{tuple(sorted(PATH_MANAGERS))}"
-            )
-        if self.fidelity not in FIDELITIES:
-            raise ValueError(
-                f"unknown fidelity {self.fidelity!r}; expected one of {FIDELITIES}"
-            )
+        for name, legal in CHOICES.items():
+            value = getattr(self, name)
+            if value not in legal:
+                raise ValueError(
+                    f"unknown {name.replace('_', ' ')} {value!r}; expected one of {legal}"
+                )
         if not isinstance(self.fault_schedule, tuple):
             # Lists pickle fine but break hashing/equality of the frozen
             # config; normalise early with a clear message instead.

@@ -26,7 +26,7 @@ from repro.experiments import (
     loadsweep,
     section3,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import TOPOLOGIES, TOPOLOGY_FATTREE, ExperimentConfig
 from repro.experiments.parallel import RunSpec, SweepRunner
 from repro.experiments.runner import ExperimentResult
 from repro.traffic.flowspec import (
@@ -43,21 +43,34 @@ def _same(value: Any) -> Any:
     return value
 
 
+def _dest(option: str) -> str:
+    """The ``argparse`` namespace attribute of ``option`` (``--fan-ins`` → ``fan_ins``)."""
+    return option.lstrip("-").replace("-", "_")
+
+
 class Flag(NamedTuple):
-    """One study-specific CLI flag, as data.
+    """One CLI flag, as data: a study-specific one or a config-backed one.
 
     The CLI calls ``add_argument(option, **argparse)`` and feeds
-    :meth:`value` to the plan as keyword ``param``.
+    :meth:`value` to the plan (or the config) as keyword ``param``.
+    ``plural`` names the flag's campaign sweep-axis form, if it has one.
     """
 
     option: str
     param: str
     argparse: Mapping[str, Any]
     convert: Callable[[Any], Any] = _same
+    plural: Optional[str] = None
 
     def value(self, namespace: Any) -> Any:
-        """The plan argument, read from a parsed ``argparse`` namespace."""
-        return self.convert(getattr(namespace, self.option.lstrip("-").replace("-", "_")))
+        """The converted value in a parsed ``argparse`` namespace (``None``
+        when the namespace lacks the flag or left it unset)."""
+        value = getattr(namespace, _dest(self.option), None)
+        return None if value is None else self.convert(value)
+
+    def sweep(self, namespace: Any) -> Tuple[Any, ...]:
+        """The converted values of the plural form (empty when unset)."""
+        return tuple(map(self.convert, getattr(namespace, _dest(self.plural), None) or ()))
 
 
 @dataclass
@@ -244,8 +257,7 @@ STUDIES: Dict[str, Study] = {
                      dict(type=int, default=70, help="size of each incast response in kB"),
                      convert=lambda kilobytes: kilobytes * 1000),
                 Flag("--topologies", "topologies",
-                     dict(nargs="+", default=["fattree"],
-                          choices=("fattree", "dualhomed", "vl2"))),
+                     dict(nargs="+", default=[TOPOLOGY_FATTREE], choices=TOPOLOGIES)),
             ),
             workers=True, fidelity=True,
         ),

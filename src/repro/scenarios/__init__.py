@@ -15,6 +15,7 @@ Public surface:
 """
 
 from repro.scenarios.registry import (
+    UnknownScenarioError,
     all_scenarios,
     get_scenario,
     register_scenario,
@@ -42,6 +43,7 @@ __all__ = [
     "DEFAULT_MATRIX_SCENARIOS",
     "SCENARIO_SCALES",
     "ScenarioSpec",
+    "UnknownScenarioError",
     "WORKLOAD_INCAST",
     "WORKLOAD_SHORT_LONG",
     "all_scenarios",

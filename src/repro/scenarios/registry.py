@@ -28,6 +28,13 @@ VIP_FAILOVER_ADDRESS = (1 << 28) + 1
 _REGISTRY: Dict[str, ScenarioSpec] = {}
 
 
+class UnknownScenarioError(KeyError):
+    """A scenario name the registry does not hold; ``str()`` is the bare message."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 def register_scenario(spec: ScenarioSpec, overwrite: bool = False) -> ScenarioSpec:
     """Add ``spec`` to the registry (and return it, for decorator-free chaining)."""
     if not overwrite and spec.name in _REGISTRY:
@@ -42,7 +49,9 @@ def get_scenario(name: str) -> ScenarioSpec:
         return _REGISTRY[name]
     except KeyError:
         known = ", ".join(scenario_names()) or "(none)"
-        raise KeyError(f"unknown scenario {name!r}; registered scenarios: {known}") from None
+        raise UnknownScenarioError(
+            f"unknown scenario {name!r}; registered scenarios: {known}"
+        ) from None
 
 
 def scenario_names() -> List[str]:

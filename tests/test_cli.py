@@ -6,8 +6,16 @@ import json
 
 import pytest
 
-from repro.cli import SCALES, _config_from_args, build_parser, main
-from repro.experiments.config import scaled_config
+from repro.campaigns import campaign_run_specs
+from repro.cli import (
+    CONFIG_FLAGS,
+    SCALES,
+    _campaign_spec_from_args,
+    _config_from_args,
+    build_parser,
+    main,
+)
+from repro.experiments.config import CHOICES, scaled_config
 from repro.metrics.reporting import rows_table
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
 
@@ -204,8 +212,6 @@ def test_scenarios_accept_transport_matrix_flags() -> None:
 
 
 def test_campaign_scheduler_lists_become_sweep_axes() -> None:
-    from repro.cli import _campaign_spec_from_args
-
     args = build_parser().parse_args([
         "campaign", "run", "--store", "unused",
         "--schedulers", "fcfs", "round_robin",
@@ -217,8 +223,6 @@ def test_campaign_scheduler_lists_become_sweep_axes() -> None:
 
 
 def test_campaign_without_scheduler_flags_adds_no_axes() -> None:
-    from repro.cli import _campaign_spec_from_args
-
     args = build_parser().parse_args(["campaign", "run", "--store", "unused"])
     assert _campaign_spec_from_args(args).sweeps == ()
 
@@ -239,3 +243,93 @@ def test_campaign_spec_with_unknown_config_field_fails_cleanly(command, tmp_path
         "campaign command failed: unknown config field(s) ['num_subflowz'] "
         "in sweeps/config_overrides\n"
     )
+
+
+@pytest.mark.parametrize("command", ["status", "run"])
+def test_campaign_sweep_over_an_unknown_choice_fails_before_the_store(
+    command, tmp_path, capsys
+) -> None:
+    # A config value ExperimentConfig rejects must never be simulated and
+    # stored under the key of a config that cannot exist.
+    spec_file = tmp_path / "campaign.json"
+    spec_file.write_text(
+        '{"name": "x", "scenarios": ["baseline"], "protocols": ["tcp"],'
+        ' "sweeps": {"switching_policy": ["bogus"]}}'
+    )
+    store = tmp_path / "store"
+    code = main(["campaign", command, "--store", str(store), "--spec", str(spec_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "campaign command failed: unknown switching policy 'bogus'; expected one of ")
+    assert captured.err.count("\n") == 1
+    assert not store.exists()
+
+
+# ---------------------------------------------------------------------------
+# One failure path: anticipated errors exit 2 with one stderr line
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--k", "3"],
+    ["run", "--subflows", "0"],
+    ["loadsweep", "--factors", "-1"],
+    ["deadlines", "--slack", "-1"],
+    ["hotspot", "--hotspot-fraction", "2"],
+    ["incast", "--fan-ins", "0"],
+    ["trace", "export", "<dir>/missing.jsonl", "--output", "<dir>/out.json"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_one_line_and_no_traceback(argv, tmp_path, capsys) -> None:
+    assert main([arg.replace("<dir>", str(tmp_path)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    # The sub-command's failure prefix, then the one-line reason.
+    assert err.startswith(f"{argv[0]} ") and " failed: " in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_store_verify_on_a_missing_store_fails(tmp_path, capsys) -> None:
+    missing = tmp_path / "typo"
+    assert main(["store", "verify", "--store", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"store verify failed: no run store at {missing}\n"
+    assert not missing.exists()
+    # An existing, empty store is healthy.
+    assert main(["store", "verify", "--store", str(tmp_path)]) == 0
+    assert "artifacts=0 ok=0 corrupt=0" in capsys.readouterr().out
+
+
+def test_store_gc_on_a_missing_store_fails(tmp_path, capsys) -> None:
+    missing = tmp_path / "typo"
+    assert main(["store", "gc", "--store", str(missing), "--budget", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"store gc failed: no run store at {missing}\n"
+    assert not missing.exists()
+    assert main(["store", "gc", "--store", str(tmp_path), "--budget", "0"]) == 0
+    assert "evicted 0 artifact(s)" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# The CLI offers exactly the config's legal values
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flag", [flag for flag in CONFIG_FLAGS.values() if "choices" in flag.argparse],
+    ids=lambda flag: flag.option,
+)
+def test_config_flag_choices_are_the_configs_legal_values(flag) -> None:
+    offered = flag.argparse["choices"]
+    assert set(offered) == set(CHOICES[flag.param])
+    for value in offered:
+        config = _config_from_args(build_parser().parse_args(["run", flag.option, value]))
+        assert getattr(config, flag.param) == value
+        if flag.plural:
+            args = build_parser().parse_args([
+                "campaign", "status", "--store", "unused", "--scenarios", "baseline",
+                "--transports", "mmptcp", flag.plural, value,
+            ])
+            (cell,) = campaign_run_specs(_campaign_spec_from_args(args))
+            assert getattr(cell.config, flag.param) == value

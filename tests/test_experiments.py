@@ -86,6 +86,12 @@ class TestConfig:
             ExperimentConfig(queue_kind="red")
         with pytest.raises(ValueError):
             ExperimentConfig(topology="jellyfish")
+        with pytest.raises(ValueError, match="unknown protocol 'quic'"):
+            ExperimentConfig(protocol="quic")
+        with pytest.raises(ValueError, match="unknown switching policy 'bogus'"):
+            ExperimentConfig(switching_policy="bogus")
+        with pytest.raises(ValueError, match="unknown reordering policy 'bogus'"):
+            ExperimentConfig(reordering_policy="bogus")
 
     def test_horizon(self) -> None:
         config = ExperimentConfig(arrival_window_s=0.3, drain_time_s=1.2)
