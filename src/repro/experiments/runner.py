@@ -49,10 +49,9 @@ from repro.net.host import Host
 from repro.net.packet import default_pool, set_pool_profile
 from repro.net.queues import DropTailQueue, EcnQueue, SharedBufferPool, SharedBufferQueue
 from repro.obs.profiler import EngineProfiler, pool_counters, profile_diagnostics
-from repro.obs.telemetry import NULL_PROBES, TeeSink, TelemetryProbes, TelemetryRecorder
+from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.topology.base import Topology
 from repro.topology.dualhomed import DualHomedFatTreeTopology
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
@@ -114,9 +113,7 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def build_topology(
-    config: ExperimentConfig, simulator: Simulator, trace: TraceSink = NULL_SINK
-) -> Topology:
+def build_topology(config: ExperimentConfig, simulator: Simulator) -> Topology:
     """Instantiate the fabric described by ``config``."""
     queue_factory = _queue_factory(config)
     if config.topology in (TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED):
@@ -132,7 +129,7 @@ def build_topology(
         topology_class = (
             FatTreeTopology if config.topology == TOPOLOGY_FATTREE else DualHomedFatTreeTopology
         )
-        return topology_class(simulator, params, queue_factory=queue_factory, trace=trace)
+        return topology_class(simulator, params, queue_factory=queue_factory)
     if config.topology == TOPOLOGY_VL2:
         if (
             config.core_oversubscription != 1.0
@@ -151,7 +148,7 @@ def build_topology(
             fabric_link_rate_bps=config.link_rate_bps * 10,
             link_delay_s=config.link_delay_s,
         )
-        return Vl2Topology(simulator, params, queue_factory=queue_factory, trace=trace)
+        return Vl2Topology(simulator, params, queue_factory=queue_factory)
     raise ValueError(f"unknown topology {config.topology!r}")
 
 
@@ -421,9 +418,7 @@ def _record_for(instance: _FlowInstance) -> FlowRecord:
 def run_experiment(
     config: ExperimentConfig,
     workload: Optional[Workload] = None,
-    topology_builder: Optional[Callable[..., Topology]] = None,
-    trace: TraceSink = NULL_SINK,
-    probes: Optional[TelemetryRecorder] = None,
+    probes: Optional[TelemetryProbes] = None,
     profile: bool = False,
 ) -> ExperimentResult:
     """Run one simulation described by ``config`` and return its metrics.
@@ -433,36 +428,24 @@ def run_experiment(
         workload: pre-built workload (the runner builds the paper's short/long
             mix when omitted).  Passing the same workload object to several
             configs is how protocol comparisons stay paired.
-        topology_builder: override for exotic fabrics (defaults to
-            :func:`build_topology`; called as ``builder(config, simulator)``).
-        trace: sink receiving the run's trace events (drops, fault events,
-            ...); the default null sink costs nothing.
-        probes: optional telemetry recorder; when given, every endpoint's
-            probe hooks feed it and the trace stream is teed into it,
-            without changing what ``trace`` itself observes.
+        probes: optional telemetry recorder; when given, every endpoint,
+            host, switch and the fault injector report into it.
         profile: attach the engine profiler and return its ``diagnostics``
             on the result (wall-clock-bearing, key-excluded).
     """
     if config.fidelity == FIDELITY_FLOW:
-        if topology_builder is not None:
-            raise ValueError(
-                "topology_builder overrides are packet-fidelity only: the "
-                "flow tier derives its fabric from the standard build_topology"
-            )
         # Imported lazily: repro.flowlevel reuses this module's topology and
         # workload builders, so a top-level import would be a cycle.
         from repro.flowlevel.engine import run_flow_experiment
 
         return run_flow_experiment(
-            config, workload=workload, trace=trace, probes=probes, profile=profile
+            config, workload=workload, probes=probes, profile=profile
         )
 
     # wallclock_s is a pure diagnostic: the store normalises it to 0.0 and no
     # metric derives from it, so the real-clock read cannot perturb results.
     # repro: allow[no-wallclock-or-global-random] -- diagnostic only
     wall_start = _wallclock.monotonic()
-    if probes is not None:
-        trace = TeeSink(trace, probes)
     flow_probes = probes if probes is not None else NULL_PROBES
     simulator = Simulator()
     profiler = None
@@ -477,12 +460,12 @@ def run_experiment(
         pool_baseline = pool_counters(pool)
     try:
         streams = RandomStreams(config.seed)
-        if topology_builder is not None:
-            topology = topology_builder(config, simulator)
-        else:
-            topology = build_topology(config, simulator, trace)
+        topology = build_topology(config, simulator)
+        if flow_probes.enabled:
+            for node in (*topology.hosts, *topology.switches):
+                node.probes = flow_probes
         if config.fault_schedule:
-            FaultInjector(simulator, topology, config.fault_schedule, trace=trace).arm()
+            FaultInjector(simulator, topology, config.fault_schedule, probes=flow_probes).arm()
         if workload is None:
             workload = build_workload(config, topology, streams)
 

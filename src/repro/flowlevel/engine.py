@@ -50,11 +50,10 @@ from repro.metrics.collector import ExperimentMetrics
 from repro.metrics.records import FlowRecord
 from repro.net.monitor import LayerLossStats, NetworkSnapshot
 from repro.obs.profiler import EngineProfiler, profile_diagnostics
-from repro.obs.telemetry import NULL_PROBES, TeeSink, TelemetryProbes, TelemetryRecorder
+from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
 from repro.sim.fluid import MaxMinSolver
 from repro.sim.randomness import RandomStreams
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.traffic.flowspec import (
     PROTOCOL_MMPTCP,
     PROTOCOL_MPTCP,
@@ -106,13 +105,11 @@ class FlowLevelEngine:
         fabric: FluidFabric,
         workload: Workload,
         streams: RandomStreams,
-        trace: TraceSink = NULL_SINK,
         probes: TelemetryProbes = NULL_PROBES,
     ) -> None:
         self.config = config
         self.fabric = fabric
         self.simulator = fabric.topology.simulator
-        self.trace = trace
         self.probes = probes
         rng = streams.stream("flowlevel")
         self.flows: List[_FluidFlow] = []
@@ -184,7 +181,7 @@ class FlowLevelEngine:
     def arm_faults(self, schedule) -> None:
         """Validate and schedule the config's fault events on the fabric."""
         self.fault_applier = FluidFaultApplier(
-            self.simulator, self.fabric, schedule, self._mark_dirty, trace=self.trace
+            self.simulator, self.fabric, schedule, self._mark_dirty, probes=self.probes
         )
         self.fault_applier.arm()
 
@@ -353,8 +350,7 @@ class FlowLevelEngine:
 def run_flow_experiment(
     config: ExperimentConfig,
     workload: Optional[Workload] = None,
-    trace: TraceSink = NULL_SINK,
-    probes: Optional[TelemetryRecorder] = None,
+    probes: Optional[TelemetryProbes] = None,
     profile: bool = False,
 ):
     """Run one experiment at flow-level fidelity; mirrors ``run_experiment``.
@@ -373,13 +369,11 @@ def run_flow_experiment(
     # metric derives from it, so the real-clock read cannot perturb results.
     # repro: allow[no-wallclock-or-global-random] -- diagnostic only
     wall_start = _wallclock.monotonic()
-    if probes is not None:
-        trace = TeeSink(trace, probes)
     simulator = Simulator()
     if profile:
         simulator.profiler = EngineProfiler()
     streams = RandomStreams(config.seed)
-    topology = build_topology(config, simulator, trace)
+    topology = build_topology(config, simulator)
     if workload is None:
         workload = build_workload(config, topology, streams)
 
@@ -389,7 +383,6 @@ def run_flow_experiment(
         fabric,
         workload,
         streams,
-        trace=trace,
         probes=probes if probes is not None else NULL_PROBES,
     )
     if config.fault_schedule:

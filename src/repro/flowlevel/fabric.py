@@ -17,7 +17,9 @@ multiplies the *original* rate keyed by the sorted name pair, ``restore``
 undoes it, ``drain_link`` expands through the shared
 :func:`~repro.net.faults.expand_fault_event` staircase.  ``migrate_host``
 needs per-connection re-establishment the fluid model cannot express, so it
-is rejected up front with a clear error.
+is rejected up front with a clear error.  Each applied step is reported to
+the applier's ``probes`` through ``observe_trace``, with the same name and
+payload the packet tier's injector uses.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from repro.net.faults import (
     FaultEvent,
     expand_fault_event,
 )
+from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.topology.base import Topology
 
 #: A directed link, named by (tail node, head node).
@@ -146,13 +148,13 @@ class FluidFaultApplier:
         fabric: FluidFabric,
         schedule: Tuple[FaultEvent, ...],
         on_change: Callable[[], None],
-        trace: TraceSink = NULL_SINK,
+        probes: TelemetryProbes = NULL_PROBES,
     ) -> None:
         self.simulator = simulator
         self.fabric = fabric
         self.schedule = tuple(schedule)
         self.on_change = on_change
-        self.trace = trace
+        self.probes = probes
         self.applied_events = 0
         # Original (pre-degrade) rates per sorted name pair, exactly like the
         # packet tier's injector, so degrade factors never compound.
@@ -211,8 +213,8 @@ class FluidFaultApplier:
                 fabric.rate_bps[link_ab] = original_ab
                 fabric.rate_bps[link_ba] = original_ba
         self.applied_events += 1
-        if self.trace.enabled:
-            self.trace.emit(
+        if self.probes.enabled:
+            self.probes.observe_trace(
                 self.simulator.now,
                 event.kind,
                 link=f"{event.node_a}<->{event.node_b}",

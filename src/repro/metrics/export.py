@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.metrics.collector import ExperimentMetrics
 from repro.metrics.records import FlowRecord
 from repro.metrics.stats import cdf_points
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (collector -> net -> obs -> here)
+    from repro.metrics.collector import ExperimentMetrics
 
 PathLike = Union[str, Path]
 

@@ -33,8 +33,9 @@ Idempotency: re-applying a state a link is already in is an explicit no-op.
 is harmless in networkx, but the rebuild it triggered was pure waste and the
 intent is ambiguous), ``link_down`` on a down link changes nothing, and
 ``restore`` without a matching ``degrade`` leaves the rate untouched.  Every
-scheduled event still counts in ``applied_events`` and still traces, so
-schedules remain auditable.
+scheduled event still counts in ``applied_events`` and is still reported to
+the injector's ``probes`` through ``observe_trace``, so schedules remain
+auditable.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.link import Interface
@@ -235,12 +236,12 @@ class FaultInjector:
         simulator: Simulator,
         topology: "Topology",
         schedule: Tuple[FaultEvent, ...],
-        trace: TraceSink = NULL_SINK,
+        probes: TelemetryProbes = NULL_PROBES,
     ) -> None:
         self.simulator = simulator
         self.topology = topology
         self.schedule = tuple(schedule)
-        self.trace = trace
+        self.probes = probes
         self.applied_events = 0
         # Original rates, captured at degrade time so RESTORE can undo it.
         self._original_rates: Dict[Tuple[str, str], Tuple[float, float]] = {}
@@ -356,8 +357,8 @@ class FaultInjector:
                 iface_ab.set_rate(original_ab)
                 iface_ba.set_rate(original_ba)
         self.applied_events += 1
-        if self.trace.enabled:
-            self.trace.emit(
+        if self.probes.enabled:
+            self.probes.observe_trace(
                 self.simulator.now,
                 event.kind,
                 link=f"{event.node_a}<->{event.node_b}",
@@ -370,8 +371,8 @@ class FaultInjector:
 
     def _apply_migration(self, event: FaultEvent) -> None:
         self.applied_events += 1
-        if self.trace.enabled:
-            self.trace.emit(
+        if self.probes.enabled:
+            self.probes.observe_trace(
                 self.simulator.now,
                 event.kind,
                 host=event.node_a,
@@ -392,9 +393,9 @@ class FaultInjector:
         self.topology.attach_host(
             event.node_a, event.node_b, new_address=event.new_address
         )
-        if self.trace.enabled:
+        if self.probes.enabled:
             host = self.topology.node(event.node_a)
-            self.trace.emit(
+            self.probes.observe_trace(
                 self.simulator.now,
                 "host_attached",
                 host=event.node_a,

@@ -20,10 +20,9 @@ from typing import Dict, Optional, Protocol
 
 from repro.net.ecmp import select_among, select_path
 from repro.net.link import Interface
-from repro.net.node import Node, trace_noop
+from repro.net.node import Node
 from repro.net.packet import Packet, release_packet
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 
 
 #: IANA dynamic/private port range used for ephemeral allocation.
@@ -43,22 +42,13 @@ class Host(Node):
 
     kind = "host"
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        name: str,
-        address: int,
-        trace: TraceSink = NULL_SINK,
-    ) -> None:
-        super().__init__(simulator, name, trace)
+    def __init__(self, simulator: Simulator, name: str, address: int) -> None:
+        super().__init__(simulator, name)
         self.address = address
         self._endpoints: Dict[int, PacketHandler] = {}
         self._next_ephemeral_port = EPHEMERAL_PORT_MIN
         self.unroutable_packets = 0
         self.undeliverable_packets = 0
-        traced = trace is not NULL_SINK
-        self._trace_misdelivered = self._emit_misdelivered if traced else trace_noop
-        self._trace_no_endpoint = self._emit_no_endpoint if traced else trace_noop
 
     # ------------------------------------------------------------------
     # Endpoint management
@@ -166,27 +156,21 @@ class Host(Node):
                 endpoint.on_packet(packet)
             else:
                 self.undeliverable_packets += 1
-                self._trace_no_endpoint(packet)
+                probes = self.probes
+                if probes.enabled:
+                    probes.observe_trace(
+                        self.simulator.now,
+                        "no_endpoint",
+                        node=self.name,
+                        port=packet.dst_port,
+                        flow_id=packet.flow_id,
+                    )
         else:
             # Mis-delivered packet (should not happen with correct routing).
             self.unroutable_packets += 1
-            self._trace_misdelivered(packet)
+            probes = self.probes
+            if probes.enabled:
+                probes.observe_trace(
+                    self.simulator.now, "misdelivered", node=self.name, flow_id=packet.flow_id
+                )
         release_packet(packet)
-
-    # ------------------------------------------------------------------
-
-    def _emit_misdelivered(self, packet: Packet) -> None:
-        if self.trace.enabled:
-            self.trace.emit(
-                self.simulator.now, "misdelivered", node=self.name, flow_id=packet.flow_id
-            )
-
-    def _emit_no_endpoint(self, packet: Packet) -> None:
-        if self.trace.enabled:
-            self.trace.emit(
-                self.simulator.now,
-                "no_endpoint",
-                node=self.name,
-                port=packet.dst_port,
-                flow_id=packet.flow_id,
-            )

@@ -128,7 +128,3 @@ class NetworkMonitor:
                 snapshot.total_fault_drops += interface.fault_drops
 
         return snapshot
-
-    def host_drop_counts(self) -> Dict[str, int]:
-        """Packets dropped in each host's own uplink queue (e.g. during incast)."""
-        return {host.name: host.dropped_packets for host in self.hosts}

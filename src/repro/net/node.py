@@ -1,28 +1,23 @@
-"""Base node type shared by hosts and switches."""
+"""Base node type shared by hosts and switches.
+
+Nodes report drops and routing failures through the one observation
+channel, :mod:`repro.obs.telemetry` probes: ``probes`` is the shared
+disabled :data:`~repro.obs.telemetry.NULL_PROBES` class attribute until a
+runner installs a recorder on the instance, so an unprobed drop costs one
+attribute test.
+"""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.net.packet import Packet
+from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.link import Interface
 
-
-def trace_noop(*_args, **_kwargs) -> None:
-    """Shared no-op bound in place of trace emitters for the null sink.
-
-    Nodes bind their per-event emitters once at construction: to this no-op
-    when the node was built with :data:`~repro.sim.tracing.NULL_SINK` (the
-    common case, whose ``enabled`` is never flipped), and to the real
-    emitter for any other sink.  Real emitters keep the dynamic
-    ``trace.enabled`` check, so a custom sink that toggles ``enabled``
-    mid-run behaves exactly like the rest of the codebase's guarded
-    emitters.
-    """
 
 
 class Node:
@@ -38,16 +33,15 @@ class Node:
     """
 
     kind = "node"
+    probes: TelemetryProbes = NULL_PROBES
 
-    def __init__(self, simulator: Simulator, name: str, trace: TraceSink = NULL_SINK) -> None:
+    def __init__(self, simulator: Simulator, name: str) -> None:
         self.simulator = simulator
         self.name = name
-        self.trace = trace
         self.interfaces: List["Interface"] = []
         self.neighbor_to_interface: Dict[str, int] = {}
         self.dropped_packets = 0
         self.dropped_bytes = 0
-        self._trace_drop = self._emit_drop if trace is not NULL_SINK else trace_noop
 
     # ------------------------------------------------------------------
     # Wiring
@@ -76,11 +70,9 @@ class Node:
         """Record a packet lost in one of this node's output queues."""
         self.dropped_packets += 1
         self.dropped_bytes += packet.size
-        self._trace_drop(packet, interface)
-
-    def _emit_drop(self, packet: Packet, interface: "Interface") -> None:
-        if self.trace.enabled:
-            self.trace.emit(
+        probes = self.probes
+        if probes.enabled:
+            probes.observe_trace(
                 self.simulator.now,
                 "packet_drop",
                 node=self.name,

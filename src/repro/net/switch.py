@@ -26,10 +26,9 @@ from typing import Dict, List, Optional
 
 from repro.net.ecmp import ecmp_hash, fnv1a_bytes, hash_basis
 from repro.net.link import Interface
-from repro.net.node import Node, trace_noop
+from repro.net.node import Node
 from repro.net.packet import Packet, release_packet
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 
 LAYER_EDGE = "edge"
 LAYER_AGGREGATION = "aggregation"
@@ -53,9 +52,8 @@ class Switch(Node):
         name: str,
         layer: str = LAYER_EDGE,
         ecmp_salt: int = 0,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, name, trace)
+        super().__init__(simulator, name)
         self.layer = layer
         self._ecmp_salt = ecmp_salt
         self._hash_basis = hash_basis(ecmp_salt)
@@ -66,7 +64,6 @@ class Switch(Node):
         self.forwarded_packets = 0
         self.forwarded_bytes = 0
         self.unroutable_packets = 0
-        self._trace_unroutable = self._emit_unroutable if trace is not NULL_SINK else trace_noop
 
     # ------------------------------------------------------------------
     # Salt management
@@ -185,10 +182,8 @@ class Switch(Node):
                 out_interface.send(packet)
                 return
         self.unroutable_packets += 1
-        self._trace_unroutable(packet)
+        probes = self.probes
+        if probes.enabled:
+            probes.observe_trace(self.simulator.now, "unroutable", node=self.name, dst=packet.dst)
         # No route (or no live next hop): the fabric consumed the packet.
         release_packet(packet)
-
-    def _emit_unroutable(self, packet: Packet) -> None:
-        if self.trace.enabled:
-            self.trace.emit(self.simulator.now, "unroutable", node=self.name, dst=packet.dst)

@@ -4,7 +4,9 @@ The deterministic telemetry layer for the MMPTCP reproduction:
 
 * :mod:`repro.obs.telemetry` — run-scoped probes (counters, gauges,
   simulated-time series, bounded event logs) behind the zero-cost
-  ``NULL_PROBES`` convention, plus byte-stable JSONL rendering;
+  ``NULL_PROBES`` convention, plus byte-stable JSONL rendering.  Probes
+  are the simulator's one observation channel: endpoints, hosts, switches
+  and both fault appliers report through them;
 * :mod:`repro.obs.profiler` — the ``--profile`` event-loop profiler whose
   ``diagnostics`` output is the one sanctioned wall-clock island, excluded
   from store keys, goldens and every byte-compare surface;
@@ -12,8 +14,8 @@ The deterministic telemetry layer for the MMPTCP reproduction:
   → Chrome trace-event / Perfetto timeline JSON.
 
 Everything probe-visible is keyed on simulated time and downsampled
-deterministically, so telemetry holds the same invariant as metrics and
-traces: byte-identical output for any ``--workers`` value.
+deterministically, so telemetry holds the same invariant as metrics:
+byte-identical output for any ``--workers`` value.
 """
 
 from repro.obs.chrome import chrome_trace_document
@@ -24,7 +26,6 @@ from repro.obs.telemetry import (
     PROBE_GROUPS,
     TELEMETRY_SCHEMA,
     SeriesBuffer,
-    TeeSink,
     TelemetryProbes,
     TelemetryRecorder,
     make_recorder,
@@ -40,7 +41,6 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "EngineProfiler",
     "SeriesBuffer",
-    "TeeSink",
     "TelemetryProbes",
     "TelemetryRecorder",
     "chrome_trace_document",

@@ -3,12 +3,13 @@
 The observability layer's data model.  A :class:`TelemetryRecorder` is the
 enabled implementation of the :class:`TelemetryProbes` interface; the
 module-level :data:`NULL_PROBES` singleton is the disabled one, installed as
-a *class attribute* on every instrumented component (mirroring how
-``TraceSink``/``NULL_SINK`` work) so the unprobed common case costs one
-attribute read and a falsy check — never per-instance storage, never a
-method call.  Probes are the one observation channel of transport
-endpoints; the network and fault layers additionally keep their
-``TraceSink``, which :class:`TeeSink` folds into the same recorder.
+a *class attribute* on every instrumented component so the unprobed common
+case costs one attribute read and a falsy check — never per-instance
+storage, never a method call.  Probes are the simulator's one observation
+channel: transport endpoints, hosts, switches, the fault injector and the
+fluid fault applier all report through them.  The network and fault layers
+use the single :meth:`TelemetryProbes.observe_trace` hook for their named
+events (``packet_drop``, ``link_down``, ``migrate_host``, ...).
 
 Everything a recorder stores is keyed on **simulated** time and fed only by
 deterministic call sites, so two runs of the same config produce
@@ -31,7 +32,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.export import dumps_deterministic
-from repro.sim.tracing import TraceSink
 
 #: Telemetry schema version, stamped into every header record.
 TELEMETRY_SCHEMA = 1
@@ -52,12 +52,12 @@ PROBE_GROUPS = (
 #: The wildcard accepted by ``--probes`` and :class:`TelemetryRecorder`.
 ALL_GROUPS = "all"
 
-#: Trace-channel events worth keeping as full telemetry events (fault
-#: applications and mobility).  Everything else the tee observes is still
+#: ``observe_trace`` events worth keeping as full telemetry events (fault
+#: applications and mobility).  Every other observed name is still
 #: *counted* under ``trace.<name>`` but not stored, so a drop-heavy run
-#: cannot evict the interesting events.  The trace channel carries only
-#: network and fault events: transport milestones are probes of their own
-#: (``transport.*``, ``phase.*``), never trace events.
+#: cannot evict the interesting events.  Only network and fault events go
+#: through ``observe_trace``: transport milestones are probes of their own
+#: (``transport.*``, ``phase.*``).
 TRACE_EVENT_KEEP = frozenset(
     {
         "degrade",
@@ -75,8 +75,7 @@ class TelemetryProbes:
     """Disabled probe interface: every hook is a no-op.
 
     Instrumented hot paths guard with ``if probes.enabled:`` before calling
-    any hook, exactly like the ``TraceSink`` convention, so the disabled
-    cost is a single attribute check.
+    any hook, so the disabled cost is a single attribute check.
     """
 
     enabled: bool = False
@@ -89,6 +88,9 @@ class TelemetryProbes:
 
     def event(self, name: str, time_s: float, **data: Any) -> None:
         """Record one discrete probe event at simulated ``time_s``."""
+
+    def observe_trace(self, time_s: float, name: str, **data: Any) -> None:
+        """Report one named network or fault event at simulated ``time_s``."""
 
 
 #: The shared disabled singleton (class-attribute default everywhere).
@@ -197,10 +199,8 @@ class TelemetryRecorder(TelemetryProbes):
             self.events_dropped += excess
             self.overflowed = True
 
-    # -- trace tee ----------------------------------------------------------
-
     def observe_trace(self, time_s: float, name: str, **data: Any) -> None:
-        """Fold one trace-channel event into the telemetry registries.
+        """Fold one network or fault event into the telemetry registries.
 
         Every observed trace name is counted under ``trace.<name>``; the
         curated :data:`TRACE_EVENT_KEEP` names (faults, mobility) are
@@ -210,27 +210,6 @@ class TelemetryRecorder(TelemetryProbes):
         self.count(f"trace.{name}")
         if name in TRACE_EVENT_KEEP:
             self.event(f"faults.{name}", time_s, **data)
-
-
-class TeeSink(TraceSink):
-    """A trace sink that feeds a recorder while preserving a primary sink.
-
-    The primary sink (a test's ``RecordingTraceSink``, or ``NULL_SINK``)
-    sees exactly the stream it would have seen without the tee — that is
-    what keeps golden traces byte-identical with a recorder attached.  The
-    tee is always enabled so emit sites fire even when the primary is not.
-    """
-
-    enabled = True
-
-    def __init__(self, primary: TraceSink, recorder: TelemetryRecorder) -> None:
-        self.primary = primary
-        self.recorder = recorder
-
-    def emit(self, time: float, name: str, **data: Any) -> None:
-        if self.primary.enabled:
-            self.primary.emit(time, name, **data)
-        self.recorder.observe_trace(time, name, **data)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +326,6 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "TRACE_EVENT_KEEP",
     "SeriesBuffer",
-    "TeeSink",
     "TelemetryProbes",
     "TelemetryRecorder",
     "make_recorder",

@@ -1,13 +1,7 @@
-"""Discrete-event simulation core: engine, units, randomness and tracing."""
+"""Discrete-event simulation core: engine, units and randomness."""
 
 from repro.sim.engine import Event, SimulationError, Simulator, Timer
 from repro.sim.randomness import RandomStreams, derive_seed
-from repro.sim.tracing import (
-    NULL_SINK,
-    RecordingTraceSink,
-    TraceEvent,
-    TraceSink,
-)
 
 __all__ = [
     "Event",
@@ -16,8 +10,4 @@ __all__ = [
     "Timer",
     "RandomStreams",
     "derive_seed",
-    "TraceSink",
-    "TraceEvent",
-    "RecordingTraceSink",
-    "NULL_SINK",
 ]

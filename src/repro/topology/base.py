@@ -19,16 +19,14 @@ from repro.net.node import Node
 from repro.net.routing import build_ecmp_routes, count_equal_cost_paths
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.sim.units import gigabits_per_second, microseconds
 
 
 class Topology:
     """Base class for all network fabrics."""
 
-    def __init__(self, simulator: Simulator, trace: TraceSink = NULL_SINK) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
-        self.trace = trace
         self.graph = nx.Graph()
         self.hosts: list[Host] = []
         self.switches: list[Switch] = []
@@ -52,7 +50,7 @@ class Topology:
             raise ValueError(f"duplicate node name {name!r}")
         if address in self._hosts_by_address:
             raise ValueError(f"duplicate host address {address!r}")
-        host = Host(self.simulator, name, address, trace=self.trace)
+        host = Host(self.simulator, name, address)
         self.hosts.append(host)
         self._nodes_by_name[name] = host
         self._hosts_by_address[address] = host
@@ -63,9 +61,7 @@ class Topology:
         """Create a switch (ECMP salt derived from its creation order) and return it."""
         if name in self._nodes_by_name:
             raise ValueError(f"duplicate node name {name!r}")
-        switch = Switch(
-            self.simulator, name, layer=layer, ecmp_salt=len(self.switches) + 1, trace=self.trace
-        )
+        switch = Switch(self.simulator, name, layer=layer, ecmp_salt=len(self.switches) + 1)
         self.switches.append(switch)
         self._nodes_by_name[name] = switch
         self.graph.add_node(name, kind="switch", layer=layer)

@@ -16,7 +16,6 @@ from repro.net.host import Host
 from repro.net.link import QueueFactory
 from repro.net.switch import LAYER_AGGREGATION, LAYER_CORE, LAYER_EDGE
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.topology.base import Topology
 from repro.topology.fattree import FatTreeParams
 
@@ -32,9 +31,8 @@ class DualHomedFatTreeTopology(Topology):
         simulator: Simulator,
         params: FatTreeParams = FatTreeParams(),
         queue_factory: Optional[QueueFactory] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, trace)
+        super().__init__(simulator)
         if params.k < 4:
             raise ValueError("a dual-homed FatTree needs k >= 4 (two edge switches per pod)")
         self.params = params

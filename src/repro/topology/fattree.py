@@ -24,7 +24,6 @@ from repro.net.host import Host
 from repro.net.link import QueueFactory
 from repro.net.switch import LAYER_AGGREGATION, LAYER_CORE, LAYER_EDGE
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.topology.base import DEFAULT_LINK_DELAY_S, DEFAULT_LINK_RATE_BPS, Topology
 
 
@@ -139,9 +138,8 @@ class FatTreeTopology(Topology):
         simulator: Simulator,
         params: FatTreeParams = FatTreeParams(),
         queue_factory: Optional[QueueFactory] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, trace)
+        super().__init__(simulator)
         self.params = params
         self.default_queue_factory = queue_factory
         half_k = params.k // 2

@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 from repro.net.link import QueueFactory
 from repro.net.switch import LAYER_CORE, LAYER_EDGE
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.sim.units import megabits_per_second, microseconds
 from repro.topology.base import Topology
 
@@ -27,9 +26,8 @@ class TwoHostTopology(Topology):
         link_rate_bps: float = megabits_per_second(100),
         link_delay_s: float = microseconds(50),
         queue_factory: Optional[QueueFactory] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, trace)
+        super().__init__(simulator)
         switch = self.add_switch("switch-0", LAYER_EDGE)
         self.sender = self.add_host("host-a", 0)
         self.receiver = self.add_host("host-b", 1)
@@ -53,9 +51,8 @@ class DumbbellTopology(Topology):
         access_rate_bps: float = megabits_per_second(1000),
         link_delay_s: float = microseconds(50),
         queue_factory: Optional[QueueFactory] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, trace)
+        super().__init__(simulator)
         if pairs < 1:
             raise ValueError("a dumbbell needs at least one sender/receiver pair")
         left_switch = self.add_switch("switch-left", LAYER_EDGE)
@@ -92,9 +89,8 @@ class IncastTopology(Topology):
         link_rate_bps: float = megabits_per_second(100),
         link_delay_s: float = microseconds(50),
         queue_factory: Optional[QueueFactory] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, trace)
+        super().__init__(simulator)
         if fan_in < 1:
             raise ValueError("an incast topology needs at least one sender")
         switch = self.add_switch("switch-0", LAYER_EDGE)
@@ -127,9 +123,8 @@ class TwoPathTopology(Topology):
         link_delay_s: float = microseconds(50),
         path_delays: Optional[Sequence[float]] = None,
         queue_factory: Optional[QueueFactory] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, trace)
+        super().__init__(simulator)
         if paths < 1:
             raise ValueError("need at least one path")
         if path_delays is not None and len(path_delays) != paths:

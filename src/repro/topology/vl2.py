@@ -16,7 +16,6 @@ from typing import Optional
 from repro.net.link import QueueFactory
 from repro.net.switch import LAYER_AGGREGATION, LAYER_CORE, LAYER_EDGE
 from repro.sim.engine import Simulator
-from repro.sim.tracing import NULL_SINK, TraceSink
 from repro.topology.base import DEFAULT_LINK_DELAY_S, DEFAULT_LINK_RATE_BPS, Topology
 
 
@@ -64,9 +63,8 @@ class Vl2Topology(Topology):
         simulator: Simulator,
         params: Vl2Params = Vl2Params(),
         queue_factory: Optional[QueueFactory] = None,
-        trace: TraceSink = NULL_SINK,
     ) -> None:
-        super().__init__(simulator, trace)
+        super().__init__(simulator)
         self.params = params
         self.default_queue_factory = queue_factory
 

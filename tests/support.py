@@ -10,12 +10,27 @@ module name and shadow the helpers.  Tests import this module instead;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
+from repro.experiments.config import ExperimentConfig
+from repro.net.faults import host_migration, link_failure
 from repro.net.queues import DropTailQueue
+from repro.obs.telemetry import TelemetryProbes
 from repro.sim.engine import Simulator
 from repro.sim.units import megabits_per_second, microseconds
 from repro.topology.simple import TwoHostTopology
+from repro.traffic.flowspec import PROTOCOL_MMPTCP
 from repro.transport.base import TcpConfig
 from repro.transport.receiver import TcpReceiver
 from repro.transport.tcp import TcpSender
@@ -23,6 +38,99 @@ from repro.transport.tcp import TcpSender
 #: A fast-but-realistic config used across transport tests: small initial
 #: window so window growth is observable, conventional 200 ms min RTO.
 TEST_TCP_CONFIG = TcpConfig(mss=1000, initial_cwnd_segments=2)
+
+
+class TraceEvent(NamedTuple):
+    """One ``observe_trace`` call as :class:`RecordingProbes` keeps it."""
+
+    time: float
+    name: str
+    data: Dict[str, Any]
+
+
+class RecordingProbes(TelemetryProbes):
+    """Enabled probes that keep every ``observe_trace`` call, in order.
+
+    The other hooks stay no-ops, so attaching this fake turns every probe
+    site on without recording anything but the network and fault events.
+    """
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.events: List[TraceEvent] = []
+
+    def observe_trace(self, time_s: float, name: str, **data: Any) -> None:
+        self.events.append(TraceEvent(time_s, name, data))
+
+    def named(self, name: str) -> List[TraceEvent]:
+        """The recorded events called ``name``, in order."""
+        return [event for event in self.events if event.name == name]
+
+
+def golden_link_failure_config() -> ExperimentConfig:
+    """The link-failure golden run: core-0 <-> agg-0-0 fails at t=30 ms."""
+    return ExperimentConfig(
+        fattree_k=4,
+        hosts_per_edge=1,
+        protocol=PROTOCOL_MMPTCP,
+        num_subflows=4,
+        arrival_window_s=0.1,
+        drain_time_s=1.2,
+        short_flow_rate_per_sender=4.0,
+        long_flow_size_bytes=400_000,
+        max_short_flows=6,
+        initial_cwnd_segments=2,
+        seed=7,
+        fault_schedule=(link_failure(0.03, "core-0", "agg-0-0"),),
+    )
+
+
+def golden_migration_config() -> ExperimentConfig:
+    """The migration golden run: host-0-0-0 moves to edge-0-1 mid-workload."""
+    # A live migration of host-0-0-0 mid-workload: detach at t=40 ms, 60 ms
+    # blackout, re-attach at edge-0-1 under the same address.  Pins the
+    # mobility verbs' event sequencing (migrate_host → host_attached), the
+    # route churn around the move, and the transports' recovery behaviour.
+    return ExperimentConfig(
+        fattree_k=4,
+        hosts_per_edge=1,
+        protocol=PROTOCOL_MMPTCP,
+        num_subflows=4,
+        arrival_window_s=0.1,
+        drain_time_s=1.2,
+        short_flow_rate_per_sender=4.0,
+        long_flow_size_bytes=400_000,
+        max_short_flows=6,
+        initial_cwnd_segments=2,
+        seed=7,
+        fault_schedule=(
+            host_migration(0.04, "host-0-0-0", "edge-0-1", downtime_s=0.06),
+        ),
+    )
+
+
+def canonical_event_line(event: TraceEvent) -> str:
+    """One deterministic text line for ``event``.
+
+    Floats are rendered with ``repr`` (shortest round-trip form — stable
+    across platforms and Python versions since 3.1) and data keys are
+    sorted, so the same event always produces the same bytes.
+    """
+    parts = [repr(event.time), event.name]
+    parts.extend(f"{key}={event.data[key]!r}" for key in sorted(event.data))
+    return " ".join(parts)
+
+
+def canonical_trace(events: Iterable[TraceEvent]) -> str:
+    """The whole event sequence as one canonical text blob.
+
+    Golden-trace tests record this for a reference run and assert
+    byte-for-byte equality after refactors: any change to event timing,
+    ordering, naming or payload shows up as a diff rather than as a silent
+    behaviour drift.
+    """
+    return "".join(canonical_event_line(event) + "\n" for event in events)
 
 
 @dataclass

@@ -201,12 +201,6 @@ def test_unknown_fault_link_is_rejected() -> None:
         _tiny("mmptcp", FIDELITY_FLOW, fault_schedule=(fault,))
 
 
-def test_topology_builder_overrides_are_packet_only() -> None:
-    config = tiny_config().with_updates(fidelity=FIDELITY_FLOW)
-    with pytest.raises(ValueError, match="packet-fidelity"):
-        run_experiment(config, topology_builder=lambda *a, **k: None)
-
-
 # ---------------------------------------------------------------------------
 # Scale and coalescing
 # ---------------------------------------------------------------------------

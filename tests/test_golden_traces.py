@@ -28,9 +28,13 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.incast_study import build_incast_workload_for
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.net.faults import host_migration, link_failure
-from repro.sim.tracing import RecordingTraceSink, canonical_trace
 from repro.traffic.flowspec import PROTOCOL_MMPTCP
+from support import (
+    RecordingProbes,
+    canonical_trace,
+    golden_link_failure_config,
+    golden_migration_config,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -56,46 +60,6 @@ def _incast_config() -> ExperimentConfig:
     )
 
 
-def _link_failure_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        fattree_k=4,
-        hosts_per_edge=1,
-        protocol=PROTOCOL_MMPTCP,
-        num_subflows=4,
-        arrival_window_s=0.1,
-        drain_time_s=1.2,
-        short_flow_rate_per_sender=4.0,
-        long_flow_size_bytes=400_000,
-        max_short_flows=6,
-        initial_cwnd_segments=2,
-        seed=7,
-        fault_schedule=(link_failure(0.03, "core-0", "agg-0-0"),),
-    )
-
-
-def _migration_config() -> ExperimentConfig:
-    # A live migration of host-0-0-0 mid-workload: detach at t=40 ms, 60 ms
-    # blackout, re-attach at edge-0-1 under the same address.  Pins the
-    # mobility verbs' event sequencing (migrate_host → host_attached), the
-    # route churn around the move, and the transports' recovery behaviour.
-    return ExperimentConfig(
-        fattree_k=4,
-        hosts_per_edge=1,
-        protocol=PROTOCOL_MMPTCP,
-        num_subflows=4,
-        arrival_window_s=0.1,
-        drain_time_s=1.2,
-        short_flow_rate_per_sender=4.0,
-        long_flow_size_bytes=400_000,
-        max_short_flows=6,
-        initial_cwnd_segments=2,
-        seed=7,
-        fault_schedule=(
-            host_migration(0.04, "host-0-0-0", "edge-0-1", downtime_s=0.06),
-        ),
-    )
-
-
 def _flow_lines(result: ExperimentResult) -> str:
     lines = []
     for record in result.metrics.flows:
@@ -110,13 +74,13 @@ def _flow_lines(result: ExperimentResult) -> str:
 
 def _golden_text(config: ExperimentConfig, incast_fan_in: int = 0) -> str:
     """The full canonical serialisation of one reference run."""
-    sink = RecordingTraceSink()
+    probes = RecordingProbes()
     workload = None
     if incast_fan_in:
         workload = build_incast_workload_for(config, incast_fan_in, 50_000, config.protocol)
-    result = run_experiment(config, workload=workload, trace=sink)
+    result = run_experiment(config, workload=workload, probes=probes)
     return (
-        canonical_trace(sink.events)
+        canonical_trace(probes.events)
         + _flow_lines(result)
         + f"events_processed={result.events_processed} flows={result.workload_size}\n"
     )
@@ -125,8 +89,8 @@ def _golden_text(config: ExperimentConfig, incast_fan_in: int = 0) -> str:
 #: name -> zero-argument builder of the golden text.
 GOLDEN_RUNS = {
     "incast_mmptcp": lambda: _golden_text(_incast_config(), incast_fan_in=4),
-    "linkfail_mmptcp": lambda: _golden_text(_link_failure_config()),
-    "migration_mmptcp": lambda: _golden_text(_migration_config()),
+    "linkfail_mmptcp": lambda: _golden_text(golden_link_failure_config()),
+    "migration_mmptcp": lambda: _golden_text(golden_migration_config()),
 }
 
 

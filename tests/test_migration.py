@@ -27,7 +27,6 @@ from repro.net.host import EPHEMERAL_PORT_MAX, EPHEMERAL_PORT_MIN
 from repro.net.packet import FLAG_DATA, Packet, release_packet
 from repro.scenarios import cell_rows, get_scenario, matrix_plan, tiny_config
 from repro.sim.engine import Simulator
-from repro.sim.tracing import RecordingTraceSink
 from repro.sim.units import megabits_per_second, microseconds
 from repro.store import run_key
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
@@ -35,6 +34,7 @@ from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP
 from repro.traffic.workloads import Workload
 from repro.transport.base import TcpConfig
 from repro.transport.mptcp import MptcpConnection, MptcpReceiver
+from support import RecordingProbes
 
 #: Out-of-band address used for re-addressing tests: encoded well above any
 #: FatTree host address, so it can never collide with a real host.
@@ -150,12 +150,12 @@ def test_detach_is_idempotent_and_attach_validates_node_kinds() -> None:
 def test_migration_fault_detaches_waits_out_downtime_then_reattaches() -> None:
     simulator = Simulator()
     topology = _fattree(simulator)
-    sink = RecordingTraceSink()
+    probes = RecordingProbes()
     injector = FaultInjector(
         simulator,
         topology,
         (host_migration(0.01, "host-0-0-0", "edge-0-1", downtime_s=0.05),),
-        trace=sink,
+        probes=probes,
     )
     injector.arm()
 
@@ -165,15 +165,14 @@ def test_migration_fault_detaches_waits_out_downtime_then_reattaches() -> None:
     host = topology.node("host-0-0-0")
     for switch in topology.switches:
         assert not switch.routes_to(host.address)
-    assert sink.count("migrate_host") == 1
-    assert sink.count("host_attached") == 0
+    assert len(probes.named("migrate_host")) == 1
+    assert not probes.named("host_attached")
 
     simulator.run(until=0.1)  # past re-attach at t=0.06
     assert topology.graph.has_edge("host-0-0-0", "edge-0-1")
     for switch in topology.switches:
         assert switch.routes_to(host.address)
-    assert sink.count("host_attached") == 1
-    attached = sink.by_name["host_attached"][0]
+    (attached,) = probes.named("host_attached")
     assert attached.time == pytest.approx(0.06)
     assert attached.data["attachment"] == "edge-0-1"
     # One schedule entry, one applied event — the downtime completion is
@@ -184,18 +183,19 @@ def test_migration_fault_detaches_waits_out_downtime_then_reattaches() -> None:
 def test_zero_downtime_migration_converges_in_one_step() -> None:
     simulator = Simulator()
     topology = _fattree(simulator)
-    sink = RecordingTraceSink()
+    probes = RecordingProbes()
     FaultInjector(
         simulator,
         topology,
         (host_migration(0.01, "host-0-0-0", "edge-1-1", new_address=_NEW_ADDRESS),),
-        trace=sink,
+        probes=probes,
     ).arm()
     simulator.run(until=0.02)
     assert topology.graph.has_edge("host-0-0-0", "edge-1-1")
     assert topology.node("host-0-0-0").address == _NEW_ADDRESS
     # The detach and attach trace back-to-back at the same instant.
-    migrate, attached = sink.by_name["migrate_host"][0], sink.by_name["host_attached"][0]
+    (migrate,) = probes.named("migrate_host")
+    (attached,) = probes.named("host_attached")
     assert migrate.time == attached.time == pytest.approx(0.01)
     assert attached.data["address"] == _NEW_ADDRESS
 

@@ -8,6 +8,7 @@ from repro.net.host import Host
 from repro.net.link import connect
 from repro.net.packet import FLAG_DATA, Packet
 from repro.net.queues import DropTailQueue
+from repro.obs.telemetry import NULL_PROBES, TelemetryRecorder
 from repro.sim.engine import Simulator
 
 
@@ -172,24 +173,23 @@ def test_drop_callback_invoked() -> None:
     assert len(dropped) == 2
 
 
-def test_trace_emitters_respect_runtime_enabled_toggle() -> None:
-    # Nodes bind drop emitters once, but any non-null sink keeps the dynamic
-    # `enabled` check: toggling it mid-run must start/stop loss events just
-    # like every other guarded emitter in the codebase.
-    from repro.sim.tracing import RecordingTraceSink
-
+def test_queue_drops_reach_the_probes_installed_on_the_node() -> None:
+    # Unprobed nodes share the disabled NULL_PROBES: an overflow is counted
+    # on the node and reported nowhere.  Once a recorder sits on the sending
+    # host, the next overflow shows up as one trace.packet_drop.
     simulator = Simulator()
-    sink = RecordingTraceSink()
-    sink.enabled = False
-    a = Host(simulator, "a", 1, trace=sink)
-    b = Host(simulator, "b", 2, trace=sink)
+    a = Host(simulator, "a", 1)
+    b = Host(simulator, "b", 2)
     iface_ab, _ = connect(
         simulator, a, b, rate_bps=1e6, delay_s=0.0,
         queue_factory=lambda: DropTailQueue(capacity_packets=1),
     )
     for _ in range(3):
         iface_ab.send(_packet(dst=2))  # third offer overflows silently
-    assert sink.count("packet_drop") == 0
-    sink.enabled = True
+    assert a.probes is NULL_PROBES
+    assert a.dropped_packets == 1
+    recorder = TelemetryRecorder()
+    a.probes = recorder
     iface_ab.send(_packet(dst=2))
-    assert sink.count("packet_drop") == 1
+    assert a.dropped_packets == 2
+    assert recorder.counters == {"trace.packet_drop": 1}

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.monitor import LayerLossStats, NetworkMonitor, NetworkSnapshot
+from repro.net.monitor import LayerLossStats, NetworkSnapshot
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.units import megabits_per_second, microseconds
-from repro.topology.simple import DumbbellTopology, IncastTopology
+from repro.topology.simple import DumbbellTopology
 from repro.transport.base import TcpConfig
 from repro.transport.receiver import TcpReceiver
 from repro.transport.tcp import TcpSender
@@ -92,12 +92,3 @@ def test_monitor_snapshot_consistency_between_loss_fields() -> None:
     # Total drops include host uplink queues as well, so they can only exceed
     # the switch-layer sum.
     assert snapshot.total_packets_dropped >= switch_drops
-
-
-def test_host_drop_counts_covers_every_host() -> None:
-    simulator = Simulator()
-    topology = IncastTopology(simulator, fan_in=4)
-    monitor = NetworkMonitor(topology.hosts, topology.switches)
-    counts = monitor.host_drop_counts()
-    assert set(counts) == {host.name for host in topology.hosts}
-    assert all(value == 0 for value in counts.values())

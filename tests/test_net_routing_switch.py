@@ -190,4 +190,3 @@ def test_network_monitor_snapshot_aggregates_by_layer() -> None:
     assert snapshot.total_bytes_carried > 0
     assert snapshot.loss_rate(LAYER_CORE) == 0.0
     assert snapshot.loss_rate("nonexistent") == 0.0
-    assert monitor.host_drop_counts()["host-a"] == 0

@@ -11,6 +11,7 @@ and the CLI wiring.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -28,9 +29,10 @@ from repro.obs import (
     telemetry_jsonl,
     telemetry_records,
 )
+from repro.obs.telemetry import TRACE_EVENT_KEEP
 from repro.scenarios.spec import tiny_config
-from repro.sim.tracing import RecordingTraceSink, canonical_trace
 from repro.store import RunStore, StoreError, result_to_dict, run_key_for_spec
+from support import RecordingProbes, golden_link_failure_config, golden_migration_config
 
 
 def _fast_config(**overrides):
@@ -125,35 +127,56 @@ def test_recorder_event_log_evicts_oldest_and_latches_overflow() -> None:
     assert header["events_dropped"] == recorder.events_dropped
 
 
-def test_recording_trace_sink_is_unbounded_by_default() -> None:
-    sink = RecordingTraceSink()
-    for index in range(100):
-        sink.emit(index * 0.01, "drop", index=index)
-    assert len(sink.events) == 100
-    assert not sink.overflowed
-
-
 # ---------------------------------------------------------------------------
 # The two tentpole invariants
 # ---------------------------------------------------------------------------
 
 
 def test_probes_leave_traces_and_metrics_byte_identical() -> None:
-    """Attaching a recorder must not perturb the simulation: the golden
-    surface (canonical trace) and every metric are byte-identical."""
+    """Attaching a recorder must not perturb the simulation: every metric
+    and the event count are byte-identical.  (The golden traces themselves
+    are recorded through probes, so they pin the same invariant.)"""
     config = _fast_config(protocol="mmptcp")
-    bare_sink = RecordingTraceSink()
-    bare = run_experiment(config, trace=bare_sink)
-    probed_sink = RecordingTraceSink()
+    bare = run_experiment(config)
     recorder = TelemetryRecorder(groups=("all",))
-    probed = run_experiment(config, trace=probed_sink, probes=recorder)
-    assert canonical_trace(probed_sink.events) == canonical_trace(bare_sink.events)
+    probed = run_experiment(config, probes=recorder)
     assert probed.metrics.summary_dict() == bare.metrics.summary_dict()
     assert probed.events_processed == bare.events_processed
     # ... and the recorder actually observed the run.
     assert recorder.counters["scheduler.grants"] > 0
     assert recorder.counters["phase.switches"] > 0
     assert any(name.startswith("transport.cwnd/") for name in recorder.series)
+
+
+@pytest.mark.parametrize(
+    "config_builder",
+    [golden_link_failure_config, golden_migration_config],
+    ids=["linkfail", "migration"],
+)
+def test_recorder_and_probe_fake_see_the_same_trace_stream(config_builder) -> None:
+    """One ``observe_trace`` hook, two consumers: the recorder's
+    ``trace.<name>`` counters are the fake's per-name counts, and its
+    ``faults.*`` events are the fake's ``TRACE_EVENT_KEEP`` entries, in order
+    and with equal data."""
+    config = config_builder()
+    recorder = TelemetryRecorder(groups=("all",))
+    run_experiment(config, probes=recorder)
+    fake = RecordingProbes()
+    run_experiment(config, probes=fake)
+
+    traced = {
+        name[len("trace."):]: value
+        for name, value in recorder.counters.items()
+        if name.startswith("trace.")
+    }
+    assert traced == Counter(event.name for event in fake.events)
+    kept = [
+        (event.time, f"faults.{event.name}", event.data)
+        for event in fake.events
+        if event.name in TRACE_EVENT_KEEP
+    ]
+    assert kept  # the fault (and, for migration, the re-attach) is there
+    assert [entry for entry in recorder.events if entry[1].startswith("faults.")] == kept
 
 
 def test_transport_probes_agree_with_the_flow_records_they_shadow() -> None:
