@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-import networkx as nx
-
 from repro.net.faults import (
     DEGRADE,
     LINK_DOWN,
@@ -37,6 +35,8 @@ from repro.net.faults import (
     FaultEvent,
     expand_fault_event,
 )
+from repro.net.routing import all_shortest_paths
+from repro.net.switch import Switch
 from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
 from repro.topology.base import Topology
@@ -75,11 +75,8 @@ class FluidFabric:
                 self.up[link] = iface.up
                 self.delay_s[link] = iface.delay_s
                 self.original_rate_bps[link] = iface.rate_bps
-                node_attrs = topology.graph.nodes[tail]
-                if node_attrs.get("kind") == "switch":
-                    self.layer_of[link] = node_attrs.get("layer", "")
-                else:
-                    self.layer_of[link] = "host"
+                node = topology.node(tail)
+                self.layer_of[link] = node.layer if isinstance(node, Switch) else "host"
         self._path_cache: Dict[Tuple[str, str], List[LinkPath]] = {}
 
     # ------------------------------------------------------------------
@@ -111,7 +108,7 @@ class FluidFabric:
         key = (source, destination)
         cached = self._path_cache.get(key)
         if cached is None:
-            node_paths = sorted(nx.all_shortest_paths(self.graph, source, destination))
+            node_paths = sorted(all_shortest_paths(self.graph, source, destination))
             cached = [
                 tuple((path[i], path[i + 1]) for i in range(len(path) - 1))
                 for path in node_paths

@@ -29,9 +29,9 @@ Beyond the four link verbs, two mobility verbs ride the same machinery:
   :meth:`repro.topology.base.Topology.migrate_host`.
 
 Idempotency: re-applying a state a link is already in is an explicit no-op.
-``link_up`` on an up link does not re-add the graph edge (a duplicate edge
-is harmless in networkx, but the rebuild it triggered was pure waste and the
-intent is ambiguous), ``link_down`` on a down link changes nothing, and
+``link_up`` on an up link does not re-add the graph edge (re-adding is
+harmless in the simple connectivity graph, but the rebuild it triggered was
+pure waste and the intent is ambiguous), ``link_down`` on a down link changes nothing, and
 ``restore`` without a matching ``degrade`` leaves the rate untouched.  Every
 scheduled event still counts in ``applied_events`` and is still reported to
 the injector's ``probes`` through ``observe_trace``, so schedules remain

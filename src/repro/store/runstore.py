@@ -122,7 +122,8 @@ class RunStore:
 
         Raises ``KeyError`` when absent and :class:`StoreIntegrityError`
         when the artifact fails verification (embedded key mismatch, hash
-        mismatch, unparseable JSON).
+        mismatch, unparseable JSON, a non-object document or a NaN/Infinity
+        in the payload).
         """
         artifact = self.get_artifact(key)
         return result_from_dict(artifact["payload"])
@@ -136,11 +137,23 @@ class RunStore:
             artifact = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise StoreIntegrityError(f"unparseable artifact {path}: {exc}") from exc
+        if not isinstance(artifact, dict):
+            raise StoreIntegrityError(
+                f"artifact {path} is a JSON {type(artifact).__name__}, not an object"
+            )
         if artifact.get("key") != key:
             raise StoreIntegrityError(
                 f"artifact {path} records key {artifact.get('key')!r}, expected {key}"
             )
-        body = canonical_dumps(artifact.get("payload"))
+        # A parsed payload holds only JSON primitives, so encoding it directly
+        # yields canonical_dumps' bytes without its conversion pass.
+        try:
+            # repro: allow[no-raw-json] -- hashed, never stored
+            body = json.dumps(
+                artifact.get("payload"), sort_keys=True, separators=(",", ":"), allow_nan=False
+            )
+        except ValueError as exc:
+            raise StoreIntegrityError(f"artifact {path} payload is not canonical: {exc}") from exc
         digest = sha256_hex(body)
         if digest != artifact.get("payload_sha256"):
             raise StoreIntegrityError(

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import networkx as nx
-
 from repro.net.host import Host
 from repro.net.link import Interface, QueueFactory, connect
 from repro.net.monitor import NetworkMonitor
 from repro.net.node import Node
-from repro.net.routing import build_ecmp_routes, count_equal_cost_paths
+from repro.net.routing import Graph, build_ecmp_routes, count_equal_cost_paths
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.units import gigabits_per_second, microseconds
@@ -27,7 +25,7 @@ class Topology:
 
     def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
-        self.graph = nx.Graph()
+        self.graph = Graph()
         self.hosts: list[Host] = []
         self.switches: list[Switch] = []
         self._nodes_by_name: Dict[str, Node] = {}
@@ -54,7 +52,7 @@ class Topology:
         self.hosts.append(host)
         self._nodes_by_name[name] = host
         self._hosts_by_address[address] = host
-        self.graph.add_node(name, kind="host")
+        self.graph.add_node(name)
         return host
 
     def add_switch(self, name: str, layer: str) -> Switch:
@@ -64,7 +62,7 @@ class Topology:
         switch = Switch(self.simulator, name, layer=layer, ecmp_salt=len(self.switches) + 1)
         self.switches.append(switch)
         self._nodes_by_name[name] = switch
-        self.graph.add_node(name, kind="switch", layer=layer)
+        self.graph.add_node(name)
         return switch
 
     def connect_nodes(

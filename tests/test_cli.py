@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +337,25 @@ def test_config_flag_choices_are_the_configs_legal_values(flag) -> None:
             ])
             (cell,) = campaign_run_specs(_campaign_spec_from_args(args))
             assert getattr(cell.config, flag.param) == value
+
+
+# ---------------------------------------------------------------------------
+# Import hygiene
+# ---------------------------------------------------------------------------
+
+
+def test_importing_the_cli_needs_only_the_standard_library() -> None:
+    """numpy and networkx are test oracles; the runtime must never import them."""
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "import repro, repro.cli\n"
+        "print(sorted(name for name in ('numpy', 'networkx') if name in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, cwd=root, capture_output=True, text=True, check=True,
+    )
+    assert completed.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.net.faults import link_failure
 from repro.scenarios.spec import tiny_config
@@ -153,6 +154,36 @@ def test_store_get_detects_tampering(tmp_path, tiny_result) -> None:
     path.write_text("{not json")
     with pytest.raises(StoreIntegrityError, match="unparseable"):
         store.get(key)
+
+
+def _verify_reports_one_corrupt(store_root, capsys) -> None:
+    assert main(["store", "verify", "--store", str(store_root)]) == 2
+    captured = capsys.readouterr()
+    assert "ok=0 corrupt=1" in captured.out
+    assert captured.err.startswith("corrupt ")
+    assert "Traceback" not in captured.err
+
+
+def test_store_reports_a_nan_payload_float_as_corrupt(tmp_path, tiny_result, capsys) -> None:
+    store = RunStore(tmp_path)
+    key = run_key(tiny_result.config)
+    path = store.put(key, tiny_result)
+    artifact = json.loads(path.read_text())
+    artifact["payload"]["wallclock_s"] = float("nan")
+    # repro: allow[no-raw-json] -- tampered artifact, NaN on purpose
+    path.write_text(json.dumps(artifact))
+    with pytest.raises(StoreIntegrityError, match="not canonical"):
+        store.get(key)
+    _verify_reports_one_corrupt(tmp_path, capsys)
+
+
+def test_store_reports_a_non_object_artifact_as_corrupt(tmp_path, tiny_result, capsys) -> None:
+    store = RunStore(tmp_path)
+    key = run_key(tiny_result.config)
+    store.put(key, tiny_result).write_text("[1,2]")
+    with pytest.raises(StoreIntegrityError, match="not an object"):
+        store.get(key)
+    _verify_reports_one_corrupt(tmp_path, capsys)
 
 
 def test_store_get_detects_misfiled_artifacts(tmp_path, tiny_result) -> None:
