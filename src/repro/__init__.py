@@ -13,31 +13,35 @@ Typical use::
     config = reproduction_scale(protocol="mmptcp", num_subflows=8)
     result = run_experiment(config)
     print(result.metrics.summary_dict())
+
+Importing a package loads only what is used: every package ``__init__``
+serves its public names through :func:`lazy_exports`, so ``import
+repro.cli`` or ``import repro.store.runstore`` runs no simulator code.
 """
 
-from repro import (
-    analysis,
-    core,
-    experiments,
-    metrics,
-    net,
-    sim,
-    topology,
-    traffic,
-    transport,
-)
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "core",
-    "experiments",
-    "metrics",
-    "net",
-    "sim",
-    "topology",
-    "traffic",
-    "transport",
-    "__version__",
-]
+__all__ = ["__version__"]
+
+
+def lazy_exports(
+    package: str, exports: Dict[str, Sequence[str]]
+) -> Tuple[List[str], Callable[[str], Any]]:
+    """``(__all__, __getattr__)`` of a package that re-exports names lazily.
+
+    ``exports`` maps each defining submodule (relative to ``package``) to
+    the names it provides.  The returned PEP 562 ``__getattr__`` imports
+    that submodule on first access of one of its names, so importing the
+    package, or any leaf module in it, imports nothing else.
+    """
+    owners = {name: f"{package}.{module}" for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        if name not in owners:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(import_module(owners[name]), name)
+
+    return list(owners), __getattr__

@@ -1,25 +1,6 @@
-"""Post-processing of experiment results: comparisons and report generation."""
+"""Post-processing of experiment results: comparisons and report generation.
 
-from repro.analysis.compare import (
-    MetricComparison,
-    compare_protocols,
-    compare_summaries,
-    regression_check,
-)
-from repro.analysis.report import (
-    experiment_section,
-    markdown_table,
-    report_document,
-    summary_comparison_markdown,
-)
-
-__all__ = [
-    "MetricComparison",
-    "compare_protocols",
-    "compare_summaries",
-    "regression_check",
-    "experiment_section",
-    "markdown_table",
-    "report_document",
-    "summary_comparison_markdown",
-]
+Import the modules directly (:mod:`repro.analysis.compare`,
+:mod:`repro.analysis.report`, :mod:`repro.analysis.lint`); this package
+re-exports nothing, so importing one of them loads no other.
+"""

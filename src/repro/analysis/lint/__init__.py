@@ -14,8 +14,8 @@ line with a justified ``# repro: allow[rule-name]`` comment; naming an
 unknown rule is itself an error, so suppressions cannot rot silently.
 """
 
-# Importing the rule modules registers every rule with the core registry.
-from repro.analysis.lint import (
+from repro import lazy_exports
+from repro.analysis.lint import (  # importing a rule module registers its rules
     rules_determinism,
     rules_json,
     rules_mutation,
@@ -24,36 +24,8 @@ from repro.analysis.lint import (
     rules_store,
     rules_timers,
 )
-from repro.analysis.lint.core import (
-    LintReport,
-    LintRule,
-    ModuleContext,
-    Violation,
-    all_rule_names,
-    iter_python_files,
-    lint_paths,
-    registered_rules,
-)
-from repro.analysis.lint.report import (
-    EXIT_CLEAN,
-    EXIT_USAGE,
-    EXIT_VIOLATIONS,
-    render_human,
-    render_json,
-)
 
-__all__ = [
-    "EXIT_CLEAN",
-    "EXIT_USAGE",
-    "EXIT_VIOLATIONS",
-    "LintReport",
-    "LintRule",
-    "ModuleContext",
-    "Violation",
-    "all_rule_names",
-    "iter_python_files",
-    "lint_paths",
-    "registered_rules",
-    "render_human",
-    "render_json",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "core": ("all_rule_names", "lint_paths", "registered_rules"),
+    "report": ("EXIT_USAGE", "render_human", "render_json"),
+})

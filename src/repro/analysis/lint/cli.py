@@ -1,8 +1,9 @@
 """Command-line front end for the invariant linter.
 
-Used both by the ``repro-mmptcp lint`` sub-command and standalone via
-``python -m repro.analysis.lint``.  The argument surface is defined once in
-:func:`add_lint_arguments` so the two entry points cannot drift.
+The ``repro-mmptcp lint`` sub-command declares the options (in
+:func:`repro.cli.build_parser`) and calls :func:`run_lint_command`;
+``python -m repro.analysis.lint`` is that same sub-command, so the two entry
+points cannot drift.
 """
 
 import argparse
@@ -11,48 +12,12 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis.lint.core import lint_paths, registered_rules
-from repro.analysis.lint.report import (
-    EXIT_USAGE,
-    exit_code,
-    render_human,
-    render_json,
-)
-
-
-class LintUsageError(Exception):
-    """A bad invocation (unknown rule, missing path): one line, exit 2."""
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to ``parser`` (shared by both entry points)."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src", "tests"],
-        help="files or directories to lint (default: src tests)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="report format (json is byte-stable via dumps_deterministic)",
-    )
-    parser.add_argument(
-        "--rules",
-        nargs="+",
-        default=None,
-        metavar="RULE",
-        help="run only these rules (default: all registered rules)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list the registered rules with their descriptions and exit",
-    )
+from repro.analysis.lint.report import exit_code, render_human, render_json
 
 
 def run_lint_command(args: argparse.Namespace) -> int:
-    """Execute one lint run; raises :class:`LintUsageError` on bad input."""
+    """Execute one lint run; an unknown rule raises ``ValueError`` and a
+    missing path ``FileNotFoundError`` (the CLI's one-line exit 2)."""
     if args.list_rules:
         for rule in registered_rules():
             print(f"{rule.name}: {rule.description}")
@@ -60,33 +25,20 @@ def run_lint_command(args: argparse.Namespace) -> int:
     try:
         report = lint_paths([Path(path) for path in args.paths], rules=args.rules)
     except KeyError as exc:
-        raise LintUsageError(exc.args[0]) from exc
-    except FileNotFoundError as exc:
-        raise LintUsageError(str(exc)) from exc
+        raise ValueError(exc.args[0]) from exc
     output = render_json(report) if args.format == "json" else render_human(report) + "\n"
     sys.stdout.write(output)
     return exit_code(report)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.analysis.lint``)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
-        description="statically enforce the repository's determinism, JSON, "
-        "pool-ownership, store-key and timer invariants",
-    )
-    add_lint_arguments(parser)
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    try:
-        return run_lint_command(args)
-    except LintUsageError as exc:
-        print(f"lint failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    """Standalone entry point (``python -m repro.analysis.lint``): ``repro-mmptcp lint``."""
+    from repro.cli import main as cli_main
+
+    return cli_main(["lint", *(sys.argv[1:] if argv is None else argv)])
 
 
 __all__: List[str] = [
-    "LintUsageError",
-    "add_lint_arguments",
     "main",
     "run_lint_command",
 ]

@@ -9,12 +9,14 @@ instead of the numbers being transcribed by hand.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.analysis.compare import MetricComparison
 from repro.metrics.collector import CELL_METRIC_FIELDS
 from repro.metrics.reporting import table_cells
 from repro.metrics.stats import mean_ci95
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.analysis.compare import MetricComparison
 
 #: How numeric cells are formatted by default.
 _FLOAT_FORMAT = "{:.3f}"

@@ -12,37 +12,11 @@ simulation work.  Reports are generated purely from stored artifacts, so an
 analysis tweak never forces a re-simulation.
 """
 
-from repro.campaigns.runner import (
-    CampaignCell,
-    CampaignIncompleteError,
-    CampaignOutcome,
-    campaign_gc,
-    campaign_report,
-    campaign_rows,
-    campaign_run_specs,
-    campaign_status,
-    load_campaign_cells,
-    params_label,
-    run_campaign,
-    status_rows,
-    status_summary_rows,
-)
-from repro.campaigns.spec import CampaignSpec, campaign_base_config
+from repro import lazy_exports
 
-__all__ = [
-    "CampaignCell",
-    "CampaignIncompleteError",
-    "CampaignOutcome",
-    "CampaignSpec",
-    "campaign_base_config",
-    "campaign_gc",
-    "campaign_report",
-    "campaign_rows",
-    "campaign_run_specs",
-    "campaign_status",
-    "load_campaign_cells",
-    "params_label",
-    "run_campaign",
-    "status_rows",
-    "status_summary_rows",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "runner": ("CampaignIncompleteError", "campaign_gc", "campaign_report", "campaign_rows",
+        "campaign_run_specs", "campaign_status", "load_campaign_cells", "run_campaign",
+        "status_rows", "status_summary_rows"),
+    "spec": ("CampaignSpec", "campaign_base_config"),
+})

@@ -41,7 +41,7 @@ from repro.experiments.parallel import (
     resolve_workers,
     seeded_replications,
 )
-from repro.experiments.runner import ExperimentResult
+from repro.metrics.collector import ExperimentResult
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import (
     cell_coordinates,

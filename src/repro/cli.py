@@ -38,6 +38,14 @@ Each flag that sets an :class:`ExperimentConfig` field is declared once, in
 :data:`repro.experiments.config.CHOICES`.  :func:`main` is the one failure
 path: an anticipated error (a rejected config value, a bad ``--spec``, an
 unknown scenario, a missing or corrupt store) exits 2 with one stderr line.
+
+Start-up is part of every command's cost, and a fully cached ``campaign
+run`` simulates nothing.  So this module imports at the top only what the
+parser needs (:data:`CONFIG_FLAGS`, ``CHOICES``, the :data:`STUDIES`
+metadata) and the records the handlers share; each handler imports the
+implementation it runs (the simulator, the linter, the campaign runner, the
+trace exporter).  ``tests/test_cli.py`` checks that ``import repro.cli``
+loads no simulator module.
 """
 
 from __future__ import annotations
@@ -48,31 +56,11 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.lint.cli import (
-    LintUsageError,
-    add_lint_arguments,
-    run_lint_command,
-)
-from repro.analysis.report import (
-    campaign_report_markdown,
-    replication_summary_rows,
-    scenario_matrix_markdown,
-)
-from repro.campaigns import (
-    CampaignIncompleteError,
-    CampaignSpec,
-    campaign_gc,
-    campaign_report,
-    campaign_rows,
-    campaign_status,
-    run_campaign,
-    status_rows,
-    status_summary_rows,
-)
+from repro.campaigns.spec import CampaignSpec
 from repro.experiments.config import CHOICES, SCALES, ExperimentConfig
 from repro.experiments.parallel import workers_argument_type
-from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.study import STUDIES, Flag, run_points, run_study, study_rows
+from repro.metrics.collector import ExperimentResult
 from repro.metrics.export import (
     dumps_deterministic,
     write_flow_records_csv,
@@ -80,28 +68,24 @@ from repro.metrics.export import (
     write_summary_json,
 )
 from repro.metrics.reporting import render_table, rows_table
-from repro.obs import (
+from repro.obs.telemetry import (
     ALL_GROUPS,
     PROBE_GROUPS,
-    chrome_trace_document,
     make_recorder,
     probe_groups_argument,
     telemetry_jsonl,
     telemetry_records,
 )
-from repro.scenarios import (
+from repro.scenarios.registry import UnknownScenarioError, all_scenarios, get_scenario
+from repro.scenarios.runner import (
     DEFAULT_MATRIX_PROTOCOLS,
     DEFAULT_MATRIX_SCENARIOS,
-    SCENARIO_SCALES,
-    UnknownScenarioError,
-    all_scenarios,
     cell_rows,
-    get_scenario,
     matrix_plan,
-    scale_config,
 )
+from repro.scenarios.spec import SCENARIO_SCALES, scale_config
 from repro.sim.units import megabits_per_second
-from repro.store import RunStore, StoreError, StoreIntegrityError
+from repro.store.runstore import RunStore, StoreError, StoreIntegrityError
 from repro.traffic.flowspec import ALL_PROTOCOLS, PROTOCOL_MMPTCP
 
 #: Every config-backed flag, declared once and keyed by option, in ``run``'s
@@ -229,6 +213,8 @@ def _print_diagnostics(result: ExperimentResult) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_experiment
+
     config = _config_from_args(args)
     if args.telemetry_out and not (args.probes or args.profile):
         return _command_error(
@@ -296,6 +282,8 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios_matrix(args: argparse.Namespace) -> int:
+    from repro.analysis.report import scenario_matrix_markdown
+
     base = _config_from_args(args)
     if args.telemetry_dir and not (args.probes or args.profile):
         return _command_error(
@@ -363,6 +351,9 @@ def _campaign_summary_line(name: str, cells: int, hits: int, simulated: int, sto
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from repro.analysis.report import campaign_report_markdown, replication_summary_rows
+    from repro.campaigns.runner import campaign_rows, run_campaign
+
     spec = _campaign_spec_from_args(args)
     emit_event = None
     events_file = None
@@ -410,6 +401,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    from repro.campaigns.runner import campaign_status, status_rows, status_summary_rows
+
     spec = _campaign_spec_from_args(args)
     cells = campaign_status(spec, RunStore(args.store))
     rows = (status_summary_rows if args.summary else status_rows)(cells)
@@ -422,8 +415,13 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
-    report = campaign_report(_campaign_spec_from_args(args), RunStore(args.store),
-                             baseline_protocol=args.baseline_protocol)
+    from repro.campaigns.runner import CampaignIncompleteError, campaign_report
+
+    try:
+        report = campaign_report(_campaign_spec_from_args(args), RunStore(args.store),
+                                 baseline_protocol=args.baseline_protocol)
+    except CampaignIncompleteError as exc:
+        return _command_error(str(exc))
     if args.output:
         path = Path(args.output)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -435,6 +433,8 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_gc(args: argparse.Namespace) -> int:
+    from repro.campaigns.runner import campaign_gc
+
     spec = _campaign_spec_from_args(args)
     removed = campaign_gc(spec, RunStore(args.store), dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
@@ -543,6 +543,8 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     events become instants, and counters/diagnostics ride along under
     ``otherData``.
     """
+    from repro.obs.chrome import chrome_trace_document
+
     text = Path(args.input).read_text(encoding="utf-8")
     records = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -561,6 +563,12 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     output.write_text(dumps_deterministic(document, indent=2))
     print(f"wrote {output} ({len(document['traceEvents'])} trace event(s))")
     return 0
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.analysis.lint.cli import run_lint_command
+
+    return run_lint_command(args)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +696,15 @@ def build_parser() -> argparse.ArgumentParser:
         "violations, 2 on usage errors. Silence a finding with a justified "
         "'# repro: allow[rule-name]' comment on (or directly above) its line.",
     )
-    add_lint_arguments(lint)
-    lint.set_defaults(handler=run_lint_command, failure="lint failed")
+    lint.add_argument("paths", nargs="*", default=["src", "tests"],
+                      help="files or directories to lint (default: src tests)")
+    lint.add_argument("--format", choices=("human", "json"), default="human",
+                      help="report format (json is byte-stable via dumps_deterministic)")
+    lint.add_argument("--rules", nargs="+", default=None, metavar="RULE",
+                      help="run only these rules (default: all registered rules)")
+    lint.add_argument("--list-rules", action="store_true",
+                      help="list the registered rules with their descriptions and exit")
+    lint.set_defaults(handler=_cmd_lint, failure="lint failed")
 
     store_parser = subparsers.add_parser(
         "store", help="inspect and verify a content-addressed run store")
@@ -804,16 +819,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by the ``repro-mmptcp`` console script.
 
-    An incomplete campaign or unknown scenario prints its own message; the
-    other anticipated errors get the sub-command's ``failure`` prefix (set by
-    its parser).  Anything else is a bug and keeps its traceback.
+    An unknown scenario prints its own message; the other anticipated errors
+    get the sub-command's ``failure`` prefix (set by its parser).  Anything
+    else is a bug and keeps its traceback.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (CampaignIncompleteError, UnknownScenarioError) as exc:
+    except UnknownScenarioError as exc:
         return _command_error(str(exc))
-    except (StoreError, OSError, ValueError, LintUsageError) as exc:
+    except (StoreError, OSError, ValueError) as exc:
         return _command_error(f"{args.failure}: {exc}")
 
 

@@ -1,42 +1,9 @@
 """MMPTCP — the paper's contribution: packet scatter, phase switching, reordering."""
 
-from repro.core.mmptcp import (
-    PHASE_MPTCP,
-    PHASE_PACKET_SCATTER,
-    MmptcpConnection,
-    MmptcpReceiver,
-    PacketScatterConnection,
-)
-from repro.core.packet_scatter import DEFAULT_SCATTER_PORT_RANGE, PacketScatterSubflow
-from repro.core.phase_switching import (
-    DEFAULT_VOLUME_THRESHOLD_BYTES,
-    CongestionEventSwitching,
-    DataVolumeSwitching,
-    HybridSwitching,
-    NeverSwitch,
-    SwitchingPolicy,
-)
-from repro.core.reordering import (
-    AdaptiveReorderingPolicy,
-    StaticReorderingPolicy,
-    TopologyInformedPolicy,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "PHASE_MPTCP",
-    "PHASE_PACKET_SCATTER",
-    "MmptcpConnection",
-    "MmptcpReceiver",
-    "PacketScatterConnection",
-    "DEFAULT_SCATTER_PORT_RANGE",
-    "PacketScatterSubflow",
-    "DEFAULT_VOLUME_THRESHOLD_BYTES",
-    "CongestionEventSwitching",
-    "DataVolumeSwitching",
-    "HybridSwitching",
-    "NeverSwitch",
-    "SwitchingPolicy",
-    "AdaptiveReorderingPolicy",
-    "StaticReorderingPolicy",
-    "TopologyInformedPolicy",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "mmptcp": ("MmptcpConnection", "MmptcpReceiver"),
+    "phase_switching": ("CongestionEventSwitching", "DataVolumeSwitching", "HybridSwitching",
+        "NeverSwitch"),
+})

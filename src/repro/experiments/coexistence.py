@@ -21,15 +21,12 @@ from typing import Dict, List, Sequence
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import ExperimentResult, fabric_host_names, workload_params
+from repro.experiments.study import DEFAULT_PROTOCOL_MIX
+from repro.metrics.collector import ExperimentResult
 from repro.metrics.records import FlowRecord
 from repro.metrics.stats import DistributionSummary, jains_fairness_index, summarize
 from repro.sim.randomness import RandomStreams
-from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP
 from repro.traffic.workloads import ShortLongWorkloadParams, Workload, build_short_long_workload
-
-#: The protocol mix the paper cares about: legacy TCP, MPTCP and MMPTCP.
-DEFAULT_PROTOCOL_MIX = (PROTOCOL_TCP, PROTOCOL_MPTCP, PROTOCOL_MMPTCP)
 
 
 @dataclass
@@ -173,6 +170,8 @@ def build_coexistence_workload_for(
     fraction) are taken from ``config`` exactly as in a single-protocol run;
     only the transport protocol varies across the sender blocks.
     """
+    from repro.experiments.runner import fabric_host_names, workload_params
+
     return build_mixed_protocol_workload(
         fabric_host_names(config),
         workload_params(config),

@@ -17,27 +17,12 @@ from typing import Dict, List, Sequence
 
 from repro.experiments.config import QUEUE_ECN, ExperimentConfig
 from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import ExperimentResult, fabric_host_names, workload_params
+from repro.experiments.study import DEFAULT_DEADLINE_PROTOCOLS
+from repro.metrics.collector import ExperimentResult
 from repro.sim.randomness import RandomStreams
 from repro.traffic.deadlines import DeadlineParams, deadline_miss_rate, slack_deadlines
-from repro.traffic.flowspec import (
-    PROTOCOL_D2TCP,
-    PROTOCOL_DCTCP,
-    PROTOCOL_MMPTCP,
-    PROTOCOL_MPTCP,
-    PROTOCOL_TCP,
-)
+from repro.traffic.flowspec import PROTOCOL_D2TCP, PROTOCOL_DCTCP
 from repro.traffic.workloads import Workload, build_short_long_workload
-
-#: Protocols compared by default: the paper's contenders plus the
-#: deadline-aware single-path baselines its introduction discusses.
-DEFAULT_DEADLINE_PROTOCOLS = (
-    PROTOCOL_TCP,
-    PROTOCOL_DCTCP,
-    PROTOCOL_D2TCP,
-    PROTOCOL_MPTCP,
-    PROTOCOL_MMPTCP,
-)
 
 #: ECN-dependent protocols need marking switches; everything else works on
 #: plain drop-tail queues.
@@ -52,6 +37,8 @@ def build_deadline_workload_for(
     ``DeadlineParams.long_flows_have_deadlines`` keeps its ``False`` default,
     so only short flows carry a deadline (and count towards the miss rate).
     """
+    from repro.experiments.runner import fabric_host_names, workload_params
+
     workload = build_short_long_workload(
         fabric_host_names(config),
         workload_params(config, protocol),

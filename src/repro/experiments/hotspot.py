@@ -16,7 +16,6 @@ from typing import List, Sequence
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import fabric_host_names, workload_params
 from repro.sim.randomness import RandomStreams
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
 from repro.traffic.workloads import Workload, build_hotspot_workload
@@ -34,6 +33,8 @@ def build_hotspot_workload_for(
     protocol sees the same hotspots, the same senders and the same arrival
     times — the comparison is paired exactly like the Figure 1 benchmarks.
     """
+    from repro.experiments.runner import fabric_host_names, workload_params
+
     return build_hotspot_workload(
         fabric_host_names(config),
         workload_params(config, protocol),

@@ -17,14 +17,11 @@ from typing import List, Optional, Sequence
 
 from repro.experiments.config import TOPOLOGY_FATTREE, ExperimentConfig
 from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import fabric_host_names
+from repro.experiments.study import DEFAULT_FAN_INS
 from repro.sim.randomness import RandomStreams
 from repro.sim.units import kilobytes
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP
 from repro.traffic.workloads import Workload, build_incast_workload
-
-#: Fan-in degrees swept by default (the classic incast curves).
-DEFAULT_FAN_INS = (8, 16, 32)
 
 
 def build_incast_workload_for(
@@ -43,6 +40,8 @@ def build_incast_workload_for(
     target to a named host instead — fault-injection scenarios use this to
     aim link failures at the receiver's ingress.
     """
+    from repro.experiments.runner import fabric_host_names
+
     if fan_in < 1:
         raise ValueError("fan_in must be at least 1")
     hosts = fabric_host_names(config)

@@ -16,10 +16,8 @@ from typing import Any, Dict, List, Sequence
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import RunSpec
+from repro.experiments.study import DEFAULT_LOAD_FACTORS
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
-
-#: Default multipliers applied to the base configuration's arrival rate.
-DEFAULT_LOAD_FACTORS = (0.5, 1.0, 1.5, 2.0)
 
 
 def plan(

@@ -32,12 +32,12 @@ summary metrics — is identical.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.metrics.collector import ExperimentResult
 from repro.obs.telemetry import make_recorder, telemetry_records
 from repro.sim.randomness import spawn_seeds
 
@@ -88,6 +88,8 @@ def execute_spec(spec: RunSpec) -> ExperimentResult:
     (:attr:`ExperimentResult.telemetry`) — recorders themselves never cross
     the process boundary, so serial and pooled execution render identically.
     """
+    from repro.experiments.runner import run_experiment
+
     workload = None
     if spec.workload_factory is not None:
         workload = spec.workload_factory(
@@ -178,7 +180,12 @@ class SweepRunner:
                 results.append(result)
             return results
 
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         pool_size = min(self.workers, len(ordered))
+        # Load the simulator here, once: forked workers inherit it instead of
+        # each importing it again.
+        import_module("repro.experiments.runner")
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = []
             for spec in ordered:

@@ -9,8 +9,8 @@ receiver state and switch counters into an :class:`ExperimentMetrics`.
 from __future__ import annotations
 
 import time as _wallclock
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from repro.core.mmptcp import MmptcpConnection, MmptcpReceiver, PacketScatterConnection
 from repro.core.phase_switching import (
@@ -42,7 +42,7 @@ from repro.experiments.config import (
     TOPOLOGY_VL2,
     ExperimentConfig,
 )
-from repro.metrics.collector import ExperimentMetrics
+from repro.metrics.collector import ExperimentMetrics, ExperimentResult
 from repro.metrics.records import FlowRecord
 from repro.net.faults import FaultInjector
 from repro.net.host import Host
@@ -84,28 +84,6 @@ class _FlowInstance:
     spec: FlowSpec
     sender: object
     receiver: object
-
-
-@dataclass
-class ExperimentResult:
-    """Metrics plus provenance for one run.
-
-    ``diagnostics`` and ``telemetry`` are observability side-channels: they
-    never participate in equality, are never serialised by
-    ``store/serialize.py`` and never reach a ``run_key`` — attaching probes
-    or the profiler cannot change what a run *is*, only what it reports.
-    """
-
-    config: ExperimentConfig
-    metrics: ExperimentMetrics
-    events_processed: int
-    wallclock_s: float
-    workload_size: int
-    #: ``--profile`` output (the sanctioned wall-clock island), or None.
-    diagnostics: Optional[Dict[str, Any]] = field(default=None, compare=False, repr=False)
-    #: Rendered telemetry records (used to ferry a worker-side recorder's
-    #: content across the process boundary), or None.
-    telemetry: Optional[List[Dict[str, Any]]] = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------

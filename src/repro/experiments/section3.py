@@ -21,7 +21,7 @@ from typing import Dict, List
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import ExperimentResult
+from repro.metrics.collector import ExperimentResult
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
 
 

@@ -8,39 +8,71 @@ declares exactly that — the plan, the row projection, and the CLI surface
 :func:`run_points` is the single executor (:func:`run_study` is it applied
 to a study's plan; scenario matrices hand it :func:`repro.scenarios.matrix_plan`).
 :data:`STUDIES` is the table the CLI, the benchmarks and the examples all
-read; adding a study is one entry.
+read; adding a study is one entry.  The table names each study's functions
+by module and imports a study module only when that study runs, so building
+the CLI parser from it loads no study code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
-
-from repro.experiments import (
-    coexistence,
-    deadline_study,
-    figure1,
-    hotspot,
-    incast_study,
-    loadsweep,
-    section3,
+from importlib import import_module
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
 )
+
 from repro.experiments.config import TOPOLOGIES, TOPOLOGY_FATTREE, ExperimentConfig
 from repro.experiments.parallel import RunSpec, SweepRunner
-from repro.experiments.runner import ExperimentResult
+from repro.metrics.collector import ExperimentResult
 from repro.traffic.flowspec import (
     ALL_PROTOCOLS,
+    PROTOCOL_D2TCP,
+    PROTOCOL_DCTCP,
     PROTOCOL_MMPTCP,
     PROTOCOL_MPTCP,
     PROTOCOL_TCP,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.experiments.coexistence import CoexistenceResult
+    from repro.experiments.section3 import Section3Comparison
+
 Row = Dict[str, object]
+
+#: The default axes of the studies that sweep them: the CLI flag defaults
+#: below and the defaults of the study modules' own functions.
+DEFAULT_LOAD_FACTORS = (0.5, 1.0, 1.5, 2.0)
+DEFAULT_FAN_INS = (8, 16, 32)
+#: The co-existence mix the paper cares about: legacy TCP, MPTCP and MMPTCP.
+DEFAULT_PROTOCOL_MIX = (PROTOCOL_TCP, PROTOCOL_MPTCP, PROTOCOL_MMPTCP)
+#: The deadline study's contenders: the paper's plus the deadline-aware
+#: single-path baselines its introduction discusses.
+DEFAULT_DEADLINE_PROTOCOLS = (
+    PROTOCOL_TCP, PROTOCOL_DCTCP, PROTOCOL_D2TCP, PROTOCOL_MPTCP, PROTOCOL_MMPTCP
+)
 
 
 def _same(value: Any) -> Any:
     return value
+
+
+def _deferred(module: str, name: str, *bound: Any) -> Callable[..., Any]:
+    """``repro.experiments.<module>.<name>``, called with ``bound`` first and
+    imported on the first call, so the table loads no study module."""
+    def call(*args: Any, **kwargs: Any) -> Any:
+        function = getattr(import_module(f"repro.experiments.{module}"), name)
+        return function(*bound, *args, **kwargs)
+
+    return call
 
 
 def _dest(option: str) -> str:
@@ -172,9 +204,9 @@ def _protocols(*default: str) -> Flag:
 
 
 def _fairness_footer(points: List[StudyPoint]) -> str:
-    outcome = coexistence.CoexistenceResult.from_result(
-        points[0].result, points[0].spec.tag["protocols"]
-    )
+    from repro.experiments.coexistence import CoexistenceResult
+
+    outcome = CoexistenceResult.from_result(points[0].result, points[0].spec.tag["protocols"])
     return f"Jain fairness index over long flows: {outcome.fairness_index():.3f}"
 
 
@@ -184,7 +216,7 @@ STUDIES: Dict[str, Study] = {
         Study(
             "figure1a", "regenerate Figure 1(a)",
             "Figure 1(a) — MPTCP short-flow FCT vs subflow count",
-            figure1.figure1a_plan,
+            _deferred("figure1", "figure1a_plan"),
             _columns("mean_fct_ms", "std_fct_ms", "p99_fct_ms", "rto_incidence",
                      "completion_rate"),
             flags=(
@@ -196,29 +228,29 @@ STUDIES: Dict[str, Study] = {
         Study(
             "figure1b", "regenerate Figure 1(b)",
             "Figure 1(b) — MPTCP(8) per-flow short-flow completion times",
-            partial(figure1.scatter_plan, PROTOCOL_MPTCP), _scatter_rows,
+            _deferred("figure1", "scatter_plan", PROTOCOL_MPTCP), _scatter_rows,
             per_flow=True,
         ),
         Study(
             "figure1c", "regenerate Figure 1(c)",
             "Figure 1(c) — MMPTCP(PS + 8) per-flow short-flow completion times",
-            partial(figure1.scatter_plan, PROTOCOL_MMPTCP), _scatter_rows,
+            _deferred("figure1", "scatter_plan", PROTOCOL_MMPTCP), _scatter_rows,
             per_flow=True,
         ),
         Study(
             "section3", "regenerate the Section 3 statistics",
             "Section 3 statistics — MPTCP vs MMPTCP (paired workload)",
-            section3.plan, section3.rows,
+            _deferred("section3", "plan"), _deferred("section3", "rows"),
         ),
         Study(
             "loadsweep", "sweep the offered load",
             "Load sweep — short-flow FCT vs offered load",
-            loadsweep.plan,
+            _deferred("loadsweep", "plan"),
             _columns("mean_fct_ms", "p99_fct_ms", "rto_incidence", "completion_rate",
                      "tail_over_200ms", "long_throughput_mbps"),
             flags=(
                 Flag("--factors", "load_factors",
-                     dict(type=float, nargs="+", default=list(loadsweep.DEFAULT_LOAD_FACTORS))),
+                     dict(type=float, nargs="+", default=list(DEFAULT_LOAD_FACTORS))),
                 _protocols(PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
             ),
             workers=True, fidelity=True,
@@ -226,14 +258,14 @@ STUDIES: Dict[str, Study] = {
         Study(
             "coexistence", "run TCP, MPTCP and MMPTCP on a shared fabric",
             "Co-existence — per-protocol statistics on a shared fabric",
-            coexistence.plan, coexistence.rows,
-            flags=(_protocols(*coexistence.DEFAULT_PROTOCOL_MIX),),
+            _deferred("coexistence", "plan"), _deferred("coexistence", "rows"),
+            flags=(_protocols(*DEFAULT_PROTOCOL_MIX),),
             footer=_fairness_footer,
         ),
         Study(
             "hotspot", "run the hotspot-skew comparison",
             "Hotspot — per-protocol statistics under skewed destinations",
-            hotspot.plan,
+            _deferred("hotspot", "plan"),
             _columns("mean_fct_ms", "std_fct_ms", "p99_fct_ms", "rto_incidence",
                      "completion_rate", "tail_over_200ms", "edge_loss_rate", "core_loss_rate",
                      "long_throughput_mbps"),
@@ -246,12 +278,12 @@ STUDIES: Dict[str, Study] = {
         Study(
             "incast", "run synchronised fan-in (incast) sweeps",
             "Incast — synchronised fan-in bursts",
-            incast_study.plan,
+            _deferred("incast_study", "plan"),
             _columns("mean_fct_ms", "p99_fct_ms", "max_fct_ms", "completion_rate",
                      "rto_incidence", "total_rtos"),
             flags=(
                 Flag("--fan-ins", "fan_ins",
-                     dict(type=int, nargs="+", default=list(incast_study.DEFAULT_FAN_INS))),
+                     dict(type=int, nargs="+", default=list(DEFAULT_FAN_INS))),
                 _protocols(PROTOCOL_TCP, PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
                 Flag("--response-kb", "response_bytes",
                      dict(type=int, default=70, help="size of each incast response in kB"),
@@ -264,12 +296,12 @@ STUDIES: Dict[str, Study] = {
         Study(
             "deadlines", "run the deadline-miss study",
             "Deadline study — slack factor {slack_factor}",
-            deadline_study.plan, deadline_study.rows,
+            _deferred("deadline_study", "plan"), _deferred("deadline_study", "rows"),
             flags=(
                 Flag("--slack", "slack_factor",
                      dict(type=float, default=2.0,
                           help="deadline slack factor over the ideal transfer time")),
-                _protocols(*deadline_study.DEFAULT_DEADLINE_PROTOCOLS),
+                _protocols(*DEFAULT_DEADLINE_PROTOCOLS),
             ),
         ),
     )
@@ -284,7 +316,7 @@ STUDIES: Dict[str, Study] = {
 def run_load_sweep(
     base_config: ExperimentConfig,
     protocols: Sequence[str] = (PROTOCOL_MPTCP, PROTOCOL_MMPTCP),
-    load_factors: Sequence[float] = loadsweep.DEFAULT_LOAD_FACTORS,
+    load_factors: Sequence[float] = DEFAULT_LOAD_FACTORS,
     num_subflows: Optional[int] = None,
     workers: Optional[int] = 1,
 ) -> List[StudyPoint]:
@@ -303,21 +335,25 @@ load_sweep_rows = study_rows
 
 def section3_statistics(
     base_config: ExperimentConfig, num_subflows: int = 8
-) -> section3.Section3Comparison:
+) -> Section3Comparison:
     """Run the paired MPTCP / MMPTCP comparison of Section 3."""
+    from repro.experiments.section3 import ProtocolStatistics, Section3Comparison
+
     mptcp, mmptcp = run_study(
         STUDIES["section3"], base_config.with_updates(num_subflows=num_subflows)
     )
-    return section3.Section3Comparison(
-        mptcp=section3.ProtocolStatistics.from_result(PROTOCOL_MPTCP, mptcp.result),
-        mmptcp=section3.ProtocolStatistics.from_result(PROTOCOL_MMPTCP, mmptcp.result),
+    return Section3Comparison(
+        mptcp=ProtocolStatistics.from_result(PROTOCOL_MPTCP, mptcp.result),
+        mmptcp=ProtocolStatistics.from_result(PROTOCOL_MMPTCP, mmptcp.result),
     )
 
 
 def run_coexistence_experiment(
     config: ExperimentConfig,
-    protocols: Sequence[str] = coexistence.DEFAULT_PROTOCOL_MIX,
-) -> coexistence.CoexistenceResult:
+    protocols: Sequence[str] = DEFAULT_PROTOCOL_MIX,
+) -> CoexistenceResult:
     """Run the mixed-protocol experiment described by ``config``."""
+    from repro.experiments.coexistence import CoexistenceResult
+
     (point,) = run_study(STUDIES["coexistence"], config, protocols=protocols)
-    return coexistence.CoexistenceResult.from_result(point.result, point.spec.tag["protocols"])
+    return CoexistenceResult.from_result(point.result, point.spec.tag["protocols"])

@@ -5,12 +5,9 @@ Selected via ``ExperimentConfig.fidelity = "flow"``; see
 approximations, and :mod:`repro.sim.fluid` for the max-min solver.
 """
 
-from repro.flowlevel.engine import FlowLevelEngine, run_flow_experiment
-from repro.flowlevel.fabric import FluidFabric, FluidFaultApplier
+from repro import lazy_exports
 
-__all__ = [
-    "FlowLevelEngine",
-    "FluidFabric",
-    "FluidFaultApplier",
-    "run_flow_experiment",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "engine": ("FlowLevelEngine",),
+    "fabric": ("FluidFabric",),
+})

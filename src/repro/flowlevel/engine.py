@@ -46,7 +46,7 @@ from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.config import ExperimentConfig
-from repro.metrics.collector import ExperimentMetrics
+from repro.metrics.collector import ExperimentMetrics, ExperimentResult
 from repro.metrics.records import FlowRecord
 from repro.net.monitor import LayerLossStats, NetworkSnapshot
 from repro.obs.profiler import EngineProfiler, profile_diagnostics
@@ -358,12 +358,12 @@ def run_flow_experiment(
     Reuses the packet tier's topology and workload construction so the two
     tiers agree on the fabric and the flow population, then executes the
     fluid model instead of per-packet simulation.  Returns the same
-    :class:`~repro.experiments.runner.ExperimentResult` shape.
+    :class:`~repro.metrics.collector.ExperimentResult` shape.
     """
     # Imported here (not at module top) because the experiments runner
     # imports this module lazily for dispatch: a module-level cycle would
     # make import order load-bearing.
-    from repro.experiments.runner import ExperimentResult, build_topology, build_workload
+    from repro.experiments.runner import build_topology, build_workload
 
     # wallclock_s is a pure diagnostic: the store normalises it to 0.0 and no
     # metric derives from it, so the real-clock read cannot perturb results.

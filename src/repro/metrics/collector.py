@@ -4,16 +4,23 @@
 snapshot (per-layer loss rates, utilisation) and produces the quantities the
 paper reports: short-flow FCT mean/std, the per-flow scatter of completion
 times, RTO incidence, long-flow throughput and network utilisation.
+:class:`ExperimentResult` pairs it with the run's config and provenance.
+
+This module is a plain record: it imports no simulator code, so the run
+store and the campaign reports can load results without the simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.metrics.records import FlowRecord
 from repro.metrics.stats import DistributionSummary, fraction_above, summarize
 from repro.net.monitor import NetworkSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.experiments.config import ExperimentConfig
 
 
 #: The metric columns of a per-cell row (:meth:`ExperimentMetrics.cell_row`),
@@ -222,3 +229,25 @@ class ExperimentMetrics:
         scenario-matrix and campaign row, so the two families stay
         column-compatible."""
         return self.columns(*CELL_METRIC_FIELDS)
+
+
+@dataclass
+class ExperimentResult:
+    """Metrics plus provenance for one run.
+
+    ``diagnostics`` and ``telemetry`` are observability side-channels: they
+    never participate in equality, are never serialised by
+    ``store/serialize.py`` and never reach a ``run_key`` — attaching probes
+    or the profiler cannot change what a run *is*, only what it reports.
+    """
+
+    config: ExperimentConfig
+    metrics: ExperimentMetrics
+    events_processed: int
+    wallclock_s: float
+    workload_size: int
+    #: ``--profile`` output (the sanctioned wall-clock island), or None.
+    diagnostics: Optional[Dict[str, Any]] = field(default=None, compare=False, repr=False)
+    #: Rendered telemetry records (used to ferry a worker-side recorder's
+    #: content across the process boundary), or None.
+    telemetry: Optional[List[Dict[str, Any]]] = field(default=None, compare=False, repr=False)

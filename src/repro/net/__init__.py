@@ -1,87 +1,1 @@
 """Network substrate: packets, queues, links, hosts, switches, ECMP routing."""
-
-from repro.net.address import (
-    FatTreeAddress,
-    decode_fattree_address,
-    encode_fattree_address,
-    same_edge,
-    same_pod,
-)
-from repro.net.ecmp import ecmp_hash, fnv1a_64, fnv1a_bytes, hash_basis, select_path
-from repro.net.host import Host
-from repro.net.link import Interface, connect
-from repro.net.monitor import LayerLossStats, NetworkMonitor, NetworkSnapshot
-from repro.net.node import Node
-from repro.net.packet import (
-    DEFAULT_HEADER_BYTES,
-    FLAG_ACK,
-    FLAG_DATA,
-    FLAG_FIN,
-    FLAG_SYN,
-    Packet,
-    PacketPool,
-    acquire_packet,
-    default_pool,
-    make_ack,
-    release_packet,
-    set_pool_debug,
-)
-from repro.net.queues import (
-    DropTailQueue,
-    EcnQueue,
-    Queue,
-    QueueStats,
-    SharedBufferPool,
-    SharedBufferQueue,
-)
-from repro.net.routing import (
-    build_ecmp_routes,
-    count_equal_cost_paths,
-    verify_all_pairs_routable,
-)
-from repro.net.switch import LAYER_AGGREGATION, LAYER_CORE, LAYER_EDGE, Switch
-
-__all__ = [
-    "FatTreeAddress",
-    "decode_fattree_address",
-    "encode_fattree_address",
-    "same_edge",
-    "same_pod",
-    "ecmp_hash",
-    "fnv1a_64",
-    "fnv1a_bytes",
-    "hash_basis",
-    "select_path",
-    "Host",
-    "Interface",
-    "connect",
-    "LayerLossStats",
-    "NetworkMonitor",
-    "NetworkSnapshot",
-    "Node",
-    "DEFAULT_HEADER_BYTES",
-    "FLAG_ACK",
-    "FLAG_DATA",
-    "FLAG_FIN",
-    "FLAG_SYN",
-    "Packet",
-    "PacketPool",
-    "acquire_packet",
-    "default_pool",
-    "make_ack",
-    "release_packet",
-    "set_pool_debug",
-    "DropTailQueue",
-    "EcnQueue",
-    "Queue",
-    "QueueStats",
-    "SharedBufferPool",
-    "SharedBufferQueue",
-    "build_ecmp_routes",
-    "count_equal_cost_paths",
-    "verify_all_pairs_routable",
-    "LAYER_AGGREGATION",
-    "LAYER_CORE",
-    "LAYER_EDGE",
-    "Switch",
-]

@@ -44,10 +44,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
-from repro.sim.engine import Simulator
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - annotations only; FaultEvent loads without the stack
     from repro.net.link import Interface
+    from repro.sim.engine import Simulator
     from repro.topology.base import Topology
 
 #: Fault kinds.

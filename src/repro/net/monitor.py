@@ -12,11 +12,12 @@ those counters into the network-level quantities the paper reports:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
-from repro.net.host import Host
-from repro.net.link import Interface
-from repro.net.switch import Switch
+if TYPE_CHECKING:  # pragma: no cover - annotations only; the records load without the stack
+    from repro.net.host import Host
+    from repro.net.link import Interface
+    from repro.net.switch import Switch
 
 
 @dataclass

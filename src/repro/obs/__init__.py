@@ -18,36 +18,10 @@ deterministically, so telemetry holds the same invariant as metrics:
 byte-identical output for any ``--workers`` value.
 """
 
-from repro.obs.chrome import chrome_trace_document
-from repro.obs.profiler import EngineProfiler, pool_counters, profile_diagnostics
-from repro.obs.telemetry import (
-    ALL_GROUPS,
-    NULL_PROBES,
-    PROBE_GROUPS,
-    TELEMETRY_SCHEMA,
-    SeriesBuffer,
-    TelemetryProbes,
-    TelemetryRecorder,
-    make_recorder,
-    probe_groups_argument,
-    telemetry_jsonl,
-    telemetry_records,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ALL_GROUPS",
-    "NULL_PROBES",
-    "PROBE_GROUPS",
-    "TELEMETRY_SCHEMA",
-    "EngineProfiler",
-    "SeriesBuffer",
-    "TelemetryProbes",
-    "TelemetryRecorder",
-    "chrome_trace_document",
-    "make_recorder",
-    "pool_counters",
-    "probe_groups_argument",
-    "profile_diagnostics",
-    "telemetry_jsonl",
-    "telemetry_records",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "chrome": ("chrome_trace_document",),
+    "telemetry": ("ALL_GROUPS", "NULL_PROBES", "PROBE_GROUPS", "SeriesBuffer", "TelemetryRecorder",
+        "make_recorder", "probe_groups_argument", "telemetry_jsonl", "telemetry_records"),
+})

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import ExperimentResult
+from repro.metrics.collector import ExperimentResult
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec, build_scenario_workload
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP

@@ -17,13 +17,14 @@ and stay byte-identical for any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Tuple
 
 from repro.experiments.config import SCALES, ExperimentConfig, scaled_config
-from repro.experiments.incast_study import build_incast_workload_for
 from repro.net.faults import FaultEvent
 from repro.sim.units import kilobytes, megabits_per_second
-from repro.traffic.workloads import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.traffic.workloads import Workload
 
 #: Scales the scenario and campaign commands accept: the matrix-friendly
 #: "tiny" (:func:`tiny_config`) plus the CLI trio.
@@ -110,6 +111,8 @@ def build_scenario_workload(
     runner then builds the default mixed workload from the config, exactly as
     a plain run would.
     """
+    from repro.experiments.incast_study import build_incast_workload_for
+
     if workload_kind == WORKLOAD_SHORT_LONG:
         return None
     if workload_kind == WORKLOAD_INCAST:

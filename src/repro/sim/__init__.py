@@ -1,13 +1,7 @@
 """Discrete-event simulation core: engine, units and randomness."""
 
-from repro.sim.engine import Event, SimulationError, Simulator, Timer
-from repro.sim.randomness import RandomStreams, derive_seed
+from repro import lazy_exports
 
-__all__ = [
-    "Event",
-    "SimulationError",
-    "Simulator",
-    "Timer",
-    "RandomStreams",
-    "derive_seed",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "engine": ("Simulator",),
+})

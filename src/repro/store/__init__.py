@@ -20,36 +20,11 @@ Three modules cooperate:
   ``put``/``get``/``has``/``gc`` and integrity hashes.
 """
 
-from repro.store.canonical import (
-    STORE_SCHEMA_VERSION,
-    canonical_dumps,
-    run_key,
-    run_key_for_spec,
-    sha256_hex,
-    to_jsonable,
-    workload_recipe,
-)
-from repro.store.runstore import RunStore, StoreError, StoreIntegrityError
-from repro.store.serialize import (
-    config_from_dict,
-    config_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "STORE_SCHEMA_VERSION",
-    "RunStore",
-    "StoreError",
-    "StoreIntegrityError",
-    "canonical_dumps",
-    "config_from_dict",
-    "config_to_dict",
-    "result_from_dict",
-    "result_to_dict",
-    "run_key",
-    "run_key_for_spec",
-    "sha256_hex",
-    "to_jsonable",
-    "workload_recipe",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "canonical": ("STORE_SCHEMA_VERSION", "canonical_dumps", "run_key", "run_key_for_spec",
+        "to_jsonable", "workload_recipe"),
+    "runstore": ("RunStore", "StoreError", "StoreIntegrityError"),
+    "serialize": ("config_from_dict", "config_to_dict", "result_from_dict", "result_to_dict"),
+})

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping, Optional, Sequence
+from collections.abc import Mapping
+from typing import Any, Optional, Sequence
 
 #: Bump when the artifact payload layout or the key derivation changes in a
 #: way that invalidates previously stored results.  The version participates
@@ -79,11 +80,17 @@ def canonical_dumps(payload: Any) -> str:
     over: sorted keys, fixed separators, no NaN, shortest round-trip float
     repr.  Equal payloads always produce equal strings.
     """
+    return dumps_jsonable(to_jsonable(payload))
+
+
+def dumps_jsonable(document: Any) -> str:
+    """:func:`canonical_dumps` of a ``document`` that already holds only JSON
+    primitives (a :func:`to_jsonable` result, a parsed artifact): the same
+    bytes without the conversion pass.  Raises ``ValueError`` on NaN/Infinity.
+    """
     # repro: allow[no-raw-json] -- this IS the canonical dumper the policy
     # routes compact/store JSON through; every other call site must use it.
-    return json.dumps(
-        to_jsonable(payload), sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def sha256_hex(text: str) -> str:
@@ -157,7 +164,7 @@ def run_key(config: Any, workload: Optional[Mapping[str, Any]] = None) -> str:
         "config": _normalise_numbers(to_jsonable(config_to_dict(config))),
         "workload": _normalise_numbers(to_jsonable(workload)),
     }
-    return sha256_hex(canonical_dumps(envelope))
+    return sha256_hex(dumps_jsonable(envelope))
 
 
 def run_key_for_spec(spec: Any) -> str:

@@ -25,14 +25,20 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.experiments.runner import ExperimentResult
+from repro.metrics.collector import ExperimentResult
 from repro.metrics.export import dumps_deterministic
-from repro.store.canonical import STORE_SCHEMA_VERSION, canonical_dumps, sha256_hex
+from repro.store.canonical import (
+    STORE_SCHEMA_VERSION,
+    canonical_dumps,
+    dumps_jsonable,
+    sha256_hex,
+)
 from repro.store.serialize import result_from_dict, result_to_dict
 
 PathLike = Union[str, Path]
 
 _KEY_HEX_LENGTH = 64  # SHA-256
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 class StoreError(Exception):
@@ -47,7 +53,7 @@ def _validate_key(key: str) -> str:
     if (
         not isinstance(key, str)
         or len(key) != _KEY_HEX_LENGTH
-        or any(ch not in "0123456789abcdef" for ch in key)
+        or not _HEX_DIGITS.issuperset(key)
     ):
         raise StoreError(f"malformed store key {key!r} (expected 64 lowercase hex chars)")
     return key
@@ -145,13 +151,8 @@ class RunStore:
             raise StoreIntegrityError(
                 f"artifact {path} records key {artifact.get('key')!r}, expected {key}"
             )
-        # A parsed payload holds only JSON primitives, so encoding it directly
-        # yields canonical_dumps' bytes without its conversion pass.
         try:
-            # repro: allow[no-raw-json] -- hashed, never stored
-            body = json.dumps(
-                artifact.get("payload"), sort_keys=True, separators=(",", ":"), allow_nan=False
-            )
+            body = dumps_jsonable(artifact.get("payload"))  # parsed: JSON primitives only
         except ValueError as exc:
             raise StoreIntegrityError(f"artifact {path} payload is not canonical: {exc}") from exc
         digest = sha256_hex(body)

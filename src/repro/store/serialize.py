@@ -16,8 +16,7 @@ from dataclasses import fields
 from typing import Any, Dict
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult
-from repro.metrics.collector import ExperimentMetrics
+from repro.metrics.collector import ExperimentMetrics, ExperimentResult
 from repro.metrics.records import FlowRecord
 from repro.net.faults import FaultEvent
 from repro.net.monitor import LayerLossStats, NetworkSnapshot

@@ -1,31 +1,7 @@
 """Data-centre and synthetic topologies."""
 
-from repro.topology.base import (
-    DEFAULT_LINK_DELAY_S,
-    DEFAULT_LINK_RATE_BPS,
-    Topology,
-)
-from repro.topology.dualhomed import DualHomedFatTreeTopology
-from repro.topology.fattree import FatTreeParams, FatTreeTopology
-from repro.topology.simple import (
-    DumbbellTopology,
-    IncastTopology,
-    TwoHostTopology,
-    TwoPathTopology,
-)
-from repro.topology.vl2 import Vl2Params, Vl2Topology
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_LINK_DELAY_S",
-    "DEFAULT_LINK_RATE_BPS",
-    "Topology",
-    "DualHomedFatTreeTopology",
-    "FatTreeParams",
-    "FatTreeTopology",
-    "DumbbellTopology",
-    "IncastTopology",
-    "TwoHostTopology",
-    "TwoPathTopology",
-    "Vl2Params",
-    "Vl2Topology",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "fattree": ("FatTreeParams", "FatTreeTopology"),
+})

@@ -1,67 +1,9 @@
 """Workload generation: flow specs, traffic matrices, arrival processes."""
 
-from repro.traffic.arrivals import poisson_arrivals, synchronized_arrivals, uniform_arrivals
-from repro.traffic.deadlines import (
-    DEADLINE_OPTION,
-    DeadlineParams,
-    deadline_miss_rate,
-    deadline_of,
-    ideal_transfer_time,
-    slack_deadlines,
-    uniform_deadlines,
-)
-from repro.traffic.flowspec import (
-    ALL_PROTOCOLS,
-    PROTOCOL_D2TCP,
-    PROTOCOL_DCTCP,
-    PROTOCOL_MMPTCP,
-    PROTOCOL_MPTCP,
-    PROTOCOL_PACKET_SCATTER,
-    PROTOCOL_TCP,
-    FlowSpec,
-)
-from repro.traffic.matrices import (
-    hotspot_pairs,
-    pair_counts_by_destination,
-    permutation_pairs,
-    random_pairs,
-    stride_pairs,
-)
-from repro.traffic.workloads import (
-    ShortLongWorkloadParams,
-    Workload,
-    build_hotspot_workload,
-    build_incast_workload,
-    build_short_long_workload,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "poisson_arrivals",
-    "synchronized_arrivals",
-    "DEADLINE_OPTION",
-    "DeadlineParams",
-    "deadline_miss_rate",
-    "deadline_of",
-    "ideal_transfer_time",
-    "slack_deadlines",
-    "uniform_deadlines",
-    "PROTOCOL_D2TCP",
-    "uniform_arrivals",
-    "ALL_PROTOCOLS",
-    "PROTOCOL_DCTCP",
-    "PROTOCOL_MMPTCP",
-    "PROTOCOL_MPTCP",
-    "PROTOCOL_PACKET_SCATTER",
-    "PROTOCOL_TCP",
-    "FlowSpec",
-    "hotspot_pairs",
-    "pair_counts_by_destination",
-    "permutation_pairs",
-    "random_pairs",
-    "stride_pairs",
-    "ShortLongWorkloadParams",
-    "Workload",
-    "build_hotspot_workload",
-    "build_incast_workload",
-    "build_short_long_workload",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "flowspec": ("PROTOCOL_D2TCP", "PROTOCOL_DCTCP", "PROTOCOL_MMPTCP", "PROTOCOL_MPTCP",
+        "PROTOCOL_TCP"),
+    "workloads": ("build_incast_workload",),
+})

@@ -1,46 +1,8 @@
 """Transport protocols: TCP NewReno, DCTCP and MPTCP (plus shared machinery)."""
 
-from repro.transport.base import Endpoint, SenderStats, TcpConfig
-from repro.transport.cc import (
-    CongestionController,
-    DctcpController,
-    LiaController,
-    NewRenoController,
-)
-from repro.transport.d2tcp import D2tcpController, D2tcpReceiver, D2tcpSender
-from repro.transport.dctcp import DctcpReceiver, DctcpSender
-from repro.transport.mptcp import MptcpConnection, MptcpReceiver, MptcpSubflow
-from repro.transport.receiver import TcpReceiver
-from repro.transport.rto import RtoEstimator
-from repro.transport.scheduler import (
-    LowestRttScheduler,
-    RoundRobinScheduler,
-    SubflowScheduler,
-)
-from repro.transport.sequence import ReceiveBuffer
-from repro.transport.tcp import TcpSender
+from repro import lazy_exports
 
-__all__ = [
-    "Endpoint",
-    "SenderStats",
-    "TcpConfig",
-    "D2tcpController",
-    "D2tcpReceiver",
-    "D2tcpSender",
-    "DctcpReceiver",
-    "DctcpSender",
-    "MptcpConnection",
-    "MptcpReceiver",
-    "MptcpSubflow",
-    "TcpReceiver",
-    "RtoEstimator",
-    "LowestRttScheduler",
-    "RoundRobinScheduler",
-    "SubflowScheduler",
-    "ReceiveBuffer",
-    "TcpSender",
-    "CongestionController",
-    "DctcpController",
-    "LiaController",
-    "NewRenoController",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "base": ("TcpConfig",),
+    "mptcp": ("MptcpConnection", "MptcpReceiver"),
+})

@@ -1,19 +1,5 @@
-"""Congestion-control policies: NewReno, DCTCP, and MPTCP's LIA."""
+"""Congestion-control policies: NewReno, DCTCP, and MPTCP's LIA.
 
-from repro.transport.cc.base import (
-    LOSS_FAST_RETRANSMIT,
-    LOSS_TIMEOUT,
-    CongestionController,
-    NewRenoController,
-)
-from repro.transport.cc.dctcp_alpha import DctcpController
-from repro.transport.cc.lia import LiaController
-
-__all__ = [
-    "LOSS_FAST_RETRANSMIT",
-    "LOSS_TIMEOUT",
-    "CongestionController",
-    "NewRenoController",
-    "DctcpController",
-    "LiaController",
-]
+Import the policies from their modules (:mod:`repro.transport.cc.base`,
+:mod:`~repro.transport.cc.dctcp_alpha`, :mod:`~repro.transport.cc.lia`).
+"""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -344,18 +345,69 @@ def test_config_flag_choices_are_the_configs_legal_values(flag) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_importing_the_cli_needs_only_the_standard_library() -> None:
-    """numpy and networkx are test oracles; the runtime must never import them."""
-    root = Path(__file__).resolve().parent.parent
+#: Simulator code the warm path (parse, keys, store reads, rows, report) never needs.
+_SIMULATOR_MODULES = (
+    "repro.sim.engine",
+    "repro.net.link",
+    "repro.net.host",
+    "repro.topology.base",
+    "repro.transport.tcp",
+    "repro.experiments.runner",
+    "repro.analysis.lint.core",
+)
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _loaded_by(statements: str, *modules: str) -> list:
+    """Which of ``modules`` a fresh interpreter holds after running ``statements``."""
     script = (
-        "import sys\n"
-        "import repro, repro.cli\n"
-        "print(sorted(name for name in ('numpy', 'networkx') if name in sys.modules))\n"
+        f"import json, sys\n{statements}\n"
+        f"print(json.dumps(sorted(set({modules!r}) & set(sys.modules))))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(root / "src")
     completed = subprocess.run(
         [sys.executable, "-c", script],
-        env=env, cwd=root, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
+        cwd=_ROOT, capture_output=True, text=True, check=True,
     )
-    assert completed.stdout.strip() == "[]"
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_needs_only_the_standard_library() -> None:
+    """numpy and networkx are test oracles, and the CLI loads no simulator code."""
+    assert _loaded_by("import repro, repro.cli", "numpy", "networkx", *_SIMULATOR_MODULES) == []
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.store.runstore", "repro.campaigns.runner", "repro.experiments.parallel"]
+)
+def test_warm_path_modules_load_no_simulator(module) -> None:
+    assert _loaded_by(f"import {module}", *_SIMULATOR_MODULES) == []
+
+
+def test_a_warm_campaign_run_loads_no_simulator(tmp_path) -> None:
+    argv = ["campaign", "run", "--store", str(tmp_path), "--scenarios", "baseline",
+            "--transports", "tcp"]
+    assert main(argv) == 0  # the cold run fills the store
+    warm = f"from repro.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_by(warm, *_SIMULATOR_MODULES) == []
+
+
+def _packages() -> list:
+    source = _ROOT / "src"
+    return sorted(
+        ".".join(path.parent.relative_to(source).parts) for path in source.rglob("__init__.py")
+    )
+
+
+@pytest.mark.parametrize("package", _packages())
+def test_every_lazy_export_resolves(package) -> None:
+    module = importlib.import_module(package)
+    exports = getattr(module, "__all__", ())
+    for name in exports:
+        getattr(module, name)
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    assert set(exports) <= set(namespace)
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_export")

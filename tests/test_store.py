@@ -4,6 +4,8 @@ atomic artifacts, integrity verification, gc)."""
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -224,3 +226,57 @@ def test_store_gc_keeps_only_requested_keys(tmp_path, tiny_result) -> None:
     assert removed == [drop_key]
     assert store.has(keep_key) and not store.has(drop_key)
     assert not stale.exists()
+
+
+def test_a_half_written_temp_file_is_invisible_until_gc(tmp_path, tiny_result, capsys) -> None:
+    store = RunStore(tmp_path)
+    key = run_key(tiny_result.config)
+    missing = run_key(tiny_result.config.with_updates(seed=2))
+    text = store.put(key, tiny_result, meta={"campaign": "c"}).read_text()
+    # Writers killed mid-put: one left half of an artifact the store lacks,
+    # the other a truncated rewrite beside a complete artifact.
+    half = store.object_path(missing).with_name(f"{missing}.json.tmp.4242")
+    half.parent.mkdir(parents=True, exist_ok=True)
+    half.write_text(text[: len(text) // 2])
+    beside = store.object_path(key).with_name(f"{key}.json.tmp.4243")
+    beside.write_text(text[:100])
+
+    assert not store.has(missing)
+    assert store.keys() == [key]
+    assert store.metas() == {key: {"campaign": "c"}}
+    assert main(["store", "verify", "--store", str(tmp_path)]) == 0
+    assert "artifacts=1 ok=1 corrupt=0" in capsys.readouterr().out
+
+    assert store.gc([key]) == []
+    assert not half.exists() and not beside.exists()
+    assert store.get(key) == normalised_result(tiny_result)
+
+
+def _put_repeatedly(root, key, result, start, rounds: int) -> None:
+    store = RunStore(root)
+    start.wait()
+    for _ in range(rounds):
+        store.put(key, result, meta={"writer": os.getpid()})
+
+
+def test_concurrent_puts_of_one_key_leave_one_verified_artifact(tmp_path, tiny_result) -> None:
+    # Four writers racing 300 puts each.  Were the temp file shared between
+    # writers, one writer's os.replace would find it gone: that fails here.
+    key = run_key(tiny_result.config)
+    context = multiprocessing.get_context("fork")
+    start = context.Barrier(4)
+    writers = [
+        context.Process(target=_put_repeatedly, args=(tmp_path, key, tiny_result, start, 300))
+        for _ in range(4)
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=60)
+    assert not any(writer.is_alive() for writer in writers)
+    assert [writer.exitcode for writer in writers] == [0] * 4
+
+    store = RunStore(tmp_path)
+    assert [path.name for path in store.object_path(key).parent.iterdir()] == [f"{key}.json"]
+    assert store.get(key) == normalised_result(tiny_result)
+    assert store.get_artifact(key)["meta"]["writer"] in {writer.pid for writer in writers}
