@@ -23,6 +23,7 @@ from repro.experiments.runner import build_topology, create_flow
 from repro.metrics.collector import ExperimentMetrics
 from repro.metrics.records import FlowRecord
 from repro.metrics.reporting import render_table
+from repro.net.monitor import snapshot as network_snapshot
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP
@@ -62,7 +63,7 @@ def _run_incast(protocol: str, topology_kind: str) -> ExperimentMetrics:
 
     metrics = ExperimentMetrics(duration_s=config.horizon_s)
     metrics.flows = [_record_for(instance) for instance in instances]
-    metrics.network = topology.monitor().snapshot(config.horizon_s)
+    metrics.network = network_snapshot(topology.hosts, topology.switches, config.horizon_s)
     return metrics
 
 

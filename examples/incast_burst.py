@@ -18,6 +18,7 @@ import random
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import _record_for, build_topology, create_flow
 from repro.metrics import ExperimentMetrics, render_table
+from repro.net.monitor import snapshot as network_snapshot
 from repro.sim import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.units import megabits_per_second
@@ -60,7 +61,7 @@ def run_incast(protocol: str) -> ExperimentMetrics:
 
     metrics = ExperimentMetrics(duration_s=config.horizon_s)
     metrics.flows = [_record_for(instance) for instance in instances]
-    metrics.network = topology.monitor().snapshot(config.horizon_s)
+    metrics.network = network_snapshot(topology.hosts, topology.switches, config.horizon_s)
     return metrics
 
 

@@ -5,8 +5,9 @@ The paper's introduction blames short-flow deadline misses on "queue
 build-ups, buffer pressure and TCP Incast".  This example fires the same
 synchronised 16-to-1 burst of 70 KB responses through a FatTree twice —
 once with single-path TCP, once with MMPTCP (whose short responses stay in
-the packet-scatter phase) — while a sampler records every switch queue's
-occupancy each 0.5 ms.  It then prints where the packets piled up.
+the packet-scatter phase) — with the ``queue`` probe group on, which
+records a switch queue's occupancy each time a packet joins it.  It then
+prints where the packets piled up.
 
 Run with:  python examples/queue_occupancy.py
 """
@@ -17,7 +18,7 @@ from repro.experiments import ExperimentConfig
 from repro.experiments.incast_study import build_incast_workload_for
 from repro.experiments.runner import build_topology, create_flow
 from repro.metrics.reporting import render_table
-from repro.metrics.timeseries import QueueOccupancySampler
+from repro.obs.telemetry import TelemetryRecorder
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.units import megabits_per_second
@@ -25,10 +26,15 @@ from repro.traffic import PROTOCOL_MMPTCP, PROTOCOL_TCP
 
 FAN_IN = 16
 RESPONSE_BYTES = 70_000
+SERIES_PREFIX = "queue.packets/"
 
 
 def run_burst(protocol: str):
-    """Run one synchronised burst and return (sampler, completed, horizon)."""
+    """Run one synchronised burst; return (per-queue peaks, completed responses).
+
+    The peaks are ``(switch, layer, port, peak packets)`` tuples, one per
+    switch output queue that ever held a packet.
+    """
     config = ExperimentConfig(
         fattree_k=4,
         hosts_per_edge=4,
@@ -43,6 +49,14 @@ def run_burst(protocol: str):
     simulator = Simulator()
     streams = RandomStreams(config.seed)
     topology = build_topology(config, simulator)
+    # One queue sees up to ~800 enqueues here; 4096 samples per series keeps
+    # every one of them, so each recorded peak is exact.
+    recorder = TelemetryRecorder(groups=("queue",), max_samples_per_series=4096)
+    ports = {}
+    for switch in topology.switches:
+        switch.probes = recorder
+        for port, interface in enumerate(switch.interfaces):
+            ports[interface.name] = (switch.name, switch.layer, port)
     workload = build_incast_workload_for(config, FAN_IN, RESPONSE_BYTES, protocol)
 
     instances = []
@@ -51,11 +65,13 @@ def run_burst(protocol: str):
         instances.append(instance)
         simulator.schedule_at(spec.start_time, instance.sender.start)
 
-    sampler = QueueOccupancySampler(simulator, topology.switches, interval_s=5e-4)
-    sampler.start()
     simulator.run(until=config.horizon_s)
     completed = sum(1 for instance in instances if instance.receiver.complete)
-    return sampler, completed, config.horizon_s
+    peaks = [
+        (*ports[name[len(SERIES_PREFIX):]], int(max(value for _, value in buffer.samples)))
+        for name, buffer in recorder.series.items()
+    ]
+    return peaks, completed
 
 
 def main() -> None:
@@ -64,35 +80,31 @@ def main() -> None:
     rows = []
     details = {}
     for protocol in (PROTOCOL_TCP, PROTOCOL_MMPTCP):
-        sampler, completed, _ = run_burst(protocol)
-        edge = sampler.layer_summary("edge")
-        aggregation = sampler.layer_summary("aggregation")
-        core = sampler.layer_summary("core")
-        rows.append([
-            protocol,
-            f"{completed}/{FAN_IN}",
-            edge.peak_packets,
-            f"{edge.mean_packets:.1f}",
-            aggregation.peak_packets,
-            core.peak_packets,
-        ])
-        details[protocol] = sampler
+        peaks, completed = run_burst(protocol)
+        row = [protocol, f"{completed}/{FAN_IN}"]
+        for layer in ("edge", "aggregation", "core"):
+            layer_peaks = [peak for _, queue_layer, _, peak in peaks if queue_layer == layer]
+            row += [max(layer_peaks, default=0), len(layer_peaks)]
+        rows.append(row)
+        details[protocol] = sorted(peaks, key=lambda queue: queue[3], reverse=True)
 
     print(render_table(
-        ["protocol", "responses delivered", "edge peak (pkts)", "edge mean (pkts)",
-         "agg peak (pkts)", "core peak (pkts)"],
+        ["protocol", "responses delivered", "edge peak (pkts)", "edge queues",
+         "agg peak (pkts)", "agg queues", "core peak (pkts)", "core queues"],
         rows,
     ))
+    print("(peak: the deepest queue of the layer; queues: how many of its queues "
+          "ever held a packet)")
 
     print("\nBusiest queues per protocol (switch, port, peak packets):")
-    for protocol, sampler in details.items():
+    for protocol, peaks in details.items():
         print(f"  {protocol}:")
-        for switch, port, peak in sampler.busiest_queues(top=3):
+        for switch, _, port, peak in peaks[:3]:
             print(f"    {switch:22s} port {port}  peak {peak} packets")
     print("\nThe receiver's own edge port is the incast bottleneck for every transport")
     print("(no spraying can widen a single downlink); the difference shows upstream,")
-    print("where the scattered burst spreads its packets over more aggregation and")
-    print("core queues instead of a single path per sender.")
+    print("where packet scatter spreads the burst over more edge queues and")
+    print("keeps its deepest aggregation and core queues shallower than TCP's.")
 
 
 if __name__ == "__main__":

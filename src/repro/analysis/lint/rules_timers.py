@@ -13,7 +13,7 @@ traces byte-identical across engine refactors.  Two static guards:
   ACK).  Transports must hold a reusable ``Simulator.timer()`` handle and
   ``arm``/``rearm``/``cancel`` it.
 
-The network layer (links, fault injector, samplers) may still ``schedule``
+The network layer (links, fault injector) may still ``schedule``
 one-shot events — delivery delays and fault arms are not timers that churn.
 """
 

@@ -115,11 +115,6 @@ class MmptcpConnection(MptcpConnection):
     # Phase machinery
     # ------------------------------------------------------------------
 
-    @property
-    def in_packet_scatter_phase(self) -> bool:
-        """True while the connection is still in its initial phase."""
-        return self.phase == PHASE_PACKET_SCATTER
-
     def allocate_chunk(self, subflow: MptcpSubflow) -> Optional[Tuple[int, int]]:
         """Serve data to subflows, excluding the scatter flow after the switch.
 

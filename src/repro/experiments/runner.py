@@ -46,6 +46,7 @@ from repro.metrics.collector import ExperimentMetrics, ExperimentResult
 from repro.metrics.records import FlowRecord
 from repro.net.faults import FaultInjector
 from repro.net.host import Host
+from repro.net.monitor import snapshot as network_snapshot
 from repro.net.packet import default_pool, set_pool_profile
 from repro.net.queues import DropTailQueue, EcnQueue, SharedBufferPool, SharedBufferQueue
 from repro.obs.profiler import EngineProfiler, pool_counters, profile_diagnostics
@@ -466,7 +467,7 @@ def run_experiment(
 
     metrics = ExperimentMetrics(duration_s=config.horizon_s)
     metrics.flows = [_record_for(instance) for instance in instances]
-    metrics.network = topology.monitor().snapshot(config.horizon_s)
+    metrics.network = network_snapshot(topology.hosts, topology.switches, config.horizon_s)
 
     # repro: allow[no-wallclock-or-global-random] -- diagnostic only (above)
     wallclock_s = _wallclock.monotonic() - wall_start

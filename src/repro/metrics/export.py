@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Union
 
 from repro.metrics.records import FlowRecord
 from repro.metrics.stats import cdf_points
@@ -130,15 +130,6 @@ def write_series_csv(
     return destination
 
 
-def write_cdf_csv(values: Sequence[float], path: PathLike) -> Path:
-    """Write the empirical CDF of ``values`` as (value, fraction) rows."""
-    rows = [
-        {"value": value, "cumulative_fraction": fraction}
-        for value, fraction in cdf_points(values)
-    ]
-    return write_series_csv(rows, path, fieldnames=["value", "cumulative_fraction"])
-
-
 # ---------------------------------------------------------------------------
 # Text CDF rendering (a stand-in for the paper's scatter/CDF plots)
 # ---------------------------------------------------------------------------
@@ -175,21 +166,3 @@ def ascii_cdf(
     lines.append("    +" + "-" * width)
     lines.append(f"     {label}: {low:.3g} .. {high:.3g}")
     return "\n".join(lines)
-
-
-def cdf_comparison_rows(
-    series: Dict[str, Sequence[float]], thresholds: Sequence[float]
-) -> List[Dict[str, object]]:
-    """For each named series, the fraction of samples at or below each threshold.
-
-    This is the tabular equivalent of overlaying several CDFs on one plot.
-    """
-    rows: List[Dict[str, object]] = []
-    for name, values in series.items():
-        row: Dict[str, object] = {"series": name, "samples": len(values)}
-        total = max(len(values), 1)
-        for threshold in thresholds:
-            below = sum(1 for value in values if value <= threshold)
-            row[f"<= {threshold:g}"] = below / total
-        rows.append(row)
-    return rows

@@ -7,7 +7,7 @@ output can be eyeballed (and diffed) without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -48,27 +48,3 @@ def rows_table(rows: Sequence[Mapping[str, object]]) -> str:
         [[f"{cell:.4f}" if isinstance(cell, float) else str(cell) for cell in cells]
          for cells in body],
     )
-
-
-def format_milliseconds(value: float) -> str:
-    """Format a millisecond quantity with one decimal."""
-    return f"{value:.1f} ms"
-
-
-def format_rate(value: float) -> str:
-    """Format a ratio as a percentage with two decimals."""
-    return f"{100.0 * value:.2f}%"
-
-
-def format_throughput_mbps(value_bps: float) -> str:
-    """Format a bits-per-second value in Mbps."""
-    return f"{value_bps / 1e6:.1f} Mbps"
-
-
-def comparison_table(rows: Dict[str, Dict[str, float]], metrics: Sequence[str]) -> str:
-    """Render a protocols × metrics comparison (used by the Section 3 bench)."""
-    headers = ["protocol", *metrics]
-    body = []
-    for protocol, values in rows.items():
-        body.append([protocol, *[f"{values.get(metric, 0.0):.3f}" for metric in metrics]])
-    return render_table(headers, body)

@@ -80,6 +80,8 @@ class Interface:
         self.delay_s = delay_s
         self.queue = queue if queue is not None else DropTailQueue()
         self.name = name or f"{node.name}-if{len(node.interfaces)}"
+        #: The ``queue`` probe series this interface's occupancy goes to.
+        self._queue_series = f"queue.packets/{self.name}"
         self.bytes_sent = 0
         self.packets_sent = 0
         self.busy_time = 0.0
@@ -119,9 +121,15 @@ class Interface:
             self._drop(packet)
             return False
         if self._transmitting:
-            if not self.queue.enqueue(packet):
+            queue = self.queue
+            if not queue.enqueue(packet):
                 self._drop(packet)
                 return False
+            # Occupancy only rises here, so sampling each accepted enqueue
+            # records every peak without a timer of its own.
+            probes = self.node.probes
+            if probes.enabled:
+                probes.sample(self._queue_series, self.simulator.now, len(queue))
             return True
         # Idle transmitter ⇒ the queue is empty (a down link parks packets,
         # but the `up` check above already excluded that state): pass the

@@ -1,7 +1,7 @@
 """Network-wide observation helpers.
 
 The simulator's nodes, interfaces and queues all keep local counters as they
-run (drops, bytes forwarded, busy time).  :class:`NetworkMonitor` aggregates
+run (drops, bytes forwarded, busy time).  :func:`snapshot` aggregates
 those counters into the network-level quantities the paper reports:
 
 * loss rate per switch layer (core / aggregation / edge),
@@ -12,7 +12,7 @@ those counters into the network-level quantities the paper reports:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only; the records load without the stack
     from repro.net.host import Host
@@ -74,58 +74,49 @@ class NetworkSnapshot:
         return stats.loss_rate if stats is not None else 0.0
 
 
-class NetworkMonitor:
-    """Aggregates per-device counters into network-level statistics."""
+def snapshot(
+    hosts: Sequence[Host], switches: Sequence[Switch], duration_s: float
+) -> NetworkSnapshot:
+    """Aggregate the devices' counters over ``duration_s`` of simulated time."""
+    result = NetworkSnapshot(duration_s=duration_s)
 
-    def __init__(self, hosts: Sequence[Host], switches: Sequence[Switch]) -> None:
-        self.hosts = list(hosts)
-        self.switches = list(switches)
+    for switch in switches:
+        stats = result.layer_loss.setdefault(switch.layer, LayerLossStats(switch.layer))
+        for interface in switch.interfaces:
+            stats.offered_packets += interface.queue.stats.offered_packets
+            stats.dropped_packets += interface.queue.stats.dropped_packets
+            stats.dropped_bytes += interface.queue.stats.dropped_bytes
+            stats.fault_dropped_packets += interface.fault_drops
+            stats.fault_dropped_offered += interface.fault_drops_offered
+            result.total_bytes_carried += interface.bytes_sent
+            result.total_packets_dropped += (
+                interface.queue.stats.dropped_packets + interface.fault_drops
+            )
+            result.total_fault_drops += interface.fault_drops
 
-    # ------------------------------------------------------------------
+    if duration_s > 0:
+        result.core_utilisation = _mean_utilisation(switches, "core", duration_s)
+        result.edge_utilisation = _mean_utilisation(switches, "edge", duration_s)
 
-    def _interfaces_of(self, switches: Iterable[Switch]) -> List[Interface]:
-        interfaces: List[Interface] = []
-        for switch in switches:
-            interfaces.extend(switch.interfaces)
-        return interfaces
+    for host in hosts:
+        for interface in host.interfaces:
+            result.total_bytes_carried += interface.bytes_sent
+            result.total_packets_dropped += (
+                interface.queue.stats.dropped_packets + interface.fault_drops
+            )
+            result.total_fault_drops += interface.fault_drops
 
-    def snapshot(self, duration_s: float) -> NetworkSnapshot:
-        """Build a :class:`NetworkSnapshot` covering ``duration_s`` of simulated time."""
-        snapshot = NetworkSnapshot(duration_s=duration_s)
+    return result
 
-        for switch in self.switches:
-            stats = snapshot.layer_loss.setdefault(switch.layer, LayerLossStats(switch.layer))
-            for interface in switch.interfaces:
-                stats.offered_packets += interface.queue.stats.offered_packets
-                stats.dropped_packets += interface.queue.stats.dropped_packets
-                stats.dropped_bytes += interface.queue.stats.dropped_bytes
-                stats.fault_dropped_packets += interface.fault_drops
-                stats.fault_dropped_offered += interface.fault_drops_offered
-                snapshot.total_bytes_carried += interface.bytes_sent
-                snapshot.total_packets_dropped += (
-                    interface.queue.stats.dropped_packets + interface.fault_drops
-                )
-                snapshot.total_fault_drops += interface.fault_drops
 
-        core_switches = [switch for switch in self.switches if switch.layer == "core"]
-        edge_switches = [switch for switch in self.switches if switch.layer == "edge"]
-        core_interfaces = self._interfaces_of(core_switches)
-        edge_interfaces = self._interfaces_of(edge_switches)
-        if core_interfaces and duration_s > 0:
-            snapshot.core_utilisation = sum(
-                interface.utilisation(duration_s) for interface in core_interfaces
-            ) / len(core_interfaces)
-        if edge_interfaces and duration_s > 0:
-            snapshot.edge_utilisation = sum(
-                interface.utilisation(duration_s) for interface in edge_interfaces
-            ) / len(edge_interfaces)
-
-        for host in self.hosts:
-            for interface in host.interfaces:
-                snapshot.total_bytes_carried += interface.bytes_sent
-                snapshot.total_packets_dropped += (
-                    interface.queue.stats.dropped_packets + interface.fault_drops
-                )
-                snapshot.total_fault_drops += interface.fault_drops
-
-        return snapshot
+def _mean_utilisation(switches: Sequence[Switch], layer: str, duration_s: float) -> float:
+    """Mean busy fraction of the interfaces of ``layer``'s switches (0.0 if none)."""
+    interfaces: List[Interface] = [
+        interface
+        for switch in switches
+        if switch.layer == layer
+        for interface in switch.interfaces
+    ]
+    if not interfaces:
+        return 0.0
+    return sum(interface.utilisation(duration_s) for interface in interfaces) / len(interfaces)

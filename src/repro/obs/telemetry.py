@@ -7,9 +7,11 @@ a *class attribute* on every instrumented component so the unprobed common
 case costs one attribute read and a falsy check — never per-instance
 storage, never a method call.  Probes are the simulator's one observation
 channel: transport endpoints, hosts, switches, the fault injector and the
-fluid fault applier all report through them.  The network and fault layers
-use the single :meth:`TelemetryProbes.observe_trace` hook for their named
-events (``packet_drop``, ``link_down``, ``migrate_host``, ...).
+fluid fault applier all report through them, and an interface samples its
+queue's occupancy into its node's probes (``queue.packets/<interface>``).
+The network and fault layers use the single
+:meth:`TelemetryProbes.observe_trace` hook for their named events
+(``packet_drop``, ``link_down``, ``migrate_host``, ...).
 
 Everything a recorder stores is keyed on **simulated** time and fed only by
 deterministic call sites, so two runs of the same config produce
@@ -40,10 +42,10 @@ TELEMETRY_SCHEMA = 1
 #: ``<group>.<metric>`` (optionally ``/<track>`` for per-entity series);
 #: the group is everything before the first dot.
 PROBE_GROUPS = (
-    "engine",
     "faults",
     "fluid",
     "phase",
+    "queue",
     "scheduler",
     "trace",
     "transport",
@@ -51,6 +53,18 @@ PROBE_GROUPS = (
 
 #: The wildcard accepted by ``--probes`` and :class:`TelemetryRecorder`.
 ALL_GROUPS = "all"
+
+
+def probe_groups_argument(values: Sequence[str]) -> Tuple[str, ...]:
+    """Validate ``--probes`` / recorder groups into a sorted, deduplicated tuple."""
+    unknown = sorted(set(values) - set(PROBE_GROUPS) - {ALL_GROUPS})
+    if unknown:
+        raise ValueError(
+            f"unknown probe group(s) {', '.join(unknown)}; "
+            f"known: {', '.join(PROBE_GROUPS)} (or '{ALL_GROUPS}')"
+        )
+    return tuple(sorted(set(values)))
+
 
 #: ``observe_trace`` events worth keeping as full telemetry events (fault
 #: applications and mobility).  Every other observed name is still
@@ -144,13 +158,7 @@ class TelemetryRecorder(TelemetryProbes):
         max_samples_per_series: int = 512,
         max_events: int = 4096,
     ) -> None:
-        unknown = sorted(set(groups) - set(PROBE_GROUPS) - {ALL_GROUPS})
-        if unknown:
-            raise ValueError(
-                f"unknown probe group(s) {', '.join(unknown)}; "
-                f"known: {', '.join(PROBE_GROUPS)} (or '{ALL_GROUPS}')"
-            )
-        self.groups = tuple(sorted(set(groups)))
+        self.groups = probe_groups_argument(groups)
         self._all = ALL_GROUPS in self.groups
         self._group_set = frozenset(self.groups)
         self.max_samples_per_series = max_samples_per_series
@@ -291,17 +299,6 @@ def telemetry_jsonl(records: Iterable[Dict[str, Any]]) -> str:
     ``allow_nan=False``), so equal records are equal bytes.
     """
     return "".join(dumps_deterministic(record, indent=None) for record in records)
-
-
-def probe_groups_argument(values: Sequence[str]) -> Tuple[str, ...]:
-    """Validate a CLI ``--probes`` list into a recorder ``groups`` tuple."""
-    unknown = sorted(set(values) - set(PROBE_GROUPS) - {ALL_GROUPS})
-    if unknown:
-        raise ValueError(
-            f"unknown probe group(s) {', '.join(unknown)}; "
-            f"known: {', '.join(PROBE_GROUPS)} (or '{ALL_GROUPS}')"
-        )
-    return tuple(sorted(set(values)))
 
 
 def make_recorder(

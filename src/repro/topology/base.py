@@ -8,11 +8,13 @@ in their constructor, then call :meth:`build_routes` once wiring is complete.
 
 from __future__ import annotations
 
+from functools import partial
+from types import SimpleNamespace
 from typing import Dict, Optional
 
 from repro.net.host import Host
 from repro.net.link import Interface, QueueFactory, connect
-from repro.net.monitor import NetworkMonitor
+from repro.net.monitor import snapshot
 from repro.net.node import Node
 from repro.net.routing import Graph, build_ecmp_routes, count_equal_cost_paths
 from repro.net.switch import Switch
@@ -30,7 +32,6 @@ class Topology:
         self.switches: list[Switch] = []
         self._nodes_by_name: Dict[str, Node] = {}
         self._hosts_by_address: Dict[int, Host] = {}
-        self._routes_built = False
         #: Queue factory reused for links created after construction
         #: (host re-attachment); concrete topologies record theirs.
         self.default_queue_factory: Optional[QueueFactory] = None
@@ -81,7 +82,6 @@ class Topology:
     def build_routes(self) -> None:
         """Compute and install ECMP forwarding tables on every switch."""
         build_ecmp_routes(self.graph, self.hosts, self.switches)
-        self._routes_built = True
 
     def rebuild_routes(self) -> None:
         """Recompute forwarding tables after the graph changed (fault injection).
@@ -258,14 +258,12 @@ class Topology:
         """Number of equal-cost shortest paths between two hosts."""
         return count_equal_cost_paths(self.graph, host_a.name, host_b.name)
 
-    def monitor(self) -> NetworkMonitor:
-        """A :class:`NetworkMonitor` covering every device in this topology."""
-        return NetworkMonitor(self.hosts, self.switches)
+    def monitor(self) -> SimpleNamespace:
+        """``monitor().snapshot(duration_s)``: the form ``benchmarks/ledger`` still calls.
 
-    @property
-    def routes_built(self) -> bool:
-        """True once :meth:`build_routes` has run."""
-        return self._routes_built
+        Everything else calls :func:`repro.net.monitor.snapshot` directly.
+        """
+        return SimpleNamespace(snapshot=partial(snapshot, self.hosts, self.switches))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

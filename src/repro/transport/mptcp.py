@@ -333,11 +333,6 @@ class MptcpConnection:
         """True once every byte of the stream has been mapped onto some subflow."""
         return self._next_dsn >= self.total_bytes
 
-    @property
-    def unallocated_bytes(self) -> int:
-        """Bytes not yet assigned to any subflow."""
-        return max(0, self.total_bytes - self._next_dsn)
-
     def allocate_chunk(self, subflow: MptcpSubflow) -> Optional[Tuple[int, int]]:
         """Assign the next chunk (at most one MSS) of the stream to ``subflow``."""
         if self.scheduler.duplicates:

@@ -6,13 +6,7 @@ import pytest
 
 from repro.metrics.collector import ExperimentMetrics
 from repro.metrics.records import FlowRecord
-from repro.metrics.reporting import (
-    comparison_table,
-    format_milliseconds,
-    format_rate,
-    format_throughput_mbps,
-    render_table,
-)
+from repro.metrics.reporting import render_table
 from repro.metrics.stats import (
     cdf_points,
     fraction_above,
@@ -166,16 +160,3 @@ class TestReporting:
         assert "protocol" in lines[0]
         assert "mmptcp" in lines[3]
         assert all(line.startswith("|") for line in lines)
-
-    def test_formatters(self) -> None:
-        assert format_milliseconds(116.04) == "116.0 ms"
-        assert format_rate(0.0123) == "1.23%"
-        assert format_throughput_mbps(50_000_000) == "50.0 Mbps"
-
-    def test_comparison_table(self) -> None:
-        table = comparison_table(
-            {"mptcp": {"mean": 126.0, "std": 425.0}, "mmptcp": {"mean": 116.0, "std": 101.0}},
-            metrics=["mean", "std"],
-        )
-        assert "mptcp" in table and "mmptcp" in table
-        assert "126.000" in table and "101.000" in table

@@ -12,10 +12,8 @@ from repro.metrics.collector import ExperimentMetrics
 from repro.metrics.export import (
     FLOW_RECORD_FIELDS,
     ascii_cdf,
-    cdf_comparison_rows,
     dumps_deterministic,
     flow_record_row,
-    write_cdf_csv,
     write_flow_records_csv,
     write_json,
     write_series_csv,
@@ -115,17 +113,6 @@ def test_write_series_csv_empty_rows_writes_empty_file(tmp_path) -> None:
     assert path.read_text() == ""
 
 
-def test_write_cdf_csv_is_monotonic(tmp_path) -> None:
-    path = write_cdf_csv([5.0, 1.0, 3.0, 2.0, 4.0], tmp_path / "cdf.csv")
-    with path.open() as handle:
-        rows = list(csv.DictReader(handle))
-    values = [float(row["value"]) for row in rows]
-    fractions = [float(row["cumulative_fraction"]) for row in rows]
-    assert values == sorted(values)
-    assert fractions == sorted(fractions)
-    assert fractions[-1] == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------------------
 # ASCII CDF
 # ---------------------------------------------------------------------------
@@ -153,24 +140,3 @@ def test_ascii_cdf_never_raises_on_valid_samples(values) -> None:
     """Property: any non-empty sample renders without error."""
     chart = ascii_cdf(values)
     assert isinstance(chart, str) and chart
-
-
-# ---------------------------------------------------------------------------
-# CDF comparison rows
-# ---------------------------------------------------------------------------
-
-
-def test_cdf_comparison_rows_fraction_below_thresholds() -> None:
-    series = {"mmptcp": [50.0, 80.0, 90.0, 300.0], "mptcp": [60.0, 250.0, 450.0, 800.0]}
-    rows = cdf_comparison_rows(series, thresholds=[100.0, 200.0])
-    by_name = {row["series"]: row for row in rows}
-    assert by_name["mmptcp"]["<= 100"] == pytest.approx(0.75)
-    assert by_name["mmptcp"]["<= 200"] == pytest.approx(0.75)
-    assert by_name["mptcp"]["<= 100"] == pytest.approx(0.25)
-    assert by_name["mptcp"]["samples"] == 4
-
-
-def test_cdf_comparison_rows_handles_empty_series() -> None:
-    rows = cdf_comparison_rows({"empty": []}, thresholds=[1.0])
-    assert rows[0]["samples"] == 0
-    assert rows[0]["<= 1"] == 0.0

@@ -19,6 +19,7 @@ from repro.net.faults import (
     link_failure,
     link_flap,
 )
+from repro.net.monitor import snapshot as network_snapshot
 from repro.sim.engine import Simulator
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
 from support import make_tcp_transfer
@@ -323,7 +324,7 @@ def test_fault_drops_are_counted_by_the_network_monitor() -> None:
     assert interface.fault_drops_offered == 1
     assert interface.queue.stats.dropped_packets == 0  # the queue never saw it
 
-    snapshot = topology.monitor().snapshot(1.0)
+    snapshot = network_snapshot(topology.hosts, topology.switches, 1.0)
     assert snapshot.total_fault_drops == 1
     assert snapshot.total_packets_dropped == 1
     core = snapshot.layer_loss["core"]
@@ -350,7 +351,7 @@ def test_on_wire_fault_drop_is_a_loss_but_not_a_second_offer() -> None:
     assert interface.fault_drops == 1
     assert interface.fault_drops_offered == 0
 
-    core = topology.monitor().snapshot(1.0).layer_loss["core"]
+    core = network_snapshot(topology.hosts, topology.switches, 1.0).layer_loss["core"]
     assert core.offered_packets == 1
     assert core.fault_dropped_packets == 1
     assert core.loss_rate == 1.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.net.host import Host
@@ -10,6 +12,11 @@ from repro.net.packet import FLAG_DATA, Packet
 from repro.net.queues import DropTailQueue
 from repro.obs.telemetry import NULL_PROBES, TelemetryRecorder
 from repro.sim.engine import Simulator
+from repro.sim.units import megabits_per_second, microseconds
+from repro.topology.simple import IncastTopology
+from repro.transport.base import TcpConfig
+from repro.transport.receiver import TcpReceiver
+from repro.transport.tcp import TcpSender
 
 
 class _SinkHost(Host):
@@ -193,3 +200,103 @@ def test_queue_drops_reach_the_probes_installed_on_the_node() -> None:
     iface_ab.send(_packet(dst=2))
     assert a.dropped_packets == 2
     assert recorder.counters == {"trace.packet_drop": 1}
+
+
+# ---------------------------------------------------------------------------
+# The ``queue`` probe: occupancy recorded at each busy enqueue
+# ---------------------------------------------------------------------------
+
+_INCAST_QUEUE_PACKETS = 64
+
+
+def _incast_burst(fan_in: int, groups=("queue",)):
+    """A synchronised ``fan_in``-to-1 TCP burst through one switch.
+
+    Every node reports to one recorder subscribed to ``groups`` (no
+    recorder when ``groups`` is empty).  Returns the topology, the
+    recorder, the simulator and each flow's (receiver, sender) pair.
+    """
+    simulator = Simulator()
+    topology = IncastTopology(
+        simulator,
+        fan_in=fan_in,
+        link_rate_bps=megabits_per_second(100),
+        link_delay_s=microseconds(50),
+        queue_factory=lambda: DropTailQueue(capacity_packets=_INCAST_QUEUE_PACKETS),
+    )
+    recorder = TelemetryRecorder(groups=groups) if groups else None
+    if recorder is not None:
+        for node in (*topology.hosts, *topology.switches):
+            node.probes = recorder
+    config = TcpConfig(mss=1000, initial_cwnd_segments=4)
+    size = 70_000
+    flows = []
+    for index, sender_host in enumerate(topology.senders):
+        receiver = TcpReceiver(simulator, topology.receiver, local_port=5001 + index,
+                               flow_id=index, expected_bytes=size)
+        sender = TcpSender(simulator, sender_host, topology.receiver.address, 5001 + index,
+                           size, flow_id=index, config=config)
+        simulator.schedule_at(0.001, sender.start)
+        flows.append((receiver, sender))
+    simulator.run(until=3.0)
+    return topology, recorder, simulator, flows
+
+
+def _queue_peaks(recorder: TelemetryRecorder):
+    return {
+        name: max(value for _, value in buffer.samples)
+        for name, buffer in recorder.series.items()
+    }
+
+
+def test_queue_probe_records_buildup_during_incast() -> None:
+    _, recorder, _, _ = _incast_burst(fan_in=8)
+    peaks = _queue_peaks(recorder)
+    assert peaks, "an 8-to-1 burst over a 100 Mbps link must queue packets"
+    assert all(name.startswith("queue.packets/") for name in peaks)
+    assert max(peaks.values()) >= 2
+    for buffer in recorder.series.values():
+        times = [time_s for time_s, _ in buffer.samples]
+        assert times == sorted(times)
+        assert all(value >= 1 for _, value in buffer.samples)
+
+
+def test_larger_fan_in_builds_deeper_queues() -> None:
+    small = _queue_peaks(_incast_burst(fan_in=4)[1])
+    large = _queue_peaks(_incast_burst(fan_in=16)[1])
+    assert max(large.values()) >= max(small.values())
+
+
+def test_busiest_queue_is_the_receivers_downlink() -> None:
+    topology, recorder, _, _ = _incast_burst(fan_in=8)
+    peaks = _queue_peaks(recorder)
+    downlink = topology.node("switch-0").interface_to("receiver")
+    assert max(peaks, key=peaks.__getitem__) == f"queue.packets/{downlink.name}"
+
+
+def test_queue_probe_records_nothing_without_traffic() -> None:
+    simulator = Simulator()
+    topology = IncastTopology(simulator, fan_in=2)
+    recorder = TelemetryRecorder(groups=("queue",))
+    for node in (*topology.hosts, *topology.switches):
+        node.probes = recorder
+    simulator.run(until=0.1)
+    assert recorder.series == {}
+
+
+def test_queue_samples_never_exceed_the_queue_capacity() -> None:
+    _, recorder, _, _ = _incast_burst(fan_in=16)
+    assert max(_queue_peaks(recorder).values()) <= _INCAST_QUEUE_PACKETS
+
+
+def test_observing_queues_adds_no_events_and_changes_no_flow() -> None:
+    # The probe samples inside the enqueue it observes, so it schedules
+    # nothing: a periodic sampler added 15,000 events to this very burst.
+    def outcome(groups):
+        _, _, simulator, flows = _incast_burst(fan_in=8, groups=groups)
+        return simulator.events_processed, [
+            (receiver.complete, receiver.completion_time, asdict(sender.stats))
+            for receiver, sender in flows
+        ]
+
+    assert outcome(("queue",)) == outcome(())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.monitor import LayerLossStats, NetworkSnapshot
+from repro.net.monitor import snapshot as network_snapshot
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.units import megabits_per_second, microseconds
@@ -65,7 +66,7 @@ def test_snapshot_loss_rate_for_missing_layer_is_zero() -> None:
 
 def test_monitor_reports_traffic_and_bounded_utilisation() -> None:
     topology, duration = _run_dumbbell()
-    snapshot = topology.monitor().snapshot(duration)
+    snapshot = network_snapshot(topology.hosts, topology.switches, duration)
     assert snapshot.total_bytes_carried > 0
     assert 0.0 <= snapshot.edge_utilisation <= 1.0
     assert 0.0 <= snapshot.core_utilisation <= 1.0
@@ -76,7 +77,9 @@ def test_monitor_reports_traffic_and_bounded_utilisation() -> None:
 
 def test_monitor_counts_drops_when_bottleneck_queue_is_tiny() -> None:
     congested_topology, duration = _run_dumbbell(pairs=4, queue_capacity=5)
-    congested = congested_topology.monitor().snapshot(duration)
+    congested = network_snapshot(
+        congested_topology.hosts, congested_topology.switches, duration
+    )
     # A five-packet bottleneck buffer shared by four flows must drop, and the
     # drops must be attributed to the (edge-layer) switch queues.
     assert congested.total_packets_dropped > 0
@@ -87,7 +90,7 @@ def test_monitor_counts_drops_when_bottleneck_queue_is_tiny() -> None:
 
 def test_monitor_snapshot_consistency_between_loss_fields() -> None:
     topology, duration = _run_dumbbell(pairs=4, queue_capacity=5)
-    snapshot = topology.monitor().snapshot(duration)
+    snapshot = network_snapshot(topology.hosts, topology.switches, duration)
     switch_drops = sum(stats.dropped_packets for stats in snapshot.layer_loss.values())
     # Total drops include host uplink queues as well, so they can only exceed
     # the switch-layer sum.

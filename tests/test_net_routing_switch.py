@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.monitor import NetworkMonitor
+from repro.net.monitor import snapshot as network_snapshot
 from repro.net.packet import FLAG_DATA, Packet
 from repro.net.routing import count_equal_cost_paths, verify_all_pairs_routable
 from repro.net.switch import LAYER_CORE, LAYER_EDGE
@@ -183,8 +183,7 @@ def test_network_monitor_snapshot_aggregates_by_layer() -> None:
             _packet(src=topology.sender.address, dst=topology.receiver.address, src_port=port)
         )
     simulator.run()
-    monitor = NetworkMonitor(topology.hosts, topology.switches)
-    snapshot = monitor.snapshot(duration_s=simulator.now or 1.0)
+    snapshot = network_snapshot(topology.hosts, topology.switches, simulator.now or 1.0)
     assert LAYER_CORE in snapshot.layer_loss
     assert LAYER_EDGE in snapshot.layer_loss
     assert snapshot.total_bytes_carried > 0

@@ -18,7 +18,6 @@ from repro.analysis.compare import (
     regression_check,
 )
 from repro.analysis.report import markdown_table, summary_comparison_markdown
-from repro.metrics.export import cdf_comparison_rows
 from repro.metrics.stats import cdf_points
 
 _FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -73,21 +72,6 @@ def test_markdown_table_row_and_column_counts(headers, num_rows) -> None:
     assert len(lines) == 2 + num_rows
     for line in lines:
         assert line.count("|") == len(headers) + 1
-
-
-@given(st.dictionaries(st.sampled_from(["a", "b", "c"]),
-                       st.lists(st.floats(min_value=0, max_value=1e4,
-                                          allow_nan=False), max_size=50),
-                       min_size=1, max_size=3),
-       st.lists(st.floats(min_value=0, max_value=1e4, allow_nan=False),
-                min_size=1, max_size=5))
-def test_cdf_comparison_fractions_are_monotone_in_threshold(series, thresholds) -> None:
-    ordered = sorted(thresholds)
-    rows = cdf_comparison_rows(series, ordered)
-    for row in rows:
-        fractions = [row[f"<= {threshold:g}"] for threshold in ordered]
-        assert all(0.0 <= fraction <= 1.0 for fraction in fractions)
-        assert fractions == sorted(fractions)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False),
