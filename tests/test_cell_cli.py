@@ -3,8 +3,9 @@
 ``tests/golden/cell_cli.json`` pins, per case, the exit code, stdout, stderr
 and every file the command wrote — for ``scenarios run``, ``scenarios
 matrix`` (with and without the baseline protocol, and with telemetry) and
-``campaign run`` (cold, then warm) / ``status`` / ``report``, plus the
-incomplete-campaign and unknown-scenario failures.  It was captured before
+``campaign run`` (cold, then warm) / ``status`` / ``report`` / ``gc
+--dry-run``, ``store verify``, ``run --telemetry-out`` and ``trace export``,
+plus the incomplete-campaign and unknown-scenario failures.  It was captured before
 matrices and campaigns moved onto the study executor, so a refactor of the
 plan → executor → rows path that moves one byte of CLI output fails here.
 The cases share one work directory and run in order (the warm run reads the
@@ -81,6 +82,16 @@ CASES: Dict[str, List[str]] = {
     "campaign_run_unknown": [
         "campaign", "run", "--store", "<dir>/store", "--scenarios", "no-such-scenario",
     ],
+    "store_verify": ["store", "verify", "--store", "<dir>/store"],
+    "campaign_gc_dry_run": ["campaign", "gc"] + _GRID + ["--replications", "1", "--dry-run"],
+    "run_telemetry": [
+        "run", "--protocol", "mmptcp", "--subflows", "2", "--k", "4", "--hosts-per-edge", "2",
+        "--max-short-flows", "4", "--arrival-rate", "2.0", "--seed", "3", "--probes", "all",
+        "--telemetry-out", "<dir>/run_telemetry/t.jsonl", "--export-dir", "<dir>/run_telemetry",
+    ],
+    "trace_export": [
+        "trace", "export", "<dir>/run_telemetry/t.jsonl", "--output", "<dir>/trace/run.trace.json",
+    ],
 }
 
 
@@ -89,17 +100,26 @@ def _normalise(text: str, workdir: Path) -> str:
     return re.sub(r"wall-clock: [0-9.]+ s", "wall-clock: <t> s", text)
 
 
-def _file_entry(path: Path, workdir: Path) -> object:
-    text = path.read_text()
-    if path.suffix != ".jsonl":
-        return _normalise(text, workdir)
-    # Telemetry: the diagnostics record carries wall-clock, and the stream is
-    # large — pin a digest of everything else.
-    lines = [line for line in text.splitlines() if '"kind": "diagnostics"' not in line]
+def _digest(lines: List[str]) -> Dict[str, object]:
     return {
         "lines": len(lines),
         "sha256": hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest(),
     }
+
+
+def _file_entry(path: Path, workdir: Path) -> object:
+    text = path.read_text()
+    if path.name.endswith(".trace.json"):
+        # A Chrome trace runs to megabytes: pin its run-level metadata and a
+        # digest of the event list.
+        document = json.loads(text)
+        events = [dumps_deterministic(event, indent=None) for event in document["traceEvents"]]
+        return {"otherData": document["otherData"], "traceEvents": _digest(events)}
+    if path.suffix != ".jsonl":
+        return _normalise(text, workdir)
+    # Telemetry: the diagnostics record carries wall-clock, and the stream is
+    # large — pin a digest of everything else.
+    return _digest([line for line in text.splitlines() if '"kind": "diagnostics"' not in line])
 
 
 def _outputs(argv: List[str], workdir: Path) -> List[Path]:
