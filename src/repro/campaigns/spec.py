@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.experiments.config import ExperimentConfig
-from repro.scenarios.spec import SCENARIO_SCALES, scale_config
+from repro.scenarios.spec import SCENARIO_SCALES, reject_repeats, scale_config
 from repro.traffic.flowspec import ALL_PROTOCOLS
 
 #: Keys accepted in a campaign spec document.
@@ -106,9 +106,12 @@ class CampaignSpec:
             (str(name), tuple(values)) for name, values in self.sweeps
         ))
         object.__setattr__(self, "config_overrides", _pairs(self.config_overrides))
+        reject_repeats("scenario", self.scenarios)
+        reject_repeats("protocol", self.protocols)
         for name, values in self.sweeps:
             if not values:
                 raise ValueError(f"sweep axis {name!r} has no values")
+            reject_repeats(f"sweep axis {name!r} value", values)
         reserved = {"protocol", "fault_schedule", "seed"}
         names = [name for name, _ in self.sweeps + self.config_overrides]
         for name in names:

@@ -23,7 +23,7 @@ Exposes the experiment harness without writing any Python::
     repro-mmptcp campaign gc --store results/store
     repro-mmptcp campaign run --store results/store --progress-events events.jsonl
     repro-mmptcp campaign status --store results/store --summary
-    repro-mmptcp store verify --store results/store --budget 100000000
+    repro-mmptcp store verify --store results/store
     repro-mmptcp store gc --store results/store --budget 100000000 --dry-run
     repro-mmptcp run --probes all --profile --telemetry-out run.telemetry.jsonl
     repro-mmptcp scenarios matrix --probes transport faults --telemetry-dir results/
@@ -35,7 +35,8 @@ and can optionally export per-flow CSVs / JSON summaries via
 
 Each flag that sets an :class:`ExperimentConfig` field is declared once, in
 :data:`CONFIG_FLAGS`, its ``choices`` taken from
-:data:`repro.experiments.config.CHOICES`.  :func:`main` is the one failure
+:data:`repro.experiments.config.CHOICES`; every other flag two sub-commands
+share is declared once, in :data:`_SHARED_FLAGS`.  :func:`main` is the one failure
 path: an anticipated error (a rejected config value, a bad ``--spec``, an
 unknown scenario, a missing or corrupt store) exits 2 with one stderr line.
 
@@ -58,7 +59,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.campaigns.spec import CampaignSpec
 from repro.experiments.config import CHOICES, SCALES, ExperimentConfig
-from repro.experiments.parallel import workers_argument_type
+from repro.experiments.parallel import RunSpec, execute_spec, workers_argument_type
 from repro.experiments.study import STUDIES, Flag, run_points, run_study, study_rows
 from repro.metrics.collector import ExperimentResult
 from repro.metrics.export import (
@@ -68,14 +69,7 @@ from repro.metrics.export import (
     write_summary_json,
 )
 from repro.metrics.reporting import render_table, rows_table
-from repro.obs.telemetry import (
-    ALL_GROUPS,
-    PROBE_GROUPS,
-    make_recorder,
-    probe_groups_argument,
-    telemetry_jsonl,
-    telemetry_records,
-)
+from repro.obs.telemetry import ALL_GROUPS, PROBE_GROUPS, telemetry_jsonl
 from repro.scenarios.registry import UnknownScenarioError, all_scenarios, get_scenario
 from repro.scenarios.runner import (
     DEFAULT_MATRIX_PROTOCOLS,
@@ -119,8 +113,45 @@ CONFIG_FLAGS: Dict[str, Flag] = {flag.option: flag for flag in (
          plural="--fidelities"),
 )}
 
-#: The table flags every scenario command offers, and campaigns as sweep axes.
+#: The table flags every scenario command offers, and their plural forms,
+#: which campaigns offer as sweep axes.
 _SWEEP_AXES = tuple(option for option, flag in CONFIG_FLAGS.items() if flag.plural)
+_PLURAL_FLAGS = {flag.plural: flag for flag in CONFIG_FLAGS.values() if flag.plural}
+
+#: Every shared flag that sets no config field, declared once and keyed by
+#: option: its ``argparse`` kwargs.  ``--scale`` is the scenario preset;
+#: ``run`` and the studies take the study preset (:data:`SCALES`) instead.
+_SHARED_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--store": dict(required=True, help="run-store directory (a campaign creates it)"),
+    "--spec": dict(default=None, help="campaign spec JSON file (overrides the grid flags)"),
+    "--name": dict(default="cli", help="campaign name when no --spec file is given"),
+    "--scenarios": dict(nargs="+", default=list(DEFAULT_MATRIX_SCENARIOS),
+                        help="scenario names (default: baseline core-link-failure)"),
+    "--transports": dict(nargs="+", default=list(DEFAULT_MATRIX_PROTOCOLS),
+                         choices=ALL_PROTOCOLS),
+    "--replications": dict(type=int, default=1,
+                           help="seeded replications per cell (default 1)"),
+    "--scale": dict(choices=SCENARIO_SCALES, default="tiny",
+                    help="experiment scale (tiny/quick/large/paper)"),
+    "--seed": dict(type=int, default=20150817, help="random seed"),
+    "--baseline-protocol": dict(default="tcp", choices=ALL_PROTOCOLS,
+                                help="protocol the delta columns compare against"),
+    "--export-dir": dict(default=None, help="directory for CSV/JSON exports (omit to skip)"),
+    "--workers": dict(type=workers_argument_type, default=1,
+                      help="process-pool size (1 = serial, 0 = one per CPU; results "
+                           "are identical for any value)"),
+    "--probes": dict(nargs="+", metavar="GROUP", default=None,
+                     choices=(ALL_GROUPS,) + PROBE_GROUPS,
+                     help="record telemetry probe groups ('all' or any of: "
+                          + ", ".join(PROBE_GROUPS) + "); metrics, goldens and "
+                          "store keys are unchanged either way"),
+    "--profile": dict(action="store_true",
+                      help="profile the event loop; the diagnostics record is "
+                           "wall-clock-bearing and excluded from store keys and "
+                           "byte-compare surfaces"),
+    "--dry-run": dict(action="store_true",
+                      help="list what would be deleted without deleting it"),
+}
 
 
 def _config_overrides(args: argparse.Namespace) -> Dict[str, Any]:
@@ -168,33 +199,24 @@ def _export_rows(rows: List[Dict[str, object]], export_dir: Optional[str], stem:
     print(f"wrote {path}")
 
 
+def _write_text(path: str, text: str, detail: str = "") -> None:
+    """Write ``text`` to ``path`` (creating its directory) and say so."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text)
+    print(f"wrote {target}{detail}")
+
+
 def _command_error(message: str) -> int:
     """One-line diagnostic on stderr, exit code 2.
 
     Where every anticipated CLI failure ends: :func:`main` routes here the
     exceptions a handler raises, and a handler calls it directly for a flag
-    combination it refuses (``--telemetry-out`` without probes, a
-    non-positive ``--budget``).
+    combination it refuses (``--telemetry-out`` without probes, a negative
+    ``--budget``).
     """
     print(message, file=sys.stderr)
     return 2
-
-
-def _probe_groups_from_args(args: argparse.Namespace):
-    """The validated, sorted-deduplicated ``--probes`` tuple (empty = off)."""
-    groups = getattr(args, "probes", None)
-    if not groups:
-        return ()
-    return probe_groups_argument(groups)
-
-
-def _telemetry_text(result: ExperimentResult, recorder, label: str) -> str:
-    """One run's telemetry JSONL: recorder content, else a bare diagnostics line."""
-    if recorder is not None:
-        return telemetry_jsonl(
-            telemetry_records(recorder, label=label, diagnostics=result.diagnostics)
-        )
-    return telemetry_jsonl([{"kind": "diagnostics", "diagnostics": result.diagnostics}])
 
 
 def _print_diagnostics(result: ExperimentResult) -> None:
@@ -213,24 +235,19 @@ def _print_diagnostics(result: ExperimentResult) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_experiment
-
     config = _config_from_args(args)
     if args.telemetry_out and not (args.probes or args.profile):
         return _command_error(
             "run: --telemetry-out needs --probes and/or --profile to record anything")
     print(f"running protocol={config.protocol} subflows={config.num_subflows} "
           f"k={config.fattree_k} hosts/edge={config.hosts_per_edge} seed={config.seed}")
-    recorder = make_recorder(_probe_groups_from_args(args))
-    result = run_experiment(config, probes=recorder, profile=args.profile)
+    result = execute_spec(
+        RunSpec(0, config, probes=tuple(args.probes or ()), profile=args.profile))
     _print_summary(result)
     _print_diagnostics(result)
     _maybe_export(result, args.export_dir, f"run_{config.protocol}")
     if args.telemetry_out:
-        path = Path(args.telemetry_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_telemetry_text(result, recorder, f"run_{config.protocol}"))
-        print(f"wrote {path}")
+        _write_text(args.telemetry_out, telemetry_jsonl(result.telemetry))
     return 0
 
 
@@ -289,7 +306,7 @@ def _cmd_scenarios_matrix(args: argparse.Namespace) -> int:
         return _command_error(
             "scenarios matrix: --telemetry-dir needs --probes and/or --profile")
     plan = matrix_plan(
-        base, args.scenarios, args.transports, _probe_groups_from_args(args), args.profile
+        base, args.scenarios, args.transports, tuple(args.probes or ()), args.profile
     )
     points = run_points(plan, cell_rows, args.workers)
     rows = study_rows(points)
@@ -307,14 +324,11 @@ def _cmd_scenarios_matrix(args: argparse.Namespace) -> int:
     if args.telemetry_dir:
         directory = Path(args.telemetry_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        written = 0
-        for point in points:
-            if point.result.telemetry is None:
-                continue
+        recorded = [point for point in points if point.result.telemetry is not None]
+        for point in recorded:
             path = directory / f"telemetry_{point.scenario}_{point.protocol}.jsonl"
             path.write_text(telemetry_jsonl(point.result.telemetry))
-            written += 1
-        print(f"wrote telemetry for {written} cell(s) to {directory}")
+        print(f"wrote telemetry for {len(recorded)} cell(s) to {directory}")
     return 0
 
 
@@ -330,7 +344,7 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
     # Each plural table flag given becomes an ordinary sweep axis; omitting
     # one adds no axis, so cell labels and cache keys of existing campaigns
     # are untouched.
-    axes = ((flag.param, flag.sweep(args)) for flag in CONFIG_FLAGS.values() if flag.plural)
+    axes = ((flag.param, flag.sweep(args)) for flag in _PLURAL_FLAGS.values())
     return CampaignSpec(
         name=args.name,
         scenarios=tuple(args.scenarios),
@@ -339,14 +353,6 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         scale=args.scale,
         seed=args.seed,
         sweeps=tuple((name, values) for name, values in axes if values),
-    )
-
-
-def _campaign_summary_line(name: str, cells: int, hits: int, simulated: int, store: str) -> str:
-    """The machine-greppable one-line outcome (CI asserts on ``simulated=``)."""
-    return (
-        f"campaign '{name}': cells={cells} cache_hits={hits} "
-        f"simulated={simulated} store={store}"
     )
 
 
@@ -385,17 +391,13 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         print()
         print("Across replications (mean ± 95% CI)")
         print(rows_table(replication_summary_rows(rows)))
-    print(_campaign_summary_line(
-        spec.name, len(outcome.cells), outcome.cache_hits, outcome.simulated, args.store
-    ))
+    # The machine-greppable outcome line (CI asserts on ``simulated=``).
+    print(f"campaign '{spec.name}': cells={len(outcome.cells)} "
+          f"cache_hits={outcome.cache_hits} simulated={outcome.simulated} store={args.store}")
     if args.report:
         # The rows just printed yield bytes identical to campaign_report's
         # store-backed path, without re-reading the artifacts just written.
-        report = campaign_report_markdown(spec, rows, args.baseline_protocol)
-        path = Path(args.report)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report)
-        print(f"wrote {path}")
+        _write_text(args.report, campaign_report_markdown(spec, rows, args.baseline_protocol))
     _export_rows(rows, args.export_dir, f"campaign_{spec.name}")
     return 0
 
@@ -423,10 +425,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     except CampaignIncompleteError as exc:
         return _command_error(str(exc))
     if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report)
-        print(f"wrote {path}")
+        _write_text(args.output, report)
     else:
         print(report, end="")
     return 0
@@ -462,57 +461,29 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
 
     Walks the store's ``objects/`` tree and re-reads each artifact through
     the verified path, so bit-rot, truncation or tampering anywhere in the
-    payload surfaces as a per-key diagnostic and exit code 2.  With
-    ``--budget`` it additionally reports size usage and previews which
-    artifacts a least-recently-used eviction would drop — report only,
-    nothing is deleted (groundwork for a future size-capped store).
+    payload surfaces as a per-key diagnostic and exit code 2.
     """
-    if args.budget is not None and args.budget <= 0:
-        return _command_error("store verify: --budget must be a positive byte count")
     store = _existing_store(args.store)
-    entries = []  # (key, size_bytes, mtime_ns, error_or_None)
-    for key in store.keys():
-        stat = store.object_path(key).stat()
-        error = None
+    keys = store.keys()
+    total_bytes = corrupt = 0
+    for key in keys:
+        total_bytes += store.object_path(key).stat().st_size
         try:
             store.get_artifact(key)
         except StoreIntegrityError as exc:
-            error = str(exc)
-        entries.append((key, stat.st_size, stat.st_mtime_ns, error))
-    corrupt = [(key, error) for key, _, _, error in entries if error]
-    for key, error in corrupt:
-        print(f"corrupt {key}: {error}", file=sys.stderr)
-    total_bytes = sum(size for _, size, _, _ in entries)
-    print(
-        f"store '{args.store}': artifacts={len(entries)} "
-        f"ok={len(entries) - len(corrupt)} corrupt={len(corrupt)} bytes={total_bytes}"
-    )
-    if args.budget is not None:
-        print(f"budget: {total_bytes}/{args.budget} bytes "
-              f"({100.0 * total_bytes / args.budget:.1f}% used)")
-        if total_bytes > args.budget:
-            excess = total_bytes - args.budget
-            # Preview via the exact selection 'store gc --budget' would make:
-            # same (mtime, key) LRU order, same stop condition.
-            sizes = {key: size for key, size, _, _ in entries}
-            victims = store.gc_budget(args.budget, dry_run=True)
-            freed = sum(sizes.get(key, 0) for key in victims)
-            print(f"over budget by {excess} bytes; 'store gc --budget "
-                  f"{args.budget}' would evict {len(victims)} artifact(s) "
-                  f"freeing {freed} bytes:")
-            for key in victims:
-                print(f"  evict {key} ({sizes.get(key, 0)} bytes)")
+            corrupt += 1
+            print(f"corrupt {key}: {exc}", file=sys.stderr)
+    print(f"store '{args.store}': artifacts={len(keys)} "
+          f"ok={len(keys) - corrupt} corrupt={corrupt} bytes={total_bytes}")
     return 2 if corrupt else 0
 
 
 def _cmd_store_gc(args: argparse.Namespace) -> int:
     """Evict least-recently-used artifacts until the store fits ``--budget``.
 
-    The destructive counterpart of the ``store verify --budget`` preview:
-    both rank artifacts by the same deterministic ``(mtime, key)`` LRU order
-    (:meth:`RunStore.lru_entries`), so the preview names exactly the keys
-    this sweep deletes.  ``--dry-run`` lists the victims without touching
-    the store.
+    Artifacts go in the deterministic ``(mtime, key)`` LRU order of
+    :meth:`RunStore.lru_entries`.  ``--dry-run`` is the preview: it lists
+    exactly the keys the sweep would evict without touching the store.
     """
     if args.budget < 0:
         return _command_error("store gc: --budget must be a non-negative byte count")
@@ -520,11 +491,9 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
     sizes = {key: size for key, size, _ in store.lru_entries()}
     victims = store.gc_budget(args.budget, dry_run=args.dry_run)
     verb = "would evict" if args.dry_run else "evicted"
-    freed = 0
     for key in victims:
-        size = sizes.get(key, 0)
-        freed += size
-        print(f"{verb} {key} ({size} bytes)")
+        print(f"{verb} {key} ({sizes.get(key, 0)} bytes)")
+    freed = sum(sizes.get(key, 0) for key in victims)
     print(f"store '{args.store}' gc: {verb} {len(victims)} artifact(s) "
           f"freeing {freed} bytes against budget {args.budget}")
     return 0
@@ -558,10 +527,8 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
         document = chrome_trace_document(records)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{args.input} is not a telemetry JSONL file ({exc})") from exc
-    output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(dumps_deterministic(document, indent=2))
-    print(f"wrote {output} ({len(document['traceEvents'])} trace event(s))")
+    _write_text(args.output, dumps_deterministic(document, indent=2),
+                f" ({len(document['traceEvents'])} trace event(s))")
     return 0
 
 
@@ -576,52 +543,29 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(
-    parser: argparse.ArgumentParser, *options: str, plural: bool = False
-) -> None:
-    """Add the :data:`CONFIG_FLAGS` entries named by ``options``; ``plural``
-    adds their campaign sweep-axis forms instead."""
+def _add(parser: argparse.ArgumentParser, *options: str) -> None:
+    """Add each named flag from its one declaration: :data:`_SHARED_FLAGS`,
+    :data:`CONFIG_FLAGS`, or a config flag's plural campaign sweep-axis form."""
     for option in options:
-        flag = CONFIG_FLAGS[option]
-        if plural:
-            parser.add_argument(flag.plural, **dict(
-                flag.argparse, nargs="+", default=None,
-                help=f"sweep axis: {flag.argparse['help']}"))
+        if option in _PLURAL_FLAGS:
+            flag = _PLURAL_FLAGS[option]
+            kwargs = dict(flag.argparse, nargs="+", default=None,
+                          help=f"sweep axis: {flag.argparse['help']}")
+        elif option in CONFIG_FLAGS:
+            kwargs = CONFIG_FLAGS[option].argparse
         else:
-            parser.add_argument(option, **flag.argparse)
+            kwargs = _SHARED_FLAGS[option]
+        parser.add_argument(option, **kwargs)
 
 
-def _add_workers_argument(parser: argparse.ArgumentParser, what: str = "process-pool size") -> None:
-    """``--workers``, validated at parse time (shared with the examples)."""
-    parser.add_argument("--workers", type=workers_argument_type, default=1,
-                        help=f"{what} (1 = serial, 0 = one per CPU; results "
-                             "are identical for any value)")
-
-
-def _add_probe_arguments(parser: argparse.ArgumentParser) -> None:
-    """``--probes`` / ``--profile``: the observability opt-ins (default off)."""
-    parser.add_argument("--probes", nargs="+", metavar="GROUP", default=None,
-                        choices=(ALL_GROUPS,) + PROBE_GROUPS,
-                        help="record telemetry probe groups ('all' or any of: "
-                             + ", ".join(PROBE_GROUPS) + "); metrics, goldens "
-                             "and store keys are unchanged either way")
-    parser.add_argument("--profile", action="store_true",
-                        help="profile the event loop; the diagnostics record is "
-                             "wall-clock-bearing and excluded from store keys "
-                             "and byte-compare surfaces")
-
-
-def _add_common_arguments(parser: argparse.ArgumentParser, workers: bool = False) -> None:
-    parser.add_argument("--scale", choices=SCALES, default="quick",
-                        help="experiment scale (quick/large/paper)")
-    parser.add_argument("--seed", type=int, default=20150817, help="random seed")
-    _add_config_flags(parser, "--subflows")
-    parser.add_argument("--export-dir", default=None,
-                        help="directory for CSV/JSON exports (omit to skip)")
-    if workers:
-        # Only the sub-commands that actually fan points out accept the
-        # flag; accepting-and-ignoring it elsewhere would mislead.
-        _add_workers_argument(parser)
+def _command(subparsers, name: str, handler, failure: str, *options: str,
+             **kwargs: Any) -> argparse.ArgumentParser:
+    """A leaf sub-command with the shared ``options``, its handler and the
+    ``failure`` prefix :func:`main` puts before an anticipated error."""
+    parser = subparsers.add_parser(name, **kwargs)
+    _add(parser, *options)
+    parser.set_defaults(handler=handler, failure=failure)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -632,65 +576,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = subparsers.add_parser("run", help="run one experiment")
-    _add_common_arguments(run_parser)
-    _add_config_flags(run_parser, *(option for option in CONFIG_FLAGS if option != "--subflows"))
-    _add_probe_arguments(run_parser)
+    def group(name: str, dest: str, help_text: str):
+        return subparsers.add_parser(name, help=help_text).add_subparsers(dest=dest, required=True)
+
+    def study_command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+        sub = _command(subparsers, name, handler, f"{name} failed", help=help_text)
+        sub.add_argument("--scale", choices=SCALES, default="quick",
+                         help="experiment scale (quick/large/paper)")
+        _add(sub, "--seed", "--subflows", "--export-dir")
+        return sub
+
+    run_parser = study_command("run", _cmd_run, "run one experiment")
+    _add(run_parser, *(option for option in CONFIG_FLAGS if option != "--subflows"),
+         "--probes", "--profile")
     run_parser.add_argument("--telemetry-out", default=None, metavar="FILE",
                             help="write the run's telemetry JSONL here "
                                  "(needs --probes and/or --profile)")
-    run_parser.set_defaults(handler=_cmd_run, failure="run failed")
 
     for study in STUDIES.values():
-        sub = subparsers.add_parser(study.name, help=study.help)
-        _add_common_arguments(sub, workers=study.workers)
+        sub = study_command(study.name, _cmd_study, study.help)
+        if study.workers:
+            # Only the sub-commands that actually fan points out accept the
+            # flag; accepting-and-ignoring it elsewhere would mislead.
+            _add(sub, "--workers")
         for flag in study.flags:
             sub.add_argument(flag.option, **flag.argparse)
         if study.fidelity:
-            _add_config_flags(sub, "--fidelity")
-        sub.set_defaults(handler=_cmd_study, failure=f"{study.name} failed")
+            _add(sub, "--fidelity")
 
-    scenarios = subparsers.add_parser(
-        "scenarios", help="declarative fault-injection scenarios and matrices")
-    scenarios.set_defaults(failure="scenarios failed")
-    scenario_sub = scenarios.add_subparsers(dest="scenario_command", required=True)
-
-    scen_list = scenario_sub.add_parser("list", help="list the registered scenarios")
-    scen_list.set_defaults(handler=_cmd_scenarios_list)
-
-    def _add_scenario_arguments(sub: argparse.ArgumentParser, workers: bool = False) -> None:
-        sub.add_argument("--scale", choices=SCENARIO_SCALES, default="tiny",
-                         help="experiment scale (tiny/quick/large/paper)")
-        sub.add_argument("--seed", type=int, default=20150817, help="random seed")
-        sub.add_argument("--export-dir", default=None,
-                         help="directory for CSV/JSON exports (omit to skip)")
-        _add_config_flags(sub, *_SWEEP_AXES)
-        if workers:
-            _add_workers_argument(sub)
-
-    scen_run = scenario_sub.add_parser("run", help="run one scenario for one transport")
+    scenario_sub = group("scenarios", "scenario_command",
+                         "declarative fault-injection scenarios and matrices")
+    _command(scenario_sub, "list", _cmd_scenarios_list, "scenarios failed",
+             help="list the registered scenarios")
+    scen_run = _command(scenario_sub, "run", _cmd_scenarios_run, "scenarios failed",
+                        help="run one scenario for one transport")
     scen_run.add_argument("name", help="registered scenario name (see 'scenarios list')")
-    _add_config_flags(scen_run, "--protocol")
-    _add_scenario_arguments(scen_run)
-    scen_run.set_defaults(handler=_cmd_scenarios_run)
-
-    scen_matrix = scenario_sub.add_parser(
-        "matrix", help="run a scenario × transport matrix (parallelisable)")
-    scen_matrix.add_argument("--scenarios", nargs="+", default=list(DEFAULT_MATRIX_SCENARIOS),
-                             help="scenario names (default: baseline core-link-failure)")
-    scen_matrix.add_argument("--transports", nargs="+",
-                             default=list(DEFAULT_MATRIX_PROTOCOLS), choices=ALL_PROTOCOLS)
-    scen_matrix.add_argument("--baseline-protocol", default="tcp", choices=ALL_PROTOCOLS,
-                             help="protocol the delta columns compare against")
-    _add_scenario_arguments(scen_matrix, workers=True)
-    _add_probe_arguments(scen_matrix)
+    _add(scen_run, "--protocol", "--scale", "--seed", "--export-dir", *_SWEEP_AXES)
+    scen_matrix = _command(
+        scenario_sub, "matrix", _cmd_scenarios_matrix, "scenarios failed",
+        "--scenarios", "--transports", "--baseline-protocol", "--scale", "--seed",
+        "--export-dir", *_SWEEP_AXES, "--workers", "--probes", "--profile",
+        help="run a scenario × transport matrix (parallelisable)")
     scen_matrix.add_argument("--telemetry-dir", default=None, metavar="DIR",
                              help="write one telemetry JSONL per cell here "
                                   "(needs --probes and/or --profile)")
-    scen_matrix.set_defaults(handler=_cmd_scenarios_matrix)
 
-    lint = subparsers.add_parser(
-        "lint",
+    lint = _command(
+        subparsers, "lint", _cmd_lint, "lint failed",
         help="statically enforce the determinism/JSON/pool/store/timer invariants",
         description="AST-based invariant linter; exits 0 on a clean tree, 1 on "
         "violations, 2 on usage errors. Silence a finding with a justified "
@@ -704,41 +636,23 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run only these rules (default: all registered rules)")
     lint.add_argument("--list-rules", action="store_true",
                       help="list the registered rules with their descriptions and exit")
-    lint.set_defaults(handler=_cmd_lint, failure="lint failed")
 
-    store_parser = subparsers.add_parser(
-        "store", help="inspect and verify a content-addressed run store")
-    store_sub = store_parser.add_subparsers(dest="store_command", required=True)
-
-    store_verify = store_sub.add_parser(
-        "verify",
-        help="re-verify every artifact's integrity hashes (exit 2 on corruption)")
-    store_verify.add_argument("--store", required=True,
-                              help="run-store directory to verify")
-    store_verify.add_argument("--budget", type=int, default=None, metavar="BYTES",
-                              help="also report size usage against a byte budget "
-                                   "and preview an LRU eviction (nothing is deleted)")
-    store_verify.set_defaults(handler=_cmd_store_verify, failure="store verify failed")
-
-    store_gc = store_sub.add_parser(
-        "gc",
+    store_sub = group("store", "store_command",
+                      "inspect and verify a content-addressed run store")
+    _command(store_sub, "verify", _cmd_store_verify, "store verify failed", "--store",
+             help="re-verify every artifact's integrity hashes (exit 2 on corruption)")
+    store_gc = _command(
+        store_sub, "gc", _cmd_store_gc, "store gc failed", "--store",
         help="evict least-recently-used artifacts until the store fits a byte budget")
-    store_gc.add_argument("--store", required=True,
-                          help="run-store directory to sweep")
     store_gc.add_argument("--budget", type=int, required=True, metavar="BYTES",
                           help="target store size; oldest-touched artifacts are "
                                "evicted in deterministic (mtime, key) order "
                                "until the rest fits")
-    store_gc.add_argument("--dry-run", action="store_true",
-                          help="list the eviction victims without deleting them")
-    store_gc.set_defaults(handler=_cmd_store_gc, failure="store gc failed")
+    _add(store_gc, "--dry-run")
 
-    trace_parser = subparsers.add_parser(
-        "trace", help="telemetry timeline tools")
-    trace_sub = trace_parser.add_subparsers(dest="trace_command", required=True)
-
-    trace_export = trace_sub.add_parser(
-        "export",
+    trace_sub = group("trace", "trace_command", "telemetry timeline tools")
+    trace_export = _command(
+        trace_sub, "export", _cmd_trace_export, "trace export failed",
         help="convert telemetry JSONL into Chrome trace-event / Perfetto JSON")
     trace_export.add_argument("input",
                               help="telemetry JSONL file (from --telemetry-out "
@@ -746,72 +660,45 @@ def build_parser() -> argparse.ArgumentParser:
     trace_export.add_argument("--output", required=True,
                               help="destination timeline JSON (open in "
                                    "chrome://tracing or ui.perfetto.dev)")
-    trace_export.set_defaults(handler=_cmd_trace_export, failure="trace export failed")
 
-    campaign = subparsers.add_parser(
-        "campaign",
-        help="resumable, store-backed campaigns (scenario × transport × sweep × replication)")
-    campaign.set_defaults(failure="campaign command failed")
-    campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
+    campaign_sub = group(
+        "campaign", "campaign_command",
+        "resumable, store-backed campaigns (scenario × transport × sweep × replication)")
 
-    def _add_campaign_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--store", required=True,
-                         help="run-store directory (created on first use)")
-        sub.add_argument("--spec", default=None,
-                         help="campaign spec JSON file (overrides the grid flags)")
-        sub.add_argument("--name", default="cli",
-                         help="campaign name when no --spec file is given")
-        sub.add_argument("--scenarios", nargs="+", default=list(DEFAULT_MATRIX_SCENARIOS),
-                         help="scenario names (default: baseline core-link-failure)")
-        sub.add_argument("--transports", nargs="+",
-                         default=list(DEFAULT_MATRIX_PROTOCOLS), choices=ALL_PROTOCOLS)
-        sub.add_argument("--replications", type=int, default=1,
-                         help="seeded replications per cell (default 1)")
-        sub.add_argument("--scale", choices=SCENARIO_SCALES, default="tiny",
-                         help="experiment scale (tiny/quick/large/paper)")
-        sub.add_argument("--seed", type=int, default=20150817, help="campaign root seed")
-        _add_config_flags(sub, *_SWEEP_AXES, plural=True)
-        sub.add_argument("--baseline-protocol", default="tcp", choices=ALL_PROTOCOLS,
-                         help="protocol the report's delta table compares against")
+    def campaign_command(name: str, handler, help_text: str, *options: str):
+        return _command(
+            campaign_sub, name, handler, "campaign command failed",
+            "--store", "--spec", "--name", "--scenarios", "--transports", "--replications",
+            "--scale", "--seed", *_PLURAL_FLAGS, "--baseline-protocol", *options,
+            help=help_text)
 
-    camp_run = campaign_sub.add_parser(
-        "run", help="run the campaign with cache-aware dispatch (hits skip simulation)")
-    _add_campaign_arguments(camp_run)
-    _add_workers_argument(camp_run, "process-pool size for cache misses")
+    camp_run = campaign_command(
+        "run", _cmd_campaign_run,
+        "run the campaign with cache-aware dispatch (hits skip simulation)", "--workers")
     camp_run.add_argument("--report", default=None,
                           help="also write the markdown report to this file")
-    camp_run.add_argument("--export-dir", default=None,
-                          help="directory for the per-cell CSV export (omit to skip)")
+    _add(camp_run, "--export-dir")
     camp_run.add_argument("--progress-events", default=None, metavar="FILE",
                           help="write structured JSONL progress events "
                                "(campaign_start, cell_hit, cell_start, "
                                "cell_finish, campaign_finish) to this file; "
                                "operator telemetry in completion order, never "
                                "a byte-compare surface")
-    camp_run.set_defaults(handler=_cmd_campaign_run)
-
-    camp_status = campaign_sub.add_parser(
-        "status", help="show which cells are persisted, without running anything")
-    _add_campaign_arguments(camp_status)
+    camp_status = campaign_command(
+        "status", _cmd_campaign_status,
+        "show which cells are persisted, without running anything")
     camp_status.add_argument("--summary", action="store_true",
                              help="aggregate to one row per (scenario, protocol) "
                                   "with stored/missing counts instead of per cell")
-    camp_status.set_defaults(handler=_cmd_campaign_status)
-
-    camp_report = campaign_sub.add_parser(
-        "report", help="regenerate the report from stored artifacts (zero simulation)")
-    _add_campaign_arguments(camp_report)
+    camp_report = campaign_command(
+        "report", _cmd_campaign_report,
+        "regenerate the report from stored artifacts (zero simulation)")
     camp_report.add_argument("--output", default=None,
                              help="write the markdown report here (default: stdout)")
-    camp_report.set_defaults(handler=_cmd_campaign_report)
-
-    camp_gc = campaign_sub.add_parser(
-        "gc", help="drop this campaign's stored artifacts that the spec no longer "
-                   "declares (other campaigns in the store are untouched)")
-    _add_campaign_arguments(camp_gc)
-    camp_gc.add_argument("--dry-run", action="store_true",
-                         help="list removable artifacts without deleting them")
-    camp_gc.set_defaults(handler=_cmd_campaign_gc)
+    campaign_command(
+        "gc", _cmd_campaign_gc,
+        "drop this campaign's stored artifacts that the spec no longer declares "
+        "(other campaigns in the store are untouched)", "--dry-run")
 
     return parser
 

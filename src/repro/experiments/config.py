@@ -149,6 +149,8 @@ class ExperimentConfig:
             raise ValueError("arrival_window_s must be > 0 and drain_time_s >= 0")
         if self.num_subflows < 1:
             raise ValueError("num_subflows must be at least 1")
+        if self.max_short_flows is not None and self.max_short_flows < 0:
+            raise ValueError("max_short_flows must be >= 0")
         if self.core_oversubscription <= 0:
             raise ValueError("core_oversubscription must be positive")
         for name, legal in CHOICES.items():

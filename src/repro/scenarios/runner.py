@@ -18,7 +18,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import RunSpec
 from repro.metrics.collector import ExperimentResult
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.spec import ScenarioSpec, build_scenario_workload
+from repro.scenarios.spec import ScenarioSpec, build_scenario_workload, reject_repeats
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP
 
 #: The default 2 × 3 matrix: healthy fabric and a hard link failure, across
@@ -66,6 +66,8 @@ def matrix_plan(
     """One :class:`RunSpec` per (scenario, protocol) cell, in matrix order."""
     if not scenarios or not protocols:
         raise ValueError("need at least one scenario and one protocol")
+    reject_repeats("scenario", scenarios)
+    reject_repeats("protocol", protocols)
     return [
         scenario_cell_spec(
             index,

@@ -17,7 +17,7 @@ and stay byte-identical for any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.config import SCALES, ExperimentConfig, scaled_config
 from repro.net.faults import FaultEvent
@@ -151,3 +151,14 @@ def scale_config(scale: str, seed: int) -> ExperimentConfig:
     if scale == "tiny":
         return tiny_config(seed=seed)
     return scaled_config(scale, seed)
+
+
+def reject_repeats(what: str, values: Sequence[Any]) -> None:
+    """Refuse a grid axis that lists one value twice.
+
+    The two cells would share one config and one store key, yet be simulated
+    and reported twice.
+    """
+    for index, value in enumerate(values):
+        if value in values[:index]:
+            raise ValueError(f"{what} {value!r} is listed twice")

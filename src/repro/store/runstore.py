@@ -234,9 +234,9 @@ class RunStore:
         """``(key, size_bytes, mtime_ns)`` per artifact, eviction order first.
 
         Sorted by ``(mtime_ns, key)`` — last modification time with the key
-        as the deterministic tie-break.  This single ordering is shared by
-        the ``store verify --budget`` preview and :meth:`gc_budget`, so the
-        preview always names exactly the artifacts a real sweep would evict.
+        as the deterministic tie-break.  :meth:`gc_budget` evicts in this
+        order, so its ``dry_run`` preview names exactly the artifacts a real
+        sweep would evict.
         """
         entries: List[Tuple[str, int, int]] = []
         for key in self.keys():

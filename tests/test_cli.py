@@ -280,11 +280,18 @@ def test_campaign_sweep_over_an_unknown_choice_fails_before_the_store(
 @pytest.mark.parametrize("argv", [
     ["run", "--k", "3"],
     ["run", "--subflows", "0"],
+    ["run", "--max-short-flows", "-3"],
     ["loadsweep", "--factors", "-1"],
     ["deadlines", "--slack", "-1"],
     ["hotspot", "--hotspot-fraction", "2"],
     ["incast", "--fan-ins", "0"],
     ["trace", "export", "<dir>/missing.jsonl", "--output", "<dir>/out.json"],
+    # A repeated grid value would be two cells with one store key.
+    ["campaign", "run", "--store", "<dir>/store", "--schedulers", "fcfs", "fcfs"],
+    ["campaign", "run", "--store", "<dir>/store", "--transports", "tcp", "tcp"],
+    ["campaign", "status", "--store", "<dir>/store", "--scenarios", "baseline", "baseline"],
+    ["scenarios", "matrix", "--transports", "tcp", "tcp"],
+    ["scenarios", "matrix", "--scenarios", "baseline", "baseline"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line_and_no_traceback(argv, tmp_path, capsys) -> None:
     assert main([arg.replace("<dir>", str(tmp_path)) for arg in argv]) == 2
@@ -293,6 +300,7 @@ def test_bad_input_exits_2_with_one_line_and_no_traceback(argv, tmp_path, capsys
     assert err.startswith(f"{argv[0]} ") and " failed: " in err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+    assert not (tmp_path / "store").exists()
 
 
 def test_store_verify_on_a_missing_store_fails(tmp_path, capsys) -> None:

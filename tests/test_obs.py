@@ -367,7 +367,7 @@ def test_cli_run_telemetry_out_requires_probes_or_profile(tmp_path, capsys) -> N
     assert "--telemetry-out needs --probes" in capsys.readouterr().err
 
 
-def test_cli_store_gc_matches_verify_preview(tmp_path, capsys) -> None:
+def test_cli_store_gc_dry_run_previews_the_sweep(tmp_path, capsys) -> None:
     import os
 
     store = RunStore(tmp_path / "store")
@@ -379,13 +379,7 @@ def test_cli_store_gc_matches_verify_preview(tmp_path, capsys) -> None:
         os.utime(path, ns=(1_000_000_000 * (index + 1),) * 2)
     size = store.object_path("a" * 64).stat().st_size
     budget = 2 * size + size // 2  # forces exactly one eviction
-    # verify preview names the victim without deleting anything
-    assert main(["store", "verify", "--store", str(tmp_path / "store"),
-                 "--budget", str(budget)]) == 0
-    preview = capsys.readouterr().out
-    assert f"evict {'a' * 64}" in preview
-    assert store.has("a" * 64)
-    # dry-run gc lists the same victim, still deletes nothing
+    # dry-run gc names the victim without deleting anything
     assert main(["store", "gc", "--store", str(tmp_path / "store"),
                  "--budget", str(budget), "--dry-run"]) == 0
     assert f"would evict {'a' * 64}" in capsys.readouterr().out

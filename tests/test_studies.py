@@ -108,6 +108,24 @@ def test_parser_surface_matches_golden() -> None:
     assert json.loads(dumps_deterministic(surface)) == golden
 
 
+_SURFACE = _parser_surface(build_parser(), "", {})
+_LEAVES = [path for path in _SURFACE
+           if path and not any(other.startswith(f"{path} ") for other in _SURFACE)]
+
+
+@pytest.mark.parametrize("path", _LEAVES)
+def test_every_subcommand_help_renders(path: str, capsys) -> None:
+    """argparse formats a help string only when it prints it: render every leaf's."""
+    with pytest.raises(SystemExit) as exited:
+        main(path.split() + ["--help"])
+    assert exited.value.code == 0
+    shown = capsys.readouterr().out
+    golden = json.loads((GOLDEN_DIR / "cli_parser_surface.json").read_text())[path]
+    for options, dest, *_ in golden:
+        for name in options or [dest]:
+            assert name in shown
+
+
 def test_study_subcommands_are_built_from_the_table() -> None:
     parser = build_parser()
     handlers = {parser.parse_args([name]).handler for name in STUDIES}
