@@ -665,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", "campaign_command",
         "resumable, store-backed campaigns (scenario × transport × sweep × replication)")
 
-    def campaign_command(name: str, handler, help_text: str, *options: str):
+    def campaign_command(name: str, handler, help_text: str,
+                         *options: str) -> argparse.ArgumentParser:
         return _command(
             campaign_sub, name, handler, "campaign command failed",
             "--store", "--spec", "--name", "--scenarios", "--transports", "--replications",
