@@ -179,6 +179,24 @@ def make_tcp_transfer(
     return TcpTransferHarness(simulator, topology, sender, receiver)
 
 
+def record_allocations(connection, chunks: List[Tuple[int, int, int]]) -> None:
+    """Append each chunk ``connection.allocate_chunk`` hands out to ``chunks``.
+
+    Entries are ``(subflow_id, dsn, size)`` in allocation order.  A subflow's
+    segment map forgets segments once both levels have acknowledged them,
+    so it is no allocation history; tests observe allocation here instead.
+    """
+    allocate = connection.allocate_chunk
+
+    def recording(subflow):
+        chunk = allocate(subflow)
+        if chunk is not None:
+            chunks.append((subflow.subflow_id, *chunk))
+        return chunk
+
+    connection.allocate_chunk = recording
+
+
 # ---------------------------------------------------------------------------
 # Max-min oracle
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.traffic.matrices import permutation_pairs
 from repro.transport.rto import RtoEstimator
 from repro.transport.sequence import ReceiveBuffer
 
-from support import reference_insert_segment
+from support import record_allocations, reference_insert_segment
 
 # ---------------------------------------------------------------------------
 # ReceiveBuffer: regardless of arrival order, delivering every segment of a
@@ -322,13 +322,12 @@ def test_mptcp_allocation_tiles_the_stream_exactly_once(scheduler, chunks, subfl
         simulator, topology.sender, topology.receiver.address, 5001, size,
         num_subflows=subflows, config=TcpConfig(mss=1000, initial_cwnd_segments=2),
         scheduler=make_scheduler(scheduler))
+    chunks = []
+    record_allocations(connection, chunks)
     connection.start()
     simulator.run(until=60.0)
     assert receiver.complete
-    ranges = []
-    for subflow in connection.subflows:
-        ranges.extend((dsn, dsn + length) for dsn, length in subflow._segments.values())
-    ranges.sort()
+    ranges = sorted((dsn, dsn + length) for _, dsn, length in chunks)
     cursor = 0
     for start, end in ranges:
         assert start == cursor

@@ -19,6 +19,7 @@ from repro.transport.scheduler import (
     RoundRobinScheduler,
     make_scheduler,
 )
+from support import record_allocations
 
 TEST_CONFIG = TcpConfig(mss=1000, initial_cwnd_segments=2)
 
@@ -30,7 +31,7 @@ ASYMMETRIC_DELAYS = (microseconds(50), milliseconds(2), milliseconds(4), millise
 
 def _run_mptcp(size: int, subflows: int, paths: int = 4, queue_packets: int = 100,
                until: float = 30.0, scheduler: str | None = None,
-               asymmetric: bool = False):
+               asymmetric: bool = False, instrument=None):
     simulator = Simulator()
     topology = TwoPathTopology(
         simulator, paths=paths,
@@ -44,6 +45,8 @@ def _run_mptcp(size: int, subflows: int, paths: int = 4, queue_packets: int = 10
         size, num_subflows=subflows, config=TEST_CONFIG,
         scheduler=make_scheduler(scheduler) if scheduler is not None else None,
     )
+    if instrument is not None:
+        instrument(connection)
     connection.start()
     simulator.run(until=until)
     return connection, receiver, topology
@@ -58,14 +61,15 @@ class TestBasicOperation:
 
     @pytest.mark.parametrize("scheduler", ["fcfs", "round_robin", "lowest_rtt"])
     def test_every_byte_allocated_exactly_once(self, scheduler: str) -> None:
-        connection, receiver, _ = _run_mptcp(100_000, subflows=3, scheduler=scheduler)
+        chunks: list = []
+        connection, receiver, _ = _run_mptcp(
+            100_000, subflows=3, scheduler=scheduler,
+            instrument=lambda connection: record_allocations(connection, chunks))
         allocated = sum(subflow.allocated_bytes for subflow in connection.subflows)
         assert allocated == 100_000
-        # DSN ranges must tile the stream without overlap.
-        ranges = []
-        for subflow in connection.subflows:
-            ranges.extend((dsn, dsn + size) for dsn, size in subflow._segments.values())
-        ranges.sort()
+        # DSN ranges, recorded as they were allocated, must tile the stream
+        # without overlap.
+        ranges = sorted((dsn, dsn + size) for _, dsn, size in chunks)
         cursor = 0
         for start, end in ranges:
             assert start == cursor
@@ -222,7 +226,10 @@ class TestSchedulers:
         assert max(allocations) - min(allocations) <= 4 * TEST_CONFIG.mss
 
     def test_redundant_scheduler_duplicates_unacked_data(self) -> None:
-        connection, receiver, _ = _run_mptcp(60_000, subflows=3, scheduler="redundant")
+        chunks: list = []
+        connection, receiver, _ = _run_mptcp(
+            60_000, subflows=3, scheduler="redundant",
+            instrument=lambda connection: record_allocations(connection, chunks))
         assert connection.complete
         assert receiver.complete
         assert receiver.bytes_received_in_order == 60_000
@@ -231,7 +238,8 @@ class TestSchedulers:
         assert sum(_allocations(connection)) > 60_000
         # Each subflow's own mapping never overlaps itself and is in order.
         for subflow in connection.subflows:
-            ranges = sorted((dsn, dsn + size) for dsn, size in subflow._segments.values())
+            ranges = sorted((dsn, dsn + size) for subflow_id, dsn, size in chunks
+                            if subflow_id == subflow.subflow_id)
             for (_, end), (start, _) in zip(ranges, ranges[1:]):
                 assert start >= end
         # The receiver observed the duplication.
