@@ -53,8 +53,17 @@ class MptcpSubflow(TcpSender):
         reordering_policy=None,
     ) -> None:
         self.connection = connection
-        #: subflow-sequence offset -> (dsn, payload size)
+        #: subflow-sequence offset -> (dsn, payload size) of every segment
+        #: that may still be read: sending reads at ``snd_nxt``, a
+        #: retransmission at ``snd_una``, and a peer readdressing collects
+        #: every chunk above ``connection.data_acked``.  ``snd_nxt`` can lag
+        #: ``snd_una`` (an ACK may pass it after an RTO rewind) and only ever
+        #: moves back to ``snd_una``, so an entry is dropped once it ends at
+        #: or below both cursors *and* below ``data_acked``
+        #: (:meth:`_forget_acknowledged`).  Keys are contiguous from
+        #: ``_segments_start`` up to ``total_bytes``.
         self._segments: Dict[int, Tuple[int, int]] = {}
+        self._segments_start = 0
         super().__init__(
             connection.simulator,
             connection.host,
@@ -99,6 +108,19 @@ class MptcpSubflow(TcpSender):
     def _dsn_at(self, seq: int) -> int:
         segment = self._segments.get(seq)
         return segment[0] if segment is not None else seq
+
+    def _forget_acknowledged(self, data_acked: int) -> None:
+        """Drop the oldest map entries no cursor or reinjection can reach."""
+        segments = self._segments
+        seq = self._segments_start
+        floor = min(self.snd_una, self.snd_nxt)
+        while seq < self.total_bytes:
+            dsn, size = segments[seq]
+            if seq + size > floor or dsn + size > data_acked:
+                break
+            del segments[seq]
+            seq += size
+        self._segments_start = seq
 
     def _all_data_allocated(self) -> bool:
         return self.connection._subflow_done_allocating(self)
@@ -453,6 +475,7 @@ class MptcpConnection:
             if chunk is None:
                 break
             dsn, size = chunk
+            subflow._forget_acknowledged(self.data_acked)
             subflow._segments[subflow.total_bytes] = (dsn, size)
             subflow.total_bytes += size
             if probes.enabled:

@@ -25,6 +25,7 @@ from typing import (
 
 from repro.experiments.config import ExperimentConfig
 from repro.net.faults import host_migration, link_failure
+from repro.net.packet import FLAG_DATA, Packet
 from repro.net.queues import DropTailQueue
 from repro.obs.telemetry import TelemetryProbes
 from repro.sim.engine import Simulator
@@ -177,6 +178,48 @@ def make_tcp_transfer(
         config=tcp_config,
     )
     return TcpTransferHarness(simulator, topology, sender, receiver)
+
+
+#: The RTO-rewind script: a 10-segment window over a 40,000-byte transfer
+#: whose seq 5000 is dropped twice (see :func:`rto_rewind_topology`).  The
+#: first drop costs a fast retransmit, the second an RTO at ~0.2009 s that
+#: rewinds ``snd_nxt`` to 5000; the cumulative ACK for the retransmission
+#: then jumps ``snd_una`` to 15000 and leaves ``snd_nxt`` behind it.
+RTO_REWIND_CONFIG = TcpConfig(
+    mss=1000, initial_cwnd_segments=10, min_rto=0.2, initial_rto=0.2,
+    max_cwnd_bytes=10_000,
+)
+RTO_REWIND_BYTES = 40_000
+
+
+class DropSegmentQueue(DropTailQueue):
+    """A drop-tail queue that also drops the first ``times`` sends of ``seq``."""
+
+    def __init__(self, seq: int, times: int = 2) -> None:
+        super().__init__()
+        self.seq = seq
+        self.remaining = times
+
+    def _lose(self, packet: Packet) -> bool:
+        if self.remaining and packet.flags & FLAG_DATA and packet.seq == self.seq:
+            self.remaining -= 1
+            self.stats.dropped_packets += 1
+            self.stats.dropped_bytes += packet.size
+            return True
+        return False
+
+    def enqueue(self, packet: Packet) -> bool:
+        return not self._lose(packet) and super().enqueue(packet)
+
+    def transit(self, packet: Packet) -> bool:
+        return not self._lose(packet) and super().transit(packet)
+
+
+def rto_rewind_topology(simulator: Simulator) -> TwoHostTopology:
+    """A default two-host topology whose sender uplink drops seq 5000 twice."""
+    topology = TwoHostTopology(simulator)
+    topology.sender.interfaces[0].queue = DropSegmentQueue(5000)
+    return topology
 
 
 def record_allocations(connection, chunks: List[Tuple[int, int, int]]) -> None:

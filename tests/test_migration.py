@@ -354,11 +354,50 @@ def _handover_record(protocol: str, subflows: int, **fault_kwargs):
     return result.metrics.flows[0]
 
 
-def test_mmptcp_completes_across_readdressing_migration_while_tcp_black_holes() -> None:
+def _check_reinjection_sets(monkeypatch) -> list:
+    """Check each readdressing's reinjection queue against recorded allocation.
+
+    Every chunk ``allocate_chunk`` hands out is recorded per connection.
+    When the peer is readdressed, the queue must hold exactly the recorded
+    chunks the data level has not acknowledged, sorted by DSN.  Subflows
+    forget acknowledged segments, so this pins that they never forget one a
+    reinjection still needs.  Returns the list of checked queue lengths.
+    """
+    chunks: dict = {}
+    checked: list = []
+    allocate = MptcpConnection.allocate_chunk
+    readdress = MptcpConnection._on_peer_readdressed
+
+    def recording(connection, subflow):
+        chunk = allocate(connection, subflow)
+        if chunk is not None:
+            chunks.setdefault(connection, []).append(chunk)
+        return chunk
+
+    def checking(connection, new_address):
+        pending: dict = {}
+        for dsn, size in chunks.get(connection, ()):
+            if dsn + size > connection.data_acked:
+                pending[dsn] = max(pending.get(dsn, 0), size)
+        readdress(connection, new_address)
+        assert list(connection._reinjection_queue) == sorted(pending.items())
+        checked.append(len(pending))
+
+    monkeypatch.setattr(MptcpConnection, "allocate_chunk", recording)
+    monkeypatch.setattr(MptcpConnection, "_on_peer_readdressed", checking)
+    return checked
+
+
+def test_mmptcp_completes_across_readdressing_migration_while_tcp_black_holes(
+    monkeypatch,
+) -> None:
     kwargs = dict(downtime_s=0.01, new_address=_NEW_ADDRESS)
     tcp = _handover_record(PROTOCOL_TCP, 1, **kwargs)
+    reinjected = _check_reinjection_sets(monkeypatch)
     mmptcp = _handover_record(PROTOCOL_MMPTCP, 4, **kwargs)
     mptcp = _handover_record(PROTOCOL_MPTCP, 4, **kwargs)
+    # One readdressing per multipath run, each stranding unacknowledged data.
+    assert len(reinjected) == 2 and all(reinjected), reinjected
 
     # Single-path TCP keeps retransmitting towards the dead address: at
     # least one RTO-scale stall, and the transfer never finishes.

@@ -19,7 +19,12 @@ from repro.transport.scheduler import (
     RoundRobinScheduler,
     make_scheduler,
 )
-from support import record_allocations
+from support import (
+    RTO_REWIND_BYTES,
+    RTO_REWIND_CONFIG,
+    record_allocations,
+    rto_rewind_topology,
+)
 
 TEST_CONFIG = TcpConfig(mss=1000, initial_cwnd_segments=2)
 
@@ -132,6 +137,110 @@ class TestLossRecovery:
         assert lossy_recv.complete and clean_recv.complete
         assert clean.aggregate_stats().rto_events == 0
         assert lossy.completion_time > clean.completion_time
+
+
+class _SegmentMapWatch:
+    """Inspects every subflow's seq -> (dsn, size) map after each refill.
+
+    Records the peak map size and the peak ``cwnd // mss`` per subflow.
+    After each refill that mapped a chunk it also collects:
+
+    * ``stale``: entries still meeting the removal rule, i.e. ending at or
+      below both ``snd_una`` and ``snd_nxt`` and at or below the data-level
+      ACK;
+    * ``mismatches``: refills at which the mapped chunks above the
+      data-level ACK (what a peer readdressing would reinject) differ from
+      the allocated ones, recorded as ``allocate_chunk`` handed them out.
+    """
+
+    def __init__(self, connection) -> None:
+        self.connection = connection
+        self.peaks: dict = {}
+        self.stale: list = []
+        self.mismatches = 0
+        self._unacked: list = []
+        record_allocations(connection, self._unacked)
+        self._refill = connection._refill_subflow
+        connection._refill_subflow = self._watched
+
+    def _watched(self, subflow) -> None:
+        before = subflow.total_bytes
+        self._refill(subflow)
+        peak = self.peaks.setdefault(subflow.subflow_id, [0, 0])
+        peak[0] = max(peak[0], len(subflow._segments))
+        peak[1] = max(peak[1], int(subflow.cwnd) // subflow.mss)
+        if subflow.total_bytes == before:
+            return
+        connection = self.connection
+        acked = connection.data_acked
+        floor = min(subflow.snd_una, subflow.snd_nxt)
+        self.stale.extend(
+            (subflow.subflow_id, seq)
+            for seq, (dsn, size) in subflow._segments.items()
+            if seq + size <= floor and dsn + size <= acked
+        )
+        self._unacked[:] = [chunk for chunk in self._unacked if chunk[1] + chunk[2] > acked]
+        mapped = sorted(
+            (other.subflow_id, dsn, size)
+            for other in connection.subflows
+            for dsn, size in other._segments.values()
+            if dsn + size > acked
+        )
+        if mapped != sorted(self._unacked):
+            self.mismatches += 1
+
+
+class TestSegmentMap:
+    @pytest.mark.parametrize("scheduler", ["fcfs", "round_robin", "lowest_rtt", "redundant"])
+    def test_map_is_bounded_by_data_in_flight(self, scheduler: str) -> None:
+        # Narrow queues keep the windows far below the 2,000-segment stream
+        # and force losses, so both cursors and the data-level ACK lag.
+        watches = []
+        connection, receiver, _ = _run_mptcp(
+            2_000_000, subflows=4, paths=2, queue_packets=10, scheduler=scheduler,
+            instrument=lambda connection: watches.append(_SegmentMapWatch(connection)))
+        watch = watches[0]
+        assert receiver.complete
+        assert connection.aggregate_stats().retransmitted_packets > 0
+        assert watch.stale == []
+        assert watch.mismatches == 0
+        # Entries a subflow has delivered stay while a sibling's loss holds
+        # the data-level ACK back, so the bound is the connection's summed
+        # peak windows, not the subflow's own; the history is far larger.
+        window_segments = sum(cwnd for _, cwnd in watch.peaks.values())
+        for subflow in connection.subflows:
+            peak_map = watch.peaks[subflow.subflow_id][0]
+            assert peak_map <= window_segments + 1
+            assert 2 * peak_map < subflow.allocated_bytes // TEST_CONFIG.mss
+
+
+    def test_map_serves_reads_below_snd_una_after_an_rto_rewind(self) -> None:
+        # After the RTO rewind a cumulative ACK leaves snd_nxt below snd_una,
+        # and send_available reads the map at snd_nxt (the resend is a known
+        # TCP defect).  Pruning at snd_una alone would miss that read and
+        # stall the subflow, so every read inside the mapped range must hit.
+        simulator = Simulator()
+        topology = rto_rewind_topology(simulator)
+        receiver = MptcpReceiver(simulator, topology.receiver, local_port=5001,
+                                 expected_bytes=RTO_REWIND_BYTES)
+        connection = MptcpConnection(
+            simulator, topology.sender, topology.receiver.address, 5001,
+            RTO_REWIND_BYTES, num_subflows=1, config=RTO_REWIND_CONFIG)
+        subflow = connection.subflows[0]
+        reads = []
+        payload_at = subflow._payload_at
+
+        def spying(seq: int) -> int:
+            payload = payload_at(seq)
+            reads.append((seq, subflow.snd_una, subflow.total_bytes, payload))
+            return payload
+
+        subflow._payload_at = spying
+        connection.start()
+        simulator.run(until=10.0)
+        assert receiver.complete and connection.complete
+        assert any(seq < snd_una for seq, snd_una, _, _ in reads)
+        assert [read for read in reads if read[0] < read[2] and read[3] <= 0] == []
 
 
 class TestLiaCoupling:

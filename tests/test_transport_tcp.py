@@ -13,7 +13,13 @@ from repro.transport.base import TcpConfig
 from repro.transport.receiver import TcpReceiver
 from repro.transport.tcp import TcpSender
 
-from support import TEST_TCP_CONFIG, make_tcp_transfer
+from support import (
+    RTO_REWIND_BYTES,
+    RTO_REWIND_CONFIG,
+    TEST_TCP_CONFIG,
+    make_tcp_transfer,
+    rto_rewind_topology,
+)
 
 
 class TestBasicTransfer:
@@ -175,6 +181,37 @@ class TestRtoBehaviour:
         simulator.run(until=60.0)
         assert receiver.complete
         assert sender.stats.retransmitted_packets > 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="snd_nxt is never raised to snd_una when a cumulative ACK passes "
+        "it after an RTO rewind, so send_available resends acknowledged bytes",
+    )
+    def test_no_segment_is_sent_below_snd_una_after_an_rto_rewind(self) -> None:
+        # BSD tcp_input raises snd_nxt to snd_una on such an ACK.  Here the
+        # ACK for the RTO retransmission of 5000 jumps snd_una to 15000 while
+        # snd_nxt stays at 6000, and seqs 6000-14000 go out again; their
+        # duplicate ACKs then trigger a second fast retransmit.
+        simulator = Simulator()
+        topology = rto_rewind_topology(simulator)
+        receiver = TcpReceiver(simulator, topology.receiver, local_port=5001,
+                               expected_bytes=RTO_REWIND_BYTES)
+        sender = TcpSender(simulator, topology.sender, topology.receiver.address, 5001,
+                           RTO_REWIND_BYTES, config=RTO_REWIND_CONFIG)
+        below_una = []
+        send_data = sender._send_data
+
+        def spying(seq: int, payload: int, is_retransmission: bool) -> None:
+            if seq < sender.snd_una:
+                below_una.append((seq, sender.snd_una))
+            send_data(seq, payload, is_retransmission)
+
+        sender._send_data = spying
+        sender.start()
+        simulator.run(until=10.0)
+        assert receiver.complete
+        assert sender.stats.rto_events == 1
+        assert below_una == []
 
     def test_flow_completion_callbacks_fire_once(self) -> None:
         completions = []
