@@ -59,7 +59,7 @@ class MptcpSubflow(TcpSender):
         #: every chunk above ``connection.data_acked``.  ``snd_nxt`` can lag
         #: ``snd_una`` (an ACK may pass it after an RTO rewind) and only ever
         #: moves back to ``snd_una``, so an entry is dropped once it ends at
-        #: or below both cursors *and* below ``data_acked``
+        #: or below both cursors *and* at or below ``data_acked``
         #: (:meth:`_forget_acknowledged`).  Keys are contiguous from
         #: ``_segments_start`` up to ``total_bytes``.
         self._segments: Dict[int, Tuple[int, int]] = {}
