@@ -213,7 +213,6 @@ class TestSegmentMap:
             assert peak_map <= window_segments + 1
             assert 2 * peak_map < subflow.allocated_bytes // TEST_CONFIG.mss
 
-
     def test_map_serves_reads_below_snd_una_after_an_rto_rewind(self) -> None:
         # After the RTO rewind a cumulative ACK leaves snd_nxt below snd_una,
         # and send_available reads the map at snd_nxt (the resend is a known
@@ -240,7 +239,9 @@ class TestSegmentMap:
         simulator.run(until=10.0)
         assert receiver.complete and connection.complete
         assert any(seq < snd_una for seq, snd_una, _, _ in reads)
-        assert [read for read in reads if read[0] < read[2] and read[3] <= 0] == []
+        misses = [seq for seq, _, mapped_end, payload in reads
+                  if seq < mapped_end and payload <= 0]
+        assert misses == []
 
 
 class TestLiaCoupling:
