@@ -31,7 +31,8 @@ from repro.obs.telemetry import TelemetryProbes
 from repro.sim.engine import Simulator
 from repro.sim.units import megabits_per_second, microseconds
 from repro.topology.simple import TwoHostTopology
-from repro.traffic.flowspec import PROTOCOL_MMPTCP
+from repro.traffic.flowspec import PROTOCOL_MMPTCP, FlowSpec
+from repro.traffic.workloads import Workload
 from repro.transport.base import TcpConfig
 from repro.transport.receiver import TcpReceiver
 from repro.transport.tcp import TcpSender
@@ -109,6 +110,37 @@ def golden_migration_config() -> ExperimentConfig:
             host_migration(0.04, "host-0-0-0", "edge-0-1", downtime_s=0.06),
         ),
     )
+
+
+def handover_config(protocol: str, subflows: int, **fault_kwargs) -> ExperimentConfig:
+    """A 100 Mbps fabric where host-0-0-0 moves to edge-0-1 at t=20 ms.
+
+    ``fault_kwargs`` go to :func:`host_migration`; a ``new_address`` makes
+    the move a readdressing, which multipath senders must follow.
+    """
+    return ExperimentConfig(
+        fattree_k=4,
+        hosts_per_edge=2,
+        link_rate_bps=megabits_per_second(100),
+        link_delay_s=microseconds(20),
+        protocol=protocol,
+        num_subflows=subflows,
+        arrival_window_s=0.05,
+        drain_time_s=1.2,
+        seed=7,
+        fault_schedule=(
+            host_migration(0.02, "host-0-0-0", "edge-0-1", **fault_kwargs),
+        ),
+    )
+
+
+def handover_workload(protocol: str, subflows: int) -> Workload:
+    """One 500 KB flow towards the host :func:`handover_config` moves."""
+    return Workload(flows=[
+        FlowSpec(flow_id=1, source="host-1-0-0", destination="host-0-0-0",
+                 size_bytes=500_000, start_time=0.0, protocol=protocol,
+                 num_subflows=subflows)
+    ])
 
 
 def canonical_event_line(event: TraceEvent) -> str:

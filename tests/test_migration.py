@@ -20,21 +20,18 @@ from functools import partial
 import pytest
 
 from repro.experiments import run_points, study_rows
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.net.faults import FaultInjector, host_migration
 from repro.net.host import EPHEMERAL_PORT_MAX, EPHEMERAL_PORT_MIN
 from repro.net.packet import FLAG_DATA, Packet, release_packet
 from repro.scenarios import cell_rows, get_scenario, matrix_plan, tiny_config
 from repro.sim.engine import Simulator
-from repro.sim.units import megabits_per_second, microseconds
 from repro.store import run_key
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
-from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP, FlowSpec
-from repro.traffic.workloads import Workload
+from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, PROTOCOL_TCP
 from repro.transport.base import TcpConfig
 from repro.transport.mptcp import MptcpConnection, MptcpReceiver
-from support import RecordingProbes
+from support import RecordingProbes, handover_config, handover_workload
 
 #: Out-of-band address used for re-addressing tests: encoded well above any
 #: FatTree host address, so it can never collide with a real host.
@@ -321,35 +318,10 @@ def test_mptcp_reestablishes_subflows_to_the_peers_new_address() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _handover_config(protocol: str, subflows: int, **fault_kwargs) -> ExperimentConfig:
-    return ExperimentConfig(
-        fattree_k=4,
-        hosts_per_edge=2,
-        link_rate_bps=megabits_per_second(100),
-        link_delay_s=microseconds(20),
-        protocol=protocol,
-        num_subflows=subflows,
-        arrival_window_s=0.05,
-        drain_time_s=1.2,
-        seed=7,
-        fault_schedule=(
-            host_migration(0.02, "host-0-0-0", "edge-0-1", **fault_kwargs),
-        ),
-    )
-
-
-def _single_flow(protocol: str, subflows: int) -> Workload:
-    return Workload(flows=[
-        FlowSpec(flow_id=1, source="host-1-0-0", destination="host-0-0-0",
-                 size_bytes=500_000, start_time=0.0, protocol=protocol,
-                 num_subflows=subflows)
-    ])
-
-
 def _handover_record(protocol: str, subflows: int, **fault_kwargs):
     result = run_experiment(
-        _handover_config(protocol, subflows, **fault_kwargs),
-        workload=_single_flow(protocol, subflows),
+        handover_config(protocol, subflows, **fault_kwargs),
+        workload=handover_workload(protocol, subflows),
     )
     return result.metrics.flows[0]
 
