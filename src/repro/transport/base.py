@@ -66,7 +66,7 @@ class TcpConfig:
         return self.initial_cwnd_segments * self.mss
 
 
-@dataclass
+@dataclass(slots=True)
 class SenderStats:
     """Counters accumulated by a sender over the lifetime of one flow."""
 

@@ -54,13 +54,14 @@ class MptcpSubflow(TcpSender):
     ) -> None:
         self.connection = connection
         #: subflow-sequence offset -> (dsn, payload size) of every segment
-        #: that may still be read: sending reads at ``snd_nxt``, a
-        #: retransmission at ``snd_una``, and a peer readdressing collects
-        #: every chunk above ``connection.data_acked``.  ``snd_nxt`` can lag
-        #: ``snd_una`` (an ACK may pass it after an RTO rewind) and only ever
-        #: moves back to ``snd_una``, so an entry is dropped once it ends at
-        #: or below both cursors *and* at or below ``data_acked``
-        #: (:meth:`_forget_acknowledged`).  Keys are contiguous from
+        #: this subflow may still send: sending reads at ``snd_nxt``, a
+        #: retransmission at ``snd_una``.  ``snd_nxt`` can lag ``snd_una``
+        #: (an ACK may pass it after an RTO rewind) and only ever moves back
+        #: to ``snd_una``, so an entry is dropped once it ends at or below
+        #: both cursors (:meth:`_forget_acknowledged`).  A peer readdressing
+        #: derives what to reinject from the stream cursors instead
+        #: (:meth:`MptcpConnection._unacked_chunks`), and the maps are
+        #: emptied once the connection completes.  Keys are contiguous from
         #: ``_segments_start`` up to ``total_bytes``.
         self._segments: Dict[int, Tuple[int, int]] = {}
         self._segments_start = 0
@@ -109,14 +110,14 @@ class MptcpSubflow(TcpSender):
         segment = self._segments.get(seq)
         return segment[0] if segment is not None else seq
 
-    def _forget_acknowledged(self, data_acked: int) -> None:
-        """Drop the oldest map entries no cursor or reinjection can reach."""
+    def _forget_acknowledged(self) -> None:
+        """Drop the oldest map entries neither send cursor can reach again."""
         segments = self._segments
         seq = self._segments_start
         floor = min(self.snd_una, self.snd_nxt)
-        while seq < self.total_bytes:
-            dsn, size = segments[seq]
-            if seq + size > floor or dsn + size > data_acked:
+        while seq < floor:
+            size = segments[seq][1]
+            if seq + size > floor:
                 break
             del segments[seq]
             seq += size
@@ -124,6 +125,18 @@ class MptcpSubflow(TcpSender):
 
     def _all_data_allocated(self) -> bool:
         return self.connection._subflow_done_allocating(self)
+
+    def _handle_ack(self, packet: Packet) -> None:
+        if self.complete:
+            return
+        super()._handle_ack(packet)
+        if self.connection.complete:
+            # This ACK completed the connection.  Its handling may still have
+            # resent from this map (a sibling delivered those bytes first),
+            # so the maps are emptied only now; nothing reads one again.
+            for subflow in self.connection.subflows:
+                subflow._segments.clear()
+                subflow._segments_start = subflow.total_bytes
 
     def _process_dack(self, packet: Packet) -> None:
         self.connection.on_dack(packet.dack)
@@ -321,20 +334,16 @@ class MptcpConnection:
         """The peer now lives at ``new_address``: re-establish connectivity.
 
         Every live subflow is bound (via its handshake) to the old address,
-        so all of them are killed; the stream chunks they still held
-        unacknowledged are queued for reinjection, and a fresh set of
-        subflows is opened towards the new address.  Duplicating schedulers
-        need no reinjection — their per-subflow cursors restart from the
-        data-level acknowledgement point on the replacement subflows.
+        so all of them are killed; every mapped chunk the data level has not
+        acknowledged is queued for reinjection (:meth:`_unacked_chunks`),
+        and a fresh set of subflows is opened towards the new address.
+        Duplicating schedulers need no reinjection — their per-subflow
+        cursors restart from the data-level acknowledgement point on the
+        replacement subflows.
         """
         self.destination = new_address
         if not self.scheduler.duplicates:
-            pending: Dict[int, int] = {}
-            for subflow in self.subflows:
-                for dsn, size in subflow._segments.values():
-                    if dsn + size > self.data_acked:
-                        pending[dsn] = max(pending.get(dsn, 0), size)
-            self._reinjection_queue = deque(sorted(pending.items()))
+            self._reinjection_queue = self._unacked_chunks()
         for subflow in self.subflows:
             if not subflow.complete:
                 subflow.complete = True
@@ -345,6 +354,24 @@ class MptcpConnection:
             if self.started:
                 for subflow in created:
                     subflow.start()
+
+    def _unacked_chunks(self) -> Deque[Tuple[int, int]]:
+        """The mapped chunks above ``data_acked``, as ``(dsn, size)`` in DSN order.
+
+        Without a duplicating scheduler :meth:`allocate_chunk` tiles the
+        stream into ``[k * mss, min((k + 1) * mss, total_bytes))`` and maps
+        every chunk below ``_next_dsn`` onto some subflow at least once, so
+        the set follows from the stream cursors alone.  A chunk still queued
+        from an earlier readdressing is in it too.
+        """
+        mss = self.config.mss
+        acked = self.data_acked
+        total = self.total_bytes
+        return deque(
+            (dsn, min(mss, total - dsn))
+            for dsn in range(acked - acked % mss, self._next_dsn, mss)
+            if min(dsn + mss, total) > acked
+        )
 
     # ------------------------------------------------------------------
     # Data allocation (demand driven)
@@ -475,7 +502,7 @@ class MptcpConnection:
             if chunk is None:
                 break
             dsn, size = chunk
-            subflow._forget_acknowledged(self.data_acked)
+            subflow._forget_acknowledged()
             subflow._segments[subflow.total_bytes] = (dsn, size)
             subflow.total_bytes += size
             if probes.enabled:

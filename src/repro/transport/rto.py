@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class RtoEstimator:
     """Smoothed RTT / RTO estimator.
 

@@ -57,6 +57,42 @@ class ReorderingPolicy(Protocol):
 class TcpSender(Endpoint):
     """Sending endpoint of a single-path TCP flow."""
 
+    #: Every attribute ``__init__`` sets.  An MPTCP subflow would otherwise
+    #: carry more keys than CPython's shared-key instance dict holds, and
+    #: pay for a private dict of its own.  ``Endpoint`` keeps ``__dict__``
+    #: for the attributes of subclasses and for per-instance overrides.
+    __slots__ = (
+        "destination",
+        "destination_port",
+        "total_bytes",
+        "flow_id",
+        "config",
+        "mss",
+        "subflow_id",
+        "cc",
+        "reordering_policy",
+        "on_complete",
+        "on_congestion_event",
+        "cwnd",
+        "ssthresh",
+        "in_fast_recovery",
+        "recover_seq",
+        "dup_ack_count",
+        "snd_una",
+        "snd_nxt",
+        "snd_max",
+        "rto_estimator",
+        "_rto_timer",
+        "_timed_seq",
+        "_timed_at",
+        "_last_fast_retx_seq",
+        "_last_fast_retx_time",
+        "established",
+        "started",
+        "complete",
+        "stats",
+    )
+
     def __init__(
         self,
         simulator: Simulator,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.units import microseconds, milliseconds
@@ -12,7 +14,7 @@ from repro.topology.fattree import FatTreeParams
 from repro.topology.simple import TwoHostTopology, TwoPathTopology
 from repro.transport.base import TcpConfig
 from repro.transport.cc.lia import LiaController
-from repro.transport.mptcp import MptcpConnection, MptcpReceiver
+from repro.transport.mptcp import MptcpConnection, MptcpReceiver, MptcpSubflow
 from repro.transport.path_manager import make_path_manager
 from repro.transport.scheduler import (
     LowestRttScheduler,
@@ -146,11 +148,12 @@ class _SegmentMapWatch:
     After each refill that mapped a chunk it also collects:
 
     * ``stale``: entries still meeting the removal rule, i.e. ending at or
-      below both ``snd_una`` and ``snd_nxt`` and at or below the data-level
-      ACK;
-    * ``mismatches``: refills at which the mapped chunks above the
-      data-level ACK (what a peer readdressing would reinject) differ from
-      the allocated ones, recorded as ``allocate_chunk`` handed them out.
+      below both ``snd_una`` and ``snd_nxt``;
+    * ``mismatches``: refills at which the reinjection set a peer
+      readdressing would queue (``_unacked_chunks``) differs from the
+      allocated chunks above the data-level ACK, recorded as
+      ``allocate_chunk`` handed them out.  Duplicating schedulers never
+      reinject, so they are not compared.
     """
 
     def __init__(self, connection) -> None:
@@ -172,21 +175,18 @@ class _SegmentMapWatch:
         if subflow.total_bytes == before:
             return
         connection = self.connection
-        acked = connection.data_acked
         floor = min(subflow.snd_una, subflow.snd_nxt)
         self.stale.extend(
             (subflow.subflow_id, seq)
-            for seq, (dsn, size) in subflow._segments.items()
-            if seq + size <= floor and dsn + size <= acked
+            for seq, (_, size) in subflow._segments.items()
+            if seq + size <= floor
         )
+        if connection.scheduler.duplicates:
+            return
+        acked = connection.data_acked
         self._unacked[:] = [chunk for chunk in self._unacked if chunk[1] + chunk[2] > acked]
-        mapped = sorted(
-            (other.subflow_id, dsn, size)
-            for other in connection.subflows
-            for dsn, size in other._segments.values()
-            if dsn + size > acked
-        )
-        if mapped != sorted(self._unacked):
+        allocated = sorted({(dsn, size) for _, dsn, size in self._unacked})
+        if list(connection._unacked_chunks()) != allocated:
             self.mismatches += 1
 
 
@@ -204,13 +204,11 @@ class TestSegmentMap:
         assert connection.aggregate_stats().retransmitted_packets > 0
         assert watch.stale == []
         assert watch.mismatches == 0
-        # Entries a subflow has delivered stay while a sibling's loss holds
-        # the data-level ACK back, so the bound is the connection's summed
-        # peak windows, not the subflow's own; the history is far larger.
-        window_segments = sum(cwnd for _, cwnd in watch.peaks.values())
+        # A subflow keeps only what it may still send itself, so its own
+        # peak window bounds its map, whatever its siblings lose.
         for subflow in connection.subflows:
-            peak_map = watch.peaks[subflow.subflow_id][0]
-            assert peak_map <= window_segments + 1
+            peak_map, peak_window = watch.peaks[subflow.subflow_id]
+            assert peak_map <= peak_window + 1
             assert 2 * peak_map < subflow.allocated_bytes // TEST_CONFIG.mss
 
     def test_map_serves_reads_below_snd_una_after_an_rto_rewind(self) -> None:
@@ -242,6 +240,95 @@ class TestSegmentMap:
         misses = [seq for seq, _, mapped_end, payload in reads
                   if seq < mapped_end and payload <= 0]
         assert misses == []
+
+    @pytest.mark.parametrize("protocol, scheduler", [
+        ("mptcp", "fcfs"), ("mptcp", "round_robin"), ("mptcp", "lowest_rtt"),
+        ("mptcp", "redundant"), ("mmptcp", "fcfs"),
+    ])
+    def test_maps_are_empty_once_the_connection_completes(
+        self, monkeypatch, protocol: str, scheduler: str
+    ) -> None:
+        connections: list = []
+        late_reads: list = []
+        init = MptcpConnection.__init__
+        payload_at = MptcpSubflow._payload_at
+
+        def recording(connection, *args, **kwargs) -> None:
+            init(connection, *args, **kwargs)
+            connections.append(connection)
+
+        def spying(subflow, seq: int) -> int:
+            payload = payload_at(subflow, seq)
+            if subflow.connection.complete:
+                late_reads.append(payload)
+            return payload
+
+        monkeypatch.setattr(MptcpConnection, "__init__", recording)
+        monkeypatch.setattr(MptcpSubflow, "_payload_at", spying)
+        run_experiment(ExperimentConfig(
+            fattree_k=4, hosts_per_edge=2, link_rate_bps=200e6,
+            arrival_window_s=0.1, drain_time_s=0.6, short_flow_rate_per_sender=4.0,
+            long_flow_size_bytes=400_000, short_flow_size_bytes=70_000,
+            max_short_flows=6, protocol=protocol, num_subflows=2,
+            scheduler=scheduler, seed=7,
+        ))
+        assert connections and all(connection.complete for connection in connections)
+        for connection in connections:
+            for subflow in connection.subflows:
+                assert subflow._segments == {}
+                assert subflow._segments_start == subflow.total_bytes
+        # Under the redundant scheduler a sibling can deliver bytes this
+        # subflow lost, so the ACK that completes the connection can still
+        # drive a fast retransmit.  Its map must serve that read; only then
+        # are the maps emptied.
+        assert bool(late_reads) == (scheduler == "redundant")
+        assert all(payload > 0 for payload in late_reads)
+
+    def test_a_subflow_dict_holds_only_endpoint_and_subflow_state(self) -> None:
+        # TcpSender keeps its own state in slots, so a subflow's instance
+        # dict stays small enough for CPython's shared-key layout.
+        simulator = Simulator()
+        topology = TwoHostTopology(simulator)
+        connection = MptcpConnection(simulator, topology.sender, topology.receiver.address,
+                                     5001, 10_000, num_subflows=1, config=TEST_CONFIG)
+        assert set(vars(connection.subflows[0])) == {
+            "simulator", "host", "local_port",
+            "connection", "_segments", "_segments_start",
+        }
+
+    def test_a_second_readdressing_requeues_every_unacknowledged_chunk(self) -> None:
+        # Narrow queues make one subflow lag, so the other has delivered
+        # chunks the data level has not acknowledged yet.  The peer is
+        # readdressed twice (to the same host, so the transfer finishes),
+        # the second time while the replacement subflows are still draining
+        # the first queue.  Each queue must hold every allocated chunk above
+        # the data-level ACK: delivered, reinjected or still queued alike.
+        chunks: list = []
+        queued_before: list = []
+        queues: list = []
+        expected: list = []
+
+        def readdress(connection) -> None:
+            queued_before.append(len(connection._reinjection_queue))
+            connection._on_peer_readdressed(connection.destination)
+            acked = connection.data_acked
+            queues.append(list(connection._reinjection_queue))
+            expected.append(sorted({
+                (dsn, size) for _, dsn, size in chunks if dsn + size > acked
+            }))
+
+        def instrument(connection) -> None:
+            record_allocations(connection, chunks)
+            connection.simulator.schedule_at(0.010, readdress, connection)
+            connection.simulator.schedule_at(0.012, readdress, connection)
+
+        connection, receiver, _ = _run_mptcp(
+            400_000, subflows=2, paths=2, queue_packets=10, instrument=instrument)
+        assert queues == expected
+        assert queued_before[0] == 0
+        assert 0 < queued_before[1] < len(queues[0])
+        assert receiver.complete and connection.complete
+        assert receiver.bytes_received_in_order == 400_000
 
 
 class TestLiaCoupling:
