@@ -1,4 +1,4 @@
-"""Rules: no wall-clock or global-RNG reads; no unordered-set iteration.
+"""Rules: no wall-clock or global-RNG reads; no unordered-set iteration; no gc.
 
 Simulation output must be a pure function of the run input (config, seed,
 workload) — that is what makes sweep results byte-identical for any
@@ -17,6 +17,15 @@ guard it statically:
   ``repro/sim``, ``repro/net`` and ``repro/topology`` packages feeds an
   order-sensitive pipeline (trace events, golden traces, route tables)
   with hash order.  Wrap the iterable in ``sorted(...)``.
+
+A third rule guards process-global state of another kind:
+
+* ``no-process-global-gc`` — the collector's generations, its threshold
+  and its on/off switch belong to the whole process.  The run boundary in
+  :func:`repro.experiments.runner.run_experiment` freezes, collects and
+  unfreezes around each run; a second ``gc.freeze`` elsewhere would be
+  silently undone by that ``unfreeze``, and any other call changes what
+  the boundary's collection costs.
 """
 
 import ast
@@ -86,6 +95,38 @@ class NoWallclockOrGlobalRandom(LintRule):
                     node,
                     f"{resolved} uses the shared module-level generator; draw from "
                     "repro.sim.randomness streams or an injected random.Random",
+                )
+
+
+#: ``gc`` calls that change the collector's process-wide state or run it.
+PROCESS_GC_CALLS = frozenset(
+    f"gc.{name}"
+    for name in ("freeze", "unfreeze", "collect", "disable", "enable", "set_threshold")
+)
+
+
+@register
+class NoProcessGlobalGc(LintRule):
+    name = "no-process-global-gc"
+    description = (
+        "gc.freeze/unfreeze/collect/disable/enable/set_threshold in repro/ act on the "
+        "whole process; only the run boundary in experiments/runner may call them"
+    )
+
+    def violations(self, ctx: ModuleContext) -> Iterator[Violation]:
+        if not ctx.in_package("repro"):
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            resolved = ctx.resolve_call(node.func)
+            if resolved in PROCESS_GC_CALLS:
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"{resolved} acts on the whole process: an unfreeze "
+                    "silently undoes any other freeze; leave the collector to the run "
+                    "boundary in experiments/runner",
                 )
 
 

@@ -8,6 +8,7 @@ receiver state and switch counters into an :class:`ExperimentMetrics`.
 
 from __future__ import annotations
 
+import gc
 import time as _wallclock
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -411,7 +412,30 @@ def run_experiment(
             host, switch and the fault injector report into it.
         profile: attach the engine profiler and return its ``diagnostics``
             on the result (wall-clock-bearing, key-excluded).
+
+    The run's object graph is cyclic (hosts and interfaces, endpoints and
+    their timers, connections and subflows), so it outlives the run until
+    the collector gets to it.  The boundary collects it here, once the run's
+    frame has returned, so that a process of many runs peaks at one run's
+    footprint.  Freezing what the process held before the run confines that
+    collection to the run's own objects; unfreezing hands them back.
     """
+    # repro: allow[no-process-global-gc] -- run boundary owns the permanent generation
+    gc.freeze()
+    try:
+        return _simulate(config, workload, probes, profile)
+    finally:
+        gc.collect()  # repro: allow[no-process-global-gc] -- run boundary (above)
+        gc.unfreeze()  # repro: allow[no-process-global-gc] -- run boundary (above)
+
+
+def _simulate(
+    config: ExperimentConfig,
+    workload: Optional[Workload],
+    probes: Optional[TelemetryProbes],
+    profile: bool,
+) -> ExperimentResult:
+    """Build, run and measure one simulation (packet or flow tier)."""
     if config.fidelity == FIDELITY_FLOW:
         # Imported lazily: repro.flowlevel reuses this module's topology and
         # workload builders, so a top-level import would be a cycle.

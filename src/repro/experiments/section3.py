@@ -92,10 +92,6 @@ class Section3Comparison:
     mptcp: ProtocolStatistics
     mmptcp: ProtocolStatistics
 
-    def mmptcp_wins_on_tail(self) -> bool:
-        """The paper's headline: MMPTCP's FCT variability is far smaller."""
-        return self.mmptcp.std_fct_ms <= self.mptcp.std_fct_ms
-
     def throughput_parity(self, tolerance: float = 0.25) -> bool:
         """Long-flow throughput should be roughly equal for the two protocols."""
         reference = max(self.mptcp.long_flow_throughput_mbps, 1e-9)

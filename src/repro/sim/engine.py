@@ -496,4 +496,6 @@ class Simulator:
         self._sequence = 0
         self._heap_dead = 0
         self.events_processed = 0
+        self.heap_compactions = 0
+        self.heap_refiles = 0
         self._stopped = False

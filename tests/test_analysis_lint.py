@@ -27,6 +27,7 @@ REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
 ALL_RULES = (
     "no-mutation-during-iteration",
+    "no-process-global-gc",
     "no-raw-json",
     "no-unordered-iteration",
     "no-wallclock-or-global-random",
@@ -123,6 +124,34 @@ def test_global_random_fires_module_level_calls_only(tmp_path) -> None:
 def test_wallclock_scoped_to_the_repro_package(tmp_path) -> None:
     outside = "import time\n\n\ndef stamp():\n    return time.time()\n"
     assert _lint(tmp_path, "tests/test_timing.py", outside).clean
+
+
+# ---------------------------------------------------------------------------
+# no-process-global-gc
+# ---------------------------------------------------------------------------
+
+
+def test_process_global_gc_fires_on_every_state_changing_call(tmp_path) -> None:
+    report = _lint(
+        tmp_path,
+        "src/repro/experiments/thing.py",
+        "import gc\nfrom gc import freeze as pin\n\n\ndef boundary(run):\n"
+        "    pin()\n    gc.unfreeze()\n    gc.collect()\n    gc.disable()\n"
+        "    gc.enable()\n    gc.set_threshold(700)\n    return gc.get_count()\n",
+    )
+    assert _rules_fired(report) == ["no-process-global-gc"] * 6
+    assert [violation.line for violation in report.violations] == [6, 7, 8, 9, 10, 11]
+
+
+def test_process_global_gc_scoped_to_the_repro_package(tmp_path) -> None:
+    outside = "import gc\n\n\ndef quiet():\n    gc.disable()\n"
+    assert _lint(tmp_path, "tests/test_memory.py", outside).clean
+    suppressed = (
+        "import gc\n\n\ndef boundary():\n"
+        "    gc.collect()  # repro: allow[no-process-global-gc] -- the one boundary\n"
+    )
+    report = _lint(tmp_path, "src/repro/experiments/runner.py", suppressed)
+    assert report.clean and report.suppressed == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from typing import List
+
 import pytest
 
 from repro.core.phase_switching import (
@@ -15,6 +19,7 @@ from repro.core.reordering import (
     StaticReorderingPolicy,
     TopologyInformedPolicy,
 )
+from repro.experiments import runner
 from repro.experiments.config import (
     ExperimentConfig,
     paper_scale,
@@ -27,6 +32,7 @@ from repro.experiments.runner import (
     make_switching_policy,
     run_experiment,
 )
+from repro.metrics.export import dumps_deterministic
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.topology.fattree import FatTreeTopology
@@ -241,3 +247,57 @@ class TestTransportMatrix:
             for path_manager in path_manager_names()
         }
         assert len(set(keys.values())) == len(keys) == 8
+
+
+class _FailingSimulator(Simulator):
+    def run(self, *args, **kwargs) -> None:
+        raise RuntimeError("simulated failure")
+
+
+@pytest.fixture
+def no_automatic_gc():
+    """Only the run boundary may collect while the test runs."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("no_automatic_gc")
+class TestRunBoundary:
+    def test_the_run_graph_is_freed_when_run_experiment_returns(self, monkeypatch) -> None:
+        born: List[weakref.ref] = []
+
+        class WeaklyRecordedSimulator(Simulator):
+            def __init__(self) -> None:
+                super().__init__()
+                born.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "Simulator", WeaklyRecordedSimulator)
+        result = run_experiment(TINY.with_protocol("mptcp", num_subflows=2))
+        assert result.events_processed > 0
+        assert len(born) == 1
+        assert born[0]() is None
+
+    def test_nothing_stays_frozen_after_a_run(self) -> None:
+        run_experiment(TINY)
+        assert gc.get_freeze_count() == 0
+
+    def test_nothing_stays_frozen_after_a_failed_run(self, monkeypatch) -> None:
+        monkeypatch.setattr(runner, "Simulator", _FailingSimulator)
+        with pytest.raises(RuntimeError, match="simulated failure"):
+            run_experiment(TINY)
+        assert gc.get_freeze_count() == 0
+
+    def test_a_run_between_two_equal_runs_changes_nothing(self) -> None:
+        first_a, b, second_a = (
+            dumps_deterministic(run_experiment(config).metrics.summary_dict())
+            for config in (
+                TINY.with_protocol("mptcp", num_subflows=2),
+                TINY.with_protocol("mmptcp", num_subflows=2).with_updates(seed=11),
+                TINY.with_protocol("mptcp", num_subflows=2),
+            )
+        )
+        assert first_a == second_a
+        assert b != first_a

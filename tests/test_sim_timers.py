@@ -425,6 +425,21 @@ class TestCancellationHygiene:
         assert simulator.now == pytest.approx(1.0 - 99 * 1e-3)
         assert simulator.heap_dead_entries == 0
 
+    def test_reset_rewinds_the_hygiene_counters(self) -> None:
+        simulator = Simulator()
+        events = [simulator.schedule(1.0, lambda: None) for _ in range(200)]
+        for event in events:
+            simulator.cancel(event)
+        timer = simulator.timer(lambda: None)
+        timer.arm(1.0)
+        timer.arm(2.0)  # the entry filed at 1.0 is re-filed when popped
+        simulator.run()
+        assert simulator.heap_compactions >= 1
+        assert simulator.heap_refiles == 1
+        simulator.reset()
+        assert simulator.heap_compactions == 0
+        assert simulator.heap_refiles == 0
+
     def test_cancel_via_event_handle_still_correct(self) -> None:
         # Cancelling through Event.cancel() bypasses the compaction
         # accounting but must stay behaviourally correct (lazy skip).
