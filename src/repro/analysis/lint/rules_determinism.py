@@ -124,9 +124,9 @@ class NoProcessGlobalGc(LintRule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"{resolved} acts on the whole process: an unfreeze "
-                    "silently undoes any other freeze; leave the collector to the run "
-                    "boundary in experiments/runner",
+                    f"{resolved} changes the collector of the whole process; leave it "
+                    "to the run boundary in experiments/runner, whose unfreeze() would "
+                    "silently undo any other freeze",
                 )
 
 
