@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import time as _wallclock
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, TypeVar
 
 from repro.core.mmptcp import MmptcpConnection, MmptcpReceiver, PacketScatterConnection
 from repro.core.phase_switching import (
@@ -77,6 +77,8 @@ from repro.transport.path_manager import make_path_manager
 from repro.transport.receiver import TcpReceiver
 from repro.transport.scheduler import make_scheduler
 from repro.transport.tcp import TcpSender
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -172,8 +174,13 @@ def fabric_host_names(config: ExperimentConfig) -> List[str]:
     """Host names of the fabric ``config`` describes, in topology order.
 
     Workload recipes run before the experiment's own fabric exists and need
-    only the names, so this builds (and drops) a throwaway topology.
+    only the names, so this builds a throwaway topology inside the run
+    boundary, which frees its cyclic graph before returning.
     """
+    return _run_boundary(_host_names, config)
+
+
+def _host_names(config: ExperimentConfig) -> List[str]:
     return [host.name for host in build_topology(config, Simulator()).hosts]
 
 
@@ -413,17 +420,26 @@ def run_experiment(
         profile: attach the engine profiler and return its ``diagnostics``
             on the result (wall-clock-bearing, key-excluded).
 
-    The run's object graph is cyclic (hosts and interfaces, endpoints and
+    The run's object graph is freed before this returns (:func:`_run_boundary`).
+    """
+    return _run_boundary(_simulate, config, workload, probes, profile)
+
+
+def _run_boundary(build: Callable[..., T], *args: Any) -> T:
+    """Return ``build(*args)`` once the cyclic garbage it left is collected.
+
+    A run's object graph is cyclic (hosts and interfaces, endpoints and
     their timers, connections and subflows), so it outlives the run until
-    the collector gets to it.  The boundary collects it here, once the run's
-    frame has returned, so that a process of many runs peaks at one run's
-    footprint.  Freezing what the process held before the run confines that
-    collection to the run's own objects; unfreezing hands them back.
+    the collector gets to it.  The boundary collects it here, once the
+    call's frame has returned, so that a process of many runs peaks at one
+    run's footprint.  Freezing what the process held before the call
+    confines that collection to the call's own objects; unfreezing hands
+    them back.
     """
     # repro: allow[no-process-global-gc] -- run boundary owns the permanent generation
     gc.freeze()
     try:
-        return _simulate(config, workload, probes, profile)
+        return build(*args)
     finally:
         gc.collect()  # repro: allow[no-process-global-gc] -- run boundary (above)
         gc.unfreeze()  # repro: allow[no-process-global-gc] -- run boundary (above)

@@ -16,7 +16,7 @@ Slow start remains uncoupled, as in the RFC.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
 from repro.transport.cc.base import NewRenoController
 
@@ -33,33 +33,35 @@ class LiaController(NewRenoController):
     def __init__(self, connection: "MptcpConnection") -> None:
         self.connection = connection
 
-    def _coupled_alpha(self) -> float:
-        subflows = [
-            subflow
-            for subflow in self.connection.active_subflows()
-            if subflow.cwnd > 0
-        ]
-        if not subflows:
-            return 1.0
-        total_cwnd = sum(subflow.cwnd for subflow in subflows)
-        best = max(
-            subflow.cwnd / (subflow.rto_estimator.smoothed_rtt**2) for subflow in subflows
-        )
-        denominator = sum(
-            subflow.cwnd / subflow.rto_estimator.smoothed_rtt for subflow in subflows
-        )
+    def _coupling(self) -> Tuple[float, float]:
+        """``(cwnd_total, alpha)`` over the connection's live subflows.
+
+        A live subflow is handshaken and not killed by a peer readdressing
+        (``complete``).  One pass in subflow order accumulates each sum
+        left to right, as the formula above reads.
+        """
+        total_cwnd = 0.0
+        best = 0.0
+        denominator = 0.0
+        for subflow in self.connection.subflows:
+            cwnd = subflow.cwnd
+            if subflow.established and not subflow.complete and cwnd > 0:
+                rtt = subflow.rto_estimator.smoothed_rtt
+                total_cwnd += cwnd
+                ratio = cwnd / (rtt**2)
+                if ratio > best:
+                    best = ratio
+                denominator += cwnd / rtt
         if denominator <= 0:
-            return 1.0
-        return total_cwnd * best / (denominator**2)
+            return total_cwnd, 1.0
+        return total_cwnd, total_cwnd * best / (denominator**2)
 
     def on_ack(self, sender: "TcpSender", newly_acked_bytes: int) -> None:
         if sender.cwnd < sender.ssthresh:
             sender.cwnd += min(newly_acked_bytes, sender.mss)
             return
-        total_cwnd = sum(
-            subflow.cwnd for subflow in self.connection.active_subflows()
-        ) or sender.cwnd
-        alpha = self._coupled_alpha()
+        total_cwnd, alpha = self._coupling()
+        total_cwnd = total_cwnd or sender.cwnd
         acked = min(newly_acked_bytes, sender.mss)
         coupled_increase = alpha * acked * sender.mss / total_cwnd
         uncoupled_increase = acked * sender.mss / max(sender.cwnd, 1.0)

@@ -29,7 +29,7 @@ from repro.transport.cc.base import LOSS_TIMEOUT
 from repro.transport.cc.lia import LiaController
 from repro.transport.path_manager import NdiffportsPathManager, PathManager
 from repro.transport.scheduler import FcfsScheduler, SubflowScheduler
-from repro.transport.sequence import ReceiveBuffer
+from repro.transport.sequence import ReceiveBuffer, SegmentMap
 from repro.transport.tcp import TcpSender
 
 ConnectionCallback = Callable[["MptcpConnection"], None]
@@ -53,18 +53,17 @@ class MptcpSubflow(TcpSender):
         reordering_policy=None,
     ) -> None:
         self.connection = connection
-        #: subflow-sequence offset -> (dsn, payload size) of every segment
-        #: this subflow may still send: sending reads at ``snd_nxt``, a
-        #: retransmission at ``snd_una``.  ``snd_nxt`` can lag ``snd_una``
-        #: (an ACK may pass it after an RTO rewind) and only ever moves back
-        #: to ``snd_una``, so an entry is dropped once it ends at or below
-        #: both cursors (:meth:`_forget_acknowledged`).  A peer readdressing
-        #: derives what to reinject from the stream cursors instead
+        #: Where each segment this subflow may still send sits in the data
+        #: stream: sending reads at ``snd_nxt``, a retransmission at
+        #: ``snd_una``.  ``snd_nxt`` can lag ``snd_una`` (an ACK may pass it
+        #: after an RTO rewind) and only ever moves back to ``snd_una``, so
+        #: a chunk is forgotten once it ends at or below both cursors
+        #: (:meth:`_forget_acknowledged`).  A peer readdressing derives what
+        #: to reinject from the stream cursors instead
         #: (:meth:`MptcpConnection._unacked_chunks`), and the maps are
-        #: emptied once the connection completes.  Keys are contiguous from
-        #: ``_segments_start`` up to ``total_bytes``.
-        self._segments: Dict[int, Tuple[int, int]] = {}
-        self._segments_start = 0
+        #: emptied once the connection completes.  The map's ``end`` is
+        #: ``total_bytes``.
+        self._segment_map = SegmentMap(connection.config.mss)
         super().__init__(
             connection.simulator,
             connection.host,
@@ -103,25 +102,14 @@ class MptcpSubflow(TcpSender):
         self.connection._pump_scheduler()
 
     def _payload_at(self, seq: int) -> int:
-        segment = self._segments.get(seq)
-        return segment[1] if segment is not None else 0
+        return self._segment_map.payload_at(seq)
 
     def _dsn_at(self, seq: int) -> int:
-        segment = self._segments.get(seq)
-        return segment[0] if segment is not None else seq
+        return self._segment_map.dsn_at(seq)
 
     def _forget_acknowledged(self) -> None:
-        """Drop the oldest map entries neither send cursor can reach again."""
-        segments = self._segments
-        seq = self._segments_start
-        floor = min(self.snd_una, self.snd_nxt)
-        while seq < floor:
-            size = segments[seq][1]
-            if seq + size > floor:
-                break
-            del segments[seq]
-            seq += size
-        self._segments_start = seq
+        """Drop the oldest mapped chunks neither send cursor can reach again."""
+        self._segment_map.forget_below(min(self.snd_una, self.snd_nxt))
 
     def _all_data_allocated(self) -> bool:
         return self.connection._subflow_done_allocating(self)
@@ -135,8 +123,7 @@ class MptcpSubflow(TcpSender):
             # resent from this map (a sibling delivered those bytes first),
             # so the maps are emptied only now; nothing reads one again.
             for subflow in self.connection.subflows:
-                subflow._segments.clear()
-                subflow._segments_start = subflow.total_bytes
+                subflow._segment_map.clear()
 
     def _process_dack(self, packet: Packet) -> None:
         self.connection.on_dack(packet.dack)
@@ -269,18 +256,6 @@ class MptcpConnection:
     def _make_subflow(self, subflow_id: int) -> MptcpSubflow:
         """Factory hook; MMPTCP overrides it to build its packet-scatter subflow."""
         return MptcpSubflow(self, subflow_id)
-
-    def active_subflows(self) -> List[MptcpSubflow]:
-        """Live handshaken subflows (used by LIA coupling).
-
-        Subflows killed by a peer readdressing stay ``established`` but are
-        marked ``complete``; they must not count towards the coupled window.
-        """
-        return [
-            subflow
-            for subflow in self.subflows
-            if subflow.established and not subflow.complete
-        ]
 
     def _subflow_established(self, subflow: MptcpSubflow) -> None:
         """Hook invoked when a subflow finishes its handshake."""
@@ -503,7 +478,7 @@ class MptcpConnection:
                 break
             dsn, size = chunk
             subflow._forget_acknowledged()
-            subflow._segments[subflow.total_bytes] = (dsn, size)
+            subflow._segment_map.append(dsn, size)
             subflow.total_bytes += size
             if probes.enabled:
                 probes.count("scheduler.grants")

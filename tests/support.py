@@ -5,11 +5,25 @@ These used to live in ``tests/conftest.py``, but importing them as
 ``sys.path`` (the benchmark suite has one) can win the bare ``conftest``
 module name and shadow the helpers.  Tests import this module instead;
 ``tests/conftest.py`` only defines fixtures.
+
+Run as a script it is also the memory-sizing tool::
+
+    python tests/support.py memory --scale quick --protocol mptcp --subflows 8
+
+which prints one run's peak RSS, its ``tracemalloc`` peak and the top
+allocation sites at the highest traced sample (``--help`` lists the rest).
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
+import hashlib
+import resource
+import sys
+import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 from typing import (
     Any,
     Dict,
@@ -22,6 +36,9 @@ from typing import (
     Tuple,
     TypeVar,
 )
+
+if __name__ == "__main__":  # pragma: no cover - command-line entry point
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.config import ExperimentConfig
 from repro.net.faults import host_migration, link_failure
@@ -403,3 +420,192 @@ def reference_insert_segment(
         merged.append((start, end))
     merged.sort()
     return merged, duplicate_bytes
+
+
+# ---------------------------------------------------------------------------
+# Segment-map oracle
+# ---------------------------------------------------------------------------
+
+
+class ReferenceSegmentMap:
+    """The dict segment map, kept as a test oracle for ``SegmentMap``.
+
+    This is what ``MptcpSubflow`` held before its map became two int arrays:
+    ``{start: (dsn, size)}`` of the live chunks plus the oldest start.  A
+    read hits only a live chunk's exact start.  ``forget_below`` needs
+    ``floor <= end``, as a sender's cursors always are; nothing under
+    ``src/`` may import it.
+    """
+
+    def __init__(self) -> None:
+        self.segments: Dict[int, Tuple[int, int]] = {}
+        self.start = 0
+        self.end = 0
+
+    def append(self, dsn: int, size: int) -> None:
+        self.segments[self.end] = (dsn, size)
+        self.end += size
+
+    def payload_at(self, seq: int) -> int:
+        segment = self.segments.get(seq)
+        return segment[1] if segment is not None else 0
+
+    def dsn_at(self, seq: int) -> int:
+        segment = self.segments.get(seq)
+        return segment[0] if segment is not None else seq
+
+    def forget_below(self, floor: int) -> None:
+        seq = self.start
+        while seq < floor:
+            size = self.segments[seq][1]
+            if seq + size > floor:
+                break
+            del self.segments[seq]
+            seq += size
+        self.start = seq
+
+    def clear(self) -> None:
+        self.segments.clear()
+        self.start = self.end
+
+    def chunks(self) -> List[Tuple[int, int, int]]:
+        """The live chunks as ``(start, dsn, size)``, oldest first."""
+        return [(start, dsn, size) for start, (dsn, size) in sorted(self.segments.items())]
+
+
+
+# ---------------------------------------------------------------------------
+# Memory sizing: python tests/support.py memory
+# ---------------------------------------------------------------------------
+
+
+class MemorySampler:
+    """A ``Simulator.profiler`` that samples ``tracemalloc`` every ``every`` events.
+
+    At each sample above every earlier one it keeps the ``top`` allocation
+    sites, so they are the sites at the highest sample.  The snapshot is
+    dropped at once and its own allocations are kept out of :attr:`peak`.
+    """
+
+    def __init__(self, every: int, top: int) -> None:
+        self.every = every
+        self.top = top
+        self.events = 0
+        self.highest = 0
+        self.highest_at = 0
+        self.sites: List[tracemalloc.Statistic] = []
+        self._peak = 0
+
+    def note(self, callback: Any) -> None:
+        self.events += 1
+        if self.events % self.every == 0:
+            self.sample()
+
+    def sample(self) -> None:
+        current, peak = tracemalloc.get_traced_memory()
+        if current <= self.highest:
+            return
+        self.highest, self.highest_at = current, self.events
+        self._peak = max(self._peak, peak)
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(False, tracemalloc.__file__)]
+        )
+        self.sites = snapshot.statistics("lineno")[: self.top]
+        del snapshot
+        tracemalloc.reset_peak()
+
+    @property
+    def peak(self) -> int:
+        """The traced peak in bytes, the sampler's own snapshots excluded."""
+        return max(self._peak, tracemalloc.get_traced_memory()[1])
+
+
+def _config_override(text: str) -> Tuple[str, Any]:
+    field, _, value = text.partition("=")
+    if field not in ExperimentConfig.__dataclass_fields__ or not value:
+        raise argparse.ArgumentTypeError(f"expected FIELD=VALUE with a config field, got {text!r}")
+    try:
+        return field, ast.literal_eval(value)
+    except (ValueError, SyntaxError):
+        return field, value
+
+
+def memory_main(argv: Sequence[str]) -> int:
+    """Size one run: untraced for ``ru_maxrss``, then traced for its sites."""
+    import repro.experiments.runner as runner
+    from repro.experiments.config import CHOICES
+    from repro.metrics.export import dumps_deterministic
+    from repro.scenarios.spec import SCENARIO_SCALES, scale_config
+
+    parser = argparse.ArgumentParser(prog="python tests/support.py memory",
+                                     description=memory_main.__doc__)
+    parser.add_argument("--scale", choices=SCENARIO_SCALES, default="quick")
+    parser.add_argument("--protocol", choices=CHOICES["protocol"], default="mptcp")
+    parser.add_argument("--subflows", type=int, default=8)
+    parser.add_argument("--link-rate", type=float, help="link_rate_bps, e.g. 1e9")
+    parser.add_argument("--seed", type=int, default=20150817)
+    parser.add_argument("--set", type=_config_override, action="append", default=[],
+                        metavar="FIELD=VALUE", help="any other config field (repeatable)")
+    parser.add_argument("--every", type=int, default=50_000,
+                        help="events between tracemalloc samples")
+    parser.add_argument("--top", type=int, default=10, help="allocation sites to print")
+    args = parser.parse_args(argv)
+    if args.every < 1:
+        parser.error("--every must be at least 1")
+    updates = dict(args.set)
+    if args.link_rate is not None:
+        updates["link_rate_bps"] = args.link_rate
+    config = scale_config(args.scale, args.seed).with_protocol(args.protocol, args.subflows)
+    config = config.with_updates(**updates)
+
+    def summary(result) -> str:
+        text = dumps_deterministic(result.metrics.summary_dict())
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+    untraced = runner.run_experiment(config)
+    maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    sampler = MemorySampler(args.every, args.top)
+
+    class SampledSimulator(runner.Simulator):
+        def __init__(self) -> None:
+            super().__init__()
+            self.profiler = sampler
+
+    saved = runner.Simulator
+    runner.Simulator = SampledSimulator
+    tracemalloc.start()
+    try:
+        traced = runner.run_experiment(config)
+    finally:
+        runner.Simulator = saved
+    peak = sampler.peak
+    tracemalloc.stop()
+    if (traced.events_processed, summary(traced)) != (untraced.events_processed, summary(untraced)):
+        print("error: the traced run differs from the untraced one", file=sys.stderr)
+        return 1
+
+    mb = 1024 * 1024
+    overrides = "".join(f" {field}={value!r}" for field, value in sorted(updates.items()))
+    print(f"config: {args.scale} {args.protocol}({config.num_subflows}) seed={config.seed}"
+          f"{overrides}")
+    print(f"events: {untraced.events_processed:,}  summary sha256: {summary(untraced)}")
+    print(f"ru_maxrss: {maxrss_mb:.2f} MB (untraced run)")
+    print(f"tracemalloc peak: {peak / mb:.2f} MB")
+    if not sampler.sites:
+        print(f"no sample: the run dispatched fewer than --every {args.every:,} events")
+        return 0
+    print(f"highest sample: {sampler.highest / mb:.2f} MB at event {sampler.highest_at:,} "
+          f"(every {args.every:,} events); its top allocation sites:")
+    root = str(Path(__file__).resolve().parent.parent) + "/"
+    for site in sampler.sites:
+        frame = site.traceback[0]
+        print(f"  {site.size / mb:8.2f} MB {site.count:9,} blocks  "
+              f"{frame.filename.replace(root, '')}:{frame.lineno}")
+    return 0
+
+
+if __name__ == "__main__":  # pragma: no cover - command-line entry point
+    if sys.argv[1:2] != ["memory"]:
+        sys.exit("usage: python tests/support.py memory [--help]")
+    sys.exit(memory_main(sys.argv[2:]))

@@ -22,7 +22,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -69,7 +69,13 @@ class _DispatchRecorder:
 
 
 class _RecordingSimulator(Simulator):
-    """A simulator born with a dispatch recorder attached."""
+    """A simulator born with a dispatch recorder attached.
+
+    ``last`` is the most recent one, held only until :func:`dispatch_entry`
+    has read its digest.
+    """
+
+    last: Optional["_RecordingSimulator"] = None
 
     def __init__(self) -> None:
         super().__init__()
@@ -83,9 +89,10 @@ def dispatch_entry(name: str) -> Dict[str, Any]:
     packet_runner.Simulator = flow_runner.Simulator = _RecordingSimulator
     try:
         result = run_experiment(DISPATCH_RUNS[name]())
+        simulator = _RecordingSimulator.last
     finally:
         packet_runner.Simulator, flow_runner.Simulator = saved
-    simulator = _RecordingSimulator.last
+        _RecordingSimulator.last = None
     assert simulator.events_processed == result.events_processed
     return {
         "events_processed": result.events_processed,
@@ -102,6 +109,8 @@ def test_dispatch_order_matches_golden(name: str) -> None:
         "golden; if the change is intended, regenerate with "
         "`python tests/test_dispatch_order.py` and commit the diff"
     )
+    # Nothing keeps the reference run's graph alive once its digest is read.
+    assert _RecordingSimulator.last is None
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point

@@ -21,6 +21,7 @@ from repro.core.reordering import (
 )
 from repro.experiments import runner
 from repro.experiments.config import (
+    TOPOLOGIES,
     ExperimentConfig,
     paper_scale,
     reproduction_scale,
@@ -28,6 +29,7 @@ from repro.experiments.config import (
 from repro.experiments.runner import (
     build_topology,
     build_workload,
+    fabric_host_names,
     make_reordering_policy,
     make_switching_policy,
     run_experiment,
@@ -264,19 +266,33 @@ def no_automatic_gc():
         gc.enable()
 
 
+@pytest.fixture
+def born(monkeypatch) -> List[weakref.ref]:
+    """Weak references to every ``Simulator`` the runner builds."""
+    simulators: List[weakref.ref] = []
+
+    class WeaklyRecordedSimulator(Simulator):
+        def __init__(self) -> None:
+            super().__init__()
+            simulators.append(weakref.ref(self))
+
+    monkeypatch.setattr(runner, "Simulator", WeaklyRecordedSimulator)
+    return simulators
+
+
 @pytest.mark.usefixtures("no_automatic_gc")
 class TestRunBoundary:
-    def test_the_run_graph_is_freed_when_run_experiment_returns(self, monkeypatch) -> None:
-        born: List[weakref.ref] = []
-
-        class WeaklyRecordedSimulator(Simulator):
-            def __init__(self) -> None:
-                super().__init__()
-                born.append(weakref.ref(self))
-
-        monkeypatch.setattr(runner, "Simulator", WeaklyRecordedSimulator)
+    def test_the_run_graph_is_freed_when_run_experiment_returns(self, born) -> None:
         result = run_experiment(TINY.with_protocol("mptcp", num_subflows=2))
         assert result.events_processed > 0
+        assert len(born) == 1
+        assert born[0]() is None
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_fabric_host_names_leave_no_graph_behind(self, born, topology: str) -> None:
+        config = TINY.with_updates(topology=topology)
+        expected = [host.name for host in build_topology(config, Simulator()).hosts]
+        assert fabric_host_names(config) == expected
         assert len(born) == 1
         assert born[0]() is None
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+from functools import reduce
+from operator import add
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -170,7 +174,7 @@ class _SegmentMapWatch:
         before = subflow.total_bytes
         self._refill(subflow)
         peak = self.peaks.setdefault(subflow.subflow_id, [0, 0])
-        peak[0] = max(peak[0], len(subflow._segments))
+        peak[0] = max(peak[0], len(subflow._segment_map))
         peak[1] = max(peak[1], int(subflow.cwnd) // subflow.mss)
         if subflow.total_bytes == before:
             return
@@ -178,7 +182,7 @@ class _SegmentMapWatch:
         floor = min(subflow.snd_una, subflow.snd_nxt)
         self.stale.extend(
             (subflow.subflow_id, seq)
-            for seq, (_, size) in subflow._segments.items()
+            for seq, _, size in subflow._segment_map
             if seq + size <= floor
         )
         if connection.scheduler.duplicates:
@@ -275,8 +279,8 @@ class TestSegmentMap:
         assert connections and all(connection.complete for connection in connections)
         for connection in connections:
             for subflow in connection.subflows:
-                assert subflow._segments == {}
-                assert subflow._segments_start == subflow.total_bytes
+                assert list(subflow._segment_map) == []
+                assert subflow._segment_map.start == subflow.total_bytes
         # Under the redundant scheduler a sibling can deliver bytes this
         # subflow lost, so the ACK that completes the connection can still
         # drive a fast retransmit.  Its map must serve that read; only then
@@ -293,7 +297,7 @@ class TestSegmentMap:
                                      5001, 10_000, num_subflows=1, config=TEST_CONFIG)
         assert set(vars(connection.subflows[0])) == {
             "simulator", "host", "local_port",
-            "connection", "_segments", "_segments_start",
+            "connection", "_segment_map",
         }
 
     def test_a_second_readdressing_requeues_every_unacknowledged_chunk(self) -> None:
@@ -359,7 +363,37 @@ class TestLiaCoupling:
         connection = MptcpConnection(simulator, topology.sender, topology.receiver.address,
                                      5001, 10_000, num_subflows=2, config=TEST_CONFIG)
         controller = LiaController(connection)
-        assert controller._coupled_alpha() > 0.0
+        _, alpha = controller._coupling()
+        assert alpha > 0.0
+
+    def test_coupling_is_bit_equal_to_the_rfc_formula(self) -> None:
+        # The one-pass sums must round exactly as the RFC formula summed left
+        # to right over the live subflows (what sum() did before Python 3.12
+        # compensated it), or a congestion-avoidance ACK moves cwnd.
+        def sequential_sum(values) -> float:
+            return reduce(add, values, 0.0)
+
+        rng = random.Random(6356)
+        simulator = Simulator()
+        topology = TwoHostTopology(simulator)
+        connection = MptcpConnection(simulator, topology.sender, topology.receiver.address,
+                                     5001, 10_000, num_subflows=8, config=TEST_CONFIG)
+        controller = LiaController(connection)
+        for _ in range(200):
+            for subflow in connection.subflows:
+                subflow.established = rng.random() < 0.8
+                subflow.complete = rng.random() < 0.2
+                subflow.cwnd = rng.choice((0.0, rng.uniform(1_000, 300_000)))
+                subflow.rto_estimator.add_sample(rng.uniform(20e-6, 0.05))
+            live = [subflow for subflow in connection.subflows
+                    if subflow.established and not subflow.complete and subflow.cwnd > 0]
+            total_cwnd = sequential_sum(subflow.cwnd for subflow in live)
+            denominator = sequential_sum(
+                subflow.cwnd / subflow.rto_estimator.smoothed_rtt for subflow in live)
+            alpha = 1.0 if not live else total_cwnd * max(
+                subflow.cwnd / subflow.rto_estimator.smoothed_rtt**2 for subflow in live
+            ) / denominator**2
+            assert controller._coupling() == (total_cwnd, alpha)
 
 
 def _allocations(connection) -> tuple:

@@ -1,11 +1,19 @@
-"""Unit tests for RTT/RTO estimation and the receive buffer."""
+"""Unit tests for RTT/RTO estimation, the receive buffer and the segment map."""
 
 from __future__ import annotations
 
-import pytest
+import random
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.transport.sequence as sequence
 from repro.transport.rto import RtoEstimator
-from repro.transport.sequence import ReceiveBuffer
+from repro.transport.sequence import ReceiveBuffer, SegmentMap
+
+from support import ReferenceSegmentMap
 
 
 class TestRtoEstimator:
@@ -140,3 +148,121 @@ class TestReceiveBuffer:
         buffer.add(0, 100)
         buffer.add(500, 100)
         assert buffer.total_bytes_received == 300
+
+
+#: A small MSS keeps every sequence number of a drawn map cheap to read.
+MAP_MSS = 4
+
+#: One step driven through both maps: ``("map", size, dsn)`` maps a chunk,
+#: ``("forget", draw)`` forgets below ``draw % (end + 1)`` and ``("clear",)``
+#: is a connection's completion.  Most chunks are one MSS, as a subflow's are.
+map_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("map"), st.just(MAP_MSS), st.integers(0, 10**6)),
+        st.tuples(st.just("map"), st.integers(1, MAP_MSS), st.integers(0, 10**6)),
+        st.tuples(st.just("forget"), st.integers(0, 10**6)),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=40,
+)
+
+
+def _step(segment_map: SegmentMap, reference: ReferenceSegmentMap, step: tuple) -> None:
+    if step[0] == "map":
+        segment_map.append(step[2], step[1])
+        reference.append(step[2], step[1])
+    elif step[0] == "forget":
+        floor = step[1] % (reference.end + 1)
+        segment_map.forget_below(floor)
+        reference.forget_below(floor)
+    else:
+        segment_map.clear()
+        reference.clear()
+
+
+def _assert_same_answers(segment_map: SegmentMap, reference: ReferenceSegmentMap) -> None:
+    # Every sequence number from below the oldest chunk to past the end:
+    # forgotten starts, live starts, offsets inside a chunk, end and beyond.
+    for seq in range(-1, reference.end + MAP_MSS + 2):
+        assert segment_map.payload_at(seq) == reference.payload_at(seq), seq
+        assert segment_map.dsn_at(seq) == reference.dsn_at(seq), seq
+    assert list(segment_map) == reference.chunks()
+    assert len(segment_map) == len(reference.segments)
+    assert segment_map.start == reference.start
+    assert segment_map.end == reference.end
+
+
+class TestSegmentMap:
+    @given(steps=map_steps, last=st.integers(1, MAP_MSS - 1), last_dsn=st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_answers_as_the_dict_it_replaced(self, steps, last: int, last_dsn: int) -> None:
+        segment_map = SegmentMap(MAP_MSS)
+        reference = ReferenceSegmentMap()
+        _assert_same_answers(segment_map, reference)
+        for step in [*steps, ("map", last, last_dsn)]:
+            _step(segment_map, reference, step)
+            _assert_same_answers(segment_map, reference)
+
+    def test_answers_as_the_dict_over_a_long_windowed_transfer(self) -> None:
+        # A sender's shape at scale: a window of MSS chunks at shuffled DSNs,
+        # a floor that trails it (and sometimes stops inside a chunk), and a
+        # short stream-final chunk, so the arrays compact many times over.
+        rng = random.Random(20150817)
+        mss = 1000
+        segment_map = SegmentMap(mss)
+        reference = ReferenceSegmentMap()
+        for _ in range(3000):
+            size = mss if rng.random() < 0.98 else rng.randint(1, mss - 1)
+            dsn = rng.randrange(0, 10**9)
+            segment_map.append(dsn, size)
+            reference.append(dsn, size)
+            floor = max(reference.start, reference.end - rng.randint(0, 40) * mss)
+            floor -= rng.choice((0, 0, 0, 1, mss // 2))
+            segment_map.forget_below(floor)
+            reference.forget_below(floor)
+            for seq in (reference.start - mss, reference.start, floor, floor + 1,
+                        reference.end - size, reference.end, reference.end + mss):
+                assert segment_map.payload_at(seq) == reference.payload_at(seq)
+                assert segment_map.dsn_at(seq) == reference.dsn_at(seq)
+        assert list(segment_map) == reference.chunks()
+        segment_map.clear()
+        reference.clear()
+        _assert_same_answers(segment_map, reference)
+
+    def test_a_read_on_mss_chunks_does_not_bisect(self, monkeypatch) -> None:
+        bisects = []
+        bisect_left = sequence.bisect_left
+
+        def counting(*args):
+            bisects.append(args[1])
+            return bisect_left(*args)
+
+        monkeypatch.setattr(sequence, "bisect_left", counting)
+        segment_map = SegmentMap(1000)
+        for index in range(64):
+            segment_map.append(10 * index, 1000)
+        segment_map.forget_below(5000)
+        for seq in range(5000, 64_000, 1000):
+            assert segment_map.dsn_at(seq) == seq // 100
+            assert segment_map.payload_at(seq) == 1000
+        assert bisects == []
+        # A chunk shorter than the MSS before the one read makes the guess
+        # miss; the bisect still finds the chunk.
+        short = SegmentMap(1000)
+        for size in (1000, 400, 1000, 1000):
+            short.append(short.end, size)
+        assert short.payload_at(2400) == 1000
+        assert bisects == [2400]
+
+    def test_a_chunk_costs_two_machine_ints(self) -> None:
+        segment_map = SegmentMap(1000)
+        empty = sys.getsizeof(segment_map)
+        chunks = 10_000
+        for index in range(chunks):
+            segment_map.append(1000 * index, 1000)
+        grown = sys.getsizeof(segment_map) - empty
+        # Two 8-byte ints per chunk, plus ``array``'s over-allocation of at
+        # most 1/16 of its length and 7 items; the dict of (dsn, size) tuples
+        # it replaced cost about 150-200 bytes per chunk.
+        assert grown <= 2 * 8 * (chunks + chunks // 16 + 7)
+        assert grown / chunks <= 17
