@@ -61,7 +61,7 @@ class MptcpSubflow(TcpSender):
         #: (:meth:`_forget_acknowledged`).  A peer readdressing derives what
         #: to reinject from the stream cursors instead
         #: (:meth:`MptcpConnection._unacked_chunks`), and the maps are
-        #: emptied once the connection completes.  The map's ``end`` is
+        #: emptied once the connection completes.  The chunks end at
         #: ``total_bytes``.
         self._segment_map = SegmentMap(connection.config.mss)
         super().__init__(
@@ -102,14 +102,14 @@ class MptcpSubflow(TcpSender):
         self.connection._pump_scheduler()
 
     def _payload_at(self, seq: int) -> int:
-        return self._segment_map.payload_at(seq)
+        return self._segment_map.payload_at(seq, self.total_bytes)
 
     def _dsn_at(self, seq: int) -> int:
         return self._segment_map.dsn_at(seq)
 
     def _forget_acknowledged(self) -> None:
         """Drop the oldest mapped chunks neither send cursor can reach again."""
-        self._segment_map.forget_below(min(self.snd_una, self.snd_nxt))
+        self._segment_map.forget_below(min(self.snd_una, self.snd_nxt), self.total_bytes)
 
     def _all_data_allocated(self) -> bool:
         return self.connection._subflow_done_allocating(self)
@@ -478,7 +478,7 @@ class MptcpConnection:
                 break
             dsn, size = chunk
             subflow._forget_acknowledged()
-            subflow._segment_map.append(dsn, size)
+            subflow._segment_map.append(subflow.total_bytes, dsn)
             subflow.total_bytes += size
             if probes.enabled:
                 probes.count("scheduler.grants")

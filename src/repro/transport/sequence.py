@@ -15,7 +15,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 _segment_start = itemgetter(0)
 _segment_end = itemgetter(1)
@@ -122,12 +122,13 @@ class SegmentMap:
     """Subflow sequence → data sequence mapping of the chunks still sendable.
 
     A subflow maps each chunk the connection hands it at the end of its own
-    sequence space, so the mapped chunks tile ``[start, end)`` with no gap.
-    Each chunk is therefore two machine ints in two parallel ``array('q')``:
-    its subflow-sequence start and its DSN.  Its size is the distance to
-    the next start, or to ``end`` for the last chunk.  Chunks below
-    ``_head`` are forgotten, and the arrays drop them once the head passes
-    half their length, so no Python object exists per chunk.
+    sequence space, so the mapped chunks tile the range up to the subflow's
+    ``total_bytes`` with no gap; the reads that need that bound take it as
+    ``end``.  Each chunk is therefore two machine ints in two parallel
+    ``array('q')``: its subflow-sequence start and its DSN.  Its size is the
+    distance to the next start, or to ``end`` for the last chunk.  Chunks
+    below ``_head`` are forgotten, and the arrays drop them once the head
+    passes half their length, so no Python object exists per chunk.
 
     A read answers what a ``{start: (dsn, size)}`` dict of the live chunks
     would: only a live chunk's exact start hits, and any other sequence
@@ -136,63 +137,52 @@ class SegmentMap:
     read guesses the index from the offset and bisects only on a miss.
     """
 
-    __slots__ = ("_starts", "_dsns", "_head", "_mss", "end")
+    __slots__ = ("_starts", "_dsns", "_head", "_mss")
 
     def __init__(self, mss: int) -> None:
         self._starts = array("q")
         self._dsns = array("q")
         self._head = 0
         self._mss = mss
-        #: One past the last mapped byte of subflow sequence space.
-        self.end = 0
 
-    def append(self, dsn: int, size: int) -> None:
-        """Map the next ``size`` bytes of subflow sequence space to ``dsn``."""
-        self._starts.append(self.end)
+    def append(self, start: int, dsn: int) -> None:
+        """Map the chunk at ``start``, where the last one ends, to ``dsn``."""
+        self._starts.append(start)
         self._dsns.append(dsn)
-        self.end += size
 
-    # The two reads below share one lookup, written out in each: they run
-    # once per data segment sent, where a shared helper's call costs more
-    # than the lookup itself.
-
-    def payload_at(self, seq: int) -> int:
-        """Size of the live chunk starting at ``seq`` (0 if none does)."""
+    def _index(self, seq: int) -> int:
+        """Index of the live chunk starting at ``seq``, or -1 if none does."""
         starts = self._starts
         head = self._head
         count = len(starts)
-        if head < count and seq >= starts[head]:
-            index = head + (seq - starts[head]) // self._mss
-            if index >= count or starts[index] != seq:
-                index = bisect_left(starts, seq, head)
-                if index == count or starts[index] != seq:
-                    return 0
-            index += 1
-            return (starts[index] if index < count else self.end) - seq
-        return 0
+        if head == count or seq < starts[head]:
+            return -1
+        index = head + (seq - starts[head]) // self._mss
+        if index < count and starts[index] == seq:
+            return index
+        index = bisect_left(starts, seq, head)
+        return index if index < count and starts[index] == seq else -1
+
+    def payload_at(self, seq: int, end: int) -> int:
+        """Size of the live chunk starting at ``seq`` (0 if none does)."""
+        index = self._index(seq) + 1
+        if not index:
+            return 0
+        return (self._starts[index] if index < len(self._starts) else end) - seq
 
     def dsn_at(self, seq: int) -> int:
         """DSN of the live chunk starting at ``seq`` (``seq`` if none does)."""
-        starts = self._starts
-        head = self._head
-        count = len(starts)
-        if head < count and seq >= starts[head]:
-            index = head + (seq - starts[head]) // self._mss
-            if index >= count or starts[index] != seq:
-                index = bisect_left(starts, seq, head)
-                if index == count or starts[index] != seq:
-                    return seq
-            return self._dsns[index]
-        return seq
+        index = self._index(seq)
+        return self._dsns[index] if index >= 0 else seq
 
-    def forget_below(self, floor: int) -> None:
+    def forget_below(self, floor: int, end: int) -> None:
         """Forget the oldest chunks that end at or below ``floor``."""
         starts = self._starts
         head = self._head
         last = len(starts) - 1
         while head < last and starts[head + 1] <= floor:
             head += 1
-        if head == last and self.end <= floor:
+        if head == last and end <= floor:
             head += 1
         if 2 * head > len(starts):
             del starts[:head]
@@ -201,27 +191,7 @@ class SegmentMap:
         self._head = head
 
     def clear(self) -> None:
-        """Forget every chunk; the map stays empty at ``end``."""
+        """Forget every chunk."""
         del self._starts[:]
         del self._dsns[:]
         self._head = 0
-
-    @property
-    def start(self) -> int:
-        """Subflow sequence number of the oldest live chunk (``end`` if none)."""
-        head = self._head
-        return self._starts[head] if head < len(self._starts) else self.end
-
-    def __len__(self) -> int:
-        return len(self._starts) - self._head
-
-    def __iter__(self) -> Iterator[Tuple[int, int, int]]:
-        """The live chunks as ``(start, dsn, size)``, oldest first."""
-        head = self._head
-        starts = self._starts[head:]
-        ends = starts[1:] + array("q", (self.end,))
-        for start, dsn, end in zip(starts, self._dsns[head:], ends):
-            yield start, dsn, end - start
-
-    def __sizeof__(self) -> int:
-        return object.__sizeof__(self) + self._starts.__sizeof__() + self._dsns.__sizeof__()

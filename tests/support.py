@@ -52,6 +52,7 @@ from repro.traffic.flowspec import PROTOCOL_MMPTCP, FlowSpec
 from repro.traffic.workloads import Workload
 from repro.transport.base import TcpConfig
 from repro.transport.receiver import TcpReceiver
+from repro.transport.sequence import SegmentMap
 from repro.transport.tcp import TcpSender
 
 #: A fast-but-realistic config used across transport tests: small initial
@@ -473,23 +474,44 @@ class ReferenceSegmentMap:
         return [(start, dsn, size) for start, (dsn, size) in sorted(self.segments.items())]
 
 
+def live_chunks(segment_map: SegmentMap, end: int) -> List[Tuple[int, int, int]]:
+    """A ``SegmentMap``'s live chunks as ``(start, dsn, size)``, oldest first.
+
+    ``end`` is where the last chunk ends: the subflow's ``total_bytes``.
+    """
+    head = segment_map._head
+    starts = segment_map._starts[head:].tolist()
+    ends = starts[1:] + [end]
+    return [(start, dsn, stop - start)
+            for start, dsn, stop in zip(starts, segment_map._dsns[head:], ends)]
+
+
+def segment_map_bytes(segment_map: SegmentMap) -> int:
+    """What a ``SegmentMap`` occupies: the object and its two arrays."""
+    return (sys.getsizeof(segment_map) + sys.getsizeof(segment_map._starts)
+            + sys.getsizeof(segment_map._dsns))
+
 
 # ---------------------------------------------------------------------------
 # Memory sizing: python tests/support.py memory
 # ---------------------------------------------------------------------------
 
 
+#: The seed ``memory`` sizes unless ``--set seed=N``, and the sites it prints.
+MEMORY_SEED = 20150817
+MEMORY_TOP_SITES = 10
+
+
 class MemorySampler:
     """A ``Simulator.profiler`` that samples ``tracemalloc`` every ``every`` events.
 
-    At each sample above every earlier one it keeps the ``top`` allocation
+    At each sample above every earlier one it keeps the top allocation
     sites, so they are the sites at the highest sample.  The snapshot is
     dropped at once and its own allocations are kept out of :attr:`peak`.
     """
 
-    def __init__(self, every: int, top: int) -> None:
+    def __init__(self, every: int) -> None:
         self.every = every
-        self.top = top
         self.events = 0
         self.highest = 0
         self.highest_at = 0
@@ -510,7 +532,7 @@ class MemorySampler:
         snapshot = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.Filter(False, tracemalloc.__file__)]
         )
-        self.sites = snapshot.statistics("lineno")[: self.top]
+        self.sites = snapshot.statistics("lineno")[:MEMORY_TOP_SITES]
         del snapshot
         tracemalloc.reset_peak()
 
@@ -520,10 +542,17 @@ class MemorySampler:
         return max(self._peak, tracemalloc.get_traced_memory()[1])
 
 
+#: Config fields ``memory`` sets through its own flags, so ``--set`` refuses them.
+_FLAG_FIELDS = {"protocol": "--protocol", "num_subflows": "--subflows",
+                "link_rate_bps": "--link-rate"}
+
+
 def _config_override(text: str) -> Tuple[str, Any]:
     field, _, value = text.partition("=")
     if field not in ExperimentConfig.__dataclass_fields__ or not value:
         raise argparse.ArgumentTypeError(f"expected FIELD=VALUE with a config field, got {text!r}")
+    if field in _FLAG_FIELDS:
+        raise argparse.ArgumentTypeError(f"set {field} with {_FLAG_FIELDS[field]}")
     try:
         return field, ast.literal_eval(value)
     except (ValueError, SyntaxError):
@@ -543,19 +572,17 @@ def memory_main(argv: Sequence[str]) -> int:
     parser.add_argument("--protocol", choices=CHOICES["protocol"], default="mptcp")
     parser.add_argument("--subflows", type=int, default=8)
     parser.add_argument("--link-rate", type=float, help="link_rate_bps, e.g. 1e9")
-    parser.add_argument("--seed", type=int, default=20150817)
     parser.add_argument("--set", type=_config_override, action="append", default=[],
                         metavar="FIELD=VALUE", help="any other config field (repeatable)")
     parser.add_argument("--every", type=int, default=50_000,
                         help="events between tracemalloc samples")
-    parser.add_argument("--top", type=int, default=10, help="allocation sites to print")
     args = parser.parse_args(argv)
     if args.every < 1:
         parser.error("--every must be at least 1")
     updates = dict(args.set)
     if args.link_rate is not None:
         updates["link_rate_bps"] = args.link_rate
-    config = scale_config(args.scale, args.seed).with_protocol(args.protocol, args.subflows)
+    config = scale_config(args.scale, MEMORY_SEED).with_protocol(args.protocol, args.subflows)
     config = config.with_updates(**updates)
 
     def summary(result) -> str:
@@ -565,7 +592,7 @@ def memory_main(argv: Sequence[str]) -> int:
     untraced = runner.run_experiment(config)
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
-    sampler = MemorySampler(args.every, args.top)
+    sampler = MemorySampler(args.every)
 
     class SampledSimulator(runner.Simulator):
         def __init__(self) -> None:

@@ -28,6 +28,7 @@ from repro.transport.scheduler import (
 from support import (
     RTO_REWIND_BYTES,
     RTO_REWIND_CONFIG,
+    live_chunks,
     record_allocations,
     rto_rewind_topology,
 )
@@ -174,7 +175,7 @@ class _SegmentMapWatch:
         before = subflow.total_bytes
         self._refill(subflow)
         peak = self.peaks.setdefault(subflow.subflow_id, [0, 0])
-        peak[0] = max(peak[0], len(subflow._segment_map))
+        peak[0] = max(peak[0], len(live_chunks(subflow._segment_map, subflow.total_bytes)))
         peak[1] = max(peak[1], int(subflow.cwnd) // subflow.mss)
         if subflow.total_bytes == before:
             return
@@ -182,7 +183,7 @@ class _SegmentMapWatch:
         floor = min(subflow.snd_una, subflow.snd_nxt)
         self.stale.extend(
             (subflow.subflow_id, seq)
-            for seq, _, size in subflow._segment_map
+            for seq, _, size in live_chunks(subflow._segment_map, subflow.total_bytes)
             if seq + size <= floor
         )
         if connection.scheduler.duplicates:
@@ -279,8 +280,10 @@ class TestSegmentMap:
         assert connections and all(connection.complete for connection in connections)
         for connection in connections:
             for subflow in connection.subflows:
-                assert list(subflow._segment_map) == []
-                assert subflow._segment_map.start == subflow.total_bytes
+                segment_map = subflow._segment_map
+                assert live_chunks(segment_map, subflow.total_bytes) == []
+                # Emptied, not just forgotten: the arrays hold no chunk.
+                assert len(segment_map._starts) == len(segment_map._dsns) == 0
         # Under the redundant scheduler a sibling can deliver bytes this
         # subflow lost, so the ACK that completes the connection can still
         # drive a fast retransmit.  Its map must serve that read; only then

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,7 @@ import repro.transport.sequence as sequence
 from repro.transport.rto import RtoEstimator
 from repro.transport.sequence import ReceiveBuffer, SegmentMap
 
-from support import ReferenceSegmentMap
+from support import ReferenceSegmentMap, live_chunks, segment_map_bytes
 
 
 class TestRtoEstimator:
@@ -169,11 +168,11 @@ map_steps = st.lists(
 
 def _step(segment_map: SegmentMap, reference: ReferenceSegmentMap, step: tuple) -> None:
     if step[0] == "map":
-        segment_map.append(step[2], step[1])
+        segment_map.append(reference.end, step[2])
         reference.append(step[2], step[1])
     elif step[0] == "forget":
         floor = step[1] % (reference.end + 1)
-        segment_map.forget_below(floor)
+        segment_map.forget_below(floor, reference.end)
         reference.forget_below(floor)
     else:
         segment_map.clear()
@@ -183,13 +182,14 @@ def _step(segment_map: SegmentMap, reference: ReferenceSegmentMap, step: tuple) 
 def _assert_same_answers(segment_map: SegmentMap, reference: ReferenceSegmentMap) -> None:
     # Every sequence number from below the oldest chunk to past the end:
     # forgotten starts, live starts, offsets inside a chunk, end and beyond.
-    for seq in range(-1, reference.end + MAP_MSS + 2):
-        assert segment_map.payload_at(seq) == reference.payload_at(seq), seq
+    end = reference.end
+    for seq in range(-1, end + MAP_MSS + 2):
+        assert segment_map.payload_at(seq, end) == reference.payload_at(seq), seq
         assert segment_map.dsn_at(seq) == reference.dsn_at(seq), seq
-    assert list(segment_map) == reference.chunks()
-    assert len(segment_map) == len(reference.segments)
-    assert segment_map.start == reference.start
-    assert segment_map.end == reference.end
+    chunks = live_chunks(segment_map, end)
+    assert chunks == reference.chunks()
+    assert len(chunks) == len(reference.segments)
+    assert (chunks[0][0] if chunks else end) == reference.start
 
 
 class TestSegmentMap:
@@ -214,17 +214,17 @@ class TestSegmentMap:
         for _ in range(3000):
             size = mss if rng.random() < 0.98 else rng.randint(1, mss - 1)
             dsn = rng.randrange(0, 10**9)
-            segment_map.append(dsn, size)
+            segment_map.append(reference.end, dsn)
             reference.append(dsn, size)
             floor = max(reference.start, reference.end - rng.randint(0, 40) * mss)
             floor -= rng.choice((0, 0, 0, 1, mss // 2))
-            segment_map.forget_below(floor)
+            segment_map.forget_below(floor, reference.end)
             reference.forget_below(floor)
             for seq in (reference.start - mss, reference.start, floor, floor + 1,
                         reference.end - size, reference.end, reference.end + mss):
-                assert segment_map.payload_at(seq) == reference.payload_at(seq)
+                assert segment_map.payload_at(seq, reference.end) == reference.payload_at(seq)
                 assert segment_map.dsn_at(seq) == reference.dsn_at(seq)
-        assert list(segment_map) == reference.chunks()
+        assert live_chunks(segment_map, reference.end) == reference.chunks()
         segment_map.clear()
         reference.clear()
         _assert_same_answers(segment_map, reference)
@@ -240,27 +240,27 @@ class TestSegmentMap:
         monkeypatch.setattr(sequence, "bisect_left", counting)
         segment_map = SegmentMap(1000)
         for index in range(64):
-            segment_map.append(10 * index, 1000)
-        segment_map.forget_below(5000)
+            segment_map.append(1000 * index, 10 * index)
+        segment_map.forget_below(5000, 64_000)
         for seq in range(5000, 64_000, 1000):
             assert segment_map.dsn_at(seq) == seq // 100
-            assert segment_map.payload_at(seq) == 1000
+            assert segment_map.payload_at(seq, 64_000) == 1000
         assert bisects == []
         # A chunk shorter than the MSS before the one read makes the guess
         # miss; the bisect still finds the chunk.
         short = SegmentMap(1000)
-        for size in (1000, 400, 1000, 1000):
-            short.append(short.end, size)
-        assert short.payload_at(2400) == 1000
+        for start in (0, 1000, 1400, 2400):
+            short.append(start, start)
+        assert short.payload_at(2400, 3400) == 1000
         assert bisects == [2400]
 
     def test_a_chunk_costs_two_machine_ints(self) -> None:
         segment_map = SegmentMap(1000)
-        empty = sys.getsizeof(segment_map)
+        empty = segment_map_bytes(segment_map)
         chunks = 10_000
         for index in range(chunks):
-            segment_map.append(1000 * index, 1000)
-        grown = sys.getsizeof(segment_map) - empty
+            segment_map.append(1000 * index, 1000 * index)
+        grown = segment_map_bytes(segment_map) - empty
         # Two 8-byte ints per chunk, plus ``array``'s over-allocation of at
         # most 1/16 of its length and 7 items; the dict of (dsn, size) tuples
         # it replaced cost about 150-200 bytes per chunk.
