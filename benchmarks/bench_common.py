@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from typing import Dict
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, scaled_config
 from repro.sim.units import megabits_per_second, megabytes
 
 #: Which scale to run: "tiny" (smoke tests), "quick" (default), "large", or "paper".
@@ -47,53 +47,13 @@ def _tiny_config() -> ExperimentConfig:
     )
 
 
-def _quick_config() -> ExperimentConfig:
-    """64-host, 4:1 over-subscribed FatTree; ~100 short flows; ~15 s per run."""
-    return ExperimentConfig(
-        fattree_k=4,
-        hosts_per_edge=8,
-        link_rate_bps=megabits_per_second(100),
-        arrival_window_s=0.25,
-        drain_time_s=1.0,
-        short_flow_rate_per_sender=7.0,
-        long_flow_size_bytes=megabytes(3),
-        max_short_flows=120,
-        queue_capacity_packets=100,
-        # The paper-era ns-3 TCP/MPTCP models start with a 2-segment window;
-        # this is also what makes MPTCP sub-flow windows so fragile.
-        initial_cwnd_segments=2,
-        seed=20150817,  # SIGCOMM'15 conference date; any fixed seed works
-    )
-
-
-def _large_config() -> ExperimentConfig:
-    """128-host fabric with more flows; minutes per run."""
-    return _quick_config().with_updates(
-        fattree_k=8,
-        hosts_per_edge=8,
-        arrival_window_s=0.5,
-        short_flow_rate_per_sender=10.0,
-        long_flow_size_bytes=megabytes(10),
-        max_short_flows=600,
-    )
-
-
-def _paper_config() -> ExperimentConfig:
-    """The paper's 512-server fabric.  Hours per run in pure Python."""
-    from repro.experiments.config import paper_scale
-
-    return paper_scale(seed=20150817)
-
-
 def base_config() -> ExperimentConfig:
-    """The benchmark configuration for the selected scale."""
+    """The benchmark configuration for the selected scale: the library's
+    :func:`~repro.experiments.config.scaled_config` (``big`` is an alias of
+    ``large``), or the smoke-test fabric for ``tiny``."""
     if SCALE == "tiny":
         return _tiny_config()
-    if SCALE in ("large", "big"):
-        return _large_config()
-    if SCALE == "paper":
-        return _paper_config()
-    return _quick_config()
+    return scaled_config("large" if SCALE == "big" else SCALE, seed=20150817)
 
 
 def tiny_config() -> ExperimentConfig:

@@ -1,6 +1,6 @@
-"""Post-processing of experiment results: comparisons and report generation.
+"""Report generation from experiment results, and the repository's invariant linter.
 
-Import the modules directly (:mod:`repro.analysis.compare`,
-:mod:`repro.analysis.report`, :mod:`repro.analysis.lint`); this package
-re-exports nothing, so importing one of them loads no other.
+Import the modules directly (:mod:`repro.analysis.report`,
+:mod:`repro.analysis.lint`); this package re-exports nothing, so importing
+one of them loads no other.
 """

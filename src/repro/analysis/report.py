@@ -1,22 +1,18 @@
 """Markdown report generation.
 
-A reproduction report records paper-vs-measured outcomes in a fixed
-structure: a claim, how it was regenerated, what was measured, and a
-verdict.  These helpers produce that structure (and plain markdown tables)
-from experiment results, so a reproduction run can regenerate its own report
-instead of the numbers being transcribed by hand.
+Plain markdown tables, the per-scenario delta table of a scenario matrix,
+and the campaign report: each rendered from row dictionaries, so a
+reproduction run regenerates its own report instead of the numbers being
+transcribed by hand.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 from repro.metrics.collector import CELL_METRIC_FIELDS
 from repro.metrics.reporting import table_cells
 from repro.metrics.stats import mean_ci95
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.analysis.compare import MetricComparison
 
 #: How numeric cells are formatted by default.
 _FLOAT_FORMAT = "{:.3f}"
@@ -44,30 +40,6 @@ def markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> 
 def rows_markdown(rows: Sequence[Mapping[str, object]]) -> str:
     """Homogeneous row dictionaries as a markdown table (first row's key order)."""
     return markdown_table(*table_cells(rows))
-
-
-def summary_comparison_markdown(
-    comparisons: Sequence[MetricComparison],
-    baseline_label: str = "baseline",
-    candidate_label: str = "candidate",
-) -> str:
-    """A markdown table of per-metric deltas between two runs."""
-    headers = ["metric", baseline_label, candidate_label, "delta", "relative", "direction"]
-    rows = []
-    for comparison in comparisons:
-        relative = comparison.relative_delta
-        relative_text = "inf" if relative == float("inf") else f"{100 * relative:+.1f}%"
-        rows.append(
-            [
-                comparison.metric,
-                comparison.baseline,
-                comparison.candidate,
-                comparison.absolute_delta,
-                relative_text,
-                comparison.direction,
-            ]
-        )
-    return markdown_table(headers, rows)
 
 
 def scenario_matrix_markdown(
@@ -228,43 +200,3 @@ def campaign_report_markdown(
         lines.append(scenario_matrix_markdown(rows, baseline_protocol=baseline_protocol))
     lines.append("")
     return "\n".join(lines)
-
-
-def experiment_section(
-    title: str,
-    paper_claim: str,
-    bench: str,
-    measured_rows: Sequence[Mapping[str, object]],
-    verdict: str,
-    notes: Optional[str] = None,
-) -> str:
-    """One paper-vs-measured report section as a markdown string.
-
-    Args:
-        title: section heading (e.g. ``"Figure 1(a) — ..."``).
-        paper_claim: what the paper reports.
-        bench: the benchmark / command that regenerates it.
-        measured_rows: homogeneous dictionaries with the measured numbers
-            (rendered as a table; empty list renders a placeholder line).
-        verdict: one-line reproduction verdict.
-        notes: optional extra paragraph (caveats, scale sensitivity, ...).
-    """
-    lines: List[str] = [f"### {title}", ""]
-    lines.append(f"* **Paper:** {paper_claim}")
-    lines.append(f"* **Bench:** `{bench}`")
-    lines.append(f"* **Verdict:** {verdict}")
-    lines.append("")
-    if measured_rows:
-        lines.append(rows_markdown(measured_rows))
-    else:
-        lines.append("_No measurements recorded._")
-    if notes:
-        lines.extend(["", notes])
-    lines.append("")
-    return "\n".join(lines)
-
-
-def report_document(sections: Sequence[str], title: str = "Reproduction report") -> str:
-    """Join sections into one markdown document with a top-level heading."""
-    body = "\n".join(section.rstrip() + "\n" for section in sections)
-    return f"# {title}\n\n{body}"

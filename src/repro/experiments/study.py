@@ -240,7 +240,10 @@ STUDIES: Dict[str, Study] = {
         Study(
             "section3", "regenerate the Section 3 statistics",
             "Section 3 statistics — MPTCP vs MMPTCP (paired workload)",
-            _deferred("section3", "plan"), _deferred("section3", "rows"),
+            _deferred("section3", "plan"),
+            _columns("mean_fct_ms", "std_fct_ms", "p99_fct_ms", "within_100ms",
+                     "rto_incidence", "core_loss", "agg_loss", "edge_loss", "long_tput_mbps",
+                     "core_util", "completion_rate"),
         ),
         Study(
             "loadsweep", "sweep the offered load",

@@ -40,28 +40,49 @@ CELL_METRIC_FIELDS = (
     "long_tput_mbps",
 )
 
-#: Every exported row column that derives from one run's metrics alone, by
-#: column name: ``(metrics, short-flow FCT summary) -> value``.  Row
-#: projections select from this catalogue (:meth:`ExperimentMetrics.columns`)
-#: in their own column order, so each name has exactly one definition.
-_COLUMNS = {
-    "short_flows": lambda m, fct: len(m.short_flows),
-    "completion_rate": lambda m, fct: m.short_flow_completion_rate(),
-    "mean_fct_ms": lambda m, fct: fct.mean,
-    "std_fct_ms": lambda m, fct: fct.std,
-    "p99_fct_ms": lambda m, fct: fct.p99,
-    "max_fct_ms": lambda m, fct: fct.maximum,
-    "rto_incidence": lambda m, fct: m.rto_incidence(),
-    "tail_over_200ms": lambda m, fct: m.tail_fraction(200.0),
-    "retransmits": lambda m, fct: sum(record.retransmitted_packets for record in m.flows),
-    "rtos": lambda m, fct: sum(record.rto_events for record in m.flows),
-    "total_rtos": lambda m, fct: sum(record.rto_events for record in m.short_flows),
-    "fault_drops": lambda m, fct: m.fault_drops,
-    "edge_loss_rate": lambda m, fct: m.loss_rate("edge"),
-    "core_loss_rate": lambda m, fct: m.loss_rate("core"),
-    "long_tput_mbps": lambda m, fct: m.mean_long_flow_throughput_bps() / 1e6,
-    "long_throughput_mbps": lambda m, fct: m.mean_long_flow_throughput_bps() / 1e6,
-}
+
+def _within_100ms(metrics: ExperimentMetrics, fct: DistributionSummary) -> float:
+    """Fraction of completed short flows that took at most 100 ms."""
+    fct_values = metrics.short_flow_fct_ms()
+    return (
+        sum(1 for value in fct_values if value <= 100.0) / len(fct_values)
+        if fct_values
+        else 0.0
+    )
+
+
+#: Every per-run metric, defined once: the names it is exported under (row
+#: column, :meth:`ExperimentMetrics.summary_dict` key, Section 3 row key)
+#: and its one function ``(metrics, short-flow FCT summary) -> value``.
+_METRICS = (
+    (("short_flows",), lambda m, fct: len(m.short_flows)),
+    (("short_flows_completed",), lambda m, fct: len(m.completed_short_flows)),
+    (("mean_fct_ms", "short_fct_mean_ms"), lambda m, fct: fct.mean),
+    (("std_fct_ms", "short_fct_std_ms"), lambda m, fct: fct.std),
+    (("p99_fct_ms", "short_fct_p99_ms"), lambda m, fct: fct.p99),
+    (("max_fct_ms",), lambda m, fct: fct.maximum),
+    (("within_100ms",), _within_100ms),
+    (("completion_rate", "short_completion_rate"),
+     lambda m, fct: m.short_flow_completion_rate()),
+    (("rto_incidence",), lambda m, fct: m.rto_incidence()),
+    (("tail_over_200ms",), lambda m, fct: m.tail_fraction(200.0)),
+    (("retransmits",), lambda m, fct: sum(record.retransmitted_packets for record in m.flows)),
+    (("rtos",), lambda m, fct: sum(record.rto_events for record in m.flows)),
+    (("total_rtos",), lambda m, fct: sum(record.rto_events for record in m.short_flows)),
+    (("fault_drops",), lambda m, fct: m.fault_drops),
+    (("edge_loss_rate", "edge_loss"), lambda m, fct: m.loss_rate("edge")),
+    (("aggregation_loss_rate", "agg_loss"), lambda m, fct: m.loss_rate("aggregation")),
+    (("core_loss_rate", "core_loss"), lambda m, fct: m.loss_rate("core")),
+    (("long_tput_mbps", "long_throughput_mbps", "long_flow_throughput_mbps"),
+     lambda m, fct: m.mean_long_flow_throughput_bps() / 1e6),
+    (("core_utilisation", "core_util"), lambda m, fct: m.core_utilisation()),
+)
+
+#: The catalogue by exported name.  Every projection of a run's metrics —
+#: scenario and campaign rows, study rows, :meth:`ExperimentMetrics.summary_dict`
+#: and the Section 3 statistics — selects from it
+#: (:meth:`ExperimentMetrics.columns`) in its own order.
+_COLUMNS = {name: metric for names, metric in _METRICS for name in names}
 
 
 @dataclass
@@ -196,23 +217,7 @@ class ExperimentMetrics:
         Key order is insertion-stable and equals :data:`SUMMARY_FIELDS`;
         callers may rely on it for deterministic, byte-comparable exports.
         """
-        fct = self.short_flow_fct_summary()
-        return {
-            "short_flows": float(len(self.short_flows)),
-            "short_flows_completed": float(len(self.completed_short_flows)),
-            "short_fct_mean_ms": fct.mean,
-            "short_fct_std_ms": fct.std,
-            "short_fct_p99_ms": fct.p99,
-            "short_completion_rate": self.short_flow_completion_rate(),
-            "rto_incidence": self.rto_incidence(),
-            "tail_over_200ms": self.tail_fraction(200.0),
-            "long_flow_throughput_mbps": self.mean_long_flow_throughput_bps() / 1e6,
-            "fault_drops": float(self.fault_drops),
-            "core_loss_rate": self.loss_rate("core"),
-            "aggregation_loss_rate": self.loss_rate("aggregation"),
-            "edge_loss_rate": self.loss_rate("edge"),
-            "core_utilisation": self.core_utilisation(),
-        }
+        return {name: float(value) for name, value in self.columns(*self.SUMMARY_FIELDS).items()}
 
     def columns(self, *names: str) -> Dict[str, object]:
         """The named row columns of this run, in the order asked for.

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.metrics.records import FlowRecord
 from repro.metrics.stats import cdf_points
@@ -21,51 +22,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (collector -> net -> 
 
 PathLike = Union[str, Path]
 
-#: Column order used for per-flow CSV exports.
-FLOW_RECORD_FIELDS = (
-    "flow_id",
-    "protocol",
-    "size_bytes",
-    "is_long",
-    "start_time",
-    "receiver_completion_time",
-    "sender_completion_time",
-    "completion_time_ms",
-    "rto_events",
-    "fast_retransmits",
-    "retransmitted_packets",
-    "spurious_retransmits",
-    "data_packets_sent",
-    "duplicate_acks",
-    "reordering_events",
-    "bytes_received",
-    "phase_at_completion",
-    "switch_time",
-)
+
+def _flow_record_fields() -> Tuple[str, ...]:
+    names = [item.name for item in fields(FlowRecord)]
+    after = names.index("sender_completion_time") + 1
+    return (*names[:after], "completion_time_ms", *names[after:])
+
+
+#: Column order used for per-flow CSV exports: every :class:`FlowRecord`
+#: field in declaration order, with the derived ``completion_time_ms`` after
+#: ``sender_completion_time``.
+FLOW_RECORD_FIELDS = _flow_record_fields()
 
 
 def flow_record_row(record: FlowRecord) -> Dict[str, object]:
     """One CSV row for a flow record (completion time pre-converted to ms)."""
-    return {
-        "flow_id": record.flow_id,
-        "protocol": record.protocol,
-        "size_bytes": record.size_bytes,
-        "is_long": record.is_long,
-        "start_time": record.start_time,
-        "receiver_completion_time": record.receiver_completion_time,
-        "sender_completion_time": record.sender_completion_time,
-        "completion_time_ms": record.completion_time_ms,
-        "rto_events": record.rto_events,
-        "fast_retransmits": record.fast_retransmits,
-        "retransmitted_packets": record.retransmitted_packets,
-        "spurious_retransmits": record.spurious_retransmits,
-        "data_packets_sent": record.data_packets_sent,
-        "duplicate_acks": record.duplicate_acks,
-        "reordering_events": record.reordering_events,
-        "bytes_received": record.bytes_received,
-        "phase_at_completion": record.phase_at_completion,
-        "switch_time": record.switch_time,
-    }
+    return {name: getattr(record, name) for name in FLOW_RECORD_FIELDS}
 
 
 def write_flow_records_csv(records: Iterable[FlowRecord], path: PathLike) -> Path:

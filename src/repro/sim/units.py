@@ -35,19 +35,9 @@ def microseconds(value: float) -> float:
     return float(value) * 1e-6
 
 
-def nanoseconds(value: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return float(value) * 1e-9
-
-
 def to_milliseconds(time_s: float) -> float:
     """Convert a time in seconds to milliseconds."""
     return time_s * 1e3
-
-
-def to_microseconds(time_s: float) -> float:
-    """Convert a time in seconds to microseconds."""
-    return time_s * 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -65,39 +55,14 @@ def kilobytes(value: float) -> int:
     return int(value * 1_000)
 
 
-def kibibytes(value: float) -> int:
-    """Convert kibibytes (2^10 bytes) to bytes."""
-    return int(value * 1024)
-
-
 def megabytes(value: float) -> int:
     """Convert megabytes (10^6 bytes) to bytes."""
     return int(value * 1_000_000)
 
 
-def mebibytes(value: float) -> int:
-    """Convert mebibytes (2^20 bytes) to bytes."""
-    return int(value * 1024 * 1024)
-
-
-def gigabytes(value: float) -> int:
-    """Convert gigabytes (10^9 bytes) to bytes."""
-    return int(value * 1_000_000_000)
-
-
 # ---------------------------------------------------------------------------
 # Rates
 # ---------------------------------------------------------------------------
-
-
-def bits_per_second(value: float) -> float:
-    """Return ``value`` interpreted as bits per second."""
-    return float(value)
-
-
-def kilobits_per_second(value: float) -> float:
-    """Convert kilobits per second to bits per second."""
-    return float(value) * 1e3
 
 
 def megabits_per_second(value: float) -> float:
@@ -119,11 +84,6 @@ def transmission_delay(size_bytes: int, rate_bps: float) -> float:
     if rate_bps <= 0:
         raise ValueError(f"link rate must be positive, got {rate_bps!r}")
     return (size_bytes * 8.0) / rate_bps
-
-
-def bytes_per_interval(rate_bps: float, interval_s: float) -> float:
-    """How many bytes a link of ``rate_bps`` can carry in ``interval_s`` seconds."""
-    return rate_bps * interval_s / 8.0
 
 
 def throughput_bps(size_bytes: int, duration_s: float) -> float:

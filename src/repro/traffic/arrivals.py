@@ -1,8 +1,8 @@
 """Flow arrival processes.
 
 Short flows in the paper's workload arrive according to a Poisson process;
-this module generates those arrival times (plus a couple of deterministic
-alternatives used by tests and micro-benchmarks).
+this module generates those arrival times, plus the simultaneous arrivals
+of an incast burst.
 """
 
 from __future__ import annotations
@@ -36,18 +36,6 @@ def poisson_arrivals(
             break
         arrivals.append(clock)
     return arrivals
-
-
-def uniform_arrivals(count: int, duration_s: float, start_time: float = 0.0) -> List[float]:
-    """``count`` arrivals evenly spaced over ``duration_s``."""
-    if count < 0:
-        raise ValueError("count cannot be negative")
-    if duration_s < 0:
-        raise ValueError("duration_s cannot be negative")
-    if count == 0:
-        return []
-    spacing = duration_s / count
-    return [start_time + index * spacing for index in range(count)]
 
 
 def synchronized_arrivals(count: int, start_time: float = 0.0) -> List[float]:

@@ -4,9 +4,8 @@ The paper schedules all flows according to a *permutation* traffic matrix —
 every server sends to exactly one other server and receives from exactly one
 — which is the standard worst-ish-case matrix of the MPTCP data-centre
 literature (it gives every flow a distinct path set and makes core collisions
-visible).  Random, stride and hotspot matrices are also provided; the
-hotspot matrix supports the "effect of hotspots" scenario listed in the
-paper's roadmap.
+visible).  A hotspot matrix is also provided; it supports the "effect of
+hotspots" scenario listed in the paper's roadmap.
 """
 
 from __future__ import annotations
@@ -30,32 +29,6 @@ def permutation_pairs(
         if all(sender != receiver for sender, receiver in zip(senders, receivers)):
             break
     return list(zip(senders, receivers))
-
-
-def random_pairs(
-    host_names: Sequence[str], count: int, rng: random.Random
-) -> List[Tuple[str, str]]:
-    """``count`` source/destination pairs chosen uniformly (no self-loops)."""
-    if len(host_names) < 2:
-        raise ValueError("need at least two hosts")
-    pairs = []
-    for _ in range(count):
-        source = rng.choice(host_names)
-        destination = rng.choice(host_names)
-        while destination == source:
-            destination = rng.choice(host_names)
-        pairs.append((source, destination))
-    return pairs
-
-
-def stride_pairs(host_names: Sequence[str], stride: int = 1) -> List[Tuple[str, str]]:
-    """Host ``i`` sends to host ``(i + stride) mod n`` — a deterministic permutation."""
-    count = len(host_names)
-    if count < 2:
-        raise ValueError("need at least two hosts")
-    if stride % count == 0:
-        raise ValueError("stride must not be a multiple of the host count")
-    return [(host_names[i], host_names[(i + stride) % count]) for i in range(count)]
 
 
 def hotspot_pairs(

@@ -49,11 +49,16 @@ class DctcpController(NewRenoController):
             fraction = self._marked_bytes / self._acked_bytes
             self.alpha = (1.0 - self.gain) * self.alpha + self.gain * fraction
             if self._marked_bytes > 0:
-                sender.cwnd = max(sender.mss, sender.cwnd * (1.0 - self.alpha / 2.0))
+                penalty = self._cut_penalty(sender)
+                sender.cwnd = max(sender.mss, sender.cwnd * (1.0 - penalty / 2.0))
                 sender.ssthresh = max(sender.cwnd, 2.0 * sender.mss)
         self._window_end = sender.snd_nxt
         self._acked_bytes = 0
         self._marked_bytes = 0
+
+    def _cut_penalty(self, sender: "TcpSender") -> float:
+        """The ``p`` of this window's cut ``cwnd * (1 - p / 2)``: DCTCP's ``alpha``."""
+        return self.alpha
 
     def ssthresh_after_loss(self, sender: "TcpSender", kind: str) -> float:
         # Packet loss still triggers the standard reaction; DCTCP only changes

@@ -84,25 +84,11 @@ class D2tcpController(DctcpController):
 
     # ------------------------------------------------------------------
 
-    def on_ecn_feedback(self, sender: "TcpSender", newly_acked_bytes: int, marked: bool) -> None:
-        """Update alpha exactly like DCTCP but apply the gamma-corrected cut."""
-        self._acked_bytes += newly_acked_bytes
-        if marked:
-            self._marked_bytes += newly_acked_bytes
-        if sender.snd_una < self._window_end:
-            return
-        if self._acked_bytes > 0:
-            fraction = self._marked_bytes / self._acked_bytes
-            self.alpha = (1.0 - self.gain) * self.alpha + self.gain * fraction
-            if self._marked_bytes > 0:
-                d = self._deadline_factor(sender)
-                self.last_deadline_factor = d
-                penalty = self.alpha**d
-                sender.cwnd = max(sender.mss, sender.cwnd * (1.0 - penalty / 2.0))
-                sender.ssthresh = max(sender.cwnd, 2.0 * sender.mss)
-        self._window_end = sender.snd_nxt
-        self._acked_bytes = 0
-        self._marked_bytes = 0
+    def _cut_penalty(self, sender: "TcpSender") -> float:
+        """The gamma-corrected penalty ``alpha ** d``."""
+        d = self._deadline_factor(sender)
+        self.last_deadline_factor = d
+        return self.alpha**d
 
 
 class D2tcpSender(TcpSender):

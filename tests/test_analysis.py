@@ -1,145 +1,8 @@
-"""Tests for result comparison and markdown report generation."""
+"""Tests for markdown report generation."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.compare import (
-    MetricComparison,
-    compare_protocols,
-    compare_summaries,
-    regression_check,
-)
-from repro.analysis.report import (
-    experiment_section,
-    markdown_table,
-    report_document,
-    summary_comparison_markdown,
-)
-from repro.metrics.collector import ExperimentMetrics
-from repro.metrics.records import FlowRecord
-
-
-BASELINE = {
-    "short_fct_mean_ms": 100.0,
-    "short_fct_std_ms": 50.0,
-    "rto_incidence": 0.10,
-    "short_completion_rate": 1.0,
-    "long_flow_throughput_mbps": 50.0,
-}
-
-CANDIDATE = {
-    "short_fct_mean_ms": 80.0,      # better (lower)
-    "short_fct_std_ms": 60.0,       # worse (higher)
-    "rto_incidence": 0.10,          # equal
-    "short_completion_rate": 0.95,  # worse (lower)
-    "long_flow_throughput_mbps": 55.0,  # better (higher)
-}
-
-
-# ---------------------------------------------------------------------------
-# compare_summaries / MetricComparison
-# ---------------------------------------------------------------------------
-
-
-def test_compare_summaries_directions() -> None:
-    by_metric = {c.metric: c for c in compare_summaries(BASELINE, CANDIDATE)}
-    assert by_metric["short_fct_mean_ms"].direction == "better"
-    assert by_metric["short_fct_std_ms"].direction == "worse"
-    assert by_metric["rto_incidence"].direction == "equal"
-    assert by_metric["short_completion_rate"].direction == "worse"
-    assert by_metric["long_flow_throughput_mbps"].direction == "better"
-
-
-def test_comparison_deltas() -> None:
-    comparison = MetricComparison("short_fct_mean_ms", baseline=100.0, candidate=80.0)
-    assert comparison.absolute_delta == pytest.approx(-20.0)
-    assert comparison.relative_delta == pytest.approx(-0.2)
-
-
-def test_comparison_relative_delta_with_zero_baseline() -> None:
-    unchanged = MetricComparison("rto_incidence", baseline=0.0, candidate=0.0)
-    grew = MetricComparison("rto_incidence", baseline=0.0, candidate=0.1)
-    assert unchanged.relative_delta == 0.0
-    assert grew.relative_delta == float("inf")
-
-
-def test_unknown_metric_direction_is_neutral() -> None:
-    comparison = MetricComparison("some_custom_counter", baseline=1.0, candidate=2.0)
-    assert comparison.direction == "neutral"
-
-
-def test_compare_summaries_accepts_experiment_metrics_objects() -> None:
-    metrics = ExperimentMetrics(
-        flows=[FlowRecord(flow_id=1, protocol="tcp", size_bytes=70_000, is_long=False,
-                          start_time=0.0, receiver_completion_time=0.05)],
-        duration_s=1.0,
-    )
-    comparisons = compare_summaries(metrics, metrics)
-    assert comparisons and all(c.direction == "equal" for c in comparisons)
-
-
-def test_compare_summaries_missing_metric_raises() -> None:
-    with pytest.raises(KeyError):
-        compare_summaries(BASELINE, CANDIDATE, metrics=["does_not_exist"])
-
-
-# ---------------------------------------------------------------------------
-# compare_protocols
-# ---------------------------------------------------------------------------
-
-
-def test_compare_protocols_ranks_best_first() -> None:
-    results = {
-        "mptcp": {"short_fct_mean_ms": 126.0, "long_flow_throughput_mbps": 50.0},
-        "mmptcp": {"short_fct_mean_ms": 116.0, "long_flow_throughput_mbps": 49.0},
-        "tcp": {"short_fct_mean_ms": 150.0, "long_flow_throughput_mbps": 30.0},
-    }
-    by_fct = compare_protocols(results, "short_fct_mean_ms")
-    assert [name for name, _ in by_fct] == ["mmptcp", "mptcp", "tcp"]
-    by_tput = compare_protocols(results, "long_flow_throughput_mbps")
-    assert [name for name, _ in by_tput] == ["mptcp", "mmptcp", "tcp"]
-
-
-def test_compare_protocols_requires_known_direction_or_override() -> None:
-    results = {"a": {"custom": 1.0}, "b": {"custom": 2.0}}
-    with pytest.raises(ValueError):
-        compare_protocols(results, "custom")
-    ranked = compare_protocols(results, "custom", lower_is_better=True)
-    assert ranked[0][0] == "a"
-
-
-# ---------------------------------------------------------------------------
-# regression_check
-# ---------------------------------------------------------------------------
-
-
-def test_regression_check_flags_only_degradations_beyond_tolerance() -> None:
-    violations = regression_check(
-        BASELINE,
-        CANDIDATE,
-        tolerances={
-            "short_fct_mean_ms": 0.05,        # improved: never a violation
-            "short_fct_std_ms": 0.10,         # degraded 20 % > 10 %: violation
-            "short_completion_rate": 0.10,    # degraded 5 % <= 10 %: fine
-        },
-    )
-    assert len(violations) == 1
-    assert "short_fct_std_ms" in violations[0]
-
-
-def test_regression_check_clean_when_within_tolerances() -> None:
-    assert regression_check(BASELINE, dict(BASELINE), {"short_fct_mean_ms": 0.0}) == []
-
-
-def test_regression_check_rejects_negative_tolerance() -> None:
-    with pytest.raises(ValueError):
-        regression_check(BASELINE, CANDIDATE, {"short_fct_std_ms": -0.1})
-
-
-# ---------------------------------------------------------------------------
-# Markdown rendering
-# ---------------------------------------------------------------------------
+from repro.analysis.report import markdown_table
 
 
 def test_markdown_table_structure() -> None:
@@ -149,42 +12,3 @@ def test_markdown_table_structure() -> None:
     assert lines[1] == "|---|---|"
     assert "2.500" in lines[2]
     assert "yes" in lines[3]
-
-
-def test_summary_comparison_markdown_mentions_every_metric() -> None:
-    text = summary_comparison_markdown(compare_summaries(BASELINE, CANDIDATE),
-                                       baseline_label="mptcp", candidate_label="mmptcp")
-    for metric in BASELINE:
-        assert metric in text
-    header = text.splitlines()[0]
-    assert "mptcp" in header and "mmptcp" in header
-    assert "better" in text and "worse" in text
-
-
-def test_experiment_section_contains_all_parts() -> None:
-    section = experiment_section(
-        title="Figure 1(a)",
-        paper_claim="mean FCT grows with the subflow count",
-        bench="benchmarks/bench_figure1a.py",
-        measured_rows=[{"subflows": 1, "mean_fct_ms": 61.0}, {"subflows": 8, "mean_fct_ms": 64.0}],
-        verdict="reproduced in shape",
-        notes="absolute values are scale-sensitive",
-    )
-    assert section.startswith("### Figure 1(a)")
-    assert "benchmarks/bench_figure1a.py" in section
-    assert "| subflows | mean_fct_ms |" in section
-    assert "scale-sensitive" in section
-
-
-def test_experiment_section_without_measurements() -> None:
-    section = experiment_section("T", "claim", "bench.py", [], "pending")
-    assert "_No measurements recorded._" in section
-
-
-def test_report_document_joins_sections() -> None:
-    document = report_document([
-        experiment_section("A", "c1", "b1.py", [], "ok"),
-        experiment_section("B", "c2", "b2.py", [], "ok"),
-    ], title="MMPTCP reproduction")
-    assert document.startswith("# MMPTCP reproduction")
-    assert "### A" in document and "### B" in document

@@ -44,6 +44,22 @@ def test_flow_record_row_has_every_exported_field() -> None:
     assert set(row.keys()) == set(FLOW_RECORD_FIELDS)
 
 
+def test_flow_csv_header_is_the_pinned_column_order(tmp_path) -> None:
+    """The 18 flow-CSV columns, pinned literally: ``FLOW_RECORD_FIELDS`` is
+    derived from :class:`FlowRecord`, so a reordered or added record field
+    must show up here."""
+    expected = (
+        "flow_id", "protocol", "size_bytes", "is_long", "start_time",
+        "receiver_completion_time", "sender_completion_time", "completion_time_ms",
+        "rto_events", "fast_retransmits", "retransmitted_packets", "spurious_retransmits",
+        "data_packets_sent", "duplicate_acks", "reordering_events", "bytes_received",
+        "phase_at_completion", "switch_time",
+    )
+    assert FLOW_RECORD_FIELDS == expected
+    path = write_flow_records_csv(_records(), tmp_path / "flows.csv")
+    assert path.read_text().splitlines()[0] == ",".join(expected)
+
+
 def test_write_flow_records_csv_round_trip(tmp_path) -> None:
     path = write_flow_records_csv(_records(), tmp_path / "flows.csv")
     with path.open() as handle:

@@ -10,26 +10,19 @@ from repro.sim import units
 def test_time_conversions() -> None:
     assert units.milliseconds(200) == pytest.approx(0.2)
     assert units.microseconds(20) == pytest.approx(2e-5)
-    assert units.nanoseconds(500) == pytest.approx(5e-7)
     assert units.seconds(1.5) == 1.5
     assert units.to_milliseconds(0.116) == pytest.approx(116.0)
-    assert units.to_microseconds(0.001) == pytest.approx(1000.0)
 
 
 def test_size_conversions() -> None:
     assert units.kilobytes(70) == 70_000
-    assert units.kibibytes(1) == 1024
     assert units.megabytes(2) == 2_000_000
-    assert units.mebibytes(1) == 1_048_576
-    assert units.gigabytes(1) == 1_000_000_000
     assert units.bytes_(123) == 123
 
 
 def test_rate_conversions() -> None:
     assert units.gigabits_per_second(1) == pytest.approx(1e9)
     assert units.megabits_per_second(100) == pytest.approx(1e8)
-    assert units.kilobits_per_second(5) == pytest.approx(5e3)
-    assert units.bits_per_second(42.0) == 42.0
 
 
 def test_transmission_delay_of_full_packet() -> None:
@@ -40,11 +33,6 @@ def test_transmission_delay_of_full_packet() -> None:
 def test_transmission_delay_rejects_nonpositive_rate() -> None:
     with pytest.raises(ValueError):
         units.transmission_delay(1500, 0.0)
-
-
-def test_bytes_per_interval() -> None:
-    # 100 Mbps for 1 ms carries 12500 bytes.
-    assert units.bytes_per_interval(1e8, 1e-3) == pytest.approx(12_500)
 
 
 def test_throughput() -> None:

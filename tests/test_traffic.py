@@ -6,14 +6,12 @@ import random
 
 import pytest
 
-from repro.traffic.arrivals import poisson_arrivals, synchronized_arrivals, uniform_arrivals
+from repro.traffic.arrivals import poisson_arrivals, synchronized_arrivals
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, FlowSpec
 from repro.traffic.matrices import (
     hotspot_pairs,
     pair_counts_by_destination,
     permutation_pairs,
-    random_pairs,
-    stride_pairs,
 )
 from repro.traffic.workloads import (
     ShortLongWorkloadParams,
@@ -45,17 +43,6 @@ class TestMatrices:
         with pytest.raises(ValueError):
             permutation_pairs(["only-one"], random.Random(1))
 
-    def test_random_pairs_no_self_loops(self) -> None:
-        pairs = random_pairs(HOSTS, 200, random.Random(3))
-        assert len(pairs) == 200
-        assert all(src != dst for src, dst in pairs)
-
-    def test_stride_pairs(self) -> None:
-        pairs = stride_pairs(["a", "b", "c", "d"], stride=2)
-        assert pairs == [("a", "c"), ("b", "d"), ("c", "a"), ("d", "b")]
-        with pytest.raises(ValueError):
-            stride_pairs(["a", "b"], stride=2)
-
     def test_hotspot_pairs_concentrate_load(self) -> None:
         pairs = hotspot_pairs(HOSTS, random.Random(5), hotspot_fraction=0.1,
                               load_fraction=0.8)
@@ -85,12 +72,8 @@ class TestArrivals:
         with pytest.raises(ValueError):
             poisson_arrivals(1.0, -1.0, random.Random(1))
 
-    def test_uniform_and_synchronized_arrivals(self) -> None:
-        assert uniform_arrivals(4, 2.0) == [0.0, 0.5, 1.0, 1.5]
-        assert uniform_arrivals(0, 2.0) == []
+    def test_synchronized_arrivals(self) -> None:
         assert synchronized_arrivals(3, start_time=1.0) == [1.0, 1.0, 1.0]
-        with pytest.raises(ValueError):
-            uniform_arrivals(-1, 1.0)
 
 
 class TestFlowSpec:
