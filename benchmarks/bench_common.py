@@ -80,7 +80,7 @@ def small_config() -> ExperimentConfig:
 
 def roadmap_config() -> ExperimentConfig:
     """A light configuration for the roadmap benchmarks (coexistence, load
-    sweep, hotspots, deadlines).
+    sweep, hotspots).
 
     These benchmarks compare many protocol/parameter variants per run, so the
     fabric is halved (2:1 over-subscription) and the flow count capped to keep

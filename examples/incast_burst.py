@@ -6,7 +6,7 @@ responses overflowing the receiver's switch port — among the reasons short
 flows miss deadlines, and its roadmap argues that the packet-scatter phase
 tolerates bursts because packets spread over many queues.  This example
 fires a synchronised 16-to-1 burst of 70 KB responses inside a FatTree and
-compares TCP, DCTCP, MPTCP(8) and MMPTCP.
+compares TCP, MPTCP(8) and MMPTCP.
 
 Run with:  python examples/incast_burst.py
 """
@@ -34,7 +34,6 @@ def run_incast(protocol: str) -> ExperimentMetrics:
         fattree_k=4,
         hosts_per_edge=8,
         link_rate_bps=megabits_per_second(100),
-        queue_kind="ecn" if protocol == "dctcp" else "droptail",
         queue_capacity_packets=64,
         protocol=protocol,
         num_subflows=8,
@@ -67,7 +66,7 @@ def run_incast(protocol: str) -> ExperimentMetrics:
 
 def main() -> None:
     rows = []
-    for protocol in ("tcp", "dctcp", "mptcp", "mmptcp"):
+    for protocol in ("tcp", "mptcp", "mmptcp"):
         print(f"Running {FAN_IN}-to-1 incast with {protocol} ...")
         metrics = run_incast(protocol)
         summary = metrics.short_flow_fct_summary()

@@ -1,7 +1,7 @@
 """MMPTCP reproduction library.
 
 A packet-level discrete-event simulator of data-centre networks together
-with TCP NewReno, DCTCP, MPTCP (LIA) and **MMPTCP** — the hybrid transport
+with TCP NewReno, MPTCP (LIA) and **MMPTCP** — the hybrid transport
 of Kheirkhah, Wakeman & Parisis, *Short vs. Long Flows: A Battle That Both
 Can Win* (SIGCOMM 2015) — plus the workloads, metrics and experiment
 harnesses needed to regenerate every figure and statistic in that paper.

@@ -1,4 +1,5 @@
-"""Rules: no wall-clock or global-RNG reads; no unordered-set iteration; no gc.
+"""Rules: no wall-clock or global-RNG reads; no unordered-set iteration; no gc;
+no builtin-sum means.
 
 Simulation output must be a pure function of the run input (config, seed,
 workload) — that is what makes sweep results byte-identical for any
@@ -26,6 +27,15 @@ A third rule guards process-global state of another kind:
   unfreezes around each run; a second ``gc.freeze`` elsewhere would be
   silently undone by that ``unfreeze``, and any other call changes what
   the boundary's collection costs.
+
+and one guards the bits of a float result across interpreters:
+
+* ``no-float-sum-mean`` — from CPython 3.12 on, builtin ``sum()``
+  compensates float additions (3.11 adds left to right), so a mean computed
+  as ``sum(values) / n`` moves its last digit between the two, and every
+  pinned output that prints it moves with it.  Accumulate left to right
+  (``total += value``) instead.  A count, ``sum(1 for ...)``, is exact on
+  both and stays allowed.
 """
 
 import ast
@@ -127,6 +137,47 @@ class NoProcessGlobalGc(LintRule):
                     f"{resolved} changes the collector of the whole process; leave it "
                     "to the run boundary in experiments/runner, whose unfreeze() would "
                     "silently undo any other freeze",
+                )
+
+
+def _counts_ones(call: ast.Call) -> bool:
+    """True for ``sum(1 for ...)``: an exact int count."""
+    if len(call.args) != 1:
+        return False
+    argument = call.args[0]
+    return (
+        isinstance(argument, ast.GeneratorExp)
+        and isinstance(argument.elt, ast.Constant)
+        and argument.elt.value == 1
+    )
+
+
+@register
+class NoFloatSumMean(LintRule):
+    name = "no-float-sum-mean"
+    description = (
+        "a builtin sum(...) divided into a mean in repro/ differs in its last bits "
+        "between CPython 3.11 and 3.12; accumulate left to right instead"
+    )
+
+    def violations(self, ctx: ModuleContext) -> Iterator[Violation]:
+        if not ctx.in_package("repro"):
+            return
+        for node in ast.walk(ctx.tree):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+                continue
+            dividend = node.left
+            if (
+                isinstance(dividend, ast.Call)
+                and ctx.resolve_call(dividend.func) == "sum"
+                and not _counts_ones(dividend)
+            ):
+                yield self.violation(
+                    ctx,
+                    dividend,
+                    "builtin sum() compensates float additions from CPython 3.12 on, "
+                    "so this mean differs between 3.11 and 3.12; accumulate it left "
+                    "to right (total += value) instead",
                 )
 
 

@@ -38,6 +38,9 @@ _PINNED_FINGERPRINTS = {
     # v4: the fidelity axis (ExperimentConfig.fidelity) joined the config
     # field set, changing every serialised config and therefore every key.
     4: "2b473dfdecf6155f82ab0c2520215e401795b35c8513ba11722b3079846c7850",
+    # v5: the ECN marking-threshold field left ExperimentConfig with the ECN
+    # queue, changing every serialised config and therefore every key.
+    5: "20e140f6997d67ffbf57db1886fe789a8c51657a664cddff6c3199501a82fcb5",
 }
 
 #: The dataclasses whose field sets make up the serialised surface, as

@@ -8,7 +8,6 @@ Exposes the experiment harness without writing any Python::
     repro-mmptcp loadsweep --factors 0.5 1.0 2.0 --workers 4
     repro-mmptcp coexistence
     repro-mmptcp incast --fan-ins 8 16 32 --topologies fattree dualhomed
-    repro-mmptcp deadlines --slack 2.0
     repro-mmptcp scenarios list
     repro-mmptcp scenarios run core-link-failure --protocol mmptcp
     repro-mmptcp scenarios run vm-migration --protocol mmptcp

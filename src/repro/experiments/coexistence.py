@@ -145,6 +145,11 @@ def _share_for(protocol: str, records: Sequence[FlowRecord], horizon_s: float) -
         record.completion_time_ms for record in completed if record.completion_time_ms is not None
     ]
     throughputs = [record.throughput_bps(horizon_s) for record in longs]
+    # Accumulated left to right: builtin sum() compensates float additions
+    # from CPython 3.12 on, and pinned outputs hold the bits.
+    total_throughput = 0.0
+    for throughput in throughputs:
+        total_throughput += throughput
     return ProtocolShare(
         protocol=protocol,
         short_flow_count=len(shorts),
@@ -155,7 +160,7 @@ def _share_for(protocol: str, records: Sequence[FlowRecord], horizon_s: float) -
         ),
         completion_rate=len(completed) / len(shorts) if shorts else 0.0,
         mean_long_throughput_bps=(
-            sum(throughputs) / len(throughputs) if throughputs else 0.0
+            total_throughput / len(throughputs) if throughputs else 0.0
         ),
         long_throughputs_bps=throughputs,
     )

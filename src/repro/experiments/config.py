@@ -37,9 +37,8 @@ TOPOLOGY_VL2 = "vl2"
 TOPOLOGIES = (TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED, TOPOLOGY_VL2)
 
 QUEUE_DROPTAIL = "droptail"
-QUEUE_ECN = "ecn"
 QUEUE_SHARED = "shared"
-QUEUE_KINDS = (QUEUE_DROPTAIL, QUEUE_ECN, QUEUE_SHARED)
+QUEUE_KINDS = (QUEUE_DROPTAIL, QUEUE_SHARED)
 
 SWITCHING_DATA_VOLUME = "data_volume"
 SWITCHING_CONGESTION = "congestion_event"
@@ -92,7 +91,6 @@ class ExperimentConfig:
     link_delay_s: float = microseconds(20)
     queue_kind: str = QUEUE_DROPTAIL
     queue_capacity_packets: int = 100
-    ecn_threshold_packets: int = 20
     shared_buffer_bytes: int = 512 * 1500
 
     # Workload ---------------------------------------------------------------

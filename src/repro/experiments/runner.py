@@ -29,7 +29,6 @@ from repro.core.reordering import (
 from repro.experiments.config import (
     FIDELITY_FLOW,
     QUEUE_DROPTAIL,
-    QUEUE_ECN,
     QUEUE_SHARED,
     REORDERING_ADAPTIVE,
     REORDERING_STATIC,
@@ -49,7 +48,7 @@ from repro.net.faults import FaultInjector
 from repro.net.host import Host
 from repro.net.monitor import snapshot as network_snapshot
 from repro.net.packet import default_pool, set_pool_profile
-from repro.net.queues import DropTailQueue, EcnQueue, SharedBufferPool, SharedBufferQueue
+from repro.net.queues import DropTailQueue, SharedBufferPool, SharedBufferQueue
 from repro.obs.profiler import EngineProfiler, pool_counters, profile_diagnostics
 from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
@@ -58,10 +57,7 @@ from repro.topology.base import Topology
 from repro.topology.dualhomed import DualHomedFatTreeTopology
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
 from repro.topology.vl2 import Vl2Params, Vl2Topology
-from repro.traffic.deadlines import deadline_of
 from repro.traffic.flowspec import (
-    PROTOCOL_D2TCP,
-    PROTOCOL_DCTCP,
     PROTOCOL_MMPTCP,
     PROTOCOL_MPTCP,
     PROTOCOL_PACKET_SCATTER,
@@ -70,8 +66,6 @@ from repro.traffic.flowspec import (
 )
 from repro.traffic.workloads import ShortLongWorkloadParams, Workload, build_short_long_workload
 from repro.transport.base import TcpConfig
-from repro.transport.d2tcp import D2tcpReceiver, D2tcpSender
-from repro.transport.dctcp import DctcpReceiver, DctcpSender
 from repro.transport.mptcp import MptcpConnection, MptcpReceiver
 from repro.transport.path_manager import make_path_manager
 from repro.transport.receiver import TcpReceiver
@@ -137,16 +131,11 @@ def build_topology(config: ExperimentConfig, simulator: Simulator) -> Topology:
 def _queue_factory(config: ExperimentConfig) -> Callable:
     if config.queue_kind == QUEUE_DROPTAIL:
         return lambda: DropTailQueue(capacity_packets=config.queue_capacity_packets)
-    if config.queue_kind == QUEUE_ECN:
-        return lambda: EcnQueue(
-            capacity_packets=config.queue_capacity_packets,
-            marking_threshold=config.ecn_threshold_packets,
-        )
     if config.queue_kind == QUEUE_SHARED:
         # One pool per queue factory call would defeat the purpose; a pool is
         # shared among the ports created for a single experiment run.
         pool = SharedBufferPool(total_bytes=config.shared_buffer_bytes)
-        return lambda: SharedBufferQueue(pool, marking_threshold=None)
+        return lambda: SharedBufferQueue(pool)
     raise ValueError(f"unknown queue kind {config.queue_kind!r}")
 
 
@@ -205,7 +194,6 @@ def _tcp_config(config: ExperimentConfig) -> TcpConfig:
         initial_cwnd_segments=config.initial_cwnd_segments,
         dupack_threshold=config.dupack_threshold,
         min_rto=config.min_rto_s,
-        ecn_enabled=config.protocol in (PROTOCOL_DCTCP, PROTOCOL_D2TCP),
     )
 
 
@@ -281,28 +269,6 @@ def _build_flow(
         sender = TcpSender(
             simulator, source, destination.address, port, spec.size_bytes,
             flow_id=spec.flow_id, config=tcp_config,
-        )
-        return _FlowInstance(spec, sender, receiver)
-
-    if protocol == PROTOCOL_DCTCP:
-        receiver = DctcpReceiver(
-            simulator, destination, local_port=port, flow_id=spec.flow_id,
-            expected_bytes=spec.size_bytes,
-        )
-        sender = DctcpSender(
-            simulator, source, destination.address, port, spec.size_bytes,
-            flow_id=spec.flow_id, config=tcp_config,
-        )
-        return _FlowInstance(spec, sender, receiver)
-
-    if protocol == PROTOCOL_D2TCP:
-        receiver = D2tcpReceiver(
-            simulator, destination, local_port=port, flow_id=spec.flow_id,
-            expected_bytes=spec.size_bytes,
-        )
-        sender = D2tcpSender(
-            simulator, source, destination.address, port, spec.size_bytes,
-            flow_id=spec.flow_id, config=tcp_config, deadline_s=deadline_of(spec),
         )
         return _FlowInstance(spec, sender, receiver)
 

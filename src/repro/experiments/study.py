@@ -1,7 +1,7 @@
 """One study path: plan → :class:`RunSpec` list → :class:`SweepRunner` → rows.
 
 Every comparison the paper makes (Figure 1(a–c), the Section 3 statistics,
-the roadmap's load / hotspot / incast / co-existence / deadline studies) is
+the roadmap's load / hotspot / incast / co-existence studies) is
 a list of independent runs followed by a row per result.  A :class:`Study`
 declares exactly that — the plan, the row projection, and the CLI surface
 (sub-command name, table title, extra flags) as data — and
@@ -35,8 +35,6 @@ from repro.experiments.parallel import RunSpec, SweepRunner
 from repro.metrics.collector import ExperimentResult
 from repro.traffic.flowspec import (
     ALL_PROTOCOLS,
-    PROTOCOL_D2TCP,
-    PROTOCOL_DCTCP,
     PROTOCOL_MMPTCP,
     PROTOCOL_MPTCP,
     PROTOCOL_TCP,
@@ -54,11 +52,6 @@ DEFAULT_LOAD_FACTORS = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_FAN_INS = (8, 16, 32)
 #: The co-existence mix the paper cares about: legacy TCP, MPTCP and MMPTCP.
 DEFAULT_PROTOCOL_MIX = (PROTOCOL_TCP, PROTOCOL_MPTCP, PROTOCOL_MMPTCP)
-#: The deadline study's contenders: the paper's plus the deadline-aware
-#: single-path baselines its introduction discusses.
-DEFAULT_DEADLINE_PROTOCOLS = (
-    PROTOCOL_TCP, PROTOCOL_DCTCP, PROTOCOL_D2TCP, PROTOCOL_MPTCP, PROTOCOL_MMPTCP
-)
 
 
 def _same(value: Any) -> Any:
@@ -295,17 +288,6 @@ STUDIES: Dict[str, Study] = {
                      dict(nargs="+", default=[TOPOLOGY_FATTREE], choices=TOPOLOGIES)),
             ),
             workers=True, fidelity=True,
-        ),
-        Study(
-            "deadlines", "run the deadline-miss study",
-            "Deadline study — slack factor {slack_factor}",
-            _deferred("deadline_study", "plan"), _deferred("deadline_study", "rows"),
-            flags=(
-                Flag("--slack", "slack_factor",
-                     dict(type=float, default=2.0,
-                          help="deadline slack factor over the ideal transfer time")),
-                _protocols(*DEFAULT_DEADLINE_PROTOCOLS),
-            ),
         ),
     )
 }

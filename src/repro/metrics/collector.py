@@ -155,7 +155,12 @@ class ExperimentMetrics:
         throughputs = self.long_flow_throughputs_bps()
         if not throughputs:
             return 0.0
-        return sum(throughputs) / len(throughputs)
+        # Accumulated left to right: builtin sum() compensates float
+        # additions from CPython 3.12 on, and pinned outputs hold the bits.
+        total = 0.0
+        for throughput in throughputs:
+            total += throughput
+        return total / len(throughputs)
 
     def loss_rate(self, layer: str) -> float:
         """Packet loss rate at one switch layer (``core``/``aggregation``/``edge``)."""

@@ -119,4 +119,9 @@ def _mean_utilisation(switches: Sequence[Switch], layer: str, duration_s: float)
     ]
     if not interfaces:
         return 0.0
-    return sum(interface.utilisation(duration_s) for interface in interfaces) / len(interfaces)
+    # Accumulated left to right: builtin sum() compensates float additions
+    # from CPython 3.12 on, and pinned outputs hold the bits.
+    total = 0.0
+    for interface in interfaces:
+        total += interface.utilisation(duration_s)
+    return total / len(interfaces)

@@ -2,7 +2,7 @@
 
 A :class:`Packet` is a mutable record that travels through the simulated
 network.  It carries both the fields a real TCP/IP header would carry
-(addresses, ports, sequence/acknowledgement numbers, flags, ECN bits) and
+(addresses, ports, sequence/acknowledgement numbers, flags) and
 the MPTCP data-sequence-signal fields (``dsn`` / ``dack`` / ``subflow_id``)
 that MPTCP and MMPTCP need.
 
@@ -92,7 +92,6 @@ class Packet:
             the MMPTCP packet-scatter flow).
         dsn: connection-level data sequence number (byte offset).
         dack: connection-level cumulative data acknowledgement.
-        ecn_capable / ecn_ce / ecn_echo: ECN negotiation and marking bits.
         sent_time: simulated time at which the (sub)flow sender transmitted
             this packet; used for RTT sampling.
         is_retransmission: marks retransmitted data (Karn's algorithm).
@@ -120,9 +119,6 @@ class Packet:
         "subflow_id",
         "dsn",
         "dack",
-        "ecn_capable",
-        "ecn_ce",
-        "ecn_echo",
         "sent_time",
         "is_retransmission",
         "hops",
@@ -147,9 +143,6 @@ class Packet:
         subflow_id: int = 0,
         dsn: int = 0,
         dack: int = 0,
-        ecn_capable: bool = False,
-        ecn_ce: bool = False,
-        ecn_echo: bool = False,
         sent_time: float = 0.0,
         is_retransmission: bool = False,
         protocol: int = PROTO_TCP,
@@ -179,9 +172,6 @@ class Packet:
         self.subflow_id = subflow_id
         self.dsn = dsn
         self.dack = dack
-        self.ecn_capable = ecn_capable
-        self.ecn_ce = ecn_ce
-        self.ecn_echo = ecn_echo
         self.sent_time = sent_time
         self.is_retransmission = is_retransmission
         self.hops = 0
@@ -273,9 +263,6 @@ class Packet:
         self.subflow_id = POISON
         self.dsn = POISON
         self.dack = POISON
-        self.ecn_capable = False
-        self.ecn_ce = False
-        self.ecn_echo = False
         self.sent_time = float("nan")
         self.is_retransmission = False
         self.hops = POISON
@@ -454,7 +441,6 @@ def make_ack(
     dack: int = 0,
     src_port: Optional[int] = None,
     dst_port: Optional[int] = None,
-    ecn_echo: bool = False,
     sent_time: float = 0.0,
 ) -> Packet:
     """Build an acknowledgement packet for ``original`` (pool-acquired).
@@ -476,7 +462,5 @@ def make_ack(
         flags=FLAG_ACK,
         payload_size=0,
         subflow_id=original.subflow_id,
-        ecn_capable=original.ecn_capable,
-        ecn_echo=ecn_echo,
         sent_time=sent_time,
     )

@@ -1,12 +1,8 @@
 """Output queues for network interfaces.
 
-Three disciplines are provided:
+Two disciplines are provided:
 
 * :class:`DropTailQueue` — the classic bounded FIFO (per-port static buffer).
-* :class:`EcnQueue` — a drop-tail queue that additionally marks ECN-capable
-  packets with Congestion Experienced when the instantaneous occupancy found
-  on arrival (not counting the arriving packet) exceeds a threshold ``K``
-  (the DCTCP marking scheme).
 * :class:`SharedBufferQueue` + :class:`SharedBufferPool` — per-port queues
   drawing from a switch-wide shared memory pool with a dynamic-threshold
   admission policy, modelling the shared-memory commodity switches the
@@ -17,12 +13,12 @@ accepted/transmitted bytes, and are intentionally agnostic of what is on the
 other end — the interface object drains them.
 
 Enqueue/dequeue run once per packet per hop, so each discipline implements
-them as one *flattened* body: admission checks, ECN marking and
+them as one *flattened* body: admission checks and
 :class:`QueueStats` updates are folded inline as unguarded integer operations
 (capacity bounds are normalised to huge sentinels instead of ``None``
 checks).  There is no other path: :class:`Queue` holds the shared state and
 leaves ``enqueue``/``dequeue`` abstract, and a custom discipline overrides
-them exactly as the three built-ins do.
+them exactly as the two built-ins do.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ class QueueStats:
         "dequeued_bytes",
         "dropped_packets",
         "dropped_bytes",
-        "ecn_marked_packets",
     )
 
     def __init__(self) -> None:
@@ -58,7 +53,6 @@ class QueueStats:
         self.dequeued_bytes = 0
         self.dropped_packets = 0
         self.dropped_bytes = 0
-        self.ecn_marked_packets = 0
 
     @property
     def offered_packets(self) -> int:
@@ -100,8 +94,8 @@ class Queue:
         Interfaces call this instead of ``enqueue`` + immediate ``dequeue``
         when the transmitter is idle (which implies the queue is empty): the
         packet is counted exactly as if it had been enqueued and dequeued —
-        admission, marking and statistics are all identical — but fast
-        disciplines skip the deque round-trip.  Returns False if the
+        admission and statistics are identical — but fast disciplines skip
+        the deque round-trip.  Returns False if the
         discipline rejected the packet (it was then counted as dropped).
 
         Calling this on a non-empty queue is a caller bug (it would let the
@@ -196,51 +190,6 @@ class DropTailQueue(Queue):
         return True
 
 
-class EcnQueue(DropTailQueue):
-    """Drop-tail queue with DCTCP-style instantaneous ECN marking.
-
-    An ECN-capable packet is marked with Congestion Experienced when the
-    queue occupancy it finds on arrival — the packets already buffered,
-    excluding itself — strictly exceeds ``marking_threshold`` (DCTCP's
-    "queue occupancy greater than K upon arrival").  Non-ECN-capable packets
-    are never marked; they simply occupy the buffer.
-
-    Note: this used to mark at ``>= K`` (one packet early, the ns-3 RED
-    ``minTh == maxTh`` convention); the strict comparison matches the DCTCP
-    paper's marking rule and this class's documentation.
-    """
-
-    def __init__(
-        self,
-        capacity_packets: Optional[int] = 100,
-        capacity_bytes: Optional[int] = None,
-        marking_threshold: int = 20,
-    ) -> None:
-        super().__init__(capacity_packets=capacity_packets, capacity_bytes=capacity_bytes)
-        if marking_threshold < 0:
-            raise ValueError("marking_threshold must be non-negative")
-        self.marking_threshold = marking_threshold
-
-    def enqueue(self, packet: Packet) -> bool:
-        stats = self.stats
-        size = packet.size
-        packets = self._packets
-        if len(packets) >= self._max_packets or self._bytes + size > self._max_bytes:
-            stats.dropped_packets += 1
-            stats.dropped_bytes += size
-            return False
-        # Marking is evaluated on the occupancy found on arrival, i.e. before
-        # the packet itself is appended.
-        if packet.ecn_capable and len(packets) > self.marking_threshold:
-            packet.ecn_ce = True
-            stats.ecn_marked_packets += 1
-        packets.append(packet)
-        self._bytes += size
-        stats.enqueued_packets += 1
-        stats.enqueued_bytes += size
-        return True
-
-
 class SharedBufferPool:
     """A switch-wide shared memory pool with dynamic per-port thresholds.
 
@@ -286,23 +235,11 @@ class SharedBufferPool:
 
 
 class SharedBufferQueue(Queue):
-    """Per-port queue whose admission is governed by a :class:`SharedBufferPool`.
+    """Per-port queue whose admission is governed by a :class:`SharedBufferPool`."""
 
-    Optionally also applies DCTCP-style ECN marking (arrival occupancy
-    strictly above ``marking_threshold`` packets, same rule as
-    :class:`EcnQueue`) so that DCTCP can be evaluated on shared-memory
-    switches too.
-    """
-
-    def __init__(self, pool: SharedBufferPool, marking_threshold: Optional[int] = None) -> None:
+    def __init__(self, pool: SharedBufferPool) -> None:
         super().__init__()
         self.pool = pool
-        self.marking_threshold = marking_threshold
-        # Fold the optional-marking branch into an integer compare: a
-        # threshold that can never be reached disables marking unguarded.
-        self._marking_threshold = (
-            marking_threshold if marking_threshold is not None else _UNBOUNDED
-        )
 
     def enqueue(self, packet: Packet) -> bool:
         stats = self.stats
@@ -311,11 +248,7 @@ class SharedBufferQueue(Queue):
             stats.dropped_packets += 1
             stats.dropped_bytes += size
             return False
-        packets = self._packets
-        if packet.ecn_capable and len(packets) > self._marking_threshold:
-            packet.ecn_ce = True
-            stats.ecn_marked_packets += 1
-        packets.append(packet)
+        self._packets.append(packet)
         self._bytes += size
         stats.enqueued_packets += 1
         stats.enqueued_bytes += size

@@ -44,7 +44,10 @@ from typing import Any, Optional, Sequence
 #: v4: ExperimentConfig grew the ``fidelity`` axis (packet vs flow-level
 #: engine), so every config's serialised field set — and therefore every
 #: key — changed.
-STORE_SCHEMA_VERSION = 4
+#: v5: ExperimentConfig lost its ECN marking-threshold field with the ECN
+#: queue it configured, so every config's serialised field set — and
+#: therefore every key — changed again.
+STORE_SCHEMA_VERSION = 5
 
 
 def to_jsonable(value: Any, _path: str = "$") -> Any:

@@ -1,9 +1,9 @@
 """Small synthetic topologies used by tests, examples and micro-benchmarks.
 
 These are not part of the paper's evaluation; they exist so that transport
-behaviour (window growth, fast retransmit, RTO, ECN reaction, MPTCP
-coupling) can be exercised and asserted on in isolation, with a single
-bottleneck whose capacity and buffering are known exactly.
+behaviour (window growth, fast retransmit, RTO, MPTCP coupling) can be
+exercised and asserted on in isolation, with a single bottleneck whose
+capacity and buffering are known exactly.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 from repro import lazy_exports
 
 __all__, __getattr__ = lazy_exports(__name__, {
-    "flowspec": ("PROTOCOL_D2TCP", "PROTOCOL_DCTCP", "PROTOCOL_MMPTCP", "PROTOCOL_MPTCP",
-        "PROTOCOL_TCP"),
+    "flowspec": ("PROTOCOL_MMPTCP", "PROTOCOL_MPTCP", "PROTOCOL_TCP"),
     "workloads": ("build_incast_workload",),
 })

@@ -8,21 +8,16 @@ metrics layer joins the spec back to the measured outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from dataclasses import dataclass
 
 #: Protocol identifiers accepted by the experiment runner.
 PROTOCOL_TCP = "tcp"
-PROTOCOL_DCTCP = "dctcp"
-PROTOCOL_D2TCP = "d2tcp"
 PROTOCOL_MPTCP = "mptcp"
 PROTOCOL_MMPTCP = "mmptcp"
 PROTOCOL_PACKET_SCATTER = "packet_scatter"
 
 ALL_PROTOCOLS = (
     PROTOCOL_TCP,
-    PROTOCOL_DCTCP,
-    PROTOCOL_D2TCP,
     PROTOCOL_MPTCP,
     PROTOCOL_MMPTCP,
     PROTOCOL_PACKET_SCATTER,
@@ -42,7 +37,6 @@ class FlowSpec:
         is_long: marks background (bandwidth-hungry) flows; short flows are
             the latency-sensitive ones whose completion times the paper plots.
         num_subflows: MPTCP/MMPTCP subflow count (ignored by single-path protocols).
-        options: free-form per-flow overrides (e.g. switching policy).
     """
 
     flow_id: int
@@ -53,7 +47,6 @@ class FlowSpec:
     protocol: str = PROTOCOL_TCP
     is_long: bool = False
     num_subflows: int = 1
-    options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

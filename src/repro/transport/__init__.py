@@ -1,4 +1,4 @@
-"""Transport protocols: TCP NewReno, DCTCP and MPTCP (plus shared machinery)."""
+"""Transport protocols: TCP NewReno and MPTCP (plus shared machinery)."""
 
 from repro import lazy_exports
 

@@ -1,6 +1,6 @@
 """Shared transport definitions: configuration, statistics and endpoint base.
 
-Every sender in the library (TCP, DCTCP, MPTCP sub-flows, the MMPTCP
+Every sender in the library (TCP, MPTCP sub-flows, the MMPTCP
 packet-scatter flow) derives from :class:`Endpoint` and is parameterised by a
 :class:`TcpConfig`.  Per-flow statistics accumulate in :class:`SenderStats`,
 which the metrics layer later converts into flow records.
@@ -36,7 +36,6 @@ class TcpConfig:
             sample exists, i.e. for lost SYNs) also defaults to 200 ms — the
             data-centre-tuned value; RFC 6298's 1 s would add a second,
             unrelated penalty on handshake losses.
-        ecn_enabled: whether data packets advertise ECN capability (DCTCP).
         max_cwnd_bytes: optional cap modelling a bounded receive window.
     """
 
@@ -47,7 +46,6 @@ class TcpConfig:
     min_rto: float = milliseconds(200)
     max_rto: float = 60.0
     initial_rto: float = milliseconds(200)
-    ecn_enabled: bool = False
     max_cwnd_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -86,7 +84,6 @@ class SenderStats:
     send_fault_drops: int = 0
     acks_received: int = 0
     duplicate_acks: int = 0
-    ecn_echoes_received: int = 0
     start_time: float = 0.0
     established_time: Optional[float] = None
     completion_time: Optional[float] = None

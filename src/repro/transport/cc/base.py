@@ -3,8 +3,8 @@
 A :class:`CongestionController` owns the *policy* decisions — how much to
 grow the window per ACK and where to set ``ssthresh`` on a loss — while the
 sender owns the *mechanics* (fast-recovery window inflation, what to
-retransmit, timers).  This split lets MPTCP's coupled increase (LIA) and
-DCTCP's ECN-proportional decrease reuse all of the sender machinery.
+retransmit, timers).  This split lets MPTCP's coupled increase (LIA) reuse
+all of the sender machinery.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ class CongestionController:
     def ssthresh_after_loss(self, sender: "TcpSender", kind: str) -> float:
         """Return the new slow-start threshold after a loss event of ``kind``."""
         raise NotImplementedError
-
-    def on_ecn_feedback(self, sender: "TcpSender", newly_acked_bytes: int, marked: bool) -> None:
-        """React to ECN echo information carried by an ACK (default: ignore)."""
 
 
 class NewRenoController(CongestionController):

@@ -562,7 +562,6 @@ class MptcpConnection:
             total.spurious_retransmits += stats.spurious_retransmits
             total.acks_received += stats.acks_received
             total.duplicate_acks += stats.duplicate_acks
-            total.ecn_echoes_received += stats.ecn_echoes_received
             total.send_fault_drops += stats.send_fault_drops
         return total
 
@@ -588,13 +587,11 @@ class MptcpReceiver(Endpoint):
         flow_id: int = 0,
         expected_bytes: Optional[int] = None,
         on_complete: Optional[Callable[["MptcpReceiver"], None]] = None,
-        echo_ecn: bool = False,
     ) -> None:
         super().__init__(simulator, host, local_port)
         self.flow_id = flow_id
         self.expected_bytes = expected_bytes
         self.on_complete = on_complete
-        self.echo_ecn = echo_ecn
         self.data_buffer = ReceiveBuffer()
         self.subflow_buffers: Dict[int, ReceiveBuffer] = {}
         self.subflow_peer_ports: Dict[int, int] = {}
@@ -654,14 +651,12 @@ class MptcpReceiver(Endpoint):
         # from its SYN), not to the possibly randomised source port of the data
         # packet — this is what makes per-packet source-port scatter workable.
         canonical_port = self.subflow_peer_ports.get(packet.subflow_id, packet.src_port)
-        echo = self.echo_ecn and packet.ecn_ce
         ack = make_ack(
             packet,
             ack=subflow_buffer.rcv_nxt,
             dack=self.data_buffer.rcv_nxt,
             src_port=self.local_port,
             dst_port=canonical_port,
-            ecn_echo=echo,
             sent_time=self.simulator.now,
         )
         self.acks_sent += 1

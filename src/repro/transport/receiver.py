@@ -3,9 +3,7 @@
 The receiver answers the sender's SYN, acknowledges every data packet
 cumulatively (generating the duplicate ACKs that drive fast retransmit), and
 reports flow completion once the expected number of bytes has arrived
-in order.  A DCTCP-capable variant simply echoes ECN marks back to the
-sender (per-packet echo, the simplified feedback loop commonly used in
-simulation studies).
+in order.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ ReceiverCallback = Callable[["TcpReceiver"], None]
 
 
 class TcpReceiver(Endpoint):
-    """Receiving endpoint of a single-path TCP (or DCTCP) flow."""
+    """Receiving endpoint of a single-path TCP flow."""
 
     def __init__(
         self,
@@ -32,13 +30,11 @@ class TcpReceiver(Endpoint):
         flow_id: int = 0,
         expected_bytes: Optional[int] = None,
         on_complete: Optional[ReceiverCallback] = None,
-        echo_ecn: bool = False,
     ) -> None:
         super().__init__(simulator, host, local_port)
         self.flow_id = flow_id
         self.expected_bytes = expected_bytes
         self.on_complete = on_complete
-        self.echo_ecn = echo_ecn
         self.buffer = ReceiveBuffer()
         self.peer_address: Optional[int] = None
         self.peer_port: Optional[int] = None
@@ -98,14 +94,12 @@ class TcpReceiver(Endpoint):
         self._check_completion()
 
     def _send_ack(self, packet: Packet) -> None:
-        echo = self.echo_ecn and packet.ecn_ce
         ack = make_ack(
             packet,
             ack=self.buffer.rcv_nxt,
             dack=self.buffer.rcv_nxt,
             src_port=self.local_port,
             dst_port=self.peer_port,
-            ecn_echo=echo,
             sent_time=self.simulator.now,
         )
         self.acks_sent += 1

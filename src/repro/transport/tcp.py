@@ -2,7 +2,6 @@
 
 This is the workhorse every other transport in the library builds on:
 
-* DCTCP swaps in a different congestion controller and enables ECN;
 * each MPTCP subflow is a :class:`TcpSender` subclass that pulls its data
   from the connection-level scheduler and stamps data-sequence numbers;
 * the MMPTCP packet-scatter flow additionally randomises the source port of
@@ -215,11 +214,11 @@ class TcpSender(Endpoint):
 
         ack = packet.ack
         if ack > self.snd_una:
-            self._handle_new_ack(packet, ack)
+            self._handle_new_ack(ack)
         elif ack == self.snd_una and self.flight_size() > 0:
             self._handle_duplicate_ack(packet)
 
-    def _handle_new_ack(self, packet: Packet, ack: int) -> None:
+    def _handle_new_ack(self, ack: int) -> None:
         newly_acked = ack - self.snd_una
         self.snd_una = ack
         self.dup_ack_count = 0
@@ -245,11 +244,6 @@ class TcpSender(Endpoint):
             if self.reordering_policy is not None:
                 self.reordering_policy.on_spurious_retransmit(self)
             self._last_fast_retx_seq = None
-
-        # ECN feedback (DCTCP) is evaluated on every ACK carrying new data.
-        self.cc.on_ecn_feedback(self, newly_acked, packet.ecn_echo)
-        if packet.ecn_echo:
-            self.stats.ecn_echoes_received += 1
 
         if self.in_fast_recovery:
             if ack >= self.recover_seq:
@@ -349,7 +343,6 @@ class TcpSender(Endpoint):
             payload_size=payload,
             subflow_id=self.subflow_id,
             dsn=self._dsn_at(seq),
-            ecn_capable=self.config.ecn_enabled,
             sent_time=self.simulator.now,
             is_retransmission=is_retransmission,
         )

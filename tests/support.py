@@ -19,6 +19,9 @@ from __future__ import annotations
 import argparse
 import ast
 import hashlib
+import importlib
+import math
+import pkgutil
 import resource
 import sys
 import tracemalloc
@@ -490,6 +493,65 @@ def segment_map_bytes(segment_map: SegmentMap) -> int:
     """What a ``SegmentMap`` occupies: the object and its two arrays."""
     return (sys.getsizeof(segment_map) + sys.getsizeof(segment_map._starts)
             + sys.getsizeof(segment_map._dsns))
+
+
+# ---------------------------------------------------------------------------
+# CPython 3.12's builtin sum(), on any interpreter
+# ---------------------------------------------------------------------------
+
+
+def sum_312(iterable: Iterable[Any], /, start: Any = 0) -> Any:
+    """CPython 3.12's ``sum()``: exact-int fast path, then Neumaier-compensated
+    floats (3.11 adds floats left to right).  Step for step as
+    ``builtin_sum_impl`` in 3.12's ``Python/bltinmodule.c``."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) is int or type(item) is bool:
+                result += item
+                continue
+            result = result + item
+            break
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int) and -(2**63) <= item < 2**63:
+                total += float(item)
+                continue
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            result = total + item
+            break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
+def patch_sum_312(monkeypatch: Any) -> None:
+    """Make every ``repro`` module's ``sum`` :func:`sum_312` for this test.
+
+    A module global shadows the builtin, so ``repro`` sees what it would see
+    on 3.12 while pytest and the standard library keep their own ``sum``.
+    """
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith(".__main__"):
+            monkeypatch.setattr(importlib.import_module(info.name), "sum", sum_312,
+                                raising=False)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.cli import main
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
 ALL_RULES = (
+    "no-float-sum-mean",
     "no-mutation-during-iteration",
     "no-process-global-gc",
     "no-raw-json",
@@ -152,6 +153,37 @@ def test_process_global_gc_scoped_to_the_repro_package(tmp_path) -> None:
     )
     report = _lint(tmp_path, "src/repro/experiments/runner.py", suppressed)
     assert report.clean and report.suppressed == 1
+
+
+# ---------------------------------------------------------------------------
+# no-float-sum-mean
+# ---------------------------------------------------------------------------
+
+
+def test_float_sum_mean_fires_on_a_builtin_sum_dividend(tmp_path) -> None:
+    source = (
+        "def means(values, links):\n"
+        "    a = sum(values) / len(values)\n"
+        "    b = sum(link.busy for link in links) / len(links)\n"
+        "    c = sum(1 for value in values if value) / len(values)\n"
+        "    d = 2 * sum(values)\n"
+        "    return len(values) / sum(values)\n"
+    )
+    report = _lint(tmp_path, "src/repro/metrics/thing.py", source)
+    assert _rules_fired(report) == ["no-float-sum-mean"] * 2
+    assert [violation.line for violation in report.violations] == [2, 3]
+
+
+def test_float_sum_mean_scoped_to_builtin_sum_in_repro(tmp_path) -> None:
+    mean = "def mean(values):\n    return sum(values) / len(values)\n"
+    assert _lint(tmp_path, "tests/test_means.py", mean).clean
+    fsum = "from math import fsum as sum\n\n\n" + mean
+    assert _lint(tmp_path, "src/repro/metrics/thing.py", fsum).clean
+    loop = (
+        "def mean(values):\n    total = 0.0\n    for value in values:\n"
+        "        total += value\n    return total / len(values)\n"
+    )
+    assert _lint(tmp_path, "src/repro/metrics/thing.py", loop).clean
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,6 @@ STUDY_BENCHES = {
     ),
     "bench_roadmap_coexistence": ("coexistence", dict(protocols=("tcp", "mmptcp"))),
     "bench_roadmap_hotspot": ("hotspot", dict(protocols=("mptcp",))),
-    "bench_baseline_deadlines": ("deadlines", dict(protocols=("tcp", "d2tcp"))),
 }
 
 

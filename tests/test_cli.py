@@ -39,7 +39,7 @@ def test_parser_requires_a_subcommand() -> None:
 def test_parser_knows_every_documented_subcommand() -> None:
     parser = build_parser()
     for command in ("run", "figure1a", "figure1b", "figure1c", "section3",
-                    "loadsweep", "coexistence", "hotspot", "incast", "deadlines"):
+                    "loadsweep", "coexistence", "hotspot", "incast"):
         args = parser.parse_args([command])
         assert args.command == command
         assert callable(args.handler)
@@ -86,7 +86,7 @@ def test_config_from_args_applies_overrides() -> None:
     args = build_parser().parse_args([
         "run", "--protocol", "mptcp", "--subflows", "4", "--k", "4",
         "--hosts-per-edge", "2", "--link-mbps", "50", "--max-short-flows", "5",
-        "--arrival-rate", "3.0", "--queue", "ecn", "--switching", "congestion_event",
+        "--arrival-rate", "3.0", "--queue", "shared", "--switching", "congestion_event",
     ])
     config = _config_from_args(args)
     assert config.protocol == PROTOCOL_MPTCP
@@ -94,7 +94,7 @@ def test_config_from_args_applies_overrides() -> None:
     assert config.hosts_per_edge == 2
     assert config.link_rate_bps == pytest.approx(50e6)
     assert config.max_short_flows == 5
-    assert config.queue_kind == "ecn"
+    assert config.queue_kind == "shared"
     assert config.switching_policy == "congestion_event"
 
 
@@ -282,7 +282,6 @@ def test_campaign_sweep_over_an_unknown_choice_fails_before_the_store(
     ["run", "--subflows", "0"],
     ["run", "--max-short-flows", "-3"],
     ["loadsweep", "--factors", "-1"],
-    ["deadlines", "--slack", "-1"],
     ["hotspot", "--hotspot-fraction", "2"],
     ["incast", "--fan-ins", "0"],
     ["trace", "export", "<dir>/missing.jsonl", "--output", "<dir>/out.json"],

@@ -160,11 +160,6 @@ class TestRunnerIntegration:
         summary = metrics.summary_dict()
         assert summary["short_fct_mean_ms"] > 0
 
-    def test_dctcp_runs_on_ecn_queues(self) -> None:
-        config = TINY.with_protocol("dctcp").with_updates(queue_kind="ecn")
-        result = run_experiment(config)
-        assert result.metrics.short_flow_completion_rate() == 1.0
-
     def test_packet_scatter_protocol_runs(self) -> None:
         config = TINY.with_protocol("packet_scatter")
         result = run_experiment(config)

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.mmptcp import PHASE_MPTCP, PHASE_PACKET_SCATTER
 from repro.experiments.config import (
-    QUEUE_ECN,
     QUEUE_SHARED,
     SWITCHING_CONGESTION,
     TOPOLOGY_DUALHOMED,
@@ -24,7 +23,6 @@ from repro.experiments.runner import run_experiment
 from repro.sim.units import megabits_per_second
 from repro.traffic.flowspec import (
     ALL_PROTOCOLS,
-    PROTOCOL_D2TCP,
     PROTOCOL_MMPTCP,
     PROTOCOL_PACKET_SCATTER,
 )
@@ -54,10 +52,7 @@ def _tiny_config(**overrides) -> ExperimentConfig:
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 def test_every_protocol_completes_the_tiny_workload(protocol: str) -> None:
-    config = _tiny_config(protocol=protocol)
-    if protocol in ("dctcp", "d2tcp"):
-        config = config.with_updates(queue_kind=QUEUE_ECN)
-    result = run_experiment(config)
+    result = run_experiment(_tiny_config(protocol=protocol))
     metrics = result.metrics
     assert result.workload_size == len(metrics.flows) > 0
     assert all(record.protocol == protocol for record in metrics.flows)
@@ -65,13 +60,6 @@ def test_every_protocol_completes_the_tiny_workload(protocol: str) -> None:
     assert metrics.short_flow_completion_rate() == pytest.approx(1.0)
     assert all(record.completed for record in metrics.long_flows)
     assert result.events_processed > 0
-
-
-def test_d2tcp_runs_on_plain_droptail_too() -> None:
-    # Without marking switches D2TCP degenerates gracefully (no ECN feedback,
-    # loss-driven behaviour) rather than failing.
-    result = run_experiment(_tiny_config(protocol=PROTOCOL_D2TCP))
-    assert result.metrics.short_flow_completion_rate() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +116,7 @@ def test_mmptcp_runs_on_alternative_fabrics(topology: str) -> None:
     assert result.metrics.short_flow_completion_rate() == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("queue_kind", (QUEUE_ECN, QUEUE_SHARED))
+@pytest.mark.parametrize("queue_kind", (QUEUE_SHARED,))
 def test_mmptcp_runs_on_alternative_queue_disciplines(queue_kind: str) -> None:
     config = _tiny_config(protocol=PROTOCOL_MMPTCP, queue_kind=queue_kind)
     result = run_experiment(config)

@@ -78,14 +78,5 @@ def test_make_ack_can_target_canonical_port() -> None:
     assert ack.src_port == 5001
 
 
-def test_ecn_fields_default_clear_and_copy_to_ack() -> None:
-    data = _data_packet(ecn_capable=True)
-    assert not data.ecn_ce
-    data.ecn_ce = True
-    ack = make_ack(data, ack=1400, ecn_echo=True)
-    assert ack.ecn_capable
-    assert ack.ecn_echo
-
-
 def test_hops_start_at_zero() -> None:
     assert _data_packet().hops == 0

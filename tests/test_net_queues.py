@@ -7,11 +7,11 @@ import pytest
 from repro.net.host import Host
 from repro.net.link import connect
 from repro.net.packet import FLAG_DATA, Packet
-from repro.net.queues import DropTailQueue, EcnQueue, Queue, SharedBufferPool, SharedBufferQueue
+from repro.net.queues import DropTailQueue, Queue, SharedBufferPool, SharedBufferQueue
 from repro.sim.engine import Simulator
 
 
-def _packet(size: int = 1000, ecn_capable: bool = False) -> Packet:
+def _packet(size: int = 1000) -> Packet:
     return Packet(
         flow_id=1,
         src=1,
@@ -21,7 +21,6 @@ def _packet(size: int = 1000, ecn_capable: bool = False) -> Packet:
         flags=FLAG_DATA,
         payload_size=size,
         header_size=0,
-        ecn_capable=ecn_capable,
     )
 
 
@@ -78,42 +77,6 @@ class TestDropTailQueue:
             DropTailQueue(capacity_packets=None, capacity_bytes=-1)
 
 
-class TestEcnQueue:
-    def test_marks_ecn_capable_packets_above_threshold(self) -> None:
-        # DCTCP's rule: mark when the occupancy found on arrival (excluding
-        # the arriving packet) strictly exceeds K.  With K=2 the fourth
-        # packet is the first to find 3 > 2 buffered ahead of it; the third
-        # (which finds exactly K) is NOT marked — that was the off-by-one.
-        queue = EcnQueue(capacity_packets=10, marking_threshold=2)
-        packets = [_packet(ecn_capable=True) for _ in range(4)]
-        for packet in packets:
-            queue.enqueue(packet)
-        assert [packet.ecn_ce for packet in packets] == [False, False, False, True]
-        assert queue.stats.ecn_marked_packets == 1
-
-    def test_does_not_mark_non_ecn_packets(self) -> None:
-        queue = EcnQueue(capacity_packets=10, marking_threshold=0)
-        queue.enqueue(_packet(ecn_capable=True))  # occupy the buffer
-        packet = _packet(ecn_capable=False)
-        queue.enqueue(packet)  # finds 1 > 0 but is not ECN-capable
-        assert not packet.ecn_ce
-
-    def test_packet_finding_exactly_threshold_is_not_marked(self) -> None:
-        queue = EcnQueue(capacity_packets=10, marking_threshold=1)
-        first = _packet(ecn_capable=True)
-        second = _packet(ecn_capable=True)
-        queue.enqueue(first)
-        queue.enqueue(second)  # finds exactly K=1 buffered -> unmarked
-        assert not second.ecn_ce
-        assert queue.stats.ecn_marked_packets == 0
-
-    def test_still_drops_when_full(self) -> None:
-        queue = EcnQueue(capacity_packets=1, marking_threshold=0)
-        queue.enqueue(_packet(ecn_capable=True))
-        assert not queue.enqueue(_packet(ecn_capable=True))
-        assert queue.stats.dropped_packets == 1
-
-
 class TestSharedBuffer:
     def test_pool_admits_until_exhausted(self) -> None:
         pool = SharedBufferPool(total_bytes=3000, alpha=1.0)
@@ -146,16 +109,6 @@ class TestSharedBuffer:
         assert pool.used_bytes == 0
         assert queue.enqueue(_packet(1000))
 
-    def test_optional_ecn_marking(self) -> None:
-        pool = SharedBufferPool(total_bytes=100_000)
-        queue = SharedBufferQueue(pool, marking_threshold=1)
-        packets = [_packet(ecn_capable=True) for _ in range(3)]
-        for packet in packets:
-            queue.enqueue(packet)
-        # Same strict arrival-occupancy rule as EcnQueue: only the third
-        # packet finds 2 > 1 already buffered.
-        assert [packet.ecn_ce for packet in packets] == [False, False, True]
-
     def test_pool_validation(self) -> None:
         with pytest.raises(ValueError):
             SharedBufferPool(total_bytes=0)
@@ -181,16 +134,6 @@ class TestTransit:
         assert not queue.transit(_packet(1000))
         assert queue.stats.dropped_packets == 1
         assert queue.stats.dropped_bytes == 1000
-
-    def test_transit_never_marks_at_zero_occupancy(self) -> None:
-        # DCTCP marks when arrival occupancy strictly exceeds K; an empty
-        # queue can only mark if K were negative, which the constructor
-        # forbids — so the EcnQueue pass-through need not (and must not) mark.
-        queue = EcnQueue(marking_threshold=0)
-        packet = _packet(ecn_capable=True)
-        assert queue.transit(packet)
-        assert not packet.ecn_ce
-        assert queue.stats.ecn_marked_packets == 0
 
     def test_shared_buffer_transit_reserves_and_releases(self) -> None:
         pool = SharedBufferPool(total_bytes=2000)
@@ -243,7 +186,6 @@ class TestHookSubclassFallback:
     def test_transit_on_nonempty_queue_raises(self) -> None:
         for queue in (
             DropTailQueue(capacity_packets=4),
-            EcnQueue(capacity_packets=4, marking_threshold=1),
             SharedBufferQueue(SharedBufferPool(total_bytes=10_000)),
         ):
             assert queue.enqueue(_packet())

@@ -43,9 +43,6 @@ _FIELD_STRATEGIES = dict(
     subflow_id=st.integers(0, 8),
     dsn=st.integers(0, 10_000),
     dack=st.integers(0, 10_000),
-    ecn_capable=st.booleans(),
-    ecn_ce=st.booleans(),
-    ecn_echo=st.booleans(),
     sent_time=st.floats(0, 10, allow_nan=False),
     is_retransmission=st.booleans(),
 )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.net.ecmp import fnv1a_64, select_path
 from repro.net.packet import FLAG_DATA, Packet
-from repro.net.queues import DropTailQueue, EcnQueue, SharedBufferPool, SharedBufferQueue
+from repro.net.queues import DropTailQueue, SharedBufferPool, SharedBufferQueue
 from repro.sim.randomness import derive_seed
 from repro.sim.units import throughput_bps, transmission_delay
 from repro.traffic.arrivals import poisson_arrivals
@@ -161,7 +161,7 @@ def _check_conservation(queues, operations, pool=None, capacity=None) -> None:
         port %= len(queues)
         queue, fifo = queues[port], buffered[port]
         packet = Packet(flow_id=1, src=1, dst=2, src_port=1, dst_port=2, flags=FLAG_DATA,
-                        payload_size=100 + 50 * (step % 3), ecn_capable=True)
+                        payload_size=100 + 50 * (step % 3))
         if operation == "enqueue":
             if queue.enqueue(packet):
                 fifo.append(packet)
@@ -196,14 +196,6 @@ def test_droptail_queue_conserves_packets(capacity, operations) -> None:
                         capacity=capacity)
 
 
-@given(capacity=st.integers(min_value=1, max_value=20),
-       threshold=st.integers(min_value=0, max_value=20), operations=queue_operations)
-@settings(max_examples=200, deadline=None)
-def test_ecn_queue_conserves_packets(capacity, threshold, operations) -> None:
-    queue = EcnQueue(capacity_packets=capacity, marking_threshold=threshold)
-    _check_conservation([queue], operations, capacity=capacity)
-
-
 @given(pool_packets=st.integers(min_value=1, max_value=20),
        alpha=st.sampled_from((0.5, 1.0, 4.0)), operations=queue_operations)
 @settings(max_examples=200, deadline=None)
@@ -214,7 +206,7 @@ def test_shared_buffer_queues_conserve_packets_and_pool_bytes(
     # through transit) goes back to the pool, so the pool's books are the
     # sum of its ports' at every step.
     pool = SharedBufferPool(total_bytes=pool_packets * 150, alpha=alpha)
-    queues = [SharedBufferQueue(pool, marking_threshold=2) for _ in range(3)]
+    queues = [SharedBufferQueue(pool) for _ in range(3)]
     _check_conservation(queues, operations, pool=pool)
 
 

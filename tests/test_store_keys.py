@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import CHOICES, ExperimentConfig
 from repro.experiments.parallel import RunSpec
 from repro.net.faults import link_failure
 from repro.scenarios.spec import build_scenario_workload, tiny_config
@@ -27,14 +27,15 @@ from repro.store import run_key, run_key_for_spec, workload_recipe
 #: The default tiny config's key, pinned.  If this changes, every existing
 #: store silently turns into a full miss — bump STORE_SCHEMA_VERSION when
 #: changing key derivation deliberately, and regenerate this literal.
-_TINY_CONFIG_KEY = "70b09b1c6b64550261587c6f37bd2925a2d1e1bdcf16bcbed49b73310ccb7efb"
+_TINY_CONFIG_KEY = "b1c4be1bd65e0e493f68157b331d575a9d743dc43d94f9f263e373d40472df34"
 
 #: One valid alternate value per ExperimentConfig field.  The completeness
 #: test below fails when a new config field is added without extending this
 #: table, so "any single field change ⇒ key change" keeps covering the
-#: whole config.
+#: whole config.  A choice field's alternate is the first legal value in
+#: ``CHOICES`` that differs from the tiny config's, so the table can never
+#: name a choice that no longer exists.
 _FIELD_CHANGES = {
-    "topology": "vl2",
     "fattree_k": 6,
     "hosts_per_edge": 3,
     "link_rate_bps": 2e8,
@@ -42,9 +43,7 @@ _FIELD_CHANGES = {
     "core_link_rate_bps": 5e7,
     "host_link_rate_bps": 5e7,
     "link_delay_s": 1e-5,
-    "queue_kind": "ecn",
     "queue_capacity_packets": 50,
-    "ecn_threshold_packets": 10,
     "shared_buffer_bytes": 1000,
     "long_flow_fraction": 0.5,
     "short_flow_size_bytes": 1000,
@@ -53,23 +52,21 @@ _FIELD_CHANGES = {
     "arrival_window_s": 0.4,
     "max_short_flows": 5,
     "drain_time_s": 0.5,
-    "protocol": "tcp",
     "num_subflows": 2,
     "mss_bytes": 1000,
     "initial_cwnd_segments": 3,
     "min_rto_s": 0.1,
     "dupack_threshold": 4,
-    "switching_policy": "hybrid",
     "switching_threshold_bytes": 1000,
-    "reordering_policy": "static",
     "adaptive_reordering_increment": 3,
-    "scheduler": "round_robin",
-    "path_manager": "fullmesh",
     "fault_schedule": (link_failure(0.1, "core-0", "agg-0-0"),),
     "seed": 2,
     "max_events": 100,
     "wallclock_limit_s": 5.0,
-    "fidelity": "flow",
+    **{
+        name: next(value for value in legal if value != getattr(tiny_config(), name))
+        for name, legal in CHOICES.items()
+    },
 }
 
 

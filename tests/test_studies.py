@@ -35,7 +35,6 @@ PARAMS = {
     "hotspot": dict(protocols=("mptcp", "mmptcp"), hotspot_fraction=0.25, load_fraction=0.5),
     "incast": dict(protocols=("tcp", "mmptcp"), fan_ins=(4,), response_bytes=20_000,
                    topologies=("fattree", "dualhomed")),
-    "deadlines": dict(protocols=("tcp", "d2tcp", "mmptcp"), slack_factor=4.0),
 }
 
 
