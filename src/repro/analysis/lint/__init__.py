@@ -20,7 +20,6 @@ from repro.analysis.lint import (  # importing a rule module registers its rules
     rules_json,
     rules_mutation,
     rules_pool,
-    rules_schema,
     rules_store,
     rules_timers,
 )

@@ -217,19 +217,3 @@ class MmptcpConnection(MptcpConnection):
         """True when the scatter flow has nothing left in flight (deactivated)."""
         return self.scatter_subflow.flight_size() == 0
 
-
-class PacketScatterConnection(MmptcpConnection):
-    """A pure packet-scatter transport (MMPTCP that never switches).
-
-    Not part of the paper's headline comparison but mentioned as prior work
-    ([6] explores packet scatter at the switches); useful as an ablation
-    baseline to separate the contribution of spraying from the contribution
-    of the phase switch.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        from repro.core.phase_switching import NeverSwitch
-
-        kwargs["switching_policy"] = NeverSwitch()
-        kwargs.setdefault("num_subflows", 1)
-        super().__init__(*args, **kwargs)

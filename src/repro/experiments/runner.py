@@ -13,7 +13,7 @@ import time as _wallclock
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, TypeVar
 
-from repro.core.mmptcp import MmptcpConnection, MmptcpReceiver, PacketScatterConnection
+from repro.core.mmptcp import MmptcpConnection, MmptcpReceiver
 from repro.core.phase_switching import (
     CongestionEventSwitching,
     DataVolumeSwitching,
@@ -60,7 +60,6 @@ from repro.topology.vl2 import Vl2Params, Vl2Topology
 from repro.traffic.flowspec import (
     PROTOCOL_MMPTCP,
     PROTOCOL_MPTCP,
-    PROTOCOL_PACKET_SCATTER,
     PROTOCOL_TCP,
     FlowSpec,
 )
@@ -286,7 +285,7 @@ def _build_flow(
         )
         return _FlowInstance(spec, sender, receiver)
 
-    if protocol in (PROTOCOL_MMPTCP, PROTOCOL_PACKET_SCATTER):
+    if protocol == PROTOCOL_MMPTCP:
         receiver = MmptcpReceiver(
             simulator, destination, local_port=port, flow_id=spec.flow_id,
             expected_bytes=spec.size_bytes,
@@ -294,25 +293,15 @@ def _build_flow(
         path_count = _path_count_hint(topology, source, destination)
         reordering = make_reordering_policy(config, path_count)
         rng = streams.stream(f"scatter-{spec.flow_id}")
-        if protocol == PROTOCOL_PACKET_SCATTER:
-            sender = PacketScatterConnection(
-                simulator, source, destination.address, port, spec.size_bytes,
-                flow_id=spec.flow_id, config=tcp_config,
-                reordering_policy=reordering, rng=rng,
-                scheduler=make_scheduler(config.scheduler),
-                path_manager=make_path_manager(config.path_manager),
-                address_resolver=topology.current_address_of,
-            )
-        else:
-            sender = MmptcpConnection(
-                simulator, source, destination.address, port, spec.size_bytes,
-                num_subflows=spec.num_subflows, flow_id=spec.flow_id, config=tcp_config,
-                switching_policy=make_switching_policy(config),
-                reordering_policy=reordering, path_count_hint=path_count, rng=rng,
-                scheduler=make_scheduler(config.scheduler),
-                path_manager=make_path_manager(config.path_manager),
-                address_resolver=topology.current_address_of,
-            )
+        sender = MmptcpConnection(
+            simulator, source, destination.address, port, spec.size_bytes,
+            num_subflows=spec.num_subflows, flow_id=spec.flow_id, config=tcp_config,
+            switching_policy=make_switching_policy(config),
+            reordering_policy=reordering, path_count_hint=path_count, rng=rng,
+            scheduler=make_scheduler(config.scheduler),
+            path_manager=make_path_manager(config.path_manager),
+            address_resolver=topology.current_address_of,
+        )
         return _FlowInstance(spec, sender, receiver)
 
     raise ValueError(f"unknown protocol {protocol!r}")

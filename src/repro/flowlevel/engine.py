@@ -24,9 +24,9 @@ Documented approximations (validated against the packet engine in
 * **Multipath coupling** — an MPTCP flow with ``k`` usable subflow paths is
   ``k`` max-min participants of weight ``1/k`` each, so the whole flow
   weighs like one TCP flow at a shared bottleneck (the goal of coupled
-  congestion control) while still filling disjoint paths.  MMPTCP and
-  packet-scatter spread weight over *every* equal-cost path, modelling
-  their scatter phase.
+  congestion control) while still filling disjoint paths.  MMPTCP
+  spreads weight over *every* equal-cost path, modelling its scatter
+  phase.
 * **Startup latency** — a per-flow additive correction (handshake RTT,
   slow-start ramp deficit against the path's line rate, last-byte delivery)
   stands in for connection establishment and window growth.
@@ -54,12 +54,7 @@ from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
 from repro.sim.fluid import MaxMinSolver
 from repro.sim.randomness import RandomStreams
-from repro.traffic.flowspec import (
-    PROTOCOL_MMPTCP,
-    PROTOCOL_MPTCP,
-    PROTOCOL_PACKET_SCATTER,
-    FlowSpec,
-)
+from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, FlowSpec
 from repro.traffic.workloads import Workload
 
 from repro.flowlevel.fabric import FluidFabric, FluidFaultApplier, Link, LinkPath
@@ -135,13 +130,13 @@ class FlowLevelEngine:
         """The equal-cost paths this flow's subflows occupy.
 
         Single-path transports use one path; MPTCP uses up to
-        ``num_subflows`` *distinct* paths; MMPTCP / packet-scatter spread
-        over every equal-cost path (their scatter phase).  A seeded offset
+        ``num_subflows`` *distinct* paths; MMPTCP spreads over
+        every equal-cost path (its scatter phase).  A seeded offset
         rotates which paths a flow lands on, standing in for ECMP hashing.
         """
         paths = self.fabric.paths_between(spec.source, spec.destination)
         protocol = spec.protocol
-        if protocol in (PROTOCOL_MMPTCP, PROTOCOL_PACKET_SCATTER):
+        if protocol == PROTOCOL_MMPTCP:
             count = len(paths)
         elif protocol == PROTOCOL_MPTCP:
             count = min(spec.num_subflows, len(paths))

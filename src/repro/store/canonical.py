@@ -34,7 +34,9 @@ from typing import Any, Optional, Sequence
 #: Bump when the artifact payload layout or the key derivation changes in a
 #: way that invalidates previously stored results.  The version participates
 #: in every cache key, so a bump makes every old entry a clean miss instead
-#: of a wrong hit.
+#: of a wrong hit.  ``tests/test_store_keys.py`` pins each version to the
+#: key and artifact layout of one tiny cell: after a bump, run it and pin
+#: the ``(key, surface)`` pair its failure message prints.
 #: v2: ExperimentConfig grew ``scheduler`` / ``path_manager`` fields (and the
 #: previously dead scheduler now influences results, so v1 artifacts no
 #: longer describe what a re-run would produce).

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 PROTOCOL_TCP = "tcp"
 PROTOCOL_MPTCP = "mptcp"
 PROTOCOL_MMPTCP = "mmptcp"
-PROTOCOL_PACKET_SCATTER = "packet_scatter"
 
-ALL_PROTOCOLS = (
-    PROTOCOL_TCP,
-    PROTOCOL_MPTCP,
-    PROTOCOL_MMPTCP,
-    PROTOCOL_PACKET_SCATTER,
-)
+ALL_PROTOCOLS = (PROTOCOL_TCP, PROTOCOL_MPTCP, PROTOCOL_MMPTCP)
 
 
 @dataclass

@@ -154,27 +154,20 @@ SCHEDULERS: Dict[str, Type[SubflowScheduler]] = {
     RedundantScheduler.name: RedundantScheduler,
 }
 
-#: Convenience aliases (Linux mptcp naming) resolved by :func:`make_scheduler`.
-SCHEDULER_ALIASES: Dict[str, str] = {
-    "default": FcfsScheduler.name,
-    "roundrobin": RoundRobinScheduler.name,
-}
-
 
 def scheduler_names() -> tuple:
-    """The canonical scheduler names, sorted (for CLI choices and docs)."""
+    """The scheduler names, sorted (for CLI choices and docs)."""
     return tuple(sorted(SCHEDULERS))
 
 
 def make_scheduler(name: str) -> SubflowScheduler:
-    """Build a fresh scheduler instance by (possibly aliased) name.
+    """Build a fresh scheduler instance by name.
 
     Schedulers are stateful (round-robin rotation), so every connection must
     receive its own instance.
     """
-    canonical = SCHEDULER_ALIASES.get(name, name)
     try:
-        return SCHEDULERS[canonical]()
+        return SCHEDULERS[name]()
     except KeyError:
         raise ValueError(
             f"unknown scheduler {name!r}; expected one of {scheduler_names()}"

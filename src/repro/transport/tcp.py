@@ -216,7 +216,7 @@ class TcpSender(Endpoint):
         if ack > self.snd_una:
             self._handle_new_ack(ack)
         elif ack == self.snd_una and self.flight_size() > 0:
-            self._handle_duplicate_ack(packet)
+            self._handle_duplicate_ack()
 
     def _handle_new_ack(self, ack: int) -> None:
         newly_acked = ack - self.snd_una
@@ -275,7 +275,7 @@ class TcpSender(Endpoint):
         self._restart_rto_timer()
         self.send_available()
 
-    def _handle_duplicate_ack(self, packet: Packet) -> None:
+    def _handle_duplicate_ack(self) -> None:
         self.stats.duplicate_acks += 1
         self.dup_ack_count += 1
         if self.in_fast_recovery:

@@ -33,7 +33,6 @@ ALL_RULES = (
     "no-unordered-iteration",
     "no-wallclock-or-global-random",
     "pool-ownership",
-    "schema-version-bump",
     "store-key-purity",
     "timer-discipline",
 )
@@ -327,87 +326,6 @@ def test_store_key_purity_silent_on_the_real_module_shape(tmp_path) -> None:
         "    return hashlib.sha256(text.encode('utf-8')).hexdigest()\n"
     )
     assert _lint(tmp_path, "src/repro/store/canonical.py", pure).clean
-
-
-# ---------------------------------------------------------------------------
-# schema-version-bump
-# ---------------------------------------------------------------------------
-
-
-def _schema_surface_fixture(tmp_path, version: int) -> Path:
-    """A minimal store/serialize/config layout whose surface the rule can hash."""
-    files = {
-        "src/repro/store/canonical.py": (
-            f"STORE_SCHEMA_VERSION = {version}\n\n"
-            "ENVELOPE = {'schema': 1, 'config': 2, 'workload': 3}\n"
-        ),
-        "src/repro/store/serialize.py": "PAYLOAD = {'config': 1, 'metrics': 2}\n",
-        "src/repro/experiments/config.py": (
-            "class ExperimentConfig:\n    seed: int = 1\n"
-        ),
-        "src/repro/net/faults.py": "class FaultEvent:\n    at_s: float = 0.0\n",
-        "src/repro/metrics/records.py": "class FlowRecord:\n    flow_id: int = 0\n",
-        "src/repro/net/monitor.py": (
-            "class NetworkSnapshot:\n    duration_s: float = 0.0\n\n\n"
-            "class LayerLossStats:\n    offered: int = 0\n"
-        ),
-    }
-    for relpath, source in files.items():
-        path = tmp_path / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source)
-    return tmp_path / "src/repro/store/canonical.py"
-
-
-def test_schema_bump_fires_on_surface_drift_without_a_bump(tmp_path) -> None:
-    # Version 4 is pinned to the real repository's surface; this fixture's
-    # surface differs, which is exactly "the field set changed, the version
-    # did not".
-    canonical = _schema_surface_fixture(tmp_path, version=4)
-    report = lint_paths([canonical], root=tmp_path)
-    assert _rules_fired(report) == ["schema-version-bump"]
-    assert "without a STORE_SCHEMA_VERSION bump" in report.violations[0].message
-
-
-def test_schema_bump_fires_on_an_unpinned_version(tmp_path) -> None:
-    canonical = _schema_surface_fixture(tmp_path, version=999)
-    report = lint_paths([canonical], root=tmp_path)
-    assert _rules_fired(report) == ["schema-version-bump"]
-    message = report.violations[0].message
-    assert "no pinned surface fingerprint" in message
-    # The message hands the developer the digest to pin.
-    assert "999" in message
-
-
-def test_schema_bump_reports_missing_surface_files(tmp_path) -> None:
-    source = "STORE_SCHEMA_VERSION = 4\n"
-    report = _lint(tmp_path, "src/repro/store/canonical.py", source)
-    assert set(_rules_fired(report)) == {"schema-version-bump"}
-    assert all("cannot fingerprint" in v.message for v in report.violations)
-
-
-def test_schema_bump_silent_without_a_version_declaration(tmp_path) -> None:
-    assert _lint(tmp_path, "src/repro/store/canonical.py", "KEY = 'abc'\n").clean
-
-
-def test_schema_bump_real_tree_fingerprint_is_pinned() -> None:
-    """The committed surface hashes to the fingerprint pinned for the
-    committed STORE_SCHEMA_VERSION — the living end of the contract: change
-    a serialised field and this fails until the version is bumped and the
-    new fingerprint pinned."""
-    import ast as ast_module
-
-    from repro.analysis.lint.rules_schema import (
-        _PINNED_FINGERPRINTS,
-        surface_fingerprint,
-    )
-    from repro.store import STORE_SCHEMA_VERSION
-
-    canonical = REPO_ROOT / "src/repro/store/canonical.py"
-    tree = ast_module.parse(canonical.read_text())
-    fingerprint, problems = surface_fingerprint(canonical, tree)
-    assert problems == []
-    assert _PINNED_FINGERPRINTS[STORE_SCHEMA_VERSION] == fingerprint
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.core.mmptcp import (
     PHASE_PACKET_SCATTER,
     MmptcpConnection,
     MmptcpReceiver,
-    PacketScatterConnection,
 )
 from repro.core.phase_switching import (
     CongestionEventSwitching,
@@ -171,15 +170,16 @@ class TestMmptcpVsMptcpBehaviour:
         topology = TwoPathTopology(simulator, paths=4)
         receiver = MmptcpReceiver(simulator, topology.receiver, local_port=5001,
                                   expected_bytes=200_000)
-        connection = PacketScatterConnection(
+        connection = MmptcpConnection(
             simulator, topology.sender, topology.receiver.address, 5001, 200_000,
-            config=TEST_CONFIG, path_count_hint=4,
+            num_subflows=1, config=TEST_CONFIG, switching_policy=NeverSwitch(),
+            path_count_hint=4,
         )
         connection.start()
         simulator.run(until=30.0)
         assert receiver.complete
         assert connection.phase == PHASE_PACKET_SCATTER
-        assert isinstance(connection.switching_policy, NeverSwitch)
+        assert len(connection.subflows) == 1  # the MPTCP phase never opened
 
 
 class TestReorderingIntegration:

@@ -161,7 +161,10 @@ class TestRunnerIntegration:
         assert summary["short_fct_mean_ms"] > 0
 
     def test_packet_scatter_protocol_runs(self) -> None:
-        config = TINY.with_protocol("packet_scatter")
+        # Pure packet scatter is MMPTCP with one subflow that never switches.
+        config = TINY.with_protocol("mmptcp", num_subflows=1).with_updates(
+            switching_policy="never"
+        )
         result = run_experiment(config)
         assert result.metrics.short_flow_completion_rate() == 1.0
 

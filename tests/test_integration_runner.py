@@ -15,17 +15,14 @@ from repro.core.mmptcp import PHASE_MPTCP, PHASE_PACKET_SCATTER
 from repro.experiments.config import (
     QUEUE_SHARED,
     SWITCHING_CONGESTION,
+    SWITCHING_NEVER,
     TOPOLOGY_DUALHOMED,
     TOPOLOGY_VL2,
     ExperimentConfig,
 )
 from repro.experiments.runner import run_experiment
 from repro.sim.units import megabits_per_second
-from repro.traffic.flowspec import (
-    ALL_PROTOCOLS,
-    PROTOCOL_MMPTCP,
-    PROTOCOL_PACKET_SCATTER,
-)
+from repro.traffic.flowspec import ALL_PROTOCOLS, PROTOCOL_MMPTCP
 
 
 def _tiny_config(**overrides) -> ExperimentConfig:
@@ -82,7 +79,12 @@ def test_mmptcp_short_flows_finish_in_scatter_phase_and_long_flows_switch() -> N
 
 
 def test_packet_scatter_protocol_never_switches() -> None:
-    config = _tiny_config(protocol=PROTOCOL_PACKET_SCATTER, long_flow_size_bytes=600_000)
+    config = _tiny_config(
+        protocol=PROTOCOL_MMPTCP,
+        num_subflows=1,
+        switching_policy=SWITCHING_NEVER,
+        long_flow_size_bytes=600_000,
+    )
     result = run_experiment(config)
     assert all(
         record.phase_at_completion == PHASE_PACKET_SCATTER for record in result.metrics.flows

@@ -4,11 +4,13 @@ The store's correctness rests on the key being a pure function of the run's
 input: equal configs must map to equal keys, any single field change must
 change the key, and the mapping must be identical across processes, Python
 invocations and worker counts (no ``hash()``, no dict-order, no process
-state).
+state).  The last test is the one guard on ``STORE_SCHEMA_VERSION``: it pins
+the version to what the store really keys and writes.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -19,10 +21,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.config import CHOICES, ExperimentConfig
-from repro.experiments.parallel import RunSpec
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.net.faults import link_failure
+from repro.scenarios import matrix_plan
 from repro.scenarios.spec import build_scenario_workload, tiny_config
-from repro.store import run_key, run_key_for_spec, workload_recipe
+from repro.store import (
+    STORE_SCHEMA_VERSION,
+    RunStore,
+    run_key,
+    run_key_for_spec,
+    workload_recipe,
+)
+from repro.store.canonical import sha256_hex
+from repro.traffic.flowspec import PROTOCOL_MMPTCP
 
 #: The default tiny config's key, pinned.  If this changes, every existing
 #: store silently turns into a full miss — bump STORE_SCHEMA_VERSION when
@@ -187,3 +198,54 @@ def test_key_is_stable_across_process_restarts() -> None:
         for _ in range(2)
     }
     assert outputs == {run_key(tiny_config(seed=424242, num_subflows=2))}
+
+
+# ---------------------------------------------------------------------------
+# The store schema pin
+# ---------------------------------------------------------------------------
+
+#: STORE_SCHEMA_VERSION -> (run key, artifact surface) of the tiny
+#: ``core-link-failure`` x ``mmptcp`` cell.  The key covers the ``run_key``
+#: envelope, every config and fault-event field and the workload recipe's
+#: keys; the surface is the sha256 of the sorted key paths of the artifact
+#: ``RunStore.put`` writes for the cell's result, so it covers every
+#: serialised record and snapshot field and the artifact envelope.  A pair is
+#: pinned only together with the version bump that makes old artifacts clean
+#: misses; the test's failure message prints the pair to pin.
+_SCHEMA_PINS = {
+    5: (
+        "b78c502d4b0b8a85a6936e7d061cfe2e12398d2b7cb6080284f793c311371489",
+        "93e620aca65a4696a6040fcaef569d7d88f2eaf7fb9fafec42de835e4a121753",
+    ),
+}
+
+
+def _key_paths(node, path: str = "$"):
+    """Every key path of a parsed JSON document; list items share ``[]``."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _key_paths(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for item in node:
+            yield from _key_paths(item, f"{path}[]")
+
+
+def test_schema_version_pins_what_the_store_keys_and_writes(tmp_path) -> None:
+    (spec,) = matrix_plan(tiny_config(), ["core-link-failure"], [PROTOCOL_MMPTCP])
+    key = run_key_for_spec(spec)
+    artifact = json.loads(RunStore(tmp_path).put(key, execute_spec(spec)).read_text())
+    derived = (key, sha256_hex("\n".join(sorted(set(_key_paths(artifact))))))
+    version = STORE_SCHEMA_VERSION
+    pinned = _SCHEMA_PINS.get(version)
+    assert pinned is not None, (
+        f"STORE_SCHEMA_VERSION {version} has no pin; once the bump is "
+        f"deliberate, pin {version}: {derived!r} in _SCHEMA_PINS"
+    )
+    assert pinned == derived, (
+        f"the cell derives {derived!r}, not the {pinned!r} pinned for "
+        f"STORE_SCHEMA_VERSION {version}.  A changed key envelope, field set "
+        "or artifact layout needs a version bump in repro/store/canonical.py "
+        "and the printed pair pinned under the new version; a deliberate "
+        "change of the cell's values alone re-pins under the same version"
+    )

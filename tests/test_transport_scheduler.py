@@ -175,8 +175,11 @@ def test_make_scheduler_builds_fresh_instances() -> None:
 
 
 def test_make_scheduler_aliases() -> None:
-    assert isinstance(make_scheduler("default"), FcfsScheduler)
-    assert isinstance(make_scheduler("roundrobin"), RoundRobinScheduler)
+    # Each scheduler has exactly one name, the one the config choices list:
+    # Linux mptcp's spellings are not aliases.
+    for alias in ("default", "roundrobin"):
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            make_scheduler(alias)
 
 
 def test_make_scheduler_unknown_name() -> None:
