@@ -7,8 +7,9 @@ with Poisson arrivals over a permutation matrix — under TCP, MPTCP(8) and
 MMPTCP(PS + 8), all on the *same* workload (same seed), and prints the
 short-flow completion-time statistics and long-flow throughput for each.
 
-This is a smaller version of benchmarks/bench_section3_stats.py intended to
-finish in about a minute.
+This is a smaller version of the ``section3`` study (``repro-mmptcp section3``,
+whose comparisons the ``section3-*`` claims in benchmarks/test_claims.py
+check) intended to finish in about a minute.
 
 Run with:  python examples/datacenter_short_vs_long.py
 """

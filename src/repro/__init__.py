@@ -8,9 +8,9 @@ harnesses needed to regenerate every figure and statistic in that paper.
 
 Typical use::
 
-    from repro.experiments import reproduction_scale, run_experiment
+    from repro.experiments import ExperimentConfig, run_experiment
 
-    config = reproduction_scale(protocol="mmptcp", num_subflows=8)
+    config = ExperimentConfig(protocol="mmptcp", num_subflows=8)
     result = run_experiment(config)
     print(result.metrics.summary_dict())
 

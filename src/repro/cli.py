@@ -28,9 +28,9 @@ Exposes the experiment harness without writing any Python::
     repro-mmptcp scenarios matrix --probes transport faults --telemetry-dir results/
     repro-mmptcp trace export run.telemetry.jsonl --output run.trace.json
 
-Every sub-command prints the same tables the corresponding benchmark prints
-and can optionally export per-flow CSVs / JSON summaries via
-``--export-dir``.
+Every study sub-command prints its study's table (the rows the claims in
+``benchmarks/test_claims.py`` read) and can optionally export per-flow CSVs /
+JSON summaries via ``--export-dir``.
 
 Each flag that sets an :class:`ExperimentConfig` field is declared once, in
 :data:`CONFIG_FLAGS`, its ``choices`` taken from
@@ -631,8 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files or directories to lint (default: src tests)")
     lint.add_argument("--format", choices=("human", "json"), default="human",
                       help="report format (json is byte-stable via dumps_deterministic)")
-    lint.add_argument("--rules", nargs="+", default=None, metavar="RULE",
-                      help="run only these rules (default: all registered rules)")
+    lint.add_argument("--rules", type=lambda names: names.split(","), default=None,
+                      metavar="RULE[,RULE...]",
+                      help="run only these comma-separated rules (default: all registered rules)")
     lint.add_argument("--list-rules", action="store_true",
                       help="list the registered rules with their descriptions and exit")
 

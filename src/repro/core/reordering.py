@@ -14,7 +14,8 @@ sketches two remedies, both implemented here:
   spurious, the reactive scheme of Zhang et al. (ICNP 2003).
 
 A static policy is also provided so experiments can quantify what goes wrong
-without any mitigation (``benchmarks/bench_ablation_reordering.py``).
+without any mitigation (the ``reordering-*`` claims in
+``benchmarks/test_claims.py``).
 """
 
 from __future__ import annotations

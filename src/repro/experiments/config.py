@@ -2,15 +2,14 @@
 
 A single :class:`ExperimentConfig` captures everything needed to reproduce a
 run: the fabric, the link/queue parameters, the workload, the transport
-protocol under test and its options, and the random seed.  Two presets are
-provided:
-
-* :func:`reproduction_scale` — the scaled-down FatTree used by the benchmark
-  suite (pure-Python packet simulation is orders of magnitude slower than the
-  authors' ns-3 setup, so the default keeps the paper's 4:1 over-subscription
-  and workload mix but shrinks the fabric and the flow count).
-* :func:`paper_scale` — the full 512-server, 4:1 over-subscribed FatTree of
-  the paper, for when simulation time is no object.
+protocol under test and its options, and the random seed.  Its defaults
+keep the paper's structural parameters (4:1 over-subscribed FatTree,
+one-third long-flow senders, 70 KB short flows, Poisson arrivals,
+permutation matrix, 200 ms min RTO) on a fabric small enough for pure-Python
+packet simulation, which is orders of magnitude slower than the authors'
+ns-3 setup.  :func:`scaled_config` names the scales the CLI offers, and
+:func:`paper_scale` is the full 512-server fabric of the paper, for when
+simulation time is no object.
 """
 
 from __future__ import annotations
@@ -181,17 +180,6 @@ class ExperimentConfig:
         return replace(self, **updates)
 
 
-def reproduction_scale(**overrides) -> ExperimentConfig:
-    """The scaled-down configuration used by the benchmark suite.
-
-    Keeps the paper's structural parameters (4:1 over-subscribed FatTree,
-    one-third long-flow senders, 70 KB short flows, Poisson arrivals,
-    permutation matrix, 200 ms min RTO) while shrinking the fabric and the
-    number of flows so a pure-Python run completes in seconds to minutes.
-    """
-    return ExperimentConfig(**overrides)
-
-
 #: Named scales shared by the CLI and the campaign layer ("tiny", the
 #: scenario-matrix scale, lives in :func:`repro.scenarios.spec.tiny_config`).
 SCALES = ("quick", "large", "paper")
@@ -207,7 +195,7 @@ def scaled_config(scale: str, seed: int) -> ExperimentConfig:
         return paper_scale(seed=seed)
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; expected one of {SCALES}")
-    config = reproduction_scale(
+    config = ExperimentConfig(
         fattree_k=4,
         hosts_per_edge=8,
         link_rate_bps=megabits_per_second(100),
@@ -233,8 +221,7 @@ def scaled_config(scale: str, seed: int) -> ExperimentConfig:
 def paper_scale(**overrides) -> ExperimentConfig:
     """The paper's full-size setup: 512 servers, 4:1 over-subscription, 1 Gbps links.
 
-    Expect runs at this scale to take hours in pure Python; the benchmark
-    suite never uses it by default.
+    Expect runs at this scale to take hours in pure Python.
     """
     defaults = dict(
         fattree_k=8,

@@ -7,10 +7,11 @@ declares exactly that — the plan, the row projection, and the CLI surface
 (sub-command name, table title, extra flags) as data — and
 :func:`run_points` is the single executor (:func:`run_study` is it applied
 to a study's plan; scenario matrices hand it :func:`repro.scenarios.matrix_plan`).
-:data:`STUDIES` is the table the CLI, the benchmarks and the examples all
-read; adding a study is one entry.  The table names each study's functions
-by module and imports a study module only when that study runs, so building
-the CLI parser from it loads no study code.
+:data:`STUDIES` is the table the CLI, the claims table
+(``benchmarks/test_claims.py``) and the examples all read; adding a study is
+one entry.  The table names each study's functions by module and imports a
+study module only when that study runs, so building the CLI parser from it
+loads no study code.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.traffic.flowspec import (
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.experiments.coexistence import CoexistenceResult
-    from repro.experiments.section3 import Section3Comparison
 
 Row = Dict[str, object]
 
@@ -316,21 +316,6 @@ def run_load_sweep(
 
 #: The load sweep's rows — the name its callers know :func:`study_rows` by.
 load_sweep_rows = study_rows
-
-
-def section3_statistics(
-    base_config: ExperimentConfig, num_subflows: int = 8
-) -> Section3Comparison:
-    """Run the paired MPTCP / MMPTCP comparison of Section 3."""
-    from repro.experiments.section3 import ProtocolStatistics, Section3Comparison
-
-    mptcp, mmptcp = run_study(
-        STUDIES["section3"], base_config.with_updates(num_subflows=num_subflows)
-    )
-    return Section3Comparison(
-        mptcp=ProtocolStatistics.from_result(PROTOCOL_MPTCP, mptcp.result),
-        mmptcp=ProtocolStatistics.from_result(PROTOCOL_MMPTCP, mmptcp.result),
-    )
 
 
 def run_coexistence_experiment(

@@ -2,8 +2,8 @@
 
 These used to live in ``tests/conftest.py``, but importing them as
 ``from conftest import ...`` is fragile: any other ``conftest.py`` on
-``sys.path`` (the benchmark suite has one) can win the bare ``conftest``
-module name and shadow the helpers.  Tests import this module instead;
+``sys.path`` can win the bare ``conftest`` module name and shadow the
+helpers.  Tests import this module instead;
 ``tests/conftest.py`` only defines fixtures.
 
 Run as a script it is also the memory-sizing tool::

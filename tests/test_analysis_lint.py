@@ -521,6 +521,18 @@ def test_cli_lint_json_format_and_rule_selection(tmp_path, capsys) -> None:
     assert main(["lint", str(bad), "--rules", "timer-discipline"]) == 0
 
 
+@pytest.mark.parametrize("rules_first", [True, False])
+def test_cli_lint_rules_take_one_comma_separated_value(rules_first, capsys) -> None:
+    """``--rules`` never swallows a path, whichever side of it the path is on."""
+    rules = ["--rules", "no-raw-json,timer-discipline"]
+    paths = [str(REPO_ROOT / "src")]
+    argv = [*rules, *paths] if rules_first else [*paths, *rules]
+    assert main(["lint", "--format", "json", *argv]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rules"] == ["no-raw-json", "timer-discipline"]
+    assert payload["files_checked"] > 50
+
+
 def test_cli_lint_list_rules(capsys) -> None:
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out

@@ -20,12 +20,7 @@ from repro.core.reordering import (
     TopologyInformedPolicy,
 )
 from repro.experiments import runner
-from repro.experiments.config import (
-    TOPOLOGIES,
-    ExperimentConfig,
-    paper_scale,
-    reproduction_scale,
-)
+from repro.experiments.config import TOPOLOGIES, ExperimentConfig, paper_scale
 from repro.experiments.runner import (
     build_topology,
     build_workload,
@@ -60,7 +55,7 @@ TINY = ExperimentConfig(
 
 class TestConfig:
     def test_defaults_are_paper_shaped(self) -> None:
-        config = reproduction_scale()
+        config = ExperimentConfig()
         assert config.short_flow_size_bytes == 70_000
         assert config.long_flow_fraction == pytest.approx(1 / 3)
         assert config.min_rto_s == pytest.approx(0.2)
@@ -74,7 +69,7 @@ class TestConfig:
         assert config.fattree_k * (config.fattree_k // 2) * config.hosts_per_edge == 512
 
     def test_with_protocol_and_updates_preserve_other_fields(self) -> None:
-        config = reproduction_scale(seed=42)
+        config = ExperimentConfig(seed=42)
         mptcp8 = config.with_protocol("mptcp", num_subflows=8)
         assert mptcp8.protocol == "mptcp"
         assert mptcp8.num_subflows == 8

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import RunSpec
-from repro.experiments.section3 import ProtocolStatistics
 from repro.experiments.study import STUDIES
 from repro.metrics.collector import (
     _COLUMNS,
@@ -155,24 +152,20 @@ class TestExperimentMetrics:
         assert summary["core_loss_rate"] == pytest.approx(0.01)
 
     def test_every_projection_selects_from_the_one_catalogue(self) -> None:
-        """Summary keys, cell columns, the Section 3 row and its typed record
-        all name catalogue entries, and aliases of one quantity share its
-        one function."""
+        """Summary keys, cell columns and the Section 3 row all name
+        catalogue entries, and aliases of one quantity share its one function."""
         config = ExperimentConfig()
         result = ExperimentResult(config, self._metrics(), 0, 0.0, 0)
         (row,) = STUDIES["section3"].rows(RunSpec(0, config, tag={"protocol": "mptcp"}), result)
         projected = {
             *ExperimentMetrics.SUMMARY_FIELDS,
             *CELL_METRIC_FIELDS,
-            *(item.name for item in fields(ProtocolStatistics)[1:]),
             *(name for name in row if name != "protocol"),
         }
         assert sorted(projected - set(_COLUMNS)) == []
         long_tput = _COLUMNS["long_tput_mbps"]
         assert _COLUMNS["long_throughput_mbps"] is long_tput
         assert _COLUMNS["long_flow_throughput_mbps"] is long_tput
-        statistics = ProtocolStatistics.from_result("mptcp", result)
-        assert row["within_100ms"] == statistics.within_100ms
 
     def test_empty_metrics_do_not_divide_by_zero(self) -> None:
         metrics = ExperimentMetrics(duration_s=1.0)
