@@ -98,13 +98,6 @@ CONFIG_FLAGS: Dict[str, Flag] = {flag.option: flag for flag in (
     Flag("--topology", "topology", dict(choices=CHOICES["topology"])),
     Flag("--queue", "queue_kind", dict(choices=CHOICES["queue_kind"])),
     Flag("--switching", "switching_policy", dict(choices=CHOICES["switching_policy"])),
-    Flag("--scheduler", "scheduler",
-         dict(choices=CHOICES["scheduler"], help="MPTCP chunk scheduler (default: fcfs)"),
-         plural="--schedulers"),
-    Flag("--path-manager", "path_manager",
-         dict(choices=CHOICES["path_manager"],
-              help="MPTCP subflow creation policy (default: ndiffports)"),
-         plural="--path-managers"),
     Flag("--fidelity", "fidelity",
          dict(choices=CHOICES["fidelity"],
               help="simulation fidelity tier: packet = per-segment engine, flow = fluid "

@@ -27,8 +27,6 @@ from repro.net.host import Host
 from repro.sim.engine import Simulator
 from repro.transport.base import TcpConfig
 from repro.transport.mptcp import MptcpConnection, MptcpReceiver, MptcpSubflow
-from repro.transport.path_manager import PathManager
-from repro.transport.scheduler import SubflowScheduler
 from repro.transport.tcp import TcpSender
 
 #: Phase labels.
@@ -60,8 +58,6 @@ class MmptcpConnection(MptcpConnection):
         path_count_hint: Optional[int] = None,
         scatter_port_range: Tuple[int, int] = DEFAULT_SCATTER_PORT_RANGE,
         rng: Optional[random.Random] = None,
-        scheduler: Optional[SubflowScheduler] = None,
-        path_manager: Optional[PathManager] = None,
         address_resolver: Optional[Callable[[int], int]] = None,
         on_complete: Optional[Callable[["MptcpConnection"], None]] = None,
         on_phase_switch: Optional[Callable[["MmptcpConnection"], None]] = None,
@@ -75,8 +71,6 @@ class MmptcpConnection(MptcpConnection):
             num_subflows=num_subflows,
             flow_id=flow_id,
             config=config,
-            scheduler=scheduler,
-            path_manager=path_manager,
             address_resolver=address_resolver,
             on_complete=on_complete,
             create_subflows=False,
@@ -127,11 +121,10 @@ class MmptcpConnection(MptcpConnection):
         return super().allocate_chunk(subflow)
 
     def _has_data_for(self, subflow: MptcpSubflow) -> bool:
-        """The deactivated scatter flow is no longer a scheduling candidate.
+        """The deactivated scatter flow has no stream bytes left to take.
 
-        Keeping it out of the candidate list matters for policy schedulers:
-        a round-robin rotation (or an RTT ranking) must not keep offering
-        turns to a subflow that :meth:`allocate_chunk` will always refuse.
+        :meth:`allocate_chunk` refuses it after the switch anyway; answering
+        here stops its refill loop before it asks.
         """
         if self.phase == PHASE_MPTCP and subflow is self.scatter_subflow:
             return False

@@ -27,8 +27,6 @@ from repro.sim.units import (
     milliseconds,
 )
 from repro.traffic.flowspec import ALL_PROTOCOLS, PROTOCOL_MPTCP
-from repro.transport.path_manager import path_manager_names
-from repro.transport.scheduler import scheduler_names
 
 TOPOLOGY_FATTREE = "fattree"
 TOPOLOGY_DUALHOMED = "dualhomed"
@@ -69,8 +67,6 @@ CHOICES = {
     "protocol": ALL_PROTOCOLS,
     "switching_policy": SWITCHING_POLICIES,
     "reordering_policy": REORDERING_POLICIES,
-    "scheduler": scheduler_names(),
-    "path_manager": path_manager_names(),
     "fidelity": FIDELITIES,
 }
 
@@ -112,12 +108,6 @@ class ExperimentConfig:
     switching_threshold_bytes: int = 100 * 1400
     reordering_policy: str = REORDERING_TOPOLOGY
     adaptive_reordering_increment: int = 2
-    #: MPTCP chunk scheduler (see :data:`repro.transport.scheduler.SCHEDULERS`);
-    #: ``fcfs`` is the historical demand-driven allocation.
-    scheduler: str = "fcfs"
-    #: MPTCP subflow creation policy (see
-    #: :data:`repro.transport.path_manager.PATH_MANAGERS`).
-    path_manager: str = "ndiffports"
 
     # Faults ---------------------------------------------------------------
     #: Timed fabric changes applied during the run (see

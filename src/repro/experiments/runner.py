@@ -66,9 +66,7 @@ from repro.traffic.flowspec import (
 from repro.traffic.workloads import ShortLongWorkloadParams, Workload, build_short_long_workload
 from repro.transport.base import TcpConfig
 from repro.transport.mptcp import MptcpConnection, MptcpReceiver
-from repro.transport.path_manager import make_path_manager
 from repro.transport.receiver import TcpReceiver
-from repro.transport.scheduler import make_scheduler
 from repro.transport.tcp import TcpSender
 
 T = TypeVar("T")
@@ -279,8 +277,6 @@ def _build_flow(
         sender = MptcpConnection(
             simulator, source, destination.address, port, spec.size_bytes,
             num_subflows=spec.num_subflows, flow_id=spec.flow_id, config=tcp_config,
-            scheduler=make_scheduler(config.scheduler),
-            path_manager=make_path_manager(config.path_manager),
             address_resolver=topology.current_address_of,
         )
         return _FlowInstance(spec, sender, receiver)
@@ -298,8 +294,6 @@ def _build_flow(
             num_subflows=spec.num_subflows, flow_id=spec.flow_id, config=tcp_config,
             switching_policy=make_switching_policy(config),
             reordering_policy=reordering, path_count_hint=path_count, rng=rng,
-            scheduler=make_scheduler(config.scheduler),
-            path_manager=make_path_manager(config.path_manager),
             address_resolver=topology.current_address_of,
         )
         return _FlowInstance(spec, sender, receiver)

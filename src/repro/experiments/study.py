@@ -164,8 +164,13 @@ def run_points(
     pool); the output is identical for any worker count because every point
     is fully determined by its own spec.
     """
-    results = SweepRunner(workers).run(specs)
-    return [StudyPoint(spec, result, rows(spec, result)) for spec, result in zip(specs, results)]
+    # The runner returns results in index order; pair each with its own spec.
+    positions = sorted(range(len(specs)), key=lambda position: specs[position].index)
+    result_at = dict(zip(positions, SweepRunner(workers).run(specs)))
+    return [
+        StudyPoint(spec, result_at[position], rows(spec, result_at[position]))
+        for position, spec in enumerate(specs)
+    ]
 
 
 def run_study(

@@ -1,9 +1,10 @@
 """Result export: CSV / JSON dumps and text CDF rendering.
 
-The benchmark harness prints its tables to the console; this module writes
-the same data to files so a reproduction run can be archived, diffed against
-a previous run, or post-processed with external plotting tools.  Everything
-uses only the standard library (``csv``/``json``) — no plotting dependency.
+The CLI's study and campaign commands print their tables to the console;
+this module writes the same data to files so a reproduction run can be
+archived, diffed against a previous run, or post-processed with external
+plotting tools.  Everything uses only the standard library (``csv``/``json``)
+— no plotting dependency.
 """
 
 from __future__ import annotations

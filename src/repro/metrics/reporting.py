@@ -1,8 +1,9 @@
 """Plain-text report rendering.
 
-The benchmark harnesses print the same rows/series the paper's figures and
-prose contain; these helpers format them as aligned text tables so a run's
-output can be eyeballed (and diffed) without any plotting dependency.
+The CLI's study and campaign commands print the same rows/series the
+paper's figures and prose contain; these helpers format them as aligned text
+tables so a run's output can be eyeballed (and diffed) without any plotting
+dependency.
 """
 
 from __future__ import annotations

@@ -119,31 +119,6 @@ class Host(Node):
                 interface = interfaces[select_among(packet, live, salt=self.address)]
         return interface.send(packet)
 
-    def send_via(self, packet: Packet, interface_index: int) -> bool:
-        """Transmit ``packet`` out of a specific uplink (pinned subflows).
-
-        Used by path managers that bind a subflow to one interface
-        (``fullmesh``).  When the pinned interface is down the host fails
-        over to a surviving uplink, mirroring :meth:`send`'s bonding
-        behaviour, so a pinned subflow degrades instead of black-holing.
-        """
-        interfaces = self.interfaces
-        if not interfaces:
-            raise RuntimeError(f"host {self.name} has no interfaces")
-        if not 0 <= interface_index < len(interfaces):
-            # A silent modulo here would alias a misconfigured pin onto an
-            # arbitrary uplink and hide the path-manager bug that produced it.
-            raise ValueError(
-                f"interface index {interface_index} out of range for host "
-                f"{self.name} with {len(interfaces)} interface(s)"
-            )
-        interface = interfaces[interface_index]
-        if not interface.up:
-            live = [i for i in range(len(interfaces)) if interfaces[i].up]
-            if live:
-                interface = interfaces[select_among(packet, live, salt=self.address)]
-        return interface.send(packet)
-
     def receive(self, packet: Packet, interface: Optional[Interface]) -> None:
         """Deliver an arriving packet to the endpoint bound to its destination port.
 

@@ -49,7 +49,10 @@ from typing import Any, Optional, Sequence
 #: v5: ExperimentConfig lost its ECN marking-threshold field with the ECN
 #: queue it configured, so every config's serialised field set — and
 #: therefore every key — changed again.
-STORE_SCHEMA_VERSION = 5
+#: v6: ExperimentConfig lost its ``scheduler`` / ``path_manager`` fields with
+#: the policy schedulers and the full-mesh path manager, so every config's
+#: serialised field set — and therefore every key — changed again.
+STORE_SCHEMA_VERSION = 6
 
 
 def to_jsonable(value: Any, _path: str = "$") -> Any:

@@ -104,8 +104,7 @@ class Topology:
         packets are gone for good, on both sides of the cable), and the
         connectivity graph loses the edges.  The host's interfaces are *not*
         removed — interface indices are referenced by switch forwarding
-        tables and pinned subflows, so dead interfaces stay in place, marked
-        down.  Detaching an already-detached host is a no-op.
+        tables, so dead interfaces stay in place, marked down.  Detaching an already-detached host is a no-op.
         """
         host = self._nodes_by_name.get(name)
         if not isinstance(host, Host):

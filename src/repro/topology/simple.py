@@ -8,7 +8,7 @@ capacity and buffering are known exactly.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.net.link import QueueFactory
 from repro.net.switch import LAYER_CORE, LAYER_EDGE
@@ -109,10 +109,6 @@ class TwoPathTopology(Topology):
 
     The smallest topology on which ECMP path diversity, packet scatter and
     MPTCP sub-flow spreading are observable.
-
-    ``path_delays`` (one entry per path, overriding ``link_delay_s`` on both
-    hops of that path) makes the paths *asymmetric* — the setting in which
-    RTT-aware subflow scheduling visibly diverges from round-robin.
     """
 
     def __init__(
@@ -121,14 +117,11 @@ class TwoPathTopology(Topology):
         paths: int = 2,
         link_rate_bps: float = megabits_per_second(100),
         link_delay_s: float = microseconds(50),
-        path_delays: Optional[Sequence[float]] = None,
         queue_factory: Optional[QueueFactory] = None,
     ) -> None:
         super().__init__(simulator)
         if paths < 1:
             raise ValueError("need at least one path")
-        if path_delays is not None and len(path_delays) != paths:
-            raise ValueError("path_delays must have one entry per path")
         self.sender = self.add_host("host-a", 0)
         self.receiver = self.add_host("host-b", 1)
         ingress = self.add_switch("ingress", LAYER_EDGE)
@@ -137,9 +130,8 @@ class TwoPathTopology(Topology):
         self.connect_nodes(self.receiver, egress, link_rate_bps, link_delay_s, queue_factory)
         self.core_switches = []
         for index in range(paths):
-            delay = path_delays[index] if path_delays is not None else link_delay_s
             core = self.add_switch(f"path-{index}", LAYER_CORE)
-            self.connect_nodes(ingress, core, link_rate_bps, delay, queue_factory)
-            self.connect_nodes(core, egress, link_rate_bps, delay, queue_factory)
+            self.connect_nodes(ingress, core, link_rate_bps, link_delay_s, queue_factory)
+            self.connect_nodes(core, egress, link_rate_bps, link_delay_s, queue_factory)
             self.core_switches.append(core)
         self.build_routes()

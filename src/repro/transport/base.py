@@ -100,22 +100,12 @@ CompletionCallback = Callable[["Endpoint"], None]
 class Endpoint:
     """Base class for anything bound to a host port that sends/receives packets."""
 
-    #: Interface index this endpoint's packets leave through, or ``None`` for
-    #: the host's normal uplink selection (flow-hash ECMP when multi-homed).
-    #: Set by path managers that pin subflows to interfaces (``fullmesh``);
-    #: a class attribute so the unpinned common case costs one dict miss,
-    #: not per-instance storage.  The index must be in range for the host's
-    #: interface table — ``Host.send_via`` raises ``ValueError`` on a stale
-    #: or misconfigured pin instead of silently aliasing onto another uplink.
-    egress_interface: Optional[int] = None
-
     #: Telemetry probe sink (see :mod:`repro.obs.telemetry`) — an endpoint's
     #: one observation channel: RTOs, fast retransmits and phase switches
     #: are reported here and nowhere else.  The disabled singleton as a
-    #: class attribute follows the same zero-cost convention as
-    #: ``egress_interface``: unprobed endpoints pay one attribute read and a
-    #: falsy ``enabled`` check at each instrumentation point, and no
-    #: per-instance storage.  The experiment runner assigns a
+    #: class attribute is zero-cost: unprobed endpoints pay one attribute
+    #: read and a falsy ``enabled`` check at each instrumentation point, and
+    #: no per-instance storage.  The experiment runner assigns a
     #: ``TelemetryRecorder`` per flow when probes are requested.
     probes: TelemetryProbes = NULL_PROBES
 
@@ -150,9 +140,7 @@ class Endpoint:
         locally dropped; callers should fold that into their loss accounting
         (see :attr:`SenderStats.send_fault_drops`).
         """
-        if self.egress_interface is None:
-            return self.host.send(packet)
-        return self.host.send_via(packet, self.egress_interface)
+        return self.host.send(packet)
 
     @property
     def address(self) -> int:

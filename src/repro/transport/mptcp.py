@@ -27,8 +27,6 @@ from repro.sim.engine import Simulator
 from repro.transport.base import Endpoint, SenderStats, TcpConfig
 from repro.transport.cc.base import LOSS_TIMEOUT
 from repro.transport.cc.lia import LiaController
-from repro.transport.path_manager import NdiffportsPathManager, PathManager
-from repro.transport.scheduler import FcfsScheduler, SubflowScheduler
 from repro.transport.sequence import ReceiveBuffer, SegmentMap
 from repro.transport.tcp import TcpSender
 
@@ -89,18 +87,6 @@ class MptcpSubflow(TcpSender):
         """Pull data from the connection while the window has room for more."""
         self.connection._refill_subflow(self)
 
-    def send_available(self) -> None:
-        """Send what this subflow may, then let the scheduler place the rest.
-
-        Every window-opening event (handshake completion, new ACK, dup-ACK
-        inflation, recovery, RTO) funnels through here, so running the
-        connection's pump afterwards guarantees a policy scheduler sees
-        every send opportunity — the chunk this subflow was refused may now
-        belong on a preferred sibling.
-        """
-        super().send_available()
-        self.connection._pump_scheduler()
-
     def _payload_at(self, seq: int) -> int:
         return self._segment_map.payload_at(seq, self.total_bytes)
 
@@ -112,7 +98,7 @@ class MptcpSubflow(TcpSender):
         self._segment_map.forget_below(min(self.snd_una, self.snd_nxt), self.total_bytes)
 
     def _all_data_allocated(self) -> bool:
-        return self.connection._subflow_done_allocating(self)
+        return self.connection._subflow_done_allocating()
 
     def _handle_ack(self, packet: Packet) -> None:
         if self.complete:
@@ -182,8 +168,6 @@ class MptcpConnection:
         num_subflows: int = 8,
         flow_id: int = 0,
         config: TcpConfig = TcpConfig(),
-        scheduler: Optional[SubflowScheduler] = None,
-        path_manager: Optional[PathManager] = None,
         address_resolver: Optional[Callable[[int], int]] = None,
         on_complete: Optional[ConnectionCallback] = None,
         create_subflows: bool = True,
@@ -200,10 +184,6 @@ class MptcpConnection:
         self.num_subflows = num_subflows
         self.flow_id = flow_id
         self.config = config
-        self.scheduler = scheduler if scheduler is not None else FcfsScheduler()
-        self.path_manager = (
-            path_manager if path_manager is not None else NdiffportsPathManager()
-        )
         #: Control-plane lookup from a (possibly stale) peer address to the
         #: peer's current address — ``Topology.current_address_of`` in
         #: practice.  Without one the connection cannot follow a migrated
@@ -219,11 +199,6 @@ class MptcpConnection:
         self.start_time: Optional[float] = None
         self.completion_time: Optional[float] = None
         self.congestion_events: List[Tuple[float, int, str]] = []
-        #: Re-entrancy guard for the scheduler pump (send_available recurses
-        #: through it).
-        self._pumping = False
-        #: Per-subflow stream cursors for duplicating schedulers (redundant).
-        self._redundant_cursors: Dict[int, int] = {}
         #: (dsn, size) chunks stranded on subflows killed by a peer
         #: readdressing, waiting to be mapped onto the replacement subflows.
         self._reinjection_queue: Deque[Tuple[int, int]] = deque()
@@ -246,7 +221,12 @@ class MptcpConnection:
             subflow.probes = probes
 
     def _create_subflows(self, count: int, first_subflow_id: int) -> List[MptcpSubflow]:
-        created = self.path_manager.create_subflows(self, count, first_subflow_id)
+        """Build (but do not start) ``count`` subflows from ``first_subflow_id`` on.
+
+        The subflows share the address pair and differ only in source port,
+        so hash-based ECMP spreads them over the fabric's equal-cost paths.
+        """
+        created = [self._make_subflow(first_subflow_id + i) for i in range(count)]
         if self.probes.enabled:
             for subflow in created:
                 subflow.probes = self.probes
@@ -312,13 +292,9 @@ class MptcpConnection:
         so all of them are killed; every mapped chunk the data level has not
         acknowledged is queued for reinjection (:meth:`_unacked_chunks`),
         and a fresh set of subflows is opened towards the new address.
-        Duplicating schedulers need no reinjection — their per-subflow
-        cursors restart from the data-level acknowledgement point on the
-        replacement subflows.
         """
         self.destination = new_address
-        if not self.scheduler.duplicates:
-            self._reinjection_queue = self._unacked_chunks()
+        self._reinjection_queue = self._unacked_chunks()
         for subflow in self.subflows:
             if not subflow.complete:
                 subflow.complete = True
@@ -333,10 +309,10 @@ class MptcpConnection:
     def _unacked_chunks(self) -> Deque[Tuple[int, int]]:
         """The mapped chunks above ``data_acked``, as ``(dsn, size)`` in DSN order.
 
-        Without a duplicating scheduler :meth:`allocate_chunk` tiles the
-        stream into ``[k * mss, min((k + 1) * mss, total_bytes))`` and maps
-        every chunk below ``_next_dsn`` onto some subflow at least once, so
-        the set follows from the stream cursors alone.  A chunk still queued
+        :meth:`allocate_chunk` tiles the stream into
+        ``[k * mss, min((k + 1) * mss, total_bytes))`` and maps every chunk
+        below ``_next_dsn`` onto some subflow at least once, so the set
+        follows from the stream cursors alone.  A chunk still queued
         from an earlier readdressing is in it too.
         """
         mss = self.config.mss
@@ -359,8 +335,6 @@ class MptcpConnection:
 
     def allocate_chunk(self, subflow: MptcpSubflow) -> Optional[Tuple[int, int]]:
         """Assign the next chunk (at most one MSS) of the stream to ``subflow``."""
-        if self.scheduler.duplicates:
-            return self._allocate_duplicate_chunk(subflow)
         # Chunks stranded by a peer readdressing go out first — they are
         # earlier in the stream than the frontier, and the receiver's
         # cumulative data-level ACK cannot advance past them.  They are not
@@ -380,99 +354,29 @@ class MptcpConnection:
         self._on_data_allocated(subflow, dsn, size)
         return dsn, size
 
-    def _allocate_duplicate_chunk(self, subflow: MptcpSubflow) -> Optional[Tuple[int, int]]:
-        """Advance ``subflow``'s private cursor over the not-yet-acked stream.
-
-        Under a duplicating scheduler every subflow walks the whole stream
-        itself; the cursor starts at (or jumps forward to) the data-level
-        acknowledgement point so already-delivered bytes are never
-        re-duplicated, which keeps the redundancy bounded to data actually
-        at risk.
-        """
-        cursor = max(self._redundant_cursors.get(subflow.subflow_id, 0), self.data_acked)
-        if cursor >= self.total_bytes:
-            return None
-        size = min(self.config.mss, self.total_bytes - cursor)
-        self._redundant_cursors[subflow.subflow_id] = cursor + size
-        # The shared frontier tracks the furthest cursor so that
-        # ``all_data_allocated`` (phase switching, completion bookkeeping)
-        # keeps meaning "every byte has been mapped at least once".
-        self._next_dsn = max(self._next_dsn, cursor + size)
-        self._on_data_allocated(subflow, cursor, size)
-        return cursor, size
-
     def _on_data_allocated(self, subflow: MptcpSubflow, dsn: int, size: int) -> None:
         """Hook for subclasses (MMPTCP's data-volume switching observes this)."""
-
-    # ------------------------------------------------------------------
-    # Scheduler dispatch
-    # ------------------------------------------------------------------
 
     def _has_data_for(self, subflow: MptcpSubflow) -> bool:
         """True while the connection still has stream bytes for ``subflow``.
 
         MMPTCP overrides this to exclude the scatter subflow after the phase
-        switch; duplicating schedulers track per-subflow cursors instead of
-        the shared frontier.
+        switch.
         """
-        if self.scheduler.duplicates:
-            cursor = max(
-                self._redundant_cursors.get(subflow.subflow_id, 0), self.data_acked
-            )
-            return cursor < self.total_bytes
         return bool(self._reinjection_queue) or not self.all_data_allocated
 
-    def _subflow_done_allocating(self, subflow: MptcpSubflow) -> bool:
-        """True when ``subflow`` will never be assigned another chunk."""
-        if self.scheduler.duplicates:
-            return not self._has_data_for(subflow)
+    def _subflow_done_allocating(self) -> bool:
+        """True when no subflow will ever be assigned another chunk."""
         return self.all_data_allocated and not self._reinjection_queue
 
-    def _candidates(self) -> List[MptcpSubflow]:
-        """Subflows the scheduler may currently choose between.
-
-        List order is ascending ``subflow_id`` (creation order), which is
-        the deterministic tie-break every scheduler inherits.
-        """
-        return [
-            subflow
-            for subflow in self.subflows
-            if subflow.established and not subflow.complete and self._has_data_for(subflow)
-        ]
-
-    def _scheduler_grants(self, subflow: MptcpSubflow) -> bool:
-        """May ``subflow`` take the next chunk right now?
-
-        Demand-driven schedulers always grant.  Policy schedulers are
-        *strict*: only their single most preferred candidate may map the
-        next chunk, even while that candidate's window is full — allocation
-        is irrevocable (no reinjection), so a chunk must never spill onto a
-        less preferred path just because the preferred one cannot take it
-        this instant.  (A "grant whenever every better candidate is full"
-        rule degenerates to FCFS under ACK clocking: at the moment any
-        subflow demands, its better-placed siblings are almost always
-        window-full, so every demand would be granted and the scheduler
-        would never influence placement.)  Liveness is the pump's job: the
-        preferred candidate is full only while it has data in flight, so a
-        future ACK or RTO always re-opens it.
-        """
-        if self.scheduler.demand_driven:
-            return True
-        order = self.scheduler.order(self._candidates())
-        return bool(order) and order[0] is subflow
-
     def _refill_subflow(self, subflow: MptcpSubflow) -> None:
-        """Serve ``subflow``'s demand for chunks, subject to the scheduler."""
+        """Serve ``subflow``'s demand: map chunks while its window has room."""
         probes = self.probes
         while (
             subflow.established
             and subflow.snd_una + subflow.cwnd > subflow.total_bytes
             and self._has_data_for(subflow)
         ):
-            if not self._scheduler_grants(subflow):
-                if probes.enabled:
-                    probes.count("scheduler.refusals")
-                break
             chunk = self.allocate_chunk(subflow)
             if chunk is None:
                 break
@@ -483,38 +387,6 @@ class MptcpConnection:
             if probes.enabled:
                 probes.count("scheduler.grants")
                 probes.count(f"scheduler.grants/flow{self.flow_id}.sf{subflow.subflow_id}")
-            self.scheduler.chunk_assigned(subflow, self.subflows)
-
-    def _pump_scheduler(self) -> None:
-        """Offer withheld chunks to the scheduler's preferred subflow.
-
-        After any subflow's send opportunity, the scheduler's head may be a
-        *different* subflow that has no event of its own pending (no data
-        in flight because it was refused earlier).  Pumping the head here
-        is what makes the strict policy live.  Each iteration re-consults
-        ``order()`` — consuming a chunk can rotate a round-robin pointer or
-        (eventually) shift an RTT estimate — and stops as soon as the head
-        has no window room or fails to map a chunk, so the loop terminates
-        (allocation is finite and monotone); demand-driven schedulers never
-        pump.
-        """
-        if self.scheduler.demand_driven or self._pumping or self.complete:
-            return
-        self._pumping = True
-        try:
-            while True:
-                order = self.scheduler.order(self._candidates())
-                if not order:
-                    break
-                head = order[0]
-                if not (head.snd_una + head.cwnd > head.total_bytes):
-                    break
-                before = head.total_bytes
-                head.send_available()
-                if head.total_bytes == before:
-                    break
-        finally:
-            self._pumping = False
 
     # ------------------------------------------------------------------
     # Completion

@@ -3,7 +3,7 @@
 This is the workhorse every other transport in the library builds on:
 
 * each MPTCP subflow is a :class:`TcpSender` subclass that pulls its data
-  from the connection-level scheduler and stamps data-sequence numbers;
+  from the MPTCP connection on demand and stamps data-sequence numbers;
 * the MMPTCP packet-scatter flow additionally randomises the source port of
   every data packet and widens the duplicate-ACK threshold.
 
@@ -439,7 +439,7 @@ class TcpSender(Endpoint):
     # ------------------------------------------------------------------
 
     def _refill(self) -> None:
-        """Pull more data from a connection-level scheduler (no-op for plain TCP)."""
+        """Pull more data from the MPTCP connection (no-op for plain TCP)."""
 
     def _payload_at(self, seq: int) -> int:
         """Payload size of the segment starting at ``seq``."""

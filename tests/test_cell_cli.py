@@ -43,7 +43,7 @@ _GRID = [
     "--store", "<dir>/store", "--name", "golden",
     "--scenarios", "baseline", "core-link-failure",
     "--transports", "tcp", "mmptcp",
-    "--schedulers", "fcfs", "round_robin",
+    "--fidelities", "packet", "flow",
 ]
 _RUN = _GRID + [
     "--replications", "2", "--report", "<dir>/campaign/report.md",

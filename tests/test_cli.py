@@ -22,6 +22,7 @@ from repro.cli import (
 )
 from repro.experiments.config import CHOICES, scaled_config
 from repro.metrics.reporting import rows_table
+from repro.scenarios.spec import scale_config
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
 
 
@@ -182,72 +183,55 @@ def test_main_scenarios_matrix_executes_and_exports(tmp_path, capsys) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Transport matrix flags (scheduler / path manager)
+# Config flags left out, and the sweep-axis flag (fidelity)
 # ---------------------------------------------------------------------------
 
 
-def test_run_scheduler_and_path_manager_flags_reach_the_config() -> None:
-    args = build_parser().parse_args(
-        ["run", "--scheduler", "lowest_rtt", "--path-manager", "fullmesh"])
-    config = _config_from_args(args)
-    assert config.scheduler == "lowest_rtt"
-    assert config.path_manager == "fullmesh"
+def test_run_without_config_flags_keeps_the_preset() -> None:
+    args = build_parser().parse_args(["run"])
+    # Only the flags with a default (protocol, subflows) override the preset.
+    assert _config_from_args(args) == scale_config(args.scale, args.seed).with_updates(
+        protocol=PROTOCOL_MMPTCP, num_subflows=8)
 
 
-def test_run_without_transport_matrix_flags_keeps_defaults() -> None:
-    config = _config_from_args(build_parser().parse_args(["run"]))
-    assert config.scheduler == "fcfs"
-    assert config.path_manager == "ndiffports"
+def test_scenarios_accept_the_fidelity_flag() -> None:
+    matrix = build_parser().parse_args(["scenarios", "matrix", "--fidelity", "flow"])
+    assert matrix.fidelity == "flow"
+    run = build_parser().parse_args(["scenarios", "run", "baseline", "--fidelity", "flow"])
+    assert run.fidelity == "flow"
 
 
-def test_run_rejects_unknown_scheduler_name() -> None:
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--scheduler", "blest"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--path-manager", "binder"])
-
-
-def test_scenarios_accept_transport_matrix_flags() -> None:
-    matrix = build_parser().parse_args(
-        ["scenarios", "matrix", "--scheduler", "round_robin"])
-    assert matrix.scheduler == "round_robin"
-    run = build_parser().parse_args(
-        ["scenarios", "run", "baseline", "--path-manager", "fullmesh"])
-    assert run.path_manager == "fullmesh"
-
-
-def test_campaign_scheduler_lists_become_sweep_axes() -> None:
+def test_campaign_fidelity_lists_become_sweep_axes() -> None:
     args = build_parser().parse_args([
-        "campaign", "run", "--store", "unused",
-        "--schedulers", "fcfs", "round_robin",
-        "--path-managers", "ndiffports",
+        "campaign", "run", "--store", "unused", "--fidelities", "packet", "flow",
     ])
     spec = _campaign_spec_from_args(args)
-    assert ("scheduler", ("fcfs", "round_robin")) in spec.sweeps
-    assert ("path_manager", ("ndiffports",)) in spec.sweeps
+    assert spec.sweeps == (("fidelity", ("packet", "flow")),)
 
 
-def test_campaign_without_scheduler_flags_adds_no_axes() -> None:
+def test_campaign_without_fidelities_flag_adds_no_axes() -> None:
     args = build_parser().parse_args(["campaign", "run", "--store", "unused"])
     assert _campaign_spec_from_args(args).sweeps == ()
 
 
 @pytest.mark.parametrize("command", ["run", "status", "report", "gc"])
 def test_campaign_spec_with_unknown_config_field_fails_cleanly(command, tmp_path, capsys) -> None:
-    spec_file = tmp_path / "campaign.json"
-    spec_file.write_text(
-        '{"name": "x", "scenarios": ["baseline"], "protocols": ["tcp"],'
-        ' "sweeps": {"num_subflowz": [2, 4]}}'
-    )
-    code = main(["campaign", command, "--store", str(tmp_path / "store"),
-                 "--spec", str(spec_file)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == (
-        "campaign command failed: unknown config field(s) ['num_subflowz'] "
-        "in sweeps/config_overrides\n"
-    )
+    # A typo, and a field the config no longer has (an old spec file).
+    for field in ("num_subflowz", "scheduler"):
+        spec_file = tmp_path / "campaign.json"
+        spec_file.write_text(
+            '{"name": "x", "scenarios": ["baseline"], "protocols": ["tcp"],'
+            f' "sweeps": {{"{field}": [2, 4]}}}}'
+        )
+        code = main(["campaign", command, "--store", str(tmp_path / "store"),
+                     "--spec", str(spec_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"campaign command failed: unknown config field(s) ['{field}'] "
+            "in sweeps/config_overrides\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["status", "run"])
@@ -286,7 +270,7 @@ def test_campaign_sweep_over_an_unknown_choice_fails_before_the_store(
     ["incast", "--fan-ins", "0"],
     ["trace", "export", "<dir>/missing.jsonl", "--output", "<dir>/out.json"],
     # A repeated grid value would be two cells with one store key.
-    ["campaign", "run", "--store", "<dir>/store", "--schedulers", "fcfs", "fcfs"],
+    ["campaign", "run", "--store", "<dir>/store", "--fidelities", "packet", "packet"],
     ["campaign", "run", "--store", "<dir>/store", "--transports", "tcp", "tcp"],
     ["campaign", "status", "--store", "<dir>/store", "--scenarios", "baseline", "baseline"],
     ["scenarios", "matrix", "--transports", "tcp", "tcp"],

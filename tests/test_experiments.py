@@ -194,56 +194,6 @@ class TestRunnerIntegration:
         assert result.metrics.short_flow_completion_rate() == 1.0
 
 
-class TestTransportMatrix:
-    def test_scheduler_changes_experiment_output(self) -> None:
-        base = TINY.with_protocol("mptcp", num_subflows=2)
-        fcfs = run_experiment(base)
-        rr = run_experiment(base.with_updates(scheduler="round_robin"))
-        assert fcfs.metrics.short_flow_completion_rate() == 1.0
-        assert rr.metrics.short_flow_completion_rate() == 1.0
-        fct_fcfs = [record.completion_time for record in fcfs.metrics.flows]
-        fct_rr = [record.completion_time for record in rr.metrics.flows]
-        assert fct_fcfs != fct_rr
-
-    def test_lowest_rtt_scheduler_experiment_completes(self) -> None:
-        config = TINY.with_protocol("mptcp", num_subflows=2).with_updates(
-            scheduler="lowest_rtt")
-        result = run_experiment(config)
-        assert result.metrics.short_flow_completion_rate() == 1.0
-
-    def test_redundant_scheduler_experiment_completes(self) -> None:
-        config = TINY.with_protocol("mptcp", num_subflows=2).with_updates(
-            scheduler="redundant")
-        result = run_experiment(config)
-        assert result.metrics.short_flow_completion_rate() == 1.0
-
-    def test_fullmesh_on_dualhomed_fabric_completes(self) -> None:
-        config = TINY.with_protocol("mptcp", num_subflows=2).with_updates(
-            topology="dualhomed", path_manager="fullmesh")
-        result = run_experiment(config)
-        assert result.metrics.short_flow_completion_rate() == 1.0
-
-    def test_config_rejects_unknown_scheduler_and_path_manager(self) -> None:
-        with pytest.raises(ValueError):
-            TINY.with_updates(scheduler="blest")
-        with pytest.raises(ValueError):
-            TINY.with_updates(path_manager="binder")
-
-    def test_every_scheduler_path_manager_pair_keys_distinctly(self) -> None:
-        from repro.store import run_key
-        from repro.transport.path_manager import path_manager_names
-        from repro.transport.scheduler import scheduler_names
-
-        keys = {
-            (scheduler, path_manager): run_key(
-                TINY.with_updates(scheduler=scheduler, path_manager=path_manager)
-            )
-            for scheduler in scheduler_names()
-            for path_manager in path_manager_names()
-        }
-        assert len(set(keys.values())) == len(keys) == 8
-
-
 class _FailingSimulator(Simulator):
     def run(self, *args, **kwargs) -> None:
         raise RuntimeError("simulated failure")

@@ -105,12 +105,9 @@ GOLDEN_RUNS = {
     ),
     # The peer moves to a new address mid-transfer: the sender kills its
     # subflows, reinjects the chunks the data level has not acknowledged and
-    # reopens subflows under a policy scheduler.
+    # reopens subflows towards the new address.
     "readdress_mptcp": lambda: _golden_text(
-        replace(
-            handover_config(PROTOCOL_MPTCP, 4, downtime_s=0.01, new_address=VIP_FAILOVER_ADDRESS),
-            scheduler="round_robin",
-        ),
+        handover_config(PROTOCOL_MPTCP, 4, downtime_s=0.01, new_address=VIP_FAILOVER_ADDRESS),
         workload=handover_workload(PROTOCOL_MPTCP, 4),
     ),
 }

@@ -5,8 +5,7 @@ Covers the full stack of the mobility subsystem:
 
 * ``Topology.detach_host`` / ``attach_host`` / ``migrate_host`` primitives —
   attachment rebinding, stale-route cleanup, address-change chain squashing;
-* ``Host.allocate_port`` wrap-around and exhaustion, and ``Host.send_via``
-  range checking (the fullmesh-misconfiguration regression);
+* ``Host.allocate_port`` wrap-around and exhaustion;
 * transport-level subflow re-establishment through the address resolver;
 * the experiment-level acceptance contrast: MMPTCP completes a transfer
   across a mid-flow re-addressing migration while single-path TCP stalls;
@@ -23,7 +22,6 @@ from repro.experiments import run_points, study_rows
 from repro.experiments.runner import run_experiment
 from repro.net.faults import FaultInjector, host_migration
 from repro.net.host import EPHEMERAL_PORT_MAX, EPHEMERAL_PORT_MIN
-from repro.net.packet import FLAG_DATA, Packet, release_packet
 from repro.scenarios import cell_rows, get_scenario, matrix_plan, tiny_config
 from repro.sim.engine import Simulator
 from repro.store import run_key
@@ -228,46 +226,6 @@ def test_allocate_port_skips_bound_ports_and_raises_on_exhaustion() -> None:
             host.bind(port, object())
     with pytest.raises(RuntimeError, match="exhausted the ephemeral port range"):
         host.allocate_port()
-
-
-def test_send_via_rejects_out_of_range_interface_index() -> None:
-    simulator = Simulator()
-    topology = _fattree(simulator)
-    host = topology.node("host-0-0-0")
-    packet = Packet(flow_id=1, src=host.address, dst=2, src_port=1, dst_port=2,
-                    flags=FLAG_DATA, payload_size=1000)
-    try:
-        # Regression: a stale pin used to be silently aliased onto interface
-        # ``index % len(interfaces)`` — an arbitrary, wrong uplink.
-        with pytest.raises(ValueError, match="out of range"):
-            host.send_via(packet, 1)
-        with pytest.raises(ValueError, match="out of range"):
-            host.send_via(packet, -1)
-    finally:
-        release_packet(packet)
-
-
-def test_fullmesh_never_pins_a_subflow_to_a_dead_or_missing_interface() -> None:
-    # The misconfiguration that motivated the send_via fix: after a host
-    # migration the old interface (index 0) is permanently down, and a
-    # fullmesh mesh built from the raw interface count would pin subflows
-    # to it (or, worse, past the end of the table).
-    simulator = Simulator()
-    topology = _fattree(simulator)
-    topology.migrate_host("host-0-0-0", "edge-0-1")
-    host = topology.node("host-0-0-0")
-    assert [iface.up for iface in host.interfaces] == [False, True]
-
-    from repro.transport.path_manager import make_path_manager
-
-    connection = MptcpConnection(
-        simulator, host, topology.node("host-1-0-0").address, 5001, 100_000,
-        num_subflows=4, flow_id=1, config=TcpConfig(mss=1000),
-        path_manager=make_path_manager("fullmesh"),
-    )
-    pins = [subflow.egress_interface for subflow in connection.subflows]
-    # Only the live interface is meshed over, and the pin is in range.
-    assert pins == [1]
 
 
 # ---------------------------------------------------------------------------

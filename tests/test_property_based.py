@@ -286,24 +286,22 @@ def test_derive_seed_stable_and_in_range(seed, name) -> None:
 
 
 # ---------------------------------------------------------------------------
-# MPTCP allocation: whatever non-duplicating scheduler runs the connection,
-# the DSN ranges mapped onto subflows tile the stream exactly once — no byte
-# is dropped, duplicated or allocated out of place.
+# MPTCP allocation: whatever the stream size and subflow count, the DSN
+# ranges mapped onto subflows tile the stream exactly once — no byte is
+# dropped, duplicated or allocated out of place.
 # ---------------------------------------------------------------------------
 
 
 @given(
-    scheduler=st.sampled_from(["fcfs", "round_robin", "lowest_rtt"]),
     chunks=st.integers(min_value=1, max_value=40),
     subflows=st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=12, deadline=None)
-def test_mptcp_allocation_tiles_the_stream_exactly_once(scheduler, chunks, subflows) -> None:
+def test_mptcp_allocation_tiles_the_stream_exactly_once(chunks, subflows) -> None:
     from repro.sim.engine import Simulator
     from repro.topology.simple import TwoPathTopology
     from repro.transport.base import TcpConfig
     from repro.transport.mptcp import MptcpConnection, MptcpReceiver
-    from repro.transport.scheduler import make_scheduler
 
     simulator = Simulator()
     topology = TwoPathTopology(simulator, paths=2)
@@ -312,8 +310,7 @@ def test_mptcp_allocation_tiles_the_stream_exactly_once(scheduler, chunks, subfl
                              expected_bytes=size)
     connection = MptcpConnection(
         simulator, topology.sender, topology.receiver.address, 5001, size,
-        num_subflows=subflows, config=TcpConfig(mss=1000, initial_cwnd_segments=2),
-        scheduler=make_scheduler(scheduler))
+        num_subflows=subflows, config=TcpConfig(mss=1000, initial_cwnd_segments=2))
     chunks = []
     record_allocations(connection, chunks)
     connection.start()

@@ -38,7 +38,7 @@ from repro.traffic.flowspec import PROTOCOL_MMPTCP
 #: The default tiny config's key, pinned.  If this changes, every existing
 #: store silently turns into a full miss — bump STORE_SCHEMA_VERSION when
 #: changing key derivation deliberately, and regenerate this literal.
-_TINY_CONFIG_KEY = "b1c4be1bd65e0e493f68157b331d575a9d743dc43d94f9f263e373d40472df34"
+_TINY_CONFIG_KEY = "fe5f9fb4f651354f57b28f61c5cef0c171b737c9a74560d28b7821ff69073b08"
 
 #: One valid alternate value per ExperimentConfig field.  The completeness
 #: test below fails when a new config field is added without extending this
@@ -213,9 +213,9 @@ def test_key_is_stable_across_process_restarts() -> None:
 #: pinned only together with the version bump that makes old artifacts clean
 #: misses; the test's failure message prints the pair to pin.
 _SCHEMA_PINS = {
-    5: (
-        "b78c502d4b0b8a85a6936e7d061cfe2e12398d2b7cb6080284f793c311371489",
-        "93e620aca65a4696a6040fcaef569d7d88f2eaf7fb9fafec42de835e4a121753",
+    6: (
+        "6518f0a87254e3f149e588922a5102fc984f7093d9d923f61e247d17549dc9ec",
+        "c8ea8de7c08c459a7adea9015cfee7c2294816b41c257f1f90f79c06ff2245c6",
     ),
 }
 

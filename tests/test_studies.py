@@ -16,7 +16,8 @@ from typing import Dict, List
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import STUDIES, ExperimentConfig, run_study, study_rows
+from repro.experiments import STUDIES, ExperimentConfig, run_points, run_study, study_rows
+from repro.experiments.parallel import RunSpec
 from repro.metrics.export import dumps_deterministic
 from repro.sim.units import megabits_per_second
 
@@ -69,6 +70,16 @@ def test_study_rows_match_golden(key: str) -> None:
     golden = STUDY_ROWS[key]
     assert list(rows[0].keys()) == golden["columns"]
     assert dumps_deterministic(rows) == dumps_deterministic(golden["rows"])
+
+
+def test_run_points_pairs_each_spec_with_its_own_result() -> None:
+    # The runner returns results in index order; specs given out of that
+    # order must still come back in the caller's order, each with its own.
+    tcp = RunSpec(1, _tiny_config("flow").with_updates(protocol="tcp"))
+    mmptcp = RunSpec(0, _tiny_config("flow").with_updates(protocol="mmptcp"))
+    points = run_points([tcp, mmptcp], lambda spec, result: [])
+    assert [point.spec for point in points] == [tcp, mmptcp]
+    assert [point.result.config.protocol for point in points] == ["tcp", "mmptcp"]
 
 
 @pytest.mark.parametrize("name", sorted(STUDY_CLI))

@@ -1,4 +1,4 @@
-"""Tests for MPTCP: subflows, data scheduling, LIA coupling and completion."""
+"""Tests for MPTCP: subflows, data allocation, LIA coupling and completion."""
 
 from __future__ import annotations
 
@@ -12,19 +12,10 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
-from repro.sim.units import microseconds, milliseconds
-from repro.topology.dualhomed import DualHomedFatTreeTopology
-from repro.topology.fattree import FatTreeParams
 from repro.topology.simple import TwoHostTopology, TwoPathTopology
 from repro.transport.base import TcpConfig
 from repro.transport.cc.lia import LiaController
 from repro.transport.mptcp import MptcpConnection, MptcpReceiver, MptcpSubflow
-from repro.transport.path_manager import make_path_manager
-from repro.transport.scheduler import (
-    LowestRttScheduler,
-    RoundRobinScheduler,
-    make_scheduler,
-)
 from support import (
     RTO_REWIND_BYTES,
     RTO_REWIND_CONFIG,
@@ -35,19 +26,12 @@ from support import (
 
 TEST_CONFIG = TcpConfig(mss=1000, initial_cwnd_segments=2)
 
-#: Per-path one-way hop delays for the asymmetric two-path fabric: path 0 is
-#: an order of magnitude shorter than path 1 (and later paths), so an
-#: RTT-aware scheduler has a clear favourite.
-ASYMMETRIC_DELAYS = (microseconds(50), milliseconds(2), milliseconds(4), milliseconds(8))
-
 
 def _run_mptcp(size: int, subflows: int, paths: int = 4, queue_packets: int = 100,
-               until: float = 30.0, scheduler: str | None = None,
-               asymmetric: bool = False, instrument=None):
+               until: float = 30.0, instrument=None):
     simulator = Simulator()
     topology = TwoPathTopology(
         simulator, paths=paths,
-        path_delays=ASYMMETRIC_DELAYS[:paths] if asymmetric else None,
         queue_factory=lambda: DropTailQueue(capacity_packets=queue_packets),
     )
     receiver = MptcpReceiver(simulator, topology.receiver, local_port=5001,
@@ -55,7 +39,6 @@ def _run_mptcp(size: int, subflows: int, paths: int = 4, queue_packets: int = 10
     connection = MptcpConnection(
         simulator, topology.sender, topology.receiver.address, 5001,
         size, num_subflows=subflows, config=TEST_CONFIG,
-        scheduler=make_scheduler(scheduler) if scheduler is not None else None,
     )
     if instrument is not None:
         instrument(connection)
@@ -71,11 +54,10 @@ class TestBasicOperation:
         assert receiver.complete
         assert receiver.bytes_received_in_order == 300_000
 
-    @pytest.mark.parametrize("scheduler", ["fcfs", "round_robin", "lowest_rtt"])
-    def test_every_byte_allocated_exactly_once(self, scheduler: str) -> None:
+    def test_every_byte_allocated_exactly_once(self) -> None:
         chunks: list = []
         connection, receiver, _ = _run_mptcp(
-            100_000, subflows=3, scheduler=scheduler,
+            100_000, subflows=3,
             instrument=lambda connection: record_allocations(connection, chunks))
         allocated = sum(subflow.allocated_bytes for subflow in connection.subflows)
         assert allocated == 100_000
@@ -157,8 +139,7 @@ class _SegmentMapWatch:
     * ``mismatches``: refills at which the reinjection set a peer
       readdressing would queue (``_unacked_chunks``) differs from the
       allocated chunks above the data-level ACK, recorded as
-      ``allocate_chunk`` handed them out.  Duplicating schedulers never
-      reinject, so they are not compared.
+      ``allocate_chunk`` handed them out.
     """
 
     def __init__(self, connection) -> None:
@@ -186,8 +167,6 @@ class _SegmentMapWatch:
             for seq, _, size in live_chunks(subflow._segment_map, subflow.total_bytes)
             if seq + size <= floor
         )
-        if connection.scheduler.duplicates:
-            return
         acked = connection.data_acked
         self._unacked[:] = [chunk for chunk in self._unacked if chunk[1] + chunk[2] > acked]
         allocated = sorted({(dsn, size) for _, dsn, size in self._unacked})
@@ -196,13 +175,12 @@ class _SegmentMapWatch:
 
 
 class TestSegmentMap:
-    @pytest.mark.parametrize("scheduler", ["fcfs", "round_robin", "lowest_rtt", "redundant"])
-    def test_map_is_bounded_by_data_in_flight(self, scheduler: str) -> None:
+    def test_map_is_bounded_by_data_in_flight(self) -> None:
         # Narrow queues keep the windows far below the 2,000-segment stream
         # and force losses, so both cursors and the data-level ACK lag.
         watches = []
         connection, receiver, _ = _run_mptcp(
-            2_000_000, subflows=4, paths=2, queue_packets=10, scheduler=scheduler,
+            2_000_000, subflows=4, paths=2, queue_packets=10,
             instrument=lambda connection: watches.append(_SegmentMapWatch(connection)))
         watch = watches[0]
         assert receiver.complete
@@ -246,12 +224,9 @@ class TestSegmentMap:
                   if seq < mapped_end and payload <= 0]
         assert misses == []
 
-    @pytest.mark.parametrize("protocol, scheduler", [
-        ("mptcp", "fcfs"), ("mptcp", "round_robin"), ("mptcp", "lowest_rtt"),
-        ("mptcp", "redundant"), ("mmptcp", "fcfs"),
-    ])
+    @pytest.mark.parametrize("protocol", ["mptcp", "mmptcp"])
     def test_maps_are_empty_once_the_connection_completes(
-        self, monkeypatch, protocol: str, scheduler: str
+        self, monkeypatch, protocol: str
     ) -> None:
         connections: list = []
         late_reads: list = []
@@ -275,7 +250,7 @@ class TestSegmentMap:
             arrival_window_s=0.1, drain_time_s=0.6, short_flow_rate_per_sender=4.0,
             long_flow_size_bytes=400_000, short_flow_size_bytes=70_000,
             max_short_flows=6, protocol=protocol, num_subflows=2,
-            scheduler=scheduler, seed=7,
+            seed=7,
         ))
         assert connections and all(connection.complete for connection in connections)
         for connection in connections:
@@ -284,12 +259,7 @@ class TestSegmentMap:
                 assert live_chunks(segment_map, subflow.total_bytes) == []
                 # Emptied, not just forgotten: the arrays hold no chunk.
                 assert len(segment_map._starts) == len(segment_map._dsns) == 0
-        # Under the redundant scheduler a sibling can deliver bytes this
-        # subflow lost, so the ACK that completes the connection can still
-        # drive a fast retransmit.  Its map must serve that read; only then
-        # are the maps emptied.
-        assert bool(late_reads) == (scheduler == "redundant")
-        assert all(payload > 0 for payload in late_reads)
+        assert late_reads == []
 
     def test_a_subflow_dict_holds_only_endpoint_and_subflow_state(self) -> None:
         # TcpSender keeps its own state in slots, so a subflow's instance
@@ -397,134 +367,6 @@ class TestLiaCoupling:
                 subflow.cwnd / subflow.rto_estimator.smoothed_rtt**2 for subflow in live
             ) / denominator**2
             assert controller._coupling() == (total_cwnd, alpha)
-
-
-def _allocations(connection) -> tuple:
-    return tuple(subflow.allocated_bytes for subflow in connection.subflows)
-
-
-class TestSchedulers:
-    def test_lowest_rtt_prefers_fast_subflow(self) -> None:
-        connection, _, _ = _run_mptcp(50_000, subflows=2)
-        fast, slow = connection.subflows
-        fast.rto_estimator.add_sample(0.001)
-        slow.rto_estimator.add_sample(0.050)
-        ordered = LowestRttScheduler().order([slow, fast])
-        assert ordered[0] is fast
-
-    def test_round_robin_empty_input(self) -> None:
-        assert RoundRobinScheduler().order([]) == []
-
-    def test_scheduler_choice_changes_allocation_on_asymmetric_paths(self) -> None:
-        # The dead-scheduler regression test: with the scheduler actually
-        # wired into allocation, round_robin and lowest_rtt must place the
-        # stream differently (and differently from the FCFS default).
-        by_scheduler = {}
-        for name in ("fcfs", "round_robin", "lowest_rtt"):
-            connection, receiver, _ = _run_mptcp(
-                120_000, subflows=3, paths=3, asymmetric=True, scheduler=name)
-            assert receiver.complete, name
-            by_scheduler[name] = _allocations(connection)
-        assert by_scheduler["round_robin"] != by_scheduler["lowest_rtt"]
-        assert by_scheduler["fcfs"] != by_scheduler["lowest_rtt"]
-
-    def test_lowest_rtt_shifts_allocation_toward_the_short_path(self) -> None:
-        connection, receiver, _ = _run_mptcp(
-            150_000, subflows=3, paths=3, asymmetric=True, scheduler="lowest_rtt")
-        assert receiver.complete
-        allocations = _allocations(connection)
-        by_rtt = sorted(
-            connection.subflows, key=lambda s: s.rto_estimator.smoothed_rtt)
-        # The lowest-RTT subflow must carry a strict majority of the stream.
-        assert by_rtt[0].allocated_bytes > sum(allocations) / 2
-
-    def test_round_robin_spreads_more_evenly_than_lowest_rtt(self) -> None:
-        spreads = {}
-        for name in ("round_robin", "lowest_rtt"):
-            connection, receiver, _ = _run_mptcp(
-                150_000, subflows=3, paths=3, asymmetric=True, scheduler=name)
-            assert receiver.complete
-            allocations = _allocations(connection)
-            spreads[name] = max(allocations) - min(allocations)
-        assert spreads["round_robin"] < spreads["lowest_rtt"]
-
-    def test_round_robin_spreads_chunks_evenly_on_symmetric_paths(self) -> None:
-        # Strict rotation hands out chunks in turn, so on loss-free symmetric
-        # paths every subflow ends up with an (almost) equal share — unlike
-        # FCFS, where the first-established subflow races ahead.
-        connection, receiver, _ = _run_mptcp(
-            60_000, subflows=3, paths=3, scheduler="round_robin")
-        assert receiver.complete
-        allocations = _allocations(connection)
-        assert all(bytes_ > 0 for bytes_ in allocations)
-        assert max(allocations) - min(allocations) <= 4 * TEST_CONFIG.mss
-
-    def test_redundant_scheduler_duplicates_unacked_data(self) -> None:
-        chunks: list = []
-        connection, receiver, _ = _run_mptcp(
-            60_000, subflows=3, scheduler="redundant",
-            instrument=lambda connection: record_allocations(connection, chunks))
-        assert connection.complete
-        assert receiver.complete
-        assert receiver.bytes_received_in_order == 60_000
-        # Every subflow walks the stream from the start, so the total mapped
-        # bytes strictly exceed the stream (that is the redundancy).
-        assert sum(_allocations(connection)) > 60_000
-        # Each subflow's own mapping never overlaps itself and is in order.
-        for subflow in connection.subflows:
-            ranges = sorted((dsn, dsn + size) for subflow_id, dsn, size in chunks
-                            if subflow_id == subflow.subflow_id)
-            for (_, end), (start, _) in zip(ranges, ranges[1:]):
-                assert start >= end
-        # The receiver observed the duplication.
-        assert receiver.data_buffer.duplicate_bytes > 0
-
-    def test_redundant_cursor_skips_already_acked_data(self) -> None:
-        # A subflow allocating behind the data-level ACK point must jump its
-        # cursor forward: re-mapping delivered bytes would be pure waste.
-        simulator = Simulator()
-        topology = TwoHostTopology(simulator)
-        connection = MptcpConnection(
-            simulator, topology.sender, topology.receiver.address, 5001,
-            100_000, num_subflows=2, config=TEST_CONFIG,
-            scheduler=make_scheduler("redundant"))
-        lagging = connection.subflows[1]
-        connection.data_acked = 50_000
-        assert connection.allocate_chunk(lagging) == (50_000, TEST_CONFIG.mss)
-        # The cursor now advances normally from the jump point.
-        assert connection.allocate_chunk(lagging) == (51_000, TEST_CONFIG.mss)
-
-
-class TestFullMeshPathManager:
-    def test_one_pinned_subflow_per_interface_on_dualhomed_hosts(self) -> None:
-        simulator = Simulator()
-        topology = DualHomedFatTreeTopology(simulator, FatTreeParams(k=4))
-        sender, receiver_host = topology.hosts[0], topology.hosts[-1]
-        receiver = MptcpReceiver(simulator, receiver_host, local_port=5001,
-                                 expected_bytes=120_000)
-        connection = MptcpConnection(
-            simulator, sender, receiver_host.address, 5001, 120_000,
-            num_subflows=8, config=TEST_CONFIG,
-            path_manager=make_path_manager("fullmesh"))
-        # fullmesh ignores the configured count: one subflow per uplink,
-        # each pinned to a distinct egress interface.
-        assert len(connection.subflows) == len(sender.interfaces) == 2
-        assert [s.egress_interface for s in connection.subflows] == [0, 1]
-        connection.start()
-        simulator.run(until=30.0)
-        assert connection.complete
-        assert receiver.complete
-        assert all(s.allocated_bytes > 0 for s in connection.subflows)
-
-    def test_fullmesh_refuses_interfaceless_hosts(self) -> None:
-        simulator = Simulator()
-        topology = TwoHostTopology(simulator)
-        host = topology.sender
-        host.interfaces.clear()
-        with pytest.raises(RuntimeError):
-            MptcpConnection(simulator, host, topology.receiver.address, 5001,
-                            1000, num_subflows=2, config=TEST_CONFIG,
-                            path_manager=make_path_manager("fullmesh"))
 
 
 class TestAggregateStats:
