@@ -14,8 +14,10 @@ Three contract families:
   rate recomputation per instant.
 
 Plus the **artifact goldens**: ``tests/golden/flow_artifacts.json`` pins the
-sha256 of every registry scenario's stored payload at flow fidelity, so a
-solver or engine change that moves one rate by one ulp fails here.  If a
+sha256 of every registry scenario's stored payload at flow fidelity, minus
+its ``config`` (``tests/test_store_keys.py`` pins that), so a solver or
+engine change that moves one rate by one ulp fails here and a config-schema
+change does not.  If a
 behaviour change is *intended*, regenerate with::
 
     python tests/test_flowlevel.py
@@ -367,7 +369,11 @@ def _artifact_entry(scenario_name: str, protocol: str) -> dict:
         result = _artifact_cell(scenario_name, protocol)
     except ValueError as error:
         return {"error": str(error)}
-    payload = canonical_dumps(result_to_dict(result))
+    stored = result_to_dict(result)
+    # The config is the input, pinned by the store-key tests; hashing it
+    # here would re-pin every entry on any config-schema change.
+    del stored["config"]
+    payload = canonical_dumps(stored)
     return {
         "events_processed": result.events_processed,
         "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
