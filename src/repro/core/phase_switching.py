@@ -63,37 +63,20 @@ class DataVolumeSwitching(SwitchingPolicy):
         return f"data_volume({self.threshold_bytes} B)"
 
 
-@dataclass
 class CongestionEventSwitching(SwitchingPolicy):
     """Switch at the first inferred congestion event on the scatter flow.
 
-    Attributes:
-        on_fast_retransmit: treat a fast retransmission as the trigger.
-        on_timeout: treat a retransmission timeout as the trigger.
+    Either loss signal is the trigger: a fast retransmission or a
+    retransmission timeout.
     """
 
-    on_fast_retransmit: bool = True
-    on_timeout: bool = True
-
-    def __post_init__(self) -> None:
-        if not (self.on_fast_retransmit or self.on_timeout):
-            raise ValueError("at least one congestion trigger must be enabled")
-        self.name = "congestion_event"
+    name = "congestion_event"
 
     def should_switch_on_congestion(self, kind: str) -> bool:
-        if kind == LOSS_FAST_RETRANSMIT:
-            return self.on_fast_retransmit
-        if kind == LOSS_TIMEOUT:
-            return self.on_timeout
-        return False
+        return kind in (LOSS_FAST_RETRANSMIT, LOSS_TIMEOUT)
 
     def describe(self) -> str:
-        triggers = []
-        if self.on_fast_retransmit:
-            triggers.append("fast_retransmit")
-        if self.on_timeout:
-            triggers.append("timeout")
-        return f"congestion_event({'|'.join(triggers)})"
+        return "congestion_event(fast_retransmit|timeout)"
 
 
 @dataclass

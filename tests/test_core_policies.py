@@ -45,13 +45,6 @@ class TestSwitchingPolicies:
         assert not policy.should_switch_on_data(10**9)
         assert not policy.should_switch_on_congestion("unknown-kind")
 
-    def test_congestion_event_selective_triggers(self) -> None:
-        timeout_only = CongestionEventSwitching(on_fast_retransmit=False, on_timeout=True)
-        assert not timeout_only.should_switch_on_congestion(LOSS_FAST_RETRANSMIT)
-        assert timeout_only.should_switch_on_congestion(LOSS_TIMEOUT)
-        with pytest.raises(ValueError):
-            CongestionEventSwitching(on_fast_retransmit=False, on_timeout=False)
-
     def test_hybrid_switches_on_either(self) -> None:
         policy = HybridSwitching(threshold_bytes=50_000)
         assert policy.should_switch_on_data(50_000)
