@@ -96,7 +96,6 @@ CONFIG_FLAGS: Dict[str, Flag] = {flag.option: flag for flag in (
     Flag("--arrival-rate", "short_flow_rate_per_sender",
          dict(type=float, help="short flows per second per sender")),
     Flag("--topology", "topology", dict(choices=CHOICES["topology"])),
-    Flag("--queue", "queue_kind", dict(choices=CHOICES["queue_kind"])),
     Flag("--switching", "switching_policy", dict(choices=CHOICES["switching_policy"])),
     Flag("--fidelity", "fidelity",
          dict(choices=CHOICES["fidelity"],

@@ -7,7 +7,7 @@ threshold of three would constantly misinterpret that reordering as loss
 sketches two remedies, both implemented here:
 
 * **Topology-informed threshold** — derive the number of available paths
-  between sender and receiver from the structured FatTree/VL2 address (or a
+  between sender and receiver from the structured FatTree address (or a
   central controller) and raise the duplicate-ACK threshold accordingly.
 * **Adaptive (RR-TCP-like) threshold** — start from the standard threshold
   and grow it each time a fast retransmission turns out to have been
@@ -53,9 +53,9 @@ class TopologyInformedPolicy:
     given packet purely because of path diversity, so the threshold is set to
     the path count (clamped to ``[minimum, maximum]``).  The path count comes
     from FatTree's structured addressing
-    (:meth:`repro.topology.fattree.FatTreeTopology.expected_path_count`) or —
-    for topologies like VL2 — from a centralised component, exactly as the
-    paper suggests.
+    (:meth:`repro.topology.fattree.FatTreeTopology.expected_path_count`) —
+    or, the paper suggests, from a centralised component on a fabric
+    without such addresses.
     """
 
     name = "topology_informed"

@@ -14,7 +14,7 @@ simulation time is no object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.net.faults import FaultEvent
@@ -30,12 +30,7 @@ from repro.traffic.flowspec import ALL_PROTOCOLS, PROTOCOL_MPTCP
 
 TOPOLOGY_FATTREE = "fattree"
 TOPOLOGY_DUALHOMED = "dualhomed"
-TOPOLOGY_VL2 = "vl2"
-TOPOLOGIES = (TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED, TOPOLOGY_VL2)
-
-QUEUE_DROPTAIL = "droptail"
-QUEUE_SHARED = "shared"
-QUEUE_KINDS = (QUEUE_DROPTAIL, QUEUE_SHARED)
+TOPOLOGIES = (TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED)
 
 SWITCHING_DATA_VOLUME = "data_volume"
 SWITCHING_CONGESTION = "congestion_event"
@@ -63,7 +58,6 @@ FIDELITIES = (FIDELITY_PACKET, FIDELITY_FLOW)
 #: ``choices``.
 CHOICES = {
     "topology": TOPOLOGIES,
-    "queue_kind": QUEUE_KINDS,
     "protocol": ALL_PROTOCOLS,
     "switching_policy": SWITCHING_POLICIES,
     "reordering_policy": REORDERING_POLICIES,
@@ -81,12 +75,8 @@ class ExperimentConfig:
     hosts_per_edge: Optional[int] = 8  # k=4 with 8 hosts/edge -> 4:1 over-subscription
     link_rate_bps: float = megabits_per_second(100)
     core_oversubscription: float = 1.0
-    core_link_rate_bps: Optional[float] = None
-    host_link_rate_bps: Optional[float] = None
     link_delay_s: float = microseconds(20)
-    queue_kind: str = QUEUE_DROPTAIL
     queue_capacity_packets: int = 100
-    shared_buffer_bytes: int = 512 * 1500
 
     # Workload ---------------------------------------------------------------
     long_flow_fraction: float = 1.0 / 3.0
@@ -107,7 +97,6 @@ class ExperimentConfig:
     switching_policy: str = SWITCHING_DATA_VOLUME
     switching_threshold_bytes: int = 100 * 1400
     reordering_policy: str = REORDERING_TOPOLOGY
-    adaptive_reordering_increment: int = 2
 
     # Faults ---------------------------------------------------------------
     #: Timed fabric changes applied during the run (see
@@ -120,8 +109,6 @@ class ExperimentConfig:
 
     # Run control ---------------------------------------------------------------
     seed: int = 1
-    max_events: Optional[int] = None
-    wallclock_limit_s: Optional[float] = None
     #: Simulation fidelity: ``packet`` (per-segment engine) or ``flow`` (the
     #: fluid bandwidth-sharing tier).  A first-class config field so it
     #: participates in store keys and campaign sweep axes automatically.

@@ -28,8 +28,6 @@ from repro.core.reordering import (
 )
 from repro.experiments.config import (
     FIDELITY_FLOW,
-    QUEUE_DROPTAIL,
-    QUEUE_SHARED,
     REORDERING_ADAPTIVE,
     REORDERING_STATIC,
     REORDERING_TOPOLOGY,
@@ -37,9 +35,7 @@ from repro.experiments.config import (
     SWITCHING_DATA_VOLUME,
     SWITCHING_HYBRID,
     SWITCHING_NEVER,
-    TOPOLOGY_DUALHOMED,
     TOPOLOGY_FATTREE,
-    TOPOLOGY_VL2,
     ExperimentConfig,
 )
 from repro.metrics.collector import ExperimentMetrics, ExperimentResult
@@ -48,7 +44,7 @@ from repro.net.faults import FaultInjector
 from repro.net.host import Host
 from repro.net.monitor import snapshot as network_snapshot
 from repro.net.packet import default_pool, set_pool_profile
-from repro.net.queues import DropTailQueue, SharedBufferPool, SharedBufferQueue
+from repro.net.queues import DropTailQueue
 from repro.obs.profiler import EngineProfiler, pool_counters, profile_diagnostics
 from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
@@ -56,7 +52,6 @@ from repro.sim.randomness import RandomStreams
 from repro.topology.base import Topology
 from repro.topology.dualhomed import DualHomedFatTreeTopology
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
-from repro.topology.vl2 import Vl2Params, Vl2Topology
 from repro.traffic.flowspec import (
     PROTOCOL_MMPTCP,
     PROTOCOL_MPTCP,
@@ -88,52 +83,20 @@ class _FlowInstance:
 
 def build_topology(config: ExperimentConfig, simulator: Simulator) -> Topology:
     """Instantiate the fabric described by ``config``."""
-    queue_factory = _queue_factory(config)
-    if config.topology in (TOPOLOGY_FATTREE, TOPOLOGY_DUALHOMED):
-        params = FatTreeParams(
-            k=config.fattree_k,
-            hosts_per_edge=config.hosts_per_edge,
-            link_rate_bps=config.link_rate_bps,
-            core_oversubscription=config.core_oversubscription,
-            core_link_rate_bps=config.core_link_rate_bps,
-            host_link_rate_bps=config.host_link_rate_bps,
-            link_delay_s=config.link_delay_s,
-        )
-        topology_class = (
-            FatTreeTopology if config.topology == TOPOLOGY_FATTREE else DualHomedFatTreeTopology
-        )
-        return topology_class(simulator, params, queue_factory=queue_factory)
-    if config.topology == TOPOLOGY_VL2:
-        if (
-            config.core_oversubscription != 1.0
-            or config.core_link_rate_bps is not None
-            or config.host_link_rate_bps is not None
-        ):
-            # Refuse rather than silently building a symmetric fabric: a
-            # scenario matrix comparing "asymmetric" VL2 cells against
-            # baseline would otherwise report misleading zero deltas.
-            raise ValueError(
-                "core_oversubscription / core_link_rate_bps / host_link_rate_bps "
-                "apply to FatTree-family topologies only, not vl2"
-            )
-        params = Vl2Params(
-            server_link_rate_bps=config.link_rate_bps,
-            fabric_link_rate_bps=config.link_rate_bps * 10,
-            link_delay_s=config.link_delay_s,
-        )
-        return Vl2Topology(simulator, params, queue_factory=queue_factory)
-    raise ValueError(f"unknown topology {config.topology!r}")
-
-
-def _queue_factory(config: ExperimentConfig) -> Callable:
-    if config.queue_kind == QUEUE_DROPTAIL:
-        return lambda: DropTailQueue(capacity_packets=config.queue_capacity_packets)
-    if config.queue_kind == QUEUE_SHARED:
-        # One pool per queue factory call would defeat the purpose; a pool is
-        # shared among the ports created for a single experiment run.
-        pool = SharedBufferPool(total_bytes=config.shared_buffer_bytes)
-        return lambda: SharedBufferQueue(pool)
-    raise ValueError(f"unknown queue kind {config.queue_kind!r}")
+    params = FatTreeParams(
+        k=config.fattree_k,
+        hosts_per_edge=config.hosts_per_edge,
+        link_rate_bps=config.link_rate_bps,
+        core_oversubscription=config.core_oversubscription,
+        link_delay_s=config.link_delay_s,
+    )
+    topology_class = (
+        FatTreeTopology if config.topology == TOPOLOGY_FATTREE else DualHomedFatTreeTopology
+    )
+    capacity = config.queue_capacity_packets
+    return topology_class(
+        simulator, params, queue_factory=lambda: DropTailQueue(capacity_packets=capacity)
+    )
 
 
 def workload_params(
@@ -214,14 +177,8 @@ def make_reordering_policy(config: ExperimentConfig, path_count: int):
     if config.reordering_policy == REORDERING_TOPOLOGY:
         return TopologyInformedPolicy(path_count=path_count)
     if config.reordering_policy == REORDERING_ADAPTIVE:
-        return AdaptiveReorderingPolicy(increment=config.adaptive_reordering_increment)
+        return AdaptiveReorderingPolicy()
     raise ValueError(f"unknown reordering policy {config.reordering_policy!r}")
-
-
-def _path_count_hint(topology: Topology, source: Host, destination: Host) -> int:
-    if hasattr(topology, "expected_path_count"):
-        return topology.expected_path_count(source, destination)
-    return max(1, topology.path_count(source, destination))
 
 
 def create_flow(
@@ -286,7 +243,7 @@ def _build_flow(
             simulator, destination, local_port=port, flow_id=spec.flow_id,
             expected_bytes=spec.size_bytes,
         )
-        path_count = _path_count_hint(topology, source, destination)
+        path_count = topology.expected_path_count(source, destination)
         reordering = make_reordering_policy(config, path_count)
         rng = streams.stream(f"scatter-{spec.flow_id}")
         sender = MmptcpConnection(
@@ -445,11 +402,7 @@ def _simulate(
             instances.append(instance)
             simulator.schedule_at(spec.start_time, instance.sender.start)
 
-        simulator.run(
-            until=config.horizon_s,
-            max_events=config.max_events,
-            wallclock_limit=config.wallclock_limit_s,
-        )
+        simulator.run(until=config.horizon_s)
     finally:
         if profile:
             set_pool_profile(pool_profile_was)

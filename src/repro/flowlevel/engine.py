@@ -383,11 +383,7 @@ def run_flow_experiment(
     if config.fault_schedule:
         engine.arm_faults(config.fault_schedule)
     engine.start()
-    simulator.run(
-        until=config.horizon_s,
-        max_events=config.max_events,
-        wallclock_limit=config.wallclock_limit_s,
-    )
+    simulator.run(until=config.horizon_s)
     metrics = engine.finalise(config.horizon_s)
     # repro: allow[no-wallclock-or-global-random] -- diagnostic only (above)
     wallclock_s = _wallclock.monotonic() - wall_start

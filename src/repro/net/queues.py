@@ -1,24 +1,18 @@
 """Output queues for network interfaces.
 
-Two disciplines are provided:
+The fabric runs one discipline, :class:`DropTailQueue`: the classic bounded
+FIFO with a static per-port buffer, as on the paper's drop-tail switches.
+It exposes the :class:`Queue` interface, counts its drops and
+accepted/transmitted bytes, and is agnostic of what is on the other end —
+the interface object drains it.
 
-* :class:`DropTailQueue` — the classic bounded FIFO (per-port static buffer).
-* :class:`SharedBufferQueue` + :class:`SharedBufferPool` — per-port queues
-  drawing from a switch-wide shared memory pool with a dynamic-threshold
-  admission policy, modelling the shared-memory commodity switches the
-  paper's introduction blames for buffer pressure during incast.
-
-All queues expose the same interface (:class:`Queue`), count their drops and
-accepted/transmitted bytes, and are intentionally agnostic of what is on the
-other end — the interface object drains them.
-
-Enqueue/dequeue run once per packet per hop, so each discipline implements
-them as one *flattened* body: admission checks and
-:class:`QueueStats` updates are folded inline as unguarded integer operations
-(capacity bounds are normalised to huge sentinels instead of ``None``
-checks).  There is no other path: :class:`Queue` holds the shared state and
-leaves ``enqueue``/``dequeue`` abstract, and a custom discipline overrides
-them exactly as the two built-ins do.
+Enqueue/dequeue run once per packet per hop, so the discipline implements
+them as one *flattened* body: admission checks and :class:`QueueStats`
+updates are folded inline as unguarded integer operations (capacity bounds
+are normalised to huge sentinels instead of ``None`` checks).
+:class:`Queue` holds the shared state and leaves ``enqueue``/``dequeue``
+abstract, so a test can substitute its own discipline through a topology's
+``queue_factory``.
 """
 
 from __future__ import annotations
@@ -188,81 +182,3 @@ class DropTailQueue(Queue):
         stats.dequeued_packets += 1
         stats.dequeued_bytes += size
         return True
-
-
-class SharedBufferPool:
-    """A switch-wide shared memory pool with dynamic per-port thresholds.
-
-    Implements the classic dynamic-threshold policy: a port may buffer at most
-    ``alpha * free_bytes`` where ``free_bytes`` is the unused portion of the
-    shared pool.  Heavily loaded ports therefore squeeze the space available
-    to others — the "buffer pressure" effect the paper's introduction cites as
-    one reason short TCP flows miss deadlines.
-    """
-
-    def __init__(self, total_bytes: int, alpha: float = 1.0) -> None:
-        if total_bytes <= 0:
-            raise ValueError("total_bytes must be positive")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.total_bytes = total_bytes
-        self.alpha = alpha
-        self.used_bytes = 0
-
-    @property
-    def free_bytes(self) -> int:
-        """Unreserved bytes remaining in the pool."""
-        return self.total_bytes - self.used_bytes
-
-    def port_threshold(self) -> float:
-        """Maximum occupancy currently allowed for any single port."""
-        return self.alpha * self.free_bytes
-
-    def try_reserve(self, occupancy_bytes: int, packet_size: int) -> bool:
-        """Reserve ``packet_size`` bytes for a port currently holding ``occupancy_bytes``."""
-        if self.used_bytes + packet_size > self.total_bytes:
-            return False
-        if occupancy_bytes + packet_size > self.port_threshold():
-            return False
-        self.used_bytes += packet_size
-        return True
-
-    def release(self, packet_size: int) -> None:
-        """Return ``packet_size`` bytes to the pool."""
-        self.used_bytes -= packet_size
-        if self.used_bytes < 0:
-            raise RuntimeError("shared buffer accounting went negative")
-
-
-class SharedBufferQueue(Queue):
-    """Per-port queue whose admission is governed by a :class:`SharedBufferPool`."""
-
-    def __init__(self, pool: SharedBufferPool) -> None:
-        super().__init__()
-        self.pool = pool
-
-    def enqueue(self, packet: Packet) -> bool:
-        stats = self.stats
-        size = packet.size
-        if not self.pool.try_reserve(self._bytes, size):
-            stats.dropped_packets += 1
-            stats.dropped_bytes += size
-            return False
-        self._packets.append(packet)
-        self._bytes += size
-        stats.enqueued_packets += 1
-        stats.enqueued_bytes += size
-        return True
-
-    def dequeue(self) -> Optional[Packet]:
-        packets = self._packets
-        if not packets:
-            return None
-        packet = packets.popleft()
-        size = packet.size
-        self._bytes -= size
-        self.pool.release(size)
-        stats = self.stats
-        stats.dequeued_packets += 1
-        stats.dequeued_bytes += size
-        return packet

@@ -1,6 +1,6 @@
 """Shortest-path multi-path route computation.
 
-Data-centre fabrics (FatTree, VL2, ...) are regular enough that every
+Data-centre fabrics such as FatTree are regular enough that every
 shortest path is an acceptable path, and ECMP load-balances across all of
 them.  We therefore compute, for every switch and every destination host,
 the set of neighbours that lie on *some* shortest path to that host, and

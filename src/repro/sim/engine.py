@@ -38,7 +38,6 @@ heap is compacted in one O(n) pass.
 
 from __future__ import annotations
 
-import time as _wallclock
 from heapq import heapify, heappop, heappush
 from types import SimpleNamespace
 from typing import Any, Callable, List, Optional, Tuple, Union
@@ -366,12 +365,7 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        wallclock_limit: Optional[float] = None,
-    ) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Run the event loop.
 
         A stop request (:meth:`stop`) is honoured by exactly one run: the
@@ -382,11 +376,8 @@ class Simulator:
 
         Args:
             until: stop once simulated time would exceed this value.  Events
-                scheduled exactly at ``until`` are executed.
-            max_events: stop after this many events have been processed.
-            wallclock_limit: stop after this many real seconds have elapsed
-                (checked every 4096 events); useful as a safety net in
-                benchmarks.
+                scheduled exactly at ``until`` are executed.  Without it the
+                run ends when the queue is empty (or on :meth:`stop`).
         """
         if self._running:
             raise SimulationError("run() called re-entrantly from a callback")
@@ -396,18 +387,10 @@ class Simulator:
             return
         self._running = True
         try:
-            processed_this_run = 0
-            # The wallclock_limit escape hatch is the engine's one sanctioned
-            # real-clock read: it can only stop a run early (benchmarks use it
-            # as a safety net), never reorder or retime simulated events.
-            # repro: allow[no-wallclock-or-global-random] -- bounded-run safety net
-            wall_start = _wallclock.monotonic() if wallclock_limit is not None else 0.0
-
             queue = self._queue
             pop = heappop
             profiler = self.profiler
             horizon = until if until is not None else _INF
-            bounded = max_events is not None or wallclock_limit is not None
 
             while not self._stopped:
                 if not queue:
@@ -432,14 +415,6 @@ class Simulator:
                     profiler.note(target.callback)
                 target.callback(*target.args)
                 self.events_processed += 1
-                if bounded:
-                    processed_this_run += 1
-                    if max_events is not None and processed_this_run >= max_events:
-                        break
-                    if wallclock_limit is not None and processed_this_run % 4096 == 0:
-                        # repro: allow[no-wallclock-or-global-random] -- see above
-                        if _wallclock.monotonic() - wall_start > wallclock_limit:
-                            break
         finally:
             self._stopped = False
             self._running = False

@@ -52,7 +52,10 @@ from typing import Any, Optional, Sequence
 #: v6: ExperimentConfig lost its ``scheduler`` / ``path_manager`` fields with
 #: the policy schedulers and the full-mesh path manager, so every config's
 #: serialised field set — and therefore every key — changed again.
-STORE_SCHEMA_VERSION = 6
+#: v7: ExperimentConfig lost the fields nothing but tests set (the shared-
+#: buffer queue, the per-tier link-rate overrides, the adaptive reordering
+#: increment and the run caps), so every key changed again.
+STORE_SCHEMA_VERSION = 7
 
 
 def to_jsonable(value: Any, _path: str = "$") -> Any:

@@ -2,8 +2,9 @@
 
 A :class:`Topology` owns the simulator's node objects (hosts and switches),
 the connectivity graph used for route computation, and convenience lookups.
-Concrete topologies (FatTree, VL2, ...) subclass it and populate the fabric
-in their constructor, then call :meth:`build_routes` once wiring is complete.
+Concrete topologies (the FatTree fabrics, the small test topologies)
+subclass it and populate the fabric in their constructor, then call
+:meth:`build_routes` once wiring is complete.
 """
 
 from __future__ import annotations

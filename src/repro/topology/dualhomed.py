@@ -82,14 +82,14 @@ class DualHomedFatTreeTopology(Topology):
                     self.connect_nodes(
                         host,
                         edge,
-                        params.effective_host_rate_bps,
+                        params.link_rate_bps,
                         params.link_delay_s,
                         queue_factory,
                     )
                     self.connect_nodes(
                         host,
                         secondary_edge,
-                        params.effective_host_rate_bps,
+                        params.link_rate_bps,
                         params.link_delay_s,
                         queue_factory,
                     )

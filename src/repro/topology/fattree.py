@@ -42,11 +42,6 @@ class FatTreeParams:
             value of 2.0 gives the core layer half the capacity of the layers
             below it (a 2:1 core:agg over-subscription) without changing the
             wiring or the shortest-path structure.
-        core_link_rate_bps: explicit aggregation↔core link rate; overrides
-            ``core_oversubscription`` when set.  Together these two knobs
-            express asymmetric fabrics with heterogeneous link speeds.
-        host_link_rate_bps: explicit host↔edge link rate (``None`` = the
-            fabric-wide ``link_rate_bps``).
         link_delay_s: per-hop propagation delay.
     """
 
@@ -54,8 +49,6 @@ class FatTreeParams:
     hosts_per_edge: Optional[int] = None
     link_rate_bps: float = DEFAULT_LINK_RATE_BPS
     core_oversubscription: float = 1.0
-    core_link_rate_bps: Optional[float] = None
-    host_link_rate_bps: Optional[float] = None
     link_delay_s: float = DEFAULT_LINK_DELAY_S
 
     def __post_init__(self) -> None:
@@ -65,10 +58,6 @@ class FatTreeParams:
             raise ValueError("hosts_per_edge must be at least 1")
         if self.core_oversubscription <= 0:
             raise ValueError("core_oversubscription must be positive")
-        if self.core_link_rate_bps is not None and self.core_link_rate_bps <= 0:
-            raise ValueError("core_link_rate_bps must be positive")
-        if self.host_link_rate_bps is not None and self.host_link_rate_bps <= 0:
-            raise ValueError("host_link_rate_bps must be positive")
 
     @property
     def effective_hosts_per_edge(self) -> int:
@@ -77,17 +66,8 @@ class FatTreeParams:
 
     @property
     def effective_core_rate_bps(self) -> float:
-        """The aggregation↔core link rate after over-subscription/overrides."""
-        if self.core_link_rate_bps is not None:
-            return self.core_link_rate_bps
+        """The aggregation↔core link rate after over-subscription."""
         return self.link_rate_bps / self.core_oversubscription
-
-    @property
-    def effective_host_rate_bps(self) -> float:
-        """The host↔edge link rate."""
-        if self.host_link_rate_bps is not None:
-            return self.host_link_rate_bps
-        return self.link_rate_bps
 
     @property
     def num_pods(self) -> int:
@@ -192,7 +172,7 @@ class FatTreeTopology(Topology):
                     self.connect_nodes(
                         host,
                         edge,
-                        params.effective_host_rate_bps,
+                        params.link_rate_bps,
                         params.link_delay_s,
                         queue_factory,
                     )

@@ -87,7 +87,7 @@ def test_config_from_args_applies_overrides() -> None:
     args = build_parser().parse_args([
         "run", "--protocol", "mptcp", "--subflows", "4", "--k", "4",
         "--hosts-per-edge", "2", "--link-mbps", "50", "--max-short-flows", "5",
-        "--arrival-rate", "3.0", "--queue", "shared", "--switching", "congestion_event",
+        "--arrival-rate", "3.0", "--switching", "congestion_event",
     ])
     config = _config_from_args(args)
     assert config.protocol == PROTOCOL_MPTCP
@@ -95,7 +95,6 @@ def test_config_from_args_applies_overrides() -> None:
     assert config.hosts_per_edge == 2
     assert config.link_rate_bps == pytest.approx(50e6)
     assert config.max_short_flows == 5
-    assert config.queue_kind == "shared"
     assert config.switching_policy == "congestion_event"
 
 
@@ -216,8 +215,8 @@ def test_campaign_without_fidelities_flag_adds_no_axes() -> None:
 
 @pytest.mark.parametrize("command", ["run", "status", "report", "gc"])
 def test_campaign_spec_with_unknown_config_field_fails_cleanly(command, tmp_path, capsys) -> None:
-    # A typo, and a field the config no longer has (an old spec file).
-    for field in ("num_subflowz", "scheduler"):
+    # A typo, and fields the config no longer has (old spec files).
+    for field in ("num_subflowz", "scheduler", "queue_kind"):
         spec_file = tmp_path / "campaign.json"
         spec_file.write_text(
             '{"name": "x", "scenarios": ["baseline"], "protocols": ["tcp"],'

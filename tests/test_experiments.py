@@ -32,8 +32,8 @@ from repro.experiments.runner import (
 from repro.metrics.export import dumps_deterministic
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
+from repro.topology.dualhomed import DualHomedFatTreeTopology
 from repro.topology.fattree import FatTreeTopology
-from repro.topology.vl2 import Vl2Topology
 
 # A deliberately tiny configuration so integration tests stay fast: 16 hosts,
 # a handful of short flows, small long flows, sub-second horizon.
@@ -86,8 +86,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(num_subflows=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(queue_kind="red")
-        with pytest.raises(ValueError):
             ExperimentConfig(topology="jellyfish")
         with pytest.raises(ValueError, match="unknown protocol 'quic'"):
             ExperimentConfig(protocol="quic")
@@ -105,7 +103,8 @@ class TestFactories:
     def test_topology_factory_builds_requested_fabric(self) -> None:
         assert isinstance(build_topology(TINY, Simulator()), FatTreeTopology)
         assert isinstance(
-            build_topology(TINY.with_updates(topology="vl2"), Simulator()), Vl2Topology
+            build_topology(TINY.with_updates(topology="dualhomed"), Simulator()),
+            DualHomedFatTreeTopology,
         )
 
     def test_switching_policy_factory(self) -> None:
@@ -187,11 +186,6 @@ class TestRunnerIntegration:
         assert all(record.phase_at_completion == "packet_scatter" for record in shorts)
         assert all(record.phase_at_completion == "mptcp" for record in longs)
         assert all(record.switch_time is not None for record in longs)
-
-    def test_shared_buffer_queue_configuration_runs(self) -> None:
-        config = TINY.with_updates(queue_kind="shared")
-        result = run_experiment(config)
-        assert result.metrics.short_flow_completion_rate() == 1.0
 
 
 class _FailingSimulator(Simulator):

@@ -7,7 +7,7 @@ import pytest
 from repro.net.host import Host
 from repro.net.link import connect
 from repro.net.packet import FLAG_DATA, Packet
-from repro.net.queues import DropTailQueue, Queue, SharedBufferPool, SharedBufferQueue
+from repro.net.queues import DropTailQueue, Queue
 from repro.sim.engine import Simulator
 
 
@@ -77,45 +77,6 @@ class TestDropTailQueue:
             DropTailQueue(capacity_packets=None, capacity_bytes=-1)
 
 
-class TestSharedBuffer:
-    def test_pool_admits_until_exhausted(self) -> None:
-        pool = SharedBufferPool(total_bytes=3000, alpha=1.0)
-        queue = SharedBufferQueue(pool)
-        assert queue.enqueue(_packet(1000))
-        assert queue.enqueue(_packet(1000))
-        # Dynamic threshold: occupancy (2000) + 1000 > alpha * free (1000).
-        assert not queue.enqueue(_packet(1000))
-
-    def test_dynamic_threshold_squeezes_hot_port(self) -> None:
-        pool = SharedBufferPool(total_bytes=4000, alpha=0.5)
-        hot = SharedBufferQueue(pool)
-        cold = SharedBufferQueue(pool)
-        # hot holds 0; threshold = 0.5 * free(4000) = 2000 -> accepted.
-        assert hot.enqueue(_packet(1000))
-        # hot holds 1000; threshold = 0.5 * free(3000) = 1500 < 2000 -> rejected:
-        # the dynamic threshold caps how much one port can hog.
-        assert not hot.enqueue(_packet(1000))
-        # The cold port still gets space (0 + 1000 <= 1500).
-        assert cold.enqueue(_packet(1000))
-
-    def test_release_returns_space_to_pool(self) -> None:
-        pool = SharedBufferPool(total_bytes=2000)
-        queue = SharedBufferQueue(pool)
-        assert queue.enqueue(_packet(1000))
-        # Occupancy 1000 + 1000 exceeds alpha * free(1000) -> rejected.
-        assert not queue.enqueue(_packet(1000))
-        assert pool.used_bytes == 1000
-        queue.dequeue()
-        assert pool.used_bytes == 0
-        assert queue.enqueue(_packet(1000))
-
-    def test_pool_validation(self) -> None:
-        with pytest.raises(ValueError):
-            SharedBufferPool(total_bytes=0)
-        with pytest.raises(ValueError):
-            SharedBufferPool(total_bytes=100, alpha=0)
-
-
 class TestTransit:
     """The empty-queue pass-through used by idle interfaces."""
 
@@ -134,21 +95,6 @@ class TestTransit:
         assert not queue.transit(_packet(1000))
         assert queue.stats.dropped_packets == 1
         assert queue.stats.dropped_bytes == 1000
-
-    def test_shared_buffer_transit_reserves_and_releases(self) -> None:
-        pool = SharedBufferPool(total_bytes=2000)
-        queue = SharedBufferQueue(pool)
-        assert queue.transit(_packet(1000))
-        assert pool.used_bytes == 0  # reserved on the way in, released on the way out
-        assert queue.stats.enqueued_packets == 1
-        assert queue.stats.dequeued_packets == 1
-
-    def test_shared_buffer_transit_rejects_oversized(self) -> None:
-        pool = SharedBufferPool(total_bytes=500)
-        queue = SharedBufferQueue(pool)
-        assert not queue.transit(_packet(1000))
-        assert pool.used_bytes == 0
-        assert queue.stats.dropped_packets == 1
 
 
 class TestHookSubclassFallback:
@@ -184,11 +130,8 @@ class TestHookSubclassFallback:
         assert len(iface.queue) == 1
 
     def test_transit_on_nonempty_queue_raises(self) -> None:
-        for queue in (
-            DropTailQueue(capacity_packets=4),
-            SharedBufferQueue(SharedBufferPool(total_bytes=10_000)),
-        ):
-            assert queue.enqueue(_packet())
-            with pytest.raises(RuntimeError, match="empty queue"):
-                queue.transit(_packet())
-            assert len(queue) == 1 and queue.stats.offered_packets == 1
+        queue = DropTailQueue(capacity_packets=4)
+        assert queue.enqueue(_packet())
+        with pytest.raises(RuntimeError, match="empty queue"):
+            queue.transit(_packet())
+        assert len(queue) == 1 and queue.stats.offered_packets == 1

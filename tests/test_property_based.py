@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.net.ecmp import fnv1a_64, select_path
 from repro.net.packet import FLAG_DATA, Packet
-from repro.net.queues import DropTailQueue, SharedBufferPool, SharedBufferQueue
+from repro.net.queues import DropTailQueue
 from repro.sim.randomness import derive_seed
 from repro.sim.units import throughput_bps, transmission_delay
 from repro.traffic.arrivals import poisson_arrivals
@@ -143,7 +143,7 @@ def test_fnv_hash_is_stable_and_64bit(values, salt) -> None:
 
 # ---------------------------------------------------------------------------
 # Queues: conservation — every offered packet is either delivered, dropped or
-# still buffered, in FIFO order, for every discipline and through transit().
+# still buffered, in FIFO order, through enqueue and through transit().
 # ---------------------------------------------------------------------------
 
 queue_operations = st.lists(
@@ -153,7 +153,7 @@ queue_operations = st.lists(
 )
 
 
-def _check_conservation(queues, operations, pool=None, capacity=None) -> None:
+def _check_conservation(queues, operations, capacity=None) -> None:
     """Drive the ports of one switch and check the books after every step."""
     buffered = [[] for _ in queues]  # the FIFO each port should be holding
     dequeued = [0] * len(queues)
@@ -184,9 +184,6 @@ def _check_conservation(queues, operations, pool=None, capacity=None) -> None:
             assert stats.enqueued_bytes - stats.dequeued_bytes == each.byte_length
             if capacity is not None:
                 assert len(each) <= capacity
-        if pool is not None:
-            assert pool.used_bytes == sum(each.byte_length for each in queues)
-            assert 0 <= pool.used_bytes <= pool.total_bytes
 
 
 @given(capacity=st.integers(min_value=1, max_value=20), operations=queue_operations)
@@ -194,20 +191,6 @@ def _check_conservation(queues, operations, pool=None, capacity=None) -> None:
 def test_droptail_queue_conserves_packets(capacity, operations) -> None:
     _check_conservation([DropTailQueue(capacity_packets=capacity)], operations,
                         capacity=capacity)
-
-
-@given(pool_packets=st.integers(min_value=1, max_value=20),
-       alpha=st.sampled_from((0.5, 1.0, 4.0)), operations=queue_operations)
-@settings(max_examples=200, deadline=None)
-def test_shared_buffer_queues_conserve_packets_and_pool_bytes(
-    pool_packets, alpha, operations
-) -> None:
-    # Three ports of one switch on one pool: what a port dequeues (or passes
-    # through transit) goes back to the pool, so the pool's books are the
-    # sum of its ports' at every step.
-    pool = SharedBufferPool(total_bytes=pool_packets * 150, alpha=alpha)
-    queues = [SharedBufferQueue(pool) for _ in range(3)]
-    _check_conservation(queues, operations, pool=pool)
 
 
 # ---------------------------------------------------------------------------

@@ -221,9 +221,3 @@ def test_incast_scenario_runs_end_to_end() -> None:
 def test_oversubscribed_scenario_builds_slower_core_links() -> None:
     cell = _run_cell("oversubscribed-core", _fast_config(), PROTOCOL_TCP)
     assert cell.result.config.core_oversubscription == 2.0
-
-
-def test_asymmetry_scenarios_refuse_vl2_instead_of_silently_ignoring() -> None:
-    base = _fast_config(topology="vl2")
-    with pytest.raises(ValueError, match="FatTree"):
-        _run_cell("oversubscribed-core", base, PROTOCOL_TCP)

@@ -189,14 +189,6 @@ def test_run_is_not_reentrant(simulator: Simulator) -> None:
     assert len(failures) == 1
 
 
-def test_max_events_limits_processing(simulator: Simulator) -> None:
-    fired = []
-    for index in range(10):
-        simulator.schedule(0.1 * (index + 1), lambda i=index: fired.append(i))
-    simulator.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
 def test_events_processed_counter(simulator: Simulator) -> None:
     for index in range(4):
         simulator.schedule(0.1, lambda: None)

@@ -38,7 +38,7 @@ from repro.traffic.flowspec import PROTOCOL_MMPTCP
 #: The default tiny config's key, pinned.  If this changes, every existing
 #: store silently turns into a full miss — bump STORE_SCHEMA_VERSION when
 #: changing key derivation deliberately, and regenerate this literal.
-_TINY_CONFIG_KEY = "fe5f9fb4f651354f57b28f61c5cef0c171b737c9a74560d28b7821ff69073b08"
+_TINY_CONFIG_KEY = "8484ea79d4f3cf34093b8ac64d67630b7294e214a484eade59ac3966eeaff40e"
 
 #: One valid alternate value per ExperimentConfig field.  The completeness
 #: test below fails when a new config field is added without extending this
@@ -51,11 +51,8 @@ _FIELD_CHANGES = {
     "hosts_per_edge": 3,
     "link_rate_bps": 2e8,
     "core_oversubscription": 2.0,
-    "core_link_rate_bps": 5e7,
-    "host_link_rate_bps": 5e7,
     "link_delay_s": 1e-5,
     "queue_capacity_packets": 50,
-    "shared_buffer_bytes": 1000,
     "long_flow_fraction": 0.5,
     "short_flow_size_bytes": 1000,
     "long_flow_size_bytes": 1000,
@@ -69,11 +66,8 @@ _FIELD_CHANGES = {
     "min_rto_s": 0.1,
     "dupack_threshold": 4,
     "switching_threshold_bytes": 1000,
-    "adaptive_reordering_increment": 3,
     "fault_schedule": (link_failure(0.1, "core-0", "agg-0-0"),),
     "seed": 2,
-    "max_events": 100,
-    "wallclock_limit_s": 5.0,
     **{
         name: next(value for value in legal if value != getattr(tiny_config(), name))
         for name, legal in CHOICES.items()
@@ -213,9 +207,9 @@ def test_key_is_stable_across_process_restarts() -> None:
 #: pinned only together with the version bump that makes old artifacts clean
 #: misses; the test's failure message prints the pair to pin.
 _SCHEMA_PINS = {
-    6: (
-        "6518f0a87254e3f149e588922a5102fc984f7093d9d923f61e247d17549dc9ec",
-        "c8ea8de7c08c459a7adea9015cfee7c2294816b41c257f1f90f79c06ff2245c6",
+    7: (
+        "9a17fea7440a2663d0a58bbcf5965a3a01e9c12c150a31982648f87af7c43862",
+        "ae1e9c0d3f2371ea3f5fedb051cdce30cccc276c3f8db4cbf41b8eb77e2b97e8",
     ),
 }
 
