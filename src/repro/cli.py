@@ -12,7 +12,7 @@ Exposes the experiment harness without writing any Python::
     repro-mmptcp scenarios run core-link-failure --protocol mmptcp
     repro-mmptcp scenarios run vm-migration --protocol mmptcp
     repro-mmptcp scenarios matrix --workers 4 --export-dir results/
-    repro-mmptcp scenarios matrix --scenarios vm-migration vip-failover \
+    repro-mmptcp scenarios matrix --scenarios vm-migration rolling-drain \
         --transports tcp mmptcp
     repro-mmptcp run --fidelity flow --max-short-flows 5000
     repro-mmptcp campaign run --store results/store --workers 4 --report report.md

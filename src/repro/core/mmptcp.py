@@ -58,7 +58,6 @@ class MmptcpConnection(MptcpConnection):
         path_count_hint: Optional[int] = None,
         scatter_port_range: Tuple[int, int] = DEFAULT_SCATTER_PORT_RANGE,
         rng: Optional[random.Random] = None,
-        address_resolver: Optional[Callable[[int], int]] = None,
         on_complete: Optional[Callable[["MptcpConnection"], None]] = None,
         on_phase_switch: Optional[Callable[["MmptcpConnection"], None]] = None,
     ) -> None:
@@ -71,7 +70,6 @@ class MmptcpConnection(MptcpConnection):
             num_subflows=num_subflows,
             flow_id=flow_id,
             config=config,
-            address_resolver=address_resolver,
             on_complete=on_complete,
             create_subflows=False,
         )
@@ -138,7 +136,6 @@ class MmptcpConnection(MptcpConnection):
             self._switch_to_mptcp(reason="data_volume")
 
     def _subflow_congestion_event(self, subflow: TcpSender, kind: str) -> None:
-        super()._subflow_congestion_event(subflow, kind)
         if (
             self.phase == PHASE_PACKET_SCATTER
             and subflow is self.scatter_subflow
@@ -146,29 +143,9 @@ class MmptcpConnection(MptcpConnection):
         ):
             self._switch_to_mptcp(reason=f"congestion:{kind}")
 
-    def _on_peer_readdressed(self, new_address: int) -> None:
-        """A migrated peer forces the MPTCP phase.
-
-        The scatter flow's sprayed packets are bound (by handshake) to the
-        old address, so it dies with the readdressing like any other subflow;
-        re-establishing a *scatter* flow would re-spray into the same fabric
-        the connection just lost, while regular MPTCP subflows towards the
-        new address restore connectivity immediately.  Only the phase
-        bookkeeping (:meth:`_enter_mptcp_phase`) is shared with the normal
-        switch — :meth:`_switch_to_mptcp` would open subflows at stale ids
-        towards the not-yet-updated address — and the base readdressing
-        path then opens the replacement subflows.
-        """
-        if self.phase != PHASE_PACKET_SCATTER:
-            super()._on_peer_readdressed(new_address)
+    def _switch_to_mptcp(self, reason: str) -> None:
+        if self.phase == PHASE_MPTCP:
             return
-        self._enter_mptcp_phase("peer_readdressed")
-        super()._on_peer_readdressed(new_address)
-        if self.on_phase_switch is not None:
-            self.on_phase_switch(self)
-
-    def _enter_mptcp_phase(self, reason: str) -> None:
-        """Record the scatter → MPTCP switch: phase, instant, reason, probes."""
         self.phase = PHASE_MPTCP
         self.switch_time = self.simulator.now
         self.switch_reason = reason
@@ -181,11 +158,6 @@ class MmptcpConnection(MptcpConnection):
                 reason=reason,
                 bytes_in_scatter=self.bytes_in_scatter_phase,
             )
-
-    def _switch_to_mptcp(self, reason: str) -> None:
-        if self.phase == PHASE_MPTCP:
-            return
-        self._enter_mptcp_phase(reason)
         # Open the MPTCP subflows only if there is still data for them to
         # carry; a flow that is already fully allocated (e.g. a short flow
         # whose last bytes triggered the volume threshold) gains nothing from

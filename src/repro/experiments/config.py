@@ -100,9 +100,8 @@ class ExperimentConfig:
 
     # Faults ---------------------------------------------------------------
     #: Timed fabric changes applied during the run (see
-    #: :mod:`repro.net.faults`): link failures / recoveries / degradations,
-    #: gradual ``drain_link`` staircases, and ``migrate_host`` endpoint
-    #: re-homing events.  A tuple of frozen events so the config stays
+    #: :mod:`repro.net.faults`): link failures / recoveries / degradations
+    #: and ``migrate_host`` endpoint re-homing events.  A tuple of frozen events so the config stays
     #: hashable and picklable for parallel sweeps — and so every fault
     #: (migrations included) participates in store keys automatically.
     fault_schedule: Tuple[FaultEvent, ...] = ()

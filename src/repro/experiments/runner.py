@@ -234,7 +234,6 @@ def _build_flow(
         sender = MptcpConnection(
             simulator, source, destination.address, port, spec.size_bytes,
             num_subflows=spec.num_subflows, flow_id=spec.flow_id, config=tcp_config,
-            address_resolver=topology.current_address_of,
         )
         return _FlowInstance(spec, sender, receiver)
 
@@ -251,7 +250,6 @@ def _build_flow(
             num_subflows=spec.num_subflows, flow_id=spec.flow_id, config=tcp_config,
             switching_policy=make_switching_policy(config),
             reordering_policy=reordering, path_count_hint=path_count, rng=rng,
-            address_resolver=topology.current_address_of,
         )
         return _FlowInstance(spec, sender, receiver)
 

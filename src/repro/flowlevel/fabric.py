@@ -14,12 +14,11 @@ Faults: :class:`FluidFaultApplier` consumes the same
 :class:`~repro.net.faults.FaultInjector` and mirrors its semantics for the
 link verbs — ``link_down`` zeroes both directions' capacity, ``degrade``
 multiplies the *original* rate keyed by the sorted name pair, ``restore``
-undoes it, ``drain_link`` expands through the shared
-:func:`~repro.net.faults.expand_fault_event` staircase.  ``migrate_host``
-needs per-connection re-establishment the fluid model cannot express, so it
-is rejected up front with a clear error.  Each applied step is reported to
-the applier's ``probes`` through ``observe_trace``, with the same name and
-payload the packet tier's injector uses.
+undoes it.  ``migrate_host`` needs per-connection re-establishment the fluid
+model cannot express, so it is rejected up front with a clear error.  Each
+applied event is reported to the applier's ``probes`` through
+``observe_trace``, with the same name and payload the packet tier's injector
+uses.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.net.faults import (
     MIGRATE_HOST,
     RESTORE,
     FaultEvent,
-    expand_fault_event,
 )
 from repro.net.routing import all_shortest_paths
 from repro.net.switch import Switch
@@ -170,10 +168,9 @@ class FluidFaultApplier:
             raise ValueError(f"no link between {event.node_a!r} and {event.node_b!r}")
 
     def arm(self) -> None:
-        """Schedule every (expanded) fault step on the simulator."""
+        """Schedule every fault event on the simulator."""
         for event in self.schedule:
-            for step in expand_fault_event(event):
-                self.simulator.schedule_at(step.time_s, self._apply, step)
+            self.simulator.schedule_at(event.time_s, self._apply, event)
 
     # ------------------------------------------------------------------
 

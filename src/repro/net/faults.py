@@ -1,4 +1,4 @@
-"""Timed fault injection: link failures, degradation, drains and migration.
+"""Timed fault injection: link failures, degradation and migration.
 
 A fault schedule is a tuple of :class:`FaultEvent`s — pure, hashable,
 picklable data, so it can live on a frozen :class:`ExperimentConfig` and
@@ -17,16 +17,11 @@ Two layers cooperate to keep traffic flowing:
   live subset of a group if the hashed choice is down, which covers any
   window where tables and link state disagree.
 
-Beyond the four link verbs, two mobility verbs ride the same machinery:
-
-* ``drain_link`` is a compound event expanded at arm time into a gradual
-  ``degrade`` staircase (:data:`DRAIN_STEPS` steps of ``factor``,
-  ``factor**2``, ...) followed by a ``link_down`` — the shape of an operator
-  draining traffic off a link before taking it out of service;
-* ``migrate_host`` detaches the named host (``node_a``), waits out the
-  migration downtime (``duration_s``), then re-attaches it to the named
-  switch (``node_b``), optionally under a new address — see
-  :meth:`repro.topology.base.Topology.migrate_host`.
+Beyond the four link verbs, ``migrate_host`` detaches the named host
+(``node_a``), waits out the migration downtime (``duration_s``), then
+re-attaches it to the named switch (``node_b``) under the same address — see
+:meth:`repro.topology.base.Topology.detach_host` and
+:meth:`~repro.topology.base.Topology.attach_host`.
 
 Idempotency: re-applying a state a link is already in is an explicit no-op.
 ``link_up`` on an up link does not re-add the graph edge (re-adding is
@@ -56,13 +51,8 @@ LINK_UP = "link_up"
 DEGRADE = "degrade"
 RESTORE = "restore"
 MIGRATE_HOST = "migrate_host"
-DRAIN_LINK = "drain_link"
 
-_KINDS = (LINK_DOWN, LINK_UP, DEGRADE, RESTORE, MIGRATE_HOST, DRAIN_LINK)
-
-#: Number of degrade steps a ``drain_link`` expands into before the final
-#: ``link_down``.
-DRAIN_STEPS = 3
+_KINDS = (LINK_DOWN, LINK_UP, DEGRADE, RESTORE, MIGRATE_HOST)
 
 
 @dataclass(frozen=True)
@@ -72,21 +62,15 @@ class FaultEvent:
     Attributes:
         time_s: simulated time at which the fault is applied.
         kind: one of ``link_down`` / ``link_up`` / ``degrade`` / ``restore``
-            / ``migrate_host`` / ``drain_link``.
+            / ``migrate_host``.
         node_a / node_b: for link kinds, names of the link's endpoints (order
             irrelevant).  For ``migrate_host``, ``node_a`` is the host being
             migrated and ``node_b`` the switch it re-attaches to (order
             matters).
         factor: for ``degrade``, the multiplier applied to the link's
-            *original* rate (0.25 = quarter speed).  For ``drain_link``, the
-            per-step multiplier of the degrade staircase (must be in (0, 1)).
-            Ignored otherwise.
-        duration_s: for ``drain_link``, the time from the first degrade step
-            to the final ``link_down``.  For ``migrate_host``, the downtime
-            between detach and re-attach (0 = atomic migration).
-        new_address: for ``migrate_host``, the address the host assumes at
-            its new attachment point (``None`` keeps the old address — a
-            "VM migration" that preserves identity).
+            *original* rate (0.25 = quarter speed).  Ignored otherwise.
+        duration_s: for ``migrate_host``, the downtime between detach and
+            re-attach (0 = atomic migration).  Ignored otherwise.
     """
 
     time_s: float
@@ -95,7 +79,6 @@ class FaultEvent:
     node_b: str
     factor: float = 1.0
     duration_s: float = 0.0
-    new_address: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.time_s < 0:
@@ -108,16 +91,6 @@ class FaultEvent:
             raise ValueError("fault endpoints must be two distinct node names")
         if self.duration_s < 0:
             raise ValueError("fault duration cannot be negative")
-        if self.kind == DRAIN_LINK:
-            if self.duration_s <= 0:
-                raise ValueError("drain_link needs a positive duration")
-            if not 0 < self.factor < 1:
-                raise ValueError("drain_link factor must be in (0, 1)")
-        if self.kind == MIGRATE_HOST:
-            if self.new_address is not None and self.new_address < 0:
-                raise ValueError("migrate_host new_address cannot be negative")
-        elif self.new_address is not None:
-            raise ValueError(f"new_address is only meaningful for {MIGRATE_HOST!r} events")
 
 
 def link_failure(time_s: float, node_a: str, node_b: str) -> FaultEvent:
@@ -154,17 +127,12 @@ def degradation(
 
 
 def host_migration(
-    time_s: float,
-    host: str,
-    new_attachment: str,
-    downtime_s: float = 0.0,
-    new_address: Optional[int] = None,
+    time_s: float, host: str, new_attachment: str, downtime_s: float = 0.0
 ) -> FaultEvent:
     """Re-home ``host`` onto the ``new_attachment`` switch at ``time_s``.
 
-    ``downtime_s`` is the detach→re-attach gap (VM blackout window); a
-    ``new_address`` models a failover that lands on a different identity
-    (VIP move) rather than an address-preserving live migration.
+    ``downtime_s`` is the detach→re-attach gap (VM blackout window); the
+    host keeps its address, as in a live migration.
     """
     return FaultEvent(
         time_s=time_s,
@@ -172,59 +140,6 @@ def host_migration(
         node_a=host,
         node_b=new_attachment,
         duration_s=downtime_s,
-        new_address=new_address,
-    )
-
-
-def link_drain(
-    time_s: float, node_a: str, node_b: str, duration_s: float, factor: float = 0.5
-) -> FaultEvent:
-    """Gradually drain the ``node_a``–``node_b`` link, then take it down.
-
-    Expands (at arm time) into :data:`DRAIN_STEPS` degrades — ``factor``,
-    ``factor**2``, ... of the original rate, evenly spaced over
-    ``duration_s`` — followed by a ``link_down`` at ``time_s + duration_s``.
-    """
-    return FaultEvent(
-        time_s=time_s,
-        kind=DRAIN_LINK,
-        node_a=node_a,
-        node_b=node_b,
-        factor=factor,
-        duration_s=duration_s,
-    )
-
-
-def expand_fault_event(event: FaultEvent) -> Tuple[FaultEvent, ...]:
-    """Expand a compound event into the primitive steps actually applied.
-
-    ``drain_link`` becomes its degrade staircase (:data:`DRAIN_STEPS` steps
-    of ``factor``, ``factor**2``, ... evenly spaced over ``duration_s``)
-    followed by the final ``link_down``; every other kind is already
-    primitive.  Both the packet-level :class:`FaultInjector` and the
-    flow-level fluid fault applier expand through this one function, so the
-    two fidelity tiers agree on what a drain *is*.
-    """
-    if event.kind != DRAIN_LINK:
-        return (event,)
-    step = event.duration_s / DRAIN_STEPS
-    staircase = tuple(
-        FaultEvent(
-            time_s=event.time_s + index * step,
-            kind=DEGRADE,
-            node_a=event.node_a,
-            node_b=event.node_b,
-            factor=event.factor ** (index + 1),
-        )
-        for index in range(DRAIN_STEPS)
-    )
-    return staircase + (
-        FaultEvent(
-            time_s=event.time_s + event.duration_s,
-            kind=LINK_DOWN,
-            node_a=event.node_a,
-            node_b=event.node_b,
-        ),
     )
 
 
@@ -251,14 +166,9 @@ class FaultInjector:
             self._validate(event)
 
     def arm(self) -> None:
-        """Schedule every fault event on the simulator.
-
-        Compound events (``drain_link``) are expanded here into their
-        primitive steps; everything else is scheduled as-is.
-        """
+        """Schedule every fault event on the simulator."""
         for event in self.schedule:
-            for step in self._expand(event):
-                self.simulator.schedule_at(step.time_s, self._apply, step)
+            self.simulator.schedule_at(event.time_s, self._apply, event)
 
     # ------------------------------------------------------------------
 
@@ -272,18 +182,8 @@ class FaultInjector:
                 raise ValueError(
                     f"migrate_host attachment {event.node_b!r} is not a switch"
                 )
-            if event.new_address is not None:
-                try:
-                    owner = self.topology.host_by_address(event.new_address)
-                except KeyError:
-                    owner = None
-                if owner is not None and owner is not host:
-                    raise ValueError(
-                        f"migrate_host new_address {event.new_address} is already "
-                        f"owned by host {owner.name!r}"
-                    )
         else:
-            # Every link kind (drain_link included) names an existing link.
+            # Every link kind names an existing link.
             self._interfaces_for(event)
 
     def _named_node(self, name: str):
@@ -291,10 +191,6 @@ class FaultInjector:
             return self.topology.node(name)
         except KeyError:
             raise ValueError(f"unknown node {name!r}") from None
-
-    def _expand(self, event: FaultEvent) -> Tuple[FaultEvent, ...]:
-        """Expand compound events into the primitive steps actually applied."""
-        return expand_fault_event(event)
 
     def _interfaces_for(self, event: FaultEvent) -> Tuple["Interface", "Interface"]:
         return self.topology.interfaces_between(event.node_a, event.node_b)
@@ -315,8 +211,6 @@ class FaultInjector:
         return (event.node_b, event.node_a), iface_ba, iface_ab
 
     def _apply(self, event: FaultEvent) -> None:
-        if event.kind == DRAIN_LINK:  # pragma: no cover - guarded by arm()
-            raise RuntimeError("drain_link must be expanded before application")
         if event.kind == MIGRATE_HOST:
             self._apply_migration(event)
             return
@@ -390,9 +284,7 @@ class FaultInjector:
             self._complete_migration(event)
 
     def _complete_migration(self, event: FaultEvent) -> None:
-        self.topology.attach_host(
-            event.node_a, event.node_b, new_address=event.new_address
-        )
+        self.topology.attach_host(event.node_a, event.node_b)
         if self.probes.enabled:
             host = self.topology.node(event.node_a)
             self.probes.observe_trace(

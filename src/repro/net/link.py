@@ -4,8 +4,8 @@ The transmission model is the standard store-and-forward one used by ns-3's
 point-to-point devices:
 
 1. a node hands a packet to one of its :class:`Interface` objects;
-2. the packet is offered to the interface's output :class:`~repro.net.queues.Queue`
-   (it may be dropped there);
+2. the packet is offered to the interface's output queue, a
+   :class:`~repro.net.queues.DropTailQueue` (it may be dropped there);
 3. when the interface is idle it dequeues the head packet and occupies the
    link for its serialisation time (``size * 8 / rate``);
 4. after serialisation, the packet propagates for the link delay and is then
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.packet import Packet, release_packet
-from repro.net.queues import DropTailQueue, Queue
+from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -65,7 +65,7 @@ class Interface:
         node: "Node",
         rate_bps: float,
         delay_s: float,
-        queue: Optional[Queue] = None,
+        queue: Optional[DropTailQueue] = None,
         name: str = "",
     ) -> None:
         if rate_bps <= 0:
@@ -238,7 +238,7 @@ class Interface:
         return f"Interface({self.name} -> {peer}, {self.rate_bps/1e6:.0f} Mbps)"
 
 
-QueueFactory = Callable[[], Queue]
+QueueFactory = Callable[[], DropTailQueue]
 
 
 def connect(

@@ -2,17 +2,15 @@
 
 The fabric runs one discipline, :class:`DropTailQueue`: the classic bounded
 FIFO with a static per-port buffer, as on the paper's drop-tail switches.
-It exposes the :class:`Queue` interface, counts its drops and
-accepted/transmitted bytes, and is agnostic of what is on the other end —
-the interface object drains it.
+It counts its drops and accepted/transmitted bytes, and is agnostic of what
+is on the other end — the interface object drains it.
 
 Enqueue/dequeue run once per packet per hop, so the discipline implements
 them as one *flattened* body: admission checks and :class:`QueueStats`
 updates are folded inline as unguarded integer operations (capacity bounds
-are normalised to huge sentinels instead of ``None`` checks).
-:class:`Queue` holds the shared state and leaves ``enqueue``/``dequeue``
-abstract, so a test can substitute its own discipline through a topology's
-``queue_factory``.
+are normalised to huge sentinels instead of ``None`` checks).  A test
+substitutes its own discipline, a :class:`DropTailQueue` subclass, through
+a topology's ``queue_factory``.
 """
 
 from __future__ import annotations
@@ -60,48 +58,34 @@ class QueueStats:
         return self.dropped_packets / offered if offered else 0.0
 
 
-class Queue:
-    """Abstract bounded packet queue.
+class DropTailQueue:
+    """Bounded FIFO that drops arrivals once full.
 
-    Holds the state every discipline shares (FIFO, byte count, counters).
-    A discipline implements ``enqueue``/``dequeue``; one that inherits a
-    built-in's flattened ``transit`` overrides that too, because an idle
-    interface calls ``transit`` instead of ``enqueue``.
+    The bound can be expressed in packets, bytes, or both (whichever limit is
+    hit first applies).  A test substitutes its own discipline by
+    subclassing this one; one that changes admission overrides
+    ``transit`` too, because an idle interface calls ``transit`` instead of
+    ``enqueue``.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        capacity_packets: Optional[int] = 100,
+        capacity_bytes: Optional[int] = None,
+    ) -> None:
+        if capacity_packets is None and capacity_bytes is None:
+            raise ValueError("a drop-tail queue needs at least one capacity bound")
+        if capacity_packets is not None and capacity_packets <= 0:
+            raise ValueError("capacity_packets must be positive")
+        if capacity_bytes is not None and capacity_bytes <= 0:
+            raise ValueError("capacity_bytes must be positive")
         self._packets: Deque[Packet] = deque()
         self._bytes = 0
         self.stats = QueueStats()
-
-    def enqueue(self, packet: Packet) -> bool:
-        """Offer ``packet``; return True if accepted, False if dropped."""
-        raise NotImplementedError
-
-    def dequeue(self) -> Optional[Packet]:
-        """Remove and return the head packet, or ``None`` if empty."""
-        raise NotImplementedError
-
-    def transit(self, packet: Packet) -> bool:
-        """Pass ``packet`` straight through an *empty* queue.
-
-        Interfaces call this instead of ``enqueue`` + immediate ``dequeue``
-        when the transmitter is idle (which implies the queue is empty): the
-        packet is counted exactly as if it had been enqueued and dequeued —
-        admission and statistics are identical — but fast disciplines skip
-        the deque round-trip.  Returns False if the
-        discipline rejected the packet (it was then counted as dropped).
-
-        Calling this on a non-empty queue is a caller bug (it would let the
-        packet jump the queue and silently lose the buffered head) and
-        raises immediately.
-        """
-        if self._packets:
-            raise RuntimeError("transit() requires an empty queue")
-        if not self.enqueue(packet):
-            return False
-        self.dequeue()
-        return True
+        self.capacity_packets = capacity_packets
+        self.capacity_bytes = capacity_bytes
+        self._max_packets = capacity_packets if capacity_packets is not None else _UNBOUNDED
+        self._max_bytes = capacity_bytes if capacity_bytes is not None else _UNBOUNDED
 
     def __len__(self) -> int:
         return len(self._packets)
@@ -116,32 +100,8 @@ class Queue:
         """True if no packets are buffered."""
         return not self._packets
 
-
-class DropTailQueue(Queue):
-    """Bounded FIFO that drops arrivals once full.
-
-    The bound can be expressed in packets, bytes, or both (whichever limit is
-    hit first applies).
-    """
-
-    def __init__(
-        self,
-        capacity_packets: Optional[int] = 100,
-        capacity_bytes: Optional[int] = None,
-    ) -> None:
-        super().__init__()
-        if capacity_packets is None and capacity_bytes is None:
-            raise ValueError("a drop-tail queue needs at least one capacity bound")
-        if capacity_packets is not None and capacity_packets <= 0:
-            raise ValueError("capacity_packets must be positive")
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive")
-        self.capacity_packets = capacity_packets
-        self.capacity_bytes = capacity_bytes
-        self._max_packets = capacity_packets if capacity_packets is not None else _UNBOUNDED
-        self._max_bytes = capacity_bytes if capacity_bytes is not None else _UNBOUNDED
-
     def enqueue(self, packet: Packet) -> bool:
+        """Offer ``packet``; return True if accepted, False if dropped."""
         stats = self.stats
         size = packet.size
         packets = self._packets
@@ -156,6 +116,7 @@ class DropTailQueue(Queue):
         return True
 
     def dequeue(self) -> Optional[Packet]:
+        """Remove and return the head packet, or ``None`` if empty."""
         packets = self._packets
         if not packets:
             return None
@@ -168,6 +129,19 @@ class DropTailQueue(Queue):
         return packet
 
     def transit(self, packet: Packet) -> bool:
+        """Pass ``packet`` straight through an *empty* queue.
+
+        Interfaces call this instead of ``enqueue`` + immediate ``dequeue``
+        when the transmitter is idle (which implies the queue is empty): the
+        packet is counted exactly as if it had been enqueued and dequeued —
+        admission and statistics are identical — without the deque
+        round-trip.  Returns False if the packet was rejected (it was then
+        counted as dropped).
+
+        Calling this on a non-empty queue is a caller bug (it would let the
+        packet jump the queue and silently lose the buffered head) and
+        raises immediately.
+        """
         if self._packets:
             raise RuntimeError("transit() requires an empty queue")
         # Empty queue: the capacity checks reduce to "does one packet fit".

@@ -75,7 +75,6 @@ def probe_groups_argument(values: Sequence[str]) -> Tuple[str, ...]:
 TRACE_EVENT_KEEP = frozenset(
     {
         "degrade",
-        "drain_link",
         "host_attached",
         "link_down",
         "link_up",

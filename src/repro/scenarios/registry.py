@@ -5,8 +5,8 @@ refer to conditions declaratively (``scenarios run core-link-failure``)
 instead of hand-assembling fault schedules.  The built-in catalogue below
 covers the regimes the paper's healthy-fabric figures leave untested: failed
 links, flapping links, degraded capacity, asymmetric (over-subscribed /
-heterogeneous-speed) fat-trees, and endpoint mobility (live migration, VIP
-failover, rolling link drains).
+heterogeneous-speed) fat-trees, a live VM migration and a rolling link
+drain.
 
 All built-in fault endpoints exist on any FatTree-family fabric with
 ``k >= 4`` (``core-0``/``core-1``, ``agg-0-0``, ``edge-0-0``), which every
@@ -17,13 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.net.faults import degradation, host_migration, link_drain, link_failure, link_flap
+from repro.net.faults import degradation, host_migration, link_failure, link_flap
 from repro.scenarios.spec import WORKLOAD_INCAST, ScenarioSpec
-
-#: Address assumed by the failover target in ``vip-failover``.  Encoded well
-#: above any FatTree host address (pod field ≥ 256), so it never collides
-#: with a real host at any scale.
-VIP_FAILOVER_ADDRESS = (1 << 28) + 1
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}
 
@@ -148,12 +143,9 @@ register_scenario(
     )
 )
 
-# Mobility scenarios: an endpoint's attachment point (and possibly address)
-# changes mid-run.  MPTCP-family transports detect the break through RTOs,
-# resolve the peer's current address and re-establish subflows; single-path
-# TCP has no such machinery and must ride out the stall (or, when the
-# address changed, never recovers) — the contrast the paper's resilience
-# claims predict.
+# A live migration: host-0-0-0 drops off the fabric and comes back at
+# another edge under the same address.  Every transport must ride out the
+# blackout through its retransmission timer.
 register_scenario(
     ScenarioSpec(
         name="vm-migration",
@@ -165,22 +157,10 @@ register_scenario(
     )
 )
 
-register_scenario(
-    ScenarioSpec(
-        name="vip-failover",
-        description=(
-            "host-0-0-0 fails over to edge-1-0 at t=40 ms instantly, assuming "
-            "a new (virtual-IP) address — in-flight traffic to the old "
-            "address black-holes."
-        ),
-        faults=(
-            host_migration(
-                0.04, "host-0-0-0", "edge-1-0", new_address=VIP_FAILOVER_ADDRESS
-            ),
-        ),
-    )
-)
-
+# A rolling drain halves a core uplink's rate every 30 ms, three times, then
+# takes it down; the second uplink starts 30 ms after the first.  The steps
+# are listed link by link, so the ties at 50, 80 and 110 ms apply core-0's
+# step first.
 register_scenario(
     ScenarioSpec(
         name="rolling-drain",
@@ -189,8 +169,14 @@ register_scenario(
             "(gradual degrade staircase, then down), leaving pod 0 on agg-0-1."
         ),
         faults=(
-            link_drain(0.02, "core-0", "agg-0-0", duration_s=0.09, factor=0.5),
-            link_drain(0.05, "core-1", "agg-0-0", duration_s=0.09, factor=0.5),
+            *degradation(0.02, "core-0", "agg-0-0", factor=0.5),
+            *degradation(0.05, "core-0", "agg-0-0", factor=0.25),
+            *degradation(0.08, "core-0", "agg-0-0", factor=0.125),
+            link_failure(0.11, "core-0", "agg-0-0"),
+            *degradation(0.05, "core-1", "agg-0-0", factor=0.5),
+            *degradation(0.08, "core-1", "agg-0-0", factor=0.25),
+            *degradation(0.11, "core-1", "agg-0-0", factor=0.125),
+            link_failure(0.14, "core-1", "agg-0-0"),
         ),
     )
 )

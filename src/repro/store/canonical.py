@@ -40,7 +40,7 @@ from typing import Any, Optional, Sequence
 #: v2: ExperimentConfig grew ``scheduler`` / ``path_manager`` fields (and the
 #: previously dead scheduler now influences results, so v1 artifacts no
 #: longer describe what a re-run would produce).
-#: v3: FaultEvent grew ``duration_s`` / ``new_address`` (mobility verbs), so
+#: v3: FaultEvent grew ``duration_s`` and a re-addressing field (mobility verbs), so
 #: the serialised form of every fault schedule — and therefore the key of
 #: any config that has one — changed.
 #: v4: ExperimentConfig grew the ``fidelity`` axis (packet vs flow-level
@@ -55,7 +55,9 @@ from typing import Any, Optional, Sequence
 #: v7: ExperimentConfig lost the fields nothing but tests set (the shared-
 #: buffer queue, the per-tier link-rate overrides, the adaptive reordering
 #: increment and the run caps), so every key changed again.
-STORE_SCHEMA_VERSION = 7
+#: v8: FaultEvent lost its re-addressing field with peer readdressing, so
+#: the serialised form of every fault schedule changed.
+STORE_SCHEMA_VERSION = 8
 
 
 def to_jsonable(value: Any, _path: str = "$") -> Any:

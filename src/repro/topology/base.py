@@ -36,9 +36,6 @@ class Topology:
         #: Queue factory reused for links created after construction
         #: (host re-attachment); concrete topologies record theirs.
         self.default_queue_factory: Optional[QueueFactory] = None
-        #: Forward map of re-addressed hosts: old address -> current address.
-        #: Chains are squashed, so any historical address resolves in one hop.
-        self._address_changes: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -124,25 +121,15 @@ class Topology:
         if rebuild:
             self.rebuild_routes()
 
-    def attach_host(
-        self,
-        name: str,
-        switch_name: str,
-        *,
-        new_address: Optional[int] = None,
-        rate_bps: Optional[float] = None,
-        delay_s: Optional[float] = None,
-    ) -> tuple[Interface, Interface]:
+    def attach_host(self, name: str, switch_name: str) -> tuple[Interface, Interface]:
         """Attach ``name`` to ``switch_name`` (the second half of a migration).
 
-        A fresh full-duplex link is created (defaulting to the host's first
-        interface's rate/delay and the topology's queue factory), the host is
-        optionally re-addressed, and the ECMP tables are rebuilt so the
-        fabric routes to the new attachment point.  Re-addressing removes the
-        old address's stale forwarding entries — packets still in flight to
-        it count as unroutable, exactly like a destination lost to a
-        partition — and records the old→new mapping for
-        :meth:`current_address_of`.
+        A fresh full-duplex link is created (with the host's first
+        interface's rate and delay and the topology's queue factory) and the
+        ECMP tables are rebuilt so the fabric routes the host's unchanged
+        address to the new attachment point.  After a
+        ``detach_host(name, rebuild=False)`` the fabric converges once, on
+        the post-migration graph.
         """
         host = self._nodes_by_name.get(name)
         if not isinstance(host, Host):
@@ -153,69 +140,11 @@ class Topology:
         if not host.interfaces:
             raise ValueError(f"host {name!r} has no interface to take link defaults from")
         reference = host.interfaces[0]
-        rate = rate_bps if rate_bps is not None else reference.rate_bps
-        delay = delay_s if delay_s is not None else reference.delay_s
-        interfaces = self.connect_nodes(host, switch, rate, delay, self.default_queue_factory)
-        if new_address is not None and new_address != host.address:
-            self._readdress_host(host, new_address)
+        interfaces = self.connect_nodes(
+            host, switch, reference.rate_bps, reference.delay_s, self.default_queue_factory
+        )
         self.rebuild_routes()
         return interfaces
-
-    def migrate_host(
-        self,
-        name: str,
-        switch_name: str,
-        *,
-        new_address: Optional[int] = None,
-        rate_bps: Optional[float] = None,
-        delay_s: Optional[float] = None,
-    ) -> tuple[Interface, Interface]:
-        """Re-home ``name`` onto ``switch_name`` in one step (zero downtime).
-
-        Equivalent to :meth:`detach_host` immediately followed by
-        :meth:`attach_host`; the intermediate route rebuild is skipped so the
-        fabric converges once, on the post-migration graph.
-        """
-        self.detach_host(name, rebuild=False)
-        return self.attach_host(
-            name,
-            switch_name,
-            new_address=new_address,
-            rate_bps=rate_bps,
-            delay_s=delay_s,
-        )
-
-    def _readdress_host(self, host: Host, new_address: int) -> None:
-        owner = self._hosts_by_address.get(new_address)
-        if owner is not None and owner is not host:
-            raise ValueError(
-                f"address {new_address} is already owned by host {owner.name!r}"
-            )
-        old_address = host.address
-        del self._hosts_by_address[old_address]
-        self._hosts_by_address[new_address] = host
-        host.address = new_address
-        # A route rebuild only writes entries for *current* addresses; the
-        # old address's entries must be dropped explicitly or switches would
-        # keep forwarding to the abandoned attachment point forever.
-        for switch in self.switches:
-            switch.remove_route(old_address)
-        for known_old, known_new in list(self._address_changes.items()):
-            if known_new == old_address:
-                self._address_changes[known_old] = new_address
-        self._address_changes[old_address] = new_address
-        # Migrating back to a previously-held address must not leave a cycle.
-        self._address_changes.pop(new_address, None)
-
-    def current_address_of(self, address: int) -> int:
-        """Resolve a possibly-stale host address to the host's current one.
-
-        Transports use this as their *address resolver*: it models the
-        control-plane lookup (DNS / service registry) a real endpoint would
-        perform when its peer stops answering.  Unmigrated addresses resolve
-        to themselves.
-        """
-        return self._address_changes.get(address, address)
 
     # ------------------------------------------------------------------
     # Lookups

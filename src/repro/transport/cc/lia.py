@@ -36,8 +36,7 @@ class LiaController(NewRenoController):
     def _coupling(self) -> Tuple[float, float]:
         """``(cwnd_total, alpha)`` over the connection's live subflows.
 
-        A live subflow is handshaken and not killed by a peer readdressing
-        (``complete``).  One pass in subflow order accumulates each sum
+        A live subflow is handshaken and not yet ``complete``.  One pass in subflow order accumulates each sum
         left to right, as the formula above reads.
         """
         total_cwnd = 0.0

@@ -17,15 +17,13 @@ the whole connection stalls for a 200 ms retransmission timeout
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.host import Host
 from repro.net.packet import FLAG_ACK, FLAG_SYN, Packet, acquire_packet, make_ack
 from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
 from repro.transport.base import Endpoint, SenderStats, TcpConfig
-from repro.transport.cc.base import LOSS_TIMEOUT
 from repro.transport.cc.lia import LiaController
 from repro.transport.sequence import ReceiveBuffer, SegmentMap
 from repro.transport.tcp import TcpSender
@@ -56,11 +54,8 @@ class MptcpSubflow(TcpSender):
         #: ``snd_una``.  ``snd_nxt`` can lag ``snd_una`` (an ACK may pass it
         #: after an RTO rewind) and only ever moves back to ``snd_una``, so
         #: a chunk is forgotten once it ends at or below both cursors
-        #: (:meth:`_forget_acknowledged`).  A peer readdressing derives what
-        #: to reinject from the stream cursors instead
-        #: (:meth:`MptcpConnection._unacked_chunks`), and the maps are
-        #: emptied once the connection completes.  The chunks end at
-        #: ``total_bytes``.
+        #: (:meth:`_forget_acknowledged`), and the maps are emptied once the
+        #: connection completes.  The chunks end at ``total_bytes``.
         self._segment_map = SegmentMap(connection.config.mss)
         super().__init__(
             connection.simulator,
@@ -98,7 +93,7 @@ class MptcpSubflow(TcpSender):
         self._segment_map.forget_below(min(self.snd_una, self.snd_nxt), self.total_bytes)
 
     def _all_data_allocated(self) -> bool:
-        return self.connection._subflow_done_allocating()
+        return self.connection.all_data_allocated
 
     def _handle_ack(self, packet: Packet) -> None:
         if self.complete:
@@ -119,22 +114,6 @@ class MptcpSubflow(TcpSender):
         # completes only when the data-level acknowledgement covers the whole
         # stream (handled by MptcpConnection.on_dack).
         self._cancel_rto_timer()
-
-    # -- peer mobility ------------------------------------------------------
-
-    def _on_rto(self) -> None:
-        if not self.complete and not self.established:
-            # The handshake keeps timing out: the peer may have moved, so
-            # consult the resolver before retrying the SYN into a black hole.
-            # This deliberately bypasses the congestion-event path — an
-            # unestablished subflow has no congestion state to report and
-            # MMPTCP's switching policies must not observe handshake retries.
-            self.connection._subflow_handshake_timeout(self)
-            if self.complete:
-                # Readdressing killed this subflow; a replacement is already
-                # connecting to the peer's new address.
-                return
-        super()._on_rto()
 
     # -- establishment ------------------------------------------------------
 
@@ -168,7 +147,6 @@ class MptcpConnection:
         num_subflows: int = 8,
         flow_id: int = 0,
         config: TcpConfig = TcpConfig(),
-        address_resolver: Optional[Callable[[int], int]] = None,
         on_complete: Optional[ConnectionCallback] = None,
         create_subflows: bool = True,
     ) -> None:
@@ -184,11 +162,6 @@ class MptcpConnection:
         self.num_subflows = num_subflows
         self.flow_id = flow_id
         self.config = config
-        #: Control-plane lookup from a (possibly stale) peer address to the
-        #: peer's current address — ``Topology.current_address_of`` in
-        #: practice.  Without one the connection cannot follow a migrated
-        #: peer and behaves exactly as before.
-        self.address_resolver = address_resolver
         self.on_complete = on_complete
 
         self.subflows: List[MptcpSubflow] = []
@@ -198,10 +171,6 @@ class MptcpConnection:
         self.complete = False
         self.start_time: Optional[float] = None
         self.completion_time: Optional[float] = None
-        self.congestion_events: List[Tuple[float, int, str]] = []
-        #: (dsn, size) chunks stranded on subflows killed by a peer
-        #: readdressing, waiting to be mapped onto the replacement subflows.
-        self._reinjection_queue: Deque[Tuple[int, int]] = deque()
 
         if create_subflows:
             self._create_subflows(num_subflows, first_subflow_id=0)
@@ -213,8 +182,8 @@ class MptcpConnection:
     def set_probes(self, probes: TelemetryProbes) -> None:
         """Attach a telemetry sink to the connection and every subflow.
 
-        Subflows created later (e.g. replacements after a peer
-        readdressing) inherit it through :meth:`_create_subflows`.
+        Subflows created later (MMPTCP's phase switch) inherit it through
+        :meth:`_create_subflows`.
         """
         self.probes = probes
         for subflow in self.subflows:
@@ -241,15 +210,7 @@ class MptcpConnection:
         """Hook invoked when a subflow finishes its handshake."""
 
     def _subflow_congestion_event(self, subflow: TcpSender, kind: str) -> None:
-        self.congestion_events.append((self.simulator.now, subflow.subflow_id, kind))
-        if kind == LOSS_TIMEOUT:
-            # A retransmission timeout is the signal a real endpoint gets
-            # when its peer silently moved: consult the resolver.
-            self._check_peer_address()
-
-    def _subflow_handshake_timeout(self, subflow: MptcpSubflow) -> None:
-        """An unestablished subflow's SYN timed out; the peer may have moved."""
-        self._check_peer_address()
+        """Hook invoked on each subflow loss event (MMPTCP's switching observes it)."""
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -259,70 +220,10 @@ class MptcpConnection:
         """Open every subflow (each performs its own handshake) and begin sending."""
         if self.started:
             return
-        if self.address_resolver is not None:
-            # The peer may have migrated between flow creation and start:
-            # resolve once so the very first SYNs aim at the current address.
-            current = self.address_resolver(self.destination)
-            if current != self.destination:
-                self.destination = current
-                for subflow in self.subflows:
-                    if not subflow.started:
-                        subflow.destination = current
         self.started = True
         self.start_time = self.simulator.now
         for subflow in self.subflows:
             subflow.start()
-
-    # ------------------------------------------------------------------
-    # Peer mobility
-    # ------------------------------------------------------------------
-
-    def _check_peer_address(self) -> None:
-        """Resolve the peer's current address; re-home the connection if it moved."""
-        if self.address_resolver is None or self.complete:
-            return
-        current = self.address_resolver(self.destination)
-        if current != self.destination:
-            self._on_peer_readdressed(current)
-
-    def _on_peer_readdressed(self, new_address: int) -> None:
-        """The peer now lives at ``new_address``: re-establish connectivity.
-
-        Every live subflow is bound (via its handshake) to the old address,
-        so all of them are killed; every mapped chunk the data level has not
-        acknowledged is queued for reinjection (:meth:`_unacked_chunks`),
-        and a fresh set of subflows is opened towards the new address.
-        """
-        self.destination = new_address
-        self._reinjection_queue = self._unacked_chunks()
-        for subflow in self.subflows:
-            if not subflow.complete:
-                subflow.complete = True
-                subflow._cancel_rto_timer()
-        if not self.complete:
-            next_id = max(subflow.subflow_id for subflow in self.subflows) + 1
-            created = self._create_subflows(self.num_subflows, first_subflow_id=next_id)
-            if self.started:
-                for subflow in created:
-                    subflow.start()
-
-    def _unacked_chunks(self) -> Deque[Tuple[int, int]]:
-        """The mapped chunks above ``data_acked``, as ``(dsn, size)`` in DSN order.
-
-        :meth:`allocate_chunk` tiles the stream into
-        ``[k * mss, min((k + 1) * mss, total_bytes))`` and maps every chunk
-        below ``_next_dsn`` onto some subflow at least once, so the set
-        follows from the stream cursors alone.  A chunk still queued
-        from an earlier readdressing is in it too.
-        """
-        mss = self.config.mss
-        acked = self.data_acked
-        total = self.total_bytes
-        return deque(
-            (dsn, min(mss, total - dsn))
-            for dsn in range(acked - acked % mss, self._next_dsn, mss)
-            if min(dsn + mss, total) > acked
-        )
 
     # ------------------------------------------------------------------
     # Data allocation (demand driven)
@@ -335,17 +236,6 @@ class MptcpConnection:
 
     def allocate_chunk(self, subflow: MptcpSubflow) -> Optional[Tuple[int, int]]:
         """Assign the next chunk (at most one MSS) of the stream to ``subflow``."""
-        # Chunks stranded by a peer readdressing go out first — they are
-        # earlier in the stream than the frontier, and the receiver's
-        # cumulative data-level ACK cannot advance past them.  They are not
-        # new stream bytes, so the allocation hook is not invoked for them.
-        while self._reinjection_queue:
-            dsn, size = self._reinjection_queue.popleft()
-            if dsn + size <= self.data_acked:
-                continue  # delivered (and acked) before the subflows died
-            if self.probes.enabled:
-                self.probes.count("transport.reinjections")
-            return dsn, size
         if self.all_data_allocated:
             return None
         size = min(self.config.mss, self.total_bytes - self._next_dsn)
@@ -363,11 +253,7 @@ class MptcpConnection:
         MMPTCP overrides this to exclude the scatter subflow after the phase
         switch.
         """
-        return bool(self._reinjection_queue) or not self.all_data_allocated
-
-    def _subflow_done_allocating(self) -> bool:
-        """True when no subflow will ever be assigned another chunk."""
-        return self.all_data_allocated and not self._reinjection_queue
+        return not self.all_data_allocated
 
     def _refill_subflow(self, subflow: MptcpSubflow) -> None:
         """Serve ``subflow``'s demand: map chunks while its window has room."""

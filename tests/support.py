@@ -136,8 +136,7 @@ def golden_migration_config() -> ExperimentConfig:
 def handover_config(protocol: str, subflows: int, **fault_kwargs) -> ExperimentConfig:
     """A 100 Mbps fabric where host-0-0-0 moves to edge-0-1 at t=20 ms.
 
-    ``fault_kwargs`` go to :func:`host_migration`; a ``new_address`` makes
-    the move a readdressing, which multipath senders must follow.
+    ``fault_kwargs`` go to :func:`host_migration`.
     """
     return ExperimentConfig(
         fattree_k=4,

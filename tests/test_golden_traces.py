@@ -1,10 +1,9 @@
 """Golden-trace regression tests.
 
 Canonical reference runs — a tiny MMPTCP incast burst, a short/long run
-with a mid-experiment core-link failure, the same run across a host
-migration for MMPTCP and for MPTCP, and an MPTCP flow whose peer migrates
-to a new address (the readdress and reinjection path) — are serialised into
-a deterministic text form (canonical trace events + per-flow outcome lines +
+with a mid-experiment core-link failure, and the same run across a host
+migration for MMPTCP and for MPTCP — are serialised into a deterministic
+text form (canonical trace events + per-flow outcome lines +
 run totals) and compared byte-for-byte against checked-in golden files.
 
 Any refactor that changes packet timing, drop behaviour, fault application
@@ -22,7 +21,6 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     # Running this file directly (outside pytest's pythonpath bootstrap)
@@ -32,16 +30,12 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.incast_study import build_incast_workload_for
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.scenarios.registry import VIP_FAILOVER_ADDRESS
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
-from repro.traffic.workloads import Workload
 from support import (
     RecordingProbes,
     canonical_trace,
     golden_link_failure_config,
     golden_migration_config,
-    handover_config,
-    handover_workload,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -80,11 +74,10 @@ def _flow_lines(result: ExperimentResult) -> str:
     return "".join(lines)
 
 
-def _golden_text(
-    config: ExperimentConfig, incast_fan_in: int = 0, workload: Optional[Workload] = None
-) -> str:
+def _golden_text(config: ExperimentConfig, incast_fan_in: int = 0) -> str:
     """The full canonical serialisation of one reference run."""
     probes = RecordingProbes()
+    workload = None
     if incast_fan_in:
         workload = build_incast_workload_for(config, incast_fan_in, 50_000, config.protocol)
     result = run_experiment(config, workload=workload, probes=probes)
@@ -102,13 +95,6 @@ GOLDEN_RUNS = {
     "migration_mmptcp": lambda: _golden_text(golden_migration_config()),
     "migration_mptcp": lambda: _golden_text(
         replace(golden_migration_config(), protocol=PROTOCOL_MPTCP)
-    ),
-    # The peer moves to a new address mid-transfer: the sender kills its
-    # subflows, reinjects the chunks the data level has not acknowledged and
-    # reopens subflows towards the new address.
-    "readdress_mptcp": lambda: _golden_text(
-        handover_config(PROTOCOL_MPTCP, 4, downtime_s=0.01, new_address=VIP_FAILOVER_ADDRESS),
-        workload=handover_workload(PROTOCOL_MPTCP, 4),
     ),
 }
 
@@ -147,10 +133,6 @@ def test_migration_golden_trace_is_stable() -> None:
 
 def test_mptcp_migration_golden_trace_is_stable() -> None:
     _assert_matches_golden("migration_mptcp")
-
-
-def test_readdress_golden_trace_is_stable() -> None:
-    _assert_matches_golden("readdress_mptcp")
 
 
 def test_migration_golden_contains_the_mobility_event_sequence() -> None:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.net.faults import (
     DEGRADE,
-    DRAIN_STEPS,
     LINK_DOWN,
     LINK_UP,
     MIGRATE_HOST,
@@ -15,11 +14,11 @@ from repro.net.faults import (
     FaultInjector,
     degradation,
     host_migration,
-    link_drain,
     link_failure,
     link_flap,
 )
 from repro.net.monitor import snapshot as network_snapshot
+from repro.scenarios.registry import get_scenario
 from repro.sim.engine import Simulator
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
 from support import make_tcp_transfer
@@ -58,23 +57,13 @@ def test_fault_helpers_build_consistent_schedules() -> None:
 
 
 def test_mobility_event_validation() -> None:
-    with pytest.raises(ValueError):  # drains need a positive duration
-        link_drain(0.1, "a", "b", duration_s=0.0)
-    with pytest.raises(ValueError):  # and a factor that actually drains
-        link_drain(0.1, "a", "b", duration_s=0.1, factor=1.5)
     with pytest.raises(ValueError):  # negative downtime is nonsense
         host_migration(0.1, "h", "s", downtime_s=-0.1)
-    with pytest.raises(ValueError):  # so is a negative address
-        host_migration(0.1, "h", "s", new_address=-5)
-    with pytest.raises(ValueError, match="only meaningful"):
-        FaultEvent(time_s=0.0, kind=LINK_DOWN, node_a="a", node_b="b", new_address=9)
 
-    event = host_migration(0.1, "h", "s", downtime_s=0.05, new_address=9)
+    event = host_migration(0.1, "h", "s", downtime_s=0.05)
     assert event.kind == MIGRATE_HOST
     assert (event.node_a, event.node_b) == ("h", "s")
-    assert event.duration_s == 0.05 and event.new_address == 9
-    drain = link_drain(0.1, "a", "b", duration_s=0.3, factor=0.25)
-    assert drain.duration_s == 0.3 and drain.factor == 0.25
+    assert event.duration_s == 0.05
 
 
 def test_injector_validates_migration_endpoints_eagerly() -> None:
@@ -88,44 +77,50 @@ def test_injector_validates_migration_endpoints_eagerly() -> None:
         )
     with pytest.raises(ValueError, match="unknown node"):
         FaultInjector(simulator, topology, (host_migration(0.1, "nope", "edge-0-0"),))
-    taken = topology.node("host-1-0-0").address
-    with pytest.raises(ValueError, match="already owned"):
-        FaultInjector(
-            simulator,
-            topology,
-            (host_migration(0.1, "host-0-0-0", "edge-0-1", new_address=taken),),
-        )
-    # Re-homing onto an address the host already owns is fine (a no-op move).
-    own = topology.node("host-0-0-0").address
-    FaultInjector(
-        simulator,
-        topology,
-        (host_migration(0.1, "host-0-0-0", "edge-0-1", new_address=own),),
-    )
 
 
 def test_drain_expands_into_a_degrade_staircase_then_link_down() -> None:
+    # Each core uplink of agg-0-0 halves its rate every 30 ms, three times,
+    # then goes down; core-1 follows core-0 30 ms behind.
     simulator = Simulator()
     topology = _fattree(simulator)
-    iface_ab, iface_ba = topology.interfaces_between("core-0", "agg-0-0")
-    original = iface_ab.rate_bps
-    injector = FaultInjector(
-        simulator,
-        topology,
-        (link_drain(0.03, "core-0", "agg-0-0", duration_s=0.3, factor=0.5),),
-    )
+    schedule = get_scenario("rolling-drain").faults
+    assert [(e.time_s, e.kind, e.node_a, e.node_b, e.factor) for e in schedule] == [
+        (0.02, DEGRADE, "core-0", "agg-0-0", 0.5),
+        (0.05, DEGRADE, "core-0", "agg-0-0", 0.25),
+        (0.08, DEGRADE, "core-0", "agg-0-0", 0.125),
+        (0.11, LINK_DOWN, "core-0", "agg-0-0", 1.0),
+        (0.05, DEGRADE, "core-1", "agg-0-0", 0.5),
+        (0.08, DEGRADE, "core-1", "agg-0-0", 0.25),
+        (0.11, DEGRADE, "core-1", "agg-0-0", 0.125),
+        (0.14, LINK_DOWN, "core-1", "agg-0-0", 1.0),
+    ]
+    links = {
+        core: topology.interfaces_between(core, "agg-0-0") for core in ("core-0", "core-1")
+    }
+    original = links["core-0"][0].rate_bps
+    injector = FaultInjector(simulator, topology, schedule)
     injector.arm()
 
-    step = 0.3 / DRAIN_STEPS
-    for index in range(DRAIN_STEPS):
-        simulator.run(until=0.03 + index * step + step / 2)
-        assert iface_ab.rate_bps == pytest.approx(original * 0.5 ** (index + 1))
-        assert iface_ab.up
-    simulator.run(until=0.03 + 0.3 + 0.01)
-    assert not iface_ab.up and not iface_ba.up
-    assert not topology.graph.has_edge("core-0", "agg-0-0")
-    # Each expanded step counts: DRAIN_STEPS degrades plus the final down.
-    assert injector.applied_events == DRAIN_STEPS + 1
+    # (time, core-0 state, core-1 state): a rate factor, or None once down.
+    for time_s, *states in (
+        (0.035, 0.5, 1.0),
+        (0.065, 0.25, 0.5),
+        (0.095, 0.125, 0.25),
+        (0.125, None, 0.125),
+        (0.155, None, None),
+    ):
+        simulator.run(until=time_s)
+        for core, factor in zip(("core-0", "core-1"), states):
+            iface_ab, iface_ba = links[core]
+            if factor is None:
+                assert not iface_ab.up and not iface_ba.up
+                assert not topology.graph.has_edge(core, "agg-0-0")
+            else:
+                assert iface_ab.up and iface_ba.up
+                assert iface_ab.rate_bps == iface_ba.rate_bps == original * factor
+    # Every schedule entry counts once.
+    assert injector.applied_events == len(schedule)
 
 
 def test_redundant_link_events_are_explicit_noops() -> None:

@@ -7,7 +7,7 @@ import pytest
 from repro.net.host import Host
 from repro.net.link import connect
 from repro.net.packet import FLAG_DATA, Packet
-from repro.net.queues import DropTailQueue, Queue
+from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 
 
@@ -98,15 +98,8 @@ class TestTransit:
 
 
 class TestHookSubclassFallback:
-    """The subclass seam: a discipline *is* its ``enqueue``/``dequeue``, and
+    """The subclass seam: a test discipline overrides ``enqueue``, and
     ``transit`` is the idle-link shortcut with an empty-queue precondition."""
-
-    def test_base_queue_is_abstract(self) -> None:
-        queue = Queue()
-        with pytest.raises(NotImplementedError):
-            queue.enqueue(_packet())
-        with pytest.raises(NotImplementedError):
-            queue.dequeue()
 
     def test_enqueue_override_is_honoured_on_a_busy_link(self) -> None:
         class RejectOddSizes(DropTailQueue):

@@ -38,7 +38,7 @@ from repro.traffic.flowspec import PROTOCOL_MMPTCP
 #: The default tiny config's key, pinned.  If this changes, every existing
 #: store silently turns into a full miss — bump STORE_SCHEMA_VERSION when
 #: changing key derivation deliberately, and regenerate this literal.
-_TINY_CONFIG_KEY = "8484ea79d4f3cf34093b8ac64d67630b7294e214a484eade59ac3966eeaff40e"
+_TINY_CONFIG_KEY = "a0f197902830575655a6460e915f538be549333054f64a9fc5038a84fc37386b"
 
 #: One valid alternate value per ExperimentConfig field.  The completeness
 #: test below fails when a new config field is added without extending this
@@ -207,9 +207,9 @@ def test_key_is_stable_across_process_restarts() -> None:
 #: pinned only together with the version bump that makes old artifacts clean
 #: misses; the test's failure message prints the pair to pin.
 _SCHEMA_PINS = {
-    7: (
-        "9a17fea7440a2663d0a58bbcf5965a3a01e9c12c150a31982648f87af7c43862",
-        "ae1e9c0d3f2371ea3f5fedb051cdce30cccc276c3f8db4cbf41b8eb77e2b97e8",
+    8: (
+        "3eaea5e550e6927187c8036e9470da965852e561c2e5ab44ffbc395759c96929",
+        "ef78325bf29029c451f287c42671f5b17011b53b17975ed67797a691c4b2cccf",
     ),
 }
 
