@@ -3,10 +3,10 @@
 
 Transfers one 2 MB flow between two hosts of a FatTree under every switching
 policy the paper discusses (plus "never switch" and plain MPTCP as
-references) and reports:
+references) and reports, from each run's flow record:
 
-* when the switch happened and why,
-* how many bytes travelled in each phase,
+* when the switch happened and the phase the flow completed in,
+* how many data packets it sent,
 * the flow completion time and the retransmission behaviour.
 
 Run with:  python examples/phase_switching_study.py
@@ -14,105 +14,62 @@ Run with:  python examples/phase_switching_study.py
 
 from __future__ import annotations
 
-import random
-
-from repro.core import (
-    CongestionEventSwitching,
-    DataVolumeSwitching,
-    HybridSwitching,
-    MmptcpConnection,
-    MmptcpReceiver,
-    NeverSwitch,
-)
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments.runner import make_switching_policy
 from repro.metrics import render_table
-from repro.sim import Simulator
 from repro.sim.units import megabits_per_second, to_milliseconds
-from repro.topology import FatTreeParams, FatTreeTopology
-from repro.transport import MptcpConnection, MptcpReceiver, TcpConfig
+from repro.traffic import PROTOCOL_MMPTCP, PROTOCOL_MPTCP
+from repro.traffic.flowspec import FlowSpec
+from repro.traffic.workloads import Workload
 
 FLOW_BYTES = 2_000_000
 SUBFLOWS = 4
 
+#: A 4-ary FatTree at 200 Mbps with one transfer and time to finish it.
+BASE = ExperimentConfig(
+    fattree_k=4,
+    hosts_per_edge=None,
+    link_rate_bps=megabits_per_second(200),
+    num_subflows=SUBFLOWS,
+    arrival_window_s=0.001,
+    drain_time_s=30.0,
+    seed=1,
+)
 
-def run_mmptcp(policy) -> dict:
-    """One MMPTCP transfer under the given switching policy."""
-    simulator = Simulator()
-    topology = FatTreeTopology(
-        simulator, FatTreeParams(k=4, link_rate_bps=megabits_per_second(200))
-    )
-    source, destination = topology.node("host-0-0-0"), topology.node("host-2-1-1")
-    receiver = MmptcpReceiver(simulator, destination, local_port=5001,
-                              expected_bytes=FLOW_BYTES)
-    connection = MmptcpConnection(
-        simulator, source, destination.address, 5001, FLOW_BYTES,
-        num_subflows=SUBFLOWS, config=TcpConfig(),
-        switching_policy=policy,
-        path_count_hint=topology.expected_path_count(source, destination),
-        rng=random.Random(1),
-    )
-    connection.start()
-    simulator.run(until=30.0)
-    assert receiver.complete
-    stats = connection.aggregate_stats()
-    scatter_bytes = connection.scatter_subflow.allocated_bytes
-    return {
-        "policy": policy.describe(),
-        "switch_time_ms": (
-            f"{to_milliseconds(connection.switch_time):.1f}" if connection.switch_time else "-"
-        ),
-        "scatter_bytes": scatter_bytes,
-        "mptcp_bytes": FLOW_BYTES - scatter_bytes,
-        "fct_ms": to_milliseconds(connection.completion_time - connection.start_time),
-        "retx": stats.retransmitted_packets,
-        "rtos": stats.rto_events,
-    }
+#: The config updates that select each MMPTCP switching policy.
+POLICIES = [
+    {"switching_threshold_bytes": 70_000},
+    {"switching_threshold_bytes": 140_000},
+    {"switching_threshold_bytes": 500_000},
+    {"switching_policy": "congestion_event"},
+    {"switching_policy": "hybrid", "switching_threshold_bytes": 140_000},
+    {"switching_policy": "never"},
+]
 
 
-def run_plain_mptcp() -> dict:
-    """The reference: standard MPTCP (as if switching happened at time zero)."""
-    simulator = Simulator()
-    topology = FatTreeTopology(
-        simulator, FatTreeParams(k=4, link_rate_bps=megabits_per_second(200))
-    )
-    source, destination = topology.node("host-0-0-0"), topology.node("host-2-1-1")
-    receiver = MptcpReceiver(simulator, destination, local_port=5001,
-                             expected_bytes=FLOW_BYTES)
-    connection = MptcpConnection(simulator, source, destination.address, 5001, FLOW_BYTES,
-                                 num_subflows=SUBFLOWS, config=TcpConfig())
-    connection.start()
-    simulator.run(until=30.0)
-    assert receiver.complete
-    stats = connection.aggregate_stats()
-    return {
-        "policy": "plain mptcp (reference)",
-        "switch_time_ms": "0.0",
-        "scatter_bytes": 0,
-        "mptcp_bytes": FLOW_BYTES,
-        "fct_ms": to_milliseconds(connection.completion_time - connection.start_time),
-        "retx": stats.retransmitted_packets,
-        "rtos": stats.rto_events,
-    }
+def run_one(label: str, config: ExperimentConfig) -> list:
+    """One transfer under ``config``; its flow record as a table row."""
+    workload = Workload([
+        FlowSpec(0, "host-0-0-0", "host-2-1-1", FLOW_BYTES, protocol=config.protocol,
+                 is_long=True, num_subflows=SUBFLOWS),
+    ])
+    (flow,) = run_experiment(config, workload=workload).metrics.flows
+    assert flow.completed
+    switch = "-" if flow.switch_time is None else f"{to_milliseconds(flow.switch_time):.1f}"
+    return [label, switch, flow.phase_at_completion or "-", flow.data_packets_sent,
+            f"{flow.completion_time_ms:.1f}", flow.retransmitted_packets, flow.rto_events]
 
 
 def main() -> None:
-    policies = [
-        DataVolumeSwitching(threshold_bytes=70_000),
-        DataVolumeSwitching(threshold_bytes=140_000),
-        DataVolumeSwitching(threshold_bytes=500_000),
-        CongestionEventSwitching(),
-        HybridSwitching(threshold_bytes=140_000),
-        NeverSwitch(),
-    ]
-    rows = [run_plain_mptcp()] + [run_mmptcp(policy) for policy in policies]
+    rows = [run_one("plain mptcp (reference)", BASE.with_updates(protocol=PROTOCOL_MPTCP))]
+    for updates in POLICIES:
+        config = BASE.with_updates(protocol=PROTOCOL_MMPTCP, **updates)
+        rows.append(run_one(make_switching_policy(config).describe(), config))
     print(f"One {FLOW_BYTES // 1_000_000} MB flow, {SUBFLOWS} MPTCP-phase subflows\n")
     print(render_table(
-        ["switching policy", "switch at (ms)", "bytes in PS", "bytes in MPTCP",
+        ["switching policy", "switch at (ms)", "phase at end", "data packets",
          "FCT (ms)", "retx", "RTOs"],
-        [
-            [row["policy"], row["switch_time_ms"], row["scatter_bytes"],
-             row["mptcp_bytes"], f"{row['fct_ms']:.1f}", row["retx"], row["rtos"]]
-            for row in rows
-        ],
+        rows,
     ))
     print(
         "\nExpected shape (paper, Section 2): the data-volume threshold barely\n"

@@ -1,83 +1,71 @@
 #!/usr/bin/env python3
 """Quickstart: one MMPTCP flow on a FatTree, step by step.
 
-Builds a small 4-ary FatTree, opens a single MMPTCP connection between two
-hosts in different pods, transfers 1 MB and prints what happened: when the
-connection switched from the packet-scatter phase to MPTCP, how the data was
-split across subflows, and the achieved completion time.
+Describes a small 4-ary FatTree and a single 1 MB MMPTCP transfer between
+hosts in different pods, runs it, and prints the flow's record — what every
+export of a run holds: when the connection switched from the
+packet-scatter phase to MPTCP, which phase it finished in, how many data
+packets it sent and the achieved completion time.
 
 Run with:  python examples/quickstart.py
 """
 
 from __future__ import annotations
 
-from repro.core import DataVolumeSwitching, MmptcpConnection, MmptcpReceiver
+from repro.experiments import ExperimentConfig, run_experiment
 from repro.sim import Simulator
-from repro.sim.units import megabits_per_second, to_milliseconds
+from repro.sim.units import megabits_per_second
 from repro.topology import FatTreeParams, FatTreeTopology
+from repro.traffic import PROTOCOL_MMPTCP
+from repro.traffic.flowspec import FlowSpec
+from repro.traffic.workloads import Workload
+
+SOURCE, DESTINATION = "host-0-0-0", "host-3-1-1"
 
 
 def main() -> None:
-    # 1. A simulator and a 4-ary FatTree (16 hosts, 20 switches, 1:1 subscription).
-    simulator = Simulator()
-    topology = FatTreeTopology(
-        simulator,
-        FatTreeParams(k=4, link_rate_bps=megabits_per_second(1000)),
-    )
-    source = topology.node("host-0-0-0")
-    destination = topology.node("host-3-1-1")
-    paths = topology.expected_path_count(source, destination)
-    print(f"Topology: {topology}")
-    print(f"Equal-cost paths between {source.name} and {destination.name}: {paths}")
-
-    # 2. The receiver binds a port; the sender opens an MMPTCP connection that
-    #    starts in packet-scatter mode and switches to 4 MPTCP subflows after
-    #    ~140 KB (the data-volume policy from the paper).
-    flow_bytes = 1_000_000
-    receiver = MmptcpReceiver(
-        simulator, destination, local_port=5001, expected_bytes=flow_bytes,
-        on_complete=lambda r: print(
-            f"  receiver assembled all bytes at t={r.completion_time:.4f} s"
-        ),
-    )
-    connection = MmptcpConnection(
-        simulator,
-        source,
-        destination=destination.address,
-        destination_port=5001,
-        total_bytes=flow_bytes,
+    # 1. A 4-ary FatTree (16 hosts, 20 switches, 1:1 subscription).  MMPTCP's
+    #    duplicate-ACK threshold is sized from its equal-cost path count.
+    config = ExperimentConfig(
+        fattree_k=4,
+        hosts_per_edge=None,
+        link_rate_bps=megabits_per_second(1000),
+        protocol=PROTOCOL_MMPTCP,
         num_subflows=4,
-        switching_policy=DataVolumeSwitching(threshold_bytes=140_000),
-        path_count_hint=paths,
-        on_phase_switch=lambda conn: print(
-            f"  phase switch at t={conn.switch_time:.4f} s "
-            f"after {conn.bytes_in_scatter_phase} bytes in the scatter phase"
-        ),
+        # The data-volume policy from the paper: switch to 4 MPTCP subflows
+        # after ~140 KB in the packet-scatter phase.
+        switching_threshold_bytes=140_000,
+        arrival_window_s=0.001,
+        drain_time_s=10.0,
     )
+    topology = FatTreeTopology(Simulator(), FatTreeParams(k=4, link_rate_bps=config.link_rate_bps))
+    paths = topology.expected_path_count(topology.node(SOURCE), topology.node(DESTINATION))
+    print(f"Topology: {topology}")
+    print(f"Equal-cost paths between {SOURCE} and {DESTINATION}: {paths}")
+
+    # 2. One flow: the runner builds the same fabric, opens the connection at
+    #    t=0 and records the outcome.
+    flow_bytes = 1_000_000
+    workload = Workload([
+        FlowSpec(0, SOURCE, DESTINATION, flow_bytes, protocol=PROTOCOL_MMPTCP,
+                 is_long=True, num_subflows=config.num_subflows),
+    ])
 
     # 3. Run.
     print(f"\nTransferring {flow_bytes} bytes with MMPTCP...")
-    connection.start()
-    simulator.run(until=10.0)
+    result = run_experiment(config, workload=workload)
 
     # 4. Report.
-    assert connection.complete and receiver.complete
-    fct_ms = to_milliseconds(connection.completion_time - connection.start_time)
-    stats = connection.aggregate_stats()
-    print(f"\nFlow completion time : {fct_ms:.2f} ms")
-    print(f"Phase at completion  : {connection.phase}")
-    print(f"Scattered packets    : {connection.scatter_subflow.scattered_packets}")
-    print("Per-subflow share of the byte stream:")
-    for subflow in connection.subflows:
-        if subflow is connection.scatter_subflow:
-            label = "scatter"
-        else:
-            label = f"subflow {subflow.subflow_id}"
-        print(f"  {label:10s} {subflow.allocated_bytes:8d} bytes "
-              f"({subflow.stats.data_packets_sent} packets)")
-    print(f"Retransmissions      : {stats.retransmitted_packets} packets, "
-          f"{stats.rto_events} RTOs, {stats.fast_retransmits} fast retransmits")
-    print(f"Simulated events     : {simulator.events_processed}")
+    (flow,) = result.metrics.flows
+    assert flow.completed
+    print(f"\nFlow completion time : {flow.completion_time_ms:.2f} ms")
+    print(f"Phase switch at      : t={flow.switch_time:.4f} s")
+    print(f"Phase at completion  : {flow.phase_at_completion}")
+    print(f"Data packets sent    : {flow.data_packets_sent}")
+    print(f"Reordered arrivals   : {flow.reordering_events}")
+    print(f"Retransmissions      : {flow.retransmitted_packets} packets, "
+          f"{flow.rto_events} RTOs, {flow.fast_retransmits} fast retransmits")
+    print(f"Simulated events     : {result.events_processed}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from repro import lazy_exports
 
 __all__, __getattr__ = lazy_exports(__name__, {
-    "mmptcp": ("MmptcpConnection", "MmptcpReceiver"),
+    "mmptcp": ("MmptcpConnection",),
     "phase_switching": ("CongestionEventSwitching", "DataVolumeSwitching", "HybridSwitching",
         "NeverSwitch"),
 })

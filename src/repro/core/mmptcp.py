@@ -18,30 +18,27 @@ flows spend almost their whole life in MPTCP mode and lose nothing.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.packet_scatter import DEFAULT_SCATTER_PORT_RANGE, PacketScatterSubflow
+from repro.core.packet_scatter import PacketScatterSubflow
 from repro.core.phase_switching import DataVolumeSwitching, SwitchingPolicy
 from repro.core.reordering import TopologyInformedPolicy
 from repro.net.host import Host
 from repro.sim.engine import Simulator
 from repro.transport.base import TcpConfig
-from repro.transport.mptcp import MptcpConnection, MptcpReceiver, MptcpSubflow
+from repro.transport.mptcp import MptcpConnection, MptcpSubflow
 from repro.transport.tcp import TcpSender
 
 #: Phase labels.
 PHASE_PACKET_SCATTER = "packet_scatter"
 PHASE_MPTCP = "mptcp"
 
-#: The receiver side of MMPTCP is a standard MPTCP receiver: it already
-#: reassembles per-subflow sequence spaces plus the connection-level data
-#: stream, and it acknowledges towards each subflow's canonical port, which is
-#: all the packet-scatter phase requires.
-MmptcpReceiver = MptcpReceiver
-
 
 class MmptcpConnection(MptcpConnection):
-    """Sender side of an MMPTCP connection (packet scatter, then MPTCP)."""
+    """Sender side of an MMPTCP connection (packet scatter, then MPTCP).
+
+    The receiver side is a plain :class:`~repro.transport.mptcp.MptcpReceiver`.
+    """
 
     def __init__(
         self,
@@ -56,10 +53,7 @@ class MmptcpConnection(MptcpConnection):
         switching_policy: Optional[SwitchingPolicy] = None,
         reordering_policy=None,
         path_count_hint: Optional[int] = None,
-        scatter_port_range: Tuple[int, int] = DEFAULT_SCATTER_PORT_RANGE,
         rng: Optional[random.Random] = None,
-        on_complete: Optional[Callable[["MptcpConnection"], None]] = None,
-        on_phase_switch: Optional[Callable[["MmptcpConnection"], None]] = None,
     ) -> None:
         super().__init__(
             simulator,
@@ -70,16 +64,11 @@ class MmptcpConnection(MptcpConnection):
             num_subflows=num_subflows,
             flow_id=flow_id,
             config=config,
-            on_complete=on_complete,
             create_subflows=False,
         )
         self.switching_policy = (
             switching_policy if switching_policy is not None else DataVolumeSwitching()
         )
-        self.on_phase_switch = on_phase_switch
-        self._rng = rng if rng is not None else random.Random(flow_id)
-        self._scatter_port_range = scatter_port_range
-
         if reordering_policy is None:
             # Default to the topology-informed threshold the paper proposes;
             # callers that know the real path diversity pass it via
@@ -88,18 +77,11 @@ class MmptcpConnection(MptcpConnection):
             reordering_policy = TopologyInformedPolicy(
                 path_count=path_count_hint if path_count_hint is not None else 8
             )
-        self.reordering_policy = reordering_policy
-
         self.phase = PHASE_PACKET_SCATTER
         self.switch_time: Optional[float] = None
-        self.switch_reason: Optional[str] = None
         self.bytes_in_scatter_phase = 0
         self.scatter_subflow = PacketScatterSubflow(
-            self,
-            subflow_id=0,
-            rng=self._rng,
-            port_range=scatter_port_range,
-            reordering_policy=reordering_policy,
+            self, rng if rng is not None else random.Random(flow_id), reordering_policy
         )
         self.subflows.append(self.scatter_subflow)
 
@@ -148,7 +130,6 @@ class MmptcpConnection(MptcpConnection):
             return
         self.phase = PHASE_MPTCP
         self.switch_time = self.simulator.now
-        self.switch_reason = reason
         if self.probes.enabled:
             self.probes.count("phase.switches")
             self.probes.event(
@@ -166,8 +147,6 @@ class MmptcpConnection(MptcpConnection):
             new_subflows = self._create_subflows(self.num_subflows, first_subflow_id=1)
             for subflow in new_subflows:
                 subflow.start()
-        if self.on_phase_switch is not None:
-            self.on_phase_switch(self)
 
     # ------------------------------------------------------------------
     # Introspection

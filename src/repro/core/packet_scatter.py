@@ -23,44 +23,31 @@ The cost is reordering, handled by the policies in
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING
 
-from repro.net.packet import Packet
-from repro.transport.cc.base import CongestionController, NewRenoController
+from repro.transport.cc.base import NewRenoController
 from repro.transport.mptcp import MptcpSubflow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.transport.mptcp import MptcpConnection
 
-#: Source ports drawn for scattered packets.  The range only needs to be wide
-#: enough that the ECMP hash decorrelates consecutive packets.
-DEFAULT_SCATTER_PORT_RANGE: Tuple[int, int] = (32768, 65535)
+#: Source ports drawn for scattered packets, inclusive.  The range only needs
+#: to be wide enough that the ECMP hash decorrelates consecutive packets.
+SCATTER_PORT_LOW = 32768
+SCATTER_PORT_HIGH = 65535
 
 
 class PacketScatterSubflow(MptcpSubflow):
     """Subflow 0 of an MMPTCP connection: single window, sprayed packets."""
 
     def __init__(
-        self,
-        connection: "MptcpConnection",
-        subflow_id: int = 0,
-        rng: Optional[random.Random] = None,
-        port_range: Tuple[int, int] = DEFAULT_SCATTER_PORT_RANGE,
-        reordering_policy=None,
-        congestion_control: Optional[CongestionController] = None,
+        self, connection: "MptcpConnection", rng: random.Random, reordering_policy
     ) -> None:
-        low, high = port_range
-        if low > high or low < 1 or high > 65535:
-            raise ValueError(f"invalid scatter port range {port_range!r}")
-        self._rng = rng if rng is not None else random.Random(0)
-        self._port_range = port_range
-        self.scattered_packets = 0
+        self._rng = rng
         super().__init__(
             connection,
-            subflow_id,
-            congestion_control=(
-                congestion_control if congestion_control is not None else NewRenoController()
-            ),
+            0,
+            congestion_control=NewRenoController(),
             reordering_policy=reordering_policy,
         )
 
@@ -68,13 +55,4 @@ class PacketScatterSubflow(MptcpSubflow):
 
     def _data_source_port(self) -> int:
         """A fresh random source port for every data packet (the scatter)."""
-        low, high = self._port_range
-        return self._rng.randint(low, high)
-
-    def _decorate_data_packet(self, packet: Packet) -> None:
-        self.scattered_packets += 1
-
-    @property
-    def port_range(self) -> Tuple[int, int]:
-        """The ephemeral port range the scatter draws from."""
-        return self._port_range
+        return self._rng.randint(SCATTER_PORT_LOW, SCATTER_PORT_HIGH)

@@ -20,10 +20,17 @@ without any mitigation (the ``reordering-*`` claims in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.transport.tcp import TcpSender
+
+#: The standard duplicate-ACK threshold: the floor of every policy below.
+STANDARD_THRESHOLD = 3
+#: The ceiling of the threshold, however many paths or spurious retransmits.
+MAXIMUM_THRESHOLD = 64
+#: How far one spurious fast retransmission raises the adaptive threshold.
+ADAPTIVE_INCREMENT = 2
 
 
 class StaticReorderingPolicy:
@@ -31,19 +38,17 @@ class StaticReorderingPolicy:
 
     name = "static"
 
-    def __init__(self, threshold: int = 3) -> None:
+    def __init__(self, threshold: int = STANDARD_THRESHOLD) -> None:
         if threshold < 1:
             raise ValueError("threshold must be at least 1")
         self.threshold = threshold
-        self.spurious_retransmits_seen = 0
 
     def current_threshold(self, sender: "TcpSender") -> int:
         """Return the configured, constant threshold."""
         return self.threshold
 
     def on_spurious_retransmit(self, sender: "TcpSender") -> None:
-        """Record the event; a static policy does not react."""
-        self.spurious_retransmits_seen += 1
+        """A static policy does not react."""
 
 
 class TopologyInformedPolicy:
@@ -51,8 +56,8 @@ class TopologyInformedPolicy:
 
     With ``p`` parallel paths, up to ``p - 1`` later packets can overtake a
     given packet purely because of path diversity, so the threshold is set to
-    the path count (clamped to ``[minimum, maximum]``).  The path count comes
-    from FatTree's structured addressing
+    the path count (clamped to ``[STANDARD_THRESHOLD, MAXIMUM_THRESHOLD]``).
+    The path count comes from FatTree's structured addressing
     (:meth:`repro.topology.fattree.FatTreeTopology.expected_path_count`) —
     or, the paper suggests, from a centralised component on a fabric
     without such addresses.
@@ -60,75 +65,36 @@ class TopologyInformedPolicy:
 
     name = "topology_informed"
 
-    def __init__(self, path_count: int, minimum: int = 3, maximum: int = 64) -> None:
+    def __init__(self, path_count: int) -> None:
         if path_count < 1:
             raise ValueError("path_count must be at least 1")
-        if minimum < 1 or maximum < minimum:
-            raise ValueError("require 1 <= minimum <= maximum")
         self.path_count = path_count
-        self.minimum = minimum
-        self.maximum = maximum
-        self.spurious_retransmits_seen = 0
 
     def current_threshold(self, sender: "TcpSender") -> int:
-        """Threshold = clamp(path count, minimum, maximum)."""
-        return max(self.minimum, min(self.path_count, self.maximum))
+        """Threshold = the path count, clamped to the standard and maximum."""
+        return max(STANDARD_THRESHOLD, min(self.path_count, MAXIMUM_THRESHOLD))
 
     def on_spurious_retransmit(self, sender: "TcpSender") -> None:
-        """Record the event; the topology-derived value is not adjusted."""
-        self.spurious_retransmits_seen += 1
+        """The topology-derived value is not adjusted."""
 
 
 class AdaptiveReorderingPolicy:
     """RR-TCP-style reactive threshold adjustment.
 
-    Every spurious fast retransmission raises the threshold by ``increment``;
-    the threshold optionally decays back towards ``initial`` after
-    ``decay_interval`` seconds without new evidence of reordering, so a
-    transient burst of reordering does not permanently blunt loss detection.
+    The threshold starts at the standard three, and every spurious fast
+    retransmission raises it by ``ADAPTIVE_INCREMENT``, up to
+    ``MAXIMUM_THRESHOLD``.
     """
 
     name = "adaptive"
 
-    def __init__(
-        self,
-        initial: int = 3,
-        increment: int = 2,
-        maximum: int = 64,
-        decay_interval: Optional[float] = None,
-    ) -> None:
-        if initial < 1:
-            raise ValueError("initial threshold must be at least 1")
-        if increment < 1:
-            raise ValueError("increment must be at least 1")
-        if maximum < initial:
-            raise ValueError("maximum must be >= initial")
-        if decay_interval is not None and decay_interval <= 0:
-            raise ValueError("decay_interval must be positive when given")
-        self.initial = initial
-        self.increment = increment
-        self.maximum = maximum
-        self.decay_interval = decay_interval
-        self.threshold = initial
-        self.spurious_retransmits_seen = 0
-        self._last_adjustment_time: Optional[float] = None
+    def __init__(self) -> None:
+        self.threshold = STANDARD_THRESHOLD
 
     def current_threshold(self, sender: "TcpSender") -> int:
-        """Current threshold, after applying any pending time-based decay."""
-        if (
-            self.decay_interval is not None
-            and self._last_adjustment_time is not None
-            and self.threshold > self.initial
-        ):
-            elapsed = sender.simulator.now - self._last_adjustment_time
-            steps = int(elapsed / self.decay_interval)
-            if steps > 0:
-                self.threshold = max(self.initial, self.threshold - steps)
-                self._last_adjustment_time = sender.simulator.now
+        """The current threshold."""
         return self.threshold
 
     def on_spurious_retransmit(self, sender: "TcpSender") -> None:
         """Raise the threshold — the last fast retransmit was unnecessary."""
-        self.spurious_retransmits_seen += 1
-        self.threshold = min(self.maximum, self.threshold + self.increment)
-        self._last_adjustment_time = sender.simulator.now
+        self.threshold = min(MAXIMUM_THRESHOLD, self.threshold + ADAPTIVE_INCREMENT)

@@ -13,7 +13,7 @@ import time as _wallclock
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, TypeVar
 
-from repro.core.mmptcp import MmptcpConnection, MmptcpReceiver
+from repro.core.mmptcp import MmptcpConnection
 from repro.core.phase_switching import (
     CongestionEventSwitching,
     DataVolumeSwitching,
@@ -226,34 +226,29 @@ def _build_flow(
         )
         return _FlowInstance(spec, sender, receiver)
 
+    if protocol not in (PROTOCOL_MPTCP, PROTOCOL_MMPTCP):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    receiver = MptcpReceiver(
+        simulator, destination, local_port=port, flow_id=spec.flow_id,
+        expected_bytes=spec.size_bytes,
+    )
     if protocol == PROTOCOL_MPTCP:
-        receiver = MptcpReceiver(
-            simulator, destination, local_port=port, flow_id=spec.flow_id,
-            expected_bytes=spec.size_bytes,
-        )
         sender = MptcpConnection(
             simulator, source, destination.address, port, spec.size_bytes,
             num_subflows=spec.num_subflows, flow_id=spec.flow_id, config=tcp_config,
         )
         return _FlowInstance(spec, sender, receiver)
 
-    if protocol == PROTOCOL_MMPTCP:
-        receiver = MmptcpReceiver(
-            simulator, destination, local_port=port, flow_id=spec.flow_id,
-            expected_bytes=spec.size_bytes,
-        )
-        path_count = topology.expected_path_count(source, destination)
-        reordering = make_reordering_policy(config, path_count)
-        rng = streams.stream(f"scatter-{spec.flow_id}")
-        sender = MmptcpConnection(
-            simulator, source, destination.address, port, spec.size_bytes,
-            num_subflows=spec.num_subflows, flow_id=spec.flow_id, config=tcp_config,
-            switching_policy=make_switching_policy(config),
-            reordering_policy=reordering, path_count_hint=path_count, rng=rng,
-        )
-        return _FlowInstance(spec, sender, receiver)
-
-    raise ValueError(f"unknown protocol {protocol!r}")
+    path_count = topology.expected_path_count(source, destination)
+    reordering = make_reordering_policy(config, path_count)
+    rng = streams.stream(f"scatter-{spec.flow_id}")
+    sender = MmptcpConnection(
+        simulator, source, destination.address, port, spec.size_bytes,
+        num_subflows=spec.num_subflows, flow_id=spec.flow_id, config=tcp_config,
+        switching_policy=make_switching_policy(config),
+        reordering_policy=reordering, path_count_hint=path_count, rng=rng,
+    )
+    return _FlowInstance(spec, sender, receiver)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +268,7 @@ def _record_for(instance: _FlowInstance) -> FlowRecord:
         start_time=spec.start_time,
     )
 
-    if isinstance(receiver, (TcpReceiver, MptcpReceiver)):
+    if isinstance(receiver, TcpReceiver):
         record.receiver_completion_time = receiver.completion_time
         record.bytes_received = receiver.bytes_received_in_order
     if isinstance(receiver, MptcpReceiver):

@@ -150,7 +150,6 @@ class FluidFaultApplier:
         self.schedule = tuple(schedule)
         self.on_change = on_change
         self.probes = probes
-        self.applied_events = 0
         # Original (pre-degrade) rates per sorted name pair, exactly like the
         # packet tier's injector, so degrade factors never compound.
         self._original_rates: Dict[Tuple[str, str], Tuple[float, float]] = {}
@@ -206,7 +205,6 @@ class FluidFaultApplier:
                 original_ab, original_ba = self._original_rates.pop(key)
                 fabric.rate_bps[link_ab] = original_ab
                 fabric.rate_bps[link_ba] = original_ba
-        self.applied_events += 1
         if self.probes.enabled:
             self.probes.observe_trace(
                 self.simulator.now,

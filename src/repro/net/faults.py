@@ -28,9 +28,8 @@ Idempotency: re-applying a state a link is already in is an explicit no-op.
 harmless in the simple connectivity graph, but the rebuild it triggered was
 pure waste and the intent is ambiguous), ``link_down`` on a down link changes nothing, and
 ``restore`` without a matching ``degrade`` leaves the rate untouched.  Every
-scheduled event still counts in ``applied_events`` and is still reported to
-the injector's ``probes`` through ``observe_trace``, so schedules remain
-auditable.
+scheduled event is still reported to the injector's ``probes`` through
+``observe_trace``, so schedules remain auditable.
 """
 
 from __future__ import annotations
@@ -157,7 +156,6 @@ class FaultInjector:
         self.topology = topology
         self.schedule = tuple(schedule)
         self.probes = probes
-        self.applied_events = 0
         # Original rates, captured at degrade time so RESTORE can undo it.
         self._original_rates: Dict[Tuple[str, str], Tuple[float, float]] = {}
         # Validate eagerly: a typo'd node name should fail at arm time, not
@@ -250,7 +248,6 @@ class FaultInjector:
                 original_ab, original_ba = self._original_rates.pop(key)
                 iface_ab.set_rate(original_ab)
                 iface_ba.set_rate(original_ba)
-        self.applied_events += 1
         if self.probes.enabled:
             self.probes.observe_trace(
                 self.simulator.now,
@@ -264,7 +261,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _apply_migration(self, event: FaultEvent) -> None:
-        self.applied_events += 1
         if self.probes.enabled:
             self.probes.observe_trace(
                 self.simulator.now,

@@ -47,8 +47,6 @@ class Host(Node):
         self.address = address
         self._endpoints: Dict[int, PacketHandler] = {}
         self._next_ephemeral_port = EPHEMERAL_PORT_MIN
-        self.unroutable_packets = 0
-        self.undeliverable_packets = 0
 
     # ------------------------------------------------------------------
     # Endpoint management
@@ -99,9 +97,8 @@ class Host(Node):
         """Transmit ``packet`` out of one of this host's uplinks.
 
         Returns False when the selected uplink rejected the packet (down NIC
-        or full queue); the packet has then already been retired — callers
-        that care must account for the loss *before* handing the packet over
-        (see ``Endpoint.transmit``).
+        or full queue); the packet has then already been retired.  Either
+        way the caller forfeits the packet.
         """
         interfaces = self.interfaces
         if len(interfaces) == 1:
@@ -130,7 +127,6 @@ class Host(Node):
             if endpoint is not None:
                 endpoint.on_packet(packet)
             else:
-                self.undeliverable_packets += 1
                 probes = self.probes
                 if probes.enabled:
                     probes.observe_trace(
@@ -142,7 +138,6 @@ class Host(Node):
                     )
         else:
             # Mis-delivered packet (should not happen with correct routing).
-            self.unroutable_packets += 1
             probes = self.probes
             if probes.enabled:
                 probes.observe_trace(

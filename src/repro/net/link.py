@@ -16,8 +16,8 @@ each node, wired to each other — :func:`connect` builds that pair.
 
 Packet ownership: an interface *consumes* every packet that is offered to it
 and then lost — rejected while the link is down, dropped by the queue, or cut
-mid-serialisation.  Those packets are released to the packet pool after the
-drop callbacks have run; delivered packets are released further downstream by
+mid-serialisation.  Those packets are released to the packet pool once the
+node has recorded the drop; delivered packets are released further downstream by
 the receiving host.  Callers must therefore never touch a packet again once
 :meth:`Interface.send` has been called, whatever it returned.
 """
@@ -49,7 +49,7 @@ class Interface:
             packet offered to it, keeps already-queued packets parked, and
             loses packets whose serialisation completes while it is down
             (they were "on the wire" when the cable was cut).
-        bytes_sent / packets_sent: transmission counters (payload + headers).
+        bytes_sent: bytes transmitted (payload + headers).
         fault_drops: packets lost because the interface was down.
         fault_drops_offered: the subset of ``fault_drops`` rejected at offer
             time — these never reached the output queue, so they are absent
@@ -83,7 +83,6 @@ class Interface:
         #: The ``queue`` probe series this interface's occupancy goes to.
         self._queue_series = f"queue.packets/{self.name}"
         self.bytes_sent = 0
-        self.packets_sent = 0
         self.busy_time = 0.0
         self.up = True
         self.fault_drops = 0
@@ -92,7 +91,6 @@ class Interface:
         # At most one packet serialises at a time, so one reusable timer
         # covers every transmission this interface will ever make.
         self._tx_timer = simulator.timer(self._finish_transmission)
-        self.drop_callback: Optional[Callable[[Packet, "Interface"], None]] = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -145,9 +143,7 @@ class Interface:
         return True
 
     def _drop(self, packet: Packet) -> None:
-        """Run the drop notifications, then retire the packet."""
-        if self.drop_callback is not None:
-            self.drop_callback(packet, self)
+        """Report the drop to the owning node, then retire the packet."""
         self.node.note_drop(packet, self)
         release_packet(packet)
 
@@ -175,15 +171,12 @@ class Interface:
             self._start_next_transmission()
             return
         self.bytes_sent += packet.size
-        self.packets_sent += 1
         # Propagation: the receiving node sees the packet one delay later.
         self.simulator.schedule(self.delay_s, self._deliver, packet)
         # The transmitter is free again as soon as serialisation ends.
         self._start_next_transmission()
 
     def _deliver(self, packet: Packet) -> None:
-        packet.hops += 1
-        assert self.peer is not None
         self.peer.receive(packet, self.peer_interface)
 
     # ------------------------------------------------------------------

@@ -28,8 +28,6 @@ class Node:
         interfaces: interfaces in attachment order.
         neighbor_to_interface: maps a neighbouring node's name to the local
             interface that reaches it (used when installing routing tables).
-        dropped_packets / dropped_bytes: packets lost in this node's output
-            queues or for lack of a route.
     """
 
     kind = "node"
@@ -40,8 +38,6 @@ class Node:
         self.name = name
         self.interfaces: List["Interface"] = []
         self.neighbor_to_interface: Dict[str, int] = {}
-        self.dropped_packets = 0
-        self.dropped_bytes = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -67,9 +63,7 @@ class Node:
         raise NotImplementedError
 
     def note_drop(self, packet: Packet, interface: "Interface") -> None:
-        """Record a packet lost in one of this node's output queues."""
-        self.dropped_packets += 1
-        self.dropped_bytes += packet.size
+        """Report a packet lost in one of this node's output queues."""
         probes = self.probes
         if probes.enabled:
             probes.observe_trace(

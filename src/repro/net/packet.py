@@ -92,10 +92,6 @@ class Packet:
             the MMPTCP packet-scatter flow).
         dsn: connection-level data sequence number (byte offset).
         dack: connection-level cumulative data acknowledgement.
-        sent_time: simulated time at which the (sub)flow sender transmitted
-            this packet; used for RTT sampling.
-        is_retransmission: marks retransmitted data (Karn's algorithm).
-        hops: number of switch/host hops traversed so far.
         flow_bytes: packed 5-tuple fed to the per-hop ECMP hash (``None``
             until the first hashed hop; see :meth:`flow_key`).
         flow_hash: cached unsalted FNV-1a digest of ``flow_bytes`` (``None``
@@ -119,9 +115,6 @@ class Packet:
         "subflow_id",
         "dsn",
         "dack",
-        "sent_time",
-        "is_retransmission",
-        "hops",
         "flow_bytes",
         "flow_hash",
         "_in_pool",
@@ -143,8 +136,6 @@ class Packet:
         subflow_id: int = 0,
         dsn: int = 0,
         dack: int = 0,
-        sent_time: float = 0.0,
-        is_retransmission: bool = False,
         protocol: int = PROTO_TCP,
     ) -> None:
         """(Re)initialise every field.
@@ -172,9 +163,6 @@ class Packet:
         self.subflow_id = subflow_id
         self.dsn = dsn
         self.dack = dack
-        self.sent_time = sent_time
-        self.is_retransmission = is_retransmission
-        self.hops = 0
         # Lazily packed on the first hashed hop: packets that never cross a
         # multi-candidate ECMP group (pure downlink paths, early drops) skip
         # the packing cost entirely.
@@ -263,9 +251,6 @@ class Packet:
         self.subflow_id = POISON
         self.dsn = POISON
         self.dack = POISON
-        self.sent_time = float("nan")
-        self.is_retransmission = False
-        self.hops = POISON
         self.flow_bytes = b"\xde\xad" * 20
         self.flow_hash = None
 
@@ -337,7 +322,6 @@ class PacketPool:
                 or packet.size != POISON
                 or packet.payload_size != POISON
                 or packet.dsn != POISON
-                or packet.hops != POISON
             ):
                 raise RuntimeError(
                     "packet pool corruption: a free-list packet was mutated "
@@ -441,7 +425,6 @@ def make_ack(
     dack: int = 0,
     src_port: Optional[int] = None,
     dst_port: Optional[int] = None,
-    sent_time: float = 0.0,
 ) -> Packet:
     """Build an acknowledgement packet for ``original`` (pool-acquired).
 
@@ -462,5 +445,4 @@ def make_ack(
         flags=FLAG_ACK,
         payload_size=0,
         subflow_id=original.subflow_id,
-        sent_time=sent_time,
     )

@@ -61,9 +61,6 @@ class Switch(Node):
         self._hash_cache: Dict[bytes, int] = {}
         # destination host address -> equal-cost output interface indices
         self.forwarding_table: Dict[int, List[int]] = {}
-        self.forwarded_packets = 0
-        self.forwarded_bytes = 0
-        self.unroutable_packets = 0
 
     # ------------------------------------------------------------------
     # Salt management
@@ -177,11 +174,8 @@ class Switch(Node):
             if not out_interface.up:
                 out_interface = self._failover_interface(packet, candidates)
             if out_interface is not None:
-                self.forwarded_packets += 1
-                self.forwarded_bytes += packet.size
                 out_interface.send(packet)
                 return
-        self.unroutable_packets += 1
         probes = self.probes
         if probes.enabled:
             probes.observe_trace(self.simulator.now, "unroutable", node=self.name, dst=packet.dst)

@@ -17,18 +17,17 @@ the whole connection stalls for a 200 ms retransmission timeout
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.host import Host
-from repro.net.packet import FLAG_ACK, FLAG_SYN, Packet, acquire_packet, make_ack
+from repro.net.packet import Packet, make_ack
 from repro.obs.telemetry import NULL_PROBES, TelemetryProbes
 from repro.sim.engine import Simulator
-from repro.transport.base import Endpoint, SenderStats, TcpConfig
+from repro.transport.base import SenderStats, TcpConfig
 from repro.transport.cc.lia import LiaController
+from repro.transport.receiver import TcpReceiver
 from repro.transport.sequence import ReceiveBuffer, SegmentMap
 from repro.transport.tcp import TcpSender
-
-ConnectionCallback = Callable[["MptcpConnection"], None]
 
 
 class MptcpSubflow(TcpSender):
@@ -115,14 +114,6 @@ class MptcpSubflow(TcpSender):
         # stream (handled by MptcpConnection.on_dack).
         self._cancel_rto_timer()
 
-    # -- establishment ------------------------------------------------------
-
-    def _handle_syn_ack(self, packet: Packet) -> None:
-        was_established = self.established
-        super()._handle_syn_ack(packet)
-        if not was_established and self.established:
-            self.connection._subflow_established(self)
-
     @property
     def allocated_bytes(self) -> int:
         """Bytes of the connection stream currently mapped onto this subflow."""
@@ -147,7 +138,6 @@ class MptcpConnection:
         num_subflows: int = 8,
         flow_id: int = 0,
         config: TcpConfig = TcpConfig(),
-        on_complete: Optional[ConnectionCallback] = None,
         create_subflows: bool = True,
     ) -> None:
         if total_bytes < 0:
@@ -162,14 +152,12 @@ class MptcpConnection:
         self.num_subflows = num_subflows
         self.flow_id = flow_id
         self.config = config
-        self.on_complete = on_complete
 
         self.subflows: List[MptcpSubflow] = []
         self._next_dsn = 0
         self.data_acked = 0
         self.started = False
         self.complete = False
-        self.start_time: Optional[float] = None
         self.completion_time: Optional[float] = None
 
         if create_subflows:
@@ -206,9 +194,6 @@ class MptcpConnection:
         """Factory hook; MMPTCP overrides it to build its packet-scatter subflow."""
         return MptcpSubflow(self, subflow_id)
 
-    def _subflow_established(self, subflow: MptcpSubflow) -> None:
-        """Hook invoked when a subflow finishes its handshake."""
-
     def _subflow_congestion_event(self, subflow: TcpSender, kind: str) -> None:
         """Hook invoked on each subflow loss event (MMPTCP's switching observes it)."""
 
@@ -221,7 +206,6 @@ class MptcpConnection:
         if self.started:
             return
         self.started = True
-        self.start_time = self.simulator.now
         for subflow in self.subflows:
             subflow.start()
 
@@ -288,39 +272,22 @@ class MptcpConnection:
             for subflow in self.subflows:
                 subflow.complete = True
                 subflow._cancel_rto_timer()
-            if self.on_complete is not None:
-                self.on_complete(self)
 
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
 
     def aggregate_stats(self) -> SenderStats:
-        """Sum the per-subflow counters into one connection-level record."""
+        """Sum the per-subflow loss and send counters into one record."""
         total = SenderStats()
-        total.start_time = self.start_time if self.start_time is not None else 0.0
-        total.completion_time = self.completion_time
-        # The connection is established as soon as its first subflow is —
-        # that earliest handshake is when data can start flowing.
-        established = [
-            subflow.stats.established_time
-            for subflow in self.subflows
-            if subflow.stats.established_time is not None
-        ]
-        total.established_time = min(established) if established else None
         for subflow in self.subflows:
             stats = subflow.stats
-            total.packets_sent += stats.packets_sent
-            total.bytes_sent += stats.bytes_sent
             total.data_packets_sent += stats.data_packets_sent
             total.retransmitted_packets += stats.retransmitted_packets
-            total.retransmitted_bytes += stats.retransmitted_bytes
             total.fast_retransmits += stats.fast_retransmits
             total.rto_events += stats.rto_events
             total.spurious_retransmits += stats.spurious_retransmits
-            total.acks_received += stats.acks_received
             total.duplicate_acks += stats.duplicate_acks
-            total.send_fault_drops += stats.send_fault_drops
         return total
 
     def close(self) -> None:
@@ -329,12 +296,14 @@ class MptcpConnection:
             subflow.close()
 
 
-class MptcpReceiver(Endpoint):
+class MptcpReceiver(TcpReceiver):
     """Receiver side of an MPTCP (or MMPTCP) connection.
 
-    Keeps one reassembly buffer per subflow (subflow sequence space) plus the
-    connection-level buffer over data sequence numbers; every ACK carries both
-    the subflow-level cumulative ACK and the data-level cumulative ACK.
+    Keeps one reassembly buffer per subflow (subflow sequence space) on top
+    of :class:`TcpReceiver`'s ``buffer``, which here holds the data sequence
+    space; every ACK carries both the subflow-level cumulative ACK and the
+    data-level cumulative ACK.  MMPTCP's packet-scatter phase needs nothing
+    more: ACKs go to each subflow's canonical port, learned from its SYN.
     """
 
     def __init__(
@@ -344,98 +313,38 @@ class MptcpReceiver(Endpoint):
         local_port: Optional[int] = None,
         flow_id: int = 0,
         expected_bytes: Optional[int] = None,
-        on_complete: Optional[Callable[["MptcpReceiver"], None]] = None,
     ) -> None:
-        super().__init__(simulator, host, local_port)
-        self.flow_id = flow_id
-        self.expected_bytes = expected_bytes
-        self.on_complete = on_complete
-        self.data_buffer = ReceiveBuffer()
+        super().__init__(simulator, host, local_port, flow_id, expected_bytes)
         self.subflow_buffers: Dict[int, ReceiveBuffer] = {}
         self.subflow_peer_ports: Dict[int, int] = {}
-        self.peer_address: Optional[int] = None
-        self.complete = False
-        self.completion_time: Optional[float] = None
-        self.first_data_time: Optional[float] = None
-        self.acks_sent = 0
-        self.data_packets_received = 0
-        #: ACKs/SYN-ACKs our own NIC refused to send (down or congested
-        #: uplink) — mirrors :attr:`~repro.transport.base.SenderStats.send_fault_drops`.
-        self.send_fault_drops = 0
 
     # ------------------------------------------------------------------
 
-    def _buffer_for(self, subflow_id: int) -> ReceiveBuffer:
-        if subflow_id not in self.subflow_buffers:
-            self.subflow_buffers[subflow_id] = ReceiveBuffer()
-        return self.subflow_buffers[subflow_id]
-
-    def on_packet(self, packet: Packet) -> None:
-        """Handle per-subflow SYNs and data segments."""
-        if packet.is_syn and not packet.is_ack:
-            self._handle_syn(packet)
-            return
-        if packet.carries_data:
-            self._handle_data(packet)
-
-    def _handle_syn(self, packet: Packet) -> None:
-        self.peer_address = packet.src
+    def _learn_peer_port(self, packet: Packet) -> None:
         self.subflow_peer_ports[packet.subflow_id] = packet.src_port
-        syn_ack = acquire_packet(
-            flow_id=self.flow_id,
-            src=self.host.address,
-            dst=packet.src,
-            src_port=self.local_port,
-            dst_port=packet.src_port,
-            flags=FLAG_SYN | FLAG_ACK,
-            subflow_id=packet.subflow_id,
-            sent_time=self.simulator.now,
-        )
-        if not self.transmit(syn_ack):
-            self.send_fault_drops += 1
 
     def _handle_data(self, packet: Packet) -> None:
-        if self.first_data_time is None:
-            self.first_data_time = self.simulator.now
-        self.data_packets_received += 1
-        subflow_buffer = self._buffer_for(packet.subflow_id)
+        subflow_buffer = self.subflow_buffers.get(packet.subflow_id)
+        if subflow_buffer is None:
+            subflow_buffer = self.subflow_buffers[packet.subflow_id] = ReceiveBuffer()
         subflow_buffer.add(packet.seq, packet.payload_size)
-        self.data_buffer.add(packet.dsn, packet.payload_size)
-        self._send_ack(packet, subflow_buffer)
-        self._check_completion()
-
-    def _send_ack(self, packet: Packet, subflow_buffer: ReceiveBuffer) -> None:
+        buffer = self.buffer
+        buffer.add(packet.dsn, packet.payload_size)
         # Acknowledgements go back to the subflow's *canonical* port (learned
         # from its SYN), not to the possibly randomised source port of the data
         # packet — this is what makes per-packet source-port scatter workable.
-        canonical_port = self.subflow_peer_ports.get(packet.subflow_id, packet.src_port)
-        ack = make_ack(
-            packet,
-            ack=subflow_buffer.rcv_nxt,
-            dack=self.data_buffer.rcv_nxt,
-            src_port=self.local_port,
-            dst_port=canonical_port,
-            sent_time=self.simulator.now,
+        self.host.send(
+            make_ack(
+                packet,
+                ack=subflow_buffer.rcv_nxt,
+                dack=buffer.rcv_nxt,
+                src_port=self.local_port,
+                dst_port=self.subflow_peer_ports.get(packet.subflow_id, packet.src_port),
+            )
         )
-        self.acks_sent += 1
-        if not self.transmit(ack):
-            self.send_fault_drops += 1
-
-    def _check_completion(self) -> None:
-        if self.complete or self.expected_bytes is None:
-            return
-        if self.data_buffer.rcv_nxt >= self.expected_bytes:
-            self.complete = True
-            self.completion_time = self.simulator.now
-            if self.on_complete is not None:
-                self.on_complete(self)
+        self._check_completion()
 
     # ------------------------------------------------------------------
-
-    @property
-    def bytes_received_in_order(self) -> int:
-        """Connection-level bytes delivered in order so far."""
-        return self.data_buffer.rcv_nxt
 
     @property
     def reordering_events(self) -> int:

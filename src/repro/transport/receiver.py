@@ -3,12 +3,13 @@
 The receiver answers the sender's SYN, acknowledges every data packet
 cumulatively (generating the duplicate ACKs that drive fast retransmit), and
 reports flow completion once the expected number of bytes has arrived
-in order.
+in order.  :class:`~repro.transport.mptcp.MptcpReceiver` is this receiver
+with per-subflow reassembly added.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.net.host import Host
 from repro.net.packet import FLAG_ACK, FLAG_SYN, Packet, acquire_packet, make_ack
@@ -16,11 +17,12 @@ from repro.sim.engine import Simulator
 from repro.transport.base import Endpoint
 from repro.transport.sequence import ReceiveBuffer
 
-ReceiverCallback = Callable[["TcpReceiver"], None]
-
 
 class TcpReceiver(Endpoint):
-    """Receiving endpoint of a single-path TCP flow."""
+    """Receiving endpoint of a single-path TCP flow.
+
+    ``buffer`` is the byte stream whose in-order frontier completes the flow.
+    """
 
     def __init__(
         self,
@@ -29,24 +31,13 @@ class TcpReceiver(Endpoint):
         local_port: Optional[int] = None,
         flow_id: int = 0,
         expected_bytes: Optional[int] = None,
-        on_complete: Optional[ReceiverCallback] = None,
     ) -> None:
         super().__init__(simulator, host, local_port)
         self.flow_id = flow_id
         self.expected_bytes = expected_bytes
-        self.on_complete = on_complete
         self.buffer = ReceiveBuffer()
-        self.peer_address: Optional[int] = None
-        self.peer_port: Optional[int] = None
-        self.established = False
         self.complete = False
         self.completion_time: Optional[float] = None
-        self.first_data_time: Optional[float] = None
-        self.acks_sent = 0
-        self.data_packets_received = 0
-        #: ACKs/SYN-ACKs our own NIC refused to send (down or congested
-        #: uplink) — mirrors :attr:`SenderStats.send_fault_drops`.
-        self.send_fault_drops = 0
 
     # ------------------------------------------------------------------
 
@@ -61,50 +52,34 @@ class TcpReceiver(Endpoint):
     # ------------------------------------------------------------------
 
     def _handle_syn(self, packet: Packet) -> None:
-        # Learn (or confirm) the sender's canonical port; duplicate SYNs simply
-        # elicit another SYN-ACK.
-        self.peer_address = packet.src
-        self.peer_port = packet.src_port
-        self.established = True
-        syn_ack = acquire_packet(
-            flow_id=self.flow_id,
-            src=self.host.address,
-            dst=packet.src,
-            src_port=self.local_port,
-            dst_port=packet.src_port,
-            flags=FLAG_SYN | FLAG_ACK,
-            subflow_id=packet.subflow_id,
-            sent_time=self.simulator.now,
+        # Duplicate SYNs simply elicit another SYN-ACK.
+        self._learn_peer_port(packet)
+        self.host.send(
+            acquire_packet(
+                flow_id=self.flow_id,
+                src=self.host.address,
+                dst=packet.src,
+                src_port=self.local_port,
+                dst_port=packet.src_port,
+                flags=FLAG_SYN | FLAG_ACK,
+                subflow_id=packet.subflow_id,
+            )
         )
-        if not self.transmit(syn_ack):
-            self.send_fault_drops += 1
+
+    def _learn_peer_port(self, packet: Packet) -> None:
+        """Note the port a SYN came from (``MptcpReceiver`` keeps one per subflow).
+
+        A TCP sender sends every segment from the port of its SYN, so each
+        ACK simply goes back to the segment's own source port.
+        """
 
     def _handle_data(self, packet: Packet) -> None:
-        if self.peer_port is None:
-            # Data before any SYN: adopt the packet's source as the canonical
-            # peer so the flow still makes progress (mirrors an accepting
-            # socket with the handshake folded in).
-            self.peer_address = packet.src
-            self.peer_port = packet.src_port
-        if self.first_data_time is None:
-            self.first_data_time = self.simulator.now
-        self.data_packets_received += 1
-        self.buffer.add(packet.seq, packet.payload_size)
-        self._send_ack(packet)
-        self._check_completion()
-
-    def _send_ack(self, packet: Packet) -> None:
-        ack = make_ack(
-            packet,
-            ack=self.buffer.rcv_nxt,
-            dack=self.buffer.rcv_nxt,
-            src_port=self.local_port,
-            dst_port=self.peer_port,
-            sent_time=self.simulator.now,
+        buffer = self.buffer
+        buffer.add(packet.seq, packet.payload_size)
+        self.host.send(
+            make_ack(packet, ack=buffer.rcv_nxt, dack=buffer.rcv_nxt, src_port=self.local_port)
         )
-        self.acks_sent += 1
-        if not self.transmit(ack):
-            self.send_fault_drops += 1
+        self._check_completion()
 
     def _check_completion(self) -> None:
         if self.complete or self.expected_bytes is None:
@@ -112,8 +87,6 @@ class TcpReceiver(Endpoint):
         if self.buffer.rcv_nxt >= self.expected_bytes:
             self.complete = True
             self.completion_time = self.simulator.now
-            if self.on_complete is not None:
-                self.on_complete(self)
 
     # ------------------------------------------------------------------
 

@@ -28,9 +28,7 @@ class ReceiveBuffer:
         self.rcv_nxt = 0
         #: sorted, disjoint, non-adjacent out-of-order ranges [start, end)
         self._segments: List[Tuple[int, int]] = []
-        self.duplicate_bytes = 0
         self.out_of_order_arrivals = 0
-        self.total_bytes_received = 0
 
     # ------------------------------------------------------------------
 
@@ -43,9 +41,7 @@ class ReceiveBuffer:
         if length <= 0:
             return 0
         end = start + length
-        self.total_bytes_received += length
         if end <= self.rcv_nxt:
-            self.duplicate_bytes += length
             return 0
 
         previous_frontier = self.rcv_nxt
@@ -56,8 +52,6 @@ class ReceiveBuffer:
 
         # Overlaps the frontier: advance it, then absorb any stored segments
         # that have become contiguous.
-        if start < self.rcv_nxt:
-            self.duplicate_bytes += self.rcv_nxt - start
         self.rcv_nxt = max(self.rcv_nxt, end)
         self._absorb_contiguous()
         return self.rcv_nxt - previous_frontier
@@ -74,21 +68,15 @@ class ReceiveBuffer:
         first = bisect_left(segments, start, key=_segment_end)
         after = bisect_right(segments, end, key=_segment_start)
         if first < after:
-            for seg_start, seg_end in segments[first:after]:
-                overlap = min(seg_end, end) - max(seg_start, start)
-                if overlap > 0:
-                    self.duplicate_bytes += overlap
             start = min(start, segments[first][0])
             end = max(end, segments[after - 1][1])
         segments[first:after] = [(start, end)]
 
     def _absorb_contiguous(self) -> None:
         while self._segments and self._segments[0][0] <= self.rcv_nxt:
-            seg_start, seg_end = self._segments.pop(0)
+            seg_end = self._segments.pop(0)[1]
             if seg_end > self.rcv_nxt:
                 self.rcv_nxt = seg_end
-            else:
-                self.duplicate_bytes += seg_end - seg_start
 
     # ------------------------------------------------------------------
 

@@ -22,7 +22,14 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 from repro.net.host import Host
 from repro.net.packet import FLAG_DATA, FLAG_SYN, Packet, acquire_packet
 from repro.sim.engine import Simulator
-from repro.transport.base import Endpoint, SenderStats, TcpConfig
+from repro.transport.base import (
+    INITIAL_RTO_S,
+    INITIAL_SSTHRESH_BYTES,
+    MAX_RTO_S,
+    Endpoint,
+    SenderStats,
+    TcpConfig,
+)
 from repro.transport.cc.base import (
     LOSS_FAST_RETRANSMIT,
     LOSS_TIMEOUT,
@@ -31,7 +38,6 @@ from repro.transport.cc.base import (
 )
 from repro.transport.rto import RtoEstimator
 
-SenderCallback = Callable[["TcpSender"], None]
 CongestionEventCallback = Callable[["TcpSender", str], None]
 
 
@@ -70,7 +76,6 @@ class TcpSender(Endpoint):
         "subflow_id",
         "cc",
         "reordering_policy",
-        "on_complete",
         "on_congestion_event",
         "cwnd",
         "ssthresh",
@@ -105,7 +110,6 @@ class TcpSender(Endpoint):
         local_port: Optional[int] = None,
         subflow_id: int = 0,
         reordering_policy: Optional[ReorderingPolicy] = None,
-        on_complete: Optional[SenderCallback] = None,
         on_congestion_event: Optional[CongestionEventCallback] = None,
     ) -> None:
         super().__init__(simulator, host, local_port)
@@ -120,12 +124,11 @@ class TcpSender(Endpoint):
         self.subflow_id = subflow_id
         self.cc = congestion_control if congestion_control is not None else NewRenoController()
         self.reordering_policy = reordering_policy
-        self.on_complete = on_complete
         self.on_congestion_event = on_congestion_event
 
         # Congestion state -------------------------------------------------
         self.cwnd: float = float(config.initial_cwnd_bytes)
-        self.ssthresh: float = float(config.initial_ssthresh_bytes)
+        self.ssthresh: float = float(INITIAL_SSTHRESH_BYTES)
         self.in_fast_recovery = False
         self.recover_seq = 0
         self.dup_ack_count = 0
@@ -139,7 +142,7 @@ class TcpSender(Endpoint):
 
         # Timers & RTT ------------------------------------------------------
         self.rto_estimator = RtoEstimator(
-            min_rto=config.min_rto, max_rto=config.max_rto, initial_rto=config.initial_rto
+            min_rto=config.min_rto, max_rto=MAX_RTO_S, initial_rto=INITIAL_RTO_S
         )
         # One reusable timer handle for the connection's whole life:
         # restarting the timer on every ACK/data event is the hottest
@@ -197,7 +200,6 @@ class TcpSender(Endpoint):
         if self.established:
             return
         self.established = True
-        self.stats.established_time = self.simulator.now
         # The handshake round-trip doubles as the first RTT sample.
         handshake_rtt = self.simulator.now - self.stats.start_time
         if handshake_rtt > 0:
@@ -209,7 +211,6 @@ class TcpSender(Endpoint):
     def _handle_ack(self, packet: Packet) -> None:
         if self.complete or not self.established:
             return
-        self.stats.acks_received += 1
         self._process_dack(packet)
 
         ack = packet.ack
@@ -331,7 +332,7 @@ class TcpSender(Endpoint):
     def _send_data(self, seq: int, payload: int, is_retransmission: bool) -> None:
         # Acquire from the packet pool: the network releases the packet once
         # it is consumed (delivered or dropped), so this sender never touches
-        # it again after transmit().
+        # it again after handing it to the host.
         packet = acquire_packet(
             flow_id=self.flow_id,
             src=self.host.address,
@@ -343,25 +344,16 @@ class TcpSender(Endpoint):
             payload_size=payload,
             subflow_id=self.subflow_id,
             dsn=self._dsn_at(seq),
-            sent_time=self.simulator.now,
-            is_retransmission=is_retransmission,
         )
-        self._decorate_data_packet(packet)
-        self.stats.packets_sent += 1
         self.stats.data_packets_sent += 1
-        self.stats.bytes_sent += packet.size
         if is_retransmission:
             self.stats.retransmitted_packets += 1
-            self.stats.retransmitted_bytes += payload
             # Karn's rule: give up on timing anything currently in flight.
             self._timed_seq = None
         elif self._timed_seq is None:
             self._timed_seq = seq + payload
             self._timed_at = self.simulator.now
-        if not self.transmit(packet):
-            # The local NIC refused the packet (down or congested uplink):
-            # account the loss instead of silently dropping the signal.
-            self.stats.send_fault_drops += 1
+        self.host.send(packet)
 
     def _retransmit_segment(self, seq: int) -> None:
         payload = self._payload_at(seq)
@@ -370,20 +362,17 @@ class TcpSender(Endpoint):
         self._send_data(seq, payload, is_retransmission=True)
 
     def _send_syn(self) -> None:
-        packet = acquire_packet(
-            flow_id=self.flow_id,
-            src=self.host.address,
-            dst=self.destination,
-            src_port=self.local_port,
-            dst_port=self.destination_port,
-            flags=FLAG_SYN,
-            subflow_id=self.subflow_id,
-            sent_time=self.simulator.now,
+        self.host.send(
+            acquire_packet(
+                flow_id=self.flow_id,
+                src=self.host.address,
+                dst=self.destination,
+                src_port=self.local_port,
+                dst_port=self.destination_port,
+                flags=FLAG_SYN,
+                subflow_id=self.subflow_id,
+            )
         )
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size
-        if not self.transmit(packet):
-            self.stats.send_fault_drops += 1
 
     # ------------------------------------------------------------------
     # Retransmission timer
@@ -453,9 +442,6 @@ class TcpSender(Endpoint):
         """Source port stamped on data packets (packet scatter randomises this)."""
         return self.local_port
 
-    def _decorate_data_packet(self, packet: Packet) -> None:
-        """Last chance for subclasses to adjust an outgoing data packet."""
-
     def _process_dack(self, packet: Packet) -> None:
         """Connection-level acknowledgement processing (MPTCP overrides this)."""
 
@@ -468,8 +454,6 @@ class TcpSender(Endpoint):
         self.complete = True
         self.stats.completion_time = self.simulator.now
         self._cancel_rto_timer()
-        if self.on_complete is not None:
-            self.on_complete(self)
 
     # ------------------------------------------------------------------
     # Internal helpers

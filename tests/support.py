@@ -238,7 +238,7 @@ def make_tcp_transfer(
 #: rewinds ``snd_nxt`` to 5000; the cumulative ACK for the retransmission
 #: then jumps ``snd_una`` to 15000 and leaves ``snd_nxt`` behind it.
 RTO_REWIND_CONFIG = TcpConfig(
-    mss=1000, initial_cwnd_segments=10, min_rto=0.2, initial_rto=0.2,
+    mss=1000, initial_cwnd_segments=10, min_rto=0.2,
     max_cwnd_bytes=10_000,
 )
 RTO_REWIND_BYTES = 40_000
@@ -272,6 +272,11 @@ def rto_rewind_topology(simulator: Simulator) -> TwoHostTopology:
     topology = TwoHostTopology(simulator)
     topology.sender.interfaces[0].queue = DropSegmentQueue(5000)
     return topology
+
+
+def forwarded_packets(switch) -> int:
+    """Packets ``switch`` offered to its output queues (accepted or dropped)."""
+    return sum(interface.queue.stats.offered_packets for interface in switch.interfaces)
 
 
 def record_allocations(connection, chunks: List[Tuple[int, int, int]]) -> None:
@@ -392,17 +397,15 @@ def reference_max_min_rates(
 
 def reference_insert_segment(
     segments: Sequence[Tuple[int, int]], start: int, end: int
-) -> Tuple[List[Tuple[int, int]], int]:
+) -> List[Tuple[int, int]]:
     """The linear out-of-order insert, kept as a test oracle.
 
     This is the body ``ReceiveBuffer._insert_segment`` had before it became a
     bisect plus a slice assignment: it walks and rebuilds the whole sorted,
-    disjoint, non-adjacent range list per arrival.  Returns the new list and
-    the duplicate bytes the arrival carried; nothing under ``src/`` may
-    import it.
+    disjoint, non-adjacent range list per arrival.  Returns the new list;
+    nothing under ``src/`` may import it.
     """
     merged: List[Tuple[int, int]] = []
-    duplicate_bytes = 0
     placed = False
     for seg_start, seg_end in segments:
         if seg_end < start:
@@ -414,15 +417,12 @@ def reference_insert_segment(
             merged.append((seg_start, seg_end))
         else:
             # Overlapping or adjacent: merge into the candidate range.
-            overlap = min(seg_end, end) - max(seg_start, start)
-            if overlap > 0:
-                duplicate_bytes += overlap
             start = min(start, seg_start)
             end = max(end, seg_end)
     if not placed:
         merged.append((start, end))
     merged.sort()
-    return merged, duplicate_bytes
+    return merged
 
 
 # ---------------------------------------------------------------------------

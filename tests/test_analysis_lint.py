@@ -7,6 +7,7 @@ meta-test runs the linter over the real ``src``/``tests`` trees and asserts
 the zero-violation baseline that CI gates on.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -498,6 +499,57 @@ def test_lint_paths_over_the_repository_finds_nothing() -> None:
     assert report.violations == ()
     # the documented exceptions really are suppressions, not rule gaps
     assert report.suppressed >= 8
+
+
+#: Simulator packages whose instance state must all be read somewhere.
+_STATE_PACKAGES = ("net", "transport", "core", "sim", "flowlevel")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _self_stores(tree: ast.AST):
+    """``(class, name, line)`` of every ``self.<name>`` a non-dataclass class stores."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or _is_dataclass(cls):
+            continue
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                yield cls.name, node.attr, node.lineno
+
+
+def test_simulator_keeps_no_write_only_state() -> None:
+    """Every attribute the simulator stores on ``self`` is read somewhere.
+
+    A counter, hook or cached value that nothing in ``src/``, ``benchmarks/``
+    or ``examples/`` loads costs work on the packet path and shows in no
+    export.  The scan is by name: a load of ``.name`` on any object counts.
+    """
+    loaded = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    unread = []
+    for package in _STATE_PACKAGES:
+        for path in sorted((REPO_ROOT / "src" / "repro" / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for cls, name, line in _self_stores(tree):
+                if name not in loaded:
+                    unread.append(f"{path.relative_to(REPO_ROOT)}:{line} {cls}.{name}")
+    assert unread == [], "instance state nothing reads:\n" + "\n".join(unread)
 
 
 def test_cli_lint_exit_codes(tmp_path, capsys) -> None:

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro.core.mmptcp import (
-    PHASE_MPTCP,
-    PHASE_PACKET_SCATTER,
-    MmptcpConnection,
-    MmptcpReceiver,
-)
+from repro.core.mmptcp import PHASE_MPTCP, PHASE_PACKET_SCATTER, MmptcpConnection
 from repro.core.phase_switching import (
     CongestionEventSwitching,
     DataVolumeSwitching,
@@ -20,28 +13,36 @@ from repro.core.phase_switching import (
 )
 from repro.core.reordering import StaticReorderingPolicy, TopologyInformedPolicy
 from repro.net.queues import DropTailQueue
+from repro.obs.telemetry import TelemetryRecorder
 from repro.sim.engine import Simulator
 from repro.topology.simple import TwoHostTopology, TwoPathTopology
 from repro.transport.base import TcpConfig
+from repro.transport.mptcp import MptcpReceiver
+from support import forwarded_packets
 
 TEST_CONFIG = TcpConfig(mss=1000, initial_cwnd_segments=2)
 
 
 def _run_mmptcp(size: int, *, paths: int = 4, subflows: int = 4, queue_packets: int = 100,
-                switching=None, reordering=None, until: float = 30.0, seed: int = 1):
+                switching=None, reordering=None, until: float = 30.0, seed: int = 1,
+                probes=None, instrument=None):
     simulator = Simulator()
     topology = TwoPathTopology(
         simulator, paths=paths,
         queue_factory=lambda: DropTailQueue(capacity_packets=queue_packets),
     )
-    receiver = MmptcpReceiver(simulator, topology.receiver, local_port=5001,
-                              expected_bytes=size)
+    receiver = MptcpReceiver(simulator, topology.receiver, local_port=5001,
+                             expected_bytes=size)
     connection = MmptcpConnection(
         simulator, topology.sender, topology.receiver.address, 5001, size,
         num_subflows=subflows, config=TEST_CONFIG,
         switching_policy=switching if switching is not None else DataVolumeSwitching(100_000),
         reordering_policy=reordering, path_count_hint=paths, rng=random.Random(seed),
     )
+    if probes is not None:
+        connection.set_probes(probes)
+    if instrument is not None:
+        instrument(topology)
     connection.start()
     simulator.run(until=until)
     return connection, receiver, topology
@@ -57,10 +58,24 @@ class TestPacketScatterPhase:
         assert len(connection.subflows) == 1  # only the scatter subflow exists
 
     def test_scattered_packets_use_randomised_source_ports(self) -> None:
-        connection, receiver, topology = _run_mmptcp(70_000)
+        data_ports = []
+
+        def record_data_ports(topology) -> None:
+            deliver = topology.receiver.receive
+
+            def receive(packet, interface) -> None:
+                if packet.carries_data:
+                    data_ports.append(packet.src_port)
+                deliver(packet, interface)
+
+            topology.receiver.receive = receive
+
+        connection, receiver, topology = _run_mmptcp(70_000, instrument=record_data_ports)
         assert receiver.complete
         scatter = connection.scatter_subflow
-        assert scatter.scattered_packets >= 70_000 // TEST_CONFIG.mss
+        assert len(data_ports) >= 70_000 // TEST_CONFIG.mss
+        assert len(set(data_ports)) > len(data_ports) // 2
+        assert scatter.local_port not in data_ports
         # The receiver learned exactly one canonical port (from the SYN) even
         # though the data packets carried many different source ports.
         assert receiver.subflow_peer_ports == {0: scatter.local_port}
@@ -69,7 +84,7 @@ class TestPacketScatterPhase:
         connection, receiver, topology = _run_mmptcp(140_000, paths=4,
                                                      switching=NeverSwitch())
         assert receiver.complete
-        used_paths = [s for s in topology.core_switches if s.forwarded_packets > 0]
+        used_paths = [s for s in topology.core_switches if forwarded_packets(s) > 0]
         # A single-path flow would use exactly one path; packet scatter must
         # touch (almost) all of them.
         assert len(used_paths) >= 3
@@ -77,15 +92,7 @@ class TestPacketScatterPhase:
     def test_acks_reach_canonical_port_despite_scatter(self) -> None:
         connection, receiver, _ = _run_mmptcp(40_000)
         scatter = connection.scatter_subflow
-        assert scatter.stats.acks_received > 0
-        assert scatter.snd_una == scatter.allocated_bytes
-
-    def test_invalid_port_range_rejected(self) -> None:
-        simulator = Simulator()
-        topology = TwoHostTopology(simulator)
-        with pytest.raises(ValueError):
-            MmptcpConnection(simulator, topology.sender, topology.receiver.address, 5001,
-                             10_000, scatter_port_range=(50_000, 40_000))
+        assert scatter.snd_una == scatter.allocated_bytes > 0
 
 
 class TestPhaseSwitching:
@@ -111,14 +118,17 @@ class TestPhaseSwitching:
         assert connection.scatter_drained
 
     def test_congestion_event_switching_triggers_on_loss(self) -> None:
+        recorder = TelemetryRecorder()
         connection, receiver, _ = _run_mmptcp(
-            500_000, queue_packets=6, switching=CongestionEventSwitching(), until=60.0
+            500_000, queue_packets=6, switching=CongestionEventSwitching(), until=60.0,
+            probes=recorder,
         )
         assert receiver.complete
         # The tiny queue guarantees at least one congestion event, so the
         # connection must have switched.
         assert connection.phase == PHASE_MPTCP
-        assert connection.switch_reason.startswith("congestion:")
+        (switch,) = [data for _, name, data in recorder.events if name == "phase.switch"]
+        assert switch["reason"].startswith("congestion:")
 
     def test_never_switch_policy_keeps_single_scatter_flow(self) -> None:
         connection, receiver, _ = _run_mmptcp(400_000, switching=NeverSwitch(), until=60.0)
@@ -128,23 +138,16 @@ class TestPhaseSwitching:
 
     def test_phase_switch_callback_and_no_subflows_for_fully_allocated_flow(self) -> None:
         # The switch threshold sits below the flow size, but by the time it is
-        # crossed the rest may already be allocated; either way the callback
-        # fires exactly once for switching flows.
-        switches = []
-        simulator = Simulator()
-        topology = TwoPathTopology(simulator, paths=2)
-        receiver = MmptcpReceiver(simulator, topology.receiver, local_port=5001,
-                                  expected_bytes=300_000)
-        connection = MmptcpConnection(
-            simulator, topology.sender, topology.receiver.address, 5001, 300_000,
-            num_subflows=2, config=TEST_CONFIG,
-            switching_policy=DataVolumeSwitching(50_000), path_count_hint=2,
-            on_phase_switch=lambda conn: switches.append(conn.phase),
+        # crossed the rest may already be allocated; either way the switch
+        # happens exactly once for switching flows.
+        recorder = TelemetryRecorder()
+        connection, receiver, _ = _run_mmptcp(
+            300_000, paths=2, subflows=2, switching=DataVolumeSwitching(50_000),
+            probes=recorder,
         )
-        connection.start()
-        simulator.run(until=30.0)
         assert receiver.complete
-        assert switches == [PHASE_MPTCP]
+        assert connection.phase == PHASE_MPTCP
+        assert recorder.counters["phase.switches"] == 1
 
     def test_hybrid_policy_switches_on_whichever_comes_first(self) -> None:
         connection, receiver, _ = _run_mmptcp(400_000, switching=HybridSwitching(80_000))
@@ -168,8 +171,8 @@ class TestMmptcpVsMptcpBehaviour:
     def test_pure_packet_scatter_connection(self) -> None:
         simulator = Simulator()
         topology = TwoPathTopology(simulator, paths=4)
-        receiver = MmptcpReceiver(simulator, topology.receiver, local_port=5001,
-                                  expected_bytes=200_000)
+        receiver = MptcpReceiver(simulator, topology.receiver, local_port=5001,
+                                 expected_bytes=200_000)
         connection = MmptcpConnection(
             simulator, topology.sender, topology.receiver.address, 5001, 200_000,
             num_subflows=1, config=TEST_CONFIG, switching_policy=NeverSwitch(),
@@ -204,5 +207,6 @@ class TestReorderingIntegration:
         topology = TwoHostTopology(simulator)
         connection = MmptcpConnection(simulator, topology.sender, topology.receiver.address,
                                       5001, 10_000, path_count_hint=16)
-        assert isinstance(connection.reordering_policy, TopologyInformedPolicy)
-        assert connection.reordering_policy.path_count == 16
+        policy = connection.scatter_subflow.reordering_policy
+        assert isinstance(policy, TopologyInformedPolicy)
+        assert policy.path_count == 16

@@ -66,7 +66,6 @@ class TestReorderingPolicies:
         assert policy.current_threshold(sender) == 3
         policy.on_spurious_retransmit(sender)
         assert policy.current_threshold(sender) == 3
-        assert policy.spurious_retransmits_seen == 1
         with pytest.raises(ValueError):
             StaticReorderingPolicy(threshold=0)
 
@@ -74,39 +73,16 @@ class TestReorderingPolicies:
         sender = _FakeSender()
         assert TopologyInformedPolicy(path_count=2).current_threshold(sender) == 3
         assert TopologyInformedPolicy(path_count=16).current_threshold(sender) == 16
-        assert TopologyInformedPolicy(path_count=1000, maximum=64).current_threshold(sender) == 64
+        assert TopologyInformedPolicy(path_count=1000).current_threshold(sender) == 64
         with pytest.raises(ValueError):
             TopologyInformedPolicy(path_count=0)
-        with pytest.raises(ValueError):
-            TopologyInformedPolicy(path_count=4, minimum=5, maximum=2)
 
     def test_adaptive_policy_grows_on_spurious_retransmissions(self) -> None:
-        policy = AdaptiveReorderingPolicy(initial=3, increment=2, maximum=9)
+        policy = AdaptiveReorderingPolicy()
         sender = _FakeSender()
         assert policy.current_threshold(sender) == 3
         policy.on_spurious_retransmit(sender)
         assert policy.current_threshold(sender) == 5
-        for _ in range(10):
+        for _ in range(40):
             policy.on_spurious_retransmit(sender)
-        assert policy.current_threshold(sender) == 9  # clamped at maximum
-        assert policy.spurious_retransmits_seen == 11
-
-    def test_adaptive_policy_decays_over_time(self) -> None:
-        policy = AdaptiveReorderingPolicy(initial=3, increment=4, maximum=20,
-                                          decay_interval=1.0)
-        sender = _FakeSender()
-        policy.on_spurious_retransmit(sender)     # threshold -> 7 at t=0
-        assert policy.current_threshold(sender) == 7
-        sender.simulator.schedule(2.5, lambda: None)
-        sender.simulator.run()                     # advance clock to 2.5 s
-        assert policy.current_threshold(sender) == 5  # decayed by 2 steps
-        with pytest.raises(ValueError):
-            AdaptiveReorderingPolicy(decay_interval=0.0)
-
-    def test_adaptive_policy_validation(self) -> None:
-        with pytest.raises(ValueError):
-            AdaptiveReorderingPolicy(initial=0)
-        with pytest.raises(ValueError):
-            AdaptiveReorderingPolicy(increment=0)
-        with pytest.raises(ValueError):
-            AdaptiveReorderingPolicy(initial=10, maximum=5)
+        assert policy.current_threshold(sender) == 64  # clamped at the maximum

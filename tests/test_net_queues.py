@@ -41,13 +41,6 @@ class TestDropTailQueue:
         assert queue.stats.dropped_packets == 1
         assert len(queue) == 2
 
-    def test_byte_capacity_enforced(self) -> None:
-        queue = DropTailQueue(capacity_packets=None, capacity_bytes=2500)
-        assert queue.enqueue(_packet(1000))
-        assert queue.enqueue(_packet(1000))
-        assert not queue.enqueue(_packet(1000))
-        assert queue.byte_length == 2000
-
     def test_dequeue_frees_space(self) -> None:
         queue = DropTailQueue(capacity_packets=1)
         assert queue.enqueue(_packet())
@@ -60,21 +53,24 @@ class TestDropTailQueue:
         queue.enqueue(_packet(500))
         queue.enqueue(_packet(700))
         queue.dequeue()
-        assert queue.stats.enqueued_bytes == 500
+        assert queue.stats.enqueued_packets == 1
+        assert queue.stats.dropped_packets == 1
         assert queue.stats.dropped_bytes == 700
-        assert queue.stats.dequeued_bytes == 500
         assert queue.stats.offered_packets == 2
-        assert queue.stats.drop_rate == pytest.approx(0.5)
+        # The loss rate the network snapshot derives from these counters.
+        assert queue.stats.dropped_packets / queue.stats.offered_packets == pytest.approx(0.5)
 
     def test_requires_at_least_one_bound(self) -> None:
-        with pytest.raises(ValueError):
-            DropTailQueue(capacity_packets=None, capacity_bytes=None)
+        # The bound defaults to 100 packets: a queue is never unbounded.
+        queue = DropTailQueue()
+        assert all(queue.enqueue(_packet()) for _ in range(100))
+        assert not queue.enqueue(_packet())
 
     def test_rejects_nonpositive_capacities(self) -> None:
         with pytest.raises(ValueError):
             DropTailQueue(capacity_packets=0)
         with pytest.raises(ValueError):
-            DropTailQueue(capacity_packets=None, capacity_bytes=-1)
+            DropTailQueue(capacity_packets=-1)
 
 
 class TestTransit:
@@ -85,16 +81,9 @@ class TestTransit:
         via_deque = DropTailQueue(capacity_packets=4)
         assert via_transit.transit(_packet(700))
         assert via_deque.enqueue(_packet(700)) and via_deque.dequeue() is not None
-        for name in ("enqueued_packets", "enqueued_bytes", "dequeued_packets",
-                     "dequeued_bytes", "dropped_packets", "dropped_bytes"):
+        for name in ("enqueued_packets", "dropped_packets", "dropped_bytes"):
             assert getattr(via_transit.stats, name) == getattr(via_deque.stats, name), name
-        assert via_transit.is_empty and via_transit.byte_length == 0
-
-    def test_transit_respects_byte_bound(self) -> None:
-        queue = DropTailQueue(capacity_packets=None, capacity_bytes=500)
-        assert not queue.transit(_packet(1000))
-        assert queue.stats.dropped_packets == 1
-        assert queue.stats.dropped_bytes == 1000
+        assert len(via_transit) == len(via_deque) == 0
 
 
 class TestHookSubclassFallback:

@@ -8,8 +8,10 @@ from repro.net.monitor import snapshot as network_snapshot
 from repro.net.packet import FLAG_DATA, Packet
 from repro.net.routing import count_equal_cost_paths, verify_all_pairs_routable
 from repro.net.switch import LAYER_CORE, LAYER_EDGE
+from repro.obs.telemetry import TelemetryRecorder
 from repro.sim.engine import Simulator
 from repro.topology.simple import TwoHostTopology, TwoPathTopology
+from support import forwarded_packets
 
 
 def _packet(src: int, dst: int, src_port: int = 4000) -> Packet:
@@ -38,29 +40,34 @@ def test_switch_forwards_to_destination_host() -> None:
     simulator.run()
     assert len(collector.packets) == 1
     switch = topology.switches[0]
-    assert switch.forwarded_packets >= 1
+    assert forwarded_packets(switch) >= 1
     assert switch.layer == LAYER_EDGE
 
 
 def test_unroutable_destination_is_counted_not_crashed() -> None:
     simulator = Simulator()
     topology = TwoHostTopology(simulator)
+    recorder = TelemetryRecorder()
+    topology.switches[0].probes = recorder
     topology.sender.send(_packet(src=topology.sender.address, dst=999))
     simulator.run()
-    assert topology.switches[0].unroutable_packets == 1
+    assert recorder.counters == {"trace.unroutable": 1}
+    assert forwarded_packets(topology.switches[0]) == 0
 
 
 def test_host_counts_packets_for_unknown_ports_and_wrong_address() -> None:
     simulator = Simulator()
     topology = TwoHostTopology(simulator)
+    recorder = TelemetryRecorder()
+    topology.receiver.probes = recorder
     # No endpoint bound at port 5001.
     topology.sender.send(_packet(src=topology.sender.address, dst=topology.receiver.address))
     simulator.run()
-    assert topology.receiver.undeliverable_packets == 1
+    assert recorder.counters == {"trace.no_endpoint": 1}
 
     # Direct mis-delivery (bypasses routing): wrong destination address.
     topology.receiver.receive(_packet(src=0, dst=12345), None)
-    assert topology.receiver.unroutable_packets == 1
+    assert recorder.counters == {"trace.no_endpoint": 1, "trace.misdelivered": 1}
 
 
 def test_multipath_routes_installed_for_all_destinations() -> None:
@@ -84,9 +91,7 @@ def test_ecmp_spreads_different_ports_over_paths() -> None:
         )
     simulator.run()
     assert len(collector.packets) == 60
-    used_paths = [
-        switch for switch in topology.core_switches if switch.forwarded_packets > 0
-    ]
+    used_paths = [switch for switch in topology.core_switches if forwarded_packets(switch) > 0]
     assert len(used_paths) >= 2  # the hash must not map everything to one path
 
 
@@ -100,7 +105,7 @@ def test_single_flow_uses_single_path() -> None:
             _packet(src=topology.sender.address, dst=topology.receiver.address, src_port=4000)
         )
     simulator.run()
-    used_paths = [s for s in topology.core_switches if s.forwarded_packets > 0]
+    used_paths = [s for s in topology.core_switches if forwarded_packets(s) > 0]
     assert len(used_paths) == 1
 
 

@@ -24,6 +24,7 @@ from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
 from repro.traffic.flowspec import PROTOCOL_MMPTCP
+from support import RecordingProbes
 
 # ---------------------------------------------------------------------------
 # Shared k=4 fabric for the forwarding property (building one per example
@@ -146,7 +147,7 @@ def test_random_link_schedules_apply_idempotently(steps) -> None:
     The injector's final link state must match a trivial reference model —
     so ``link_up`` on an up link cannot, e.g., re-add a graph edge that was
     never removed, and ``restore`` without a ``degrade`` cannot perturb the
-    rate.  Every scheduled event still counts in ``applied_events``.
+    rate.  Every scheduled event is still reported to the probes.
     """
     simulator = Simulator()
     topology = FatTreeTopology(simulator, FatTreeParams(k=4, hosts_per_edge=1))
@@ -163,8 +164,8 @@ def test_random_link_schedules_apply_idempotently(steps) -> None:
         )
         for index, (kind, factor) in enumerate(steps)
     )
-    injector = FaultInjector(simulator, topology, schedule)
-    injector.arm()
+    probes = RecordingProbes()
+    FaultInjector(simulator, topology, schedule, probes=probes).arm()
     simulator.run(until=0.01 * (len(steps) + 1))
 
     # Reference model: last up/down verb wins; degrade always scales from
@@ -186,4 +187,4 @@ def test_random_link_schedules_apply_idempotently(steps) -> None:
     assert topology.graph.has_edge("core-0", "agg-0-0") == expected_up
     assert iface_ab.rate_bps == pytest.approx(expected_rate)
     assert iface_ba.rate_bps == pytest.approx(expected_rate)
-    assert injector.applied_events == len(schedule)
+    assert [event.name for event in probes.events] == [kind for kind, _ in steps]

@@ -103,8 +103,8 @@ class TestReceiveBuffer:
         buffer = ReceiveBuffer()
         buffer.add(0, 1000)
         assert buffer.add(0, 1000) == 0
-        assert buffer.duplicate_bytes == 1000
         assert buffer.rcv_nxt == 1000
+        assert buffer.buffered_out_of_order_bytes == 0
 
     def test_partial_overlap_with_frontier(self) -> None:
         buffer = ReceiveBuffer()
@@ -112,7 +112,6 @@ class TestReceiveBuffer:
         advanced = buffer.add(500, 1000)
         assert advanced == 500
         assert buffer.rcv_nxt == 1500
-        assert buffer.duplicate_bytes == 500
 
     def test_multiple_gaps_and_missing_ranges(self) -> None:
         buffer = ReceiveBuffer()
@@ -140,13 +139,6 @@ class TestReceiveBuffer:
         assert buffer.add(0, 0) == 0
         assert buffer.add(10, -5) == 0
         assert buffer.rcv_nxt == 0
-
-    def test_total_bytes_received_counts_everything(self) -> None:
-        buffer = ReceiveBuffer()
-        buffer.add(0, 100)
-        buffer.add(0, 100)
-        buffer.add(500, 100)
-        assert buffer.total_bytes_received == 300
 
 
 #: A small MSS keeps every sequence number of a drawn map cheap to read.

@@ -9,7 +9,7 @@ from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.units import megabits_per_second
 from repro.topology.simple import DumbbellTopology, TwoHostTopology
-from repro.transport.base import TcpConfig
+from repro.transport.base import INITIAL_SSTHRESH_BYTES, TcpConfig
 from repro.transport.receiver import TcpReceiver
 from repro.transport.tcp import TcpSender
 
@@ -53,7 +53,6 @@ class TestBasicTransfer:
         harness = make_tcp_transfer(10_000)
         harness.run()
         assert harness.sender.established
-        assert harness.sender.stats.established_time is not None
         assert harness.sender.rto_estimator.samples >= 1
 
     def test_zero_byte_flow_establishes_but_sends_no_data(self) -> None:
@@ -86,7 +85,7 @@ class TestCongestionBehaviour:
         assert harness.receiver.complete
         assert harness.sender.stats.fast_retransmits >= 1
         # ssthresh must have been reduced from its (effectively infinite) initial value.
-        assert harness.sender.ssthresh < TEST_TCP_CONFIG.initial_ssthresh_bytes
+        assert harness.sender.ssthresh < INITIAL_SSTHRESH_BYTES
 
     def test_competing_flows_share_bottleneck_and_complete(self) -> None:
         simulator = Simulator()
@@ -155,7 +154,7 @@ class TestRtoBehaviour:
                 pass
 
         topology.receiver.bind(5001, _SilentReceiver())
-        config = TcpConfig(mss=1000, initial_cwnd_segments=2, initial_rto=0.2)
+        config = TcpConfig(mss=1000, initial_cwnd_segments=2)
         sender = TcpSender(simulator, topology.sender, topology.receiver.address, 5001,
                            5_000, config=config)
         sender.start()
@@ -214,23 +213,16 @@ class TestRtoBehaviour:
         assert below_una == []
 
     def test_flow_completion_callbacks_fire_once(self) -> None:
-        completions = []
-        simulator = Simulator()
-        topology = TwoHostTopology(simulator)
-        size = 20_000
-        receiver = TcpReceiver(
-            simulator, topology.receiver, local_port=5001, expected_bytes=size,
-            on_complete=lambda r: completions.append("receiver"),
-        )
-        sender = TcpSender(
-            simulator, topology.sender, topology.receiver.address, 5001, size,
-            config=TEST_TCP_CONFIG, on_complete=lambda s: completions.append("sender"),
-        )
-        sender.start()
-        simulator.run(until=10.0)
-        assert completions.count("receiver") == 1
-        assert completions.count("sender") == 1
+        harness = make_tcp_transfer(20_000)
+        harness.run()
+        receiver, sender = harness.receiver, harness.sender
+        assert receiver.complete and sender.complete
         assert receiver.completion_time <= sender.stats.completion_time
+        # A late duplicate of the last segment completes nothing a second time.
+        finished_at = receiver.completion_time
+        harness.simulator.schedule(1.0, lambda: sender._send_data(19_000, 1_000, True))
+        harness.simulator.run(until=20.0)
+        assert receiver.completion_time == finished_at
 
 
 class TestSenderStateMachine:
@@ -266,17 +258,16 @@ class TestSenderStateMachine:
 
 
 class TestSendFaultAccounting:
-    """Host.send returning False must not be silently discarded (a down or
-    congested local NIC is a loss event, like an interface fault drop)."""
+    """A packet the local NIC refuses (down, or a full uplink queue) is lost
+    where the network snapshot counts it: on that interface."""
 
     def test_sender_counts_syn_refused_by_down_nic(self) -> None:
         harness = make_tcp_transfer(5_000)
-        harness.topology.sender.interfaces[0].set_up(False)
+        nic = harness.topology.sender.interfaces[0]
+        nic.set_up(False)
         harness.sender.start()
-        assert harness.sender.stats.packets_sent == 1
-        assert harness.sender.stats.send_fault_drops == 1
-        # The interface-level fault accounting sees the same event.
-        assert harness.topology.sender.interfaces[0].fault_drops == 1
+        assert nic.fault_drops == nic.fault_drops_offered == 1
+        assert nic.queue.stats.offered_packets == 0
 
     def test_sender_counts_data_dropped_by_own_uplink_queue(self) -> None:
         config = TcpConfig(mss=1000, initial_cwnd_segments=10)
@@ -285,7 +276,7 @@ class TestSendFaultAccounting:
         )
         harness.run()
         # A 10-segment burst into a 1-packet uplink buffer must shed locally.
-        assert harness.sender.stats.send_fault_drops > 0
+        assert harness.topology.sender.interfaces[0].queue.stats.dropped_packets > 0
         assert harness.receiver.complete  # retransmissions still finish the flow
 
     def test_receiver_counts_synack_refused_by_down_nic(self) -> None:
@@ -301,4 +292,5 @@ class TestSendFaultAccounting:
             flags=0x01,  # SYN
         )
         harness.receiver.on_packet(syn)
-        assert harness.receiver.send_fault_drops == 1
+        nic = receiver_host.interfaces[0]
+        assert nic.fault_drops == nic.fault_drops_offered == 1
