@@ -10,9 +10,8 @@ A :class:`CampaignSpec` is pure data describing a full evaluation grid:
 * ``replications`` — seeded repetitions per cell, with independent seeds
   derived via :func:`repro.experiments.parallel.seeded_replications`.
 
-Specs serialise to/from plain JSON dictionaries (``to_dict``/``from_dict``/
-``from_file``), so a campaign can live in version control next to the
-report it produces.  Cell enumeration order — scenario, then protocol, then
+Specs load from plain JSON dictionaries (``from_dict``/``from_file``), so
+a campaign can live in version control next to the report it produces.  Cell enumeration order — scenario, then protocol, then
 sweep point, then replication — is part of the spec's contract; it fixes
 cell indices, report row order and therefore report bytes.
 """
@@ -152,19 +151,6 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     # (De)serialisation
     # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready document; ``from_dict`` round-trips it exactly."""
-        return {
-            "name": self.name,
-            "scenarios": list(self.scenarios),
-            "protocols": list(self.protocols),
-            "replications": self.replications,
-            "scale": self.scale,
-            "seed": self.seed,
-            "sweeps": {name: list(values) for name, values in self.sweeps},
-            "config_overrides": dict(self.config_overrides),
-        }
 
     @classmethod
     def from_dict(cls, document: Mapping[str, Any]) -> "CampaignSpec":

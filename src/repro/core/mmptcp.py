@@ -18,7 +18,7 @@ flows spend almost their whole life in MPTCP mode and lose nothing.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.packet_scatter import PacketScatterSubflow
 from repro.core.phase_switching import DataVolumeSwitching, SwitchingPolicy
@@ -147,17 +147,3 @@ class MmptcpConnection(MptcpConnection):
             new_subflows = self._create_subflows(self.num_subflows, first_subflow_id=1)
             for subflow in new_subflows:
                 subflow.start()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def mptcp_subflows(self) -> List[MptcpSubflow]:
-        """The subflows opened for the MPTCP phase (empty before the switch)."""
-        return [subflow for subflow in self.subflows if subflow is not self.scatter_subflow]
-
-    @property
-    def scatter_drained(self) -> bool:
-        """True when the scatter flow has nothing left in flight (deactivated)."""
-        return self.scatter_subflow.flight_size() == 0
-

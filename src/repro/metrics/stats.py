@@ -151,13 +151,6 @@ def mean_ci95(values: Iterable[float]) -> Tuple[float, float]:
     return mean, 1.96 * _std(data, ddof=1) / math.sqrt(len(data))
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile of ``values`` (0 for an empty sample)."""
-    if not values:
-        return 0.0
-    return _sorted_percentile(sorted(_floats(values)), q)
-
-
 def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
     """(value, cumulative fraction) pairs suitable for plotting a CDF."""
     if not values:

@@ -1,27 +1,13 @@
 """Addressing schemes.
 
 Nodes are addressed by plain integers (fast to hash and compare).  This
-module provides helpers to derive structured, FatTree-style addresses from
-those integers and back, mirroring the ``10.pod.switch.host`` convention of
-Al-Fares et al. (SIGCOMM 2008), which the MMPTCP paper proposes to exploit
-for estimating the number of available equal-cost paths between two hosts.
+module packs a FatTree position into such an integer, mirroring the
+``10.pod.switch.host`` convention of Al-Fares et al. (SIGCOMM 2008), which
+the MMPTCP paper proposes to exploit for estimating the number of available
+equal-cost paths between two hosts.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class FatTreeAddress:
-    """A structured FatTree host address: ``10.pod.edge.host``."""
-
-    pod: int
-    edge: int
-    host: int
-
-    def __str__(self) -> str:
-        return f"10.{self.pod}.{self.edge}.{self.host}"
 
 
 def encode_fattree_address(pod: int, edge: int, host: int) -> int:
@@ -32,19 +18,3 @@ def encode_fattree_address(pod: int, edge: int, host: int) -> int:
         raise ValueError("edge/host index too large for the packed encoding")
     return (pod << 20) | (edge << 10) | host
 
-
-def decode_fattree_address(address: int) -> FatTreeAddress:
-    """Unpack an integer produced by :func:`encode_fattree_address`."""
-    if address < 0:
-        raise ValueError("addresses are non-negative integers")
-    return FatTreeAddress(pod=address >> 20, edge=(address >> 10) & 0x3FF, host=address & 0x3FF)
-
-
-def same_pod(address_a: int, address_b: int) -> bool:
-    """True if two packed FatTree addresses belong to the same pod."""
-    return (address_a >> 20) == (address_b >> 20)
-
-
-def same_edge(address_a: int, address_b: int) -> bool:
-    """True if two packed FatTree addresses share pod and edge switch."""
-    return (address_a >> 10) == (address_b >> 10)

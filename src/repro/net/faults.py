@@ -13,7 +13,7 @@ Two layers cooperate to keep traffic flowing:
 
 * the routing rebuild removes dead next hops from every ECMP group, so new
   path selections never consider them;
-* :meth:`repro.net.switch.Switch.select_output_interface` re-hashes over the
+* :meth:`repro.net.switch.Switch.receive` re-hashes over the
   live subset of a group if the hashed choice is down, which covers any
   window where tables and link state disagree.
 

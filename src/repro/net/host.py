@@ -85,24 +85,19 @@ class Host(Node):
             f"[{EPHEMERAL_PORT_MIN}, {EPHEMERAL_PORT_MAX}]"
         )
 
-    def endpoint_for(self, port: int) -> Optional[PacketHandler]:
-        """The endpoint bound to ``port``, if any."""
-        return self._endpoints.get(port)
-
     # ------------------------------------------------------------------
     # Packet I/O
     # ------------------------------------------------------------------
 
-    def send(self, packet: Packet) -> bool:
+    def send(self, packet: Packet) -> None:
         """Transmit ``packet`` out of one of this host's uplinks.
 
-        Returns False when the selected uplink rejected the packet (down NIC
-        or full queue); the packet has then already been retired.  Either
-        way the caller forfeits the packet.
+        The caller forfeits the packet: a down NIC or a full queue retires it.
         """
         interfaces = self.interfaces
         if len(interfaces) == 1:
-            return interfaces[0].send(packet)
+            interfaces[0].send(packet)
+            return
         if not interfaces:
             raise RuntimeError(f"host {self.name} has no interfaces")
         # Multi-homed host: pick the uplink by flow hash, exactly as a
@@ -114,7 +109,7 @@ class Host(Node):
             live = [i for i in range(len(interfaces)) if interfaces[i].up]
             if live:
                 interface = interfaces[select_among(packet, live, salt=self.address)]
-        return interface.send(packet)
+        interface.send(packet)
 
     def receive(self, packet: Packet, interface: Optional[Interface]) -> None:
         """Deliver an arriving packet to the endpoint bound to its destination port.

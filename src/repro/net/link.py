@@ -19,7 +19,7 @@ and then lost — rejected while the link is down, dropped by the queue, or cut
 mid-serialisation.  Those packets are released to the packet pool once the
 node has recorded the drop; delivered packets are released further downstream by
 the receiving host.  Callers must therefore never touch a packet again once
-:meth:`Interface.send` has been called, whatever it returned.
+:meth:`Interface.send` has been called.
 """
 
 from __future__ import annotations
@@ -105,11 +105,11 @@ class Interface:
     # Transmission path
     # ------------------------------------------------------------------
 
-    def send(self, packet: Packet) -> bool:
-        """Offer ``packet`` for transmission; returns False if it was dropped.
+    def send(self, packet: Packet) -> None:
+        """Offer ``packet`` for transmission.
 
-        Either way the interface takes ownership: a rejected packet is
-        recorded (fault or queue drop) and released to the packet pool.
+        The interface takes ownership: a rejected packet is recorded (fault
+        or queue drop) and released to the packet pool.
         """
         if self.peer is None:
             raise RuntimeError(f"interface {self.name} is not connected")
@@ -117,30 +117,29 @@ class Interface:
             self.fault_drops += 1
             self.fault_drops_offered += 1
             self._drop(packet)
-            return False
+            return
         if self._transmitting:
             queue = self.queue
             if not queue.enqueue(packet):
                 self._drop(packet)
-                return False
+                return
             # Occupancy only rises here, so sampling each accepted enqueue
             # records every peak without a timer of its own.
             probes = self.node.probes
             if probes.enabled:
                 probes.sample(self._queue_series, self.simulator.now, len(queue))
-            return True
+            return
         # Idle transmitter ⇒ the queue is empty (a down link parks packets,
         # but the `up` check above already excluded that state): pass the
         # packet through the queue's counters without the deque round-trip
         # and serialise it immediately.
         if not self.queue.transit(packet):
             self._drop(packet)
-            return False
+            return
         self._transmitting = True
         tx_delay = (packet.size * 8.0) / self.rate_bps
         self.busy_time += tx_delay
         self._tx_timer.arm(tx_delay, packet)
-        return True
 
     def _drop(self, packet: Packet) -> None:
         """Report the drop to the owning node, then retire the packet."""
@@ -157,7 +156,6 @@ class Interface:
             self._transmitting = False
             return
         self._transmitting = True
-        # Inlined transmission_delay(): one attribute walk instead of a call.
         tx_delay = (packet.size * 8.0) / self.rate_bps
         self.busy_time += tx_delay
         self._tx_timer.arm(tx_delay, packet)

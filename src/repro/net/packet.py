@@ -11,7 +11,7 @@ of them are created per experiment, so attribute access speed and memory
 footprint matter.  Two further data-plane optimisations live here:
 
 * **Derived fields are precomputed.**  ``size`` is a plain slot (header +
-  payload, set whenever either part changes), and ``flow_bytes`` holds the
+  payload, set at construction), and ``flow_bytes`` holds the
   packed little-endian serialisation of the ECMP 5-tuple so that per-hop
   hashing walks a cached ``bytes`` object instead of re-deriving 40 bytes
   from five attributes at every switch.  ``flow_hash`` caches the unsalted
@@ -20,8 +20,7 @@ footprint matter.  Two further data-plane optimisations live here:
   (``src`` / ``dst`` / ``src_port`` / ``dst_port`` / ``protocol``) must not
   be mutated after construction — build (or acquire) a new packet instead,
   exactly as real hardware would emit a new frame.  Likewise
-  ``payload_size`` / ``header_size`` must only change through
-  :meth:`Packet.resize` so that ``size`` stays in sync.
+  ``payload_size`` must not change, so that ``size`` stays in sync.
 
 * **Packets are pooled.**  Transports acquire packets from a
   :class:`PacketPool` free list instead of allocating, and the network
@@ -36,7 +35,6 @@ footprint matter.  Two further data-plane optimisations live here:
 
 from __future__ import annotations
 
-from itertools import count
 from struct import Struct
 from typing import List, Optional
 
@@ -53,8 +51,6 @@ DEFAULT_HEADER_BYTES = 54
 
 #: Protocol numbers used in the ECMP hash.
 PROTO_TCP = 6
-
-_packet_ids = count(1)
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -75,8 +71,6 @@ class Packet:
     """A single simulated packet.
 
     Attributes:
-        packet_id: globally unique identifier (useful for tracing); a pooled
-            packet gets a fresh id on every acquisition.
         flow_id: identifier of the application flow this packet belongs to.
         src / dst: integer node addresses.
         src_port / dst_port: transport ports; MMPTCP's packet-scatter phase
@@ -86,8 +80,9 @@ class Packet:
             byte carried by this packet).
         ack: cumulative subflow-level acknowledgement number.
         flags: bitwise OR of ``FLAG_*`` constants.
-        payload_size / header_size: sizes in bytes; ``size`` is their
-            precomputed sum (use :meth:`resize` to change them).
+        payload_size: application bytes carried.
+        size: bytes on the wire, the ``header_size`` the packet was built
+            with plus ``payload_size``.
         subflow_id: index of the MPTCP subflow (0 for single-path TCP and for
             the MMPTCP packet-scatter flow).
         dsn: connection-level data sequence number (byte offset).
@@ -99,7 +94,6 @@ class Packet:
     """
 
     __slots__ = (
-        "packet_id",
         "flow_id",
         "src",
         "dst",
@@ -110,7 +104,6 @@ class Packet:
         "ack",
         "flags",
         "payload_size",
-        "header_size",
         "size",
         "subflow_id",
         "dsn",
@@ -141,13 +134,11 @@ class Packet:
         """(Re)initialise every field.
 
         The packet pool calls ``__init__`` again on recycled instances, so
-        this method *must* assign every slot — including a fresh
-        ``packet_id`` — which is what makes recycled packets
-        indistinguishable from freshly constructed ones (pooling can never
-        leak state between logical packets).
+        this method *must* assign every slot, which is what makes recycled
+        packets indistinguishable from freshly constructed ones (pooling can
+        never leak state between logical packets).
         """
         self._in_pool = False
-        self.packet_id = next(_packet_ids)
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
@@ -158,7 +149,6 @@ class Packet:
         self.ack = ack
         self.flags = flags
         self.payload_size = payload_size
-        self.header_size = header_size
         self.size = header_size + payload_size
         self.subflow_id = subflow_id
         self.dsn = dsn
@@ -172,16 +162,6 @@ class Packet:
     # ------------------------------------------------------------------
     # Derived state
     # ------------------------------------------------------------------
-
-    def resize(
-        self, *, payload_size: Optional[int] = None, header_size: Optional[int] = None
-    ) -> None:
-        """Change payload/header size, keeping the precomputed ``size`` in sync."""
-        if payload_size is not None:
-            self.payload_size = payload_size
-        if header_size is not None:
-            self.header_size = header_size
-        self.size = self.header_size + self.payload_size
 
     def flow_key(self) -> bytes:
         """The packed 5-tuple fed to the ECMP hash (packed once, then cached).
@@ -220,10 +200,6 @@ class Packet:
         """True if the packet carries application payload."""
         return self.payload_size > 0
 
-    def flow_tuple(self) -> tuple[int, int, int, int, int]:
-        """The 5-tuple used by hash-based ECMP."""
-        return (self.src, self.dst, self.src_port, self.dst_port, self.protocol)
-
     # ------------------------------------------------------------------
     # Pool support
     # ------------------------------------------------------------------
@@ -246,7 +222,6 @@ class Packet:
         self.ack = POISON
         self.flags = 0
         self.payload_size = POISON
-        self.header_size = POISON
         self.size = POISON
         self.subflow_id = POISON
         self.dsn = POISON
@@ -265,7 +240,7 @@ class Packet:
         if self.carries_data:
             flag_names.append(f"DATA[{self.payload_size}]")
         return (
-            f"Packet(id={self.packet_id}, flow={self.flow_id}, "
+            f"Packet(id={id(self)}, flow={self.flow_id}, "
             f"{self.src}:{self.src_port}->{self.dst}:{self.dst_port}, "
             f"seq={self.seq}, ack={self.ack}, dsn={self.dsn}, "
             f"sf={self.subflow_id}, {'|'.join(flag_names) or 'none'})"
@@ -284,9 +259,9 @@ class PacketPool:
     acquire/release discipline is airtight.
 
     Pooling is a pure allocation optimisation: acquisition re-runs
-    ``Packet.__init__`` on the recycled instance, which rewrites every slot
-    (including a fresh ``packet_id``), so simulations are byte-identical
-    with or without reuse, for any free-list size.
+    ``Packet.__init__`` on the recycled instance, which rewrites every slot,
+    so simulations are byte-identical with or without reuse, for any
+    free-list size.
     """
 
     def __init__(self, max_free: int = 4096, debug: bool = False) -> None:
@@ -347,7 +322,7 @@ class PacketPool:
     def release(self, packet: Packet) -> None:
         """Return ``packet`` to the free list.  The caller forfeits ownership."""
         if packet._in_pool:
-            raise RuntimeError(f"double release of packet {packet.packet_id}")
+            raise RuntimeError(f"double release of packet {id(packet)}")
         packet._in_pool = True
         self.released += 1
         if self.profile:
@@ -358,11 +333,6 @@ class PacketPool:
             self._free.append(packet)
 
     # ------------------------------------------------------------------
-
-    @property
-    def free_count(self) -> int:
-        """Packets currently parked on the free list."""
-        return len(self._free)
 
     def clear(self) -> None:
         """Drop every parked packet (mainly for test isolation)."""

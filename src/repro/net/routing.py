@@ -18,7 +18,7 @@ orientation reaches stored artifacts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.net.host import Host
 from repro.net.switch import Switch
@@ -195,14 +195,3 @@ def count_equal_cost_paths(graph: Graph, source: str, destination: str) -> int:
         path_counts[node] = count
     return path_counts.get(destination, 0)
 
-
-def verify_all_pairs_routable(
-    graph: Graph, hosts: Iterable[Host], switches: Sequence[Switch]
-) -> bool:
-    """Sanity check used by tests: every switch has a route to every host."""
-    host_addresses = [host.address for host in hosts]
-    for switch in switches:
-        for address in host_addresses:
-            if not switch.routes_to(address):
-                return False
-    return True

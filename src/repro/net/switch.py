@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.net.ecmp import ecmp_hash, fnv1a_bytes, hash_basis
+from repro.net.ecmp import fnv1a_bytes, hash_basis
 from repro.net.link import Interface
 from repro.net.node import Node
 from repro.net.packet import Packet, release_packet
@@ -92,16 +92,6 @@ class Switch(Node):
         """Drop the next-hop set for ``destination`` (used when it becomes unreachable)."""
         self.forwarding_table.pop(destination, None)
 
-    def routes_to(self, destination: int) -> List[int]:
-        """A copy of the installed next-hop interface indices for ``destination``.
-
-        Always a fresh list (possibly empty): callers are free to sort,
-        filter or mutate the result without corrupting the live forwarding
-        table entry.
-        """
-        routes = self.forwarding_table.get(destination)
-        return list(routes) if routes is not None else []
-
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
@@ -124,27 +114,6 @@ class Switch(Node):
             digest = fnv1a_bytes(key, self._hash_basis)
             cache[key] = digest
         return digest
-
-    def select_output_interface(self, packet: Packet) -> Optional[Interface]:
-        """The interface this switch would forward ``packet`` out of.
-
-        Applies flow-hash ECMP over the installed next-hop group, then — only
-        if the hashed choice is down — re-hashes over the live subset of the
-        group.  Returns ``None`` when no route is installed or every next hop
-        is down; never returns a down interface.
-        """
-        candidates = self.forwarding_table.get(packet.dst)
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            out_interface = self.interfaces[candidates[0]]
-        else:
-            out_interface = self.interfaces[
-                candidates[self.flow_hash_for(packet) % len(candidates)]
-            ]
-        if out_interface.up:
-            return out_interface
-        return self._failover_interface(packet, candidates)
 
     def _failover_interface(self, packet: Packet, candidates: List[int]) -> Optional[Interface]:
         """Re-hash over the live members of the next-hop group (rare path).

@@ -91,12 +91,6 @@ class ScenarioSpec:
         """The config that runs this scenario on top of ``config``."""
         return config.with_updates(fault_schedule=self.faults, **dict(self.config_overrides))
 
-    @property
-    def has_faults(self) -> bool:
-        """True when the scenario injects at least one fault event."""
-        return bool(self.faults)
-
-
 def build_scenario_workload(
     config: ExperimentConfig,
     workload_kind: str,

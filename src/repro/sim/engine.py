@@ -165,29 +165,6 @@ class Timer:
         # else deferred: the filed entry surfaces first and is re-filed
         return self
 
-    def arm_at(self, when: float, *args: Any) -> "Timer":
-        """(Re-)arm the timer at absolute simulated time ``when``."""
-        simulator = self.simulator
-        if when < simulator._now:
-            raise SimulationError(
-                f"cannot arm timer in the past: now={simulator._now!r}, requested={when!r}"
-            )
-        # arm()'s body at an absolute time (``now + (when - now)`` need not
-        # equal ``when``, and arm() is too hot to delegate the other way).
-        sequence = simulator._sequence
-        simulator._sequence = sequence + 1
-        filed = self.sequence != -1
-        self.time = when
-        self.sequence = sequence
-        self.args = args
-        if not filed or when < self._filed_time:
-            self._filed_time = when
-            self._filed_seq = sequence
-            heappush(simulator._queue, (when, sequence, self))
-            if filed:
-                simulator._note_dead()
-        return self
-
     def cancel(self) -> None:
         """Disarm the timer (idempotent; a disarmed timer can be re-armed)."""
         if self.sequence >= 0:
@@ -220,7 +197,6 @@ class Simulator:
         self._now: float = 0.0
         self._sequence: int = 0
         self._running: bool = False
-        self._stopped: bool = False
         self._heap_dead: int = 0
         self.events_processed: int = 0
         self.heap_compactions: int = 0
@@ -238,11 +214,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def is_running(self) -> bool:
-        """True while :meth:`run` is executing events."""
-        return self._running
 
     # ------------------------------------------------------------------
     # Heap diagnostics
@@ -368,23 +339,13 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run the event loop.
 
-        A stop request (:meth:`stop`) is honoured by exactly one run: the
-        run it interrupts, or — when issued while no run is active — the
-        next ``run()`` call, which then returns before processing anything.
-        Either way the request is consumed on return, so a subsequent
-        ``run()`` proceeds normally.
-
         Args:
             until: stop once simulated time would exceed this value.  Events
                 scheduled exactly at ``until`` are executed.  Without it the
-                run ends when the queue is empty (or on :meth:`stop`).
+                run ends when the queue is empty.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly from a callback")
-        if self._stopped:
-            # stop() was requested before this run started: consume it.
-            self._stopped = False
-            return
         self._running = True
         try:
             queue = self._queue
@@ -392,7 +353,7 @@ class Simulator:
             profiler = self.profiler
             horizon = until if until is not None else _INF
 
-            while not self._stopped:
+            while True:
                 if not queue:
                     if until is not None and self._now < until:
                         self._now = until
@@ -416,61 +377,10 @@ class Simulator:
                 target.callback(*target.args)
                 self.events_processed += 1
         finally:
-            self._stopped = False
             self._running = False
-
-    def stop(self) -> None:
-        """Request a halt after the current event.
-
-        Valid at any time: during a run it stops that run; outside a run it
-        makes the *next* ``run()`` return immediately (processing nothing).
-        The request is consumed by whichever run honours it.
-        """
-        self._stopped = True
-
-    @property
-    def stop_requested(self) -> bool:
-        """True if a stop request is pending (not yet consumed by a run)."""
-        return self._stopped
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events and armed timers still waiting."""
         return sum(
             1 for entry in self._queue if entry[2].sequence >= 0 and self._in_use(entry)
         )
-
-    def peek_next_time(self) -> Optional[float]:
-        """Simulated time of the next live event, or ``None`` if none is pending.
-
-        Amortised O(log n): dead heads are popped and placeholder heads
-        re-filed (each at most once per deadline) instead of sorting the
-        queue; neither consumes a sequence number nor counts an event.
-        """
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if head[2].sequence == head[1]:
-                return head[0]
-            self._resolve(heappop(queue))
-        return None
-
-    def reset(self) -> None:
-        """Discard all pending work and rewind the clock to zero.
-
-        Pending events are dropped, armed timers are disarmed (their handles
-        stay usable), the stop flag is cleared and counters rewind.  Calling
-        ``reset()`` from inside a running event loop is an error — the loop
-        cannot survive its queue being torn down underneath it.
-        """
-        if self._running:
-            raise SimulationError("reset() called while the event loop is running")
-        for entry in self._queue:
-            entry[2].sequence = -1
-        self._queue.clear()
-        self._now = 0.0
-        self._sequence = 0
-        self._heap_dead = 0
-        self.events_processed = 0
-        self.heap_compactions = 0
-        self.heap_refiles = 0
-        self._stopped = False

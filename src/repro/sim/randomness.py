@@ -87,20 +87,6 @@ class RandomStreams:
         """
         return RandomStreams(derive_seed(self.root_seed, name))
 
-    def spawn_indexed(self, *spawn_key: int | str) -> "RandomStreams":
-        """Create a child registry rooted at ``spawn_seed(root, *spawn_key)``.
-
-        The indexed analogue of :meth:`spawn`, for callers that want a
-        whole substream *family* (not just one seed) per point of some
-        indexed structure — e.g. ``streams.spawn_indexed("host", i)``.
-        The derivation depends only on ``(root_seed, spawn_key)``, never on
-        creation order, so the families are stable under parallel
-        execution.  The built-in sweeps don't need this (their points are
-        whole experiments, seeded via the config); it exists for custom
-        studies that partition one experiment's randomness.
-        """
-        return RandomStreams(spawn_seed(self.root_seed, *spawn_key))
-
     # Convenience wrappers -------------------------------------------------
 
     def uniform(self, name: str, low: float, high: float) -> float:

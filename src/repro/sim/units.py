@@ -45,11 +45,6 @@ def to_milliseconds(time_s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bytes_(value: int) -> int:
-    """Return ``value`` interpreted as bytes (identity, for symmetry)."""
-    return int(value)
-
-
 def kilobytes(value: float) -> int:
     """Convert kilobytes (10^3 bytes) to bytes."""
     return int(value * 1_000)
@@ -73,17 +68,6 @@ def megabits_per_second(value: float) -> float:
 def gigabits_per_second(value: float) -> float:
     """Convert gigabits per second to bits per second."""
     return float(value) * 1e9
-
-
-def transmission_delay(size_bytes: int, rate_bps: float) -> float:
-    """Time in seconds to serialise ``size_bytes`` onto a link of ``rate_bps``.
-
-    Raises:
-        ValueError: if the rate is not strictly positive.
-    """
-    if rate_bps <= 0:
-        raise ValueError(f"link rate must be positive, got {rate_bps!r}")
-    return (size_bytes * 8.0) / rate_bps
 
 
 def throughput_bps(size_bytes: int, duration_s: float) -> float:

@@ -115,18 +115,3 @@ def result_from_dict(payload: Dict[str, Any]) -> ExperimentResult:
         wallclock_s=payload.get("wallclock_s", 0.0),
         workload_size=payload["workload_size"],
     )
-
-
-def normalised_result(result: ExperimentResult) -> ExperimentResult:
-    """``result`` with its wall-clock zeroed, as :meth:`RunStore.get` returns it.
-
-    Useful in tests and comparisons: ``store.get(store.put(key, r))`` equals
-    ``normalised_result(r)`` field for field.
-    """
-    return ExperimentResult(
-        config=result.config,
-        metrics=result.metrics,
-        events_processed=result.events_processed,
-        wallclock_s=0.0,
-        workload_size=result.workload_size,
-    )

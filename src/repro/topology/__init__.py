@@ -1,4 +1,4 @@
-"""Data-centre and synthetic topologies."""
+"""Data-centre topologies."""
 
 from repro import lazy_exports
 

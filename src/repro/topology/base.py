@@ -32,7 +32,7 @@ class Topology:
         self.hosts: list[Host] = []
         self.switches: list[Switch] = []
         self._nodes_by_name: Dict[str, Node] = {}
-        self._hosts_by_address: Dict[int, Host] = {}
+        self._host_addresses: set[int] = set()
         #: Queue factory reused for links created after construction
         #: (host re-attachment); concrete topologies record theirs.
         self.default_queue_factory: Optional[QueueFactory] = None
@@ -45,12 +45,12 @@ class Topology:
         """Create a host, register it in the graph and return it."""
         if name in self._nodes_by_name:
             raise ValueError(f"duplicate node name {name!r}")
-        if address in self._hosts_by_address:
+        if address in self._host_addresses:
             raise ValueError(f"duplicate host address {address!r}")
         host = Host(self.simulator, name, address)
         self.hosts.append(host)
         self._nodes_by_name[name] = host
-        self._hosts_by_address[address] = host
+        self._host_addresses.add(address)
         self.graph.add_node(name)
         return host
 
@@ -154,10 +154,6 @@ class Topology:
         """Node object registered under ``name``."""
         return self._nodes_by_name[name]
 
-    def host_by_address(self, address: int) -> Host:
-        """Host object owning ``address``."""
-        return self._hosts_by_address[address]
-
     def interfaces_between(self, name_a: str, name_b: str) -> tuple[Interface, Interface]:
         """The full-duplex interface pair of the ``name_a``–``name_b`` link.
 
@@ -173,15 +169,6 @@ class Topology:
         if name_b not in node_a.neighbor_to_interface or name_a not in node_b.neighbor_to_interface:
             raise ValueError(f"no link between {name_a!r} and {name_b!r}")
         return node_a.interface_to(name_b), node_b.interface_to(name_a)
-
-    def switch_link_names(self) -> list[tuple[str, str]]:
-        """All switch-to-switch links as sorted name pairs (fault-schedule targets)."""
-        switch_names = {switch.name for switch in self.switches}
-        return sorted(
-            tuple(sorted((a, b)))
-            for a, b in self.graph.edges()
-            if a in switch_names and b in switch_names
-        )
 
     def path_count(self, host_a: Host, host_b: Host) -> int:
         """Number of equal-cost shortest paths between two hosts."""

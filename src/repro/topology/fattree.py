@@ -90,16 +90,6 @@ class FatTreeParams:
         return (self.k // 2) ** 2
 
     @property
-    def num_hosts(self) -> int:
-        """Total servers in the fabric."""
-        return self.num_pods * self.edge_per_pod * self.effective_hosts_per_edge
-
-    @property
-    def oversubscription_ratio(self) -> float:
-        """Ratio of host-facing to core-facing capacity at the edge layer."""
-        return self.effective_hosts_per_edge / (self.k / 2)
-
-    @property
     def inter_pod_path_count(self) -> int:
         """Equal-cost paths between hosts in different pods (= (k/2)^2)."""
         return self.num_core

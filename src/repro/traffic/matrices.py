@@ -11,7 +11,7 @@ hotspots" scenario listed in the paper's roadmap.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def permutation_pairs(
@@ -58,11 +58,3 @@ def hotspot_pairs(
                 destination = rng.choice(candidate_hotspots)
         skewed.append((source, destination))
     return skewed
-
-
-def pair_counts_by_destination(pairs: Sequence[Tuple[str, str]]) -> Dict[str, int]:
-    """How many senders target each destination (useful to verify matrices)."""
-    counts: Dict[str, int] = {}
-    for _, destination in pairs:
-        counts[destination] = counts.get(destination, 0) + 1
-    return counts

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.sim.units import kilobytes, megabytes
 from repro.traffic.arrivals import poisson_arrivals, synchronized_arrivals
@@ -79,14 +79,6 @@ class Workload:
     def total_bytes(self) -> int:
         """Sum of all flow sizes."""
         return sum(flow.size_bytes for flow in self.flows)
-
-    def flows_by_source(self) -> Dict[str, List[FlowSpec]]:
-        """Group the flow specs by sending host name."""
-        grouped: Dict[str, List[FlowSpec]] = {}
-        for flow in self.flows:
-            grouped.setdefault(flow.source, []).append(flow)
-        return grouped
-
 
 def build_short_long_workload(
     host_names: Sequence[str],

@@ -114,12 +114,6 @@ class MptcpSubflow(TcpSender):
         # stream (handled by MptcpConnection.on_dack).
         self._cancel_rto_timer()
 
-    @property
-    def allocated_bytes(self) -> int:
-        """Bytes of the connection stream currently mapped onto this subflow."""
-        return self.total_bytes
-
-
 class MptcpConnection:
     """Sender side of an MPTCP connection."""
 

@@ -78,30 +78,6 @@ class ReceiveBuffer:
             if seg_end > self.rcv_nxt:
                 self.rcv_nxt = seg_end
 
-    # ------------------------------------------------------------------
-
-    @property
-    def buffered_out_of_order_bytes(self) -> int:
-        """Bytes received beyond the in-order frontier, awaiting the gap fill."""
-        return sum(end - start for start, end in self._segments)
-
-    @property
-    def missing_ranges(self) -> List[Tuple[int, int]]:
-        """Gaps between the frontier and buffered out-of-order data."""
-        gaps: List[Tuple[int, int]] = []
-        cursor = self.rcv_nxt
-        for start, end in self._segments:
-            if start > cursor:
-                gaps.append((cursor, start))
-            cursor = max(cursor, end)
-        return gaps
-
-    def has_received(self, offset: int) -> bool:
-        """True if the byte at ``offset`` has been received (in or out of order)."""
-        if offset < self.rcv_nxt:
-            return True
-        return any(start <= offset < end for start, end in self._segments)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReceiveBuffer(rcv_nxt={self.rcv_nxt}, ooo={self._segments})"
 

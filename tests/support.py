@@ -43,14 +43,18 @@ from typing import (
 if __name__ == "__main__":  # pragma: no cover - command-line entry point
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.campaigns.spec import CampaignSpec
 from repro.experiments.config import ExperimentConfig
 from repro.net.faults import host_migration, link_failure
+from repro.net.host import Host
+from repro.net.link import QueueFactory, connect
 from repro.net.packet import FLAG_DATA, Packet
 from repro.net.queues import DropTailQueue
+from repro.net.switch import LAYER_CORE, LAYER_EDGE
 from repro.obs.telemetry import TelemetryProbes
 from repro.sim.engine import Simulator
 from repro.sim.units import megabits_per_second, microseconds
-from repro.topology.simple import TwoHostTopology
+from repro.topology.base import Topology
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, FlowSpec
 from repro.traffic.workloads import Workload
 from repro.transport.base import TcpConfig
@@ -89,6 +93,179 @@ class RecordingProbes(TelemetryProbes):
     def named(self, name: str) -> List[TraceEvent]:
         """The recorded events called ``name``, in order."""
         return [event for event in self.events if event.name == name]
+
+
+# ---------------------------------------------------------------------------
+# Small topologies
+# ---------------------------------------------------------------------------
+#
+# Not the paper's fabrics: each one has a single bottleneck (or a known set
+# of paths) whose capacity and buffering are exact, so transport behaviour
+# (window growth, fast retransmit, RTO, MPTCP coupling) can be asserted on
+# in isolation.
+
+
+class TwoHostTopology(Topology):
+    """Two hosts joined by a single switch — the smallest routable network."""
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        link_rate_bps: float = megabits_per_second(100),
+        link_delay_s: float = microseconds(50),
+        queue_factory: Optional[QueueFactory] = None,
+    ) -> None:
+        super().__init__(simulator)
+        switch = self.add_switch("switch-0", LAYER_EDGE)
+        self.sender = self.add_host("host-a", 0)
+        self.receiver = self.add_host("host-b", 1)
+        self.connect_nodes(self.sender, switch, link_rate_bps, link_delay_s, queue_factory)
+        self.connect_nodes(self.receiver, switch, link_rate_bps, link_delay_s, queue_factory)
+        self.build_routes()
+
+
+class DumbbellTopology(Topology):
+    """``pairs`` senders and receivers sharing one bottleneck link.
+
+    The bottleneck runs between the two switches; access links are faster so
+    that congestion happens exactly where expected.
+    """
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        pairs: int = 2,
+        bottleneck_rate_bps: float = megabits_per_second(100),
+        access_rate_bps: float = megabits_per_second(1000),
+        link_delay_s: float = microseconds(50),
+        queue_factory: Optional[QueueFactory] = None,
+    ) -> None:
+        super().__init__(simulator)
+        if pairs < 1:
+            raise ValueError("a dumbbell needs at least one sender/receiver pair")
+        left_switch = self.add_switch("switch-left", LAYER_EDGE)
+        right_switch = self.add_switch("switch-right", LAYER_EDGE)
+        self.connect_nodes(
+            left_switch, right_switch, bottleneck_rate_bps, link_delay_s, queue_factory
+        )
+        self.senders = []
+        self.receivers = []
+        for index in range(pairs):
+            sender = self.add_host(f"sender-{index}", index)
+            receiver = self.add_host(f"receiver-{index}", 1000 + index)
+            self.connect_nodes(sender, left_switch, access_rate_bps, link_delay_s, queue_factory)
+            self.connect_nodes(
+                receiver, right_switch, access_rate_bps, link_delay_s, queue_factory
+            )
+            self.senders.append(sender)
+            self.receivers.append(receiver)
+        self.build_routes()
+
+
+class IncastTopology(Topology):
+    """``fan_in`` senders and one receiver on a single switch.
+
+    The receiver's downlink is the incast bottleneck; its queue overflows when
+    enough synchronised senders fire at once, which is the TCP-incast pattern
+    the paper's introduction describes.
+    """
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        fan_in: int = 8,
+        link_rate_bps: float = megabits_per_second(100),
+        link_delay_s: float = microseconds(50),
+        queue_factory: Optional[QueueFactory] = None,
+    ) -> None:
+        super().__init__(simulator)
+        if fan_in < 1:
+            raise ValueError("an incast topology needs at least one sender")
+        switch = self.add_switch("switch-0", LAYER_EDGE)
+        self.receiver = self.add_host("receiver", 0)
+        self.connect_nodes(self.receiver, switch, link_rate_bps, link_delay_s, queue_factory)
+        self.senders = []
+        for index in range(fan_in):
+            sender = self.add_host(f"sender-{index}", index + 1)
+            self.connect_nodes(sender, switch, link_rate_bps, link_delay_s, queue_factory)
+            self.senders.append(sender)
+        self.build_routes()
+
+
+class TwoPathTopology(Topology):
+    """Two hosts connected through ``paths`` disjoint switch paths.
+
+    The smallest topology on which ECMP path diversity, packet scatter and
+    MPTCP sub-flow spreading are observable.
+    """
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        paths: int = 2,
+        link_rate_bps: float = megabits_per_second(100),
+        link_delay_s: float = microseconds(50),
+        queue_factory: Optional[QueueFactory] = None,
+    ) -> None:
+        super().__init__(simulator)
+        if paths < 1:
+            raise ValueError("need at least one path")
+        self.sender = self.add_host("host-a", 0)
+        self.receiver = self.add_host("host-b", 1)
+        ingress = self.add_switch("ingress", LAYER_EDGE)
+        egress = self.add_switch("egress", LAYER_EDGE)
+        self.connect_nodes(self.sender, ingress, link_rate_bps, link_delay_s, queue_factory)
+        self.connect_nodes(self.receiver, egress, link_rate_bps, link_delay_s, queue_factory)
+        self.core_switches = []
+        for index in range(paths):
+            core = self.add_switch(f"path-{index}", LAYER_CORE)
+            self.connect_nodes(ingress, core, link_rate_bps, link_delay_s, queue_factory)
+            self.connect_nodes(core, egress, link_rate_bps, link_delay_s, queue_factory)
+            self.core_switches.append(core)
+        self.build_routes()
+
+
+def verify_all_pairs_routable(topology: Topology) -> bool:
+    """True when every switch of ``topology`` has a route to every host."""
+    return all(
+        switch.forwarding_table.get(host.address)
+        for switch in topology.switches
+        for host in topology.hosts
+    )
+
+
+def switch_link_names(topology: Topology) -> List[Tuple[str, str]]:
+    """Every switch-to-switch link of ``topology`` as a sorted name pair."""
+    switch_names = {switch.name for switch in topology.switches}
+    return sorted(
+        tuple(sorted((a, b)))
+        for a, b in topology.graph.edges()
+        if a in switch_names and b in switch_names
+    )
+
+
+def serialisation_delay(size_bytes: int, rate_bps: float) -> float:
+    """Seconds an idle interface at ``rate_bps`` spends sending ``size_bytes``."""
+    simulator = Simulator()
+    a, b = Host(simulator, "a", 1), Host(simulator, "b", 2)
+    interface, _ = connect(simulator, a, b, rate_bps=rate_bps, delay_s=0.0)
+    interface.send(Packet(flow_id=1, src=1, dst=2, src_port=1, dst_port=2,
+                          payload_size=size_bytes, header_size=0))
+    return interface.busy_time
+
+
+def campaign_document(spec: CampaignSpec) -> Dict[str, Any]:
+    """The JSON document ``CampaignSpec.from_dict`` reads back as ``spec``."""
+    return {
+        "name": spec.name,
+        "scenarios": list(spec.scenarios),
+        "protocols": list(spec.protocols),
+        "replications": spec.replications,
+        "scale": spec.scale,
+        "seed": spec.seed,
+        "sweeps": {name: list(values) for name, values in spec.sweeps},
+        "config_overrides": dict(spec.config_overrides),
+    }
 
 
 def golden_link_failure_config() -> ExperimentConfig:

@@ -8,8 +8,10 @@ the zero-violation baseline that CI gates on.
 """
 
 import ast
+import functools
 import json
 from pathlib import Path
+from typing import NamedTuple, Tuple
 
 import pytest
 
@@ -501,15 +503,73 @@ def test_lint_paths_over_the_repository_finds_nothing() -> None:
     assert report.suppressed >= 8
 
 
+#: The trees whose code counts as a use of a definition or of stored state.
+_USER_TREES = ("src", "benchmarks", "examples")
+
+
+class _Load(NamedTuple):
+    """One use of ``name`` at ``path:line`` (``attribute``: a ``.name`` read)."""
+
+    name: str
+    path: Path
+    line: int
+    attribute: bool
+
+
+def _docstrings(tree: ast.AST) -> set:
+    """``id`` of every bare string statement (docstrings): naming there is no use."""
+    return {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _loads() -> Tuple[_Load, ...]:
+    """Every name ``src/``, ``benchmarks/`` and ``examples/`` load, in one AST pass.
+
+    A load is a ``Name`` or ``Attribute`` read, a ``from ... import name``
+    outside a package ``__init__.py`` (a re-export is no use), or a string
+    constant spelling an identifier outside a docstring (a lookup by name,
+    such as ``_deferred("figure1", "figure1a_plan")`` in ``study.py``).
+    """
+    loads = []
+    for top in _USER_TREES:
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            docstrings = _docstrings(tree)
+            reexports = path.name == "__init__.py"
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loads.append(_Load(node.attr, path, node.lineno, True))
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loads.append(_Load(node.id, path, node.lineno, False))
+                elif isinstance(node, ast.ImportFrom) and not reexports:
+                    loads.extend(_Load(alias.name, path, node.lineno, False)
+                                 for alias in node.names)
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.isidentifier()
+                    and id(node) not in docstrings
+                ):
+                    loads.append(_Load(node.value, path, node.lineno, False))
+    return tuple(loads)
+
+
 #: Simulator packages whose instance state must all be read somewhere.
 _STATE_PACKAGES = ("net", "transport", "core", "sim", "flowlevel")
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _decorated_by(node: ast.AST, name: str) -> bool:
+    """True when one of ``node``'s decorators is ``name`` (called or not)."""
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-        if name == "dataclass":
+        found = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if found == name:
             return True
     return False
 
@@ -517,7 +577,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 def _self_stores(tree: ast.AST):
     """``(class, name, line)`` of every ``self.<name>`` a non-dataclass class stores."""
     for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef) or _is_dataclass(cls):
+        if not isinstance(cls, ast.ClassDef) or _decorated_by(cls, "dataclass"):
             continue
         for node in ast.walk(cls):
             if (
@@ -536,12 +596,7 @@ def test_simulator_keeps_no_write_only_state() -> None:
     or ``examples/`` loads costs work on the packet path and shows in no
     export.  The scan is by name: a load of ``.name`` on any object counts.
     """
-    loaded = set()
-    for top in ("src", "benchmarks", "examples"):
-        for path in sorted((REPO_ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    loaded.add(node.attr)
+    loaded = {load.name for load in _loads() if load.attribute}
     unread = []
     for package in _STATE_PACKAGES:
         for path in sorted((REPO_ROOT / "src" / "repro" / package).rglob("*.py")):
@@ -550,6 +605,59 @@ def test_simulator_keeps_no_write_only_state() -> None:
                 if name not in loaded:
                     unread.append(f"{path.relative_to(REPO_ROOT)}:{line} {cls}.{name}")
     assert unread == [], "instance state nothing reads:\n" + "\n".join(unread)
+
+
+#: Definitions nothing calls, kept on purpose.  Only safety code belongs here.
+_UNCALLED_BY_DESIGN = {
+    "src/repro/net/ecmp.py fnv1a_64":
+        "the reference FNV-1a the ECMP digest caches are tested against",
+    "src/repro/net/packet.py set_pool_debug":
+        "turns pool poisoning on for the golden-trace runs",
+}
+
+
+def _definitions(tree: ast.Module):
+    """``(qualified name, node)`` of each top-level function or class and each
+    method of a top-level class, dunders aside."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, functions) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
+def test_every_definition_has_a_caller() -> None:
+    """Each function, class and method in ``src/repro`` is used outside its body.
+
+    A definition that only tests reach is a second copy of the code that
+    runs, or code nothing runs: tests that check it check neither.  A use is
+    a load of its name anywhere in ``src/``, ``benchmarks/`` or ``examples/``
+    outside the definition itself (see :func:`_loads`); registration by a
+    ``@register`` decorator counts as one.
+    """
+    uses: dict = {}
+    for load in _loads():
+        uses.setdefault(load.name, []).append(load)
+    uncalled = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        relative = path.relative_to(REPO_ROOT).as_posix()
+        for qualname, node in _definitions(ast.parse(path.read_text(), str(path))):
+            if _decorated_by(node, "register"):
+                continue
+            if not any(
+                load.path != path or not node.lineno <= load.line <= node.end_lineno
+                for load in uses.get(node.name, ())
+            ):
+                uncalled[f"{relative} {qualname}"] = f"{relative}:{node.lineno} {qualname}"
+    unexpected = [where for key, where in uncalled.items() if key not in _UNCALLED_BY_DESIGN]
+    assert unexpected == [], "definitions only tests reach:\n" + "\n".join(unexpected)
+    stale = sorted(set(_UNCALLED_BY_DESIGN) - set(uncalled))
+    assert stale == [], f"allowlisted definitions that are called now, or gone: {stale}"
 
 
 def test_cli_lint_exit_codes(tmp_path, capsys) -> None:

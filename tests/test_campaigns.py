@@ -26,6 +26,7 @@ from repro.experiments.parallel import seeded_replications
 from repro.metrics.collector import CELL_METRIC_FIELDS
 from repro.scenarios import cell_rows
 from repro.store import RunStore, run_key_for_spec
+from support import campaign_document
 
 #: Overrides that shrink every cell to a fraction of a second of simulation.
 FAST_OVERRIDES = {
@@ -91,9 +92,9 @@ def test_spec_rejects_unknown_config_fields_on_both_axes() -> None:
 
 def test_spec_dict_round_trip_and_unknown_keys() -> None:
     spec = _spec(sweeps=(("num_subflows", (2, 4)),), replications=2)
-    assert CampaignSpec.from_dict(spec.to_dict()) == spec
+    assert CampaignSpec.from_dict(campaign_document(spec)) == spec
     with pytest.raises(ValueError, match="unknown campaign spec keys"):
-        CampaignSpec.from_dict({**spec.to_dict(), "surprise": 1})
+        CampaignSpec.from_dict({**campaign_document(spec), "surprise": 1})
     with pytest.raises(ValueError, match="missing required"):
         CampaignSpec.from_dict({"name": "x"})
 
@@ -102,7 +103,7 @@ def test_spec_from_file(tmp_path) -> None:
     spec = _spec()
     path = tmp_path / "campaign.json"
     # repro: allow[no-raw-json] -- hand-written spec input, not an artifact
-    path.write_text(json.dumps(spec.to_dict()))
+    path.write_text(json.dumps(campaign_document(spec)))
     assert CampaignSpec.from_file(path) == spec
 
 
@@ -443,8 +444,9 @@ def _cli_grid_args(store) -> list:
 def test_cli_campaign_run_status_report_gc(tmp_path, capsys) -> None:
     store = tmp_path / "store"
     spec_file = tmp_path / "campaign.json"
+    spec = _spec(scenarios=("baseline",), protocols=("tcp",))
     # repro: allow[no-raw-json] -- hand-written spec input, not an artifact
-    spec_file.write_text(json.dumps(_spec(scenarios=("baseline",), protocols=("tcp",)).to_dict()))
+    spec_file.write_text(json.dumps(campaign_document(spec)))
     report_file = tmp_path / "report.md"
 
     assert main(["campaign", "run", "--store", str(store), "--spec", str(spec_file),
@@ -502,7 +504,7 @@ def test_cli_campaign_corrupt_artifact_fails_cleanly(tmp_path, capsys) -> None:
     spec = _spec(scenarios=("baseline",), protocols=("tcp",))
     spec_file = tmp_path / "campaign.json"
     # repro: allow[no-raw-json] -- hand-written spec input, not an artifact
-    spec_file.write_text(json.dumps(spec.to_dict()))
+    spec_file.write_text(json.dumps(campaign_document(spec)))
     store_dir = tmp_path / "store"
     assert main(["campaign", "run", "--store", str(store_dir),
                  "--spec", str(spec_file)]) == 0

@@ -15,10 +15,9 @@ from repro.core.reordering import StaticReorderingPolicy, TopologyInformedPolicy
 from repro.net.queues import DropTailQueue
 from repro.obs.telemetry import TelemetryRecorder
 from repro.sim.engine import Simulator
-from repro.topology.simple import TwoHostTopology, TwoPathTopology
 from repro.transport.base import TcpConfig
 from repro.transport.mptcp import MptcpReceiver
-from support import forwarded_packets
+from support import TwoHostTopology, TwoPathTopology, forwarded_packets
 
 TEST_CONFIG = TcpConfig(mss=1000, initial_cwnd_segments=2)
 
@@ -92,7 +91,7 @@ class TestPacketScatterPhase:
     def test_acks_reach_canonical_port_despite_scatter(self) -> None:
         connection, receiver, _ = _run_mmptcp(40_000)
         scatter = connection.scatter_subflow
-        assert scatter.snd_una == scatter.allocated_bytes > 0
+        assert scatter.snd_una == scatter.total_bytes > 0
 
 
 class TestPhaseSwitching:
@@ -110,12 +109,12 @@ class TestPhaseSwitching:
         connection, receiver, _ = _run_mmptcp(600_000,
                                               switching=DataVolumeSwitching(100_000))
         assert receiver.complete
-        scatter_allocated = connection.scatter_subflow.allocated_bytes
+        scatter = connection.scatter_subflow
         # Everything beyond the scatter allocation was carried by MPTCP subflows.
-        mptcp_allocated = sum(s.allocated_bytes for s in connection.mptcp_subflows())
-        assert scatter_allocated + mptcp_allocated == 600_000
+        mptcp_allocated = sum(s.total_bytes for s in connection.subflows if s is not scatter)
+        assert scatter.total_bytes + mptcp_allocated == 600_000
         assert mptcp_allocated > 0
-        assert connection.scatter_drained
+        assert scatter.flight_size() == 0  # the scatter flow has drained
 
     def test_congestion_event_switching_triggers_on_loss(self) -> None:
         recorder = TelemetryRecorder()

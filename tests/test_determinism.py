@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.sim.randomness import RandomStreams, derive_seed, spawn_seed, spawn_seeds
+from repro.sim.randomness import derive_seed, spawn_seed, spawn_seeds
 from repro.traffic.flowspec import PROTOCOL_MMPTCP
 
 
@@ -100,15 +100,6 @@ def test_spawn_seeds_prefix_and_extension() -> None:
     assert spawn_seeds(7, 0) == []
     with pytest.raises(ValueError):
         spawn_seeds(7, -1)
-
-
-def test_spawn_indexed_registry_matches_spawn_seed() -> None:
-    streams = RandomStreams(5)
-    child = streams.spawn_indexed("sweep", 2)
-    assert child.root_seed == spawn_seed(5, "sweep", 2)
-    # Child streams are reproducible and independent of sibling order.
-    again = RandomStreams(5).spawn_indexed("sweep", 2)
-    assert child.stream("workload").random() == again.stream("workload").random()
 
 
 def test_spawned_streams_do_not_collide_with_named_streams() -> None:

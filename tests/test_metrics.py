@@ -19,7 +19,6 @@ from repro.metrics.stats import (
     cdf_points,
     fraction_above,
     jains_fairness_index,
-    percentile,
     summarize,
 )
 from repro.net.monitor import LayerLossStats, NetworkSnapshot
@@ -54,8 +53,8 @@ class TestStats:
 
     def test_percentile_and_fraction(self) -> None:
         values = list(range(1, 101))
-        assert percentile(values, 99) == pytest.approx(99.01)
-        assert percentile([], 50) == 0.0
+        assert summarize(values).p99 == pytest.approx(99.01)
+        assert summarize([]).p50 == 0.0
         assert fraction_above(values, 90) == pytest.approx(0.10)
         assert fraction_above([], 1) == 0.0
 

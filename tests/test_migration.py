@@ -57,10 +57,10 @@ def test_migrate_host_rebinds_attachment_and_routes() -> None:
     assert host.interfaces[1].up
     # Every switch still routes to the host — now via its new edge.
     for switch in topology.switches:
-        assert switch.routes_to(host.address), switch.name
+        assert switch.forwarding_table.get(host.address), switch.name
     edge = topology.node("edge-0-1")
     host_port = edge.neighbor_to_interface["host-0-0-0"]
-    assert host_port in topology.node("edge-0-1").routes_to(host.address)
+    assert host_port in topology.node("edge-0-1").forwarding_table[host.address]
 
 
 def test_detach_is_idempotent_and_attach_validates_node_kinds() -> None:
@@ -97,14 +97,14 @@ def test_migration_fault_detaches_waits_out_downtime_then_reattaches() -> None:
     assert not topology.graph.has_edge("host-0-0-0", "edge-0-1")
     host = topology.node("host-0-0-0")
     for switch in topology.switches:
-        assert not switch.routes_to(host.address)
+        assert not switch.forwarding_table.get(host.address)
     assert len(probes.named("migrate_host")) == 1
     assert not probes.named("host_attached")
 
     simulator.run(until=0.1)  # past re-attach at t=0.06
     assert topology.graph.has_edge("host-0-0-0", "edge-0-1")
     for switch in topology.switches:
-        assert switch.routes_to(host.address)
+        assert switch.forwarding_table.get(host.address)
     (attached,) = probes.named("host_attached")
     assert attached.time == pytest.approx(0.06)
     assert attached.data["attachment"] == "edge-0-1"
@@ -129,7 +129,7 @@ def test_zero_downtime_migration_converges_in_one_step() -> None:
     assert topology.graph.has_edge("host-0-0-0", "edge-1-1")
     assert host.address == address
     for switch in topology.switches:
-        assert switch.routes_to(address), switch.name
+        assert switch.forwarding_table.get(address), switch.name
     # The detach and attach trace back-to-back at the same instant.
     (migrate,) = probes.named("migrate_host")
     (attached,) = probes.named("host_attached")
@@ -164,7 +164,7 @@ def test_allocate_port_skips_bound_ports_and_raises_on_exhaustion() -> None:
     assert host.allocate_port() == EPHEMERAL_PORT_MIN + 1
 
     for port in range(EPHEMERAL_PORT_MIN, EPHEMERAL_PORT_MAX + 1):
-        if host.endpoint_for(port) is None:
+        if port not in host._endpoints:
             host.bind(port, object())
     with pytest.raises(RuntimeError, match="exhausted the ephemeral port range"):
         host.allocate_port()

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.address import (
-    decode_fattree_address,
-    encode_fattree_address,
-    same_edge,
-    same_pod,
-)
+from repro.net.address import encode_fattree_address
 from repro.net.ecmp import ecmp_hash, fnv1a_64, select_path
 from repro.net.packet import FLAG_DATA, Packet
 
@@ -71,25 +66,14 @@ class TestEcmp:
 class TestFatTreeAddress:
     def test_roundtrip(self) -> None:
         address = encode_fattree_address(pod=3, edge=2, host=7)
-        decoded = decode_fattree_address(address)
-        assert (decoded.pod, decoded.edge, decoded.host) == (3, 2, 7)
-        assert str(decoded) == "10.3.2.7"
-
-    def test_same_pod_and_edge_predicates(self) -> None:
-        a = encode_fattree_address(1, 0, 0)
-        b = encode_fattree_address(1, 1, 5)
-        c = encode_fattree_address(2, 0, 0)
-        same_edge_peer = encode_fattree_address(1, 0, 9)
-        assert same_pod(a, b) and not same_pod(a, c)
-        assert same_edge(a, same_edge_peer) and not same_edge(a, b)
+        # Packed as pod << 20 | edge << 10 | host: each field unpacks back.
+        assert (address >> 20, (address >> 10) & 0x3FF, address & 0x3FF) == (3, 2, 7)
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError):
             encode_fattree_address(-1, 0, 0)
         with pytest.raises(ValueError):
             encode_fattree_address(0, 0, 5000)
-        with pytest.raises(ValueError):
-            decode_fattree_address(-5)
 
     def test_addresses_are_unique_across_positions(self) -> None:
         seen = set()

@@ -226,7 +226,7 @@ def test_link_down_removes_next_hops_and_link_up_restores_them() -> None:
     agg = topology.node("agg-0-0")
     core_index = agg.neighbor_to_interface["core-0"]
     remote_hosts = [host.address for host in topology.hosts if "host-0-" not in host.name]
-    assert any(core_index in agg.routes_to(address) for address in remote_hosts)
+    assert any(core_index in agg.forwarding_table.get(address, ()) for address in remote_hosts)
 
     probes = RecordingProbes()
     FaultInjector(
@@ -238,17 +238,17 @@ def test_link_down_removes_next_hops_and_link_up_restores_them() -> None:
     assert not iface_ab.up and not iface_ba.up
     assert not topology.graph.has_edge("core-0", "agg-0-0")
     # No forwarding entry anywhere may still point at the dead link.
-    assert all(core_index not in agg.routes_to(address) for address in remote_hosts)
+    assert all(core_index not in agg.forwarding_table.get(address, ()) for address in remote_hosts)
     # Every destination must still be reachable from every switch (k=4 has
     # enough redundancy for any single link failure).
     for switch in topology.switches:
         for host in topology.hosts:
-            assert switch.routes_to(host.address), (switch.name, host.name)
+            assert switch.forwarding_table.get(host.address), (switch.name, host.name)
 
     simulator.run(until=0.03)
     assert iface_ab.up and iface_ba.up
     assert topology.graph.has_edge("core-0", "agg-0-0")
-    assert any(core_index in agg.routes_to(address) for address in remote_hosts)
+    assert any(core_index in agg.forwarding_table.get(address, ()) for address in remote_hosts)
     assert [event.name for event in probes.events] == [LINK_DOWN, LINK_UP]
 
 
@@ -261,9 +261,9 @@ def test_partial_rebuild_tolerates_a_partitioned_host() -> None:
     topology.graph.remove_edge(host.name, "edge-0-0")
     topology.rebuild_routes()
     for switch in topology.switches:
-        assert not switch.routes_to(host.address)
+        assert not switch.forwarding_table.get(host.address)
         for other in topology.hosts[1:]:
-            assert switch.routes_to(other.address)
+            assert switch.forwarding_table.get(other.address)
 
 
 def test_restore_matches_degrade_with_swapped_endpoints() -> None:
@@ -316,7 +316,7 @@ def test_fault_drops_are_counted_by_the_network_monitor() -> None:
     interface.set_up(False)
     packet = Packet(flow_id=1, src=1, dst=2, src_port=1, dst_port=2,
                     flags=FLAG_DATA, payload_size=1000)
-    assert not interface.send(packet)
+    interface.send(packet)
     assert interface.fault_drops == 1
     assert interface.fault_drops_offered == 1
     assert interface.queue.stats.dropped_packets == 0  # the queue never saw it
@@ -342,7 +342,9 @@ def test_on_wire_fault_drop_is_a_loss_but_not_a_second_offer() -> None:
     interface = switch.interfaces[0]
     packet = Packet(flow_id=1, src=1, dst=2, src_port=1, dst_port=2,
                     flags=FLAG_DATA, payload_size=1000)
-    assert interface.send(packet)  # enqueued and serialising
+    interface.send(packet)
+    assert interface.queue.stats.offered_packets == 1  # serialising, not dropped
+    assert interface.fault_drops == 0
     interface.set_up(False)
     simulator.run(until=1.0)  # serialisation completes while down: lost
     assert interface.fault_drops == 1

@@ -9,10 +9,10 @@ from repro.net.monitor import snapshot as network_snapshot
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.units import megabits_per_second, microseconds
-from repro.topology.simple import DumbbellTopology
 from repro.transport.base import TcpConfig
 from repro.transport.receiver import TcpReceiver
 from repro.transport.tcp import TcpSender
+from support import DumbbellTopology
 
 
 def _run_dumbbell(pairs: int = 3, flow_bytes: int = 300_000, queue_capacity: int = 20):

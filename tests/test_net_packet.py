@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.net.ecmp import ecmp_hash, fnv1a_64
 from repro.net.packet import (
     DEFAULT_HEADER_BYTES,
     FLAG_ACK,
@@ -46,15 +47,9 @@ def test_flag_properties() -> None:
     assert data.carries_data and not data.is_syn
 
 
-def test_packet_ids_are_unique_and_increasing() -> None:
-    first = _data_packet()
-    second = _data_packet()
-    assert second.packet_id > first.packet_id
-
-
 def test_flow_tuple_used_by_ecmp() -> None:
     packet = _data_packet()
-    assert packet.flow_tuple() == (10, 20, 4000, 5001, packet.protocol)
+    assert ecmp_hash(packet) == fnv1a_64((10, 20, 4000, 5001, packet.protocol))
 
 
 def test_make_ack_swaps_direction_and_copies_subflow() -> None:

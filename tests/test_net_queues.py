@@ -105,9 +105,13 @@ class TestHookSubclassFallback:
                            queue_factory=RejectOddSizes)
         # The first packet finds the transmitter idle and goes through the
         # inherited transit(); the next two arrive behind it and are enqueued.
-        assert iface.send(_packet(1000))
-        assert not iface.send(_packet(101))
-        assert iface.send(_packet(100))
+        iface.send(_packet(1000))
+        assert iface.queue.stats.offered_packets == 1
+        assert iface.queue.stats.dropped_packets == 0
+        iface.send(_packet(101))
+        assert iface.queue.stats.dropped_packets == 1
+        assert len(iface.queue) == 0
+        iface.send(_packet(100))
         assert iface.queue.stats.dropped_packets == 1
         assert len(iface.queue) == 1
 

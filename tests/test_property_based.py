@@ -12,13 +12,18 @@ from repro.net.ecmp import fnv1a_64, select_path
 from repro.net.packet import FLAG_DATA, Packet
 from repro.net.queues import DropTailQueue
 from repro.sim.randomness import derive_seed
-from repro.sim.units import throughput_bps, transmission_delay
+from repro.sim.units import throughput_bps
 from repro.traffic.arrivals import poisson_arrivals
 from repro.traffic.matrices import permutation_pairs
 from repro.transport.rto import RtoEstimator
 from repro.transport.sequence import ReceiveBuffer
 
-from support import record_allocations, reference_insert_segment
+from support import (
+    TwoPathTopology,
+    record_allocations,
+    reference_insert_segment,
+    serialisation_delay,
+)
 
 # ---------------------------------------------------------------------------
 # ReceiveBuffer: regardless of arrival order, delivering every segment of a
@@ -28,6 +33,21 @@ from support import record_allocations, reference_insert_segment
 segment_lists = st.lists(
     st.integers(min_value=1, max_value=5), min_size=1, max_size=30
 )
+
+
+def _add_and_check(buffer: ReceiveBuffer, covered: list, start: int, length: int) -> list:
+    """Add ``[start, start+length)`` to ``buffer`` and to the oracle's ``covered`` ranges.
+
+    The buffer must then hold exactly the oracle's union of received bytes:
+    the range from 0 as its frontier, every later range out of order.
+    """
+    buffer.add(start, length)
+    covered = reference_insert_segment(covered, start, start + length)
+    if covered[0][0] == 0:
+        assert (buffer.rcv_nxt, buffer._segments) == (covered[0][1], covered[1:])
+    else:
+        assert (buffer.rcv_nxt, buffer._segments) == (0, covered)
+    return covered
 
 
 @given(sizes=segment_lists, order_seed=st.integers(0, 2**32 - 1))
@@ -44,11 +64,11 @@ def test_receive_buffer_reassembles_any_arrival_order(sizes, order_seed) -> None
     rng.shuffle(shuffled)
 
     buffer = ReceiveBuffer()
+    covered: list = []
     for start, length in shuffled:
-        buffer.add(start, length)
+        covered = _add_and_check(buffer, covered, start, length)
     assert buffer.rcv_nxt == total
-    assert buffer.buffered_out_of_order_bytes == 0
-    assert buffer.missing_ranges == []
+    assert buffer._segments == []
 
 
 @given(sizes=segment_lists, dup_seed=st.integers(0, 2**32 - 1))
@@ -63,13 +83,13 @@ def test_receive_buffer_idempotent_under_duplicates(sizes, dup_seed) -> None:
     stream = segments + [rng.choice(segments) for _ in range(len(segments))]
     rng.shuffle(stream)
     buffer = ReceiveBuffer()
+    covered: list = []
     for start, length in stream:
-        buffer.add(start, length)
+        covered = _add_and_check(buffer, covered, start, length)
     # Duplicates neither move the frontier past the distinct bytes sent nor
     # leave anything buffered behind it.
     assert buffer.rcv_nxt == offset
-    assert buffer.buffered_out_of_order_bytes == 0
-    assert buffer.missing_ranges == []
+    assert buffer._segments == []
 
 
 @given(
@@ -242,9 +262,9 @@ def test_poisson_arrivals_sorted_and_in_window(rate, duration, seed) -> None:
        rate=st.floats(min_value=1e3, max_value=1e12))
 @settings(max_examples=200, deadline=None)
 def test_transmission_delay_non_negative_and_linear(size, rate) -> None:
-    delay = transmission_delay(size, rate)
+    delay = serialisation_delay(size, rate)
     assert delay >= 0.0
-    assert transmission_delay(2 * size, rate) >= delay
+    assert serialisation_delay(2 * size, rate) >= delay
 
 
 @given(size=st.integers(min_value=1, max_value=10**9),
@@ -253,7 +273,7 @@ def test_transmission_delay_non_negative_and_linear(size, rate) -> None:
 def test_throughput_roundtrips_with_transmission_delay(size, duration) -> None:
     rate = throughput_bps(size, duration)
     assert rate > 0
-    assert transmission_delay(size, rate) * (1 + 1e-9) >= duration * (1 - 1e-9)
+    assert serialisation_delay(size, rate) * (1 + 1e-9) >= duration * (1 - 1e-9)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**62), name=st.text(min_size=0, max_size=30))
@@ -278,7 +298,6 @@ def test_derive_seed_stable_and_in_range(seed, name) -> None:
 @settings(max_examples=12, deadline=None)
 def test_mptcp_allocation_tiles_the_stream_exactly_once(chunks, subflows) -> None:
     from repro.sim.engine import Simulator
-    from repro.topology.simple import TwoPathTopology
     from repro.transport.base import TcpConfig
     from repro.transport.mptcp import MptcpConnection, MptcpReceiver
 

@@ -24,16 +24,37 @@ from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
 from repro.traffic.flowspec import PROTOCOL_MMPTCP
-from support import RecordingProbes
+from support import RecordingProbes, switch_link_names
 
 # ---------------------------------------------------------------------------
 # Shared k=4 fabric for the forwarding property (building one per example
-# would dominate the test's runtime; select_output_interface never mutates).
+# would dominate the test's runtime).  Its simulator never runs, so what a
+# switch forwards stays in its output queues' counters.
 # ---------------------------------------------------------------------------
 
 _TOPOLOGY = FatTreeTopology(Simulator(), FatTreeParams(k=4, hosts_per_edge=1))
-_SWITCH_LINKS = _TOPOLOGY.switch_link_names()
+_SWITCH_LINKS = switch_link_names(_TOPOLOGY)
 _HOST_ADDRESSES = [host.address for host in _TOPOLOGY.hosts]
+
+
+def _offers(switch) -> list:
+    """Per output interface: packets its queue was offered, and offers a down
+    interface rejected — together, every packet the switch sent that way."""
+    return [
+        (interface.queue.stats.offered_packets, interface.fault_drops_offered)
+        for interface in switch.interfaces
+    ]
+
+
+def _forward(switch, packet: Packet) -> list:
+    """Push ``packet`` through ``switch.receive``; the interfaces it went out of."""
+    before = _offers(switch)
+    switch.receive(packet, None)
+    return [
+        interface
+        for interface, old, new in zip(switch.interfaces, before, _offers(switch))
+        if old != new
+    ]
 
 
 def _set_links(links, up: bool) -> None:
@@ -52,15 +73,20 @@ def _set_links(links, up: bool) -> None:
 )
 @settings(max_examples=120, deadline=None)
 def test_ecmp_never_selects_a_failed_link(failed, src, dst, src_port, dst_port) -> None:
-    packet = Packet(flow_id=1, src=src, dst=dst, src_port=src_port, dst_port=dst_port)
     try:
         _set_links(failed, up=False)
         for switch in _TOPOLOGY.switches:
-            choice = switch.select_output_interface(packet)
-            assert choice is None or choice.up, (
-                f"{switch.name} picked down interface {choice.name} "
+            packet = Packet(flow_id=1, src=src, dst=dst, src_port=src_port, dst_port=dst_port)
+            outputs = _forward(switch, packet)
+            assert all(interface.up for interface in outputs), (
+                f"{switch.name} forwarded out of down interface {outputs[0].name} "
                 f"with failed links {failed}"
             )
+            next_hops = switch.forwarding_table.get(dst, ())
+            if any(switch.interfaces[index].up for index in next_hops):
+                assert len(outputs) == 1, (switch.name, failed)
+            else:
+                assert outputs == [], (switch.name, failed)
     finally:
         _set_links(failed, up=True)
 
@@ -74,9 +100,9 @@ def test_ecmp_never_selects_a_failed_link(failed, src, dst, src_port, dst_port) 
 def test_healthy_fabric_always_has_an_output(src, dst, src_port) -> None:
     # Sanity complement: with nothing failed, every switch can forward
     # towards every host.
-    packet = Packet(flow_id=1, src=src, dst=dst, src_port=src_port, dst_port=4242)
     for switch in _TOPOLOGY.switches:
-        assert switch.select_output_interface(packet) is not None
+        packet = Packet(flow_id=1, src=src, dst=dst, src_port=src_port, dst_port=4242)
+        assert len(_forward(switch, packet)) == 1, switch.name
 
 
 # ---------------------------------------------------------------------------

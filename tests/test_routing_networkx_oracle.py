@@ -1,6 +1,6 @@
 """The in-tree connectivity graph and BFS against networkx as an oracle.
 
-Every registry topology and every ``topology/simple.py`` fabric is built
+Every registry topology and every small test fabric in ``support`` is built
 with a :class:`~repro.net.routing.Graph` that replays each call into a
 ``networkx.Graph``.  The two must then agree on edge order and orientation
 (``FluidFabric`` iterates ``sorted(graph.edges())``), neighbour order, BFS
@@ -24,11 +24,12 @@ from repro.net.routing import (
 )
 from repro.scenarios.spec import tiny_config
 from repro.sim.engine import Simulator
-from repro.topology.simple import (
+from support import (
     DumbbellTopology,
     IncastTopology,
     TwoHostTopology,
     TwoPathTopology,
+    switch_link_names,
 )
 
 nx = pytest.importorskip("networkx")
@@ -108,7 +109,7 @@ def test_graph_matches_networkx_through_faults_and_detach(name, monkeypatch) -> 
     assert isinstance(topology.graph, MirroredGraph)
     _assert_agrees(topology)
 
-    switch_links = topology.switch_link_names()
+    switch_links = switch_link_names(topology)
     if switch_links:
         link = switch_links[len(switch_links) // 2]
         _inject(simulator, topology, LINK_DOWN, link)

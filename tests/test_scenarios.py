@@ -76,7 +76,6 @@ def test_spec_apply_to_carries_faults_and_overrides() -> None:
     assert config.core_oversubscription == 2.0
     assert config.fault_schedule == spec.faults
     assert config.protocol == PROTOCOL_TCP
-    assert spec.has_faults
 
 
 def test_build_scenario_workload_kinds() -> None:
@@ -102,7 +101,7 @@ def test_builtin_catalogue_is_registered() -> None:
         assert expected in names
     assert len(all_scenarios()) == len(names)
     # At least one built-in scenario exercises a link failure.
-    assert any(spec.has_faults for spec in all_scenarios())
+    assert any(spec.faults for spec in all_scenarios())
 
 
 def test_get_scenario_unknown_name_lists_alternatives() -> None:

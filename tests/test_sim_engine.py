@@ -91,88 +91,19 @@ def test_events_scheduled_during_run_are_executed(simulator: Simulator) -> None:
     assert simulator.now == pytest.approx(0.6)
 
 
-def test_stop_halts_processing(simulator: Simulator) -> None:
-    fired = []
-
-    def stopper() -> None:
-        fired.append("stopper")
-        simulator.stop()
-
-    simulator.schedule(0.1, stopper)
-    simulator.schedule(0.2, lambda: fired.append("after"))
-    simulator.run()
-    assert fired == ["stopper"]
-
-
-def test_stop_before_run_halts_the_next_run(simulator: Simulator) -> None:
-    # Regression: run() used to reset the stop flag on entry, silently
-    # swallowing a stop() issued before the loop started.
-    fired = []
-    simulator.schedule(0.1, lambda: fired.append("event"))
-    simulator.stop()
-    assert simulator.stop_requested
-    simulator.run()
-    assert fired == []
-    assert simulator.now == 0.0  # a pre-stopped run does no work at all
-
-
-def test_stop_request_is_consumed_by_exactly_one_run(simulator: Simulator) -> None:
-    fired = []
-    simulator.schedule(0.1, lambda: fired.append("event"))
-    simulator.stop()
-    simulator.run()  # consumes the request, processes nothing
-    assert not simulator.stop_requested
-    simulator.run()  # a fresh run proceeds normally
-    assert fired == ["event"]
-
-
-def test_stop_during_run_is_consumed_on_return(simulator: Simulator) -> None:
-    simulator.schedule(0.1, simulator.stop)
-    simulator.schedule(0.2, lambda: None)
-    simulator.run()
-    assert not simulator.stop_requested
-    simulator.run()
-    assert simulator.events_processed == 2
-
-
-def test_reset_clears_pending_stop_request(simulator: Simulator) -> None:
-    simulator.stop()
-    simulator.reset()
-    assert not simulator.stop_requested
-    fired = []
-    simulator.schedule(0.1, lambda: fired.append("event"))
-    simulator.run()
-    assert fired == ["event"]
-
-
-def test_reset_during_run_raises(simulator: Simulator) -> None:
-    # Regression: reset() used to leave _running stale and tear the queue
-    # down under the live loop; it is now an explicit error.
-    failures = []
-
-    def resetter() -> None:
-        try:
-            simulator.reset()
-        except SimulationError as error:
-            failures.append(error)
-
-    simulator.schedule(0.1, resetter)
-    simulator.run()
-    assert len(failures) == 1
-    assert not simulator.is_running
-
-
 def test_running_flag_cleared_when_a_callback_raises(simulator: Simulator) -> None:
+    fired = []
+
     def boom() -> None:
         raise RuntimeError("callback exploded")
 
     simulator.schedule(0.1, boom)
+    simulator.schedule(0.2, lambda: fired.append(simulator.now))
     with pytest.raises(RuntimeError):
         simulator.run()
-    assert not simulator.is_running
-    # The engine is still usable afterwards (reset is permitted again).
-    simulator.reset()
-    assert simulator.now == 0.0
+    # The engine is still usable afterwards: the next run is not re-entrant.
+    simulator.run()
+    assert fired == [0.2]
 
 
 def test_run_is_not_reentrant(simulator: Simulator) -> None:
@@ -202,22 +133,6 @@ def test_pending_events_excludes_cancelled(simulator: Simulator) -> None:
     drop.cancel()
     assert simulator.pending_events() == 1
     assert keep.time == 1.0
-
-
-def test_peek_next_time_skips_cancelled(simulator: Simulator) -> None:
-    first = simulator.schedule(1.0, lambda: None)
-    simulator.schedule(2.0, lambda: None)
-    first.cancel()
-    assert simulator.peek_next_time() == 2.0
-
-
-def test_reset_clears_state(simulator: Simulator) -> None:
-    simulator.schedule(1.0, lambda: None)
-    simulator.run()
-    simulator.reset()
-    assert simulator.now == 0.0
-    assert simulator.pending_events() == 0
-    assert simulator.events_processed == 0
 
 
 def test_callback_arguments_passed_through(simulator: Simulator) -> None:

@@ -1,8 +1,8 @@
 """Tests for reusable timers and event-heap hygiene: the scheduler contract.
 
 The centrepiece is a hypothesis property: for any interleaving of
-arm/arm_at/re-arm/cancel operations, ``run(until=)`` splits and
-``peek_next_time()``/``pending_events()`` probes, :class:`Timer` handles
+arm/re-arm/cancel operations, ``run(until=)`` splits and
+``pending_events()``/``Timer.when`` probes, :class:`Timer` handles
 (deferred re-arm, placeholders, re-files) behave exactly like the same
 program expressed with naive ``schedule``/``cancel`` heap events.  That
 equivalence is what lets call sites hold timers without perturbing golden
@@ -74,13 +74,6 @@ class TestTimerHandle:
         with pytest.raises(SimulationError):
             timer.arm(-0.1)
 
-    def test_arm_at_in_the_past_rejected(self, simulator: Simulator) -> None:
-        simulator.schedule(1.0, lambda: None)
-        simulator.run()
-        timer = simulator.timer(lambda: None)
-        with pytest.raises(SimulationError):
-            timer.arm_at(0.5)
-
     def test_self_rearming_timer_is_periodic(self, simulator: Simulator) -> None:
         fired = []
         timer = simulator.timer(lambda: None)
@@ -94,19 +87,6 @@ class TestTimerHandle:
         timer.arm(0.5)
         simulator.run()
         assert fired == [0.5, 1.0, 1.5]
-
-    def test_reset_disarms_timers_but_handles_stay_usable(
-        self, simulator: Simulator
-    ) -> None:
-        fired = []
-        timer = simulator.timer(lambda: fired.append(simulator.now))
-        timer.arm(1.0)
-        simulator.reset()
-        assert not timer.armed
-        assert simulator.pending_events() == 0
-        timer.arm(2.0)
-        simulator.run()
-        assert fired == [2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +143,13 @@ class TestTimerEventOrdering:
         simulator.run(until=10.0)
         assert fired == ["late"]
 
-    def test_pending_events_and_peek_include_timers(self, simulator: Simulator) -> None:
+    def test_pending_events_include_timers(self, simulator: Simulator) -> None:
         simulator.schedule(3.0, lambda: None)
         timer = simulator.timer(lambda: None)
         timer.arm(1.0)
         assert simulator.pending_events() == 2
-        assert simulator.peek_next_time() == 1.0
         timer.cancel()
         assert simulator.pending_events() == 1
-        assert simulator.peek_next_time() == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +167,6 @@ _TIMERS = st.integers(0, 5)
 #: One program step, applied from a driver event: ``(kind, timer, a, b)``.
 _STEPS = st.one_of(
     st.tuples(st.just("arm"), _TIMERS, _DELAYS, st.none()),
-    st.tuples(st.just("arm_at"), _TIMERS, _DELAYS, st.none()),  # a: absolute time
     st.tuples(st.just("arm_twice"), _TIMERS, _DELAYS, _DELAYS),  # earlier or later
     st.tuples(st.just("cancel"), _TIMERS, st.none(), st.none()),
     st.tuples(st.just("cancel_then_arm"), _TIMERS, _DELAYS, st.none()),
@@ -218,18 +195,16 @@ def _run_program(
         log.append((index, simulator.now))
 
     def probe() -> None:
-        log.append(
-            ("probe", simulator.now, simulator.peek_next_time(), simulator.pending_events())
-        )
+        log.append(("probe", simulator.now, deadlines(), simulator.pending_events()))
 
     if use_timers:
         timers = [simulator.timer(lambda i=i: fire(i)) for i in range(timer_count)]
 
+        def deadlines() -> Tuple[Optional[float], ...]:
+            return tuple(timer.when for timer in timers)
+
         def cancel(index: int) -> None:
             timers[index].cancel()
-
-        def arm_at(index: int, when: float) -> None:
-            timers[index].arm_at(when)
 
         def arm(index: int, delay: float) -> None:
             timers[index].arm(delay)
@@ -237,16 +212,18 @@ def _run_program(
     else:
         events: List[Optional[Event]] = [None] * timer_count
 
+        def deadlines() -> Tuple[Optional[float], ...]:
+            return tuple(
+                event.time if event is not None and event.sequence >= 0 else None
+                for event in events
+            )
+
         def cancel(index: int) -> None:
             simulator.cancel(events[index])
             events[index] = None
 
         # Naive re-arm: cancel + schedule consumes one sequence number,
         # exactly like Timer.arm.
-        def arm_at(index: int, when: float) -> None:
-            simulator.cancel(events[index])
-            events[index] = simulator.schedule_at(when, fire, index)
-
         def arm(index: int, delay: float) -> None:
             simulator.cancel(events[index])
             events[index] = simulator.schedule(delay, fire, index)
@@ -254,8 +231,6 @@ def _run_program(
     def apply(kind: str, index: int, a: Optional[float], b: Optional[float]) -> None:
         if kind == "arm":
             arm(index, a)
-        elif kind == "arm_at":
-            arm_at(index, max(a, simulator.now))
         elif kind == "arm_twice":
             arm(index, a)
             arm(index, b)
@@ -303,55 +278,27 @@ class TestDeferredRearm:
         timer.arm(1.0)
         timer.arm(5.0)  # deferred: the entry filed at 1.0 is now a placeholder
         assert simulator.heap_size == 1
+        sequence_before = simulator._sequence
         simulator.run(until=2.0)
+        assert simulator._sequence == sequence_before  # a re-file draws no sequence
         assert fired == []
         assert simulator.now == 2.0
         assert simulator.events_processed == 0
         assert simulator.heap_refiles == 1
-        assert simulator.peek_next_time() == 5.0
+        assert timer.when == 5.0
         simulator.run()
         assert fired == [5.0]
         assert simulator.events_processed == 1
-
-    def test_peek_resolves_a_placeholder_without_counting_an_event(
-        self, simulator: Simulator
-    ) -> None:
-        timer = simulator.timer(lambda: None)
-        timer.arm(1.0)
-        timer.arm(3.0)
-        simulator.schedule(2.0, lambda: None)
-        sequence_before = simulator._sequence
-        assert simulator.peek_next_time() == 2.0
-        assert simulator.pending_events() == 2
-        assert simulator._sequence == sequence_before
-        assert simulator.events_processed == 0
 
     def test_cancelled_timer_placeholder_is_dropped(self, simulator: Simulator) -> None:
         timer = simulator.timer(lambda: None)
         timer.arm(1.0)
         timer.cancel()
         assert simulator.pending_events() == 0
-        assert simulator.peek_next_time() is None
+        simulator.run()
         assert simulator.heap_size == 0
         assert simulator.heap_refiles == 0
-
-    def test_reset_disarms_placeholders(self, simulator: Simulator) -> None:
-        fired = []
-        moved = simulator.timer(lambda: fired.append(("moved", simulator.now)))
-        cancelled = simulator.timer(lambda: fired.append(("cancelled", simulator.now)))
-        moved.arm(1.0)
-        moved.arm(2.0)
-        cancelled.arm(1.0)
-        cancelled.cancel()
-        simulator.reset()
-        assert not moved.armed and not cancelled.armed
-        assert simulator.pending_events() == 0 and simulator.heap_size == 0
-        # Both handles file a fresh entry: nothing of the old heap is assumed.
-        moved.arm(0.5)
-        cancelled.arm(3.0)
-        assert simulator.heap_size == 2
-        simulator.run()
-        assert fired == [("moved", 0.5), ("cancelled", 3.0)]
+        assert simulator.events_processed == 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +320,10 @@ class TestCancellationHygiene:
         assert simulator.heap_compactions >= 1
         assert simulator.heap_size < 2_000
         assert simulator.pending_events() == 1_000
-        assert simulator.peek_next_time() == 1.0
         simulator.run()
         assert len(fired) == 1_000
+        assert fired[0] == 1.0
         assert fired == sorted(fired)
-
-    def test_peek_next_time_skips_cancelled_without_sorting(self) -> None:
-        simulator = Simulator()
-        keep = simulator.schedule(5.0, lambda: None)
-        doomed = [simulator.schedule(1.0 + index * 1e-3, lambda: None) for index in range(50)]
-        for event in doomed:
-            simulator.cancel(event)
-        assert simulator.peek_next_time() == keep.time
 
     def test_later_rearms_file_nothing(self) -> None:
         # The RTO pattern: every ACK pushes the deadline out.  10,048 re-arms
@@ -425,21 +364,6 @@ class TestCancellationHygiene:
         assert simulator.now == pytest.approx(1.0 - 99 * 1e-3)
         assert simulator.heap_dead_entries == 0
 
-    def test_reset_rewinds_the_hygiene_counters(self) -> None:
-        simulator = Simulator()
-        events = [simulator.schedule(1.0, lambda: None) for _ in range(200)]
-        for event in events:
-            simulator.cancel(event)
-        timer = simulator.timer(lambda: None)
-        timer.arm(1.0)
-        timer.arm(2.0)  # the entry filed at 1.0 is re-filed when popped
-        simulator.run()
-        assert simulator.heap_compactions >= 1
-        assert simulator.heap_refiles == 1
-        simulator.reset()
-        assert simulator.heap_compactions == 0
-        assert simulator.heap_refiles == 0
-
     def test_cancel_via_event_handle_still_correct(self) -> None:
         # Cancelling through Event.cancel() bypasses the compaction
         # accounting but must stay behaviourally correct (lazy skip).
@@ -449,7 +373,6 @@ class TestCancellationHygiene:
         simulator.schedule(2.0, lambda: fired.append("kept"))
         doomed.cancel()
         assert simulator.pending_events() == 1
-        assert simulator.peek_next_time() == 2.0
         simulator.run()
         assert fired == ["kept"]
         assert simulator.events_processed == 1

@@ -18,18 +18,22 @@ from repro.metrics.stats import (
     fraction_above,
     jains_fairness_index,
     mean_ci95,
-    percentile,
     summarize,
 )
 
 np = pytest.importorskip("numpy")
 
 SIZES = (1, 7, 8, 9, 127, 128, 129, 8192, 8193, 20_000)
-QUANTILES = (0, 50, 90, 99, 99.9, 100)
 
 
 def _hex(value: float) -> str:
     return float(value).hex()
+
+
+def _exported_quantiles(values) -> list:
+    """``(q, value)`` for each percentile a summary exports (p50, p90, p99)."""
+    summary = summarize(values)
+    return [(50, summary.p50), (90, summary.p90), (99, summary.p99)]
 
 
 def _samples():
@@ -59,16 +63,13 @@ def test_summarize_matches_numpy(label, values) -> None:
     assert _hex(summary.std) == _hex(np.std(data))
     assert _hex(summary.minimum) == _hex(np.min(data))
     assert _hex(summary.maximum) == _hex(np.max(data))
-    assert _hex(summary.p50) == _hex(np.percentile(data, 50))
-    assert _hex(summary.p90) == _hex(np.percentile(data, 90))
-    assert _hex(summary.p99) == _hex(np.percentile(data, 99))
 
 
 @pytest.mark.parametrize("label, values", SAMPLES, ids=IDS)
 def test_percentile_and_fraction_match_numpy(label, values) -> None:
     data = np.asarray(values, dtype=float)
-    for q in QUANTILES:
-        assert _hex(percentile(values, q)) == _hex(np.percentile(data, q)), q
+    for q, value in _exported_quantiles(values):
+        assert _hex(value) == _hex(np.percentile(data, q)), q
     for threshold in (0.0, float(np.median(data))):
         expected = np.count_nonzero(data > threshold) / data.size
         assert _hex(fraction_above(values, threshold)) == _hex(expected)
@@ -103,13 +104,14 @@ def test_signed_zero_sums_follow_numpy() -> None:
     assert _hex(np.sum([-0.0])) == _hex(0.0)
     for values in ([-0.0], [-0.0] * 8, [-0.0] * 200, [0.0, -0.0]):
         assert _hex(summarize(values).mean) == _hex(np.mean(values))
-    # A single element is its own percentile at q=100; two -0.0s are not.
-    assert _hex(percentile([-0.0], 100)) == _hex(np.percentile([-0.0], 100)) == _hex(-0.0)
-    assert _hex(percentile([-0.0, -0.0], 100)) == _hex(np.percentile([-0.0, -0.0], 100))
+    # The exported percentiles of signed zeros keep numpy's sign.
+    for values in ([-0.0], [-0.0, -0.0]):
+        for q, value in _exported_quantiles(values):
+            assert _hex(value) == _hex(np.percentile(values, q)) == _hex(-0.0), q
 
 
 def test_integer_inputs_are_treated_as_float64() -> None:
     values = list(range(1, 101))
     data = np.asarray(values, dtype=float)
-    assert _hex(percentile(values, 99)) == _hex(np.percentile(data, 99))
+    assert _hex(summarize(values).p99) == _hex(np.percentile(data, 99))
     assert _hex(summarize(values).std) == _hex(np.std(data))

@@ -6,13 +6,20 @@ from itertools import combinations
 
 import pytest
 
-from repro.net.routing import verify_all_pairs_routable
 from repro.net.switch import LAYER_AGGREGATION, LAYER_CORE, LAYER_EDGE
 from repro.sim.engine import Simulator
 from repro.topology.base import Topology
 from repro.topology.dualhomed import DualHomedFatTreeTopology
 from repro.topology.fattree import FatTreeParams, FatTreeTopology
-from repro.topology.simple import DumbbellTopology, IncastTopology
+from support import DumbbellTopology, IncastTopology, verify_all_pairs_routable
+
+
+def _hosts_and_edge_oversubscription(params: FatTreeParams) -> tuple:
+    """The built fabric's host count and its edge layer's host:uplink ratio."""
+    topology = FatTreeTopology(Simulator(), params)
+    neighbours = topology.node("edge-0-0").neighbor_to_interface
+    host_links = sum(name.startswith("host-") for name in neighbours)
+    return len(topology.hosts), host_links / (len(neighbours) - host_links)
 
 
 class TestFatTreeParams:
@@ -23,21 +30,18 @@ class TestFatTreeParams:
         assert params.agg_per_pod == 2
         assert params.num_core == 4
         assert params.effective_hosts_per_edge == 2
-        assert params.num_hosts == 16
-        assert params.oversubscription_ratio == 1.0
+        assert _hosts_and_edge_oversubscription(params) == (16, 1.0)
         assert params.inter_pod_path_count == 4
         assert params.intra_pod_path_count == 2
 
     def test_oversubscription_via_hosts_per_edge(self) -> None:
         params = FatTreeParams(k=4, hosts_per_edge=8)
-        assert params.num_hosts == 64
-        assert params.oversubscription_ratio == 4.0
+        assert _hosts_and_edge_oversubscription(params) == (64, 4.0)
 
     def test_paper_scale_parameters(self) -> None:
         # k=8 with 16 hosts per edge is the paper's 512-server, 4:1 fabric.
         params = FatTreeParams(k=8, hosts_per_edge=16)
-        assert params.num_hosts == 512
-        assert params.oversubscription_ratio == 4.0
+        assert _hosts_and_edge_oversubscription(params) == (512, 4.0)
         assert params.num_core == 16
 
     def test_invalid_arity_rejected(self) -> None:
@@ -63,7 +67,7 @@ class TestFatTreeTopology:
         assert layers.count(LAYER_EDGE) == 8
 
     def test_full_routability(self, fattree: FatTreeTopology) -> None:
-        assert verify_all_pairs_routable(fattree.graph, fattree.hosts, fattree.switches)
+        assert verify_all_pairs_routable(fattree)
 
     def test_path_diversity_matches_structure(self, fattree: FatTreeTopology) -> None:
         host_a = fattree.node("host-0-0-0")
@@ -137,7 +141,7 @@ class TestDualHomedFatTree:
     def test_hosts_have_two_uplinks(self) -> None:
         topology = DualHomedFatTreeTopology(Simulator(), FatTreeParams(k=4, hosts_per_edge=2))
         assert all(len(host.interfaces) == 2 for host in topology.hosts)
-        assert verify_all_pairs_routable(topology.graph, topology.hosts, topology.switches)
+        assert verify_all_pairs_routable(topology)
 
     def test_path_diversity_doubles(self) -> None:
         topology = DualHomedFatTreeTopology(Simulator(), FatTreeParams(k=4, hosts_per_edge=2))
@@ -158,7 +162,7 @@ class TestSimpleTopologies:
         topology = DumbbellTopology(Simulator(), pairs=3)
         assert len(topology.senders) == 3
         assert len(topology.receivers) == 3
-        assert verify_all_pairs_routable(topology.graph, topology.hosts, topology.switches)
+        assert verify_all_pairs_routable(topology)
 
     def test_incast_structure(self) -> None:
         topology = IncastTopology(Simulator(), fan_in=5)

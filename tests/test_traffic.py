@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.traffic.arrivals import poisson_arrivals, synchronized_arrivals
 from repro.traffic.flowspec import PROTOCOL_MMPTCP, PROTOCOL_MPTCP, FlowSpec
-from repro.traffic.matrices import (
-    hotspot_pairs,
-    pair_counts_by_destination,
-    permutation_pairs,
-)
+from repro.traffic.matrices import hotspot_pairs, permutation_pairs
 from repro.traffic.workloads import (
     ShortLongWorkloadParams,
     build_hotspot_workload,
@@ -46,7 +43,7 @@ class TestMatrices:
     def test_hotspot_pairs_concentrate_load(self) -> None:
         pairs = hotspot_pairs(HOSTS, random.Random(5), hotspot_fraction=0.1,
                               load_fraction=0.8)
-        counts = pair_counts_by_destination(pairs)
+        counts = Counter(dst for _, dst in pairs)
         assert max(counts.values()) >= 3  # some destination is clearly hot
         assert all(src != dst for src, dst in pairs)
 
@@ -136,8 +133,7 @@ class TestWorkloads:
         params = ShortLongWorkloadParams(max_short_flows=5)
         workload = build_short_long_workload(HOSTS, params, random.Random(4))
         assert workload.total_bytes == sum(f.size_bytes for f in workload.flows)
-        by_source = workload.flows_by_source()
-        assert sum(len(flows) for flows in by_source.values()) == len(workload.flows)
+        assert len(workload.short_flows) + len(workload.long_flows) == len(workload.flows)
 
     def test_incast_workload_synchronised(self) -> None:
         workload = build_incast_workload(HOSTS[:8], "sink", response_size_bytes=20_000,

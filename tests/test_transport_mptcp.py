@@ -12,13 +12,14 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
-from repro.topology.simple import TwoHostTopology, TwoPathTopology
 from repro.transport.base import TcpConfig
 from repro.transport.cc.lia import LiaController
 from repro.transport.mptcp import MptcpConnection, MptcpReceiver, MptcpSubflow
 from support import (
     RTO_REWIND_BYTES,
     RTO_REWIND_CONFIG,
+    TwoHostTopology,
+    TwoPathTopology,
     forwarded_packets,
     live_chunks,
     record_allocations,
@@ -60,7 +61,7 @@ class TestBasicOperation:
         connection, receiver, _ = _run_mptcp(
             100_000, subflows=3,
             instrument=lambda connection: record_allocations(connection, chunks))
-        allocated = sum(subflow.allocated_bytes for subflow in connection.subflows)
+        allocated = sum(subflow.total_bytes for subflow in connection.subflows)
         assert allocated == 100_000
         # DSN ranges, recorded as they were allocated, must tile the stream
         # without overlap.
@@ -73,7 +74,7 @@ class TestBasicOperation:
 
     def test_multiple_subflows_carry_data(self) -> None:
         connection, _, _ = _run_mptcp(400_000, subflows=4)
-        carrying = [s for s in connection.subflows if s.allocated_bytes > 0]
+        carrying = [s for s in connection.subflows if s.total_bytes > 0]
         assert len(carrying) >= 2
 
     def test_subflows_use_distinct_source_ports_and_paths(self) -> None:
@@ -86,7 +87,7 @@ class TestBasicOperation:
     def test_single_subflow_mptcp_degenerates_to_tcp_like_behaviour(self) -> None:
         connection, receiver, _ = _run_mptcp(100_000, subflows=1)
         assert connection.complete
-        assert connection.subflows[0].allocated_bytes == 100_000
+        assert connection.subflows[0].total_bytes == 100_000
 
     def test_aggregate_stats_sum_subflows(self) -> None:
         connection, _, _ = _run_mptcp(200_000, subflows=3)
@@ -179,7 +180,7 @@ class TestSegmentMap:
         for subflow in connection.subflows:
             peak_map, peak_window = watch.peaks[subflow.subflow_id]
             assert peak_map <= peak_window + 1
-            assert 2 * peak_map < subflow.allocated_bytes // TEST_CONFIG.mss
+            assert 2 * peak_map < subflow.total_bytes // TEST_CONFIG.mss
 
     def test_map_serves_reads_below_snd_una_after_an_rto_rewind(self) -> None:
         # After the RTO rewind a cumulative ACK leaves snd_nxt below snd_una,

@@ -86,25 +86,25 @@ class TestReceiveBuffer:
         assert buffer.add(0, 1000) == 1000
         assert buffer.add(1000, 1000) == 1000
         assert buffer.rcv_nxt == 2000
-        assert buffer.buffered_out_of_order_bytes == 0
+        assert buffer._segments == []
 
     def test_out_of_order_held_then_absorbed(self) -> None:
         buffer = ReceiveBuffer()
         assert buffer.add(1000, 1000) == 0
         assert buffer.rcv_nxt == 0
-        assert buffer.buffered_out_of_order_bytes == 1000
+        assert buffer._segments == [(1000, 2000)]
         assert buffer.out_of_order_arrivals == 1
         # Filling the gap releases both segments at once.
         assert buffer.add(0, 1000) == 2000
         assert buffer.rcv_nxt == 2000
-        assert buffer.buffered_out_of_order_bytes == 0
+        assert buffer._segments == []
 
     def test_duplicate_data_counted_not_readded(self) -> None:
         buffer = ReceiveBuffer()
         buffer.add(0, 1000)
         assert buffer.add(0, 1000) == 0
         assert buffer.rcv_nxt == 1000
-        assert buffer.buffered_out_of_order_bytes == 0
+        assert buffer._segments == []
 
     def test_partial_overlap_with_frontier(self) -> None:
         buffer = ReceiveBuffer()
@@ -117,22 +117,20 @@ class TestReceiveBuffer:
         buffer = ReceiveBuffer()
         buffer.add(2000, 1000)
         buffer.add(4000, 1000)
-        assert buffer.missing_ranges == [(0, 2000), (3000, 4000)]
+        # Two gaps: [0, 2000) before the frontier's first range, [3000, 4000).
+        assert (buffer.rcv_nxt, buffer._segments) == (0, [(2000, 3000), (4000, 5000)])
         buffer.add(0, 2000)
-        assert buffer.rcv_nxt == 3000
+        assert (buffer.rcv_nxt, buffer._segments) == (3000, [(4000, 5000)])
         buffer.add(3000, 1000)
-        assert buffer.rcv_nxt == 5000
-        assert buffer.missing_ranges == []
+        assert (buffer.rcv_nxt, buffer._segments) == (5000, [])
 
     def test_has_received(self) -> None:
         buffer = ReceiveBuffer()
         buffer.add(0, 1000)
         buffer.add(2000, 500)
-        assert buffer.has_received(0)
-        assert buffer.has_received(999)
-        assert not buffer.has_received(1500)
-        assert buffer.has_received(2200)
-        assert not buffer.has_received(2500)
+        # Received: [0, 1000) in order and [2000, 2500) out of order.
+        assert buffer.rcv_nxt == 1000
+        assert buffer._segments == [(2000, 2500)]
 
     def test_zero_or_negative_length_ignored(self) -> None:
         buffer = ReceiveBuffer()

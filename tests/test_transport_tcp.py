@@ -8,7 +8,6 @@ from repro.net.packet import FLAG_ACK, Packet
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.sim.units import megabits_per_second
-from repro.topology.simple import DumbbellTopology, TwoHostTopology
 from repro.transport.base import INITIAL_SSTHRESH_BYTES, TcpConfig
 from repro.transport.receiver import TcpReceiver
 from repro.transport.tcp import TcpSender
@@ -17,6 +16,8 @@ from support import (
     RTO_REWIND_BYTES,
     RTO_REWIND_CONFIG,
     TEST_TCP_CONFIG,
+    DumbbellTopology,
+    TwoHostTopology,
     make_tcp_transfer,
     rto_rewind_topology,
 )
